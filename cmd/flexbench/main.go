@@ -1,6 +1,6 @@
 // Command flexbench regenerates the tables and figures of the FlexTOE
-// paper's evaluation (§5) on the simulated testbed, and serves the
-// scenario job API.
+// paper's evaluation (§5) on the simulated testbed, and runs declarative
+// scenario specs — one-shot or as an HTTP job service.
 //
 // Usage:
 //
@@ -9,17 +9,20 @@
 //	flexbench -cores 8        # shard engines / parallelize cells up to 8 cores
 //	flexbench table3 fig11    # run specific experiments
 //	flexbench -list           # list experiment ids
+//	flexbench run spec.json   # run one scenario spec, canonical result
+//	                          # payload on stdout (examples/scenarios/)
 //	flexbench serve -addr :8080 -dir jobs -workers 4
-//	                          # HTTP job service for declarative scenario
-//	                          # specs (see internal/scenario/server and
-//	                          # examples/scenarios/)
+//	                          # HTTP job service for the same specs (see
+//	                          # internal/scenario/server); a job's result
+//	                          # is byte-identical to `flexbench run`
 //
 // With -cores > 1 the scaling-sensitive experiments (Fig 8, 15, 17)
 // additionally emit a harness-scaling table: wall-clock and speedup at
 // 1/2/4/8 cores (capped at -cores). Results are bit-identical across
 // core counts; only the wall-clock changes.
 //
-// Unknown subcommands or flags print usage on stderr and exit 2.
+// Unknown subcommands or flags print usage on stderr and exit 2; a spec
+// that cannot be read, parsed or validated prints the error and exits 1.
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"flextoe/internal/experiments"
+	"flextoe/internal/scenario"
 	"flextoe/internal/scenario/server"
 )
 
@@ -40,18 +44,24 @@ func main() {
 }
 
 // run is the testable entry point: it dispatches to the experiment
-// runner or the serve subcommand and returns the process exit code.
+// runner or the run/serve subcommands and returns the process exit code.
 // Usage errors (unknown subcommand, unknown experiment id, bad flags)
 // print usage on stderr and return 2, the conventional usage-error code.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], stdout, stderr)
+	if len(args) > 0 {
+		switch args[0] {
+		case "run":
+			return runSpec(args[1:], stdout, stderr)
+		case "serve":
+			return runServe(args[1:], stdout, stderr)
+		}
 	}
 	return runExperiments(args, stdout, stderr)
 }
 
 func usage(stderr io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(stderr, `usage: flexbench [-full] [-cores N] [-list] [experiment ids...]
+       flexbench run spec.json
        flexbench serve [-addr host:port] [-dir path] [-workers N]`)
 	if fs != nil {
 		fs.SetOutput(stderr)
@@ -105,6 +115,31 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, t.Format())
 		}
 		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", r.ID, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// runSpec is the one-shot scenario entry point: the same scenario.Run the
+// job service calls, with the canonical result payload on stdout.
+func runSpec(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintf(stderr, "run takes exactly one spec file (got %d arguments)\n", len(args))
+		usage(stderr, nil)
+		return 2
+	}
+	data, err := os.ReadFile(args[0])
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	res, err := scenario.Run(data, nil)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if _, err := stdout.Write(res.Canonical()); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	return 0
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -17,6 +19,8 @@ func TestDispatchUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
 		{"serve unknown flag", []string{"serve", "-bogus"}},
 		{"serve positional arg", []string{"serve", "extra"}},
+		{"run without a spec", []string{"run"}},
+		{"run with two specs", []string{"run", "a.json", "b.json"}},
 		{"unknown id after flags", []string{"-cores", "2", "nope"}},
 	}
 	for _, tc := range cases {
@@ -45,5 +49,58 @@ func TestDispatchList(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("-list wrote to stderr: %q", stderr.String())
+	}
+}
+
+const exampleSpec = "../../examples/scenarios/fig15c-loss-sweep.json"
+
+// TestRunSpecDeterministic: `flexbench run` prints the canonical result
+// payload, byte-identical on a rerun of the same spec.
+func TestRunSpecDeterministic(t *testing.T) {
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		var stderr bytes.Buffer
+		if code := run([]string{"run", exampleSpec}, &outs[i], &stderr); code != 0 {
+			t.Fatalf("run exited %d: %s", code, stderr.String())
+		}
+		if stderr.Len() != 0 {
+			t.Errorf("run wrote to stderr: %q", stderr.String())
+		}
+	}
+	if !strings.Contains(outs[0].String(), `"workloads"`) {
+		t.Fatalf("stdout is not a result payload:\n%s", outs[0].String())
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Error("same spec twice produced different bytes")
+	}
+}
+
+// TestRunSpecErrors: a spec that cannot be read or fails validation (the
+// empty-clients spec that once divided by zero in a worker) prints the
+// error on stderr and exits 1 — no usage text, no stdout, no panic.
+func TestRunSpecErrors(t *testing.T) {
+	good, err := os.ReadFile(exampleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyClients := filepath.Join(t.TempDir(), "empty-clients.json")
+	bad := bytes.Replace(good, []byte(`"clients": ["client"]`), []byte(`"clients": []`), 1)
+	if bytes.Equal(bad, good) {
+		t.Fatal("example spec no longer has the clients list this test edits")
+	}
+	if err := os.WriteFile(emptyClients, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{emptyClients, filepath.Join(t.TempDir(), "missing.json")} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"run", path}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s: exit code %d, want 1", path, code)
+		}
+		if stderr.Len() == 0 || strings.Contains(stderr.String(), "usage: flexbench") {
+			t.Errorf("%s: stderr should carry the error and no usage:\n%s", path, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: failed run wrote to stdout: %q", path, stdout.String())
+		}
 	}
 }

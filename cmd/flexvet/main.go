@@ -6,7 +6,7 @@
 //	viewretain  zero-copy view aliasing (PR 5)
 //	poolown     pooled single-ownership (PR 3)
 //	detrange    one-seed determinism (map order, wall clock, global rand)
-//	hotclosure  zero-alloc event scheduling (Call-form APIs)
+//	hotclosure  zero-alloc event scheduling (no func literal to a *Call method)
 //	sharedstate cross-shard state inventory (reporting only; -sharedstate)
 //
 // Usage:

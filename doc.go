@@ -1,8 +1,9 @@
 // FlexTOE reproduction: a flexible TCP offload engine with fine-grained
 // parallelism (NSDI 2022), rebuilt as a deterministic simulation in Go.
 //
-// See README.md for the architecture overview, cmd/flexbench for the
-// evaluation harness, and examples/ for runnable applications.
+// The sections below state the architecture's contracts; see
+// cmd/flexbench for the evaluation harness, examples/ for runnable
+// applications and examples/scenarios/README.md for declarative specs.
 // bench_test.go in this directory regenerates every table and figure of
 // the paper's evaluation as Go benchmarks.
 //
@@ -14,12 +15,15 @@
 //
 //   - Events (internal/sim): the engine is a hierarchical timing wheel —
 //     a near wheel of recycled bucket slices plus an overflow heap for
-//     far deadlines (RTOs). Callbacks scheduled with the AtCall/AfterCall
-//     forms carry a long-lived function value plus a per-event arg, so no
-//     closure is allocated. An arg must never be a pooled object that its
-//     owner could recycle before the event fires: the scheduler of the
-//     event must hold (or transitively guarantee) a reference until it
-//     runs. In particular, Engine.Immediately callbacks must not retain
+//     far deadlines (RTOs). There is one scheduling API: every event and
+//     task completion (Engine.AtCall/AfterCall/ImmediatelyCall/EveryCall,
+//     Resource.AcquireCall, Core/FPC.SubmitCall, DMAEngine.IssueCall)
+//     carries a long-lived func(any) plus a per-event arg, so no closure
+//     is allocated; sim.RunFunc is the one adapter for firing an
+//     application-owned func(). An arg must never be a pooled object that
+//     its owner could recycle before the event fires: the scheduler of
+//     the event must hold (or transitively guarantee) a reference until
+//     it runs. In particular, ImmediatelyCall callbacks must not retain
 //     pooled packets or segItems past their release point.
 //
 //   - segItems (internal/core): pooled per TOE and reference-counted.
@@ -53,8 +57,8 @@
 // records the trajectory.
 //
 // The ownership rule is statically enforced by flexvet/poolown (leaks,
-// double release, use after release) and the closure-vs-Call discipline
-// by flexvet/hotclosure; building with -tags flexdebug adds runtime
+// double release, use after release) and the no-closure-per-event rule by
+// flexvet/hotclosure; building with -tags flexdebug adds runtime
 // double-release panics and payload poisoning on top (see the flexvet
 // section below).
 //
@@ -175,7 +179,7 @@
 //
 //   - A Peek view is invalidated by the next Consume, a Reserve view by
 //     the next Commit. Views must never be retained across those calls,
-//     across event callbacks, or into deferred work (a core.Submit task,
+//     across event callbacks, or into deferred work (a SubmitCall task,
 //     an engine event): by the time deferred work runs, the window may
 //     have been recycled for new data. Anything needed later is copied
 //     out first (the KV server copies only ring-wrap-straddling frames,
@@ -371,8 +375,10 @@
 //   - detrange: simulation-critical packages must not range over maps
 //     (iteration order would leak into the event order), call wall-clock
 //     time, or draw from global/unseeded randomness.
-//   - hotclosure: scheduling a func literal where an allocation-free
-//     *Call variant exists (At/AtCall and friends) is flagged.
+//   - hotclosure: a func literal passed to a *Call scheduling or
+//     submission method (as callback or argument) in a
+//     simulation-critical package is flagged; the closure-typed
+//     schedulers themselves no longer exist.
 //   - sharedstate: reporting-only; inventories package-level mutable
 //     state into SHAREDSTATE.md and classifies each variable against the
 //     sharding contract above (shard-confined defaults included).
@@ -403,9 +409,9 @@ import (
 func main() {
 	fmt.Println("FlexTOE reproduction. Use:")
 	fmt.Println("  go run ./cmd/flexbench      # regenerate the paper's tables and figures")
-	fmt.Println("  go run ./cmd/flexbench serve  # scenario job service (examples/scenarios/)")
+	fmt.Println("  go run ./cmd/flexbench run spec.json  # one scenario spec (examples/scenarios/)")
+	fmt.Println("  go run ./cmd/flexbench serve  # the same specs as an HTTP job service")
 	fmt.Println("  go run ./cmd/flextrace      # tcpdump-style capture on a simulated run")
-	fmt.Println("  go run ./cmd/flexload       # scenario load generator")
 	fmt.Println("  go run ./examples/quickstart")
 	os.Exit(0)
 }

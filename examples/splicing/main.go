@@ -64,13 +64,13 @@ func main() {
 	}
 	gap := sim.Time(float64(frame.WireLen()) / netsim.GbpsToBytesPerSec(40) * 1e12)
 	const dur = 5 * sim.Millisecond
-	tb.Eng.Every(0, gap, func() bool {
+	tb.Eng.EveryCall(0, gap, func(any) bool {
 		if tb.Eng.Now() >= dur {
 			return false
 		}
 		gen.Iface.Send(netsim.NewFrame(frame, tb.Eng.Now()))
 		return true
-	})
+	}, nil)
 	tb.Run(dur + sim.Millisecond)
 
 	fmt.Printf("spliced at %.2f Mpps (%d frames forwarded, %d received at sink)\n",

@@ -1,31 +1,25 @@
 // Package hotclosure enforces the zero-allocation event discipline
-// (doc.go "Pooling ownership", PR 3) in simulation-critical packages:
-// event scheduling and task submission must not allocate a closure per
-// event on the hot path.
+// (doc.go "Pooling ownership") in simulation-critical packages: events and
+// task completions carry a long-lived func(any) plus an argument, never a
+// closure built per event.
 //
-// The engine and its clients expose paired APIs for exactly this reason —
-// At/AtCall, After/AfterCall, Immediately/ImmediatelyCall, Every/EveryCall
-// (sim.Engine), Submit/SubmitCall (host.Core, nfp.FPC), and
-// Acquire/AcquireCall (sim.Resource). The closure form exists for tests
-// and cold paths; the Call form carries a long-lived func(any) plus an
-// argument, so arming allocates nothing.
-//
-// The check is shape-generic rather than a hard-coded list: any method
-// call M(..., func(){...}, ...) whose receiver's method set also contains
-// an M+"Call" method is flagged — passing a func literal is what forces
-// the closure allocation, and the existence of the Call variant proves
-// the author of the API considered the site hot. Named function values,
-// method values, and cached closure fields pass (they allocate once, not
-// per event). A deliberate cold-path closure may carry
-// //flexvet:hotclosure <why>.
-//
-// The sim package itself is exempt: it defines the paired APIs and its
-// closure forms are implemented in terms of each other by design.
+// Every scheduler and processor exposes exactly one form — AtCall,
+// AfterCall, ImmediatelyCall, EveryCall (sim.Engine), AcquireCall
+// (sim.Resource), SubmitCall (host.Core, nfp.FPC), IssueCall
+// (nfp.DMAEngine) — so the one way left to allocate per event is to hand
+// such a method a func literal, as the callback or as its argument. That
+// is the rule: a func literal passed to a method whose name ends in "Call"
+// is flagged. Package-level functions, cached func fields and
+// sim.RunFunc with a stored func() pass (they allocate once, not per
+// event). A deliberate once-per-connection or teardown literal carries
+// //flexvet:hotclosure <why>. Test files are not loaded, so tests may use
+// literals freely.
 package hotclosure
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"flextoe/internal/analysis/flexanalysis"
 )
@@ -33,26 +27,20 @@ import (
 // Analyzer is the hotclosure pass.
 var Analyzer = &flexanalysis.Analyzer{
 	Name: "hotclosure",
-	Doc: "flag func-literal arguments to scheduling/submission methods that " +
-		"have an allocation-free *Call variant in simulation-critical packages",
+	Doc: "flag func-literal arguments to *Call scheduling/submission methods " +
+		"in simulation-critical packages",
 	Run: run,
 }
 
-// enginePkg defines the paired APIs and is exempt from the check.
-const enginePkg = "flextoe/internal/sim"
-
 func run(pass *flexanalysis.Pass) (any, error) {
-	path := pass.Pkg.Path()
-	if !flexanalysis.Critical(path) || path == enginePkg {
+	if !flexanalysis.Critical(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCall(pass, call)
 			}
-			checkCall(pass, call)
 			return true
 		})
 	}
@@ -61,33 +49,20 @@ func run(pass *flexanalysis.Pass) (any, error) {
 
 func checkCall(pass *flexanalysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !strings.HasSuffix(sel.Sel.Name, "Call") {
 		return
 	}
 	selection := pass.TypesInfo.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
 		return // package-qualified call or field, not a method
 	}
-	name := sel.Sel.Name
-	if len(name) >= 4 && name[len(name)-4:] == "Call" {
-		return
-	}
-	hasLit := false
 	for _, arg := range call.Args {
 		if _, ok := arg.(*ast.FuncLit); ok {
-			hasLit = true
-			break
+			pass.Reportf(call.Pos(),
+				"func literal passed to %s.%s allocates a closure per event; pass a long-lived func(any) and an argument (//flexvet:hotclosure <why> for deliberate cold paths)",
+				typeLabel(selection.Recv()), sel.Sel.Name)
+			return
 		}
-	}
-	if !hasLit {
-		return
-	}
-	recv := selection.Recv()
-	obj, _, _ := types.LookupFieldOrMethod(recv, true, pass.Pkg, name+"Call")
-	if fn, ok := obj.(*types.Func); ok && fn != nil {
-		pass.Reportf(call.Pos(),
-			"closure-form %s.%s allocates a closure per event; use %sCall with a long-lived func(any) and an argument (//flexvet:hotclosure <why> for deliberate cold paths)",
-			typeLabel(recv), name, name)
 	}
 }
 

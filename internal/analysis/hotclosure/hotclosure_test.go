@@ -13,24 +13,6 @@ func TestHotclosure(t *testing.T) {
 	res := flexanalysis.RunWant(t, l, Analyzer, dir, "flextoe/internal/core/hctest")
 
 	if got := len(res.Suppressed); got != 1 {
-		t.Errorf("suppressed diagnostics = %d, want 1 (//flexvet:hotclosure cold path)", got)
-	}
-}
-
-// TestHotclosureExemptsEnginePackage: the sim package defines the paired
-// APIs (Every is implemented via At with a rearming closure by design).
-func TestHotclosureExemptsEnginePackage(t *testing.T) {
-	l := flexanalysis.NewLoader()
-	dir := filepath.Join("testdata", "src", "hctest")
-	pkg, err := l.Load(dir, "flextoe/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := flexanalysis.RunPackage(pkg, []*flexanalysis.Analyzer{Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(results[0].Diags); n != 0 {
-		t.Errorf("engine package produced %d diagnostics, want 0", n)
+		t.Errorf("suppressed diagnostics = %d, want 1 (//flexvet:hotclosure once-per-connection site)", got)
 	}
 }

@@ -1,57 +1,53 @@
 // Package hctest exercises the hotclosure pass against the real engine
 // APIs. Its synthetic import path places it under flextoe/internal/core,
-// so it is simulation-critical (and not the exempt sim package itself).
+// so it is simulation-critical.
 package hctest
 
 import (
 	"flextoe/internal/host"
+	"flextoe/internal/nfp"
 	"flextoe/internal/sim"
 )
 
 type pump struct {
-	eng  *sim.Engine
-	fn   func()
-	work func(any)
+	eng    *sim.Engine
+	work   func(any)
+	notify func() // application-owned callback, stored once
 }
 
-// closureForms allocate one closure per arming where a Call variant
-// exists: every one is a hot-path regression.
-func closureForms(p *pump, core *host.Core, res *sim.Resource) {
-	p.eng.At(10, func() {})                     // want `closure-form Engine\.At allocates a closure per event; use AtCall`
-	p.eng.After(10, func() {})                  // want `closure-form Engine\.After .*use AfterCall`
-	p.eng.Immediately(func() {})                // want `closure-form Engine\.Immediately .*use ImmediatelyCall`
-	p.eng.Every(0, 10, func() bool { return false }) // want `closure-form Engine\.Every .*use EveryCall`
-	core.Submit(sim.TaskC(100), func() {})      // want `closure-form Core\.Submit .*use SubmitCall`
-	res.Acquire(1, 0, func() {})                // want `closure-form Resource\.Acquire .*use AcquireCall`
+// literals allocate one closure per arming: every one is a hot-path
+// regression, whether the literal is the callback or its argument.
+func literals(p *pump, core *host.Core, res *sim.Resource, dma *nfp.DMAEngine) {
+	p.eng.AtCall(10, func(any) {}, nil)                          // want `func literal passed to Engine\.AtCall allocates a closure per event`
+	p.eng.AtCall(10, sim.RunFunc, func() {})                     // want `func literal passed to Engine\.AtCall`
+	p.eng.EveryCall(0, 10, func(any) bool { return false }, nil) // want `func literal passed to Engine\.EveryCall`
+	core.SubmitCall(sim.TaskC(100), func(any) {}, nil)           // want `func literal passed to Core\.SubmitCall`
+	res.AcquireCall(1, 0, func(any) {}, nil)                     // want `func literal passed to Resource\.AcquireCall`
+	dma.IssueCall(64, func(any) {}, nil)                         // want `func literal passed to DMAEngine\.IssueCall`
 }
 
-// callForms are the sanctioned zero-alloc shapes.
-func callForms(p *pump, core *host.Core) {
-	p.eng.AtCall(10, p.work, nil)
+// longLived are the sanctioned zero-alloc shapes: a package-level
+// function, a cached field, and sim.RunFunc firing a stored func().
+func longLived(p *pump, core *host.Core) {
+	p.eng.AtCall(10, tick, p)
 	p.eng.AfterCall(10, p.work, nil)
 	core.SubmitCall(sim.TaskC(100), p.work, nil)
+	core.SubmitCall(sim.TaskC(100), sim.RunFunc, p.notify)
 }
 
-// namedValues pass long-lived function values: one allocation at setup,
-// none per arming — allowed by design.
-func namedValues(p *pump) {
-	p.eng.At(10, p.fn)
-	p.eng.After(10, tick)
+func tick(any) {}
+
+// establish documents a deliberate once-per-connection literal.
+func establish(p *pump, connected func(int), id int) {
+	//flexvet:hotclosure connection establishment runs once per connection, not per event
+	p.eng.ImmediatelyCall(func(any) { connected(id) }, nil)
 }
 
-func tick() {}
+// walker's method does not end in Call: a literal argument is fine.
+type walker struct{}
 
-// coldPath documents a deliberate one-shot closure with a justification.
-func coldPath(p *pump) {
-	//flexvet:hotclosure one-shot experiment teardown, runs once per simulation
-	p.eng.At(10, func() {})
-}
+func (walker) Walk(fn func()) { fn() }
 
-// plainAPI has no Call variant: a closure argument is fine.
-type plainAPI struct{}
-
-func (plainAPI) Walk(fn func()) { fn() }
-
-func noCallVariant(w plainAPI) {
+func notAScheduler(w walker) {
 	w.Walk(func() {})
 }

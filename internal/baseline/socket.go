@@ -93,11 +93,17 @@ func (s *Stack) handshake(pkt *packet.Packet, flow packet.Flow) {
 		sa.TCP.WScale = tcpseg.WindowScale
 		sa.TCP.SACKPerm = c.sackOK
 		s.iface.Send(s.frames.NewFrame(sa, s.eng.Now()))
-		sock := newBSocket(c)
-		c.sock = sock
-		//flexvet:hotclosure passive open runs once per connection, not per event
-		s.eng.Immediately(func() { l.accept(sock) })
+		c.sock = newBSocket(c)
+		c.connected = l.accept
+		s.eng.ImmediatelyCall(bconnConnected, c)
 	}
+}
+
+// bconnConnected hands a freshly opened connection's socket to its
+// accept (passive open) or dial (active open) callback.
+func bconnConnected(a any) {
+	c := a.(*bconn)
+	c.connected(c.sock)
 }
 
 // connHandshakeRx handles SYN-ACK completion for active opens; called
@@ -112,12 +118,9 @@ func (s *Stack) connHandshakeRx(c *bconn, pkt *packet.Packet) bool {
 			c.remoteWin = uint32(tcp.Window) << tcpseg.WindowScale
 		}
 		s.sendAck(c, false)
-		sock := newBSocket(c)
-		c.sock = sock
+		c.sock = newBSocket(c)
 		if c.connected != nil {
-			cb := c.connected
-			//flexvet:hotclosure active open completes once per connection, not per event
-			s.eng.Immediately(func() { cb(sock) })
+			s.eng.ImmediatelyCall(bconnConnected, c)
 		}
 		return true
 	}
@@ -303,7 +306,7 @@ func (k *bsocket) rxArrived(n uint32) {
 			// interrupt/scheduler spikes — the tail §5.2 measures.
 			task = task.Add(0, sim.Time(k.c.stack.rng.Exp(prof.SpikeMeanUs)*float64(sim.Microsecond)))
 		}
-		core.Submit(task, cb)
+		core.SubmitCall(task, sim.RunFunc, cb)
 	}
 }
 

@@ -111,7 +111,7 @@ func testData(n int) []byte {
 func TestEndToEndSmallTransfer(t *testing.T) {
 	p := defaultPair(t, 65536)
 	data := testData(100)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -124,7 +124,7 @@ func TestEndToEndSmallTransfer(t *testing.T) {
 func TestEndToEndMultiSegment(t *testing.T) {
 	p := defaultPair(t, 65536)
 	data := testData(20000) // ~14 MSS segments
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(20 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -143,7 +143,7 @@ func TestEndToEndLargerThanBuffers(t *testing.T) {
 	// updates, and buffer wraparound continuously.
 	p := defaultPair(t, 8192)
 	data := testData(80000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -154,10 +154,10 @@ func TestEndToEndBidirectional(t *testing.T) {
 	p := defaultPair(t, 32768)
 	dataA := testData(30000)
 	dataB := testData(25000)
-	p.eng.At(0, func() {
+	p.eng.AtCall(0, func(any) {
 		p.a.send(dataA)
 		p.b.send(dataB)
-	})
+	}, nil)
 	p.eng.RunUntil(50 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, dataA) {
 		t.Fatalf("a->b: %d/%d", len(p.b.got), len(dataA))
@@ -198,7 +198,7 @@ func TestEndToEndPingPong(t *testing.T) {
 			}
 		}
 	}
-	p.eng.At(0, func() { p.a.send(testData(msg)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(msg)) }, nil)
 	p.eng.RunUntil(50 * sim.Millisecond)
 	if len(p.a.got) != rounds*msg {
 		t.Fatalf("a received %d bytes, want %d", len(p.a.got), rounds*msg)
@@ -208,12 +208,12 @@ func TestEndToEndPingPong(t *testing.T) {
 func TestFINTeardown(t *testing.T) {
 	p := defaultPair(t, 16384)
 	data := testData(500)
-	p.eng.At(0, func() {
+	p.eng.AtCall(0, func(any) {
 		p.a.send(data)
-	})
-	p.eng.At(2*sim.Millisecond, func() {
+	}, nil)
+	p.eng.AtCall(2*sim.Millisecond, func(any) {
 		p.a.t.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: p.a.conn.ID})
-	})
+	}, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("data lost: %d/%d", len(p.b.got), len(data))
@@ -229,7 +229,7 @@ func TestFINTeardown(t *testing.T) {
 func TestSegPoolConserved(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(50000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(60 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -251,19 +251,19 @@ func TestRetransmitAfterLossViaHC(t *testing.T) {
 	p := newPair(t, AgilioCX40Config(), AgilioCX40Config(),
 		netsim.SwitchConfig{LossProb: 0.3, Seed: 5}, 32768)
 	data := testData(30000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	// Simple RTO loop: fire a go-back-N reset every 3ms if b hasn't
 	// finished (the real control plane runs this per connection).
 	for i := 1; i <= 100; i++ {
 		at := sim.Time(i) * 3 * sim.Millisecond
-		p.eng.At(at, func() {
+		p.eng.AtCall(at, func(any) {
 			if len(p.b.got) < len(data) {
 				if at > 12*sim.Millisecond {
 					p.net.Switch.Config().LossProb = 0 // network heals
 				}
 				p.a.t.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
 			}
-		})
+		}, nil)
 	}
 	p.eng.RunUntil(400 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
@@ -289,7 +289,7 @@ func TestProtocolAdmissionInOrder(t *testing.T) {
 		}
 	}
 	data := testData(40000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(50 * sim.Millisecond)
 	if violations > 0 {
 		t.Fatalf("%d protocol admission order violations", violations)
@@ -307,7 +307,7 @@ func TestReorderBufferExercised(t *testing.T) {
 	cfg.PreRepl = 4
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, 65536)
 	data := testData(200000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -327,7 +327,7 @@ func TestRunToCompletionMode(t *testing.T) {
 	cfg.ThreadsPerFPC = 1
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, 32768)
 	data := testData(10000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("mono transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -346,7 +346,7 @@ func TestRunToCompletionSlowerThanPipeline(t *testing.T) {
 				doneAt = p.eng.Now()
 			}
 		}
-		p.eng.At(0, func() { p.a.send(data) })
+		p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 		p.eng.RunUntil(2 * sim.Second)
 		if !bytes.Equal(p.b.got, data) {
 			t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -366,7 +366,7 @@ func TestRunToCompletionSlowerThanPipeline(t *testing.T) {
 func TestX86PortTransfers(t *testing.T) {
 	p := newPair(t, X86Config(true), X86Config(true), netsim.SwitchConfig{}, 65536)
 	data := testData(50000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("x86 port transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -376,7 +376,7 @@ func TestX86PortTransfers(t *testing.T) {
 func TestBlueFieldPortTransfers(t *testing.T) {
 	p := newPair(t, BlueFieldConfig(false), BlueFieldConfig(false), netsim.SwitchConfig{}, 65536)
 	data := testData(30000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(200 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("BlueField port transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -388,7 +388,7 @@ func TestDelayedAckExtension(t *testing.T) {
 	cfgB.AckEvery = 2
 	p := newPair(t, AgilioCX40Config(), cfgB, netsim.SwitchConfig{}, 65536)
 	data := testData(100000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(200 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("delayed-ack transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -404,7 +404,7 @@ func TestDelayedAckExtension(t *testing.T) {
 func TestConnStatsPoll(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(20000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	st := p.toeA.ReadStats(p.a.conn.ID)
 	if st.AckedBytes == 0 {
@@ -420,10 +420,10 @@ func TestConnStatsPoll(t *testing.T) {
 func TestRemoveConnectionStopsTraffic(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(500000)
-	p.eng.At(0, func() { p.a.send(data) })
-	p.eng.At(5*sim.Microsecond, func() {
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AtCall(5*sim.Microsecond, func(any) {
 		p.toeB.RemoveConnection(p.b.conn.ID)
-	})
+	}, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	if len(p.b.got) >= len(data) {
 		t.Fatal("transfer completed despite removal")
@@ -440,17 +440,17 @@ func runLossyTransfer(t *testing.T, oooIntervals int, seed uint64) *pair {
 	cfg.OOOIntervals = oooIntervals
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{LossProb: 0.25, Seed: seed}, 32768)
 	data := testData(30000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	for i := 1; i <= 150; i++ {
 		at := sim.Time(i) * 3 * sim.Millisecond
-		p.eng.At(at, func() {
+		p.eng.AtCall(at, func(any) {
 			if len(p.b.got) < len(data) {
 				if at > 12*sim.Millisecond {
 					p.net.Switch.Config().LossProb = 0 // network heals
 				}
 				p.a.t.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
 			}
-		})
+		}, nil)
 	}
 	p.eng.RunUntil(500 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {

@@ -36,7 +36,7 @@ func TestWireOrderPerConnection(t *testing.T) {
 	}
 
 	data := testData(300000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -68,10 +68,10 @@ func TestAckPrecedesLaterData(t *testing.T) {
 	// Bidirectional traffic maximizes interleaving of acks and data.
 	dataA := testData(100000)
 	dataB := testData(100000)
-	p.eng.At(0, func() {
+	p.eng.AtCall(0, func(any) {
 		p.a.send(dataA)
 		p.b.send(dataB)
-	})
+	}, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, dataA) || !bytes.Equal(p.a.got, dataB) {
 		t.Fatalf("transfers incomplete: %d/%d and %d/%d",
@@ -88,7 +88,7 @@ func TestAckPrecedesLaterData(t *testing.T) {
 func TestTicketAccountingBalances(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(150000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))

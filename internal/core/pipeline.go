@@ -133,11 +133,10 @@ type TOE struct {
 	segFree shm.Freelist[segItem]
 	xdpFree shm.Freelist[xdpWork]
 
-	// Long-lived callbacks cached so hot-path scheduling never builds a
-	// method-value closure (see sim.Engine.AtCall); segment-carrying
-	// events use package-level functions and the item's toe pointer.
-	txPumpFn  func()
-	kickTXFn  func()
+	// Long-lived callback cached so control-frame delivery never builds a
+	// closure per event (see sim.Engine.AtCall). Segment-carrying events
+	// use package-level functions and the item's toe pointer; the TX pump
+	// uses package-level functions with the TOE as argument.
 	controlCb func(any)
 
 	Counters
@@ -272,8 +271,6 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 		t.copyRes = sim.NewResource(eng, "memcpy", cfg.CopyBytesPerSec)
 	}
 	t.sched = sched.New(eng, cfg.SchedSlot, cfg.SchedSlots)
-	t.txPumpFn = t.txPump
-	t.kickTXFn = t.kickTX
 	t.controlCb = func(a any) {
 		pkt := a.(*packet.Packet)
 		if cb := t.ControlRx; cb != nil {
@@ -805,21 +802,9 @@ func txPayloadFetched(a any) {
 	t.putSeg(s)
 }
 
-// xfer moves n bytes across the host boundary: PCIe DMA on the Agilio,
-// shared-memory copy on the ports.
-func (t *TOE) xfer(n int, done func()) {
-	if n <= 0 {
-		t.eng.Immediately(done)
-		return
-	}
-	if t.copyRes != nil {
-		t.copyRes.Acquire(int64(n), t.cfg.NFP.PCIeLatency, done)
-		return
-	}
-	t.dma.Issue(n, done)
-}
-
-// xferCall is the allocation-free xfer: cb(arg) runs at completion.
+// xferCall moves n bytes across the host boundary — PCIe DMA on the
+// Agilio, shared-memory copy on the ports — and runs cb(arg) at
+// completion.
 func (t *TOE) xferCall(n int, cb func(any), arg any) {
 	if n <= 0 {
 		t.eng.ImmediatelyCall(cb, arg)

@@ -32,8 +32,15 @@ func (t *TOE) kickTX() {
 		return
 	}
 	t.txPumpArmed = true
-	t.eng.Immediately(t.txPumpFn)
+	t.eng.ImmediatelyCall(toeTXPump, t)
 }
+
+// Long-lived event callbacks for the transmit pump (see
+// sim.Engine.AtCall): the TOE itself is the argument, so arming and
+// deferring the pump allocate nothing in either pipeline or
+// run-to-completion mode.
+func toeTXPump(a any) { a.(*TOE).txPump() }
+func toeKickTX(a any) { a.(*TOE).kickTX() }
 
 // txPump drains the flow scheduler while pipeline credits remain,
 // injecting one segment per scheduler decision (§3.1.2). When the
@@ -82,7 +89,7 @@ func (t *TOE) txPump() {
 		}
 	}
 	if dl, ok := t.sched.NextDeadline(); ok && dl > t.eng.Now() {
-		t.eng.At(dl, t.kickTXFn)
+		t.eng.AtCall(dl, toeKickTX, t)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestXDPDropBlackholesTraffic(t *testing.T) {
 	p := defaultPair(t, 32768)
 	dropAll := &xdp.Func{ProgName: "drop-all", Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }}
 	p.toeB.AttachXDP(dropAll)
-	p.eng.At(0, func() { p.a.send(testData(5000)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(5000)) }, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatalf("data delivered through a dropping program: %d bytes", len(p.b.got))
@@ -37,7 +37,7 @@ func TestXDPPassIsTransparent(t *testing.T) {
 	p := defaultPair(t, 32768)
 	p.toeB.AttachXDP(xdp.Null())
 	data := testData(20000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer through null XDP incomplete: %d/%d", len(p.b.got), len(data))
@@ -50,7 +50,7 @@ func TestXDPRedirectGoesToControlPlane(t *testing.T) {
 	p.toeB.ControlRx = func(pkt *packet.Packet) { redirected++ }
 	redirect := &xdp.Func{ProgName: "to-ctrl", Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Redirect }}
 	p.toeB.AttachXDP(redirect)
-	p.eng.At(0, func() { p.a.send(testData(100)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(100)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if redirected == 0 || p.toeB.XDPRedirects == 0 {
 		t.Fatalf("redirects: cb=%d counter=%d", redirected, p.toeB.XDPRedirects)
@@ -68,7 +68,7 @@ func TestXDPDetach(t *testing.T) {
 		t.Fatal("double detach succeeded")
 	}
 	data := testData(3000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatal("traffic still blocked after detach")
@@ -88,7 +88,7 @@ func TestXDPMutationReachesProtocol(t *testing.T) {
 	}}
 	p.toeB.AttachXDP(marker)
 	data := testData(2000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -117,7 +117,7 @@ func TestEBPFProgramInPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.toeB.AttachXDP(xp)
-	p.eng.At(0, func() { p.a.send(testData(1000)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(1000)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatal("eBPF port filter did not drop the flow")
@@ -136,7 +136,7 @@ func TestXDPChainShortCircuits(t *testing.T) {
 		secondRan = true
 		return xdp.Pass
 	}})
-	p.eng.At(0, func() { p.a.send(testData(100)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(100)) }, nil)
 	p.eng.RunUntil(3 * sim.Millisecond)
 	if secondRan {
 		t.Fatal("chain did not short-circuit after Drop")
@@ -156,7 +156,7 @@ func TestPacketTapSeesBothDirections(t *testing.T) {
 		}
 	}
 	data := testData(10000)
-	p.eng.At(0, func() { p.a.send(data) })
+	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(20 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatal("transfer incomplete")
@@ -173,16 +173,16 @@ func TestFirewallModuleInPipeline(t *testing.T) {
 	fw := xdp.NewFirewall()
 	fw.Block(uint32(packet.IP(10, 0, 0, 1))) // A's address
 	p.toeB.AttachXDP(fw)
-	p.eng.At(0, func() { p.a.send(testData(1000)) })
+	p.eng.AtCall(0, func(any) { p.a.send(testData(1000)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatal("blocked source delivered data")
 	}
 	fw.Unblock(uint32(packet.IP(10, 0, 0, 1)))
 	// Trigger recovery via a control-plane style retransmit.
-	p.eng.Immediately(func() {
+	p.eng.ImmediatelyCall(func(any) {
 		p.toeA.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
-	})
+	}, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	if len(p.b.got) != 1000 {
 		t.Fatalf("traffic did not resume after unblock: %d/1000", len(p.b.got))
@@ -203,9 +203,9 @@ func TestVLANStripInPipeline(t *testing.T) {
 			Flags: packet.FlagACK | packet.FlagPSH, Window: 512, WScale: -1},
 		Payload: []byte("tagged payload"),
 	}
-	p.eng.At(sim.Microsecond, func() {
+	p.eng.AtCall(sim.Microsecond, func(any) {
 		p.toeB.rxFromWire(netsim.NewFrame(pkt, p.eng.Now()))
-	})
+	}, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if string(p.b.got) != "tagged payload" {
 		t.Fatalf("got %q", p.b.got)

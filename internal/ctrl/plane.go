@@ -421,9 +421,7 @@ func (p *Plane) establish(pc *pendingConn, peerWin uint16) {
 	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs, txBuf, rxBuf, peerWin, pc.sackOK)
 	if pc.connected != nil {
 		//flexvet:hotclosure connection establishment runs once per connection, not per event
-		p.eng.Immediately(func() {
-			pc.connected(conn)
-		})
+		p.eng.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
 	}
 }
 

@@ -36,11 +36,11 @@ func TestHandshakeEstablishes(t *testing.T) {
 	eng, pa, pb, _, _ := buildPair(t, CCNone, netsim.SwitchConfig{}, 0)
 	var serverConn, clientConn *Conn
 	pb.Listen(80, func(c *Conn) { serverConn = c })
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			clientConn = c
 		})
-	})
+	}, nil)
 	eng.RunUntil(5 * sim.Millisecond)
 	if serverConn == nil || clientConn == nil {
 		t.Fatalf("handshake incomplete: server=%v client=%v", serverConn, clientConn)
@@ -57,11 +57,11 @@ func TestHandshakeEstablishes(t *testing.T) {
 func TestRSTForClosedPort(t *testing.T) {
 	eng, pa, _, _, _ := buildPair(t, CCNone, netsim.SwitchConfig{}, 0)
 	connected := false
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 9999, func(c *Conn) {
 			connected = true
 		})
-	})
+	}, nil)
 	eng.RunUntil(5 * sim.Millisecond)
 	if connected {
 		t.Fatal("connected to a closed port")
@@ -83,12 +83,12 @@ func TestDataTransferAfterHandshake(t *testing.T) {
 		}
 	})
 	payload := []byte("control-plane-established data path")
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			c.TxBuf.WriteAt(0, payload)
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: uint32(len(payload))})
 		})
-	})
+	}, nil)
 	eng.RunUntil(10 * sim.Millisecond)
 	if string(got) != string(payload) {
 		t.Fatalf("got %q", got)
@@ -108,11 +108,11 @@ func TestRTORecoversFromBlackout(t *testing.T) {
 		}
 	})
 	var conn *Conn
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 		})
-	})
+	}, nil)
 	eng.RunUntil(2 * sim.Millisecond)
 	if conn == nil {
 		t.Fatal("no connection")
@@ -171,9 +171,9 @@ func TestSACKNegotiation(t *testing.T) {
 			eng, pa, pb, _, _ := buildPairCfg(t, c.cfgA, c.cfgB, 0)
 			var serverConn, clientConn *Conn
 			pb.Listen(80, func(cn *Conn) { serverConn = cn })
-			eng.At(0, func() {
+			eng.AtCall(0, func(any) {
 				pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(cn *Conn) { clientConn = cn })
-			})
+			}, nil)
 			eng.RunUntil(5 * sim.Millisecond)
 			if serverConn == nil || clientConn == nil {
 				t.Fatal("handshake incomplete")
@@ -208,7 +208,7 @@ func TestPersistProbeRecoversLostWindowUpdate(t *testing.T) {
 	})
 	var conn *Conn
 	txFree := uint32(0)
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			c.Core.Notify = func(d shm.Desc) {
@@ -220,7 +220,7 @@ func TestPersistProbeRecoversLostWindowUpdate(t *testing.T) {
 			c.TxBuf.WriteAt(0, buf)
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: 4096})
 		})
-	})
+	}, nil)
 	eng.RunUntil(10 * sim.Millisecond)
 	if conn == nil || serverConn == nil {
 		t.Fatal("no connection")
@@ -278,7 +278,7 @@ func TestDCTCPReactsToECN(t *testing.T) {
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: conn.ID, Bytes: uint32(len(chunk))})
 		}
 	}
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			c.Core.Notify = func(d shm.Desc) {
@@ -289,7 +289,7 @@ func TestDCTCPReactsToECN(t *testing.T) {
 			}
 			pump()
 		})
-	})
+	}, nil)
 	eng.RunUntil(40 * sim.Millisecond)
 	if conn == nil {
 		t.Fatal("no connection")
@@ -313,14 +313,14 @@ func TestTimelyProgramsRate(t *testing.T) {
 		}
 	})
 	var conn *Conn
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			payload := make([]byte, 32768)
 			c.TxBuf.WriteAt(0, payload)
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: 32768})
 		})
-	})
+	}, nil)
 	eng.RunUntil(20 * sim.Millisecond)
 	if conn == nil {
 		t.Fatal("no connection")

@@ -119,13 +119,13 @@ func spliceRate(s Scale) float64 {
 	wire := frame.WireLen()
 	gap := sim.Time(float64(wire) / netsim.GbpsToBytesPerSec(40) * 1e12)
 	d := s.dur(2*sim.Millisecond, 20*sim.Millisecond)
-	tb.Eng.Every(0, gap, func() bool {
+	tb.Eng.EveryCall(0, gap, func(any) bool {
 		if tb.Eng.Now() >= d {
 			return false
 		}
 		gen.Iface.Send(netsim.FramesOf(tb.Eng).NewFrame(frame, tb.Eng.Now()))
 		return true
-	})
+	}, nil)
 	tb.Run(d + sim.Millisecond)
 	return float64(proxy.TOE.XDPTx) / d.Seconds() / 1e6
 }

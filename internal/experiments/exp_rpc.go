@@ -142,7 +142,6 @@ func Fig13(s Scale) []*Table {
 				testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, BufSize: 2048, Seed: 41},
 				testbed.MachineSpec{Name: "client2", Kind: testbed.FlexTOE, Cores: 16, BufSize: 2048, Seed: 42},
 			)
-			tb.M("server").Spec.BufSize = 2048
 			srv := &apps.RPCServer{ReqSize: 64}
 			srv.Serve(tb.M("server").Stack, 7777)
 			cl := &apps.ClosedLoopClient{ReqSize: 64}

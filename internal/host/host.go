@@ -49,24 +49,10 @@ func (c *Core) Hz() int64 { return c.hz }
 // CyclesTime converts core cycles to time.
 func (c *Core) CyclesTime(n int64) sim.Time { return sim.Cycles(n, c.hz) }
 
-// Submit queues a task for serial execution. done runs when it completes.
-// It is a thin wrapper over SubmitCall for cold callers; hot paths should
-// use SubmitCall directly so no completion closure is built per task.
-func (c *Core) Submit(task sim.Task, done func()) {
-	if done == nil {
-		c.SubmitCall(task, nil, nil)
-		return
-	}
-	c.SubmitCall(task, runPlainFunc, done)
-}
-
-// runPlainFunc adapts a plain func() completion to the call form.
-func runPlainFunc(a any) { a.(func())() }
-
 // SubmitCall queues a task for serial execution; cb(arg) runs when it
-// completes. The allocation-free form of Submit: cb should be a
-// long-lived function value and arg the per-task state (queueing a task
-// then performs no heap allocation beyond amortized queue growth).
+// completes (nil cb: nothing runs). cb should be a long-lived function
+// value and arg the per-task state, so queueing a task performs no heap
+// allocation beyond amortized queue growth.
 func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
 	c.queue = append(c.queue, hostTask{task, cb, arg})
 	if !c.running {

@@ -10,10 +10,10 @@ func TestCoreSerializesTasks(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9) // 2 GHz: 500ps/cycle
 	var done []sim.Time
-	eng.At(0, func() {
-		c.Submit(sim.TaskC(1000), func() { done = append(done, eng.Now()) }) // 500ns
-		c.Submit(sim.TaskC(1000), func() { done = append(done, eng.Now()) })
-	})
+	eng.AtCall(0, func(any) {
+		c.SubmitCall(sim.TaskC(1000), func(any) { done = append(done, eng.Now()) }, nil) // 500ns
+		c.SubmitCall(sim.TaskC(1000), func(any) { done = append(done, eng.Now()) }, nil)
+	}, nil)
 	eng.Run()
 	if len(done) != 2 {
 		t.Fatalf("done = %v", done)
@@ -31,11 +31,11 @@ func TestCoreStallsDoNotOverlap(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
 	var last sim.Time
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		for i := 0; i < 4; i++ {
-			c.Submit(sim.TaskC(1000).Add(0, sim.Microsecond), func() { last = eng.Now() })
+			c.SubmitCall(sim.TaskC(1000).Add(0, sim.Microsecond), func(any) { last = eng.Now() }, nil)
 		}
-	})
+	}, nil)
 	eng.Run()
 	want := 4 * (500*sim.Nanosecond + sim.Microsecond)
 	if last != want {
@@ -46,16 +46,16 @@ func TestCoreStallsDoNotOverlap(t *testing.T) {
 func TestCoreBusyAndQueue(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		if c.Busy() {
 			t.Error("idle core reports busy")
 		}
-		c.Submit(sim.TaskC(100), nil)
-		c.Submit(sim.TaskC(100), nil)
+		c.SubmitCall(sim.TaskC(100), nil, nil)
+		c.SubmitCall(sim.TaskC(100), nil, nil)
 		if !c.Busy() {
 			t.Error("core with work reports idle")
 		}
-	})
+	}, nil)
 	eng.Run()
 	if c.Busy() {
 		t.Error("drained core reports busy")
@@ -65,8 +65,8 @@ func TestCoreBusyAndQueue(t *testing.T) {
 func TestCoreUtilization(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
-	eng.At(0, func() { c.Submit(sim.TaskC(2000), nil) }) // 1us busy
-	eng.At(2*sim.Microsecond, func() {})                 // extend sim to 2us
+	eng.AtCall(0, func(any) { c.SubmitCall(sim.TaskC(2000), nil, nil) }, nil) // 1us busy
+	eng.AtCall(2*sim.Microsecond, func(any) {}, nil)                          // extend sim to 2us
 	eng.Run()
 	if u := c.Utilization(); u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
@@ -79,14 +79,14 @@ func TestMachineLeastLoaded(t *testing.T) {
 	if len(m.Cores) != 4 {
 		t.Fatalf("cores = %d", len(m.Cores))
 	}
-	eng.At(0, func() {
-		m.Cores[0].Submit(sim.TaskC(10000), nil)
-		m.Cores[1].Submit(sim.TaskC(10000), nil)
+	eng.AtCall(0, func(any) {
+		m.Cores[0].SubmitCall(sim.TaskC(10000), nil, nil)
+		m.Cores[1].SubmitCall(sim.TaskC(10000), nil, nil)
 		ll := m.LeastLoaded()
 		if ll == m.Cores[0] || ll == m.Cores[1] {
 			t.Error("LeastLoaded picked a busy core over an idle one")
 		}
-	})
+	}, nil)
 	eng.Run()
 }
 
@@ -98,7 +98,7 @@ func TestSubmitCallOrderAndArgs(t *testing.T) {
 	var order []int
 	record := func(a any) { order = append(order, a.(int)) }
 	c.SubmitCall(sim.TaskC(100), record, 1)
-	c.Submit(sim.TaskC(100), func() { order = append(order, 2) })
+	c.SubmitCall(sim.TaskC(100), func(any) { order = append(order, 2) }, nil)
 	c.SubmitCall(sim.TaskC(100), record, 3)
 	eng.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {

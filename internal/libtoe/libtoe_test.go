@@ -56,13 +56,13 @@ func TestSocketSendRecv(t *testing.T) {
 		})
 	})
 	msg := []byte("libtoe sockets over the offloaded data-path")
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			if n := sock.Send(msg); n != len(msg) {
 				t.Errorf("Send = %d", n)
 			}
 		})
-	})
+	}, nil)
 	eng.RunUntil(10 * sim.Millisecond)
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
@@ -73,9 +73,9 @@ func TestSocketAddrs(t *testing.T) {
 	eng, sa, sb := buildStacks(t)
 	var server, client api.Socket
 	sb.Listen(80, func(s api.Socket) { server = s })
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(s api.Socket) { client = s })
-	})
+	}, nil)
 	eng.RunUntil(5 * sim.Millisecond)
 	if server == nil || client == nil {
 		t.Fatal("connection not established")
@@ -110,7 +110,7 @@ func TestSocketBackpressure(t *testing.T) {
 	})
 	total := 0
 	const want = 300000 // several times the 64KB socket buffer
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			chunk := make([]byte, 16384)
 			push := func() {
@@ -128,7 +128,7 @@ func TestSocketBackpressure(t *testing.T) {
 				t.Error("entire transfer fit the socket buffer; backpressure untested")
 			}
 		})
-	})
+	}, nil)
 	eng.RunUntil(100 * sim.Millisecond)
 	if received != want {
 		t.Fatalf("received %d/%d", received, want)
@@ -146,12 +146,12 @@ func TestSocketClosePropagatesFIN(t *testing.T) {
 	eng, sa, sb := buildStacks(t)
 	var serverSock *Socket
 	sb.Listen(80, func(sock api.Socket) { serverSock = sock.(*Socket) })
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			sock.Send([]byte("bye"))
 			sock.Close()
 		})
-	})
+	}, nil)
 	eng.RunUntil(10 * sim.Millisecond)
 	if serverSock == nil {
 		t.Fatal("no server socket")

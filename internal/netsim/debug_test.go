@@ -24,7 +24,7 @@ func TestFrameDoubleReleasePanics(t *testing.T) {
 	f := NewFrame(p, 0)
 	ReleaseFrame(f)
 	mustPanic(t, "double ReleaseFrame", func() { ReleaseFrame(f) })
-	_ = getFrame() // drain the poisoned entry
+	_ = defaultFrames.getFrame() // drain the poisoned entry
 }
 
 func TestFrameUseAfterReleaseCaught(t *testing.T) {
@@ -35,5 +35,5 @@ func TestFrameUseAfterReleaseCaught(t *testing.T) {
 	f := NewFrame(&packet.Packet{}, 0)
 	ReleaseFrame(f)
 	mustPanic(t, "Send of released frame", func() { a.Send(f) })
-	_ = getFrame() // drain the poisoned entry
+	_ = defaultFrames.getFrame() // drain the poisoned entry
 }

@@ -37,7 +37,7 @@ func TestDelivery(t *testing.T) {
 	var at sim.Time
 	b.Recv = func(f *Frame) { got = f; at = eng.Now() }
 	pkt := testPacket(a.MAC, b.MAC, 1000)
-	eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+	eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if got == nil {
 		t.Fatal("frame not delivered")
@@ -56,7 +56,7 @@ func TestUnknownMACDropped(t *testing.T) {
 	delivered := false
 	b.Recv = func(f *Frame) { delivered = true }
 	pkt := testPacket(a.MAC, packet.MAC(9, 9, 9, 9, 9, 9), 100)
-	eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+	eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if delivered {
 		t.Fatal("frame to unknown MAC delivered")
@@ -74,7 +74,7 @@ func TestLossInjection(t *testing.T) {
 	for i := 0; i < total; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 64)
 		at := sim.Time(i) * sim.Microsecond
-		eng.At(at, func() { a.Send(NewFrame(pkt, at)) })
+		eng.AtCall(at, func(any) { a.Send(NewFrame(pkt, at)) }, nil)
 	}
 	eng.Run()
 	if received < total*40/100 || received > total*60/100 {
@@ -103,7 +103,7 @@ func TestECNMarking(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.At(sim.Time(i)*sim.Microsecond, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if marked == 0 {
@@ -131,7 +131,7 @@ func TestNotECTNeverMarked(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
 		pkt.IP.SetECN(packet.ECNNotECT)
-		eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if marked != 0 {
@@ -148,7 +148,7 @@ func TestTailDrop(t *testing.T) {
 	b.Recv = func(f *Frame) { received++ }
 	for i := 0; i < 50; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.RunUntil(10 * sim.Millisecond)
 	if n.Switch.QueueDrops == 0 {
@@ -169,7 +169,7 @@ func TestWREDDropsRise(t *testing.T) {
 	b.Recv = func(f *Frame) {}
 	for i := 0; i < 100; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.RunUntil(100 * sim.Millisecond)
 	if n.Switch.WREDDrops == 0 {
@@ -187,7 +187,7 @@ func TestPortShaping(t *testing.T) {
 	const frames = 100
 	for i := 0; i < frames; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if count != frames {
@@ -208,7 +208,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 200)
 		pkt.TCP.Seq = uint32(i)
-		eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+		eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	for i, s := range seqs {
@@ -224,7 +224,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 func sendSpaced(eng *sim.Engine, a *Iface, pkts []*packet.Packet) {
 	for i, pkt := range pkts {
 		p := pkt
-		eng.At(sim.Time(i)*2*sim.Microsecond, func() { a.Send(NewFrame(p, 0)) })
+		eng.AtCall(sim.Time(i)*2*sim.Microsecond, func(any) { a.Send(NewFrame(p, 0)) }, nil)
 	}
 }
 
@@ -342,8 +342,8 @@ func TestWREDBoundaries(t *testing.T) {
 	// Fill to one below max, then the frame arriving exactly at max must
 	// be dropped with probability frac*1.0 = 1.
 	more := []*packet.Packet{testPacket(a2.MAC, b2.MAC, 1400), testPacket(a2.MAC, b2.MAC, 1400)}
-	eng2.At(eng2.Now()+2*sim.Microsecond, func() { a2.Send(NewFrame(more[0], 0)) })
-	eng2.At(eng2.Now()+4*sim.Microsecond, func() { a2.Send(NewFrame(more[1], 0)) })
+	eng2.AtCall(eng2.Now()+2*sim.Microsecond, func(any) { a2.Send(NewFrame(more[0], 0)) }, nil)
+	eng2.AtCall(eng2.Now()+4*sim.Microsecond, func(any) { a2.Send(NewFrame(more[1], 0)) }, nil)
 	eng2.RunUntil(eng2.Now() + 10*sim.Microsecond)
 	// Frame 3 at q=3w: frac=0.5 — seeded outcome either way; frame 4 (or
 	// the next surviving) reaches q=max: frac=1.0 must drop.
@@ -401,7 +401,7 @@ func TestIfaceCounters(t *testing.T) {
 	eng, _, a, b := buildNet(t, SwitchConfig{})
 	b.Recv = func(f *Frame) {}
 	pkt := testPacket(a.MAC, b.MAC, 500)
-	eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+	eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if a.TxFrames != 1 || b.RxFrames != 1 {
 		t.Fatalf("counters: tx=%d rx=%d", a.TxFrames, b.RxFrames)
@@ -439,7 +439,7 @@ func TestPassiveTaps(t *testing.T) {
 		dropFrame(f)
 	}
 	pkt := testPacket(a.MAC, b.MAC, 500)
-	eng.At(0, func() { a.Send(NewFrame(pkt, 0)) })
+	eng.AtCall(0, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if txSeen != 1 || rxSeen != 1 || delivered != 1 {
 		t.Fatalf("tx=%d rx=%d delivered=%d, want 1/1/1", txSeen, rxSeen, delivered)
@@ -470,7 +470,7 @@ func TestTapsAreFreeAndOrderNeutral(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			pkt := testPacket(a.MAC, b.MAC, 100+i*7)
-			eng.At(sim.Time(i)*sim.Microsecond, func() { a.Send(NewFrame(pkt, 0)) })
+			eng.AtCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(NewFrame(pkt, 0)) }, nil)
 		}
 		eng.Run()
 		return

@@ -50,20 +50,11 @@ func NewDMAEngine(eng *sim.Engine, cfg *Config) *DMAEngine {
 	}
 }
 
-// Issue starts a DMA of the given size; done runs when the data has
-// landed. Transactions beyond the in-flight limit queue inside the engine
-// (the paper's descriptor-pool flow control keeps this bounded in
+// IssueCall starts a DMA of the given size; cb(arg) runs when the data
+// has landed (nil cb: nothing runs; see sim.Engine.AtCall for the
+// contract). Transactions beyond the in-flight limit queue inside the
+// engine (the paper's descriptor-pool flow control keeps this bounded in
 // practice).
-func (d *DMAEngine) Issue(bytes int, done func()) {
-	if done == nil {
-		d.IssueCall(bytes, nil, nil)
-		return
-	}
-	d.IssueCall(bytes, callFn, done)
-}
-
-// IssueCall is the allocation-free form of Issue: cb(arg) runs at
-// completion (see sim.Engine.AtCall for the contract).
 func (d *DMAEngine) IssueCall(bytes int, cb func(any), arg any) {
 	if d.inflight >= d.max {
 		d.waiting = append(d.waiting, dmaReq{bytes, cb, arg})

@@ -147,9 +147,6 @@ type fpcTask struct {
 func fpcAfterCompute(a any) { a.(*fpcTask).afterCompute() }
 func fpcNextStep(a any)     { a.(*fpcTask).nextStep() }
 
-// callFn adapts a plain func() completion to the cb(arg) form.
-func callFn(a any) { a.(func())() }
-
 // NewFPC creates a core with the config's thread count and clock.
 func NewFPC(eng *sim.Engine, name string, cfg *Config) *FPC {
 	return &FPC{
@@ -181,20 +178,11 @@ func (f *FPC) FreeThreads() int {
 // Busy reports whether any thread is occupied.
 func (f *FPC) Busy() bool { return f.active > 0 || len(f.runq) > 0 }
 
-// Submit queues a task. If all hardware threads are busy the task waits in
-// the core's run queue (callers gate on FreeThreads for backpressure; the
-// run queue only absorbs same-instant races).
-func (f *FPC) Submit(task sim.Task, done func()) {
-	if done == nil {
-		f.SubmitCall(task, nil, nil)
-		return
-	}
-	f.SubmitCall(task, callFn, done)
-}
-
-// SubmitCall is the allocation-free form of Submit: cb(arg) runs when the
-// task completes, with cb a long-lived function value and arg the per-task
-// state (typically the pipeline work item).
+// SubmitCall queues a task; cb(arg) runs when it completes (nil cb:
+// nothing runs), with cb a long-lived function value and arg the per-task
+// state (typically the pipeline work item). If all hardware threads are
+// busy the task waits in the core's run queue (callers gate on FreeThreads
+// for backpressure; the run queue only absorbs same-instant races).
 func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
 	if f.active < f.threads {
 		f.begin(task, cb, arg)

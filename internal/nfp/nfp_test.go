@@ -12,9 +12,9 @@ func TestFPCSingleTaskTiming(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var doneAt sim.Time
-	eng.At(0, func() {
-		f.Submit(sim.TaskC(100), func() { doneAt = eng.Now() })
-	})
+	eng.AtCall(0, func(any) {
+		f.SubmitCall(sim.TaskC(100), func(any) { doneAt = eng.Now() }, nil)
+	}, nil)
 	eng.Run()
 	// 100 cycles at 800 MHz = 125 ns.
 	if doneAt != 125*sim.Nanosecond {
@@ -31,10 +31,10 @@ func TestFPCComputeSerializesAcrossThreads(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var times []sim.Time
-	eng.At(0, func() {
-		f.Submit(sim.TaskC(100), func() { times = append(times, eng.Now()) })
-		f.Submit(sim.TaskC(100), func() { times = append(times, eng.Now()) })
-	})
+	eng.AtCall(0, func(any) {
+		f.SubmitCall(sim.TaskC(100), func(any) { times = append(times, eng.Now()) }, nil)
+		f.SubmitCall(sim.TaskC(100), func(any) { times = append(times, eng.Now()) }, nil)
+	}, nil)
 	eng.Run()
 	if times[0] != 125*sim.Nanosecond || times[1] != 250*sim.Nanosecond {
 		t.Fatalf("times = %v", times)
@@ -49,11 +49,11 @@ func TestFPCThreadsHideStalls(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var last sim.Time
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		for i := 0; i < 8; i++ {
-			f.Submit(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func() { last = eng.Now() })
+			f.SubmitCall(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func(any) { last = eng.Now() }, nil)
 		}
-	})
+	}, nil)
 	eng.Run()
 	want := 8*125*sim.Nanosecond + 1000*sim.Nanosecond
 	if last != want {
@@ -68,11 +68,11 @@ func TestFPCSingleThreadSerializesStalls(t *testing.T) {
 	f := NewFPC(eng, "fpc0", &cfg)
 	f.SetThreads(1)
 	var last sim.Time
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		for i := 0; i < 4; i++ {
-			f.Submit(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func() { last = eng.Now() })
+			f.SubmitCall(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func(any) { last = eng.Now() }, nil)
 		}
-	})
+	}, nil)
 	eng.Run()
 	want := 4 * (125*sim.Nanosecond + 1000*sim.Nanosecond)
 	if last != want {
@@ -85,17 +85,17 @@ func TestFPCFreeThreadsAndRunq(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	done := 0
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		if f.FreeThreads() != 8 {
 			t.Errorf("FreeThreads = %d", f.FreeThreads())
 		}
 		for i := 0; i < 12; i++ { // 4 beyond thread count
-			f.Submit(sim.TaskC(10), func() { done++ })
+			f.SubmitCall(sim.TaskC(10), func(any) { done++ }, nil)
 		}
 		if f.FreeThreads() != 0 {
 			t.Errorf("FreeThreads after submit = %d", f.FreeThreads())
 		}
-	})
+	}, nil)
 	eng.Run()
 	if done != 12 {
 		t.Fatalf("done = %d", done)
@@ -108,9 +108,9 @@ func TestFPCIdleCallback(t *testing.T) {
 	f := NewFPC(eng, "fpc0", &cfg)
 	idleCalls := 0
 	f.Idle = func() { idleCalls++ }
-	eng.At(0, func() {
-		f.Submit(sim.TaskC(10), nil)
-	})
+	eng.AtCall(0, func(any) {
+		f.SubmitCall(sim.TaskC(10), nil, nil)
+	}, nil)
 	eng.Run()
 	if idleCalls == 0 {
 		t.Fatal("Idle never invoked")
@@ -121,8 +121,8 @@ func TestFPCUtilization(t *testing.T) {
 	eng := sim.New()
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
-	eng.At(0, func() { f.Submit(sim.TaskC(800), nil) }) // 1 us busy
-	eng.At(0, func() {})
+	eng.AtCall(0, func(any) { f.SubmitCall(sim.TaskC(800), nil, nil) }, nil) // 1 us busy
+	eng.AtCall(0, func(any) {}, nil)
 	eng.Run()
 	// Engine ends at 1us; utilization should be 1.0.
 	if u := f.Utilization(); u < 0.99 || u > 1.01 {
@@ -251,9 +251,9 @@ func TestDMAEngineLatencyAndBandwidth(t *testing.T) {
 	cfg := AgilioCX40()
 	d := NewDMAEngine(eng, &cfg)
 	var doneAt sim.Time
-	eng.At(0, func() {
-		d.Issue(788, func() { doneAt = eng.Now() }) // 100ns of wire + latency
-	})
+	eng.AtCall(0, func(any) {
+		d.IssueCall(788, func(any) { doneAt = eng.Now() }, nil) // 100ns of wire + latency
+	}, nil)
 	eng.Run()
 	want := sim.Time(float64(788)/cfg.PCIeBytesPerSec*1e12) + cfg.PCIeLatency
 	if doneAt < want-2 || doneAt > want+2 {
@@ -267,14 +267,14 @@ func TestDMAEngineInflightLimit(t *testing.T) {
 	cfg.DMAMaxInflight = 4
 	d := NewDMAEngine(eng, &cfg)
 	completed := 0
-	eng.At(0, func() {
+	eng.AtCall(0, func(any) {
 		for i := 0; i < 20; i++ {
-			d.Issue(1000, func() { completed++ })
+			d.IssueCall(1000, func(any) { completed++ }, nil)
 		}
 		if d.Inflight() != 4 {
 			t.Errorf("inflight = %d, want 4", d.Inflight())
 		}
-	})
+	}, nil)
 	eng.Run()
 	if completed != 20 {
 		t.Fatalf("completed = %d", completed)
@@ -292,10 +292,10 @@ func TestDMAOverlapsTransactions(t *testing.T) {
 	d := NewDMAEngine(eng, &cfg)
 	var last sim.Time
 	wire := sim.Time(float64(7880) / cfg.PCIeBytesPerSec * 1e12) // 1us
-	eng.At(0, func() {
-		d.Issue(7880, func() {})
-		d.Issue(7880, func() { last = eng.Now() })
-	})
+	eng.AtCall(0, func(any) {
+		d.IssueCall(7880, func(any) {}, nil)
+		d.IssueCall(7880, func(any) { last = eng.Now() }, nil)
+	}, nil)
 	eng.Run()
 	want := 2*wire + cfg.PCIeLatency
 	if last < want-2 || last > want+2 {

@@ -77,10 +77,10 @@ func TestRateConformance(t *testing.T) {
 			c.Submit(id)
 		}
 		if dl, ok := c.NextDeadline(); ok {
-			eng.At(dl, pump)
+			eng.AtCall(dl, sim.RunFunc, pump)
 		}
 	}
-	eng.At(0, pump)
+	eng.AtCall(0, sim.RunFunc, pump)
 	eng.Run()
 
 	if len(sendTimes) != 10 {
@@ -130,11 +130,11 @@ func TestWheelDefersRateLimitedFlow(t *testing.T) {
 	if dl < 99*sim.Microsecond || dl > 102*sim.Microsecond {
 		t.Fatalf("deadline = %v", dl)
 	}
-	eng.At(dl, func() {
+	eng.AtCall(dl, func(any) {
 		if _, ok := c.Next(1000); !ok {
 			t.Error("flow not eligible at deadline")
 		}
-	})
+	}, nil)
 	eng.Run()
 }
 
@@ -177,11 +177,11 @@ func TestRemoveWhileInWheel(t *testing.T) {
 	c.Next(1000)
 	c.Submit(4) // now in wheel
 	c.Remove(4)
-	eng.At(200*sim.Microsecond, func() {
+	eng.AtCall(200*sim.Microsecond, func(any) {
 		if _, ok := c.Next(100); ok {
 			t.Error("removed flow emerged from wheel")
 		}
-	})
+	}, nil)
 	eng.Run()
 }
 

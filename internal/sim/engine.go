@@ -12,10 +12,13 @@
 // sub-microsecond traffic of the data-path (FPC issue slots, memory
 // stalls, PCIe completions) in O(1), while an overflow binary heap holds
 // the sparse far future (retransmission timeouts, experiment end markers).
-// Bucket slices and the heap reuse their capacity, so steady-state event
-// scheduling performs no heap allocation. Execution order is exactly the
-// order the old global heap produced: ascending timestamp, FIFO among
-// events scheduled for the same instant (the seq tie-break).
+// Bucket slices and the heap reuse their capacity, and an event carries
+// only a long-lived func(any) plus an argument (AtCall and its siblings
+// are the one scheduling API; RunFunc adapts an application-owned
+// func()), so steady-state event scheduling performs no heap allocation.
+// Execution order is exactly the order the old global heap produced:
+// ascending timestamp, FIFO among events scheduled for the same instant
+// (the seq tie-break).
 package sim
 
 import (
@@ -73,10 +76,9 @@ func Cycles(n int64, hz int64) Time {
 	return Time(whole*1e12 + (rem*1e12+hz/2)/hz)
 }
 
-// event is one scheduled callback. Events come in two flavours: a plain
-// closure (fn) or the allocation-free call form (cb + arg), where cb is a
-// long-lived function value and arg carries the per-event state. Exactly
-// one of fn/cb is set.
+// event is one scheduled callback: cb is a long-lived function value and
+// arg carries the per-event state, so scheduling never allocates a
+// closure.
 //
 // dkey is the delivery key used by cross-engine-safe ordering (see
 // before): 0 for ordinary local events, and a nonzero link-scoped key
@@ -86,17 +88,8 @@ type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among same-instant local events
 	dkey uint64 // delivery ordering key; 0 = local event
-	fn   func()
 	cb   func(any)
 	arg  any
-}
-
-func (ev *event) run() {
-	if ev.cb != nil {
-		ev.cb(ev.arg)
-		return
-	}
-	ev.fn()
 }
 
 // before reports whether a orders strictly before b in execution order.
@@ -182,21 +175,11 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, fn: fn})
-}
-
-// AtCall schedules cb(arg) at absolute time t. It is the allocation-free
-// form of At: cb should be a long-lived function value (package-level or
-// cached on a struct) and arg the per-event state, so scheduling performs
-// no closure allocation. arg must not be a pooled object that could be
-// recycled before the event fires.
+// AtCall schedules cb(arg) at absolute time t. cb should be a long-lived
+// function value (package-level or cached on a struct) and arg the
+// per-event state, so scheduling performs no closure allocation. arg must
+// not be a pooled object that could be recycled before the event fires.
+// Scheduling in the past panics: it would silently reorder causality.
 func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -264,40 +247,16 @@ func (e *Engine) Local(key any, mk func() any) any {
 	return v
 }
 
-// After schedules fn to run d picoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) {
-	e.At(e.now+d, fn)
-}
-
 // AfterCall schedules cb(arg) d picoseconds from now (see AtCall).
+// Negative d panics.
 func (e *Engine) AfterCall(d Time, cb func(any), arg any) {
 	e.AtCall(e.now+d, cb, arg)
 }
 
-// Immediately schedules fn at the current instant, after all events already
-// queued for this instant.
-func (e *Engine) Immediately(fn func()) {
-	e.At(e.now, fn)
-}
-
-// ImmediatelyCall schedules cb(arg) at the current instant (see AtCall).
+// ImmediatelyCall schedules cb(arg) at the current instant, after all
+// events already queued for this instant (see AtCall).
 func (e *Engine) ImmediatelyCall(cb func(any), arg any) {
 	e.AtCall(e.now, cb, arg)
-}
-
-// Every schedules fn at start and then every interval thereafter, for as
-// long as fn returns true.
-func (e *Engine) Every(start, interval Time, fn func() bool) {
-	if interval <= 0 {
-		panic("sim: non-positive interval")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			e.After(interval, tick)
-		}
-	}
-	e.At(start, tick)
 }
 
 // periodic carries one EveryCall arming: the long-lived callback, its
@@ -319,18 +278,19 @@ func periodicTick(a any) {
 }
 
 // EveryCall schedules cb(arg) at start and then every interval
-// thereafter, for as long as cb returns true. It is the allocation-free
-// form of Every: cb should be a long-lived function value and arg the
-// periodic state, so arming allocates one small carrier and each firing
-// allocates nothing (Every closes over fn and tick — two closures per
-// arming, which adds up when every connection-scan loop on every machine
-// arms one).
+// thereafter, for as long as cb returns true. cb should be a long-lived
+// function value and arg the periodic state, so arming allocates one small
+// carrier and each firing allocates nothing.
 func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 	if interval <= 0 {
 		panic("sim: non-positive interval")
 	}
 	e.AtCall(start, periodicTick, &periodic{e: e, interval: interval, cb: cb, arg: arg})
 }
+
+// RunFunc is the one adapter for firing an application-owned func() as an
+// event or completion: pass it as cb with the stored func() as arg.
+func RunFunc(a any) { a.(func())() }
 
 // insert routes an event to its wheel bucket or the overflow heap.
 func (e *Engine) insert(ev event) {
@@ -454,7 +414,7 @@ func (e *Engine) Step() bool {
 	ev := e.popWheelMin()
 	e.now = ev.at
 	e.nRun++
-	ev.run()
+	ev.cb(ev.arg)
 	return true
 }
 

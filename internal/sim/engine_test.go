@@ -41,9 +41,9 @@ func TestCyclesRounds(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.AtCall(30, func(any) { order = append(order, 3) }, nil)
+	e.AtCall(10, func(any) { order = append(order, 1) }, nil)
+	e.AtCall(20, func(any) { order = append(order, 2) }, nil)
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -58,7 +58,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 50; i++ {
 		i := i
-		e.At(100, func() { order = append(order, i) })
+		e.AtCall(100, func(any) { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -71,10 +71,10 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	var hits []Time
-	e.At(5, func() {
+	e.AtCall(5, func(any) {
 		hits = append(hits, e.Now())
-		e.After(7, func() { hits = append(hits, e.Now()) })
-	})
+		e.AfterCall(7, func(any) { hits = append(hits, e.Now()) }, nil)
+	}, nil)
 	e.Run()
 	if len(hits) != 2 || hits[0] != 5 || hits[1] != 12 {
 		t.Fatalf("hits = %v", hits)
@@ -83,23 +83,23 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := New()
-	e.At(100, func() {
+	e.AtCall(100, func(any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.AtCall(50, func(any) {}, nil)
+	}, nil)
 	e.Run()
 }
 
 func TestRunUntil(t *testing.T) {
 	e := New()
 	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
+	e.AtCall(10, func(any) { ran++ }, nil)
+	e.AtCall(20, func(any) { ran++ }, nil)
+	e.AtCall(30, func(any) { ran++ }, nil)
 	e.RunUntil(20)
 	if ran != 2 {
 		t.Fatalf("ran = %d", ran)
@@ -113,22 +113,6 @@ func TestRunUntil(t *testing.T) {
 	// RunUntil advances the clock even with no events in range.
 	e.RunUntil(25)
 	if e.Now() != 25 {
-		t.Fatalf("now = %v", e.Now())
-	}
-}
-
-func TestEvery(t *testing.T) {
-	e := New()
-	n := 0
-	e.Every(100, 50, func() bool {
-		n++
-		return n < 4
-	})
-	e.Run()
-	if n != 4 {
-		t.Fatalf("n = %d", n)
-	}
-	if e.Now() != 100+3*50 {
 		t.Fatalf("now = %v", e.Now())
 	}
 }
@@ -171,8 +155,8 @@ func TestEveryCallAllocFree(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := New()
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
-	e.At(20, func() { ran++ })
+	e.AtCall(10, func(any) { ran++; e.Stop() }, nil)
+	e.AtCall(20, func(any) { ran++ }, nil)
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("ran = %d", ran)
@@ -220,9 +204,9 @@ func TestQueueCapacityAndDrops(t *testing.T) {
 func TestQueueOccupancyStats(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e, "q", 0)
-	e.At(0, func() { q.Push(1); q.Push(2) })
-	e.At(100, func() { q.Pop() })
-	e.At(200, func() { q.Pop() })
+	e.AtCall(0, func(any) { q.Push(1); q.Push(2) }, nil)
+	e.AtCall(100, func(any) { q.Pop() }, nil)
+	e.AtCall(200, func(any) { q.Pop() }, nil)
 	e.Run()
 	// Occupancy: 2 for [0,100), 1 for [100,200) => mean 1.5 over 200ps.
 	if got := q.MeanOccupancy(); got != 1.5 {
@@ -256,10 +240,10 @@ func TestResourceSerializes(t *testing.T) {
 	// 1000 units/second => 1e9 ps per unit.
 	r := NewResource(e, "link", 1000)
 	var done []Time
-	e.At(0, func() {
-		r.Acquire(1, 0, func() { done = append(done, e.Now()) })
-		r.Acquire(1, 0, func() { done = append(done, e.Now()) })
-	})
+	e.AtCall(0, func(any) {
+		r.AcquireCall(1, 0, func(any) { done = append(done, e.Now()) }, nil)
+		r.AcquireCall(1, 0, func(any) { done = append(done, e.Now()) }, nil)
+	}, nil)
 	e.Run()
 	if len(done) != 2 {
 		t.Fatalf("done = %v", done)
@@ -273,11 +257,11 @@ func TestResourceExtraLatencyDoesNotBlockPipe(t *testing.T) {
 	e := New()
 	r := NewResource(e, "pcie", 1000)
 	var done []Time
-	e.At(0, func() {
+	e.AtCall(0, func(any) {
 		// extra latency applies per transfer but doesn't occupy the wire.
-		r.Acquire(1, 500, func() { done = append(done, e.Now()) })
-		r.Acquire(1, 500, func() { done = append(done, e.Now()) })
-	})
+		r.AcquireCall(1, 500, func(any) { done = append(done, e.Now()) }, nil)
+		r.AcquireCall(1, 500, func(any) { done = append(done, e.Now()) }, nil)
+	}, nil)
 	e.Run()
 	if done[0] != Time(1e9+500) || done[1] != Time(2e9+500) {
 		t.Fatalf("completion times = %v", done)

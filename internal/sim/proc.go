@@ -12,11 +12,12 @@ type Step struct {
 // fixed-size step array so that building one on the data path performs no
 // heap allocation (the run-to-completion ablation's five-step task is the
 // deepest in the tree); keeping the array tight matters because tasks are
-// copied by value through every Submit.
+// copied by value through every SubmitCall.
 const MaxTaskSteps = 6
 
-// Task is a unit of work submitted to a Proc: alternating compute bursts
-// and stalls. Tasks are value types and may be built incrementally.
+// Task is a unit of work submitted to a simulated processor (nfp.FPC,
+// host.Core): alternating compute bursts and stalls. Tasks are value
+// types and may be built incrementally.
 type Task struct {
 	n     int
 	steps [MaxTaskSteps]Step
@@ -62,16 +63,4 @@ func (t *Task) StallTime() Time {
 		d += t.steps[i].Stall
 	}
 	return d
-}
-
-// Proc executes Tasks on simulated hardware. Implementations model how
-// compute bursts contend for issue slots and whether stalls overlap with
-// other work (the NFP's 8-threaded FPCs overlap them; a host core running a
-// single thread does not).
-type Proc interface {
-	// Submit queues the task for execution; done runs (as a simulation
-	// event) when the task completes. Submit never blocks the caller.
-	Submit(t Task, done func())
-	// Busy reports whether the processor currently has work in flight.
-	Busy() bool
 }

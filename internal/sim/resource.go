@@ -2,8 +2,8 @@ package sim
 
 // Resource models a serially-shared facility with a fixed service rate in
 // bytes (or other units) per second: a PCIe link, a MAC serializer, a
-// memory port. Acquire reserves the next free slot long enough to move n
-// units and invokes done when the transfer completes.
+// memory port. AcquireCall reserves the next free slot long enough to move
+// n units and invokes cb(arg) when the transfer completes.
 type Resource struct {
 	eng       *Engine
 	name      string
@@ -21,20 +21,11 @@ func NewResource(eng *Engine, name string, unitsPerSecond float64) *Resource {
 	return &Resource{eng: eng, name: name, psPerUnit: 1e12 / unitsPerSecond}
 }
 
-// Acquire schedules a transfer of n units plus a fixed latency; done runs
-// when the transfer finishes. It returns the completion time.
-func (r *Resource) Acquire(n int64, extra Time, done func()) Time {
-	end := r.reserve(n, extra)
-	if done != nil {
-		r.eng.At(end, done)
-	}
-	return end
-}
-
-// AcquireCall is the allocation-free form of Acquire: cb(arg) runs at
-// completion, with cb a long-lived function value (see Engine.AtCall).
+// AcquireCall schedules a transfer of n units plus a fixed latency;
+// cb(arg) runs when the transfer finishes, with cb a long-lived function
+// value (see Engine.AtCall). It returns the completion time.
 func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time {
-	end := r.reserve(n, extra)
+	end := r.Reserve(n, extra)
 	r.eng.AtCall(end, cb, arg)
 	return end
 }
@@ -47,11 +38,6 @@ func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time 
 // returned time is always strictly after now plus extra — the property
 // the sharding lookahead proof relies on.
 func (r *Resource) Reserve(n int64, extra Time) Time {
-	return r.reserve(n, extra)
-}
-
-// reserve books the facility for n units and returns the completion time.
-func (r *Resource) reserve(n int64, extra Time) Time {
 	now := r.eng.Now()
 	start := r.free
 	if start < now {

@@ -24,10 +24,10 @@ func TestGroupSingleShardIsSerial(t *testing.T) {
 		var tick func()
 		tick = func() {
 			if e.Now() < 900*Nanosecond {
-				e.After(7*Nanosecond, tick)
+				e.AfterCall(7*Nanosecond, RunFunc, tick)
 			}
 		}
-		e.At(0, tick)
+		e.AtCall(0, RunFunc, tick)
 	}
 	gn, gt := run(schedule)
 	sn, st := serial(schedule)
@@ -131,12 +131,12 @@ func TestGroupInjectionOrdering(t *testing.T) {
 
 	// Shards 1 and 2 wake early and inject into shard 0 at the same
 	// instant, with delivery keys in the opposite order of their wakeups.
-	g.Engine(1).At(5*Nanosecond, func() {
+	g.Engine(1).AtCall(5*Nanosecond, func(any) {
 		g.Engine(1).Inject(g.Engine(0), at, 2<<32|7, note, "link2")
-	})
-	g.Engine(2).At(6*Nanosecond, func() {
+	}, nil)
+	g.Engine(2).AtCall(6*Nanosecond, func(any) {
 		g.Engine(2).Inject(g.Engine(0), at, 1<<32|7, note, "link1")
-	})
+	}, nil)
 	g.Engine(0).AtCall(at, note, "local")
 	g.RunUntil(200 * Nanosecond)
 
@@ -155,7 +155,7 @@ func TestGroupNoBoundaryIndependent(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		e := g.Engine(i)
-		e.Every(0, 3*Nanosecond, func() bool { counts[i]++; return true })
+		e.EveryCall(0, 3*Nanosecond, func(any) bool { counts[i]++; return true }, nil)
 	}
 	g.RunUntil(30 * Nanosecond)
 	if counts[0] != 11 || counts[1] != 11 {
@@ -187,10 +187,10 @@ func TestGroupCrossInjectToSelf(t *testing.T) {
 	g := NewGroup(2)
 	e := g.Engine(0)
 	var order []int
-	e.At(0, func() {
+	e.AtCall(0, func(any) {
 		e.Inject(e, 10*Nanosecond, 2<<32, func(any) { order = append(order, 2) }, nil)
 		e.Inject(e, 10*Nanosecond, 1<<32, func(any) { order = append(order, 1) }, nil)
-	})
+	}, nil)
 	g.RunUntil(20 * Nanosecond)
 	if !reflect.DeepEqual(order, []int{1, 2}) {
 		t.Fatalf("self-inject order %v, want [1 2]", order)

@@ -3,7 +3,9 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // refEngine is the pre-timing-wheel event core (a container/heap binary
@@ -41,7 +43,7 @@ func (h *refHeap) Pop() interface{} {
 	return ev
 }
 
-func (e *refEngine) At(t Time, fn func()) {
+func (e *refEngine) schedule(t Time, fn func()) {
 	if t < e.now {
 		panic("ref: past")
 	}
@@ -78,14 +80,14 @@ type scheduler interface {
 
 type wheelSched struct{ e *Engine }
 
-func (w wheelSched) schedule(t Time, fn func()) { w.e.At(t, fn) }
+func (w wheelSched) schedule(t Time, fn func()) { w.e.AtCall(t, RunFunc, fn) }
 func (w wheelSched) now() Time                  { return w.e.Now() }
 func (w wheelSched) step() bool                 { return w.e.Step() }
 func (w wheelSched) runUntil(t Time)            { w.e.RunUntil(t) }
 
 type refSched struct{ e *refEngine }
 
-func (r refSched) schedule(t Time, fn func()) { r.e.At(t, fn) }
+func (r refSched) schedule(t Time, fn func()) { r.e.schedule(t, fn) }
 func (r refSched) now() Time                  { return r.e.now }
 func (r refSched) step() bool                 { return r.e.Step() }
 func (r refSched) runUntil(t Time)            { r.e.RunUntil(t) }
@@ -170,7 +172,7 @@ func TestWheelFarFutureMigration(t *testing.T) {
 	times := []Time{5 * Second, 3 * Millisecond, 70 * Microsecond, 100 * Nanosecond, 70*Microsecond + 1}
 	for _, at := range times {
 		at := at
-		e.At(at, func() { order = append(order, at) })
+		e.AtCall(at, func(any) { order = append(order, at) }, nil)
 	}
 	e.Run()
 	for i := 1; i < len(order); i++ {
@@ -195,7 +197,7 @@ func TestWheelSameInstantAcrossOverflow(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		e.At(at, func() { order = append(order, i) })
+		e.AtCall(at, func(any) { order = append(order, i) }, nil)
 		if i == 9 {
 			// Advance close to the target so later schedulings land in
 			// the wheel while earlier ones migrated from the overflow.
@@ -210,14 +212,14 @@ func TestWheelSameInstantAcrossOverflow(t *testing.T) {
 	}
 }
 
-// TestAtCallOrdering checks the cb/arg form interleaves with plain
-// closures in strict schedule order.
+// TestAtCallOrdering checks events with and without an argument
+// interleave in strict schedule order.
 func TestAtCallOrdering(t *testing.T) {
 	e := New()
 	var order []int
 	push := func(a any) { order = append(order, a.(int)) }
 	e.AtCall(100, push, 0)
-	e.At(100, func() { order = append(order, 1) })
+	e.AtCall(100, func(any) { order = append(order, 1) }, nil)
 	e.AtCall(100, push, 2)
 	e.AfterCall(50, push, 3) // at 50: runs first
 	e.Run()
@@ -253,6 +255,22 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	// steady state should be allocation-free.
 	if allocs > 1 {
 		t.Fatalf("engine steady-state allocs/run = %v, want <= 1", allocs)
+	}
+}
+
+// TestEventLayout pins the single-arm event: (at, seq, dkey, cb, arg) in
+// 48 bytes and no func()-typed field, so a closure-carrying second arm
+// cannot creep back into the engine.
+func TestEventLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 48 {
+		t.Errorf("sizeof(event) = %d, want 48", sz)
+	}
+	typ := reflect.TypeOf(event{})
+	plainFunc := reflect.TypeOf(func() {})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type == plainFunc {
+			t.Errorf("event.%s is a func(): events carry only (cb func(any), arg any)", f.Name)
+		}
 	}
 }
 
