@@ -10,15 +10,19 @@
 // The event core is a hierarchical timing wheel: a near wheel of
 // fixed-width buckets covering the next ~67 us absorbs the dense
 // sub-microsecond traffic of the data-path (FPC issue slots, memory
-// stalls, PCIe completions) in O(1), while an overflow binary heap holds
-// the sparse far future (retransmission timeouts, experiment end markers).
-// Bucket slices and the heap reuse their capacity, and an event carries
-// only a long-lived func(any) plus an argument (AtCall and its siblings
-// are the one scheduling API; RunFunc adapts an application-owned
-// func()), so steady-state event scheduling performs no heap allocation.
-// Execution order is exactly the order the old global heap produced:
-// ascending timestamp, FIFO among events scheduled for the same instant
-// (the seq tie-break).
+// stalls, PCIe completions), while an overflow binary heap holds the
+// sparse far future (retransmission timeouts, experiment end markers).
+// The data path keeps several live events in a bucket and schedules most
+// of them behind the bucket's tail, so a bucket is kept in execution
+// order at all times: an insert appends and shifts the event back to its
+// place — a handful of slots — and running the next event is one lookup
+// and one pop from the bucket's head. Bucket storage and the heap are
+// reused, and an event carries only a long-lived func(any) plus an
+// argument (AtCall and its siblings are the one scheduling API; RunFunc
+// adapts an application-owned func()), so steady-state event scheduling
+// performs no heap allocation. Execution order is the total order (at,
+// dkey, seq): ascending timestamp; at one instant local events first,
+// FIFO, then link deliveries by delivery key (see event.before).
 package sim
 
 import (
@@ -115,15 +119,24 @@ func (a *event) before(b *event) bool {
 }
 
 // Timing-wheel geometry. One bucket spans 2^tickBits ps (65.536 ns); the
-// wheel spans wheelSize buckets (~67 us). Deadlines beyond the span go to
-// the overflow heap and migrate into the wheel when it advances.
+// wheel spans wheelSize buckets (wheelSpan, ~67 us). Deadlines beyond the
+// span go to the overflow heap and migrate into the wheel when it advances.
 const (
 	tickBits  = 16
 	tickSpan  = Time(1) << tickBits
 	wheelBits = 10
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
+	wheelSpan = Time(wheelSize) << tickBits
 )
+
+// bucket is one wheel slot. evs[head:] is the live suffix, always in
+// execution order (see event.before); evs[:head] has already run and is
+// dropped when the cursor moves on.
+type bucket struct {
+	evs  []event
+	head int
+}
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with New.
@@ -135,19 +148,22 @@ type Engine struct {
 
 	// Near wheel: buckets[i&wheelMask] holds events whose tick index
 	// (at>>tickBits) is i, for ticks in [start>>tickBits, +wheelSize).
-	// heads[i] is the bucket's consumed prefix; sorted[i] records whether
-	// the unconsumed suffix is known to be in (at, seq) order.
-	buckets  [][]event
-	heads    []int
-	sorted   []bool
+	buckets  []bucket
 	start    Time  // wheel window lower bound, tick-aligned
 	curTick  int64 // cursor: no wheel event lives below this tick
 	wheelCnt int
 
-	// Overflow heap for events beyond the wheel span, ordered by
-	// (at, seq). Invariant: every overflow event is at or beyond
-	// start+span whenever the wheel is non-empty, so the wheel minimum is
-	// always the global minimum when wheelCnt > 0.
+	// spare is a stack of emptied bucket storage. A bucket the cursor has
+	// drained gives its slice up, and the next bucket to receive its first
+	// event takes the most recently drained one: that memory was read a
+	// moment ago and is still in cache, where the bucket's own slice from
+	// the previous rotation is long evicted.
+	spare [][]event
+
+	// Overflow heap for events beyond the wheel span, in execution
+	// order. Invariant: every overflow event is at or beyond start+span
+	// whenever the wheel is non-empty, so the wheel minimum is always the
+	// global minimum when wheelCnt > 0.
 	overflow []event
 
 	// Sharding (nil/zero for a standalone engine, see shard.go): the
@@ -162,11 +178,7 @@ type Engine struct {
 
 // New returns an empty engine at time zero.
 func New() *Engine {
-	return &Engine{
-		buckets: make([][]event, wheelSize),
-		heads:   make([]int, wheelSize),
-		sorted:  make([]bool, wheelSize),
-	}
+	return &Engine{buckets: make([]bucket, wheelSize)}
 }
 
 // Now returns the current simulated time.
@@ -292,32 +304,46 @@ func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 // event or completion: pass it as cb with the stored func() as arg.
 func RunFunc(a any) { a.(func())() }
 
-// insert routes an event to its wheel bucket or the overflow heap.
+// insert routes an event to the overflow heap or to its wheel bucket,
+// where it goes straight to its execution-order position: append, then
+// shift later events up one slot. The shift stops at the consumed head, so
+// an event that orders before one already run (a local event scheduled
+// from a same-instant delivery) still runs next. Out of order is the
+// common case on the data path — several events per bucket, most arriving
+// behind the tail — which is why the order is paid for here, a few slots
+// at a time, and not by a sort at drain time.
 func (e *Engine) insert(ev event) {
-	const span = Time(wheelSize) << tickBits
-	if e.wheelCnt == 0 && ev.at-e.start >= span {
-		// Empty wheel: slide the window up to now so near-future events
-		// keep landing in buckets.
-		e.anchor(e.now)
-	}
-	if ev.at-e.start < span {
-		tick := int64(ev.at >> tickBits)
-		if tick < e.curTick {
-			// The cursor peeked ahead of now (RunUntil); rescan from here.
-			e.curTick = tick
+	if ev.at-e.start >= wheelSpan {
+		if e.wheelCnt == 0 {
+			// Empty wheel: slide the window up to now so near-future
+			// events keep landing in buckets.
+			e.anchor(e.now)
 		}
-		idx := int(tick) & wheelMask
-		b := e.buckets[idx]
-		// Appending in (at, seq) order keeps the bucket sorted for free;
-		// anything else marks it for a lazy sort at drain time.
-		if len(b) > e.heads[idx] && !b[len(b)-1].before(&ev) {
-			e.sorted[idx] = false
+		if ev.at-e.start >= wheelSpan {
+			e.heapPush(ev)
+			return
 		}
-		e.buckets[idx] = append(b, ev)
-		e.wheelCnt++
-		return
 	}
-	e.heapPush(ev)
+	tick := int64(ev.at >> tickBits)
+	if tick < e.curTick {
+		// The cursor peeked ahead of now (RunUntil); rescan from here.
+		e.curTick = tick
+	}
+	bk := &e.buckets[int(tick)&wheelMask]
+	if bk.evs == nil {
+		if n := len(e.spare); n > 0 {
+			bk.evs, e.spare[n-1] = e.spare[n-1], nil
+			e.spare = e.spare[:n-1]
+		}
+	}
+	evs := append(bk.evs, ev)
+	j := len(evs) - 1
+	for ; j > bk.head && ev.before(&evs[j-1]); j-- {
+		evs[j] = evs[j-1]
+	}
+	evs[j] = ev
+	bk.evs = evs
+	e.wheelCnt++
 }
 
 // anchor moves the wheel window so it starts at the tick containing t and
@@ -326,72 +352,35 @@ func (e *Engine) insert(ev event) {
 func (e *Engine) anchor(t Time) {
 	e.start = t &^ (tickSpan - 1)
 	e.curTick = int64(e.start >> tickBits)
-	const span = Time(wheelSize) << tickBits
-	for len(e.overflow) > 0 && e.overflow[0].at-e.start < span {
-		ev := e.heapPop()
-		idx := int(ev.at>>tickBits) & wheelMask
-		b := e.buckets[idx]
-		if len(b) > e.heads[idx] && !b[len(b)-1].before(&ev) {
-			e.sorted[idx] = false
-		}
-		e.buckets[idx] = append(b, ev)
-		e.wheelCnt++
+	for len(e.overflow) > 0 && e.overflow[0].at-e.start < wheelSpan {
+		e.insert(e.heapPop())
 	}
 }
 
 // wheelMin advances the cursor to the first non-empty bucket and returns
-// a pointer to its earliest event. Only valid when wheelCnt > 0.
-func (e *Engine) wheelMin() *event {
+// it; its earliest event is evs[head]. Only valid when wheelCnt > 0.
+func (e *Engine) wheelMin() *bucket {
 	for {
-		idx := int(e.curTick) & wheelMask
-		b := e.buckets[idx]
-		h := e.heads[idx]
-		if h < len(b) {
-			if !e.sorted[idx] {
-				insertionSort(b[h:])
-				e.sorted[idx] = true
-			}
-			return &b[h]
+		bk := &e.buckets[int(e.curTick)&wheelMask]
+		if bk.head < len(bk.evs) {
+			return bk
 		}
-		// Bucket exhausted: reset it for the next rotation.
-		if len(b) > 0 {
-			e.buckets[idx] = b[:0]
-			e.heads[idx] = 0
-			e.sorted[idx] = true
+		// Bucket exhausted: hand its storage to the next bucket to fill.
+		if bk.evs != nil {
+			e.spare = append(e.spare, bk.evs[:0])
+			bk.evs, bk.head = nil, 0
 		}
 		e.curTick++
 	}
 }
 
-// insertionSort orders events by (at, seq). Buckets are small and mostly
-// sorted already, so insertion sort beats sort.Slice and allocates nothing.
-func insertionSort(evs []event) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && ev.before(&evs[j]) {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = ev
-	}
-}
-
-// popWheelMin consumes the event wheelMin points at.
-func (e *Engine) popWheelMin() event {
-	idx := int(e.curTick) & wheelMask
-	h := e.heads[idx]
-	ev := e.buckets[idx][h]
-	e.buckets[idx][h] = event{}
-	e.heads[idx] = h + 1
-	e.wheelCnt--
-	return ev
-}
-
-// nextAt returns the timestamp of the next event to execute.
+// nextAt returns the timestamp of the next event to execute. Only the
+// group coordinator needs a timestamp without running the event; the run
+// loops go through step.
 func (e *Engine) nextAt() (Time, bool) {
 	if e.wheelCnt > 0 {
-		return e.wheelMin().at, true
+		bk := e.wheelMin()
+		return bk.evs[bk.head].at, true
 	}
 	if len(e.overflow) > 0 {
 		return e.overflow[0].at, true
@@ -399,44 +388,54 @@ func (e *Engine) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// Step executes the next event. It reports whether an event was executed.
-func (e *Engine) Step() bool {
+// step executes the next event if it is due at or before limit, and
+// reports whether it did: the one pop path under Step, Run, RunUntil and
+// runWindow. The minimum is looked up once and read in place; its slot is
+// released and the head advanced before the callback runs, because the
+// callback may append to, grow or reorder the very bucket being drained.
+func (e *Engine) step(limit Time) bool {
 	if e.stopped {
 		return false
 	}
 	if e.wheelCnt == 0 {
-		if len(e.overflow) == 0 {
+		if len(e.overflow) == 0 || e.overflow[0].at > limit {
 			return false
 		}
 		e.anchor(e.overflow[0].at)
 	}
-	e.wheelMin()
-	ev := e.popWheelMin()
-	e.now = ev.at
+	bk := e.wheelMin()
+	ev := &bk.evs[bk.head]
+	if ev.at > limit {
+		return false
+	}
+	at, cb, arg := ev.at, ev.cb, ev.arg
+	ev.cb, ev.arg = nil, nil
+	bk.head++
+	e.wheelCnt--
+	e.now = at
 	e.nRun++
-	ev.cb(ev.arg)
+	cb(arg)
 	return true
 }
 
+// maxTime is the limit that admits every event.
+const maxTime = Time(1<<63 - 1)
+
+// Step executes the next event. It reports whether an event was executed.
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
-	for e.Step() {
+	for e.step(maxTime) {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t (even if the queue still holds later events).
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
-		at, ok := e.nextAt()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
+	for e.step(t) {
 	}
-	if !e.stopped && e.now < t {
-		e.now = t
-	}
+	e.advanceTo(t)
 }
 
 // runWindow executes every pending event with timestamp strictly below
@@ -444,12 +443,7 @@ func (e *Engine) RunUntil(t Time) {
 // shard receives no new cross-shard input, so it can run without
 // coordination.
 func (e *Engine) runWindow(wend Time) {
-	for !e.stopped {
-		at, ok := e.nextAt()
-		if !ok || at >= wend {
-			return
-		}
-		e.Step()
+	for e.step(wend - 1) {
 	}
 }
 
@@ -480,7 +474,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) Pending() int { return e.wheelCnt + len(e.overflow) }
 
 // ---------------------------------------------------------------------
-// Overflow heap: a plain binary min-heap on (at, seq), hand-rolled so
+// Overflow heap: a plain binary min-heap in execution order, hand-rolled so
 // pushes and pops never box events through container/heap's interface.
 // ---------------------------------------------------------------------
 

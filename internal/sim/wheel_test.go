@@ -9,8 +9,9 @@ import (
 )
 
 // refEngine is the pre-timing-wheel event core (a container/heap binary
-// heap), kept verbatim as the ordering oracle: ascending timestamp, FIFO
-// among same-instant events.
+// heap), kept as the ordering oracle for the engine's whole sort key (at,
+// dkey, seq): ascending timestamp; at one instant local events (dkey 0)
+// first, FIFO, then link deliveries in delivery-key order.
 type refEngine struct {
 	now    Time
 	events refHeap
@@ -18,9 +19,10 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	dkey uint64
+	seq  uint64
+	fn   func()
 }
 
 type refHeap []refEvent
@@ -29,6 +31,9 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
+	}
+	if h[i].dkey != h[j].dkey {
+		return h[i].dkey < h[j].dkey
 	}
 	return h[i].seq < h[j].seq
 }
@@ -43,12 +48,14 @@ func (h *refHeap) Pop() interface{} {
 	return ev
 }
 
-func (e *refEngine) schedule(t Time, fn func()) {
+// schedule queues fn at t: a local event when dkey is 0, else a link
+// delivery with that key.
+func (e *refEngine) schedule(t Time, dkey uint64, fn func()) {
 	if t < e.now {
 		panic("ref: past")
 	}
 	e.seq++
-	heap.Push(&e.events, refEvent{at: t, seq: e.seq, fn: fn})
+	heap.Push(&e.events, refEvent{at: t, dkey: dkey, seq: e.seq, fn: fn})
 }
 
 func (e *refEngine) Step() bool {
@@ -72,7 +79,7 @@ func (e *refEngine) RunUntil(t Time) {
 
 // scheduler abstracts both engines for the differential driver.
 type scheduler interface {
-	schedule(t Time, fn func())
+	schedule(t Time, dkey uint64, fn func())
 	now() Time
 	step() bool
 	runUntil(t Time)
@@ -80,27 +87,37 @@ type scheduler interface {
 
 type wheelSched struct{ e *Engine }
 
-func (w wheelSched) schedule(t Time, fn func()) { w.e.AtCall(t, RunFunc, fn) }
-func (w wheelSched) now() Time                  { return w.e.Now() }
-func (w wheelSched) step() bool                 { return w.e.Step() }
-func (w wheelSched) runUntil(t Time)            { w.e.RunUntil(t) }
+func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
+	if dkey == 0 {
+		w.e.AtCall(t, RunFunc, fn)
+	} else {
+		w.e.AtLinkCall(t, dkey, RunFunc, fn)
+	}
+}
+func (w wheelSched) now() Time       { return w.e.Now() }
+func (w wheelSched) step() bool      { return w.e.Step() }
+func (w wheelSched) runUntil(t Time) { w.e.RunUntil(t) }
 
 type refSched struct{ e *refEngine }
 
-func (r refSched) schedule(t Time, fn func()) { r.e.schedule(t, fn) }
-func (r refSched) now() Time                  { return r.e.now }
-func (r refSched) step() bool                 { return r.e.Step() }
-func (r refSched) runUntil(t Time)            { r.e.RunUntil(t) }
+func (r refSched) schedule(t Time, dkey uint64, fn func()) { r.e.schedule(t, dkey, fn) }
+func (r refSched) now() Time                               { return r.e.now }
+func (r refSched) step() bool                              { return r.e.Step() }
+func (r refSched) runUntil(t Time)                         { r.e.RunUntil(t) }
 
 // driveSchedule runs one pseudo-random scenario on a scheduler and records
 // the (event id, execution time) trace. Events reschedule follow-ups from
 // inside their handlers — same-instant bursts, near deltas that stay in
 // one wheel bucket, mid-range deltas that cross buckets, and far deltas
 // (RTO-scale) that exercise the overflow heap and window re-anchoring.
+// One follow-up in three is a link delivery, and half of all follow-ups
+// snap to a 4 ns grid, so local events and deliveries from several links
+// meet at equal instants — the dkey arm of event.before.
 func driveSchedule(s scheduler, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []int64
 	nextID := 0
+	var linkSeq [4]uint64 // per-link transmit sequence: (at, dkey) never repeats
 	var spawn func(depth int) func()
 	spawn = func(depth int) func() {
 		id := nextID
@@ -125,16 +142,25 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 				default:
 					d = Time(rng.Intn(1 << 33)) // milliseconds: overflow heap
 				}
-				s.schedule(s.now()+d, spawn(depth-1))
+				at := s.now() + d
+				if rng.Intn(2) == 0 {
+					at = s.now() + d&^0xfff
+				}
+				var dkey uint64
+				if link := rng.Intn(6); link >= 3 {
+					linkSeq[link-2]++
+					dkey = uint64(link-2)<<32 | linkSeq[link-2]
+				}
+				s.schedule(at, dkey, spawn(depth-1))
 			}
 		}
 	}
 	// Seed events, including same-instant collisions.
 	for i := 0; i < 40; i++ {
-		s.schedule(Time(rng.Intn(1<<30)), spawn(4))
+		s.schedule(Time(rng.Intn(1<<30)), 0, spawn(4))
 	}
 	for i := 0; i < 8; i++ {
-		s.schedule(12345, spawn(2))
+		s.schedule(12345, 0, spawn(2))
 	}
 	// Interleave stepping with RunUntil jumps that park the clock between
 	// events (exercises the cursor pull-back path).
@@ -160,6 +186,144 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: traces diverge at %d: wheel %d vs heap %d", seed, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// directedCases are small programs aimed at one hazard of the ordered
+// wheel each. They run on both engines like driveSchedule; mark appends an
+// event's id to the trace when it runs.
+var directedCases = []struct {
+	name string
+	run  func(s scheduler, mark func(id int) func())
+}{
+	// A callback schedules into the bucket being drained, alternately
+	// before and after events of that bucket that have not run yet, often
+	// enough that the bucket's slice is reallocated under the drain.
+	{"insert into the draining bucket", func(s scheduler, mark func(int) func()) {
+		const base = 3 * tickSpan
+		for i := 0; i < 4; i++ {
+			s.schedule(base+Time(10+10*i)*Nanosecond, 0, mark(i))
+		}
+		s.schedule(base+Nanosecond, 0, func() {
+			for i := 0; i < 300; i++ {
+				at := base + 5*Nanosecond + Time(i%7)*Nanosecond // before the waiting events
+				if i%2 == 1 {
+					at = base + 60*Nanosecond - Time(i%5)*Nanosecond // after them
+				}
+				s.schedule(at, 0, mark(100+i))
+			}
+		})
+		s.runUntil(base + tickSpan)
+	}},
+	// A delivery at now schedules a local event at now: it orders before
+	// the delivery that is running and before the deliveries still queued
+	// for the instant, and must run next — placed after the consumed
+	// prefix, not lost behind it.
+	{"local event from a same-instant delivery", func(s scheduler, mark func(int) func()) {
+		const at = 5*tickSpan + 100
+		s.schedule(at, 1<<32|1, func() {
+			mark(0)()
+			s.schedule(at, 0, mark(1))
+			s.schedule(at, 1<<32|2, mark(2))
+		})
+		s.schedule(at, 2<<32|1, mark(3))
+		s.schedule(at, 0, mark(4))
+		s.runUntil(at)
+	}},
+	// RunUntil finds nothing due and leaves the cursor on the first
+	// pending event, beyond the clock; later inserts land below the cursor.
+	{"insert below a cursor that peeked ahead", func(s scheduler, mark func(int) func()) {
+		s.schedule(50*Microsecond, 0, mark(0))
+		s.runUntil(10 * Microsecond)
+		s.schedule(30*Microsecond, 0, mark(1))
+		s.schedule(20*Microsecond, 1<<32|1, mark(2))
+		s.schedule(20*Microsecond, 0, mark(3))
+		s.schedule(10*Microsecond, 0, mark(4))
+		s.runUntil(60 * Microsecond)
+	}},
+	// The wheel is empty and the next events wait in the overflow heap:
+	// an insert re-anchors the window, the overflow events migrate into
+	// their bucket, and the insert then lands in front of them.
+	{"migration beside an earlier insert", func(s scheduler, mark func(int) func()) {
+		const far = 100 * Microsecond
+		s.schedule(far+50*Nanosecond, 0, mark(0))
+		s.schedule(far+40*Nanosecond, 3<<32|1, mark(1))
+		s.schedule(far+40*Nanosecond, 0, mark(2))
+		s.runUntil(far - 10*Microsecond)
+		s.schedule(far+45*Nanosecond, 0, mark(3))
+		s.schedule(far+10*Nanosecond, 0, mark(4))
+		s.schedule(far+40*Nanosecond, 0, mark(5))
+		s.runUntil(far + tickSpan)
+	}},
+}
+
+// TestWheelDirectedOrder runs each directed case on the wheel and on the
+// reference heap and requires the same events at the same times in the
+// same order, every event run, and the clock never stepping back.
+func TestWheelDirectedOrder(t *testing.T) {
+	for _, c := range directedCases {
+		drive := func(s scheduler) (trace []int64) {
+			c.run(s, func(id int) func() {
+				return func() { trace = append(trace, int64(id), int64(s.now())) }
+			})
+			for s.step() {
+			}
+			return trace
+		}
+		e := New()
+		got, want := drive(wheelSched{e}), drive(refSched{&refEngine{}})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: wheel ran (id, time) %v, reference heap %v", c.name, got, want)
+		}
+		if e.Pending() != 0 {
+			t.Errorf("%s: %d events left pending", c.name, e.Pending())
+		}
+		for i := 3; i < len(got); i += 2 {
+			if got[i] < got[i-2] {
+				t.Errorf("%s: clock stepped back from %d to %d", c.name, got[i-2], got[i])
+			}
+		}
+	}
+}
+
+// TestWheelSameInstantDeliveryOrder spells out the second directed case's
+// expected order, so the oracle itself is pinned: local events first
+// (FIFO), then deliveries by key, and the local event a delivery
+// schedules for its own instant runs right after it.
+func TestWheelSameInstantDeliveryOrder(t *testing.T) {
+	e := New()
+	var order []int
+	directedCases[1].run(wheelSched{e}, func(id int) func() {
+		return func() { order = append(order, id) }
+	})
+	if want := []int{4, 0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestStopInsideCallback: Stop from a callback halts every run loop
+// before the next event — even one queued for the same instant — and
+// freezes the clock there.
+func TestStopInsideCallback(t *testing.T) {
+	loops := map[string]func(e *Engine){
+		"Run":       func(e *Engine) { e.Run() },
+		"RunUntil":  func(e *Engine) { e.RunUntil(100) },
+		"runWindow": func(e *Engine) { e.runWindow(100) },
+		"Step": func(e *Engine) {
+			for e.Step() {
+			}
+		},
+	}
+	for name, loop := range loops {
+		e := New()
+		ran := 0
+		e.AtCall(10, func(any) { ran++; e.Stop() }, nil)
+		e.AtCall(10, func(any) { ran++ }, nil)
+		e.AtCall(20, func(any) { ran++ }, nil)
+		loop(e)
+		if ran != 1 || e.Pending() != 2 || e.Now() != 10 || e.Processed() != 1 {
+			t.Errorf("%s: ran %d events, %d pending, now %v; want 1, 2, 10ps", name, ran, e.Pending(), e.Now())
 		}
 	}
 }
@@ -301,4 +465,45 @@ func BenchmarkEngineScheduleFar(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineDense reproduces the event regime measured on the
+// kv_flextoe benchmark workload, which BenchmarkEngineSchedule (in-order,
+// under one event per bucket) never enters: 560 self-rearming chains with
+// delays uniform over 64 ticks keep about nine live events in the bucket
+// an insert lands in, about four inserts in five order before that
+// bucket's tail, and a few percent tie on the instant — same-instant
+// local events and link deliveries (dkey) both. One op is one event
+// scheduled and executed.
+func BenchmarkEngineDense(b *testing.B) {
+	const chains = 560
+	const horizon = 64 * tickSpan
+	e := New()
+	rng := uint64(0x9e3779b97f4a7c15)
+	var link uint64
+	var fire func(any)
+	fire = func(a any) {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		d := Time(rng>>8) % horizon
+		switch rng & 63 {
+		case 0, 1: // same instant, FIFO behind whatever is queued for it
+			e.ImmediatelyCall(fire, a)
+		case 2, 3: // a frame delivery on a tick boundary: ties with its like
+			link++
+			e.AtLinkCall((e.Now()+d)&^(tickSpan-1)+tickSpan, 1<<32|link, fire, a)
+		default:
+			e.AfterCall(d, fire, a)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		e.AtCall(Time(i)*horizon/chains, fire, nil)
+	}
+	e.RunUntil(4 * horizon) // reach the steady-state shape
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := e.Processed() + uint64(b.N); e.Processed() < end; {
+		e.RunUntil(e.Now() + Microsecond)
+	}
 }
