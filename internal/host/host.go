@@ -32,10 +32,14 @@ type Core struct {
 	busyAcc      sim.Time
 }
 
+// hostTask is what a core keeps of a submitted task. It runs the task as
+// one interval, so the steps reduce at submit to their total duration on
+// this core's clock and their instruction count.
 type hostTask struct {
-	task sim.Task
-	cb   func(any)
-	arg  any
+	dur   sim.Time
+	instr uint64
+	cb    func(any)
+	arg   any
 }
 
 // NewCore creates a core with the given clock.
@@ -52,9 +56,12 @@ func (c *Core) CyclesTime(n int64) sim.Time { return sim.Cycles(n, c.hz) }
 // SubmitCall queues a task for serial execution; cb(arg) runs when it
 // completes (nil cb: nothing runs). cb should be a long-lived function
 // value and arg the per-task state, so queueing a task performs no heap
-// allocation beyond amortized queue growth.
+// allocation beyond amortized queue growth. The core stores the task's
+// duration and instruction count, not its steps (see hostTask).
 func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
-	c.queue = append(c.queue, hostTask{task, cb, arg})
+	instr := task.Instructions()
+	dur := sim.Time(instr)*c.cyclePs + task.StallTime()
+	c.queue = append(c.queue, hostTask{dur, uint64(instr), cb, arg})
 	if !c.running {
 		c.running = true
 		c.eng.ImmediatelyCall(coreKick, c)
@@ -85,15 +92,10 @@ func (c *Core) next() {
 		c.qHead = 0
 	}
 	c.Tasks++
-	var dur sim.Time
-	for i := 0; i < t.task.NumSteps(); i++ {
-		s := t.task.Step(i)
-		c.Instructions += uint64(s.Compute)
-		dur += sim.Time(s.Compute)*c.cyclePs + s.Stall
-	}
-	c.busyAcc += dur
+	c.Instructions += t.instr
+	c.busyAcc += t.dur
 	c.curCb, c.curArg = t.cb, t.arg
-	c.eng.AfterCall(dur, coreTaskDone, c)
+	c.eng.AfterCall(t.dur, coreTaskDone, c)
 }
 
 // coreTaskDone completes the running task and starts the next (see

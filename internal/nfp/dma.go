@@ -15,7 +15,8 @@ type DMAEngine struct {
 	lat      sim.Time
 	max      int
 	inflight int
-	waiting  []dmaReq
+	waiting  []dmaReq // FIFO of transactions beyond the slot limit, from waitHead
+	waitHead int
 	free     shm.Freelist[dmaTxn] // recycled transaction records
 
 	// Statistics.
@@ -84,10 +85,9 @@ func (t *dmaTxn) complete() {
 	if cb != nil {
 		cb(arg)
 	}
-	if len(d.waiting) > 0 && d.inflight < d.max {
-		req := d.waiting[0]
-		d.waiting[0] = dmaReq{}
-		d.waiting = d.waiting[1:]
+	if d.waitHead < len(d.waiting) && d.inflight < d.max {
+		req := d.waiting[d.waitHead]
+		d.waiting, d.waitHead = shm.PopRing(d.waiting, d.waitHead)
 		d.start(req.bytes, req.cb, req.arg)
 	}
 }

@@ -106,13 +106,14 @@ type FPC struct {
 	cyclePs sim.Time
 	threads int
 
-	active    int // tasks currently occupying a hardware thread
-	runq      []pending
+	active    int        // tasks currently occupying a hardware thread
+	runq      []*fpcTask // FIFO of tasks waiting for a thread, from runqHead
+	runqHead  int
 	issueBusy sim.Time // accumulated issue-slot busy time
 	issueFree sim.Time // next instant the issue slot is free
 
-	// free is the freelist of per-task execution records; tasks in flight
-	// hold at most threads+runq of them, so the list stays tiny.
+	// free is the freelist of per-task execution records; tasks running or
+	// queued hold at most threads+runq of them, so the list stays tiny.
 	free shm.Freelist[fpcTask]
 
 	// Idle runs whenever a hardware thread frees up, letting the owning
@@ -124,15 +125,11 @@ type FPC struct {
 	Instructions uint64
 }
 
-type pending struct {
-	task sim.Task
-	cb   func(any)
-	arg  any
-}
-
-// fpcTask is the in-flight execution record of one submitted task: the
-// remaining steps and the completion callback. Records are recycled via
-// the FPC's freelist so steady-state submission allocates nothing.
+// fpcTask is the execution record of one submitted task, from SubmitCall
+// to completion: the task's steps (the only copy the FPC keeps — a queued
+// task waits in its record), the step cursor and the completion callback.
+// Records are recycled via the FPC's freelist so steady-state submission
+// allocates nothing.
 type fpcTask struct {
 	f    *FPC
 	task sim.Task
@@ -176,37 +173,35 @@ func (f *FPC) FreeThreads() int {
 }
 
 // Busy reports whether any thread is occupied.
-func (f *FPC) Busy() bool { return f.active > 0 || len(f.runq) > 0 }
+func (f *FPC) Busy() bool { return f.active > 0 || f.runqHead < len(f.runq) }
 
 // SubmitCall queues a task; cb(arg) runs when it completes (nil cb:
 // nothing runs), with cb a long-lived function value and arg the per-task
 // state (typically the pipeline work item). If all hardware threads are
 // busy the task waits in the core's run queue (callers gate on FreeThreads
-// for backpressure; the run queue only absorbs same-instant races).
+// for backpressure; the run queue only absorbs same-instant races). The
+// task is copied once, into its pooled execution record; the run queue
+// holds records, not tasks.
 func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
-	if f.active < f.threads {
-		f.begin(task, cb, arg)
-		return
+	ft := f.free.Get()
+	if ft == nil {
+		ft = &fpcTask{f: f}
 	}
-	f.runq = append(f.runq, pending{task, cb, arg})
-}
-
-func (f *FPC) begin(task sim.Task, cb func(any), arg any) {
-	f.active++
-	f.Tasks++
-	ft := f.getTask()
 	ft.task = task
 	ft.idx = 0
 	ft.cb = cb
 	ft.arg = arg
-	ft.runStep()
+	if f.active < f.threads {
+		f.begin(ft)
+		return
+	}
+	f.runq = append(f.runq, ft)
 }
 
-func (f *FPC) getTask() *fpcTask {
-	if ft := f.free.Get(); ft != nil {
-		return ft
-	}
-	return &fpcTask{f: f}
+func (f *FPC) begin(ft *fpcTask) {
+	f.active++
+	f.Tasks++
+	ft.runStep()
 }
 
 // runStep executes the current step: the compute burst serializes on the
@@ -256,11 +251,10 @@ func (f *FPC) finish(ft *fpcTask) {
 		cb(arg)
 	}
 	// Start queued work before announcing idleness.
-	for f.active < f.threads && len(f.runq) > 0 {
-		p := f.runq[0]
-		f.runq[0] = pending{}
-		f.runq = f.runq[1:]
-		f.begin(p.task, p.cb, p.arg)
+	for f.active < f.threads && f.runqHead < len(f.runq) {
+		next := f.runq[f.runqHead]
+		f.runq, f.runqHead = shm.PopRing(f.runq, f.runqHead)
+		f.begin(next)
 	}
 	if f.active < f.threads && f.Idle != nil {
 		f.Idle()

@@ -284,6 +284,51 @@ func TestDMAEngineInflightLimit(t *testing.T) {
 	}
 }
 
+// TestSaturatedQueuesAllocFree: an FPC whose run queue and a DMA engine
+// whose wait queue never drain (a thread-starved core, a burst beyond the
+// transaction slots) must recycle their queue storage. Every completion
+// resubmits from a fresh event — after the freed thread or slot has gone
+// to the head of the queue — so each completion is one pop and one push
+// and the queues hold a few waiting entries for the whole run; a measured
+// run makes enough pushes to walk a pop-from-the-front slice off its
+// backing array many times.
+func TestSaturatedQueuesAllocFree(t *testing.T) {
+	eng := sim.New()
+	cfg := AgilioCX40()
+	cfg.Threads = 1
+	cfg.DMAMaxInflight = 2
+	f := NewFPC(eng, "fpc0", &cfg)
+	d := NewDMAEngine(eng, &cfg)
+	task := sim.TaskC(10).Add(5, 20*sim.Nanosecond)
+	var taskDone, dmaDone func(any)
+	submit := func(any) { f.SubmitCall(task, taskDone, f) }
+	issue := func(any) { d.IssueCall(1448, dmaDone, d) }
+	taskDone = func(any) { eng.ImmediatelyCall(submit, f) }
+	dmaDone = func(any) { eng.ImmediatelyCall(issue, d) }
+	for i := 0; i < 4; i++ { // one running, three queued
+		f.SubmitCall(task, taskDone, f)
+	}
+	for i := 0; i < 6; i++ { // two in flight, four waiting
+		d.IssueCall(1448, dmaDone, d)
+	}
+	step := func() { eng.RunUntil(eng.Now() + 50*sim.Microsecond) }
+	for i := 0; i < 8; i++ { // warm queue capacity, freelists and the wheel
+		step()
+	}
+	tasks, dmas := f.Tasks, d.Transactions
+	allocs := testing.AllocsPerRun(20, step)
+	if f.Tasks-tasks < 20*64 || d.Transactions-dmas < 20*64 {
+		t.Fatalf("measured runs completed %d tasks and %d DMAs, want >= 64 of each per run",
+			f.Tasks-tasks, d.Transactions-dmas)
+	}
+	if !f.Busy() || f.FreeThreads() != 0 || d.Inflight() != 2 {
+		t.Fatal("queues drained: the run no longer exercises the saturated path")
+	}
+	if allocs > 0 {
+		t.Fatalf("saturated FPC run queue + DMA wait queue allocate %.0f/run, want 0", allocs)
+	}
+}
+
 func TestDMAOverlapsTransactions(t *testing.T) {
 	// Two transactions issued together: bandwidth serializes the wire,
 	// but latency overlaps — total well under 2*(wire+latency).

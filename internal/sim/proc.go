@@ -11,8 +11,10 @@ type Step struct {
 // MaxTaskSteps bounds the steps in one Task. Tasks are value types with a
 // fixed-size step array so that building one on the data path performs no
 // heap allocation (the run-to-completion ablation's five-step task is the
-// deepest in the tree); keeping the array tight matters because tasks are
-// copied by value through every SubmitCall.
+// deepest in the tree); keeping the array tight matters because a task is
+// copied by value as it is built and into SubmitCall. Past that point an
+// nfp.FPC keeps one copy, in the task's pooled execution record, and a
+// host.Core keeps none — only the total duration and instruction count.
 const MaxTaskSteps = 6
 
 // Task is a unit of work submitted to a simulated processor (nfp.FPC,
