@@ -156,9 +156,10 @@ func (s *Stack) SetStackCores(n int) {
 
 // bconn is one baseline connection.
 type bconn struct {
-	stack   *Stack
-	flow    packet.Flow
-	peerMAC packet.EtherAddr
+	stack    *Stack
+	flow     packet.Flow
+	flowHash int // flow.Hash(), fixed at creation: picks the cores below
+	peerMAC  packet.EtherAddr
 
 	// Table bookkeeping (doc.go "Connection state budget"): id is the
 	// dense slot, listIdx the position in the establishment-order scan
@@ -244,17 +245,18 @@ func (c *bconn) ackOff(ack uint32) uint64 {
 }
 
 // appCore returns the core application callbacks run on (RSS-style
-// connection-to-core affinity).
+// connection-to-core affinity). The stored hash is indexed, not a stored
+// core, because the stack-core set can be rebuilt under a live connection.
 func (c *bconn) appCore() *host.Core {
 	cores := c.stack.machine.Cores
-	return cores[int(c.flow.Hash())%len(cores)]
+	return cores[c.flowHash%len(cores)]
 }
 
 // stackCore returns where segment processing executes.
 func (c *bconn) stackCore() *host.Core {
 	s := c.stack
 	if len(s.stackCores) > 0 {
-		return s.stackCores[int(c.flow.Hash())%len(s.stackCores)]
+		return s.stackCores[c.flowHash%len(s.stackCores)]
 	}
 	return c.appCore()
 }

@@ -41,6 +41,7 @@ func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 	c := &bconn{
 		stack:        s,
 		flow:         flow,
+		flowHash:     int(flow.Hash()),
 		peerMAC:      peerMAC,
 		iss:          uint32(s.rng.Uint64()) + 1,
 		txData:       make([]byte, s.bufSize),
