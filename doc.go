@@ -14,8 +14,12 @@
 // are pooled, each with a single ownership rule:
 //
 //   - Events (internal/sim): the engine is a hierarchical timing wheel —
-//     a near wheel of recycled bucket slices plus an overflow heap for
-//     far deadlines (RTOs). There is one scheduling API: every event and
+//     a near wheel of 65.5 ns buckets plus an overflow heap for far
+//     deadlines (RTOs). A bucket is always in execution order, (at, dkey,
+//     seq): an insert appends and shifts the event back a few slots to
+//     its place, so running the next event is one lookup and a pop from
+//     the bucket's head; a drained bucket's storage goes to the next
+//     bucket to fill. There is one scheduling API: every event and
 //     task completion (Engine.AtCall/AfterCall/ImmediatelyCall/EveryCall,
 //     Resource.AcquireCall, Core/FPC.SubmitCall, DMAEngine.IssueCall)
 //     carries a long-lived func(any) plus a per-event arg, so no closure
