@@ -6,6 +6,7 @@
 package host
 
 import (
+	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 )
 
@@ -78,19 +79,11 @@ func (c *Core) QueueLen() int { return len(c.queue) - c.qHead }
 
 func (c *Core) next() {
 	if c.qHead >= len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qHead = 0
 		c.running = false
 		return
 	}
 	t := c.queue[c.qHead]
-	c.queue[c.qHead] = hostTask{}
-	c.qHead++
-	if c.qHead > 64 && c.qHead*2 >= len(c.queue) {
-		n := copy(c.queue, c.queue[c.qHead:])
-		c.queue = c.queue[:n]
-		c.qHead = 0
-	}
+	c.queue, c.qHead = shm.PopRing(c.queue, c.qHead)
 	c.Tasks++
 	c.Instructions += t.instr
 	c.busyAcc += t.dur

@@ -330,11 +330,9 @@ func (e *Engine) insert(ev event) {
 		e.curTick = tick
 	}
 	bk := &e.buckets[int(tick)&wheelMask]
-	if bk.evs == nil {
-		if n := len(e.spare); n > 0 {
-			bk.evs, e.spare[n-1] = e.spare[n-1], nil
-			e.spare = e.spare[:n-1]
-		}
+	if n := len(e.spare); bk.evs == nil && n > 0 {
+		bk.evs, e.spare[n-1] = e.spare[n-1], nil
+		e.spare = e.spare[:n-1]
 	}
 	evs := append(bk.evs, ev)
 	j := len(evs) - 1
@@ -426,7 +424,7 @@ func (e *Engine) Step() bool { return e.step(maxTime) }
 
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
-	for e.step(maxTime) {
+	for e.Step() {
 	}
 }
 
