@@ -2,9 +2,9 @@
 // evaluation (§5). Each benchmark runs the corresponding experiment at
 // Quick scale once per iteration and reports the headline metric; run
 // cmd/flexbench -full for paper-scale sweeps. Per-core-count harness
-// scaling curves (sharded engine / cell pool, PR 7) live in
+// scaling curves (sweep cells on a worker pool) live in
 // internal/experiments/bench_test.go (BenchmarkFig8SweepCores*,
-// BenchmarkFig17IncastCores*) and in the scaling tables flexbench emits
+// BenchmarkFig17SweepCores*) and in the scaling tables flexbench emits
 // with -cores > 1.
 package main
 

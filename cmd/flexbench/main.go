@@ -6,7 +6,7 @@
 //
 //	flexbench                 # run everything at quick scale
 //	flexbench -full           # paper-scale parameters (slow)
-//	flexbench -cores 8        # shard engines / parallelize cells up to 8 cores
+//	flexbench -cores 8        # run independent sweep cells on up to 8 cores
 //	flexbench table3 fig11    # run specific experiments
 //	flexbench -list           # list experiment ids
 //	flexbench run spec.json   # run one scenario spec, canonical result
@@ -18,8 +18,9 @@
 //
 // With -cores > 1 the scaling-sensitive experiments (Fig 8, 15, 17)
 // additionally emit a harness-scaling table: wall-clock and speedup at
-// 1/2/4/8 cores (capped at -cores). Results are bit-identical across
-// core counts; only the wall-clock changes.
+// 1/2/4/8 cores (capped at -cores). -cores is cell-level only: each cell
+// is one simulation on one engine. Results are bit-identical across core
+// counts; only the wall-clock changes.
 //
 // Unknown subcommands or flags print usage on stderr and exit 2; a spec
 // that cannot be read, parsed or validated prints the error and exits 1.
@@ -73,7 +74,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("flexbench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // we print usage ourselves, once
 	full := fs.Bool("full", false, "run at paper-scale parameters (slow)")
-	cores := fs.Int("cores", 1, "max cores for engine sharding and cell-level parallelism")
+	cores := fs.Int("cores", 1, "max cores for cell-level parallelism (independent sweep cells; one engine each)")
 	list := fs.Bool("list", false, "list experiment identifiers")
 	if err := fs.Parse(args); err != nil {
 		fmt.Fprintln(stderr, err)

@@ -1,5 +1,5 @@
 // Command flexvet is the repo's contract checker: a multichecker that
-// runs the five flextoe analysis passes over Go packages and exits
+// runs the four flextoe analysis passes over Go packages and exits
 // non-zero on any unsuppressed diagnostic. It is the static half of the
 // contracts doc.go states and CI's runtime gates probe:
 //
@@ -7,11 +7,10 @@
 //	poolown     pooled single-ownership (PR 3)
 //	detrange    one-seed determinism (map order, wall clock, global rand)
 //	hotclosure  zero-alloc event scheduling (no func literal to a *Call method)
-//	sharedstate cross-shard state inventory (reporting only; -sharedstate)
 //
 // Usage:
 //
-//	flexvet [-sharedstate] [-v] [packages]
+//	flexvet [-v] [packages]
 //
 // Package patterns are directories relative to the module root; the
 // pattern ./... (the default) analyzes every package in the module.
@@ -31,7 +30,6 @@ import (
 	"flextoe/internal/analysis/flexanalysis"
 	"flextoe/internal/analysis/hotclosure"
 	"flextoe/internal/analysis/poolown"
-	"flextoe/internal/analysis/sharedstate"
 	"flextoe/internal/analysis/viewretain"
 )
 
@@ -41,26 +39,24 @@ var Analyzers = []*flexanalysis.Analyzer{
 	poolown.Analyzer,
 	detrange.Analyzer,
 	hotclosure.Analyzer,
-	sharedstate.Analyzer,
 }
 
 func main() {
-	report := flag.Bool("sharedstate", false, "print the shared-state inventory report instead of checking")
 	verbose := flag.Bool("v", false, "list suppressed diagnostics too")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: flexvet [-sharedstate] [-v] [packages]\n\nPasses:\n")
+		fmt.Fprintf(os.Stderr, "usage: flexvet [-v] [packages]\n\nPasses:\n")
 		for _, a := range Analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-	if err := run(flag.Args(), *report, *verbose, os.Stdout); err != nil {
+	if err := run(flag.Args(), *verbose, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "flexvet:", err)
 		os.Exit(2)
 	}
 }
 
-func run(patterns []string, report, verbose bool, out *os.File) error {
+func run(patterns []string, verbose bool, out *os.File) error {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return err
@@ -100,7 +96,6 @@ func run(patterns []string, report, verbose bool, out *os.File) error {
 		pkgs = append(pkgs, pkg)
 	}
 
-	var inventory []sharedstate.Var
 	bad := 0
 	suppressed := 0
 	for _, pkg := range pkgs {
@@ -109,13 +104,7 @@ func run(patterns []string, report, verbose bool, out *os.File) error {
 			return err
 		}
 		for _, res := range results {
-			if vs, ok := res.Value.([]sharedstate.Var); ok {
-				inventory = append(inventory, vs...)
-			}
 			suppressed += len(res.Suppressed)
-			if report {
-				continue
-			}
 			for _, d := range res.Diags {
 				fmt.Fprintf(out, "%s: %s: %s\n", relPos(root, d.Posn(pkg.Fset)), d.Analyzer, d.Message)
 				bad++
@@ -128,10 +117,6 @@ func run(patterns []string, report, verbose bool, out *os.File) error {
 		}
 	}
 
-	if report {
-		fmt.Fprint(out, sharedstate.Report(inventory))
-		return nil
-	}
 	if bad > 0 {
 		fmt.Fprintf(out, "flexvet: %d diagnostic(s) in %d package(s)\n", bad, len(pkgs))
 		os.Exit(1)

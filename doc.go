@@ -220,59 +220,32 @@
 // variable, capturing it in an escaping closure, or touching it after the
 // invalidating Consume/Commit is a build-breaking diagnostic.
 //
-// # Sharding contract: conservative-lookahead parallel engine
+// # One job, one engine
 //
-// The simulation runs on a sim.Group of N engine shards (PR 7). Shard 0
-// owns the network — every switch, the fabric, background timers — and
-// each machine (host + TOE + libTOE + apps) lives wholly on one shard,
-// rack-affine on the fabric (machines in the same rack share a shard) and
-// round-robin on the single-switch testbed. N=1 bypasses the group
-// machinery entirely and is byte-for-byte the serial timing wheel.
+// A testbed — every switch, every machine, every application — is one
+// sim.Engine run by one goroutine. Nothing inside a simulation is
+// parallel, so no state inside it needs a lock. Parallelism is across
+// simulations: flexbench -cores runs a figure's independent sweep cells
+// on a worker pool (experiments.runCells), and `flexbench serve` runs
+// independent jobs on its own pool. Each cell and each job builds its own
+// testbed on its own engine, and everything pooled on the hot path hangs
+// off that engine (Engine.Local — packet pools, frame pools; TOE work
+// rings and segment freelists per stack), so concurrent simulations share
+// no mutable state. The gates are TestCellsMatchSerial
+// (internal/experiments: worker pools of 2 and 4 reproduce the serial
+// loop slot for slot) and the scenario service's determinism suite, both
+// under `go test -race ./...`. netsim.Connect refuses to join interfaces
+// of two engines: a delivery is scheduled on the sender's engine, so such
+// a link would run the receiver on the wrong clock.
 //
-// Lookahead rule. The only cross-shard edges are frames in flight on
-// host↔switch links, and every such boundary link registers its minimum
-// delivery latency with Group.NoteBoundary (propagation delay + the ≥1 ps
-// serialization floor that sim.Resource.Reserve enforces). The group
-// lookahead L is the minimum over boundaries. Each window executes events
-// in [m, min(m+L, t+1)) where m is the global minimum next-event time: a
-// frame transmitted during the window cannot arrive before the window
-// ends, so shards run the whole window with no coordination, then
-// exchange injected events at a barrier (run phase, drain phase).
-// Engine.Inject therefore requires its target time to be at or beyond the
-// current window end — the link model guarantees this by construction.
-// Corollary: code on the data path must never deliver anything to another
-// machine "now"; everything crosses a link with nonzero latency.
-//
-// Cross-shard frame ownership handoff. Iface.Send splits delivery: the
-// sender-side wire-egress event (queue debit) stays on the sending shard
-// and the arrival event crosses through the group's per-pair SPSC queue.
-// Both carry the same delivery key the serial engine would have used, so
-// every queue-occupancy read orders identically in both modes. On
-// arrival, the receiving shard adopts the frame and its packet into its
-// own pools (packet.Pool.Adopt / FramePool adoption) before any consumer
-// sees them — the single-owner release rule above is unchanged; adoption
-// only redirects which shard's freelist the eventual Release feeds.
-//
-// Per-shard pools and stats. Pools, freelists and counters on the hot
-// path are single-threaded by design; sharding keeps them that way by
-// giving each shard its own instance (Engine.Local — packet pools, frame
-// pools, TOE work rings, per-stack segment freelists). Package-level
-// defaults survive for single-threaded entry points and are annotated
-// `//flexvet:sharedstate shard-confined` (inventoried in SHAREDSTATE.md).
-// Measurement state follows the same rule: each shard accumulates its own
-// histograms/counters and readout methods merge them in construction
-// order, so merged results are identical at every shard count.
-//
-// Determinism. Same-instant events order by (time, delivery key,
-// schedule sequence); delivery keys are linkID<<32|txSeq, unique per
-// in-flight frame and identical in serial and sharded mode. Window
-// placement, worker count (capped at GOMAXPROCS-1, shards multiplexed
-// round-robin; GOMAXPROCS=1 runs the windows inline sequentially) and
-// source-queue drain order are all result-invariant. The gate is
-// TestParallelMatchesSerial (internal/experiments): counters, tracepoint
-// hits and app results bit-identical to serial at 2 and 4 shards, and
-// sharded reruns bit-identical including per-shard event counts; CI runs
-// it under the race detector at GOMAXPROCS 2 and 8.
+// Same-instant order. Events run in (time, delivery key, schedule
+// sequence) order: at one instant local events first, FIFO, then frame
+// deliveries by delivery key linkID<<32|txSeq, unique per in-flight
+// frame. The delivery key is part of the model, not an implementation
+// detail: ordering by (time, sequence) alone moves the committed result
+// hashes of three of the four benchmark workloads, so event.dkey and
+// Engine.AtLinkCall stay (TestWheelMatchesHeapOrder pins the order,
+// TestEventLayout the 48-byte event).
 //
 // # Passive flow analysis: the tap observation contract
 //
@@ -306,7 +279,9 @@
 //     nothing; the CI gate is TestFlowmonAllocBudget (≤ 2 allocations per
 //     packet under AllocsPerRun, covering slab growth). Reports are
 //     deterministic by construction — establishment-ordered flow scans,
-//     byte-identical Format across reruns and across Fleet shard counts.
+//     byte-identical Format across reruns, and Fleet totals that do not
+//     depend on how many analyzers the taps were split over
+//     (TestFleetAnalyzerCountInvariance).
 //
 //   - Asserted inference tolerances. Cross-validation against stack
 //     ground truth (internal/flowmon/xval, cmd/flextrace diff) is part of
@@ -346,10 +321,10 @@
 //
 //   - Canonical, deterministic results. A Result marshals to one
 //     canonical byte sequence (Result.Canonical); the same spec produces
-//     byte-identical payloads on rerun, at any engine shard count, at
-//     any server worker-pool width, and across server restarts
-//     (TestRerunIsByteIdentical, TestShardCountInvariance, the CI
-//     scenario-serve job). The scenario packages sit inside the flexvet
+//     byte-identical payloads on rerun, at any server worker-pool
+//     width, and across server restarts (TestRerunIsByteIdentical, the CI
+//     scenario-serve job; TestCoresFieldInvariance pins that the
+//     vestigial "cores" field changes nothing but its own echo). The scenario packages sit inside the flexvet
 //     determinism perimeter: no wall-clock reads, no global randomness,
 //     no map-order iteration — job ids derive from a submission sequence
 //     number plus a hash of the spec bytes, and validation, build, and
@@ -367,7 +342,7 @@
 //
 // The contracts above — and the one-seed determinism rule stated in
 // ROADMAP.md — are enforced at compile time by cmd/flexvet, a
-// multichecker over five passes (internal/analysis/...), run as a
+// multichecker over four passes (internal/analysis/...), run as a
 // blocking CI job and in-process by `go test ./internal/analysis`:
 //
 //   - viewretain: Peek/Reserve/PayloadBuf.Slices views must stay local —
@@ -383,9 +358,6 @@
 //     submission method (as callback or argument) in a
 //     simulation-critical package is flagged; the closure-typed
 //     schedulers themselves no longer exist.
-//   - sharedstate: reporting-only; inventories package-level mutable
-//     state into SHAREDSTATE.md and classifies each variable against the
-//     sharding contract above (shard-confined defaults included).
 //
 // Suppression convention: a deliberate exception is annotated in place
 // with a machine-checked comment on the diagnosed line or the line above,

@@ -5,9 +5,9 @@
 // nothing more:
 //
 //   - Analyzer / Pass / Diagnostic mirroring the x/tools shapes, so the
-//     five contract passes (viewretain, poolown, detrange, hotclosure,
-//     sharedstate) read like ordinary go/analysis passes and could move to
-//     the real framework wholesale if it ever lands in the build image.
+//     four contract passes (viewretain, poolown, detrange, hotclosure)
+//     read like ordinary go/analysis passes and could move to the real
+//     framework wholesale if it ever lands in the build image.
 //   - A package loader (Loader) that parses one directory with build-tag
 //     awareness and type-checks it against the stdlib source importer, so
 //     intra-module and stdlib imports resolve without a module download.
@@ -35,8 +35,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph contract statement shown by `flexvet help`.
 	Doc string
 	// Run executes the pass over one package and reports diagnostics via
-	// pass.Report. The returned value is pass-specific (sharedstate returns
-	// its inventory); enforcing passes return nil.
+	// pass.Report. The signature mirrors go/analysis; every pass returns a
+	// nil value and the runner ignores it.
 	Run func(*Pass) (any, error)
 }
 

@@ -79,7 +79,6 @@ func (s suppressions) suppressed(analyzer, file string, line int) bool {
 type Result struct {
 	Analyzer   *Analyzer
 	Pkg        *Package
-	Value      any // Analyzer.Run's return value (sharedstate inventory)
 	Diags      []Diagnostic
 	Suppressed []Diagnostic
 }
@@ -103,12 +102,11 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Result, error) {
 				all = append(all, d)
 			},
 		}
-		value, err := a.Run(pass)
-		if err != nil {
+		if _, err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s over %s: %w", a.Name, pkg.Path, err)
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Pos < all[j].Pos })
-		res := Result{Analyzer: a, Pkg: pkg, Value: value}
+		res := Result{Analyzer: a, Pkg: pkg}
 		for _, d := range all {
 			p := pkg.Fset.Position(d.Pos)
 			if sup.suppressed(a.Name, p.Filename, p.Line) {

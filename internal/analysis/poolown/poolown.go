@@ -83,12 +83,12 @@ func acquireCall(pass *flexanalysis.Pass, call *ast.CallExpr) (pool string, ok b
 		if flexanalysis.NamedIs(recv, shmPkg, "Slab") {
 			return "shm.Slab", true
 		}
-		// Per-shard packet pools (PR 7): pool.Get() owns like packet.Get().
+		// Per-engine packet pools: pool.Get() owns like packet.Get().
 		if flexanalysis.NamedIs(recv, pktPkg, "Pool") {
 			return "packet pool", true
 		}
 	case "NewFrame", "getFrame":
-		// Per-shard frame pools (PR 7): method forms of netsim.NewFrame.
+		// Per-engine frame pools: method forms of netsim.NewFrame.
 		if flexanalysis.NamedIs(recv, netsimPkg, "FramePool") {
 			return "frame pool", true
 		}

@@ -4,7 +4,6 @@
 package analysis_test
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"flextoe/internal/analysis/flexanalysis"
 	"flextoe/internal/analysis/hotclosure"
 	"flextoe/internal/analysis/poolown"
-	"flextoe/internal/analysis/sharedstate"
 	"flextoe/internal/analysis/viewretain"
 )
 
@@ -61,57 +59,4 @@ func TestTreeClean(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSharedStateReportCurrent regenerates the shared-state inventory and
-// compares it to the committed SHAREDSTATE.md. On drift:
-//
-//	go run ./cmd/flexvet -sharedstate ./... > SHAREDSTATE.md
-func TestSharedStateReportCurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module; skipped in -short")
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, _, err := flexanalysis.ModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inventory []sharedstate.Var
-	for _, pkg := range loadTree(t) {
-		results, err := flexanalysis.RunPackage(pkg, []*flexanalysis.Analyzer{sharedstate.Analyzer})
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.Path, err)
-		}
-		vs, ok := results[0].Value.([]sharedstate.Var)
-		if !ok {
-			t.Fatalf("%s: pass value is %T, want []Var", pkg.Path, results[0].Value)
-		}
-		inventory = append(inventory, vs...)
-	}
-	want := sharedstate.Report(inventory)
-	got, err := os.ReadFile(root + "/SHAREDSTATE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
-		t.Errorf("SHAREDSTATE.md is stale; regenerate with:\n\tgo run ./cmd/flexvet -sharedstate ./... > SHAREDSTATE.md\n%s",
-			firstDiff(string(got), want))
-	}
-}
-
-func firstDiff(a, b string) string {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			return fmt.Sprintf("first difference at byte %d:\n  committed: %q\n  generated: %q",
-				i, a[lo:min(i+40, len(a))], b[lo:min(i+40, len(b))])
-		}
-	}
-	return fmt.Sprintf("lengths differ: committed %d bytes, generated %d bytes", len(a), len(b))
 }

@@ -155,9 +155,9 @@ type Stack interface {
 	Dial(remote Addr, connected func(Socket))
 	// Machine returns the host CPU model for application work.
 	Machine() *host.Machine
-	// Engine returns the shard engine this stack's machine runs on.
-	// Applications and workloads schedule all their events here, which
-	// structurally confines each app's state to its machine's shard.
+	// Engine returns the engine this stack's machine runs on — the
+	// testbed's one engine. Applications and workloads schedule all their
+	// events here, never on an engine of their own.
 	Engine() *sim.Engine
 	// LocalIP returns the machine's address.
 	LocalIP() packet.IPv4Addr

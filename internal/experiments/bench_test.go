@@ -3,22 +3,14 @@ package experiments
 import (
 	"testing"
 
-	"flextoe/internal/ctrl"
 	"flextoe/internal/sim"
 )
 
-// Per-core-count harness benchmarks (PR 7). Two parallelism axes:
-//
-//   - Fig8Sweep: cell-level — the (server cores × stack) sweep's
-//     independent seeded testbeds run on a worker pool (runCells).
-//   - Fig17Incast: engine-level — ONE fabric testbed sharded across
-//     engines with conservative lookahead synchronization.
-//
-// Results are bit-identical at every core count (TestParallelMatchesSerial);
-// only wall-clock changes. Speedup requires actual CPUs: on a single-CPU
-// host both paths degrade to the serial loop (runCells clamps its pool to
-// GOMAXPROCS, Group.RunUntil runs shards inline when GOMAXPROCS is 1) so
-// the curve is flat there by design rather than slowed by barrier churn.
+// Per-core-count harness benchmarks: a figure's independent seeded
+// testbeds (its sweep cells) run on a worker pool (runCells). Results are
+// bit-identical at every core count (TestCellsMatchSerial); only
+// wall-clock changes. Speedup requires actual CPUs: runCells clamps its
+// pool to GOMAXPROCS, so on a single-CPU host the curve is flat by design.
 
 func benchFig8Sweep(b *testing.B, cores int) {
 	rows := []int{2, 4, 8, 16}
@@ -34,14 +26,15 @@ func BenchmarkFig8SweepCores2(b *testing.B) { benchFig8Sweep(b, 2) }
 func BenchmarkFig8SweepCores4(b *testing.B) { benchFig8Sweep(b, 4) }
 func BenchmarkFig8SweepCores8(b *testing.B) { benchFig8Sweep(b, 8) }
 
-func benchFig17Incast(b *testing.B, cores int) {
+func benchFig17Sweep(b *testing.B, cores int) {
+	sw := fig17SweepAt(Quick)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fig17IncastPoint(cores, 16, ctrl.CCDCTCP, 4*sim.Millisecond)
+		fig17Cells(sw, cores)
 	}
 }
 
-func BenchmarkFig17IncastCores1(b *testing.B) { benchFig17Incast(b, 1) }
-func BenchmarkFig17IncastCores2(b *testing.B) { benchFig17Incast(b, 2) }
-func BenchmarkFig17IncastCores4(b *testing.B) { benchFig17Incast(b, 4) }
-func BenchmarkFig17IncastCores8(b *testing.B) { benchFig17Incast(b, 8) }
+func BenchmarkFig17SweepCores1(b *testing.B) { benchFig17Sweep(b, 1) }
+func BenchmarkFig17SweepCores2(b *testing.B) { benchFig17Sweep(b, 2) }
+func BenchmarkFig17SweepCores4(b *testing.B) { benchFig17Sweep(b, 4) }
+func BenchmarkFig17SweepCores8(b *testing.B) { benchFig17Sweep(b, 8) }

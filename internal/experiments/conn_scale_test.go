@@ -55,9 +55,9 @@ func trafficEvents(t *testing.T, idleConns int) (events, completed uint64) {
 	rpc.Serve(srv.Stack, 7777)
 	cl := &apps.ClosedLoopClient{ReqSize: 64}
 	cl.Start(tb.M("client").Stack, tb.Addr("server", 7777), 64)
-	p0 := totalProcessed(tb)
+	p0 := tb.Eng.Processed()
 	tb.Run(3 * sim.Millisecond)
-	return totalProcessed(tb) - p0, cl.Completed
+	return tb.Eng.Processed() - p0, cl.Completed
 }
 
 // TestTimerCostIdleIndependence is the perf gate for the wheel-armed
@@ -107,7 +107,7 @@ func flexChurn(seed uint64, waves int) churnResult {
 	r.dials += churnLoop(tb, "client", "server", 9090, waves-waves/2, 16, sim.Millisecond)
 	tb.Run(tb.Eng.Now() + 30*sim.Millisecond)
 	r.established = srv.Ctrl.Established
-	r.processed = totalProcessed(tb)
+	r.processed = tb.Eng.Processed()
 	r.endBytes = srv.TOE.ConnStateBytes()
 	r.endTracked = srv.Ctrl.NumTracked() + tb.M("client").Ctrl.NumTracked()
 	return r

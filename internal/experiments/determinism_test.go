@@ -16,8 +16,7 @@ import (
 // active) and returns everything an identical re-run must reproduce
 // bit-for-bit: event count, data-path counters, and tracepoint hits.
 type determinismResult struct {
-	processed   uint64   // events processed, summed over engines
-	perEngine   []uint64 // per-shard event counts, in shard order
+	processed   uint64 // engine events processed
 	srvCounters core.Counters
 	clCounters  core.Counters
 	received    uint64
@@ -26,16 +25,10 @@ type determinismResult struct {
 }
 
 func determinismRun(seed uint64) determinismResult {
-	return determinismRunCores(seed, 1)
-}
-
-// determinismRunCores is determinismRun on a testbed sharded over the
-// given number of cores (1 = the serial PR-3 wheel, bit for bit).
-func determinismRunCores(seed uint64, cores int) determinismResult {
 	cfg := core.AgilioCX40Config()
 	cfg.OOOIntervals = tcpseg.MaxOOOIntervals
 	cfg.EnableSACK = true
-	tb := testbed.NewCores(cores, netsim.SwitchConfig{LossProb: 0.002, Seed: seed},
+	tb := testbed.New(netsim.SwitchConfig{LossProb: 0.002, Seed: seed},
 		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, FlexCfg: &cfg, Seed: seed + 1},
 		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, FlexCfg: &cfg, Seed: seed + 2},
 	)
@@ -60,15 +53,8 @@ func determinismRunCores(seed uint64, cores int) determinismResult {
 	for _, pc := range srv.TOE.Trace().Snapshot() {
 		hits[pc.Point.Name()] = pc.Count
 	}
-	var perEngine []uint64
-	var processed uint64
-	for _, e := range tb.Group.Engines() {
-		perEngine = append(perEngine, e.Processed())
-		processed += e.Processed()
-	}
 	return determinismResult{
-		processed:   processed,
-		perEngine:   perEngine,
+		processed:   tb.Eng.Processed(),
 		srvCounters: srv.TOE.Counters,
 		clCounters:  cl.TOE.Counters,
 		received:    sink.Received,

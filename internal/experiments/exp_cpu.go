@@ -32,8 +32,8 @@ func memcachedRun(kind testbed.StackKind, serverCores int, clientConns int, d si
 	)
 	kv := &apps.KVServer{AppCycles: 890, ValueLen: 32}
 	kv.Serve(tb.M("server").Stack, 11211)
-	// Each client machine records into its own histogram (the two clients
-	// live on different shards); the merge below is the readout.
+	// Each client machine records into its own histogram; the merge below
+	// is the readout.
 	cl := &apps.KVClient{KeyLen: 32, ValLen: 32, SetRatio: 0.1, Pipeline: 2, Seed: seed}
 	cl.Start(tb.M("client").Stack, tb.Addr("server", 11211), clientConns/2)
 	cl2 := &apps.KVClient{KeyLen: 32, ValLen: 32, SetRatio: 0.1, Pipeline: 2, Seed: seed + 7}

@@ -38,15 +38,12 @@ type fig17IncastResult struct {
 // fig17IncastPoint runs one N-to-1 incast point on a three-rack fabric:
 // the aggregator alone in rack 0, sender hosts spread over racks 1-2, and
 // fan-in connections spread over the sender hosts. All machines run
-// FlexTOE with the given control-plane congestion-control policy. cores
-// selects the engine-shard count (rack-affine placement); any value
-// produces bit-identical results to cores=1 (TestParallelMatchesSerial).
-// The point runs through the scenario builder (the spec below is the
+// FlexTOE with the given control-plane congestion-control policy. The
+// point runs through the scenario builder (the spec below is the
 // declarative form of the original harness — same seeds, same warmup
-// boundary), and TestParallelMatchesSerial plus the determinism gates
-// prove the numbers stayed bit-identical across the refactor.
-// examples/scenarios/incast16.json is the 16-way point in JSON clothing.
-func fig17IncastPoint(cores, fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastResult {
+// boundary). examples/scenarios/incast16.json is the 16-way point in JSON
+// clothing.
+func fig17IncastPoint(fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastResult {
 	hosts := fanIn
 	if hosts > 8 {
 		hosts = 8
@@ -59,7 +56,6 @@ func fig17IncastPoint(cores, fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastR
 		// the builder resets queue stats and measurement at the boundary
 		// so all columns measure the same post-warmup window.
 		WarmupUs: int64(d / 4 / sim.Microsecond),
-		Cores:    cores,
 		Topology: scenario.Topology{
 			Kind: scenario.TopoFabric,
 			Fabric: &scenario.FabricSpec{
@@ -139,7 +135,7 @@ type fig17OversubResult struct {
 // bottleneck and the host-facing queue goes quiet — congestion has moved
 // from leaf egress to the uplink, and the ECN marks (what DCTCP reacts
 // to) move with it.
-func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubResult {
+func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	const hosts = 4
 	fc := fabric.Config{
 		Leaves: 2, Spines: 1,
@@ -165,7 +161,7 @@ func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubRes
 			Rack: 1, BufSize: 1 << 17, CC: ctrl.CCDCTCP, Seed: uint64(1730 + i),
 		})
 	}
-	tb := testbed.NewFabricCores(cores, fc, specs...)
+	tb := testbed.NewFabric(fc, specs...)
 
 	g := &workload.IncastGroup{BlockBytes: 32768}
 	g.Serve(tb.M("agg").Stack, 9600)
@@ -202,7 +198,7 @@ func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubRes
 // splits come from Report.GroupTotals over the same CRC-32 flow hash the
 // ECMP stage forwards with. The taps are passive — attaching them left
 // the spine byte counts bit-identical (TestTapsDoNotPerturbSimulation).
-func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []*flowmon.Report) {
+func fig17ECMPPoint(spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []*flowmon.Report) {
 	fc := fabric.Config{Leaves: 2, Spines: spines, Seed: 171_000 + uint64(spines)}
 	const hostsPerSide = 4
 	var specs []testbed.MachineSpec
@@ -214,7 +210,7 @@ func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, 
 				Rack: 0, BufSize: 1 << 17, Seed: uint64(1760 + i)},
 		)
 	}
-	tb := testbed.NewFabricCores(cores, fc, specs...)
+	tb := testbed.NewFabric(fc, specs...)
 
 	fleets := make([]*flowmon.Fleet, fc.Leaves)
 	for r := range fleets {
@@ -263,11 +259,74 @@ func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, 
 	return spineBytes, maxOverFair, racks
 }
 
+// fig17CCs is Figure 17a's control-plane policy order within one fan-in.
+var fig17CCs = []struct {
+	name string
+	cc   ctrl.CCAlgo
+}{
+	{"CCNone", ctrl.CCNone},
+	{"CCDCTCP", ctrl.CCDCTCP},
+	{"CCTimely", ctrl.CCTimely},
+}
+
+// fig17Sweep names every Fig. 17 point at one fidelity level: 17a is
+// fanIns × fig17CCs, 17b spines × flows, 17c one point per trunk rate.
+type fig17Sweep struct {
+	fanIns, spines, flows, trunks []int
+	dIncast, dECMP, dOversub      sim.Time
+}
+
+func fig17SweepAt(s Scale) fig17Sweep {
+	return fig17Sweep{
+		fanIns:   s.pick([]int{4, 16}, []int{4, 8, 16, 32}),
+		dIncast:  s.dur(8*sim.Millisecond, 60*sim.Millisecond),
+		spines:   []int{2, 4},
+		flows:    s.pick([]int{64}, []int{64, 256}),
+		dECMP:    s.dur(20*sim.Millisecond, 60*sim.Millisecond),
+		trunks:   s.pick([]int{200, 30}, []int{200, 100, 30}),
+		dOversub: s.dur(8*sim.Millisecond, 40*sim.Millisecond),
+	}
+}
+
+// fig17ECMPResult is one ECMP balance point (see fig17ECMPPoint).
+type fig17ECMPResult struct {
+	spineBytes  []uint64
+	maxOverFair float64
+	racks       []*flowmon.Report
+}
+
+// fig17Cells runs all three Fig. 17 sweeps on up to workers host cores;
+// each result slice is in the order its table renders rows.
+func fig17Cells(sw fig17Sweep, workers int) (incast []fig17IncastResult, ecmp []fig17ECMPResult, oversub []fig17OversubResult) {
+	incast = make([]fig17IncastResult, len(sw.fanIns)*len(fig17CCs))
+	ecmp = make([]fig17ECMPResult, len(sw.spines)*len(sw.flows))
+	oversub = make([]fig17OversubResult, len(sw.trunks))
+	runCells(workers, len(incast)+len(ecmp)+len(oversub), func(i int) {
+		if i < len(incast) {
+			incast[i] = fig17IncastPoint(sw.fanIns[i/len(fig17CCs)], fig17CCs[i%len(fig17CCs)].cc, sw.dIncast)
+			return
+		}
+		if i -= len(incast); i < len(ecmp) {
+			r := &ecmp[i]
+			r.spineBytes, r.maxOverFair, r.racks = fig17ECMPPoint(sw.spines[i/len(sw.flows)], sw.flows[i%len(sw.flows)], sw.dECMP)
+			return
+		}
+		i -= len(ecmp)
+		oversub[i] = fig17OversubPoint(float64(sw.trunks[i]), sw.dOversub)
+	})
+	return incast, ecmp, oversub
+}
+
 // Fig17 is a reproduction extension: FlexTOE's congestion control on a
 // leaf–spine fabric. 17a sweeps N-to-1 incast fan-in against the control
 // plane's CC policies; 17b measures per-flow ECMP load balance across the
-// spines.
+// spines; 17c moves the congestion point with the trunk rate. With
+// Scale.Cores > 1 the points run on a worker pool (results unchanged) and
+// a final table reports the harness's wall-clock scaling.
 func Fig17(s Scale) []*Table {
+	sw := fig17SweepAt(s)
+	incastRes, ecmpRes, oversubRes := fig17Cells(sw, s.cores())
+
 	incast := &Table{
 		ID:     "Figure 17a",
 		Title:  "Incast fan-in on the leaf-spine fabric (32 KB blocks per sender, barrier-synchronized rounds)",
@@ -275,26 +334,13 @@ func Fig17(s Scale) []*Table {
 		Notes: fmt.Sprintf("leaf tier: K=%d B ECN threshold, %d B queue cap; DCTCP should hold the peak queue near K while CC-off fills the cap and pays RTO-scale tails (§5.3's Table 4 scenario on a real fabric)",
 			fig17K, fig17QueueCap),
 	}
-	fanIns := s.pick([]int{4, 16}, []int{4, 8, 16, 32})
-	d := s.dur(8*sim.Millisecond, 60*sim.Millisecond)
-	ccs := []struct {
-		name string
-		cc   ctrl.CCAlgo
-	}{
-		{"CCNone", ctrl.CCNone},
-		{"CCDCTCP", ctrl.CCDCTCP},
-		{"CCTimely", ctrl.CCTimely},
-	}
-	for _, fanIn := range fanIns {
-		for _, c := range ccs {
-			r := fig17IncastPoint(s.cores(), fanIn, c.cc, d)
-			incast.AddRow(fmt.Sprintf("%d", fanIn), c.name,
-				f2(r.goodputGbps), f1(r.p50us), f1(r.p99us),
-				fmt.Sprintf("%d", r.rounds),
-				f1(float64(r.peakQ)/1024),
-				fmt.Sprintf("%d", r.ecnMarks),
-				f1(r.retxKB))
-		}
+	for i, r := range incastRes {
+		incast.AddRow(fmt.Sprintf("%d", sw.fanIns[i/len(fig17CCs)]), fig17CCs[i%len(fig17CCs)].name,
+			f2(r.goodputGbps), f1(r.p50us), f1(r.p99us),
+			fmt.Sprintf("%d", r.rounds),
+			f1(float64(r.peakQ)/1024),
+			fmt.Sprintf("%d", r.ecnMarks),
+			f1(r.retxKB))
 	}
 
 	ecmp := &Table{
@@ -309,32 +355,28 @@ func Fig17(s Scale) []*Table {
 		Header: []string{"Spines", "Flows", "Rack", "Spine", "Split flows", "Retx segs", "DupAcks", "RTT n", "RTT mean (us)"},
 		Notes:  "passive Fleet per leaf (ROADMAP 5c): per-spine groups partition each rack's observed flows by packet.Flow.Hash % spines — the exact uplink choice — so skew in the balance table above decomposes into which flows shared a spine",
 	}
-	flowCounts := s.pick([]int{64}, []int{64, 256})
-	dE := s.dur(20*sim.Millisecond, 60*sim.Millisecond)
-	for _, spines := range []int{2, 4} {
-		for _, flows := range flowCounts {
-			bytes, maxOverFair, racks := fig17ECMPPoint(s.cores(), spines, flows, dE)
-			per := ""
-			for i, b := range bytes {
-				if i > 0 {
-					per += " / "
-				}
-				per += f1(float64(b) / 1e6)
+	for i, r := range ecmpRes {
+		spines, flows := sw.spines[i/len(sw.flows)], sw.flows[i%len(sw.flows)]
+		per := ""
+		for j, b := range r.spineBytes {
+			if j > 0 {
+				per += " / "
 			}
-			ecmp.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows), per, f2(maxOverFair))
-			for rack, rep := range racks {
-				groups := rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
-					return int(f.Flow.Hash() % uint32(spines))
-				})
-				for spine, gt := range groups {
-					split.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows),
-						fmt.Sprintf("%d", rack), fmt.Sprintf("%d", spine),
-						fmt.Sprintf("%d", gt.Flows),
-						fmt.Sprintf("%d", gt.RetxSegs),
-						fmt.Sprintf("%d", gt.DupAcks),
-						fmt.Sprintf("%d", gt.RTTN),
-						f1(gt.RTTMeanUs()))
-				}
+			per += f1(float64(b) / 1e6)
+		}
+		ecmp.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows), per, f2(r.maxOverFair))
+		for rack, rep := range r.racks {
+			groups := rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
+				return int(f.Flow.Hash() % uint32(spines))
+			})
+			for spine, gt := range groups {
+				split.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows),
+					fmt.Sprintf("%d", rack), fmt.Sprintf("%d", spine),
+					fmt.Sprintf("%d", gt.Flows),
+					fmt.Sprintf("%d", gt.RetxSegs),
+					fmt.Sprintf("%d", gt.DupAcks),
+					fmt.Sprintf("%d", gt.RTTN),
+					f1(gt.RTTMeanUs()))
 			}
 		}
 	}
@@ -345,23 +387,16 @@ func Fig17(s Scale) []*Table {
 		Header: []string{"Trunk (G)", "Goodput (G)", "FCT p99 (us)", "Peak uplink Q (KB)", "Peak host Q (KB)", "Uplink marks", "Host marks"},
 		Notes:  "hosts x 40G > spines x trunk moves the congestion point: non-blocking (200G) queues at the aggregator's leaf egress; oversubscribed trunks shift the deep queue — and the CE marks DCTCP reacts to — onto the leaf->spine uplink",
 	}
-	trunks := s.pick([]int{200, 30}, []int{200, 100, 30})
-	dO := s.dur(8*sim.Millisecond, 40*sim.Millisecond)
-	for _, trunk := range trunks {
-		r := fig17OversubPoint(s.cores(), float64(trunk), dO)
-		oversub.AddRow(fmt.Sprintf("%d", trunk), f2(r.goodputGbps), f1(r.p99us),
+	for i, r := range oversubRes {
+		oversub.AddRow(fmt.Sprintf("%d", sw.trunks[i]), f2(r.goodputGbps), f1(r.p99us),
 			f1(float64(r.peakUplinkQ)/1024), f1(float64(r.peakHostQ)/1024),
 			fmt.Sprintf("%d", r.uplinkMarks), fmt.Sprintf("%d", r.hostMarks))
 	}
 	out := []*Table{incast, ecmp, split, oversub}
 	if s.cores() > 1 {
 		out = append(out, scalingTable("Figure 17 (harness scaling)",
-			"Fig 17a incast sweep wall-clock vs engine shards (identical results at every row)",
-			s.cores(), func(c int) {
-				for _, fanIn := range fanIns {
-					fig17IncastPoint(c, fanIn, ctrl.CCDCTCP, d)
-				}
-			}))
+			"Fig 17 sweep wall-clock vs host cores (identical results at every row)",
+			s.cores(), func(c int) { fig17Cells(sw, c) }))
 	}
 	return out
 }

@@ -16,8 +16,8 @@ import (
 // actually be reacting to CE marks.
 func TestFig17IncastDCTCPBeatsCCOff(t *testing.T) {
 	d := 8 * sim.Millisecond
-	none := fig17IncastPoint(1, 16, ctrl.CCNone, d)
-	dctcp := fig17IncastPoint(1, 16, ctrl.CCDCTCP, d)
+	none := fig17IncastPoint(16, ctrl.CCNone, d)
+	dctcp := fig17IncastPoint(16, ctrl.CCDCTCP, d)
 
 	if dctcp.peakQ > fig17K*3/2 {
 		t.Errorf("DCTCP peak leaf queue %d B exceeds 1.5*K = %d B", dctcp.peakQ, fig17K*3/2)
@@ -48,7 +48,7 @@ func TestFig17IncastDCTCPBeatsCCOff(t *testing.T) {
 // load <= 1.45x the fair share; runs are seeded, so the bound is exact).
 func TestFig17ECMPBalanceWithinBound(t *testing.T) {
 	for _, spines := range []int{2, 4} {
-		bytes, maxOverFair, racks := fig17ECMPPoint(1, spines, 64, 20*sim.Millisecond)
+		bytes, maxOverFair, racks := fig17ECMPPoint(spines, 64, 20*sim.Millisecond)
 		for s, b := range bytes {
 			if b == 0 {
 				t.Fatalf("spines=%d: spine %d carried nothing", spines, s)
@@ -88,8 +88,8 @@ func TestFig17ECMPBalanceWithinBound(t *testing.T) {
 // marks).
 func TestFig17OversubscribedTrunkMovesCongestion(t *testing.T) {
 	d := 8 * sim.Millisecond
-	nb := fig17OversubPoint(1, 200, d)
-	ov := fig17OversubPoint(1, 30, d)
+	nb := fig17OversubPoint(200, d)
+	ov := fig17OversubPoint(30, d)
 
 	if nb.peakHostQ <= nb.peakUplinkQ {
 		t.Errorf("non-blocking: host-port queue %d B not deeper than uplink %d B", nb.peakHostQ, nb.peakUplinkQ)
@@ -115,7 +115,7 @@ func TestFig17OversubscribedTrunkMovesCongestion(t *testing.T) {
 	}
 
 	// Determinism: the oversubscribed point is bit-identical on rerun.
-	if again := fig17OversubPoint(1, 30, d); again != ov {
+	if again := fig17OversubPoint(30, d); again != ov {
 		t.Errorf("oversubscribed point diverged across identical runs:\n%+v\n%+v", ov, again)
 	}
 }
@@ -125,14 +125,14 @@ func TestFig17OversubscribedTrunkMovesCongestion(t *testing.T) {
 // be bit-identical across reruns with the same seed.
 func TestFig17Determinism(t *testing.T) {
 	for _, cc := range []ctrl.CCAlgo{ctrl.CCNone, ctrl.CCDCTCP} {
-		a := fig17IncastPoint(1, 16, cc, 4*sim.Millisecond)
-		b := fig17IncastPoint(1, 16, cc, 4*sim.Millisecond)
+		a := fig17IncastPoint(16, cc, 4*sim.Millisecond)
+		b := fig17IncastPoint(16, cc, 4*sim.Millisecond)
 		if a != b {
 			t.Errorf("cc=%v: incast results diverged across identical runs:\n%+v\n%+v", cc, a, b)
 		}
 	}
-	a1, m1, _ := fig17ECMPPoint(1, 2, 64, 10*sim.Millisecond)
-	a2, m2, _ := fig17ECMPPoint(1, 2, 64, 10*sim.Millisecond)
+	a1, m1, _ := fig17ECMPPoint(2, 64, 10*sim.Millisecond)
+	a2, m2, _ := fig17ECMPPoint(2, 64, 10*sim.Millisecond)
 	if m1 != m2 || len(a1) != len(a2) {
 		t.Fatalf("ECMP imbalance diverged: %.4f vs %.4f", m1, m2)
 	}

@@ -154,14 +154,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 // spine toward the leaf (leaves deliberately never learn remote MACs, so
 // cross-rack frames take the ECMP uplink path).
 func (f *Fabric) AttachHost(rack int, name string, mac packet.EtherAddr, bytesPerSec float64, prop sim.Time) *netsim.Iface {
-	return f.AttachHostOn(f.Eng, rack, name, mac, bytesPerSec, prop)
-}
-
-// AttachHostOn is AttachHost with the host NIC placed on a specific shard
-// engine. The leaf port stays on the fabric's engine, so the host-leaf
-// link becomes the shard boundary and its propagation delay the group's
-// lookahead floor.
-func (f *Fabric) AttachHostOn(eng *sim.Engine, rack int, name string, mac packet.EtherAddr, bytesPerSec float64, prop sim.Time) *netsim.Iface {
 	if rack < 0 || rack >= len(f.Leaves) {
 		panic(fmt.Sprintf("fabric: rack %d out of range (leaves=%d)", rack, len(f.Leaves)))
 	}
@@ -175,7 +167,7 @@ func (f *Fabric) AttachHostOn(eng *sim.Engine, rack int, name string, mac packet
 		prop = f.Cfg.HostProp
 	}
 	leaf := f.Leaves[rack]
-	nic := netsim.NewIface(eng, name, mac, bytesPerSec)
+	nic := netsim.NewIface(f.Eng, name, mac, bytesPerSec)
 	port := leaf.AddPort(name, bytesPerSec)
 	if f.Cfg.QueueHistUnit > 0 {
 		port.EnableQueueHist(f.Cfg.QueueHistUnit, f.Cfg.Leaf.QueueCapBytes)

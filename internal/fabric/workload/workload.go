@@ -6,9 +6,9 @@
 // FlexTOE, Linux-, TAS- and Chelsio-personality machines run them
 // unmodified over the single-switch testbed or the leaf–spine fabric.
 //
-// Sharding (PR 7): every piece of mutable workload state lives on exactly
-// one machine's shard. The generator keeps per-connection arrival streams
-// on each sender's engine, flow metadata travels inside the flow header
+// Every piece of mutable workload state belongs to exactly one machine.
+// The generator keeps per-connection arrival streams on each sender, flow
+// metadata travels inside the flow header
 // (12 bytes: [arrival:8][size:4]) so the sink computes FCT from its own
 // clock, and measurement accumulates per sink/per connection, merged
 // deterministically at readout (the accessor methods). The incast
@@ -36,7 +36,7 @@ import (
 // ---------------------------------------------------------------------
 
 // SizeDist samples flow sizes in bytes. Implementations are immutable, so
-// one distribution may be shared by per-connection samplers across shards.
+// one distribution may be shared by every per-connection sampler.
 type SizeDist interface {
 	Name() string
 	Sample(r *stats.RNG) int
@@ -103,8 +103,8 @@ func DataMining() SizeDist {
 
 // flowHdrLen is the per-flow wire header: the flow's arrival instant (8)
 // and its payload size (4). Carrying the arrival timestamp on the wire is
-// what lets the sink — possibly on another shard — compute FCT without
-// reaching into generator state (simulated clocks agree across shards).
+// what lets the sink compute FCT from its own clock without reaching into
+// generator state.
 const flowHdrLen = 12
 
 // ---------------------------------------------------------------------
@@ -119,7 +119,7 @@ const flowHdrLen = 12
 // Each connection runs an independent Poisson stream at Rate/Conns with
 // its own RNG — a superposition distributionally identical to one
 // round-robin Poisson process, but with every arrival event confined to
-// the sending machine's shard. Measurement state is per connection and
+// the sending machine. Measurement state is per connection and
 // per sink; the accessor methods (Started, Completed, FCT, ...) merge it
 // in deterministic construction order, so call them only between runs.
 type FlowGen struct {
@@ -139,8 +139,8 @@ type pendingFlow struct {
 	hdrLeft   int
 }
 
-// genConn is one sender connection: its own shard engine, RNG, arrival
-// stream, and flow queue. All fields are touched only by events on eng.
+// genConn is one sender connection: its machine's engine, its own RNG,
+// arrival stream, and flow queue. All fields are touched only by events on eng.
 type genConn struct {
 	g        *FlowGen
 	eng      *sim.Engine
@@ -155,8 +155,7 @@ type genConn struct {
 	size     int // scratch: size of the flow being headered
 }
 
-// flowSink accumulates one Serve call's measurement on that machine's
-// shard.
+// flowSink accumulates one Serve call's measurement on that machine.
 type flowSink struct {
 	eng            *sim.Engine
 	fct            *stats.Histogram
@@ -357,8 +356,8 @@ func (g *FlowGen) ResetMeasurement() {
 }
 
 // Started returns the number of flows admitted, merged across
-// connections. Readout methods merge per-shard state in construction
-// order; call them only while the simulation is quiescent.
+// connections. Readout methods merge per-connection and per-sink state in
+// construction order; call them only while the simulation is quiescent.
 func (g *FlowGen) Started() uint64 {
 	var n uint64
 	for _, gc := range g.conns {
@@ -435,7 +434,7 @@ func (g *FlowGen) Done() bool {
 // pattern). Round FCT is the trigger-to-last-byte time, so it includes
 // the request's one-way latency.
 //
-// All round and measurement state lives on the aggregator's shard; the
+// All round and measurement state lives on the aggregator; the
 // only sender-side state is each connection's outstanding byte count, fed
 // by the trigger bytes. BlockBytes and Rounds are immutable once Start is
 // called.
@@ -443,13 +442,13 @@ type IncastGroup struct {
 	BlockBytes int // per-sender bytes per round
 	Rounds     int // stop after this many rounds (0 = run until sim end)
 
-	// Measurement — owned by the aggregator's shard; read between runs.
+	// Measurement — owned by the aggregator; read between runs.
 	RoundsDone    uint64
 	BytesReceived uint64
 	RoundFCT      *stats.Histogram // picoseconds
 	LastDone      sim.Time
 
-	eng        *sim.Engine // aggregator's shard engine (set by Serve)
+	eng        *sim.Engine // aggregator's engine (set by Serve)
 	conns      []*incastConn
 	want       int
 	pending    int

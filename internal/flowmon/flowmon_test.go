@@ -456,7 +456,7 @@ func TestFlowmonDeterminism(t *testing.T) {
 	}
 }
 
-func TestFleetShardCountInvariance(t *testing.T) {
+func TestFleetAnalyzerCountInvariance(t *testing.T) {
 	// The same packet stream split across 1 or 3 analyzers (per directed
 	// flow) must produce identical fleet totals and histograms.
 	streams := [][]*packet.Packet{}
@@ -469,9 +469,9 @@ func TestFleetShardCountInvariance(t *testing.T) {
 		streams = append(streams, s)
 	}
 
-	runSharded := func(shards int) *Report {
+	runSplit := func(n int) *Report {
 		var fl Fleet
-		mons := make([]*Analyzer, shards)
+		mons := make([]*Analyzer, n)
 		for i := range mons {
 			mons[i] = New(Config{})
 			fl.Add(mons[i])
@@ -481,23 +481,23 @@ func TestFleetShardCountInvariance(t *testing.T) {
 			at += sim.Microsecond
 			for si, s := range streams {
 				if i < len(s) {
-					mons[si%shards].Observe(at, s[i])
+					mons[si%n].Observe(at, s[i])
 				}
 			}
 		}
 		return fl.Report()
 	}
 
-	r1, r3 := runSharded(1), runSharded(3)
+	r1, r3 := runSplit(1), runSplit(3)
 	if r1.Totals() != r3.Totals() {
-		t.Fatalf("totals differ across shard counts:\n1: %+v\n3: %+v", r1.Totals(), r3.Totals())
+		t.Fatalf("totals differ across analyzer counts:\n1: %+v\n3: %+v", r1.Totals(), r3.Totals())
 	}
 	if len(r1.Flows) != len(r3.Flows) {
 		t.Fatalf("flow counts differ: %d vs %d", len(r1.Flows), len(r3.Flows))
 	}
 	if r1.RTTHist.Count() != r3.RTTHist.Count() ||
 		r1.RTTHist.Quantile(0.99) != r3.RTTHist.Quantile(0.99) {
-		t.Fatalf("rtt hist differs across shard counts")
+		t.Fatalf("rtt hist differs across analyzer counts")
 	}
 	for i, v := range r1.Timeline {
 		if r3.Timeline[i] != v {

@@ -263,10 +263,9 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// Fleet merges per-shard analyzers at readout, in attach order — the
-// sharding contract's deterministic merge (doc.go). Each analyzer
-// remains single-tap/single-shard; the fleet never touches them during
-// a run.
+// Fleet merges its analyzers' reports at readout, in attach order, so the
+// merged report does not depend on how taps were split over analyzers.
+// The fleet never touches an analyzer during a run.
 type Fleet struct {
 	mons []*Analyzer
 }

@@ -78,7 +78,7 @@ func (s *Stack) Name() string { return "FlexTOE" }
 // Machine returns the host CPU model.
 func (s *Stack) Machine() *host.Machine { return s.machine }
 
-// Engine returns the shard engine this stack runs on.
+// Engine returns the engine this stack runs on.
 func (s *Stack) Engine() *sim.Engine { return s.eng }
 
 // LocalIP returns the machine's address.

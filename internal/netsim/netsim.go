@@ -24,10 +24,8 @@ import (
 // party that takes the frame off the wire (the receiving stack's Recv
 // handler, or a drop point inside the fabric) returns it with
 // ReleaseFrame. A frame has exactly one owner at a time — each fabric hop
-// hands it to the next, and when a hop crosses a shard boundary the
-// receiving interface adopts the frame (and its packet) into its own
-// shard's pools, so ReleaseFrame always recycles into the current owner's
-// freelist. Dropping a frame inside the fabric also releases its packet
+// hands it to the next — and ReleaseFrame recycles it into the pool it was
+// drawn from. Dropping a frame inside the fabric also releases its packet
 // (the drop point terminates the packet's journey; see the ownership rule
 // in package packet).
 type Frame struct {
@@ -38,19 +36,18 @@ type Frame struct {
 	link   *Iface // transmitting interface while on a link
 	dst    *Iface // forwarding destination while queued in the switch
 	pooled bool
-	pool   *FramePool // owning shard's pool (re-pointed on adoption)
+	pool   *FramePool // the pool the frame was drawn from
 }
 
-// FramePool is one shard's frame freelist. Single-threaded; use one per
-// shard engine (FramesOf) or per test.
+// FramePool is one engine's frame freelist. Single-threaded; use one per
+// engine (FramesOf) or per test.
 type FramePool struct {
 	free shm.Freelist[Frame]
 }
 
 // defaultFrames serves the package-level NewFrame for single-threaded
-// tests and examples. Sharded hot paths use FramesOf(engine).
-//
-//flexvet:sharedstate shard-confined — reached only from single-threaded entry points; every sharded hot path uses FramesOf(engine)
+// tests and examples. Anything that may run as one of several concurrent
+// jobs or cells uses FramesOf(engine).
 var defaultFrames = &FramePool{}
 
 // framesKey keys the per-engine FramePool in Engine.Local.
@@ -58,7 +55,7 @@ type framesKey struct{}
 
 func newFramePool() any { return &FramePool{} }
 
-// FramesOf returns eng's shard-local frame pool, creating it on first use.
+// FramesOf returns eng's own frame pool, creating it on first use.
 func FramesOf(eng *sim.Engine) *FramePool {
 	return eng.Local(framesKey{}, newFramePool).(*FramePool)
 }
@@ -81,13 +78,13 @@ func (fp *FramePool) getFrame() *Frame {
 }
 
 // NewFrame wraps a packet using the default pool. Single-threaded callers
-// only; sharded hot paths use FramesOf(engine).NewFrame.
+// only; simulations use FramesOf(engine).NewFrame.
 func NewFrame(p *packet.Packet, now sim.Time) *Frame {
 	return defaultFrames.NewFrame(p, now)
 }
 
-// ReleaseFrame recycles a frame into the pool that currently owns it once
-// its journey ends. The packet is NOT released: the caller either still
+// ReleaseFrame recycles a frame into the pool it came from once its
+// journey ends. The packet is NOT released: the caller either still
 // owns it (a receiving stack) or must release it separately (a drop
 // point). No-op for frames not obtained from a pool.
 func ReleaseFrame(f *Frame) {
@@ -118,25 +115,10 @@ type Iface struct {
 	peer *Iface
 
 	// linkID and txSeq build the delivery ordering key for frames this
-	// interface transmits: dkey = linkID<<32 | txSeq. The key is the same
-	// whether the peer lives on this engine or across a shard boundary,
-	// which is what keeps serial and sharded runs bit-identical (see
-	// sim.Engine.AtLinkCall).
+	// interface transmits: dkey = linkID<<32 | txSeq, so frames delivered
+	// at one instant arrive in link order (see sim.Engine.AtLinkCall).
 	linkID uint32
 	txSeq  uint32
-
-	// wireq is the FIFO of in-flight wire sizes for cross-shard
-	// transmissions: the frame itself is handed to the peer's shard at
-	// send time, so the sender-side wire-out event (which debits
-	// queueBytes at the same instant and ordering position as the serial
-	// delivery would) must not touch it.
-	wireq     []int
-	wireqHead int
-
-	// pkts/frames are this interface's shard-local pools, used to adopt
-	// frames arriving across a shard boundary.
-	pkts   *packet.Pool
-	frames *FramePool
 
 	// Recv handles frames arriving at this interface. Nil drops them.
 	Recv func(f *Frame)
@@ -146,9 +128,7 @@ type Iface struct {
 	// Taps never take ownership of the frame or packet and charge zero
 	// simulated cost — unlike core.TOE.PacketTap, which models the cycles
 	// of an on-NIC capture (doc.go "Passive flow analysis"). The packet
-	// is valid only for the duration of the call. Taps run on the shard
-	// engine that owns the event: TxTap on the sender's shard, RxTap on
-	// the receiver's.
+	// is valid only for the duration of the call.
 	TxTap func(at sim.Time, pkt *packet.Packet)
 	RxTap func(at sim.Time, pkt *packet.Packet)
 
@@ -231,8 +211,6 @@ func NewIface(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec fl
 		eng:    eng,
 		tx:     sim.NewResource(eng, name+"/tx", bytesPerSec),
 		linkID: linkSeq.Add(1),
-		pkts:   packet.PoolOf(eng),
-		frames: FramesOf(eng),
 	}
 }
 
@@ -241,20 +219,15 @@ func (i *Iface) SetRate(bytesPerSec float64) {
 	i.tx = sim.NewResource(i.eng, i.Name+"/tx", bytesPerSec)
 }
 
-// Connect joins two interfaces with the given propagation delay. A link
-// between interfaces on different shard engines is a shard boundary: its
-// earliest possible delivery (one picosecond of serialization plus the
-// propagation delay) is registered as group lookahead.
+// Connect joins two interfaces with the given propagation delay. Both must
+// live on one engine: a delivery is scheduled on the sender's engine, so a
+// link between two engines would run the receiver on the wrong clock.
 func Connect(a, b *Iface, prop sim.Time) {
+	if a.eng != b.eng {
+		panic(fmt.Sprintf("netsim: connecting %s and %s across two engines (one job, one engine)", a.Name, b.Name))
+	}
 	a.peer, b.peer = b, a
 	a.prop, b.prop = prop, prop
-	if a.eng != b.eng {
-		g := a.eng.Group()
-		if g == nil || g != b.eng.Group() {
-			panic("netsim: connecting interfaces on unrelated engines")
-		}
-		g.NoteBoundary(prop + sim.Picosecond)
-	}
 }
 
 // QueueBytes returns the current output queue depth in bytes.
@@ -263,14 +236,6 @@ func (i *Iface) QueueBytes() int { return i.queueBytes }
 // Send serializes the frame onto the wire and delivers it to the peer
 // after the propagation delay. Ownership of the frame (and its packet)
 // transfers to the link; an unconnected interface is a drop point.
-//
-// When the peer lives on another shard engine the single serial delivery
-// event splits into two events sharing the same (time, dkey) position: a
-// sender-local wire-out that debits queueBytes (reading only sender
-// state), and a delivery injected into the peer's shard that adopts the
-// frame and runs Recv (reading only receiver state plus the handed-off
-// frame). Because both carry the serial event's dkey, every same-instant
-// ordering decision on either engine matches the serial schedule.
 func (i *Iface) Send(f *Frame) {
 	checkFrame(f)
 	if i.peer == nil {
@@ -287,67 +252,18 @@ func (i *Iface) Send(f *Frame) {
 	dkey := uint64(i.linkID)<<32 | uint64(i.txSeq)
 	end := i.tx.Reserve(int64(f.Wire), i.prop)
 	f.link = i
-	peer := i.peer
-	if peer.eng == i.eng {
-		i.eng.AtLinkCall(end, dkey, frameDelivered, f)
-		return
-	}
-	i.wireq = append(i.wireq, f.Wire)
-	i.eng.AtLinkCall(end, dkey, wireOut, i)
-	i.eng.Inject(peer.eng, end, dkey, frameArrive, f)
+	i.eng.AtLinkCall(end, dkey, frameDelivered, f)
 }
 
-// frameDelivered runs when a frame's serialization + propagation ends on
-// an intra-shard link: it debits the transmit queue and hands the frame
-// to the receiving interface (see Engine.AtLinkCall).
+// frameDelivered runs when a frame's serialization + propagation ends: it
+// debits the transmit queue and hands the frame to the receiving interface
+// (see Engine.AtLinkCall).
 func frameDelivered(a any) {
 	f := a.(*Frame)
 	i := f.link
 	f.link = nil
 	i.queueBytes -= f.Wire
 	peer := i.peer
-	peer.RxFrames++
-	peer.RxBytes += uint64(f.Wire)
-	if peer.RxTap != nil {
-		peer.RxTap(peer.eng.Now(), f.Pkt)
-	}
-	if peer.Recv != nil {
-		peer.Recv(f)
-		return
-	}
-	dropFrame(f)
-}
-
-// wireOut is the sender half of a cross-shard delivery: it debits
-// queueBytes by the oldest in-flight wire size. Wire-out events fire in
-// transmit order (per-link completion times strictly increase), so a FIFO
-// of sizes suffices and the frame itself — already owned by the peer's
-// shard — is never touched.
-func wireOut(a any) {
-	i := a.(*Iface)
-	w := i.wireq[i.wireqHead]
-	i.wireqHead++
-	if i.wireqHead == len(i.wireq) {
-		i.wireq = i.wireq[:0]
-		i.wireqHead = 0
-	}
-	i.queueBytes -= w
-}
-
-// frameArrive is the receiver half of a cross-shard delivery, executing
-// on the peer's shard engine: it adopts the frame and its packet into the
-// receiving shard's pools, then delivers exactly like frameDelivered. It
-// reads only the handed-off frame, the immutable link topology, and
-// receiver-side state.
-func frameArrive(a any) {
-	f := a.(*Frame)
-	i := f.link
-	f.link = nil
-	peer := i.peer
-	if f.pooled {
-		f.pool = peer.frames
-	}
-	peer.pkts.Adopt(f.Pkt)
 	peer.RxFrames++
 	peer.RxBytes += uint64(f.Wire)
 	if peer.RxTap != nil {
@@ -600,14 +516,7 @@ func NewNetwork(eng *sim.Engine, cfg SwitchConfig) *Network {
 // AttachHost creates a host NIC interface connected to a new switch port
 // at the given rate, registers its MAC, and returns it.
 func (n *Network) AttachHost(name string, mac packet.EtherAddr, bytesPerSec float64, prop sim.Time) *Iface {
-	return n.AttachHostOn(n.Eng, name, mac, bytesPerSec, prop)
-}
-
-// AttachHostOn is AttachHost with the host NIC placed on a specific shard
-// engine; the switch port stays on the network's engine, making the
-// host-leaf link the shard boundary.
-func (n *Network) AttachHostOn(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec float64, prop sim.Time) *Iface {
-	host := NewIface(eng, name, mac, bytesPerSec)
+	host := NewIface(n.Eng, name, mac, bytesPerSec)
 	port := n.Switch.AddPort(name, bytesPerSec)
 	Connect(host, port, prop)
 	n.Switch.Learn(mac, port)

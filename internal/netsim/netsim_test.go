@@ -51,6 +51,23 @@ func TestDelivery(t *testing.T) {
 	}
 }
 
+// TestConnectRefusesTwoEngines: a link's delivery is scheduled on the
+// sender's engine, so joining interfaces of two engines must panic
+// before either end is wired.
+func TestConnectRefusesTwoEngines(t *testing.T) {
+	a := NewIface(sim.New(), "a", packet.MAC(2, 0, 0, 0, 0, 1), GbpsToBytesPerSec(40))
+	b := NewIface(sim.New(), "b", packet.MAC(2, 0, 0, 0, 0, 2), GbpsToBytesPerSec(40))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Connect joined interfaces on two engines")
+		}
+		if a.peer != nil || b.peer != nil {
+			t.Fatal("Connect wired a peer before refusing")
+		}
+	}()
+	Connect(a, b, 100*sim.Nanosecond)
+}
+
 func TestUnknownMACDropped(t *testing.T) {
 	eng, n, a, b := buildNet(t, SwitchConfig{})
 	delivered := false

@@ -20,23 +20,20 @@ import (
 // built with a plain &Packet{} literal (control plane, applications,
 // tests) is a no-op, so consumers can release unconditionally.
 //
-// Sharding (PR 7): freelists and slabs are single-threaded by design, so
-// each shard engine owns a private Pool (PoolOf). A packet remembers the
-// pool it came from; when a frame crosses a shard boundary the receiving
-// interface adopts the packet into its own shard's pool (Pool.Adopt), so
-// Release — wherever the journey ends — always recycles into the pool of
-// the shard that currently owns the packet. Payload backings migrate with
-// the packet and are never returned to any slab, so adoption is safe.
+// Freelists and slabs are single-threaded by design, so each engine owns
+// a private Pool (PoolOf): concurrent jobs and cells, one engine each,
+// share none. A packet remembers the pool it came from and Release —
+// wherever the journey ends — recycles into that pool.
 
-// Pool is one shard's packet pool: a freelist of Packet shells plus the
+// Pool is one engine's packet pool: a freelist of Packet shells plus the
 // slab backing their payload bytes. A Pool is single-threaded; use one
-// per shard engine (PoolOf) or per test.
+// per engine (PoolOf) or per test.
 type Pool struct {
 	slab *shm.Slab
 	free shm.Freelist[Packet]
 
-	// Stats counts pooled-packet traffic for tests and diagnostics,
-	// merged across shards at readout (see testbed.PoolStats).
+	// Stats counts pooled-packet traffic for tests and diagnostics (see
+	// testbed.PoolStats).
 	Stats struct {
 		Gets     uint64
 		Releases uint64
@@ -51,10 +48,8 @@ func NewPool() *Pool {
 }
 
 // defaultPool serves the package-level Get for single-threaded tests,
-// examples, and the control plane's standalone uses. Hot paths obtain the
-// per-shard pool via PoolOf instead.
-//
-//flexvet:sharedstate shard-confined — reached only from single-threaded entry points; every sharded hot path uses PoolOf(engine)
+// examples, and the control plane's standalone uses. Anything that may run
+// as one of several concurrent jobs or cells uses PoolOf(engine).
 var defaultPool = NewPool()
 
 // poolKey keys the per-engine Pool in Engine.Local.
@@ -62,7 +57,7 @@ type poolKey struct{}
 
 func newPool() any { return NewPool() }
 
-// PoolOf returns eng's shard-local packet pool, creating it on first use.
+// PoolOf returns eng's own packet pool, creating it on first use.
 func PoolOf(eng *sim.Engine) *Pool {
 	return eng.Local(poolKey{}, newPool).(*Pool)
 }
@@ -74,29 +69,18 @@ func (pl *Pool) Get() *Packet {
 	pl.Stats.Gets++
 	if p := pl.free.Get(); p != nil {
 		checkPoison(p)
-		p.pool = pl
 		return p
 	}
 	return &Packet{pooled: true, pool: pl}
 }
 
-// Adopt transfers a pooled packet into this pool. Called by the receiving
-// interface when a frame crosses a shard boundary, so the packet's
-// eventual Release recycles into the owning shard's freelist. A no-op for
-// unpooled packets.
-func (pl *Pool) Adopt(p *Packet) {
-	if p != nil && p.pooled {
-		p.pool = pl
-	}
-}
-
 // Get returns a zeroed pooled Packet from the default pool. Single-
-// threaded callers only; sharded hot paths use PoolOf(engine).Get.
+// threaded callers only; simulations use PoolOf(engine).Get.
 func Get() *Packet {
 	return defaultPool.Get()
 }
 
-// Release recycles a pooled packet into the pool that currently owns it.
+// Release recycles a pooled packet into the pool it came from.
 // It is a no-op for packets not obtained from a Pool, so consumers may
 // call it unconditionally on any packet they terminally own. Releasing
 // the same packet twice is a caller bug (the pool would hand one object

@@ -69,7 +69,7 @@ type wlRuntime interface {
 }
 
 // Build validates the spec and compiles it: topology, machines (in spec
-// order — order fixes IP assignment and shard placement), flowmon
+// order — order fixes IP assignment), flowmon
 // attach points, then workloads in spec order (each listener installed
 // before its dialers). The construction sequence is exactly the one the
 // hand-written experiment runners use, which is what makes a spec
@@ -83,19 +83,15 @@ func Build(s *Spec) (*Built, error) {
 		warm: sim.Time(s.WarmupUs) * sim.Microsecond,
 		dur:  sim.Time(s.DurationUs) * sim.Microsecond,
 	}
-	cores := s.Cores
-	if cores < 1 {
-		cores = 1
-	}
 	specs := make([]testbed.MachineSpec, len(s.Machines))
 	for i := range s.Machines {
 		specs[i] = machineSpec(s, i)
 	}
 	if s.Topology.Kind == TopoFabric {
 		b.spines = s.Topology.Fabric.Spines
-		b.TB = testbed.NewFabricCores(cores, fabricConfig(s), specs...)
+		b.TB = testbed.NewFabric(fabricConfig(s), specs...)
 	} else {
-		b.TB = testbed.NewCores(cores, switchConfig(s.Topology.Switch, s.Seed), specs...)
+		b.TB = testbed.New(switchConfig(s.Topology.Switch, s.Seed), specs...)
 	}
 
 	for i := range s.Measure.Flowmon {

@@ -149,15 +149,19 @@ func TestChunkedRunMatchesUnchunked(t *testing.T) {
 	}
 }
 
-func TestShardCountInvariance(t *testing.T) {
-	serial := mustRun(t, bulkSpec(), nil)
-	sharded := mustRun(t, strings.Replace(bulkSpec(),
+// TestCoresFieldInvariance pins the vestigial Spec.Cores: "cores": 3
+// changes nothing in the payload but the echoed Result.Cores.
+func TestCoresFieldInvariance(t *testing.T) {
+	plain := mustRun(t, bulkSpec(), nil)
+	withCores := mustRun(t, strings.Replace(bulkSpec(),
 		`"duration_us": 2000,`, `"duration_us": 2000, "cores": 3,`, 1), nil)
-	// The payloads may differ only in the echoed core count.
-	sharded.Cores = serial.Cores
-	if !bytes.Equal(serial.Canonical(), sharded.Canonical()) {
-		t.Fatalf("sharded run diverged from serial:\n%s\n---\n%s",
-			serial.Canonical(), sharded.Canonical())
+	if plain.Cores != 1 || withCores.Cores != 3 {
+		t.Fatalf("echoed cores = %d and %d, want 1 and 3", plain.Cores, withCores.Cores)
+	}
+	withCores.Cores = plain.Cores
+	if !bytes.Equal(plain.Canonical(), withCores.Canonical()) {
+		t.Fatalf("cores changed the payload:\n%s\n---\n%s",
+			plain.Canonical(), withCores.Canonical())
 	}
 }
 

@@ -11,12 +11,11 @@
 //
 // Determinism contract (doc.go "Scenario service"): a Spec fully seeds
 // every random stream, so the same spec produces byte-identical Result
-// payloads on every rerun, at any engine-shard count (Spec.Cores), and
-// regardless of how many other scenarios run concurrently in the same
-// process. Validation is strict: unknown JSON fields, dangling machine
-// references, and parameter combinations that would violate the
-// determinism or pooling contracts are rejected before anything is
-// built.
+// payloads on every rerun, regardless of how many other scenarios run
+// concurrently in the same process. Validation is strict: unknown JSON
+// fields, dangling machine references, and parameter combinations that
+// would violate the determinism or pooling contracts are rejected before
+// anything is built.
 package scenario
 
 import (
@@ -39,8 +38,11 @@ type Spec struct {
 	// workload histograms reset and counter baselines snapshot, so every
 	// result column covers the same post-warmup window.
 	WarmupUs int64 `json:"warmup_us,omitempty"`
-	// Cores shards the simulation engines (testbed.NewCores semantics);
-	// results are bit-identical at every value.
+	// Cores is accepted (>= 0) and echoed into Result.Cores; it has no
+	// other effect. It selected the engine-shard count until the sharded
+	// engine was taken out (every payload was already identical at every
+	// value). The frozen bench/ still sets it; the benchmark PR that
+	// retires sim.shard2_speedup removes it with Result.Cores.
 	Cores int `json:"cores,omitempty"`
 
 	Topology  Topology  `json:"topology"`

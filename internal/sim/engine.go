@@ -84,10 +84,10 @@ func Cycles(n int64, hz int64) Time {
 // arg carries the per-event state, so scheduling never allocates a
 // closure.
 //
-// dkey is the delivery key used by cross-engine-safe ordering (see
+// dkey is the delivery key of the same-instant ordering rule (see
 // before): 0 for ordinary local events, and a nonzero link-scoped key
 // (link id in the high bits, per-link transmit sequence in the low bits)
-// for frame-delivery events scheduled through AtLinkCall/Inject.
+// for frame-delivery events scheduled through AtLinkCall.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among same-instant local events
@@ -98,16 +98,14 @@ type event struct {
 
 // before reports whether a orders strictly before b in execution order.
 //
-// Same-instant ordering is the sharding contract's linchpin: local events
-// (dkey 0) run before deliveries, and deliveries order by dkey — a key
-// derived from the transmitting link, identical whether the delivery was
-// scheduled locally (serial mode, or an intra-shard link) or injected
-// across a shard boundary. The per-engine seq breaks the remaining ties
-// (local vs local), which is mode-independent because each entity's
-// scheduling order is reproduced exactly by its own shard. Two
-// deliveries never share (at, dkey): a link serializes, so per-link
-// delivery instants are strictly increasing, and distinct links have
-// distinct dkeys.
+// Same-instant ordering is part of the model: local events (dkey 0) run
+// before deliveries, FIFO by seq, and deliveries order by dkey — a key
+// derived from the transmitting link, so frames landing at one instant
+// arrive in link order however their sends interleaved. Ordering by
+// (at, seq) alone moves the committed result hashes of three of the four
+// benchmark workloads, so the rule stays. Two deliveries never share
+// (at, dkey): a link serializes, so per-link delivery instants are
+// strictly increasing, and distinct links have distinct dkeys.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -166,11 +164,6 @@ type Engine struct {
 	// global minimum when wheelCnt > 0.
 	overflow []event
 
-	// Sharding (nil/zero for a standalone engine, see shard.go): the
-	// group this engine belongs to and its index within it.
-	group *Group
-	id    int
-
 	// locals holds per-engine singletons (pools, freelists) keyed by an
 	// arbitrary comparable key; see Local.
 	locals map[any]any
@@ -180,6 +173,15 @@ type Engine struct {
 func New() *Engine {
 	return &Engine{buckets: make([]bucket, wheelSize)}
 }
+
+// Group holds a testbed's one engine. It is what is left of the sharded
+// engine (taken out; CHANGES.md has the measurements) and stays only
+// because the frozen bench/ reads Testbed.Group.Engines(): the follow-up
+// benchmark PR that retires sim.shard2_speedup removes it too.
+type Group [1]*Engine
+
+// Engines returns the one engine.
+func (g *Group) Engines() []*Engine { return g[:] }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -202,9 +204,8 @@ func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 
 // AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
 // event carrying the link-scoped ordering key dkey (nonzero). Deliveries
-// at the same instant execute after local events and in dkey order, which
-// is identical in serial and sharded mode — the determinism hinge of the
-// sharding contract (see the before comment and doc.go).
+// at the same instant execute after local events and in dkey order (see
+// the before comment and doc.go "One job, one engine").
 func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -216,37 +217,11 @@ func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
 	e.insert(event{at: t, seq: e.seq, dkey: dkey, cb: cb, arg: arg})
 }
 
-// Inject schedules cb(arg) on dst at absolute time t with delivery key
-// dkey. When dst is this engine it is AtLinkCall; otherwise both engines
-// must belong to the same Group and the event crosses the shard boundary
-// through the group's per-pair ingress queue, applied at the next window
-// barrier. The caller must guarantee t is at or beyond the current
-// window's end — netsim's link model does, because every boundary link
-// registers its propagation delay as group lookahead and a transmission
-// serializes for at least one picosecond.
-func (e *Engine) Inject(dst *Engine, t Time, dkey uint64, cb func(any), arg any) {
-	if dst == e {
-		e.AtLinkCall(t, dkey, cb, arg)
-		return
-	}
-	if e.group == nil || e.group != dst.group {
-		panic("sim: Inject across unrelated engines")
-	}
-	e.group.enqueue(e.id, dst.id, xev{at: t, dkey: dkey, cb: cb, arg: arg})
-}
-
-// Group returns the shard group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.group }
-
-// ID returns this engine's index within its Group (0 for a standalone
-// engine).
-func (e *Engine) ID() int { return e.id }
-
 // Local returns the per-engine singleton stored under key, constructing
 // it with mk on first use. Pools and freelists are single-threaded by
-// design; hanging one instance off each engine keeps every shard's hot
-// path allocation-free without cross-shard sharing (see SHAREDSTATE.md).
+// design; hanging one instance off each engine keeps the hot path
+// allocation-free while concurrent jobs and cells, each on its own
+// engine, share nothing.
 func (e *Engine) Local(key any, mk func() any) any {
 	if v, ok := e.locals[key]; ok {
 		return v
@@ -372,23 +347,9 @@ func (e *Engine) wheelMin() *bucket {
 	}
 }
 
-// nextAt returns the timestamp of the next event to execute. Only the
-// group coordinator needs a timestamp without running the event; the run
-// loops go through step.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.wheelCnt > 0 {
-		bk := e.wheelMin()
-		return bk.evs[bk.head].at, true
-	}
-	if len(e.overflow) > 0 {
-		return e.overflow[0].at, true
-	}
-	return 0, false
-}
-
 // step executes the next event if it is due at or before limit, and
-// reports whether it did: the one pop path under Step, Run, RunUntil and
-// runWindow. The minimum is looked up once and read in place; its slot is
+// reports whether it did: the one pop path under Step, Run and RunUntil.
+// The minimum is looked up once and read in place; its slot is
 // released and the head advanced before the callback runs, because the
 // callback may append to, grow or reorder the very bucket being drained.
 func (e *Engine) step(limit Time) bool {
@@ -433,30 +394,6 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for e.step(t) {
 	}
-	e.advanceTo(t)
-}
-
-// runWindow executes every pending event with timestamp strictly below
-// wend. It is the per-shard body of Group.RunUntil: within one window a
-// shard receives no new cross-shard input, so it can run without
-// coordination.
-func (e *Engine) runWindow(wend Time) {
-	for e.step(wend - 1) {
-	}
-}
-
-// pendingNext is nextAt gated on Stop, for the shard runner: a stopped
-// engine reports no pending work so the group doesn't spin on events it
-// will never execute.
-func (e *Engine) pendingNext() (Time, bool) {
-	if e.stopped {
-		return 0, false
-	}
-	return e.nextAt()
-}
-
-// advanceTo moves the clock forward to t without executing anything.
-func (e *Engine) advanceTo(t Time) {
 	if !e.stopped && e.now < t {
 		e.now = t
 	}

@@ -33,10 +33,9 @@ func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time 
 // Reserve books the facility for n units without scheduling anything and
 // returns the completion time (transfer end plus extra). Callers that
 // need delivery-ordered scheduling (netsim's link egress) reserve first,
-// then schedule through Engine.AtLinkCall/Inject with the completion
-// time. The transfer occupies at least one picosecond when n > 0, so the
-// returned time is always strictly after now plus extra — the property
-// the sharding lookahead proof relies on.
+// then schedule through Engine.AtLinkCall with the completion time. The
+// transfer occupies at least one picosecond when n > 0, so the returned
+// time is always strictly after now plus extra.
 func (r *Resource) Reserve(n int64, extra Time) Time {
 	now := r.eng.Now()
 	start := r.free

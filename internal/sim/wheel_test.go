@@ -307,9 +307,8 @@ func TestWheelSameInstantDeliveryOrder(t *testing.T) {
 // freezes the clock there.
 func TestStopInsideCallback(t *testing.T) {
 	loops := map[string]func(e *Engine){
-		"Run":       func(e *Engine) { e.Run() },
-		"RunUntil":  func(e *Engine) { e.RunUntil(100) },
-		"runWindow": func(e *Engine) { e.runWindow(100) },
+		"Run":      func(e *Engine) { e.Run() },
+		"RunUntil": func(e *Engine) { e.RunUntil(100) },
 		"Step": func(e *Engine) {
 			for e.Step() {
 			}

@@ -71,7 +71,7 @@ func TestQuantileSingleValue(t *testing.T) {
 	}
 }
 
-// TestAddMatchesCombinedRecording: merging shard histograms must be
+// TestAddMatchesCombinedRecording: merging partial histograms must be
 // indistinguishable from recording every observation into one histogram.
 func TestAddMatchesCombinedRecording(t *testing.T) {
 	r := NewRNG(78)
