@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,28 +77,39 @@ func TestRunSpecDeterministic(t *testing.T) {
 }
 
 // TestRunSpecErrors: a spec that cannot be read or fails validation (the
-// empty-clients spec that once divided by zero in a worker) prints the
-// error on stderr and exits 1 — no usage text, no stdout, no panic.
+// empty-clients spec that once divided by zero in a worker, the
+// buf_bytes that once panicked in shm.NewPayloadBuf mid-run) prints a
+// one-line error on stderr and exits 1 — no usage text, no stdout, no
+// panic.
 func TestRunSpecErrors(t *testing.T) {
 	good, err := os.ReadFile(exampleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptyClients := filepath.Join(t.TempDir(), "empty-clients.json")
-	bad := bytes.Replace(good, []byte(`"clients": ["client"]`), []byte(`"clients": []`), 1)
-	if bytes.Equal(bad, good) {
-		t.Fatal("example spec no longer has the clients list this test edits")
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "missing.json")}
+	for _, edit := range [][2]string{
+		{`"clients": ["client"]`, `"clients": []`},
+		{`"buf_bytes": 524288`, `"buf_bytes": 100000`},
+	} {
+		bad := bytes.Replace(good, []byte(edit[0]), []byte(edit[1]), 1)
+		if bytes.Equal(bad, good) {
+			t.Fatalf("example spec no longer has the %s this test edits", edit[0])
+		}
+		path := filepath.Join(dir, fmt.Sprintf("bad%d.json", len(paths)))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
-	if err := os.WriteFile(emptyClients, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{emptyClients, filepath.Join(t.TempDir(), "missing.json")} {
+	for _, path := range paths {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"run", path}, &stdout, &stderr); code != 1 {
 			t.Errorf("%s: exit code %d, want 1", path, code)
 		}
-		if stderr.Len() == 0 || strings.Contains(stderr.String(), "usage: flexbench") {
-			t.Errorf("%s: stderr should carry the error and no usage:\n%s", path, stderr.String())
+		if stderr.Len() == 0 || strings.Contains(stderr.String(), "usage: flexbench") ||
+			strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%s: stderr should carry a one-line error and no usage:\n%s", path, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: failed run wrote to stdout: %q", path, stdout.String())

@@ -190,7 +190,14 @@
 //     through a reused scratch buffer).
 //
 //   - Repeated Peek/Reserve without an intervening Consume/Commit return
-//     stable views of the same window.
+//     stable views of the same window: the same bytes, but only the
+//     newest pair of slices may be used. A socket ring costs what it
+//     holds (shm.PayloadBuf): it starts at 4 KB and moves once, to full
+//     size, when the bytes in flight outgrow that. A Reserve view is
+//     therefore also invalidated by the next Reserve on the same socket,
+//     and a Peek view by the next arriving segment, either of which may
+//     move the ring (its bytes move with it). Size, TxSpace and the
+//     advertised window are logical and never see the physical ring.
 //
 //   - Commit publishes the next n ring bytes as they are; an application
 //     whose payload content matters stages it via Reserve first, one

@@ -14,6 +14,9 @@
 //     storms while data sits unconsumed),
 //   - the zero-copy view aliasing rules (Peek invalidated by Consume,
 //     Reserve by Commit; views stable between those calls),
+//   - views across the payload ring's one move to full size (rings start
+//     at 4 KB and grow when the bytes in flight outgrow that): staged,
+//     unacknowledged and unconsumed bytes all survive it,
 //   - EOF after FIN surfaced as an OnReadable fire that drains to
 //     Readable()==0,
 //   - no loss of data arriving between accept and OnReadable
@@ -42,10 +45,15 @@ type pair struct {
 // (before any data can arrive) in place of the default no-op.
 func newPair(t *testing.T, kind testbed.StackKind, bufSize uint32, port uint16, onAccept func(api.Socket)) *pair {
 	t.Helper()
-	tb := testbed.New(netsim.SwitchConfig{},
+	return connectPair(t, testbed.New(netsim.SwitchConfig{},
 		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 11},
 		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 22},
-	)
+	), port, onAccept)
+}
+
+// connectPair connects "client" to "server" on an assembled testbed.
+func connectPair(t *testing.T, tb *testbed.Testbed, port uint16, onAccept func(api.Socket)) *pair {
+	t.Helper()
 	p := &pair{tb: tb}
 	tb.M("server").Stack.Listen(port, func(k api.Socket) {
 		p.srv = k
@@ -56,7 +64,7 @@ func newPair(t *testing.T, kind testbed.StackKind, bufSize uint32, port uint16, 
 	tb.M("client").Stack.Dial(tb.Addr("server", port), func(k api.Socket) { p.cli = k })
 	for i := 0; p.srv == nil || p.cli == nil; i++ {
 		if i > 100 {
-			t.Fatalf("%s: connection not established", kind)
+			t.Fatalf("%s: connection not established", tb.M("server").Spec.Kind)
 		}
 		p.run(sim.Millisecond)
 	}
@@ -86,6 +94,7 @@ func Run(t *testing.T, kind testbed.StackKind) {
 	t.Run("PartialSendUnderFullBuffers", func(t *testing.T) { partialSend(t, kind) })
 	t.Run("EdgeTriggeredCallbacks", func(t *testing.T) { edgeTriggered(t, kind) })
 	t.Run("ViewAliasing", func(t *testing.T) { viewAliasing(t, kind) })
+	t.Run("ViewsAcrossRingGrowth", func(t *testing.T) { viewsAcrossGrowth(t, kind) })
 	t.Run("EOFAfterFINDrain", func(t *testing.T) { eofAfterFIN(t, kind) })
 	t.Run("DataBeforeOnReadable", func(t *testing.T) { dataBeforeOnReadable(t, kind) })
 	t.Run("AcceptStormBacklog", func(t *testing.T) { acceptStorm(t, kind) })
@@ -312,6 +321,75 @@ func viewAliasing(t *testing.T, kind testbed.StackKind) {
 	ra2, rb2 := p.srv.Peek()
 	if api.ViewLen(ra2, rb2) != p.srv.Readable() || api.ViewByte(ra2, rb2, 0) != second {
 		t.Fatal("Peek view did not shift after Consume")
+	}
+}
+
+// viewsAcrossGrowth drives both rings of a 64 KB-buffer connection over
+// the point where they outgrow their 4 KB start, in the ways that could
+// lose bytes if the move to full size mislaid any: a Reserve larger than
+// the small ring while earlier bytes are still unsent, more than 4 KB
+// received before the first Consume, and — through a reordering switch,
+// with out-of-order acceptance on — segments landing far ahead of a hole
+// while the ring is still small. The delivered stream must be the
+// pattern, byte for byte, through Peek views taken after the growth.
+func viewsAcrossGrowth(t *testing.T, kind testbed.StackKind) {
+	const first, burst, bufSize = 100, 12000, 65536
+	sw := netsim.SwitchConfig{ReorderProb: 0.3, ReorderDelay: 30 * sim.Microsecond, Seed: 5}
+	p := connectPair(t, testbed.New(sw,
+		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, OOOCap: 4, Seed: 11},
+		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, OOOCap: 4, Seed: 22},
+	), 9006, nil)
+	oooAccepted := func() uint64 {
+		m := p.tb.M("server")
+		if m.TOE != nil {
+			return m.TOE.Counters.OOOAccepted
+		}
+		return m.Base.OOOAccepted
+	}
+
+	sent := 0
+	stage := func(n int) {
+		a, b := p.cli.Reserve(n)
+		if got := api.ViewLen(a, b); got != n {
+			t.Fatalf("Reserve(%d) with %d bytes in flight returned %d bytes", n, sent, got)
+		}
+		for i := 0; i < n; i++ {
+			api.ViewCopyIn(a, b, i, []byte{pattern(sent + i)})
+		}
+		p.cli.Commit(n)
+		sent += n
+	}
+	// A first small message puts both TX and RX on their small rings; the
+	// large Reserve follows at once, while those bytes are still unsent.
+	stage(first)
+	stage(burst)
+
+	// Nothing is consumed until everything has arrived.
+	p.until(t, "burst buffered", func() bool { return p.srv.Readable() == sent })
+	if oooAccepted() == 0 {
+		t.Fatalf("%s: no segment was accepted out of order; the reordering switch did not bite", kind)
+	}
+	a, b := p.srv.Peek()
+	if api.ViewLen(a, b) != sent {
+		t.Fatalf("Peek sees %d bytes, want %d", api.ViewLen(a, b), sent)
+	}
+	for i := 0; i < sent; i++ {
+		if v := api.ViewByte(a, b, i); v != pattern(i) {
+			t.Fatalf("byte %d = %#x, want %#x: the ring's growth lost or moved data", i, v, pattern(i))
+		}
+	}
+
+	// Consume shifts the view on the grown ring too, and a second burst
+	// lands behind the unconsumed tail.
+	const eaten = 5000
+	p.srv.Consume(eaten)
+	stage(burst)
+	p.until(t, "second burst buffered", func() bool { return p.srv.Readable() == sent-eaten })
+	a, b = p.srv.Peek()
+	for i := eaten; i < sent; i++ {
+		if v := api.ViewByte(a, b, i-eaten); v != pattern(i) {
+			t.Fatalf("byte %d = %#x after Consume, want %#x", i, v, pattern(i))
+		}
 	}
 }
 

@@ -178,7 +178,8 @@ type bconn struct {
 	nxt      uint64 // next to send
 	sentHigh uint64 // highest offset ever emitted (retransmit detection)
 	appended uint64 // bytes the app has written
-	txData   []byte // circular, bufSize
+	// tx is the socket send buffer (bufSize); [una, appended) is live.
+	tx       *shm.PayloadBuf
 	finAt    uint64 // stream offset of FIN; ^0 = none
 	finSent  bool
 	finAcked bool
@@ -195,7 +196,8 @@ type bconn struct {
 	irs     uint32
 	rcvd    uint64 // in-order received (rcv.nxt offset)
 	readPos uint64 // app read position
-	rxData  []byte
+	// rx is the socket receive buffer (bufSize), live from readPos.
+	rx      *shm.PayloadBuf
 	rxAvail uint32
 	// Out-of-order intervals (policy-capped), shared with the FlexTOE
 	// protocol stage: stored as truncated 32-bit stream offsets, valid
@@ -403,6 +405,7 @@ func (s *Stack) handleSeg(c *bconn, pkt *packet.Packet) {
 				acked--
 			}
 			c.una += acked
+			c.tx.Release(uint32(acked))
 			if c.nxt < c.una {
 				// A go-back-N rewind raced with an ACK for data the peer
 				// had already buffered: SND.NXT = max(SND.NXT, SND.UNA).
@@ -503,7 +506,7 @@ func (s *Stack) receivePayload(c *bconn, pkt *packet.Packet) {
 
 	if start == c.rcvd {
 		// In order: write, merge intervals, deliver.
-		writeCirc(c.rxData, start, data)
+		c.rx.WriteAt(uint32(start), data)
 		before := c.rcvd
 		ivs, ack32, _ := tcpseg.MergeAdvance(c.ivs, uint32(end))
 		c.ivs = ivs
@@ -520,7 +523,7 @@ func (s *Stack) receivePayload(c *bconn, pkt *packet.Packet) {
 			tcpseg.SeqInterval{Start: uint32(start), End: uint32(end)}, maxIvs)
 		if ir.Accepted {
 			s.OOOAccepted++
-			writeCirc(c.rxData, start, data)
+			c.rx.WriteAt(uint32(start), data)
 			c.lastOOO = uint32(start)
 		} else {
 			s.OOODropped++
@@ -530,39 +533,6 @@ func (s *Stack) receivePayload(c *bconn, pkt *packet.Packet) {
 		s.OOODropped++
 	}
 	s.sendAck(c, ece)
-}
-
-func writeCirc(buf []byte, pos uint64, data []byte) {
-	n := uint64(len(buf))
-	p := pos % n
-	k := copy(buf[p:], data)
-	if k < len(data) {
-		copy(buf, data[k:])
-	}
-}
-
-func readCirc(buf []byte, pos uint64, out []byte) {
-	n := uint64(len(buf))
-	p := pos % n
-	k := copy(out, buf[p:])
-	if k < len(out) {
-		copy(out[k:], buf)
-	}
-}
-
-// circSlices returns the window [pos, pos+n) of a circular buffer as up
-// to two in-place slices (the baseline analogue of shm.PayloadBuf.Slices
-// backing the zero-copy socket views).
-func circSlices(buf []byte, pos uint64, n int) (a, b []byte) {
-	if n == 0 {
-		return nil, nil
-	}
-	size := uint64(len(buf))
-	p := pos % size
-	if p+uint64(n) <= size {
-		return buf[p : p+uint64(n)], nil
-	}
-	return buf[p:], buf[:p+uint64(n)-size]
 }
 
 // ingestSACK merges incoming SACK blocks into the sender scoreboard
@@ -830,7 +800,7 @@ func (s *Stack) emitSegment(c *bconn, off, n uint64, fin bool) {
 		c.finSent = true
 	}
 	pkt := s.mkPacket(c, c.sndSeq(off), flags)
-	readCirc(c.txData, off, pkt.GrowPayload(int(n)))
+	c.tx.ReadAt(uint32(off), pkt.GrowPayload(int(n)))
 	s.TxSegs++
 	// Sent high-water mark: any payload byte below it has been on the
 	// wire before — the m-lab SendNext retransmit criterion, and the

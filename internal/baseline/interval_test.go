@@ -102,17 +102,6 @@ func TestSACKAdvertisementRotation(t *testing.T) {
 	}
 }
 
-func TestCircularBufferHelpers(t *testing.T) {
-	buf := make([]byte, 16)
-	data := []byte("hello-world")
-	writeCirc(buf, 10, data) // wraps
-	out := make([]byte, len(data))
-	readCirc(buf, 10, out)
-	if string(out) != string(data) {
-		t.Fatalf("got %q", out)
-	}
-}
-
 func TestSeqUnwrapping(t *testing.T) {
 	c := &bconn{iss: 0xfffffff0, irs: 0xffffff00}
 	// Sender: offset 0x20 wraps past 2^32.

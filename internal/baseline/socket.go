@@ -3,6 +3,7 @@ package baseline
 import (
 	"flextoe/internal/api"
 	"flextoe/internal/packet"
+	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
 )
@@ -34,9 +35,6 @@ func (s *Stack) Dial(remote api.Addr, connected func(api.Socket)) {
 	s.iface.Send(s.frames.NewFrame(syn, s.eng.Now()))
 }
 
-// ResolveMAC maps destination IPs to MACs (installed by the testbed).
-var _ = 0 // placeholder to keep the field near its docs
-
 func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 	c := &bconn{
 		stack:        s,
@@ -44,8 +42,8 @@ func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 		flowHash:     int(flow.Hash()),
 		peerMAC:      peerMAC,
 		iss:          uint32(s.rng.Uint64()) + 1,
-		txData:       make([]byte, s.bufSize),
-		rxData:       make([]byte, s.bufSize),
+		tx:           shm.NewPayloadBuf(s.bufSize),
+		rx:           shm.NewPayloadBuf(s.bufSize),
 		rxAvail:      s.bufSize,
 		cwnd:         10 * 1448,
 		ssthresh:     1 << 30,
@@ -152,7 +150,7 @@ func (k *bsocket) RemoteAddr() api.Addr {
 func (k *bsocket) Readable() int { return int(k.readable) }
 
 func (k *bsocket) TxSpace() int {
-	return int(uint64(len(k.c.txData)) - (k.c.appended - k.c.una))
+	return int(uint64(k.c.tx.Size()) - (k.c.appended - k.c.una))
 }
 
 func (k *bsocket) OnReadable(f func()) { k.onReadable = f }
@@ -166,7 +164,7 @@ func (k *bsocket) OnWritable(f func()) { k.onWritable = f }
 // path, and Consume/Commit keep charging it. The views only spare the
 // application its own staging buffers.
 func (k *bsocket) Peek() (a, b []byte) {
-	return circSlices(k.c.rxData, k.c.readPos, int(k.readable))
+	return k.c.rx.Slices(uint32(k.c.readPos), k.readable)
 }
 
 // Consume releases the first n readable bytes, reopening the receive
@@ -182,6 +180,7 @@ func (k *bsocket) Consume(n int) {
 	c := k.c
 	s := c.stack
 	c.readPos += uint64(n)
+	c.rx.Release(uint32(n))
 	k.readable -= uint32(n)
 	if c.rxAvail>>tcpseg.WindowScale == 0 {
 		c.needWinUpdate = true
@@ -200,7 +199,7 @@ func (k *bsocket) Reserve(n int) (a, b []byte) {
 	if free := k.TxSpace(); n > free {
 		n = free
 	}
-	return circSlices(k.c.txData, k.c.appended, n)
+	return k.c.tx.Slices(uint32(k.c.appended), uint32(n))
 }
 
 // Commit publishes the next n staged bytes and triggers transmission,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"flextoe/internal/api"
@@ -153,6 +154,76 @@ func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	}
 	if end := srv.Base.ConnTableBytes(); end != midBytes {
 		t.Errorf("baseline connection table grew across churn: %d -> %d bytes", midBytes, end)
+	}
+}
+
+// socketRingBudgetBytes is the per-connection host-memory gate for a
+// connection that has moved one small request each way: both ends, all
+// four payload rings on their 4 KB start (16 KB) plus socket, connection
+// and timer objects. Eagerly allocated 64 KB rings cost 256 KB.
+const socketRingBudgetBytes = 32 << 10
+
+// TestSocketRingMemoryBudget establishes a fleet on the default 64 KB
+// buffers, echoes one 256 B request on every connection and gates the
+// live heap per connection: a socket ring costs what it holds, not what
+// it could hold (doc.go "Zero-copy views").
+func TestSocketRingMemoryBudget(t *testing.T) {
+	const conns, reqBytes = 512, 256
+	for _, kind := range []testbed.StackKind{testbed.Linux, testbed.FlexTOE} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+
+		tb := testbed.New(netsim.SwitchConfig{Seed: 70},
+			testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, Seed: 70},
+			testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, Seed: 71},
+		)
+		tb.M("server").Stack.Listen(9091, func(sock api.Socket) {
+			sock.OnReadable(func() {
+				a, b := sock.Peek()
+				n := api.ViewLen(a, b)
+				ra, rb := sock.Reserve(n)
+				api.ViewCopyIn(ra, rb, 0, a)
+				api.ViewCopyIn(ra, rb, len(a), b)
+				sock.Commit(n)
+				sock.Consume(n)
+			})
+		})
+		echoed := 0
+		socks := make([]api.Socket, 0, conns) // the fleet stays open while the heap is read
+		for len(socks) < conns {
+			// Waves stay inside the FlexTOE listen backlog.
+			for i := 0; i < 64; i++ {
+				tb.M("client").Stack.Dial(tb.Addr("server", 9091), func(sock api.Socket) {
+					socks = append(socks, sock)
+					got := 0
+					sock.OnReadable(func() {
+						n := sock.Readable()
+						sock.Consume(n)
+						if got += n; got == reqBytes {
+							echoed++
+						}
+					})
+					sock.Send(make([]byte, reqBytes))
+				})
+			}
+			tb.Run(tb.Eng.Now() + 2*sim.Millisecond)
+		}
+		tb.Run(tb.Eng.Now() + 10*sim.Millisecond)
+		if echoed != conns {
+			t.Fatalf("%s: %d of %d connections completed their echo", kind, echoed, conns)
+		}
+
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perConn := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / conns
+		t.Logf("%s: %d B of live heap per connection (both ends), budget %d", kind, perConn, socketRingBudgetBytes)
+		if perConn > socketRingBudgetBytes {
+			t.Errorf("%s: %d B of live heap per connection, budget %d: socket rings are not sized by bytes in flight",
+				kind, perConn, socketRingBudgetBytes)
+		}
+		runtime.KeepAlive(tb)
+		runtime.KeepAlive(socks)
 	}
 }
 

@@ -215,6 +215,7 @@ func (k *Socket) consume(n int, cost int64) {
 	}
 	k.rxHead += uint32(n)
 	k.avail -= uint32(n)
+	k.conn.RxBuf.Release(uint32(n))
 	k.pendRx += uint32(n)
 	k.core.SubmitCall(sim.TaskC(cost), sockRxDoorbell, k)
 }
@@ -338,6 +339,7 @@ func sockNotify(a any) {
 		}
 	case shm.DescTxFree:
 		k.txFree += d.Bytes
+		k.conn.TxBuf.Release(d.Bytes)
 		if k.onWritable != nil {
 			k.onWritable()
 		}

@@ -82,6 +82,9 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"duplicate flowmon attach", strings.Replace(base, `[{"machine": "client"}]`, `[{"machine": "client"}, {"machine": "client"}]`, 1), "already has an analyzer"},
 		{"fleets on testbed", strings.Replace(base, `"per_flow": true`, `"per_flow": true, "per_rack_fleets": true`, 1), "requires a fabric"},
 		{"sack on baseline", strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "sack": true`, 1), "sack applies to flextoe"},
+		{"buf_bytes not a power of two", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 100000`, 1), "buf_bytes must be 0 or a power of two"},
+		{"buf_bytes below one window unit", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 64`, 1), "buf_bytes must be 0 or a power of two"},
+		{"buf_bytes above the widest window", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 16777216`, 1), "buf_bytes must be 0 or a power of two"},
 		{"rack out of range", strings.Replace(incastSpec(), `"rack": 2`, `"rack": 7`, 1), "out of range"},
 		{"fleets plus flowmon", strings.Replace(incastSpec(), `"per_rack_fleets": true`, `"per_rack_fleets": true, "flowmon": [{"machine": "agg"}]`, 1), "excludes explicit flowmon"},
 	}

@@ -22,6 +22,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"flextoe/internal/tcpseg"
 )
 
 // Spec is one declarative scenario.
@@ -116,6 +118,15 @@ type Machine struct {
 	// Seed overrides the machine seed (0 = derive from Spec.Seed).
 	Seed uint64 `json:"seed,omitempty"`
 }
+
+// Socket ring bounds (buf_bytes). The 16-bit window field counts units
+// of 1<<tcpseg.WindowScale bytes: a smaller ring (< 128 B) advertises a
+// zero window forever, and a ring above 8 MB holds bytes the peer is
+// never told of.
+const (
+	minBufBytes = 1 << tcpseg.WindowScale
+	maxBufBytes = 1 << (16 + tcpseg.WindowScale)
+)
 
 // Stack personalities.
 const (
@@ -420,6 +431,9 @@ func (s *Spec) Validate() error {
 		}
 		if m.OOOCap < 0 || m.OOOCap > 32 {
 			return errf("machine %q: ooo_cap must be in [0,32]", m.Name)
+		}
+		if b := m.BufBytes; b != 0 && (b&(b-1) != 0 || b < minBufBytes || b > maxBufBytes) {
+			return errf("machine %q: buf_bytes must be 0 or a power of two in [%d,%d]", m.Name, minBufBytes, maxBufBytes)
 		}
 		if m.Rack < 0 || m.Rack >= racks {
 			return errf("machine %q: rack %d out of range (racks=%d)", m.Name, m.Rack, racks)

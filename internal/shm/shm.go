@@ -11,34 +11,93 @@ import "fmt"
 // PayloadBuf is a power-of-two circular byte buffer in host memory: a
 // socket's RX or TX payload buffer (PAYLOAD-BUF). Positions are absolute
 // byte offsets; the buffer wraps them.
+//
+// Size is the logical capacity — what window arithmetic and the
+// advertised window see. The physical ring behind it costs what it
+// holds: nil until first use, then min(Size, smallRing), and it moves
+// once to full size the first time the live window [tail, pos+n) of a
+// write or view outgrows it. The owner advances tail with Release; an
+// owner that never releases only grows sooner, it never reads wrong
+// bytes.
 type PayloadBuf struct {
-	data []byte
-	mask uint32
+	data []byte // physical ring: nil, small, or full size
+	size uint32 // logical capacity
+	tail uint32 // oldest live position, advanced by Release
 }
 
-// NewPayloadBuf allocates a buffer. size must be a power of two.
+// smallRing is the physical size a ring starts at: room for a few
+// requests in flight, which is all most connections of a large fleet
+// ever hold. One step to full size (not doubling) leaves at most this
+// much garbage behind per ring, so a ring that does fill costs what it
+// cost when it was allocated eagerly.
+const smallRing = 4096
+
+// NewPayloadBuf creates a buffer. size must be a power of two.
 func NewPayloadBuf(size uint32) *PayloadBuf {
 	if size == 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("shm: payload buffer size %d not a power of two", size))
 	}
-	return &PayloadBuf{data: make([]byte, size), mask: size - 1}
+	return &PayloadBuf{size: size}
 }
 
-// Size returns the buffer capacity.
-func (b *PayloadBuf) Size() uint32 { return uint32(len(b.data)) }
+// Size returns the logical buffer capacity.
+func (b *PayloadBuf) Size() uint32 { return b.size }
+
+// Release retires the oldest n live bytes: consumed by the application
+// (RX) or acknowledged by the peer (TX). Released bytes stay readable
+// until the ring wraps onto them, as in any circular buffer.
+func (b *PayloadBuf) Release(n uint32) { b.tail += n }
+
+// fit makes the physical ring hold the live window [tail, pos+n).
+func (b *PayloadBuf) fit(pos, n uint32) {
+	need := (pos-b.tail)&(b.size-1) + n
+	if need <= uint32(len(b.data)) {
+		return
+	}
+	small := b.data
+	if small == nil && need <= smallRing {
+		b.data = make([]byte, min(b.size, smallRing))
+		return
+	}
+	b.data = make([]byte, b.size)
+	if small == nil {
+		return
+	}
+	// The small ring holds the live window [tail, tail+s) and, where that
+	// has not wrapped onto them yet, released bytes of [tail-s, tail) that
+	// ReadAt may still ask for (ctrl's persist probe re-reads TxPos-1).
+	// Both windows sit in it at the same rotation; copy it to each.
+	s := uint32(len(small))
+	o := b.tail & (s - 1)
+	for _, w := range [2]uint32{b.tail - s, b.tail} {
+		b.WriteAt(w, small[o:])
+		b.WriteAt(w+s-o, small[:o])
+	}
+}
 
 // WriteAt copies p into the buffer starting at pos, wrapping as needed.
 func (b *PayloadBuf) WriteAt(pos uint32, p []byte) {
-	start := pos & b.mask
+	if len(p) == 0 {
+		return
+	}
+	if uint32(len(b.data)) != b.size {
+		b.fit(pos, uint32(len(p)))
+	}
+	start := pos & uint32(len(b.data)-1)
 	n := copy(b.data[start:], p)
 	if n < len(p) {
 		copy(b.data, p[n:])
 	}
 }
 
-// ReadAt copies len(p) bytes from the buffer starting at pos.
+// ReadAt copies len(p) bytes from the buffer starting at pos. It never
+// grows the ring: a buffer nothing was written to reads as zeros.
 func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
-	start := pos & b.mask
+	if b.data == nil {
+		clear(p)
+		return
+	}
+	start := pos & uint32(len(b.data)-1)
 	n := copy(p, b.data[start:])
 	if n < len(p) {
 		copy(p[n:], b.data)
@@ -46,23 +105,28 @@ func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
 }
 
 // Slices returns the window [pos, pos+n) as up to two in-place slices:
-// the zero-copy view the libTOE socket layer hands applications. The
-// second slice is non-nil only when the window wraps the buffer end.
-// The slices alias the buffer — they stay valid only until the region is
-// recycled (receive: consumed; transmit: acknowledged and rewritten).
-// n must not exceed the buffer size.
+// the zero-copy view the socket layers hand applications. The second
+// slice is non-nil only when the window wraps the physical ring end.
+// The slices alias the ring — they stay valid only until the region is
+// recycled (receive: consumed; transmit: acknowledged and rewritten) or
+// the next WriteAt or Slices call, either of which may move the ring to
+// full size. n must not exceed the buffer size.
 func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
-	if n > uint32(len(b.data)) {
-		panic(fmt.Sprintf("shm: view of %d bytes exceeds %d-byte payload buffer", n, len(b.data)))
+	if n > b.size {
+		panic(fmt.Sprintf("shm: view of %d bytes exceeds %d-byte payload buffer", n, b.size))
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	start := pos & b.mask
-	if start+n <= uint32(len(b.data)) {
+	if uint32(len(b.data)) != b.size {
+		b.fit(pos, n)
+	}
+	phys := uint32(len(b.data))
+	start := pos & (phys - 1)
+	if start+n <= phys {
 		return b.data[start : start+n], nil
 	}
-	return b.data[start:], b.data[:start+n-uint32(len(b.data))]
+	return b.data[start:], b.data[:start+n-phys]
 }
 
 // DescKind discriminates context-queue descriptors.
