@@ -53,6 +53,24 @@
 //     literal is a no-op, so consumers release unconditionally and
 //     control-plane/application code may keep using plain literals.
 //
+//     A packet also carries its flow's CRC-32, forward and reversed
+//     (Packet.FlowHash/RevFlowHash), because the pre-processor hashes a
+//     segment once and every later stage reuses the result (§3.1.3,
+//     §4.1): ECMP picks, the taps' flow tables, the flow-group island,
+//     the pre-lookup cache key and the connection-table probe all read
+//     it, so a data-path frame costs no CRC at all. The memo is a cache,
+//     never a source of truth. It is revalidated on every read against
+//     the packet's current 4-tuple (a 12-byte compare), so a header
+//     rewrite — XDP, splicing, DecodeInto into a reused packet, a test
+//     poking TCP.SrcPort — recomputes instead of serving a stale value.
+//     It is seeded (SeedFlowHashes) only by the builder of the headers,
+//     after writing them: a connection stamps the pair it computed at
+//     establishment (core.Conn at AddConnection, baseline's bconn at
+//     newConn); control frames and hand-built packets compute on first
+//     read. And it is reset by Release with everything else. A wrong
+//     seed would mis-steer silently, so -tags flexdebug recomputes every
+//     hit and every seed and panics on a mismatch.
+//
 // The budget is enforced in CI by TestPipelineSteadyStateAllocBudget
 // (internal/core): at most 2 heap allocations per simulated data segment
 // end to end, measured with testing.AllocsPerRun under plain `go test`.
@@ -380,8 +398,9 @@
 // The runtime complement is the flexdebug build tag: `go test -tags
 // flexdebug ./...` makes every freelist panic on double release, fills
 // released packet payloads and slab buffers with 0xDB poison (so stale
-// reads see garbage and stale writes panic at the next Get), and makes
-// the fabric panic on transmitting a released frame.
+// reads see garbage and stale writes panic at the next Get), makes the
+// fabric panic on transmitting a released frame, and recomputes every
+// flow-hash memo that is served or seeded, panicking on a mismatch.
 package main
 
 import (

@@ -158,7 +158,8 @@ func (s *Stack) SetStackCores(n int) {
 type bconn struct {
 	stack    *Stack
 	flow     packet.Flow
-	flowHash int // flow.Hash(), fixed at creation: picks the cores below
+	flowHash uint32 // flow.Hash(), fixed at creation: picks the cores below
+	revHash  uint32 // flow.Reverse().Hash(); mkPacket stamps both on every segment
 	peerMAC  packet.EtherAddr
 
 	// Table bookkeeping (doc.go "Connection state budget"): id is the
@@ -234,16 +235,27 @@ type bconn struct {
 }
 
 func (c *bconn) sndSeq(off uint64) uint32 { return c.iss + uint32(off) }
-func (c *bconn) rcvOff(seq uint32) uint64 {
-	// Unwrap a 32-bit sequence near the current receive point.
-	base := c.rcvd
-	rel := int32(seq - (c.irs + uint32(base)))
-	return uint64(int64(base) + int64(rel))
+
+// rcvOff unwraps a 32-bit sequence number to a stream offset near the
+// current receive point. ok is false for a sequence from before the
+// stream began — a stale segment far behind a young connection, whose
+// offset would be negative; callers treat it as the old duplicate it is
+// instead of leaning on a later window check to reject the wrapped value.
+func (c *bconn) rcvOff(seq uint32) (off uint64, ok bool) {
+	return unwrapOff(c.rcvd, seq-(c.irs+uint32(c.rcvd)))
 }
-func (c *bconn) ackOff(ack uint32) uint64 {
-	base := c.una
-	rel := int32(ack - (c.iss + uint32(base)))
-	return uint64(int64(base) + int64(rel))
+
+// ackOff is rcvOff for the send side: an acknowledgment number unwrapped
+// near the oldest unacknowledged byte.
+func (c *bconn) ackOff(ack uint32) (off uint64, ok bool) {
+	return unwrapOff(c.una, ack-(c.iss+uint32(c.una)))
+}
+
+// unwrapOff returns base plus the signed 32-bit distance rel, or ok =
+// false when that lies before offset zero.
+func unwrapOff(base uint64, rel uint32) (uint64, bool) {
+	off := int64(base) + int64(int32(rel))
+	return uint64(off), off >= 0
 }
 
 // appCore returns the core application callbacks run on (RSS-style
@@ -251,14 +263,14 @@ func (c *bconn) ackOff(ack uint32) uint64 {
 // core, because the stack-core set can be rebuilt under a live connection.
 func (c *bconn) appCore() *host.Core {
 	cores := c.stack.machine.Cores
-	return cores[c.flowHash%len(cores)]
+	return cores[int(c.flowHash)%len(cores)]
 }
 
 // stackCore returns where segment processing executes.
 func (c *bconn) stackCore() *host.Core {
 	s := c.stack
 	if len(s.stackCores) > 0 {
-		return s.stackCores[c.flowHash%len(s.stackCores)]
+		return s.stackCores[int(c.flowHash)%len(s.stackCores)]
 	}
 	return c.appCore()
 }
@@ -332,7 +344,7 @@ func (s *Stack) rx(f *netsim.Frame) {
 	pkt := f.Pkt
 	netsim.ReleaseFrame(f)
 	flow := pkt.Flow().Reverse()
-	c := s.lookup(flow)
+	c := s.lookup(flow, pkt.RevFlowHash())
 	if c == nil {
 		// handshake consumes the segment synchronously (it never retains
 		// the packet), so its journey ends here on every branch.
@@ -392,12 +404,15 @@ func (s *Stack) handleSeg(c *bconn, pkt *packet.Packet) {
 	// --- ACK processing (sender side). ---------------------------------
 	if tcp.HasFlag(packet.FlagACK) {
 		s.ingestSACK(c, tcp)
-		ackOff := c.ackOff(tcp.Ack)
+		ackOff, ackOK := c.ackOff(tcp.Ack)
 		finAckOff := c.finAt
 		if finAckOff != ^uint64(0) {
 			finAckOff++ // FIN occupies one sequence slot
 		}
 		switch {
+		case !ackOK:
+			// Acknowledges nothing this stream ever sent: ignored, like
+			// any other ACK below una.
 		case ackOff > c.una && ackOff <= c.appended+1:
 			acked := ackOff - c.una
 			if c.finAt != ^uint64(0) && ackOff == finAckOff {
@@ -460,8 +475,8 @@ func (s *Stack) handleSeg(c *bconn, pkt *packet.Packet) {
 
 	// --- FIN. ------------------------------------------------------------
 	if tcp.HasFlag(packet.FlagFIN) {
-		off := c.rcvOff(tcp.Seq) + uint64(len(pkt.Payload))
-		if off == c.rcvd && !c.peerFin {
+		off, ok := c.rcvOff(tcp.Seq)
+		if ok && off+uint64(len(pkt.Payload)) == c.rcvd && !c.peerFin {
 			c.peerFin = true
 			s.sendAck(c, false)
 			if c.sock != nil {
@@ -478,10 +493,16 @@ func (s *Stack) handleSeg(c *bconn, pkt *packet.Packet) {
 
 // receivePayload implements the three reassembly policies.
 func (s *Stack) receivePayload(c *bconn, pkt *packet.Packet) {
-	start := c.rcvOff(pkt.TCP.Seq)
+	ece := pkt.IP.ECN() == packet.ECNCE
+	start, ok := c.rcvOff(pkt.TCP.Seq)
+	if !ok {
+		// From before the stream began: a stale duplicate, acknowledged
+		// like one that ends at or below rcvd.
+		s.sendAck(c, ece)
+		return
+	}
 	end := start + uint64(len(pkt.Payload))
 	winEnd := c.rcvd + uint64(c.rxAvail)
-	ece := pkt.IP.ECN() == packet.ECNCE
 
 	// Trim to window and already-received prefix.
 	data := pkt.Payload
@@ -706,6 +727,7 @@ func (s *Stack) mkPacket(c *bconn, seq uint32, flags uint8) *packet.Packet {
 		Window: uint16(min64(int64(c.rxAvail>>tcpseg.WindowScale), 0xffff)),
 		WScale: -1,
 	}
+	pkt.SeedFlowHashes(c.flowHash, c.revHash)
 	return pkt
 }
 
@@ -837,9 +859,10 @@ func (c *bconn) retxLen() uint64 {
 // bytes (or an unacknowledged FIN) outstanding; fully-closed connections
 // ride the same carrier through a linger period and are then reclaimed.
 
-// lookup resolves a flow to its live connection (0 allocations).
-func (s *Stack) lookup(f packet.Flow) *bconn {
-	id, ok := s.flowIdx.Lookup(f)
+// lookup resolves a flow to its live connection, with the hash
+// (h == f.Hash()) read off the segment (0 allocations).
+func (s *Stack) lookup(f packet.Flow, h uint32) *bconn {
+	id, ok := s.flowIdx.LookupHash(f, h)
 	if !ok {
 		return nil
 	}

@@ -110,13 +110,24 @@ func TestSeqUnwrapping(t *testing.T) {
 	}
 	// Receiver: a segment shortly after the wrapped irs.
 	c.rcvd = 0x100 // rcv.nxt at irs+0x100 = 0x0
-	if got := c.rcvOff(0x10); got != 0x110 {
-		t.Fatalf("rcvOff = %#x", got)
+	if got, ok := c.rcvOff(0x10); got != 0x110 || !ok {
+		t.Fatalf("rcvOff = %#x, %v", got, ok)
 	}
 	// Ack unwrapping.
 	c.una = 0x10 // una seq = 0x0
-	if got := c.ackOff(0x8); got != 0x18 {
-		t.Fatalf("ackOff = %#x", got)
+	if got, ok := c.ackOff(0x8); got != 0x18 || !ok {
+		t.Fatalf("ackOff = %#x, %v", got, ok)
+	}
+	// Behind the receive point but inside the stream: still a valid
+	// offset. One byte before the stream began: rejected.
+	if got, ok := c.rcvOff(0xffffff00); got != 0 || !ok {
+		t.Fatalf("rcvOff(irs) = %#x, %v", got, ok)
+	}
+	if _, ok := c.rcvOff(0xfffffeff); ok {
+		t.Fatal("rcvOff(irs-1) accepted")
+	}
+	if _, ok := c.ackOff(0xffffffef); ok {
+		t.Fatal("ackOff(iss-1) accepted")
 	}
 }
 

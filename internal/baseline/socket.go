@@ -39,7 +39,8 @@ func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 	c := &bconn{
 		stack:        s,
 		flow:         flow,
-		flowHash:     int(flow.Hash()),
+		flowHash:     flow.Hash(),
+		revHash:      flow.Reverse().Hash(),
 		peerMAC:      peerMAC,
 		iss:          uint32(s.rng.Uint64()) + 1,
 		tx:           shm.NewPayloadBuf(s.bufSize),

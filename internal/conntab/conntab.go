@@ -59,7 +59,14 @@ func (ix *Index) MemBytes() int { return len(ix.entries) * 4 }
 
 // Lookup returns the slot stored for the flow. 0 allocations.
 func (ix *Index) Lookup(f packet.Flow) (slot uint32, ok bool) {
-	i := f.Hash() & ix.mask
+	return ix.LookupHash(f, f.Hash())
+}
+
+// LookupHash is Lookup for a caller that already holds h == f.Hash() —
+// the per-packet paths, which read it off the packet
+// (packet.Packet.FlowHash) instead of hashing again.
+func (ix *Index) LookupHash(f packet.Flow, h uint32) (slot uint32, ok bool) {
+	i := h & ix.mask
 	for {
 		e := ix.entries[i]
 		if e == 0 {

@@ -48,6 +48,17 @@ func (m *slabModel) del(f packet.Flow) {
 	m.free = append(m.free, slot)
 }
 
+// lookup is Lookup with the per-packet entry point checked against it:
+// LookupHash fed the flow's own hash must answer the same, hit or miss.
+func (m *slabModel) lookup(t *testing.T, f packet.Flow) (uint32, bool) {
+	t.Helper()
+	slot, ok := m.ix.Lookup(f)
+	if hs, hok := m.ix.LookupHash(f, f.Hash()); hs != slot || hok != ok {
+		t.Fatalf("LookupHash(%v, f.Hash()) = (%d,%v), Lookup = (%d,%v)", f, hs, hok, slot, ok)
+	}
+	return slot, ok
+}
+
 // flowFrom builds a flow from a small integer space so hash collisions in
 // the masked bucket space are frequent.
 func flowFrom(rng *stats.RNG, space int) packet.Flow {
@@ -84,7 +95,7 @@ func TestIndexPropertyVsMap(t *testing.T) {
 				// Full cross-check: every reference entry resolves to the
 				// same slot, and a probe for an absent flow misses.
 				for rf, rslot := range ref { //flexvet:ordered test-only cross-check
-					slot, ok := m.ix.Lookup(rf)
+					slot, ok := m.lookup(t, rf)
 					if !ok || slot != rslot {
 						t.Fatalf("space=%d op=%d: Lookup(%v)=(%d,%v), want (%d,true)", space, op, rf, slot, ok, rslot)
 					}
@@ -94,7 +105,7 @@ func TestIndexPropertyVsMap(t *testing.T) {
 				}
 			}
 			if _, absent := ref[f]; !absent {
-				if _, ok := m.ix.Lookup(f); ok {
+				if _, ok := m.lookup(t, f); ok {
 					t.Fatalf("space=%d op=%d: deleted flow %v still found", space, op, f)
 				}
 			}
@@ -122,11 +133,11 @@ func TestIndexCollisionChain(t *testing.T) {
 	// Delete from the head; the rest must survive each removal.
 	for i, victim := range chain {
 		m.del(victim)
-		if _, ok := m.ix.Lookup(victim); ok {
+		if _, ok := m.lookup(t, victim); ok {
 			t.Fatalf("deleted chain[%d] still found", i)
 		}
 		for j := i + 1; j < len(chain); j++ {
-			if _, ok := m.ix.Lookup(chain[j]); !ok {
+			if _, ok := m.lookup(t, chain[j]); !ok {
 				t.Fatalf("after deleting chain[%d], chain[%d] lost", i, j)
 			}
 		}

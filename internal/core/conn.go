@@ -42,6 +42,13 @@ type Conn struct {
 	// Notify delivers NIC->host context-queue descriptors to libTOE.
 	Notify func(shm.Desc)
 
+	// Flow.Hash() and Flow.Reverse().Hash(), computed once at
+	// AddConnection and stamped on every segment the connection builds
+	// (packet.SeedFlowHashes): the switches, taps and the peer's
+	// pre-processor reuse them instead of hashing again.
+	flowHash uint32
+	revHash  uint32
+
 	fg        uint8
 	ackSkip   int16 // delayed-ACK counter (AckEvery extension)
 	live      bool
@@ -85,7 +92,8 @@ func (t *TOE) AddConnection(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs
 			t.connBlks = append(t.connBlks, make([]Conn, connBlockLen))
 		}
 	}
-	fg := flow.FlowGroup(t.cfg.FlowGroups)
+	flowHash := flow.Hash()
+	fg := packet.HashGroup(flowHash, t.cfg.FlowGroups)
 	c := t.connAt(id)
 	// Full in-place reset: no state survives slot reuse.
 	*c = Conn{
@@ -111,11 +119,13 @@ func (t *TOE) AddConnection(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs
 			RxSize: rxBuf.Size(),
 			TxSize: txBuf.Size(),
 		},
-		TxBuf:  txBuf,
-		RxBuf:  rxBuf,
-		Notify: notify,
-		fg:     uint8(fg),
-		live:   true,
+		TxBuf:    txBuf,
+		RxBuf:    rxBuf,
+		Notify:   notify,
+		flowHash: flowHash,
+		revHash:  flow.Reverse().Hash(),
+		fg:       uint8(fg),
+		live:     true,
 	}
 	if cap := t.dynOOOCap; cap != 0 {
 		c.Proto.OOOCap = cap
@@ -155,9 +165,10 @@ func (t *TOE) RemoveConnection(id uint32) {
 }
 
 // lookupFlow resolves a flow to its live connection: the pre-processor's
-// CRC-32 flow-table access (§4.1). 0 allocations.
-func (t *TOE) lookupFlow(f packet.Flow) *Conn {
-	id, ok := t.flowIdx.Lookup(f)
+// CRC-32 flow-table access (§4.1), with the hash (h == f.Hash()) read off
+// the segment. 0 allocations.
+func (t *TOE) lookupFlow(f packet.Flow, h uint32) *Conn {
+	id, ok := t.flowIdx.LookupHash(f, h)
 	if !ok {
 		return nil
 	}

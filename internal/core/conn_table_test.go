@@ -57,8 +57,9 @@ func TestConnTableAllocBudget(t *testing.T) {
 
 	// Lookup: strictly zero allocations per segment.
 	f := flowN(n / 2)
+	h := f.Hash()
 	if avg := testing.AllocsPerRun(1000, func() {
-		if toe.lookupFlow(f) == nil {
+		if toe.lookupFlow(f, h) == nil {
 			t.Fatal("lookup missed an installed flow")
 		}
 	}); avg != 0 {

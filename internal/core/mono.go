@@ -44,7 +44,7 @@ func (t *TOE) monoRX(pkt *packet.Packet) {
 		t.toControl(pkt)
 		return
 	}
-	conn := t.lookupFlow(pkt.Flow().Reverse())
+	conn := t.lookupFlow(pkt.Flow().Reverse(), pkt.RevFlowHash())
 	if conn == nil {
 		t.toControl(pkt)
 		return

@@ -384,7 +384,7 @@ func (t *TOE) rxToPre(pkt *packet.Packet) {
 	// number to each segment entering the pipeline"): the NBI computes
 	// the flow-group hash in hardware, so the ticket predates the
 	// variable-latency pre-processing stage it will re-order.
-	item.fg = pkt.Flow().Reverse().FlowGroup(t.cfg.FlowGroups)
+	item.fg = packet.HashGroup(pkt.RevFlowHash(), t.cfg.FlowGroups)
 	item.ticket = t.islands[item.fg].entry.ticket()
 	t.pre.push(item)
 }
@@ -401,7 +401,7 @@ func (t *TOE) preTask(s *segItem) sim.Task {
 			instr += t.PacketTapCost // tcpdump-style per-packet copy
 		}
 		var stall sim.Time
-		key := uint64(s.pkt.Flow().Hash())
+		key := uint64(s.pkt.FlowHash())
 		if !t.preLookup.Access(key) {
 			stall = t.cfg.NFP.CyclesTime(t.cfg.NFP.IMEMCycles)
 			t.trace.Hit(trace.TPPreLookupMiss)
@@ -440,8 +440,7 @@ func (t *TOE) preDone(s *segItem) {
 		}
 		// The NIC sees the flow from the sender's perspective; our
 		// connection table is keyed by the local endpoint's view.
-		flow := pkt.Flow().Reverse()
-		conn := t.lookupFlow(flow)
+		conn := t.lookupFlow(pkt.Flow().Reverse(), pkt.RevFlowHash())
 		if conn == nil {
 			s.pkt = nil
 			t.toControl(pkt)
@@ -977,6 +976,7 @@ func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
 		pkt.TCP.TSVal = t.tsNow()
 		pkt.TCP.TSEcr = s.rx.EchoTS
 	}
+	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }
 
@@ -1013,5 +1013,6 @@ func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
 		pkt.TCP.TSVal = t.tsNow()
 		pkt.TCP.TSEcr = s.tx.EchoTS
 	}
+	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }

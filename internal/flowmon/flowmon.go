@@ -160,6 +160,11 @@ type flowState struct {
 	// reverse-direction packets (the classification scoreboard).
 	sack    [oooMax]tcpseg.SeqInterval
 	sackCnt uint8
+	// peer is the reverse flow's slot+1 (0 = not linked yet), set the
+	// first time a packet finds both records, so a tap probes the index
+	// once per packet. Records are never deleted, so the link never goes
+	// stale. It sits in sackCnt's padding: the record does not grow.
+	peer uint32
 
 	// RTT probes: unretransmitted segment ends, and timestamp values.
 	seqRing   [ringN]seqProbe
@@ -237,14 +242,15 @@ func (a *Analyzer) MemBytes() int {
 	return len(a.blocks)*blockSize*stateSize + a.idx.MemBytes() + len(a.order)*4
 }
 
-// state looks up or creates the directed-flow record. Returns nil when
+// state looks up or creates the directed-flow record of f, whose hash h
+// the caller read off the packet. Returns the record's slot and nil when
 // the flow table is at its budget.
-func (a *Analyzer) state(f packet.Flow, at sim.Time) *flowState {
-	if slot, ok := a.idx.Lookup(f); ok {
-		return a.at(slot)
+func (a *Analyzer) state(f packet.Flow, h uint32, at sim.Time) (uint32, *flowState) {
+	if slot, ok := a.idx.LookupHash(f, h); ok {
+		return slot, a.at(slot)
 	}
 	if len(a.order) >= a.cfg.MaxFlows {
-		return nil
+		return 0, nil
 	}
 	slot := uint32(len(a.order))
 	if int(slot)/blockSize >= len(a.blocks) {
@@ -254,7 +260,7 @@ func (a *Analyzer) state(f packet.Flow, at sim.Time) *flowState {
 	*fs = flowState{flow: f, firstAt: at, rttMinUs: ^uint32(0)}
 	a.idx.Insert(f, slot)
 	a.order = append(a.order, slot)
-	return fs
+	return slot, fs
 }
 
 // Observe analyzes one packet. It never retains pkt or any slice of it.
@@ -265,9 +271,21 @@ func (a *Analyzer) Observe(at sim.Time, pkt *packet.Packet) {
 		return
 	}
 	flow := pkt.Flow()
-	fs := a.state(flow, at)
-	rs := a.state(flow.Reverse(), at)
-	if fs == nil || rs == nil {
+	slot, fs := a.state(flow, pkt.FlowHash(), at)
+	var rs *flowState
+	switch {
+	case fs == nil:
+		// At the budget nothing is created, so there is no reverse
+		// record to look up for a packet that is dropped anyway.
+	case fs.peer != 0:
+		rs = a.at(fs.peer - 1)
+	default:
+		var rslot uint32
+		if rslot, rs = a.state(flow.Reverse(), pkt.RevFlowHash(), at); rs != nil {
+			fs.peer, rs.peer = rslot+1, slot+1
+		}
+	}
+	if rs == nil {
 		a.FlowsDropped++
 		return
 	}

@@ -350,6 +350,75 @@ func TestMaxFlowsBudget(t *testing.T) {
 	}
 }
 
+// checkPeers requires every peer link to be what a fresh index lookup of
+// the reverse flow returns — the same slot, linked back — and every
+// unlinked record to have no reverse record to link to.
+func checkPeers(t *testing.T, a *Analyzer) {
+	t.Helper()
+	for _, slot := range a.order {
+		fs := a.at(slot)
+		rslot, ok := a.idx.Lookup(fs.flow.Reverse())
+		switch {
+		case !ok && fs.peer != 0:
+			t.Errorf("slot %d (%v): peer link %d to a record that does not exist", slot, fs.flow, fs.peer-1)
+		case ok && fs.peer != 0 && (fs.peer-1 != rslot || a.at(rslot).peer != slot+1):
+			t.Errorf("slot %d (%v): peer slot %d (linked back to %d), lookup finds slot %d",
+				slot, fs.flow, fs.peer-1, a.at(fs.peer-1).peer-1, rslot)
+		}
+	}
+}
+
+// TestMaxFlowsForwardAdmittedReverseRefused: the budget can admit a
+// packet's own flow and refuse its reverse. The packet is dropped and
+// counted, the admitted record stays unpaired (no link to a record that
+// was never created), and later packets of either direction keep being
+// counted one by one, as when Observe looked both directions up on every
+// packet.
+func TestMaxFlowsForwardAdmittedReverseRefused(t *testing.T) {
+	other := func(rev bool) *packet.Packet {
+		p := seg(rev, 1, 0, packet.FlagACK, 10, 100)
+		if rev {
+			p.TCP.DstPort = 50000
+		} else {
+			p.TCP.SrcPort = 50000
+		}
+		return p
+	}
+	feed := func(a *Analyzer) {
+		handshake(a, sim.Microsecond)
+		a.Observe(3*sim.Microsecond, other(false)) // forward admitted, reverse refused
+		a.Observe(4*sim.Microsecond, other(false)) // forward found, reverse still refused
+		a.Observe(5*sim.Microsecond, other(true))  // its own flow refused
+	}
+
+	a := New(Config{MaxFlows: 3})
+	feed(a)
+	if a.NumFlows() != 3 || a.FlowsDropped != 3 {
+		t.Fatalf("flows = %d, dropped = %d, want 3 and 3", a.NumFlows(), a.FlowsDropped)
+	}
+	if lone := a.at(2); lone.flow != other(false).Flow() || lone.peer != 0 || lone.pkts != 0 {
+		t.Fatalf("admitted record: flow %v peer %d pkts %d, want %v unpaired and untouched",
+			lone.flow, lone.peer, lone.pkts, other(false).Flow())
+	}
+	if a.at(0).peer != 2 || a.at(1).peer != 1 {
+		t.Fatalf("handshake pair linked %d/%d, want slots 1/0", a.at(0).peer-1, a.at(1).peer-1)
+	}
+	checkPeers(t, a)
+
+	// With room for the reverse record, the same packets pair up, and the
+	// link is the slot a lookup returns.
+	b := New(Config{})
+	feed(b)
+	if b.NumFlows() != 4 || b.FlowsDropped != 0 {
+		t.Fatalf("uncapped: flows = %d, dropped = %d, want 4 and 0", b.NumFlows(), b.FlowsDropped)
+	}
+	if b.at(2).peer != 4 || b.at(3).peer != 3 || b.at(2).pkts != 2 || b.at(3).pkts != 1 {
+		t.Fatalf("uncapped: slots 2/3 linked %d/%d with %d/%d packets, want 3/2 with 2/1",
+			b.at(2).peer-1, b.at(3).peer-1, b.at(2).pkts, b.at(3).pkts)
+	}
+	checkPeers(t, b)
+}
+
 func TestGoodputTimeline(t *testing.T) {
 	a := New(Config{TimelineBin: sim.Millisecond, TimelineBins: 4})
 	handshake(a, sim.Microsecond)

@@ -421,6 +421,7 @@ func (s *Switch) cloneFrame(f *Frame) *Frame {
 	p.Eth = f.Pkt.Eth
 	p.IP = f.Pkt.IP
 	p.TCP = f.Pkt.TCP
+	p.SeedFlowHashes(f.Pkt.FlowHash(), f.Pkt.RevFlowHash())
 	if n := len(f.Pkt.Payload); n > 0 {
 		copy(p.GrowPayload(n), f.Pkt.Payload)
 	}
@@ -436,7 +437,7 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 			// arrived on the chosen uplink would loop back up the fabric
 			// (the MAC should have been learned below us) — drop it
 			// instead of forwarding a routing error forever.
-			out = s.uplinks[int(f.Pkt.Flow().Hash()%uint32(len(s.uplinks)))]
+			out = s.uplinks[int(f.Pkt.FlowHash()%uint32(len(s.uplinks)))]
 			if out == in {
 				s.ECMPLoopDrops++
 				dropFrame(f)

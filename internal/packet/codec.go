@@ -27,6 +27,14 @@ type Packet struct {
 	buf    []byte
 	pooled bool
 	pool   *Pool
+
+	// Flow-hash memo (FlowHash/RevFlowHash): hashFlow is the 4-tuple
+	// fwdHash and revHash were computed for, valid while hashed is set
+	// and hashFlow still equals Flow().
+	hashed   bool
+	hashFlow Flow
+	fwdHash  uint32
+	revHash  uint32
 }
 
 // Decode errors.
@@ -374,6 +382,46 @@ func (p *Packet) WireLen() int {
 // Flow returns the packet's 4-tuple.
 func (p *Packet) Flow() Flow {
 	return Flow{SrcIP: p.IP.Src, DstIP: p.IP.Dst, SrcPort: p.TCP.SrcPort, DstPort: p.TCP.DstPort}
+}
+
+// FlowHash returns Flow().Hash(): the pre-processor hashes a segment once
+// and every later stage reuses the result (§3.1.3, §4.1), so the CRC-32
+// is kept on the packet. The memo is a cache, never a source of truth:
+// every read compares it with the current headers and recomputes after a
+// rewrite (XDP, splicing, DecodeInto, a test poking TCP.SrcPort).
+func (p *Packet) FlowHash() uint32 {
+	p.flowHashes()
+	return p.fwdHash
+}
+
+// RevFlowHash returns Flow().Reverse().Hash() — the hash of the flow as
+// the receiving endpoint keys it — from the same memo as FlowHash.
+func (p *Packet) RevFlowHash() uint32 {
+	p.flowHashes()
+	return p.revHash
+}
+
+// flowHashes makes the memo valid for the current headers: a 12-byte
+// compare on a hit, both CRCs on an unseeded packet's first read or on
+// any read after a rewrite.
+func (p *Packet) flowHashes() {
+	f := p.Flow()
+	if !p.hashed || p.hashFlow != f {
+		p.hashed, p.hashFlow, p.fwdHash, p.revHash = true, f, f.Hash(), f.Reverse().Hash()
+		return
+	}
+	checkFlowHashes(p)
+}
+
+// SeedFlowHashes stores hashes the caller already holds for the packet's
+// current 4-tuple: fwd must equal Flow().Hash() and rev
+// Flow().Reverse().Hash(). Only whoever wrote the headers may seed, and
+// only after writing them (a connection stamps the pair it computed at
+// establishment on every segment it builds); the flexdebug build checks
+// the pair here and on every later read.
+func (p *Packet) SeedFlowHashes(fwd, rev uint32) {
+	p.hashed, p.hashFlow, p.fwdHash, p.revHash = true, p.Flow(), fwd, rev
+	checkFlowHashes(p)
 }
 
 // ipChecksum computes the IPv4 header checksum over hdr (checksum field

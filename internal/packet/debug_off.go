@@ -4,3 +4,5 @@ package packet
 
 func poisonPayload(p *Packet) {}
 func checkPoison(p *Packet)   {}
+
+func checkFlowHashes(p *Packet) {}

@@ -31,3 +31,15 @@ func checkPoison(p *Packet) {
 		}
 	}
 }
+
+// checkFlowHashes recomputes a flow-hash memo that is about to be served
+// (or was just seeded): a pair that disagrees with the headers means a
+// builder seeded the wrong connection's hashes, which would mis-steer the
+// segment silently in a normal build.
+func checkFlowHashes(p *Packet) {
+	f := p.hashFlow
+	if fwd, rev := f.Hash(), f.Reverse().Hash(); p.fwdHash != fwd || p.revHash != rev {
+		panic(fmt.Sprintf("packet: wrong flow-hash memo on %p for %v: holds %#x/%#x, the 4-tuple hashes to %#x/%#x",
+			p, f, p.fwdHash, p.revHash, fwd, rev))
+	}
+}

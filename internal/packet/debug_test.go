@@ -47,3 +47,22 @@ func TestPacketStaleReadSeesPoison(t *testing.T) {
 	// pool to a clean state.
 	Release(Get())
 }
+
+// TestWrongFlowHashSeedPanics: a builder that stamps another flow's hashes
+// (here the pair swapped, as a connection seeding its peer's view would)
+// is caught at the seed, and a wrong pair already on a packet is caught by
+// the next read instead of steering the segment by it.
+func TestWrongFlowHashSeedPanics(t *testing.T) {
+	p := samplePacket()
+	f := p.Flow()
+	mustPanic(t, "SeedFlowHashes with the pair swapped", func() { p.SeedFlowHashes(f.Reverse().Hash(), f.Hash()) })
+	mustPanic(t, "FlowHash on a wrongly seeded packet", func() { p.FlowHash() })
+	mustPanic(t, "RevFlowHash on a wrongly seeded packet", func() { p.RevFlowHash() })
+	// A rewrite invalidates the bad memo like any other: the read
+	// recomputes and the self-check has nothing to object to.
+	p.TCP.SrcPort++
+	if p.FlowHash() != p.Flow().Hash() {
+		t.Fatal("rewrite after a wrong seed did not recompute")
+	}
+	p.SeedFlowHashes(p.Flow().Hash(), p.Flow().Reverse().Hash())
+}

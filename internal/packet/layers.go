@@ -224,11 +224,15 @@ func (f Flow) Hash() uint32 {
 }
 
 // FlowGroup maps the flow to one of n flow-group islands (§3.1).
-func (f Flow) FlowGroup(n int) int {
+func (f Flow) FlowGroup(n int) int { return HashGroup(f.Hash(), n) }
+
+// HashGroup is FlowGroup for a caller that already holds hash ==
+// f.Hash(), read off the segment (Packet.FlowHash / RevFlowHash).
+func HashGroup(hash uint32, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(f.Hash() % uint32(n))
+	return int(hash % uint32(n))
 }
 
 func (f Flow) String() string {

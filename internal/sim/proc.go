@@ -10,12 +10,13 @@ type Step struct {
 
 // MaxTaskSteps bounds the steps in one Task. Tasks are value types with a
 // fixed-size step array so that building one on the data path performs no
-// heap allocation (the run-to-completion ablation's five-step task is the
-// deepest in the tree); keeping the array tight matters because a task is
-// copied by value as it is built and into SubmitCall. Past that point an
-// nfp.FPC keeps one copy, in the task's pooled execution record, and a
-// host.Core keeps none — only the total duration and instruction count.
-const MaxTaskSteps = 6
+// heap allocation (the run-to-completion ablation's RX task, four steps
+// once Add has folded its trailing stall, is the deepest in the tree);
+// keeping the array tight matters because a task is copied by value as it
+// is built and into SubmitCall. Past that point an nfp.FPC keeps one
+// copy, in the task's pooled execution record, and a host.Core keeps
+// none — only the total duration and instruction count.
+const MaxTaskSteps = 4
 
 // Task is a unit of work submitted to a simulated processor (nfp.FPC,
 // host.Core): alternating compute bursts and stalls. Tasks are value
@@ -33,8 +34,18 @@ func TaskC(instr int64) Task {
 	return t
 }
 
-// Add appends a step and returns the task for chaining.
+// Add appends a step and returns the task for chaining. A pure stall
+// (instr == 0) after a step that does not stall itself becomes that
+// step's stall instead of a step of its own: a processor runs {c, 0},
+// {0, s} and {c, s} as the same events — one compute retirement, one
+// stall expiry — so every pipeline stage's "compute, then maybe stall"
+// task stays one step. A step that already stalls is never folded onto:
+// two stall expiries are two events.
 func (t Task) Add(instr int64, stall Time) Task {
+	if instr == 0 && t.n > 0 && t.steps[t.n-1].Stall == 0 {
+		t.steps[t.n-1].Stall = stall
+		return t
+	}
 	if t.n >= MaxTaskSteps {
 		panic("sim: task step overflow")
 	}
