@@ -20,7 +20,8 @@
 //     its place, so running the next event is one lookup and a pop from
 //     the bucket's head; a drained bucket's storage goes to the next
 //     bucket to fill. There is one scheduling API: every event and
-//     task completion (Engine.AtCall/AfterCall/ImmediatelyCall/EveryCall,
+//     task completion (AtCall/AfterCall/ImmediatelyCall/EveryCall on a
+//     component's sim.Owner or, unowned, on the Engine;
 //     Resource.AcquireCall, Core/FPC.SubmitCall, DMAEngine.IssueCall)
 //     carries a long-lived func(any) plus a per-event arg, so no closure
 //     is allocated; sim.RunFunc is the one adapter for firing an
@@ -259,18 +260,57 @@
 // no mutable state. The gates are TestCellsMatchSerial
 // (internal/experiments: worker pools of 2 and 4 reproduce the serial
 // loop slot for slot) and the scenario service's determinism suite, both
-// under `go test -race ./...`. netsim.Connect refuses to join interfaces
-// of two engines: a delivery is scheduled on the sender's engine, so such
-// a link would run the receiver on the wrong clock.
+// under `go test -race ./...`; link ids and owner ranks come from the
+// engine too (TestLinkIDsArePerEngine, TestConcurrentJobsMatchSolo).
+// netsim.Connect refuses to join interfaces of two engines: a delivery is
+// scheduled on the sender's engine, so such a link would run the receiver
+// on the wrong clock.
 //
-// Same-instant order. Events run in (time, delivery key, schedule
-// sequence) order: at one instant local events first, FIFO, then frame
-// deliveries by delivery key linkID<<32|txSeq, unique per in-flight
-// frame. The delivery key is part of the model, not an implementation
-// detail: ordering by (time, sequence) alone moves the committed result
-// hashes of three of the four benchmark workloads, so event.dkey and
-// Engine.AtLinkCall stay (TestWheelMatchesHeapOrder pins the order,
-// TestEventLayout the 48-byte event).
+// Same-instant order. What runs first when two events share a picosecond
+// is declared by the model, never decided by which scheduling call
+// happened to come first. Events run in (time, key, sequence) order, and
+// the key (event.dkey) says whose event it is:
+//
+//	0                  unowned          first at an instant, FIFO
+//	rank<<8 | sub      a component's    then by rank, then by sub-key
+//	link<<32 | txSeq   a frame delivery last, by link, unique per frame
+//
+// Every engine-resident component — an nfp.FPC, a host.Core, a
+// sim.Resource (the PCIe link, a copy engine, the baseline's lock and
+// ASIC), a netsim.Switch, a core.TOE, a ctrl.Plane, a baseline.Stack —
+// takes a sim.Owner where it is constructed (Engine.NewOwner) and
+// schedules through it. Ranks, and link ids with them, are handed out in
+// construction order, the same discipline as establishment-order
+// connection scans: a testbed built the same way orders the same way. An
+// owner that schedules for several contexts of its own gives each a
+// sub-key: an FPC's events carry the hardware thread's index
+// (Owner.Sub), so the wake-ups of two threads that fall on one instant
+// run in thread order whichever step was issued first. The sequence
+// number only ever decides between two events of one owner and one
+// sub-context, which run FIFO.
+//
+// A component's deferred same-instant work — the TOE's transmit pump and
+// its hand-off to the control plane — uses an owner taken after the
+// component's parts are built, so it runs behind the completions its own
+// FPCs and DMA engine have at that instant, sees all of their output and
+// is armed once for all of them; the control plane, built on the TOE,
+// ranks behind both.
+//
+// Unowned scheduling (Engine.AtCall and siblings) is for what stands
+// outside the modelled machines: applications, workload generators,
+// experiment traffic sources, tests and the benchmark drivers. Inside the
+// packages that build or run simulations a direct Engine.*Call is a
+// flexvet/detrange finding unless annotated `//flexvet:unowned <why>`.
+//
+// The rule is what lets the engine be optimised without moving a table:
+// an event whose only act is to schedule another can be removed, and two
+// wake-ups fused into one, because no other event's place depended on
+// their sequence numbers — since the rule went in, a change to the number
+// of events is a speed-only change. TestOwnerOrder pins the rule under
+// every permutation of the call order, TestWheelMatchesHeapOrder the
+// wheel against the reference heap, TestEventLayout the 48-byte event:
+// the key rides in the field the delivery key already had, and the
+// compare is still three fields.
 //
 // # Passive flow analysis: the tap observation contract
 //
@@ -378,7 +418,11 @@
 //     off exactly once per acquisition.
 //   - detrange: simulation-critical packages must not range over maps
 //     (iteration order would leak into the event order), call wall-clock
-//     time, or draw from global/unseeded randomness.
+//     time, or draw from global/unseeded randomness; and wherever
+//     simulations are built or run (those packages plus apps,
+//     experiments and testbed) nothing schedules on a *sim.Engine
+//     directly without saying why it is not a component with a
+//     sim.Owner.
 //   - hotclosure: a func literal passed to a *Call scheduling or
 //     submission method (as callback or argument) in a
 //     simulation-critical package is flagged; the closure-typed
@@ -392,7 +436,9 @@
 // e.g. `//flexvet:hotclosure connection establishment runs once per
 // connection, not per event`. For order-insensitive map scans (pure
 // counts, sums) the detrange alias `//flexvet:ordered <why>` reads
-// better. The <why> is mandatory prose for the reviewer; an annotation
+// better, and `//flexvet:unowned <why>` marks an application's or a
+// generator's direct use of the engine's schedulers. The <why> is
+// mandatory prose for the reviewer; an annotation
 // without a justification should be rejected in review.
 //
 // The runtime complement is the flexdebug build tag: `go test -tags

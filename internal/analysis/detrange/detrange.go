@@ -3,7 +3,7 @@
 // packages: one seed must produce bit-identical counters, traces, and
 // engine event counts on rerun.
 //
-// Three things break that and are flagged here:
+// Four things break that and are flagged here:
 //
 //   - `for range` over a map: Go randomizes map iteration order per run,
 //     so any map scan whose side effects depend on order (emitting events,
@@ -20,6 +20,17 @@
 //     randomly seeded at startup); crypto/rand is nondeterministic by
 //     construction. Simulated code must thread an explicitly seeded
 //     *rand.Rand (rand.New(rand.NewSource(seed))), which remains allowed.
+//   - Unowned scheduling: what runs first at an instant is declared by
+//     the scheduling component's sim.Owner (rank, then sub-key), never by
+//     who happened to call a scheduler first. AtCall, AfterCall,
+//     ImmediatelyCall or EveryCall called on a *sim.Engine directly
+//     schedules an unowned event — first at its instant, FIFO among its
+//     like — which is right for an application, a workload generator or
+//     an experiment's traffic source and wrong for a modelled component.
+//     The call is flagged wherever simulations are built or run (the
+//     critical packages plus apps, experiments and testbed) unless it
+//     carries `//flexvet:unowned <why>`; the same methods on a sim.Owner
+//     pass.
 package detrange
 
 import (
@@ -32,9 +43,10 @@ import (
 // Analyzer is the detrange pass.
 var Analyzer = &flexanalysis.Analyzer{
 	Name: "detrange",
-	Doc: "forbid map-order iteration, wall-clock time, and global randomness " +
-		"in simulation-critical packages (suppress order-insensitive map scans " +
-		"with //flexvet:ordered <why>)",
+	Doc: "forbid map-order iteration, wall-clock time, global randomness and " +
+		"unowned event scheduling in simulation-critical packages (suppress " +
+		"order-insensitive map scans with //flexvet:ordered <why>, schedulers " +
+		"that are not modelled components with //flexvet:unowned <why>)",
 	Run: run,
 }
 
@@ -62,12 +74,28 @@ var randAllowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
+// unownedSchedulers are the *sim.Engine methods that schedule an unowned
+// event. AtLinkCall is not among them: a delivery key is an order.
+var unownedSchedulers = map[string]bool{
+	"AtCall":          true,
+	"AfterCall":       true,
+	"ImmediatelyCall": true,
+	"EveryCall":       true,
+}
+
 func run(pass *flexanalysis.Pass) (any, error) {
-	if !flexanalysis.Critical(pass.Pkg.Path()) {
+	if !flexanalysis.EngineResident(pass.Pkg.Path()) {
 		return nil, nil
 	}
+	critical := flexanalysis.Critical(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkUnowned(pass, call)
+			}
+			if !critical {
+				return true
+			}
 			switch node := n.(type) {
 			case *ast.RangeStmt:
 				t := pass.TypeOf(node.X)
@@ -87,6 +115,22 @@ func run(pass *flexanalysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
+}
+
+// checkUnowned flags a scheduling method called on a *sim.Engine.
+func checkUnowned(pass *flexanalysis.Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !unownedSchedulers[sel.Sel.Name] {
+		return
+	}
+	selection := pass.TypesInfo.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal ||
+		!flexanalysis.NamedIs(selection.Recv(), "flextoe/internal/sim", "Engine") {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"Engine.%s schedules an unowned event, ordered first at its instant: a modelled component schedules through its sim.Owner (annotate //flexvet:unowned <why> for an application, generator or traffic source)",
+		sel.Sel.Name)
 }
 
 func checkUse(pass *flexanalysis.Pass, id *ast.Ident) {

@@ -6,6 +6,8 @@ import (
 	crand "crypto/rand"
 	"math/rand"
 	"time"
+
+	"flextoe/internal/sim"
 )
 
 type conn struct {
@@ -78,4 +80,45 @@ func seededRand(seed int64) int {
 
 func cryptoRand(p []byte) {
 	crand.Read(p) // want `crypto/rand is nondeterministic`
+}
+
+// component is a modelled part: it takes an owner where it is built and
+// schedules through it.
+type component struct {
+	eng *sim.Engine
+	own sim.Owner
+}
+
+func newComponent(eng *sim.Engine) *component {
+	return &component{eng: eng, own: eng.NewOwner()}
+}
+
+func fire(any)           {}
+func fireAgain(any) bool { return false }
+
+// unownedFromComponent is the shape the rule forbids: the component's
+// events would order by who called the engine first.
+func unownedFromComponent(c *component) {
+	c.eng.AtCall(10, fire, c)             // want `Engine\.AtCall schedules an unowned event`
+	c.eng.AfterCall(10, fire, c)          // want `Engine\.AfterCall schedules an unowned event`
+	c.eng.ImmediatelyCall(fire, c)        // want `Engine\.ImmediatelyCall schedules an unowned event`
+	c.eng.EveryCall(0, 10, fireAgain, c)  // want `Engine\.EveryCall schedules an unowned event`
+	c.own.Engine().AfterCall(10, fire, c) // want `Engine\.AfterCall schedules an unowned event`
+}
+
+// owned calls carry the component's rank (and a sub-context's key): legal.
+func owned(c *component) {
+	c.own.AtCall(10, fire, c)
+	c.own.AfterCall(10, fire, c)
+	c.own.ImmediatelyCall(fire, c)
+	c.own.EveryCall(0, 10, fireAgain, c)
+	c.own.Sub(3).AfterCall(10, fire, c)
+	// A delivery's key is its order: AtLinkCall on the engine is legal.
+	c.eng.AtLinkCall(10, uint64(c.eng.NewLinkID())<<32|1, fire, c)
+}
+
+// generator stands outside the modelled machines and says so.
+func generator(eng *sim.Engine) {
+	//flexvet:unowned a traffic source is not a modelled component
+	eng.AfterCall(10, fire, nil)
 }

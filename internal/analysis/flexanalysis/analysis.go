@@ -106,8 +106,26 @@ var CriticalPrefixes = []string{
 }
 
 // Critical reports whether pkgPath is simulation-critical.
-func Critical(pkgPath string) bool {
-	for _, p := range CriticalPrefixes {
+func Critical(pkgPath string) bool { return underAny(pkgPath, CriticalPrefixes) }
+
+// unownedPrefixes are the packages outside the critical set that hold a
+// *sim.Engine and may schedule on it as of right — applications, the
+// experiment runners, the testbed — but must say so where they do.
+var unownedPrefixes = []string{
+	"flextoe/internal/apps",
+	"flextoe/internal/experiments",
+	"flextoe/internal/testbed",
+}
+
+// EngineResident reports whether pkgPath builds or runs inside a
+// simulation: the critical packages plus those that schedule unowned
+// events by design. detrange's unowned-scheduling check covers this set.
+func EngineResident(pkgPath string) bool {
+	return Critical(pkgPath) || underAny(pkgPath, unownedPrefixes)
+}
+
+func underAny(pkgPath string, prefixes []string) bool {
+	for _, p := range prefixes {
 		if pkgPath == p || (len(pkgPath) > len(p) && pkgPath[:len(p)] == p && pkgPath[len(p)] == '/') {
 			return true
 		}

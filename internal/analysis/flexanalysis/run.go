@@ -14,14 +14,17 @@ import (
 // on the diagnosed line, or on the line immediately above it, suppresses
 // that pass's diagnostics on that line. The justification text is
 // mandatory by convention (reviewed, not machine-checked). detrange
-// additionally accepts the domain spelling //flexvet:ordered for map
-// iterations that are provably order-insensitive.
+// additionally accepts the domain spellings //flexvet:ordered for map
+// iterations that are provably order-insensitive and //flexvet:unowned
+// for events scheduled on the engine directly by something that is not a
+// modelled component.
 const suppressPrefix = "flexvet:"
 
 // markerAliases maps a suppression-marker name to the analyzer it
 // silences when the names differ.
 var markerAliases = map[string]string{
 	"ordered": "detrange",
+	"unowned": "detrange",
 }
 
 // suppressions indexes //flexvet: markers by file and line.

@@ -4,7 +4,8 @@
 // closure built per event.
 //
 // Every scheduler and processor exposes exactly one form — AtCall,
-// AfterCall, ImmediatelyCall, EveryCall (sim.Engine), AcquireCall
+// AfterCall, ImmediatelyCall, EveryCall (sim.Engine and a component's
+// sim.Owner), AcquireCall
 // (sim.Resource), SubmitCall (host.Core, nfp.FPC), IssueCall
 // (nfp.DMAEngine) — so the one way left to allocate per event is to hand
 // such a method a func literal, as the callback or as its argument. That

@@ -11,6 +11,7 @@ import (
 
 type pump struct {
 	eng    *sim.Engine
+	own    sim.Owner
 	work   func(any)
 	notify func() // application-owned callback, stored once
 }
@@ -24,6 +25,8 @@ func literals(p *pump, core *host.Core, res *sim.Resource, dma *nfp.DMAEngine) {
 	core.SubmitCall(sim.TaskC(100), func(any) {}, nil)           // want `func literal passed to Core\.SubmitCall`
 	res.AcquireCall(1, 0, func(any) {}, nil)                     // want `func literal passed to Resource\.AcquireCall`
 	dma.IssueCall(64, func(any) {}, nil)                         // want `func literal passed to DMAEngine\.IssueCall`
+	p.own.AfterCall(10, func(any) {}, nil)                       // want `func literal passed to Owner\.AfterCall`
+	p.own.Sub(1).AtCall(10, sim.RunFunc, func() {})              // want `func literal passed to Owner\.AtCall`
 }
 
 // longLived are the sanctioned zero-alloc shapes: a package-level
@@ -31,6 +34,8 @@ func literals(p *pump, core *host.Core, res *sim.Resource, dma *nfp.DMAEngine) {
 func longLived(p *pump, core *host.Core) {
 	p.eng.AtCall(10, tick, p)
 	p.eng.AfterCall(10, p.work, nil)
+	p.own.AfterCall(10, p.work, nil)
+	p.own.ImmediatelyCall(tick, p)
 	core.SubmitCall(sim.TaskC(100), p.work, nil)
 	core.SubmitCall(sim.TaskC(100), sim.RunFunc, p.notify)
 }

@@ -163,6 +163,13 @@ func (o *towner) timerArmed(arm func(*tcarrier)) {
 	arm(tm)
 }
 
+// timerArmedOwned arms through the owning component's sim.Owner: the
+// scheduling call is the handoff, as it is on the engine.
+func (o *towner) timerArmedOwned(own sim.Owner, fire func(any)) {
+	tm := o.getTimer()
+	own.AfterCall(10, fire, tm)
+}
+
 // timerDouble recycles one carrier twice: two future armings would share
 // it.
 func (o *towner) timerDouble() {

@@ -5,6 +5,7 @@ package vrtest
 import (
 	"flextoe/internal/api"
 	"flextoe/internal/shm"
+	"flextoe/internal/sim"
 )
 
 // retained is the package-level retention sink.
@@ -51,6 +52,15 @@ func capturedByCallback(s api.Socket) {
 		_ = a // want `Peek view a captured by OnReadable registration`
 		_ = b // want `Peek view b captured by OnReadable registration`
 	})
+}
+
+// capturedByOwnedEvent: a component's owner schedules like the engine, and
+// retains a closure the same way.
+func capturedByOwnedEvent(s api.Socket, own sim.Owner) {
+	a, _ := s.Peek()
+	own.AfterCall(10, func(any) {
+		_ = a // want `Peek view a captured by AfterCall registration`
+	}, nil)
 }
 
 func capturedByDefer(s api.Socket) {

@@ -288,6 +288,7 @@ func (c *OpenLoopClient) Start(stack api.Stack, server api.Addr, conns int) {
 
 func (c *OpenLoopClient) scheduleNext() {
 	gap := sim.Time(c.rng.Exp(1e12 / c.Rate))
+	//flexvet:unowned an application's arrival process stands outside the modelled machines
 	c.eng.AfterCall(gap, openLoopArrive, c)
 }
 

@@ -15,6 +15,7 @@ import (
 // Stack is one machine's baseline TCP stack instance.
 type Stack struct {
 	eng        *sim.Engine
+	own        sim.Owner // the stack's timers and connect notifications
 	prof       Profile
 	iface      *netsim.Iface
 	machine    *host.Machine
@@ -113,6 +114,9 @@ func NewStack(eng *sim.Engine, prof Profile, iface *netsim.Iface,
 	for i := 0; i < prof.StackCores; i++ {
 		s.stackCores = append(s.stackCores, host.NewCore(eng, prof.Name+"/fastpath", hz))
 	}
+	// Timers and connect notifications rank behind the stack's lock, ASIC
+	// and fast-path cores.
+	s.own = eng.NewOwner()
 	iface.Recv = s.rx
 	return s
 }
@@ -979,7 +983,7 @@ func (s *Stack) maybeArmTimer(c *bconn) {
 	c.rtoArmed = true
 	tm := s.getTimer()
 	tm.s, tm.c = s, c
-	s.eng.AfterCall(delay, btimerFire, tm)
+	s.own.AfterCall(delay, btimerFire, tm)
 }
 
 // btimerFire services one connection's timer: retransmit on RTO expiry and
@@ -1022,7 +1026,7 @@ func btimerFire(a any) {
 			}
 			rto = c.rto()
 		}
-		s.eng.AfterCall(c.lastProgress+rto-now, btimerFire, tm)
+		s.own.AfterCall(c.lastProgress+rto-now, btimerFire, tm)
 	case c.finAcked && c.peerFin:
 		if c.lingerAt == 0 {
 			c.lingerAt = now + 4*s.prof.MinRTO
@@ -1033,7 +1037,7 @@ func btimerFire(a any) {
 			s.removeConn(c)
 			return
 		}
-		s.eng.AfterCall(c.lingerAt-now, btimerFire, tm)
+		s.own.AfterCall(c.lingerAt-now, btimerFire, tm)
 	default:
 		c.rtoArmed = false
 		s.putTimer(tm)

@@ -95,7 +95,7 @@ func (s *Stack) handshake(pkt *packet.Packet, flow packet.Flow) {
 		s.iface.Send(s.frames.NewFrame(sa, s.eng.Now()))
 		c.sock = newBSocket(c)
 		c.connected = l.accept
-		s.eng.ImmediatelyCall(bconnConnected, c)
+		s.own.ImmediatelyCall(bconnConnected, c)
 	}
 }
 
@@ -120,7 +120,7 @@ func (s *Stack) connHandshakeRx(c *bconn, pkt *packet.Packet) bool {
 		s.sendAck(c, false)
 		c.sock = newBSocket(c)
 		if c.connected != nil {
-			s.eng.ImmediatelyCall(bconnConnected, c)
+			s.own.ImmediatelyCall(bconnConnected, c)
 		}
 		return true
 	}

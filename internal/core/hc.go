@@ -16,7 +16,7 @@ func (t *TOE) InjectHC(d shm.Desc) {
 	item := t.allocSeg()
 	item.kind = segHC
 	item.hc = d
-	t.eng.AfterCall(t.cfg.NFP.MMIOLatency, hcDoorbell, item)
+	t.own.AfterCall(t.cfg.NFP.MMIOLatency, hcDoorbell, item)
 }
 
 func hcDoorbell(a any) {
@@ -49,7 +49,7 @@ func (t *TOE) hcFetch(item *segItem) {
 		t.trace.Hit(trace.TPDescAllocFail)
 		// Pool exhausted: retry later (§3.1.1 "processing stops and is
 		// retried").
-		t.eng.AfterCall(2*sim.Microsecond, hcRetry, item)
+		t.own.AfterCall(2*sim.Microsecond, hcRetry, item)
 		return
 	}
 	item.ticket = t.islands[item.fg].entry.ticket()

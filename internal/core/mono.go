@@ -181,7 +181,7 @@ func (t *TOE) monoTXPump() {
 	id, ok := t.sched.Next(t.cfg.MSS)
 	if !ok {
 		if dl, ok := t.sched.NextDeadline(); ok && dl > t.eng.Now() {
-			t.eng.AtCall(dl, toeKickTX, t)
+			t.own.AtCall(dl, toeKickTX, t)
 		}
 		return
 	}

@@ -57,7 +57,14 @@ type Counters struct {
 
 // TOE is one FlexTOE data-path instance bound to a NIC interface.
 type TOE struct {
-	eng     *sim.Engine
+	eng *sim.Engine
+	// own schedules the TOE's own events: doorbells, control frames and
+	// the deferred same-instant work (transmit pump, control delivery).
+	// It is taken after the FPCs, the DMA engine and the copy engine are
+	// built, so deferred work runs behind their same-instant completions
+	// and a pump armed by several of them sees all their output (an XDP
+	// stage attached later is the one part that ranks behind it).
+	own     sim.Owner
 	cfg     Config
 	costs   Costs
 	iface   *netsim.Iface
@@ -288,6 +295,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 	} else {
 		t.buildPipeline()
 	}
+	t.own = eng.NewOwner()
 	iface.Recv = t.rxFromWire
 	return t
 }
@@ -467,7 +475,7 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 		packet.Release(pkt)
 		return
 	}
-	t.eng.ImmediatelyCall(t.controlCb, pkt)
+	t.own.ImmediatelyCall(t.controlCb, pkt)
 }
 
 // protoAdmit distributes in-order segments to the connection's protocol
@@ -806,7 +814,7 @@ func txPayloadFetched(a any) {
 // completion.
 func (t *TOE) xferCall(n int, cb func(any), arg any) {
 	if n <= 0 {
-		t.eng.ImmediatelyCall(cb, arg)
+		t.own.ImmediatelyCall(cb, arg)
 		return
 	}
 	if t.copyRes != nil {
@@ -911,7 +919,7 @@ func (t *TOE) sendFrame(pkt *packet.Packet) {
 func (t *TOE) SendControlFrame(pkt *packet.Packet) {
 	w := t.getMonoWork()
 	w.t, w.pkt = t, pkt
-	t.eng.AfterCall(t.cfg.NFP.MMIOLatency, sendCtrlFrame, w)
+	t.own.AfterCall(t.cfg.NFP.MMIOLatency, sendCtrlFrame, w)
 }
 
 func sendCtrlFrame(a any) {

@@ -32,7 +32,7 @@ func (t *TOE) kickTX() {
 		return
 	}
 	t.txPumpArmed = true
-	t.eng.ImmediatelyCall(toeTXPump, t)
+	t.own.ImmediatelyCall(toeTXPump, t)
 }
 
 // Long-lived event callbacks for the transmit pump (see
@@ -89,7 +89,7 @@ func (t *TOE) txPump() {
 		}
 	}
 	if dl, ok := t.sched.NextDeadline(); ok && dl > t.eng.Now() {
-		t.eng.AtCall(dl, toeKickTX, t)
+		t.own.AtCall(dl, toeKickTX, t)
 	}
 }
 

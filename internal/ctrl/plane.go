@@ -72,6 +72,7 @@ type Config struct {
 // Plane is one machine's control plane.
 type Plane struct {
 	eng *sim.Engine
+	own sim.Owner // timers, handshake expiry, connect notifications
 	toe *core.TOE
 	cfg Config
 	rng *stats.RNG
@@ -230,6 +231,7 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 	}
 	p := &Plane{
 		eng:       eng,
+		own:       eng.NewOwner(),
 		toe:       toe,
 		cfg:       cfg,
 		rng:       stats.NewRNG(cfg.Seed ^ uint64(cfg.LocalIP)),
@@ -244,7 +246,7 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 		if p.oooCap == 0 {
 			p.oooCap = 1
 		}
-		eng.EveryCall(oooAdaptPeriod, oooAdaptPeriod, planeAdaptOOO, p)
+		p.own.EveryCall(oooAdaptPeriod, oooAdaptPeriod, planeAdaptOOO, p)
 	}
 	return p
 }
@@ -279,7 +281,7 @@ func (p *Plane) addPending(pc *pendingConn) {
 	if pc.lis != nil {
 		pc.lis.pendingN++
 	}
-	p.eng.AfterCall(p.cfg.HandshakeTimeout, pendingExpire, pc)
+	p.own.AfterCall(p.cfg.HandshakeTimeout, pendingExpire, pc)
 }
 
 // dropPending unregisters a half-open connection (completed, reset, or
@@ -421,7 +423,7 @@ func (p *Plane) establish(pc *pendingConn, peerWin uint16) {
 	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs, txBuf, rxBuf, peerWin, pc.sackOK)
 	if pc.connected != nil {
 		//flexvet:hotclosure connection establishment runs once per connection, not per event
-		p.eng.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
+		p.own.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
 	}
 }
 
@@ -539,7 +541,7 @@ func (p *Plane) timerKick(id uint32) {
 	if p.cfg.CC != CCNone && !cc.ccArmed {
 		cc.ccArmed = true
 		cc.ccIdle = 0
-		p.eng.AfterCall(p.cfg.CCInterval, connTimerFire, p.getTimer(id, cc.epoch, timerCC))
+		p.own.AfterCall(p.cfg.CCInterval, connTimerFire, p.getTimer(id, cc.epoch, timerCC))
 	}
 }
 
@@ -553,7 +555,7 @@ func (p *Plane) armRTO(cc *ccState, id uint32) {
 	if deadline > now {
 		d = deadline - now
 	}
-	p.eng.AfterCall(d, connTimerFire, p.getTimer(id, cc.epoch, timerRTO))
+	p.own.AfterCall(d, connTimerFire, p.getTimer(id, cc.epoch, timerRTO))
 }
 
 // connTimerFire dispatches a timer carrier (the long-lived AfterCall
@@ -618,7 +620,7 @@ func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
 			}
 			deadline = now + (cc.rto << uint(cc.backoff))
 		}
-		p.eng.AfterCall(deadline-now, connTimerFire, tm)
+		p.own.AfterCall(deadline-now, connTimerFire, tm)
 	case pr.TxAvail > 0 && pr.RemoteWin == 0:
 		// Zero-window persist (RFC 9293 §3.8.6.1): data waits in the
 		// transmit buffer, nothing is in flight, and the peer's last
@@ -636,7 +638,7 @@ func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
 			}
 			cc.persistAt = now + (cc.rto << uint(cc.persistBackoff))
 		}
-		p.eng.AfterCall(cc.persistAt-now, connTimerFire, tm)
+		p.own.AfterCall(cc.persistAt-now, connTimerFire, tm)
 	case pr.FinSent() && pr.FinAcked() && pr.FinRx():
 		// Both directions closed and acknowledged: linger long enough
 		// for stragglers to drain, then reclaim the slot.
@@ -649,7 +651,7 @@ func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
 			p.Remove(id)
 			return
 		}
-		p.eng.AfterCall(cc.lingerAt-now, connTimerFire, tm)
+		p.own.AfterCall(cc.lingerAt-now, connTimerFire, tm)
 	default:
 		// Idle: nothing outstanding, window open, not closing. Disarm;
 		// the next data-path kick re-arms.
@@ -721,7 +723,7 @@ func (p *Plane) ccFire(tm *connTimer, cc *ccState) {
 		}
 		return
 	}
-	p.eng.AfterCall(p.cfg.CCInterval, connTimerFire, tm)
+	p.own.AfterCall(p.cfg.CCInterval, connTimerFire, tm)
 }
 
 // sendZeroWindowProbe emits the persist probe via the control plane's own

@@ -217,6 +217,7 @@ func (gc *genConn) scheduleArrival() {
 		return // this connection has no share of the bounded flow budget
 	}
 	gap := sim.Time(gc.rng.Exp(1e12 / gc.rate))
+	//flexvet:unowned a workload generator's arrival process stands outside the modelled machines
 	gc.eng.AfterCall(gap, genConnArrive, gc)
 }
 
@@ -553,6 +554,7 @@ func (g *IncastGroup) roundDone() {
 	g.RoundsDone++
 	g.LastDone = now
 	if g.Rounds == 0 || int(g.RoundsDone) < g.Rounds {
+		//flexvet:unowned the incast barrier is the workload generator's, not a machine's
 		g.eng.ImmediatelyCall(incastStartRound, g)
 	}
 }

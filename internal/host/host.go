@@ -17,6 +17,7 @@ type Core struct {
 	Name string
 
 	eng     *sim.Engine
+	own     sim.Owner
 	hz      int64
 	cyclePs sim.Time
 
@@ -45,7 +46,7 @@ type hostTask struct {
 
 // NewCore creates a core with the given clock.
 func NewCore(eng *sim.Engine, name string, hz int64) *Core {
-	return &Core{Name: name, eng: eng, hz: hz, cyclePs: sim.Cycles(1, hz)}
+	return &Core{Name: name, eng: eng, own: eng.NewOwner(), hz: hz, cyclePs: sim.Cycles(1, hz)}
 }
 
 // Hz returns the core clock.
@@ -65,7 +66,7 @@ func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
 	c.queue = append(c.queue, hostTask{dur, uint64(instr), cb, arg})
 	if !c.running {
 		c.running = true
-		c.eng.ImmediatelyCall(coreKick, c)
+		c.own.ImmediatelyCall(coreKick, c)
 	}
 }
 
@@ -88,7 +89,7 @@ func (c *Core) next() {
 	c.Instructions += t.instr
 	c.busyAcc += t.dur
 	c.curCb, c.curArg = t.cb, t.arg
-	c.eng.AfterCall(t.dur, coreTaskDone, c)
+	c.own.AfterCall(t.dur, coreTaskDone, c)
 }
 
 // coreTaskDone completes the running task and starts the next (see

@@ -10,7 +10,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
@@ -117,6 +116,9 @@ type Iface struct {
 	// linkID and txSeq build the delivery ordering key for frames this
 	// interface transmits: dkey = linkID<<32 | txSeq, so frames delivered
 	// at one instant arrive in link order (see sim.Engine.AtLinkCall).
+	// The id comes from the interface's engine (Engine.NewLinkID), so
+	// interfaces order by construction within their simulation and
+	// concurrent simulations share no counter.
 	linkID uint32
 	txSeq  uint32
 
@@ -196,12 +198,6 @@ func (i *Iface) noteQueueDepth(q int) {
 // GbpsToBytesPerSec converts a Gbit/s line rate.
 func GbpsToBytesPerSec(gbps float64) float64 { return gbps * 1e9 / 8 }
 
-// linkSeq hands every interface a process-unique link id. Monotonic under
-// concurrent construction, so interfaces built in order within one
-// simulation always order the same way — the property delivery-key
-// comparison needs; the absolute values never matter.
-var linkSeq atomic.Uint32
-
 // NewIface creates an unconnected interface with the given line rate in
 // bytes/second.
 func NewIface(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec float64) *Iface {
@@ -210,7 +206,7 @@ func NewIface(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec fl
 		MAC:    mac,
 		eng:    eng,
 		tx:     sim.NewResource(eng, name+"/tx", bytesPerSec),
-		linkID: linkSeq.Add(1),
+		linkID: eng.NewLinkID(),
 	}
 }
 
@@ -320,6 +316,7 @@ type Switch struct {
 	Name string
 
 	eng     *sim.Engine
+	own     sim.Owner
 	cfg     SwitchConfig
 	rng     *stats.RNG
 	ports   []*Iface
@@ -350,6 +347,7 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
 	}
 	return &Switch{
 		eng:   eng,
+		own:   eng.NewOwner(),
 		cfg:   cfg,
 		rng:   stats.NewRNG(cfg.Seed ^ 0x5317c4),
 		table: make(map[packet.EtherAddr]*Iface),
@@ -490,7 +488,7 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 		s.Reordered++
 		delay += s.cfg.ReorderDelay
 	}
-	s.eng.AfterCall(delay, switchDeliver, f)
+	s.own.AfterCall(delay, switchDeliver, f)
 }
 
 // switchDeliver moves a frame from the switch crossbar onto its egress

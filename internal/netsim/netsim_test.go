@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"flextoe/internal/packet"
@@ -500,4 +502,35 @@ func TestTapsAreFreeAndOrderNeutral(t *testing.T) {
 	if n0 != 50 {
 		t.Fatalf("deliveries = %d, want 50", n0)
 	}
+}
+
+// TestLinkIDsArePerEngine: link ids come from the interface's engine, so
+// networks built at the same time on two goroutines — two jobs of a
+// service, two cells of a sweep — get the ids each would get alone, and
+// share no counter (run under -race).
+func TestLinkIDsArePerEngine(t *testing.T) {
+	ids := func() []uint32 {
+		_, _, a, b := buildNet(t, SwitchConfig{})
+		return []uint32{a.linkID, a.peer.linkID, b.linkID, b.peer.linkID}
+	}
+	alone := ids()
+	for i := 1; i < len(alone); i++ {
+		if alone[i] <= alone[i-1] {
+			t.Fatalf("link ids %v do not rise in construction order", alone)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := ids(); !reflect.DeepEqual(got, alone) {
+					t.Errorf("concurrent build %d got link ids %v, alone %v", i, got, alone)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

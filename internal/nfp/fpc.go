@@ -103,10 +103,15 @@ type FPC struct {
 	Name string
 
 	eng     *sim.Engine
+	own     sim.Owner
 	cyclePs sim.Time
 	threads int
 
-	active    int        // tasks currently occupying a hardware thread
+	// idle is the stack of free hardware threads, each as the scheduling
+	// handle its events carry (own.Sub(thread index)): wake-ups of two
+	// threads that fall on one instant run in thread order, whichever
+	// step was issued first.
+	idle      []sim.Owner
 	runq      []*fpcTask // FIFO of tasks waiting for a thread, from runqHead
 	runqHead  int
 	issueBusy sim.Time // accumulated issue-slot busy time
@@ -132,6 +137,7 @@ type FPC struct {
 // allocates nothing.
 type fpcTask struct {
 	f    *FPC
+	own  sim.Owner // the hardware thread the task occupies
 	task sim.Task
 	idx  int
 	cb   func(any)
@@ -146,34 +152,37 @@ func fpcNextStep(a any)     { a.(*fpcTask).nextStep() }
 
 // NewFPC creates a core with the config's thread count and clock.
 func NewFPC(eng *sim.Engine, name string, cfg *Config) *FPC {
-	return &FPC{
+	f := &FPC{
 		Name:    name,
 		eng:     eng,
+		own:     eng.NewOwner(),
 		cyclePs: cfg.CyclePs(),
-		threads: cfg.Threads,
 	}
+	f.SetThreads(cfg.Threads)
+	return f
 }
 
-// SetThreads overrides the hardware thread count (the Table 3 ablation
-// runs with 1 thread to disable intra-FPC parallelism).
+// SetThreads sets the hardware thread count of an idle core (the Table 3
+// ablation runs with 1 thread to disable intra-FPC parallelism).
 func (f *FPC) SetThreads(n int) {
 	if n < 1 {
 		panic("nfp: FPC needs at least one thread")
 	}
+	if f.Busy() {
+		panic("nfp: SetThreads on a busy FPC")
+	}
 	f.threads = n
+	f.idle = f.idle[:0]
+	for i := n - 1; i >= 0; i-- { // thread 0 on top
+		f.idle = append(f.idle, f.own.Sub(i))
+	}
 }
 
 // FreeThreads returns the number of idle hardware threads.
-func (f *FPC) FreeThreads() int {
-	free := f.threads - f.active
-	if free < 0 {
-		return 0
-	}
-	return free
-}
+func (f *FPC) FreeThreads() int { return len(f.idle) }
 
 // Busy reports whether any thread is occupied.
-func (f *FPC) Busy() bool { return f.active > 0 || f.runqHead < len(f.runq) }
+func (f *FPC) Busy() bool { return len(f.idle) < f.threads || f.runqHead < len(f.runq) }
 
 // SubmitCall queues a task; cb(arg) runs when it completes (nil cb:
 // nothing runs), with cb a long-lived function value and arg the per-task
@@ -191,7 +200,7 @@ func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
 	ft.idx = 0
 	ft.cb = cb
 	ft.arg = arg
-	if f.active < f.threads {
+	if len(f.idle) > 0 {
 		f.begin(ft)
 		return
 	}
@@ -199,7 +208,8 @@ func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
 }
 
 func (f *FPC) begin(ft *fpcTask) {
-	f.active++
+	top := len(f.idle) - 1
+	ft.own, f.idle = f.idle[top], f.idle[:top]
 	f.Tasks++
 	ft.runStep()
 }
@@ -223,7 +233,7 @@ func (ft *fpcTask) runStep() {
 		dur := sim.Time(step.Compute) * f.cyclePs
 		f.issueFree = start + dur
 		f.issueBusy += dur
-		f.eng.AtCall(f.issueFree, fpcAfterCompute, ft)
+		ft.own.AtCall(f.issueFree, fpcAfterCompute, ft)
 		return
 	}
 	ft.afterCompute()
@@ -231,7 +241,7 @@ func (ft *fpcTask) runStep() {
 
 func (ft *fpcTask) afterCompute() {
 	if stall := ft.task.Step(ft.idx).Stall; stall > 0 {
-		ft.f.eng.AfterCall(stall, fpcNextStep, ft)
+		ft.own.AfterCall(stall, fpcNextStep, ft)
 		return
 	}
 	ft.nextStep()
@@ -245,18 +255,18 @@ func (ft *fpcTask) nextStep() {
 func (f *FPC) finish(ft *fpcTask) {
 	cb, arg := ft.cb, ft.arg
 	ft.cb, ft.arg = nil, nil
+	f.idle = append(f.idle, ft.own)
 	f.free.Put(ft)
-	f.active--
 	if cb != nil {
 		cb(arg)
 	}
 	// Start queued work before announcing idleness.
-	for f.active < f.threads && f.runqHead < len(f.runq) {
+	for len(f.idle) > 0 && f.runqHead < len(f.runq) {
 		next := f.runq[f.runqHead]
 		f.runq, f.runqHead = shm.PopRing(f.runq, f.runqHead)
 		f.begin(next)
 	}
-	if f.active < f.threads && f.Idle != nil {
+	if len(f.idle) > 0 && f.Idle != nil {
 		f.Idle()
 	}
 }

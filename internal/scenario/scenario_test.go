@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -243,4 +244,37 @@ func TestExecuteOnlyOnce(t *testing.T) {
 	if _, err := b.Execute(nil); err == nil {
 		t.Fatal("second Execute succeeded")
 	}
+}
+
+// TestConcurrentJobsMatchSolo: two jobs built and executed at the same time
+// on two goroutines produce the payloads each produces alone. Nothing a
+// testbed's order depends on — link ids, owner ranks, pools — lives outside
+// its engine (run under -race).
+func TestConcurrentJobsMatchSolo(t *testing.T) {
+	specs := []string{bulkSpec(), incastSpec()}
+	solo := make([][]byte, len(specs))
+	for i, s := range specs {
+		solo[i] = mustRun(t, s, nil).Canonical()
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, s := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for n := 0; n < 3; n++ {
+				r, err := Run([]byte(s), nil)
+				if err != nil {
+					t.Errorf("spec %d: %v", i, err)
+					return
+				}
+				if !bytes.Equal(r.Canonical(), solo[i]) {
+					t.Errorf("spec %d, concurrent run %d: payload differs from the solo run", i, n)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

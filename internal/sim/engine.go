@@ -20,9 +20,32 @@
 // reused, and an event carries only a long-lived func(any) plus an
 // argument (AtCall and its siblings are the one scheduling API; RunFunc
 // adapts an application-owned func()), so steady-state event scheduling
-// performs no heap allocation. Execution order is the total order (at,
-// dkey, seq): ascending timestamp; at one instant local events first,
-// FIFO, then link deliveries by delivery key (see event.before).
+// performs no heap allocation.
+//
+// Execution order is the total order (at, dkey, seq), and what happens at
+// one instant is declared, never an accident of who called a scheduler
+// first. Every engine-resident component takes an Owner when it is built
+// (Engine.NewOwner: a rank, in construction order) and schedules through
+// it; an owner that schedules for several contexts of its own — an FPC's
+// hardware threads — gives each a sub-key (Owner.Sub). At one instant:
+//
+//   - unowned events (Engine.AtCall and siblings) run first, FIFO. They
+//     are for what stands outside the modelled machines: applications,
+//     workload generators, tests, the benchmark drivers.
+//   - then owned events by (rank, sub); seq only ever decides between two
+//     events of one owner and one sub-context, which run FIFO.
+//   - then frame deliveries by link id, as before (Engine.AtLinkCall).
+//
+// The owner key rides in event.dkey below the first link key:
+//
+//	0                    unowned
+//	rank<<8 | sub        owned: rank 1 .. 2^24-1, sub 0 .. 255
+//	link<<32 | txSeq     delivery: link ids come from the same allocator
+//
+// so an event stays 48 bytes and event.before stays a three-field compare.
+// Because a tie between two components is settled by their ranks, removing
+// an event that only existed to schedule another (a fused wake-up) moves no
+// other event: such a change is a speed change and nothing else.
 package sim
 
 import (
@@ -84,28 +107,38 @@ func Cycles(n int64, hz int64) Time {
 // arg carries the per-event state, so scheduling never allocates a
 // closure.
 //
-// dkey is the delivery key of the same-instant ordering rule (see
-// before): 0 for ordinary local events, and a nonzero link-scoped key
-// (link id in the high bits, per-link transmit sequence in the low bits)
-// for frame-delivery events scheduled through AtLinkCall.
+// dkey is the same-instant ordering key (see before and the package
+// comment): 0 for an unowned event, the scheduling Owner's key for a
+// component's event, and a link-scoped key at or above firstLinkKey (link
+// id in the high bits, per-link transmit sequence in the low bits) for a
+// frame delivery scheduled through AtLinkCall.
 type event struct {
 	at   Time
-	seq  uint64 // tie-break: FIFO among same-instant local events
-	dkey uint64 // delivery ordering key; 0 = local event
+	seq  uint64 // tie-break: FIFO among same-instant events of one dkey
+	dkey uint64 // same-instant ordering key; 0 = unowned
 	cb   func(any)
 	arg  any
 }
 
+// Owner-key layout inside event.dkey: rank<<subBits | sub, all of it below
+// the first link key.
+const (
+	subBits      = 8
+	firstLinkKey = 1 << 32
+	maxRank      = firstLinkKey>>subBits - 1
+
+	// MaxSub is the largest sub-key Owner.Sub accepts.
+	MaxSub = 1<<subBits - 1
+)
+
 // before reports whether a orders strictly before b in execution order.
 //
-// Same-instant ordering is part of the model: local events (dkey 0) run
-// before deliveries, FIFO by seq, and deliveries order by dkey — a key
-// derived from the transmitting link, so frames landing at one instant
-// arrive in link order however their sends interleaved. Ordering by
-// (at, seq) alone moves the committed result hashes of three of the four
-// benchmark workloads, so the rule stays. Two deliveries never share
-// (at, dkey): a link serializes, so per-link delivery instants are
-// strictly increasing, and distinct links have distinct dkeys.
+// Same-instant ordering is part of the model: unowned events (dkey 0)
+// first, then each component's events in rank and sub-key order, then
+// deliveries in link order, however the scheduling calls interleaved; seq
+// decides only among the events of one key, FIFO. Two deliveries never
+// share (at, dkey): a link serializes, so per-link delivery instants are
+// strictly increasing, and distinct links have distinct ids.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -143,6 +176,7 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	nRun    uint64
+	ranks   uint32 // owner ranks and link ids handed out so far
 
 	// Near wheel: buckets[i&wheelMask] holds events whose tick index
 	// (at>>tickBits) is i, for ticks in [start>>tickBits, +wheelSize).
@@ -189,32 +223,104 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
-// AtCall schedules cb(arg) at absolute time t. cb should be a long-lived
-// function value (package-level or cached on a struct) and arg the
-// per-event state, so scheduling performs no closure allocation. arg must
-// not be a pooled object that could be recycled before the event fires.
-// Scheduling in the past panics: it would silently reorder causality.
-func (e *Engine) AtCall(t Time, cb func(any), arg any) {
+// schedule queues cb(arg) at t under the same-instant key dkey: the one
+// path every scheduler takes. Scheduling in the past panics: it would
+// silently reorder causality.
+func (e *Engine) schedule(t Time, dkey uint64, cb func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, cb: cb, arg: arg})
-}
-
-// AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
-// event carrying the link-scoped ordering key dkey (nonzero). Deliveries
-// at the same instant execute after local events and in dkey order (see
-// the before comment and doc.go "One job, one engine").
-func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if dkey == 0 {
-		panic("sim: AtLinkCall requires a nonzero delivery key")
 	}
 	e.seq++
 	e.insert(event{at: t, seq: e.seq, dkey: dkey, cb: cb, arg: arg})
+}
+
+// AtCall schedules cb(arg) at absolute time t as an unowned event: at its
+// instant it runs before every component's events, FIFO among its like.
+// Unowned scheduling is for applications, workload generators, tests and
+// benchmark drivers; a modelled component schedules through its Owner
+// (flexvet/detrange flags the rest). cb should be a long-lived function
+// value (package-level or cached on a struct) and arg the per-event state,
+// so scheduling performs no closure allocation. arg must not be a pooled
+// object that could be recycled before the event fires.
+func (e *Engine) AtCall(t Time, cb func(any), arg any) { e.schedule(t, 0, cb, arg) }
+
+// AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
+// event carrying the link-scoped ordering key dkey (link id, from
+// NewLinkID, in the high 32 bits). Deliveries at the same instant execute
+// after local events and in dkey order (see the package comment).
+func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
+	if dkey < firstLinkKey {
+		panic("sim: AtLinkCall requires a delivery key with a link id in its high 32 bits")
+	}
+	e.schedule(t, dkey, cb, arg)
+}
+
+// newRank hands out the next rank. Owners and links share the allocator,
+// so a testbed's components order by construction and nothing else.
+func (e *Engine) newRank() uint32 {
+	if e.ranks == maxRank {
+		panic("sim: out of owner ranks")
+	}
+	e.ranks++
+	return e.ranks
+}
+
+// NewLinkID returns a link id for AtLinkCall keys, unique on this engine
+// and increasing in construction order.
+func (e *Engine) NewLinkID() uint32 { return e.newRank() }
+
+// Owner is an engine-resident component's scheduling handle: the engine
+// plus the component's same-instant key. Events scheduled through an
+// owner run, at their instant, after unowned events and before frame
+// deliveries, in key order across owners and FIFO within one (see the
+// package comment). The zero Owner is not usable.
+type Owner struct {
+	eng *Engine
+	key uint64
+}
+
+// NewOwner returns an owner ranked behind every owner and link made on
+// this engine so far. Components call it once, where they are constructed;
+// a component whose deferred same-instant work must run behind its own
+// parts' completions (a transmit pump behind its cores) takes its owner
+// after building the parts.
+func (e *Engine) NewOwner() Owner { return Owner{e, uint64(e.newRank()) << subBits} }
+
+// Sub returns the owner's handle for its i-th sub-context (a hardware
+// thread): same rank, ordered by i at one instant. i beyond MaxSub
+// panics, so a component derives its handles where it is built.
+func (o Owner) Sub(i int) Owner {
+	if i < 0 || i > MaxSub {
+		panic(fmt.Sprintf("sim: owner sub-key %d outside 0..%d", i, MaxSub))
+	}
+	return Owner{o.eng, o.key&^MaxSub | uint64(i)}
+}
+
+// Engine returns the engine the owner schedules on.
+func (o Owner) Engine() *Engine { return o.eng }
+
+// AtCall schedules cb(arg) at absolute time t (see Engine.AtCall for the
+// callback contract).
+func (o Owner) AtCall(t Time, cb func(any), arg any) { o.eng.schedule(t, o.key, cb, arg) }
+
+// AfterCall schedules cb(arg) d picoseconds from now. Negative d panics.
+func (o Owner) AfterCall(d Time, cb func(any), arg any) {
+	o.eng.schedule(o.eng.now+d, o.key, cb, arg)
+}
+
+// ImmediatelyCall schedules cb(arg) at the current instant, in the owner's
+// place among the events still queued for it.
+func (o Owner) ImmediatelyCall(cb func(any), arg any) {
+	o.eng.schedule(o.eng.now, o.key, cb, arg)
+}
+
+// EveryCall schedules cb(arg) at start and then every interval thereafter,
+// for as long as cb returns true (see Engine.EveryCall).
+func (o Owner) EveryCall(start, interval Time, cb func(any) bool, arg any) {
+	if interval <= 0 {
+		panic("sim: non-positive interval")
+	}
+	o.AtCall(start, periodicTick, &periodic{own: o, interval: interval, cb: cb, arg: arg})
 }
 
 // Local returns the per-engine singleton stored under key, constructing
@@ -236,20 +342,16 @@ func (e *Engine) Local(key any, mk func() any) any {
 
 // AfterCall schedules cb(arg) d picoseconds from now (see AtCall).
 // Negative d panics.
-func (e *Engine) AfterCall(d Time, cb func(any), arg any) {
-	e.AtCall(e.now+d, cb, arg)
-}
+func (e *Engine) AfterCall(d Time, cb func(any), arg any) { e.schedule(e.now+d, 0, cb, arg) }
 
-// ImmediatelyCall schedules cb(arg) at the current instant, after all
-// events already queued for this instant (see AtCall).
-func (e *Engine) ImmediatelyCall(cb func(any), arg any) {
-	e.AtCall(e.now, cb, arg)
-}
+// ImmediatelyCall schedules cb(arg) at the current instant, behind the
+// unowned events already queued for it (see AtCall).
+func (e *Engine) ImmediatelyCall(cb func(any), arg any) { e.schedule(e.now, 0, cb, arg) }
 
-// periodic carries one EveryCall arming: the long-lived callback, its
-// argument, and the rearm interval.
+// periodic carries one EveryCall arming: who armed it, the long-lived
+// callback, its argument, and the rearm interval.
 type periodic struct {
-	e        *Engine
+	own      Owner
 	interval Time
 	cb       func(any) bool
 	arg      any
@@ -260,7 +362,7 @@ type periodic struct {
 func periodicTick(a any) {
 	p := a.(*periodic)
 	if p.cb(p.arg) {
-		p.e.AfterCall(p.interval, periodicTick, p)
+		p.own.AfterCall(p.interval, periodicTick, p)
 	}
 }
 
@@ -269,10 +371,7 @@ func periodicTick(a any) {
 // function value and arg the periodic state, so arming allocates one small
 // carrier and each firing allocates nothing.
 func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
-	if interval <= 0 {
-		panic("sim: non-positive interval")
-	}
-	e.AtCall(start, periodicTick, &periodic{e: e, interval: interval, cb: cb, arg: arg})
+	Owner{eng: e}.EveryCall(start, interval, cb, arg)
 }
 
 // RunFunc is the one adapter for firing an application-owned func() as an

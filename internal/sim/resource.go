@@ -6,6 +6,7 @@ package sim
 // n units and invokes cb(arg) when the transfer completes.
 type Resource struct {
 	eng       *Engine
+	own       Owner // completions order by the resource's rank
 	name      string
 	psPerUnit float64 // picoseconds to move one unit
 	free      Time    // next instant the facility is idle
@@ -18,7 +19,7 @@ func NewResource(eng *Engine, name string, unitsPerSecond float64) *Resource {
 	if unitsPerSecond <= 0 {
 		panic("sim: non-positive resource rate")
 	}
-	return &Resource{eng: eng, name: name, psPerUnit: 1e12 / unitsPerSecond}
+	return &Resource{eng: eng, own: eng.NewOwner(), name: name, psPerUnit: 1e12 / unitsPerSecond}
 }
 
 // AcquireCall schedules a transfer of n units plus a fixed latency;
@@ -26,7 +27,7 @@ func NewResource(eng *Engine, name string, unitsPerSecond float64) *Resource {
 // value (see Engine.AtCall). It returns the completion time.
 func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time {
 	end := r.Reserve(n, extra)
-	r.eng.AtCall(end, cb, arg)
+	r.own.AtCall(end, cb, arg)
 	return end
 }
 

@@ -10,8 +10,9 @@ import (
 
 // refEngine is the pre-timing-wheel event core (a container/heap binary
 // heap), kept as the ordering oracle for the engine's whole sort key (at,
-// dkey, seq): ascending timestamp; at one instant local events (dkey 0)
-// first, FIFO, then link deliveries in delivery-key order.
+// dkey, seq): ascending timestamp; at one instant unowned events (dkey 0)
+// first, then owned events by owner key, then link deliveries in
+// delivery-key order, FIFO within one key.
 type refEngine struct {
 	now    Time
 	events refHeap
@@ -48,8 +49,8 @@ func (h *refHeap) Pop() interface{} {
 	return ev
 }
 
-// schedule queues fn at t: a local event when dkey is 0, else a link
-// delivery with that key.
+// schedule queues fn at t: an unowned event when dkey is 0, an owned one
+// when it is below firstLinkKey, else a link delivery with that key.
 func (e *refEngine) schedule(t Time, dkey uint64, fn func()) {
 	if t < e.now {
 		panic("ref: past")
@@ -88,9 +89,12 @@ type scheduler interface {
 type wheelSched struct{ e *Engine }
 
 func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
-	if dkey == 0 {
+	switch {
+	case dkey == 0:
 		w.e.AtCall(t, RunFunc, fn)
-	} else {
+	case dkey < firstLinkKey:
+		Owner{w.e, dkey}.AtCall(t, RunFunc, fn)
+	default:
 		w.e.AtLinkCall(t, dkey, RunFunc, fn)
 	}
 }
@@ -110,9 +114,10 @@ func (r refSched) runUntil(t Time)                         { r.e.RunUntil(t) }
 // inside their handlers — same-instant bursts, near deltas that stay in
 // one wheel bucket, mid-range deltas that cross buckets, and far deltas
 // (RTO-scale) that exercise the overflow heap and window re-anchoring.
-// One follow-up in three is a link delivery, and half of all follow-ups
-// snap to a 4 ns grid, so local events and deliveries from several links
-// meet at equal instants — the dkey arm of event.before.
+// One follow-up in three is a link delivery and one in three belongs to
+// one of three owners (two sub-contexts each), and half of all follow-ups
+// snap to a 4 ns grid, so unowned events, owners and deliveries from
+// several links meet at equal instants — the dkey arm of event.before.
 func driveSchedule(s scheduler, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []int64
@@ -147,9 +152,12 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 					at = s.now() + d&^0xfff
 				}
 				var dkey uint64
-				if link := rng.Intn(6); link >= 3 {
-					linkSeq[link-2]++
-					dkey = uint64(link-2)<<32 | linkSeq[link-2]
+				switch k := rng.Intn(9); {
+				case k >= 6:
+					dkey = uint64(k-5)<<subBits | uint64(rng.Intn(2))
+				case k >= 3:
+					linkSeq[k-2]++
+					dkey = uint64(k-2)<<32 | linkSeq[k-2]
 				}
 				s.schedule(at, dkey, spawn(depth-1))
 			}
