@@ -306,11 +306,18 @@
 // an event whose only act is to schedule another can be removed, and two
 // wake-ups fused into one, because no other event's place depended on
 // their sequence numbers — since the rule went in, a change to the number
-// of events is a speed-only change. TestOwnerOrder pins the rule under
-// every permutation of the call order, TestWheelMatchesHeapOrder the
-// wheel against the reference heap, TestEventLayout the 48-byte event:
-// the key rides in the field the delivery key already had, and the
-// compare is still three fields.
+// of events is a speed-only change. The first two came with it and left
+// every result payload byte-identical: an nfp.FPC wakes a thread once per
+// step, at issueFree + stall, where it used to run a retirement event
+// that only scheduled the stall's expiry (TestFPCFusedMatchesTwoEventOracle
+// keeps the two-event core as its oracle), and an idle host.Core starts a
+// submitted task on the spot, without a kick event at the same instant;
+// TestEventsPerSegmentBudget keeps the count from creeping back (<= 24.5
+// events per received segment on kv_flextoe). TestOwnerOrder pins the
+// rule under every permutation of the call order,
+// TestWheelMatchesHeapOrder the wheel against the reference heap,
+// TestEventLayout the 48-byte event: the key rides in the field the
+// delivery key already had, and the compare is still three fields.
 //
 // # Passive flow analysis: the tap observation contract
 //

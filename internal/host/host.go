@@ -59,18 +59,17 @@ func (c *Core) CyclesTime(n int64) sim.Time { return sim.Cycles(n, c.hz) }
 // completes (nil cb: nothing runs). cb should be a long-lived function
 // value and arg the per-task state, so queueing a task performs no heap
 // allocation beyond amortized queue growth. The core stores the task's
-// duration and instruction count, not its steps (see hostTask).
+// duration and instruction count, not its steps (see hostTask). An idle
+// core starts the task on the spot: one event per task, its completion.
 func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
 	instr := task.Instructions()
 	dur := sim.Time(instr)*c.cyclePs + task.StallTime()
 	c.queue = append(c.queue, hostTask{dur, uint64(instr), cb, arg})
 	if !c.running {
 		c.running = true
-		c.own.ImmediatelyCall(coreKick, c)
+		c.next()
 	}
 }
-
-func coreKick(a any) { a.(*Core).next() }
 
 // Busy reports whether the core has queued or running work.
 func (c *Core) Busy() bool { return c.running || c.QueueLen() > 0 }

@@ -142,3 +142,72 @@ func TestCountersAccessors(t *testing.T) {
 		t.Fatal("zero counters IPC")
 	}
 }
+
+// TestCoreStartsIdleSubmitDirectly: an idle core starts a submitted task on
+// the spot — no kick event in between — and nobody outside can tell. Two
+// tasks handed to an idle core in one instant by two callbacks complete
+// FIFO at the times a kicked core gave (the first from the submit instant,
+// the second behind it), Busy() holds from the first submit to the last
+// completion, a task submitted from a completion callback waits its turn,
+// and every task costs exactly one engine event.
+func TestCoreStartsIdleSubmitDirectly(t *testing.T) {
+	eng := sim.New()
+	first := eng.NewOwner()
+	c := NewCore(eng, "cpu0", 2e9) // 500 ps/cycle
+	last := eng.NewOwner()
+	const at = 10 * sim.Nanosecond
+	type done struct {
+		id   int
+		at   sim.Time
+		busy bool
+	}
+	var got []done
+	note := func(a any) { got = append(got, done{a.(int), eng.Now(), c.Busy()}) }
+	busyBetween := true
+	look := func(any) { busyBetween = busyBetween && c.Busy() }
+
+	first.AtCall(at, func(any) {
+		c.SubmitCall(sim.TaskC(1000), func(a any) { // 500 ns
+			note(a)
+			c.SubmitCall(sim.TaskC(100), note, 2) // queues behind task 1
+		}, 0)
+		if !c.Busy() || c.QueueLen() != 0 {
+			t.Errorf("after the first submit: Busy %v, QueueLen %d; want a running task and an empty queue", c.Busy(), c.QueueLen())
+		}
+	}, nil)
+	last.AtCall(at, func(any) {
+		c.SubmitCall(sim.TaskC(600).Add(0, 100*sim.Nanosecond), note, 1) // 400 ns
+		if c.QueueLen() != 1 {
+			t.Errorf("after the second submit: QueueLen %d, want 1", c.QueueLen())
+		}
+	}, nil)
+	for _, d := range []sim.Time{0, 1, 499_999, 500_000, 899_999, 900_000, 949_999} {
+		last.AtCall(at+d, look, nil)
+	}
+	before := eng.Processed()
+	eng.Run()
+
+	want := []done{
+		{0, at + 500*sim.Nanosecond, true}, // task 1 is still queued
+		{1, at + 900*sim.Nanosecond, true}, // task 2 is queued by now
+		{2, at + 950*sim.Nanosecond, true}, // a callback runs before the core goes idle
+	}
+	if len(got) != len(want) {
+		t.Fatalf("completions %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("completion %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if !busyBetween {
+		t.Error("Busy() read false between the first submit and the last completion")
+	}
+	if c.Busy() || c.Tasks != 3 || c.Instructions != 1700 {
+		t.Errorf("at the end: Busy %v, %d tasks, %d instructions", c.Busy(), c.Tasks, c.Instructions)
+	}
+	// Two submit events, seven looks, and one completion per task.
+	if n := eng.Processed() - before; n != 2+7+3 {
+		t.Errorf("%d events executed, want %d: a task is one event", n, 2+7+3)
+	}
+}

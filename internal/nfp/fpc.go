@@ -144,11 +144,9 @@ type fpcTask struct {
 	arg  any
 }
 
-// Long-lived event callbacks for the step state machine (see
-// Engine.AtCall): one fires when a compute burst retires, the other when
-// a stall expires.
-func fpcAfterCompute(a any) { a.(*fpcTask).afterCompute() }
-func fpcNextStep(a any)     { a.(*fpcTask).nextStep() }
+// fpcStepDone is the long-lived event callback of the step state machine
+// (see sim.Engine.AtCall): a step's one wake-up, when its stall expires.
+func fpcStepDone(a any) { a.(*fpcTask).runStep() }
 
 // NewFPC creates a core with the config's thread count and clock.
 func NewFPC(eng *sim.Engine, name string, cfg *Config) *FPC {
@@ -214,42 +212,33 @@ func (f *FPC) begin(ft *fpcTask) {
 	ft.runStep()
 }
 
-// runStep executes the current step: the compute burst serializes on the
-// issue slot, then the stall (if any) elapses off-slot.
+// runStep runs the task from its current step. A step's compute burst
+// takes the issue slot FIFO behind the bursts already reserved and its
+// stall elapses off-slot, so the step's end is known when it starts: the
+// slot is booked through issueFree and the thread sleeps until issueFree +
+// stall, one wake-up per step. The retirement in between is not an event:
+// a one-shot module runs to completion (§3.1), and all another module can
+// see of it is the booked slot and the thread it holds.
 func (ft *fpcTask) runStep() {
 	f := ft.f
-	if ft.idx >= ft.task.NumSteps() {
-		f.finish(ft)
-		return
-	}
-	step := ft.task.Step(ft.idx)
-	if step.Compute > 0 {
-		f.Instructions += uint64(step.Compute)
-		now := f.eng.Now()
-		start := f.issueFree
-		if start < now {
-			start = now
+	now := f.eng.Now()
+	for ft.idx < ft.task.NumSteps() {
+		step := ft.task.Step(ft.idx)
+		ft.idx++
+		end := now
+		if step.Compute > 0 {
+			f.Instructions += uint64(step.Compute)
+			dur := sim.Time(step.Compute) * f.cyclePs
+			end = max(now, f.issueFree) + dur
+			f.issueFree = end
+			f.issueBusy += dur
 		}
-		dur := sim.Time(step.Compute) * f.cyclePs
-		f.issueFree = start + dur
-		f.issueBusy += dur
-		ft.own.AtCall(f.issueFree, fpcAfterCompute, ft)
-		return
+		if end += step.Stall; end > now {
+			ft.own.AtCall(end, fpcStepDone, ft)
+			return
+		}
 	}
-	ft.afterCompute()
-}
-
-func (ft *fpcTask) afterCompute() {
-	if stall := ft.task.Step(ft.idx).Stall; stall > 0 {
-		ft.own.AfterCall(stall, fpcNextStep, ft)
-		return
-	}
-	ft.nextStep()
-}
-
-func (ft *fpcTask) nextStep() {
-	ft.idx++
-	ft.runStep()
+	f.finish(ft)
 }
 
 func (f *FPC) finish(ft *fpcTask) {

@@ -37,10 +37,11 @@ func TaskC(instr int64) Task {
 // Add appends a step and returns the task for chaining. A pure stall
 // (instr == 0) after a step that does not stall itself becomes that
 // step's stall instead of a step of its own: a processor runs {c, 0},
-// {0, s} and {c, s} as the same events — one compute retirement, one
-// stall expiry — so every pipeline stage's "compute, then maybe stall"
-// task stays one step. A step that already stalls is never folded onto:
-// two stall expiries are two events.
+// {0, s} and {c, s} to the same completion instant — the compute retires,
+// then the stall expires — so every pipeline stage's "compute, then maybe
+// stall" task stays one step, which an nfp.FPC runs as one wake-up. A
+// step that already stalls is never folded onto: its stall and the next
+// are two waits.
 func (t Task) Add(instr int64, stall Time) Task {
 	if instr == 0 && t.n > 0 && t.steps[t.n-1].Stall == 0 {
 		t.steps[t.n-1].Stall = stall
