@@ -55,7 +55,7 @@ func TestDetrangeUnownedOnlyWhereAppsRun(t *testing.T) {
 			t.Errorf("%s: %s", d.Posn(res.Pkg.Fset), d.Message)
 		}
 	}
-	if len(res.Diags) != 5 || len(res.Suppressed) != 1 {
-		t.Errorf("%d diagnostics, %d suppressed; want the 5 unowned calls and the annotated generator", len(res.Diags), len(res.Suppressed))
+	if len(res.Diags) != 4 || len(res.Suppressed) != 1 {
+		t.Errorf("%d diagnostics, %d suppressed; want the 4 unowned calls and the annotated generator", len(res.Diags), len(res.Suppressed))
 	}
 }

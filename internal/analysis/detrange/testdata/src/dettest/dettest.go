@@ -99,11 +99,10 @@ func fireAgain(any) bool { return false }
 // unownedFromComponent is the shape the rule forbids: the component's
 // events would order by who called the engine first.
 func unownedFromComponent(c *component) {
-	c.eng.AtCall(10, fire, c)             // want `Engine\.AtCall schedules an unowned event`
-	c.eng.AfterCall(10, fire, c)          // want `Engine\.AfterCall schedules an unowned event`
-	c.eng.ImmediatelyCall(fire, c)        // want `Engine\.ImmediatelyCall schedules an unowned event`
-	c.eng.EveryCall(0, 10, fireAgain, c)  // want `Engine\.EveryCall schedules an unowned event`
-	c.own.Engine().AfterCall(10, fire, c) // want `Engine\.AfterCall schedules an unowned event`
+	c.eng.AtCall(10, fire, c)            // want `Engine\.AtCall schedules an unowned event`
+	c.eng.AfterCall(10, fire, c)         // want `Engine\.AfterCall schedules an unowned event`
+	c.eng.ImmediatelyCall(fire, c)       // want `Engine\.ImmediatelyCall schedules an unowned event`
+	c.eng.EveryCall(0, 10, fireAgain, c) // want `Engine\.EveryCall schedules an unowned event`
 }
 
 // owned calls carry the component's rank (and a sub-context's key): legal.

@@ -296,9 +296,6 @@ func (o Owner) Sub(i int) Owner {
 	return Owner{o.eng, o.key&^MaxSub | uint64(i)}
 }
 
-// Engine returns the engine the owner schedules on.
-func (o Owner) Engine() *Engine { return o.eng }
-
 // AtCall schedules cb(arg) at absolute time t (see Engine.AtCall for the
 // callback contract).
 func (o Owner) AtCall(t Time, cb func(any), arg any) { o.eng.schedule(t, o.key, cb, arg) }

@@ -167,9 +167,6 @@ func TestOwnerKeyRange(t *testing.T) {
 	if o.key != 1<<subBits || o.Sub(MaxSub).key != 1<<subBits|MaxSub || o.Sub(3).Sub(0).key != o.key {
 		t.Errorf("first owner key %#x, Sub(MaxSub) %#x", o.key, o.Sub(MaxSub).key)
 	}
-	if o.Engine() != e {
-		t.Error("Owner.Engine is not the allocating engine")
-	}
 	mustPanic(t, "Sub(MaxSub+1)", func() { o.Sub(MaxSub + 1) })
 	mustPanic(t, "Sub(-1)", func() { o.Sub(-1) })
 	mustPanic(t, "AtLinkCall below the link range", func() { e.AtLinkCall(0, firstLinkKey-1, RunFunc, func() {}) })
