@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -45,29 +44,30 @@ func TestOwnerOrder(t *testing.T) {
 	// order, which is the order they must run in.
 	var txSeq uint64
 	calls := []struct {
-		name string
-		at   func(t Time, name string)
+		key int // calls of one key run FIFO
+		at  func(t Time, name string)
 	}{
-		{"u", func(t Time, n string) { e.AtCall(t, mark, n) }},
-		{"u", func(t Time, n string) { e.AtCall(t, mark, n) }},
-		{"a", func(t Time, n string) { a.AtCall(t, mark, n) }},
-		{"a", func(t Time, n string) { a.Sub(0).AtCall(t, mark, n) }}, // Sub(0) is the owner itself
-		{"b.0", func(t Time, n string) { b.AtCall(t, mark, n) }},
-		{"b.1", func(t Time, n string) { b.Sub(1).AtCall(t, mark, n) }},
-		{"c", func(t Time, n string) { c.AtCall(t, mark, n) }},
-		{"l1", func(t Time, n string) { txSeq++; e.AtLinkCall(t, l1|txSeq, mark, n) }},
-		{"l2", func(t Time, n string) { txSeq++; e.AtLinkCall(t, l2|txSeq, mark, n) }},
+		{0, func(t Time, n string) { e.AtCall(t, mark, n) }},
+		{0, func(t Time, n string) { e.AtCall(t, mark, n) }},
+		{1, func(t Time, n string) { a.AtCall(t, mark, n) }},
+		{1, func(t Time, n string) { a.Sub(0).AtCall(t, mark, n) }}, // Sub(0) is the owner itself
+		{2, func(t Time, n string) { b.AtCall(t, mark, n) }},
+		{3, func(t Time, n string) { b.Sub(1).AtCall(t, mark, n) }},
+		{4, func(t Time, n string) { c.AtCall(t, mark, n) }},
+		{5, func(t Time, n string) { txSeq++; e.AtLinkCall(t, l1|txSeq, mark, n) }},
+		{6, func(t Time, n string) { txSeq++; e.AtLinkCall(t, l2|txSeq, mark, n) }},
 	}
-	want := []string{"u#1", "u#2", "a#1", "a#2", "b.0#1", "b.1#1", "c#1", "l1#1", "l2#1"}
+	names := [][2]string{{"u#1", "u#2"}, {"a#1", "a#2"}, {"b.0"}, {"b.1"}, {"c"}, {"l1"}, {"l2"}}
+	want := []string{"u#1", "u#2", "a#1", "a#2", "b.0", "b.1", "c", "l1", "l2"}
 	at, perms := Time(0), 0
 	permute(len(calls), func(perm []int) {
 		at += 3 * Nanosecond // one engine, a fresh instant per permutation
 		got = got[:0]
-		nth := map[string]int{}
+		var nth [7]int
 		for _, i := range perm {
-			name := calls[i].name
-			nth[name]++
-			calls[i].at(at, fmt.Sprintf("%s#%d", name, nth[name]))
+			k := calls[i].key
+			calls[i].at(at, names[k][nth[k]])
+			nth[k]++
 		}
 		e.RunUntil(at)
 		if !reflect.DeepEqual(got, want) {
