@@ -16,11 +16,9 @@
 //	                          # internal/scenario/server); a job's result
 //	                          # is byte-identical to `flexbench run`
 //
-// With -cores > 1 the scaling-sensitive experiments (Fig 8, 15, 17)
-// additionally emit a harness-scaling table: wall-clock and speedup at
-// 1/2/4/8 cores (capped at -cores). -cores is cell-level only: each cell
-// is one simulation on one engine. Results are bit-identical across core
-// counts; only the wall-clock changes.
+// -cores is cell-level only: each cell is one simulation on one engine.
+// The output is the same bytes at every core count, apart from the
+// "[id completed in …]" timing lines (TestCoresOutputMatchesSerial).
 //
 // Unknown subcommands or flags print usage on stderr and exit 2; a spec
 // that cannot be read, parsed or validated prints the error and exits 1.

@@ -53,6 +53,32 @@ func TestDispatchList(t *testing.T) {
 	}
 }
 
+// TestCoresOutputMatchesSerial: -cores spreads sweep cells over workers
+// and changes nothing a reader can see — the same bytes as the serial
+// run, apart from the wall-clock "[id completed in …]" line.
+func TestCoresOutputMatchesSerial(t *testing.T) {
+	tables := func(cores string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-cores", cores, "fig8"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-cores %s fig8 exited %d: %s", cores, code, stderr.String())
+		}
+		var kept []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if !strings.HasPrefix(line, "[fig8 completed in ") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	serial, parallel := tables("1"), tables("2")
+	if !strings.Contains(serial, "Figure 8") {
+		t.Fatalf("no Figure 8 table in the output:\n%s", serial)
+	}
+	if serial != parallel {
+		t.Errorf("-cores 2 output differs from -cores 1:\n%s\n--- serial:\n%s", parallel, serial)
+	}
+}
+
 const exampleSpec = "../../examples/scenarios/fig15c-loss-sweep.json"
 
 // TestRunSpecDeterministic: `flexbench run` prints the canonical result
@@ -78,9 +104,9 @@ func TestRunSpecDeterministic(t *testing.T) {
 
 // TestRunSpecErrors: a spec that cannot be read or fails validation (the
 // empty-clients spec that once divided by zero in a worker, the
-// buf_bytes that once panicked in shm.NewPayloadBuf mid-run) prints a
-// one-line error on stderr and exits 1 — no usage text, no stdout, no
-// panic.
+// buf_bytes that once panicked in shm.NewPayloadBuf mid-run, the ooo_cap
+// a flextoe machine once clamped to 4 without a word) prints a one-line
+// error on stderr and exits 1 — no usage text, no stdout, no panic.
 func TestRunSpecErrors(t *testing.T) {
 	good, err := os.ReadFile(exampleSpec)
 	if err != nil {
@@ -91,6 +117,7 @@ func TestRunSpecErrors(t *testing.T) {
 	for _, edit := range [][2]string{
 		{`"clients": ["client"]`, `"clients": []`},
 		{`"buf_bytes": 524288`, `"buf_bytes": 100000`},
+		{`"ooo_cap": 4`, `"ooo_cap": 16`},
 	} {
 		bad := bytes.Replace(good, []byte(edit[0]), []byte(edit[1]), 1)
 		if bytes.Equal(bad, good) {

@@ -132,7 +132,8 @@
 //     buffers for idle fleets). The CI gate (TestMillionConnStateBudget)
 //     bounds the whole thing at 2x Table 5 — 346 B/conn at 10^6
 //     established connections (~330 B measured). Teardown returns a slot
-//     after a 4xMinRTO linger; churned fleets plateau
+//     after a linger of four minimum RTOs (8 ms on the FlexTOE control
+//     plane, where the minimum RTO is a constant); churned fleets plateau
 //     (TestChurnSteadyStateMemory) instead of growing.
 //
 //   - Listen-path hardening. Half-open connections per listener are
@@ -356,7 +357,7 @@
 //     (TestFleetAnalyzerCountInvariance).
 //
 //   - Asserted inference tolerances. Cross-validation against stack
-//     ground truth (internal/flowmon/xval, cmd/flextrace diff) is part of
+//     ground truth (internal/flowmon/xval) is part of
 //     CI, with the divergence budget stated per counter and enforced,
 //     after quiescing the workload (counters snapshot mid-flight measure
 //     queue depth, not inference): sender-tap retransmit segments/bytes
@@ -466,7 +467,7 @@ func main() {
 	fmt.Println("  go run ./cmd/flexbench      # regenerate the paper's tables and figures")
 	fmt.Println("  go run ./cmd/flexbench run spec.json  # one scenario spec (examples/scenarios/)")
 	fmt.Println("  go run ./cmd/flexbench serve  # the same specs as an HTTP job service")
-	fmt.Println("  go run ./cmd/flextrace      # tcpdump-style capture on a simulated run")
 	fmt.Println("  go run ./examples/quickstart")
+	fmt.Println("  go run ./examples/tracing   # tracepoints and a tcpdump-style capture on a simulated run")
 	os.Exit(0)
 }

@@ -1,19 +1,13 @@
-// Command flextrace demonstrates FlexTOE's data-path observability along
-// both of the repo's instrumentation axes.
+// Tracing: FlexTOE's data-path observability along both of the repo's
+// instrumentation axes. A short lossy RPC workload runs with all 48
+// tracepoints enabled and an on-NIC capture (core.TOE.PacketTap) feeding
+// both a pcap file and a streaming flowmon analyzer; the program prints
+// the tracepoint counters and the analyzer's per-flow inference, then
+// reads the capture back through the same analyzer (proving pcap ingest
+// and the live tap agree).
 //
-// The default mode runs a short lossy RPC workload with all 48
-// tracepoints enabled, an on-NIC capture (core.TOE.PacketTap) feeding
-// both a pcap file and a streaming flowmon analyzer, then prints the
-// tracepoint counters, the analyzer's per-flow inference, and a read-back
-// of the capture through the same analyzer (proving pcap ingest and the
-// live tap agree).
-//
-// The diff mode ("flextrace diff -personality=flextoe|linux") runs the
-// xval cross-validation scenario: a seeded lossy bulk transfer with
-// passive analyzers on both NICs, comparing inferred retransmit,
-// reassembly, and duplicate-ACK counters against the stack's own ground
-// truth. It exits nonzero when any counter is outside its documented
-// tolerance.
+// Analyzer-versus-stack cross-validation is internal/flowmon/xval, run by
+// its own tests (TestCrossValidateFlexTOE/Linux/HighLoss).
 package main
 
 import (
@@ -25,7 +19,6 @@ import (
 
 	"flextoe/internal/apps"
 	"flextoe/internal/flowmon"
-	"flextoe/internal/flowmon/xval"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
 	"flextoe/internal/pcap"
@@ -37,18 +30,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it parses args, dispatches the mode,
-// and returns the process exit code.
+// run is the testable entry point (tracepoints + capture + live
+// analysis); it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "diff" {
-		return runDiff(args[1:], stdout, stderr)
-	}
-	return runTrace(args, stdout, stderr)
-}
-
-// runTrace is the default mode: tracepoints + capture + live analysis.
-func runTrace(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("flextrace", flag.ContinueOnError)
+	fs := flag.NewFlagSet("tracing", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("w", "flextoe.pcap", "pcap output file")
 	durMs := fs.Int("ms", 10, "simulated milliseconds")
@@ -130,44 +115,6 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, ": capture matches the live tap")
 	} else {
 		fmt.Fprintln(stdout, ": capture DIVERGES from the live tap")
-		return 1
-	}
-	return 0
-}
-
-// runDiff is the cross-validation mode.
-func runDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("flextrace diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	personality := fs.String("personality", "flextoe", "stack under observation: flextoe or linux")
-	loss := fs.Float64("loss", 0, "injected loss probability (0 = scenario default)")
-	durMs := fs.Int("ms", 0, "simulated milliseconds (0 = scenario default)")
-	conns := fs.Int("conns", 0, "bulk connections (0 = scenario default)")
-	seed := fs.Uint64("seed", 0, "loss seed (0 = scenario default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	sc := xval.Scenario{
-		Loss:     *loss,
-		Conns:    *conns,
-		Duration: sim.Time(*durMs) * sim.Millisecond,
-		Seed:     *seed,
-	}
-	switch *personality {
-	case "flextoe":
-		sc.Personality = testbed.FlexTOE
-	case "linux":
-		sc.Personality = testbed.Linux
-	default:
-		fmt.Fprintf(stderr, "unknown personality %q (want flextoe or linux)\n", *personality)
-		return 2
-	}
-
-	res := xval.Run(sc)
-	fmt.Fprint(stdout, res.Format())
-	if !res.Pass() {
-		fmt.Fprintln(stderr, "cross-validation FAILED: analyzer diverges from stack ground truth")
 		return 1
 	}
 	return 0

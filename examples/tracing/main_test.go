@@ -11,7 +11,7 @@ import (
 	"flextoe/internal/pcap"
 )
 
-// TestTraceModeSmoke is the CI smoke: the default mode exits 0, reports
+// TestTraceModeSmoke is the CI smoke: the example exits 0, reports
 // nonzero tracepoint counters and completed RPCs, and the written pcap
 // parses back.
 func TestTraceModeSmoke(t *testing.T) {
@@ -54,27 +54,5 @@ func TestTraceModeSmoke(t *testing.T) {
 	}
 	if records == 0 {
 		t.Fatal("pcap is empty")
-	}
-}
-
-// TestDiffModeSmoke: diff exits 0 for both personalities on a short run.
-func TestDiffModeSmoke(t *testing.T) {
-	for _, p := range []string{"flextoe", "linux"} {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"diff", "-personality", p, "-ms", "5"}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("diff -personality=%s exited %d:\n%s%s",
-				p, code, stdout.String(), stderr.String())
-		}
-		if !strings.Contains(stdout.String(), "retx-bytes") {
-			t.Fatalf("diff output missing comparison table:\n%s", stdout.String())
-		}
-	}
-}
-
-func TestDiffModeRejectsUnknownPersonality(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"diff", "-personality", "beos"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2 for unknown personality", code)
 	}
 }

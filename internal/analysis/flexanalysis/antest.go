@@ -1,7 +1,6 @@
 package flexanalysis
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -105,13 +104,4 @@ func splitWant(s string) []string {
 		pats = append(pats, s[1:1+end])
 		s = s[end+2:]
 	}
-}
-
-// DiagStrings renders active diagnostics for assertion messages.
-func DiagStrings(res Result) []string {
-	var out []string
-	for _, d := range res.Diags {
-		out = append(out, fmt.Sprintf("%s: %s: %s", d.Posn(res.Pkg.Fset), d.Analyzer, d.Message))
-	}
-	return out
 }

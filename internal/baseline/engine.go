@@ -136,10 +136,6 @@ func (s *Stack) LocalIP() packet.IPv4Addr { return s.localIP }
 // Profile returns the personality (mutable for experiments).
 func (s *Stack) Profile() *Profile { return &s.prof }
 
-// StackCoreCount reports dedicated fast-path cores (TAS), for core
-// accounting in scaling experiments.
-func (s *Stack) StackCoreCount() int { return len(s.stackCores) }
-
 // FastPathInstructions sums the work done on dedicated stack cores.
 func (s *Stack) FastPathInstructions() uint64 {
 	var n uint64
@@ -147,15 +143,6 @@ func (s *Stack) FastPathInstructions() uint64 {
 		n += c.Instructions
 	}
 	return n
-}
-
-// SetStackCores reconfigures the number of dedicated fast-path cores.
-func (s *Stack) SetStackCores(n int) {
-	hz := s.machine.Cores[0].Hz()
-	s.stackCores = s.stackCores[:0]
-	for i := 0; i < n; i++ {
-		s.stackCores = append(s.stackCores, host.NewCore(s.eng, s.prof.Name+"/fastpath", hz))
-	}
 }
 
 // bconn is one baseline connection.

@@ -70,7 +70,6 @@ type Profile struct {
 	LockFrac   float64 // fraction of TCP cycles under a global kernel lock
 	ASIC       bool    // TCP processed on the NIC (Chelsio)
 	ASICSegNs  float64 // ASIC per-segment service time
-	ASICGbps   float64 // ASIC wire capability (Chelsio is a 100G part)
 
 	// Tail behaviour: probability a segment op picks up a scheduler /
 	// interrupt / softirq spike, and its mean (exponential).
@@ -186,7 +185,6 @@ func ChelsioProfile() Profile {
 		PerByte:        0.12, // efficient DMA placement
 		ASIC:           true,
 		ASICSegNs:      120,
-		ASICGbps:       100,
 		LockFrac:       0.35,
 		SpikeProb:      0.012,
 		SpikeMeanUs:    35,

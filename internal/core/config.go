@@ -37,9 +37,7 @@ type Config struct {
 	RunToCompletion bool // entire data-path on one FPC, no pipeline
 
 	// Protocol parameters.
-	MSS           uint32
-	AckEvery      int // 1 = ack every data segment (paper); N>1 = delayed ACKs extension
-	UseTimestamps bool
+	MSS uint32
 	// OOOIntervals is the receive-reassembly interval-set capacity per
 	// connection. 1 (default) reproduces the paper's TAS-style single
 	// interval within the Table 5 state budget; up to
@@ -65,14 +63,6 @@ type Config struct {
 	// divides it by the live connection count to derive the per-conn cap.
 	OOOStateBudget int
 
-	// Resource pools (bounded, §3.1.1).
-	SegPoolSize  int // CTM segment buffers
-	DescPoolSize int // HC descriptor buffers
-
-	// Scheduler wheel (§3.4).
-	SchedSlot  sim.Time
-	SchedSlots int
-
 	// Platform adjustments for the x86/BlueField ports (§E).
 	SoftwareRings   bool    // inter-stage queues cost ring ops instead of CLS rings
 	NetifStage      bool    // extra DPDK netif module
@@ -81,6 +71,19 @@ type Config struct {
 	FlatMemory      bool    // hardware cache hierarchy: state accesses cost a flat latency
 	FlatMemCycles   int
 }
+
+// Data-path parameters that hold one value on every platform, figure,
+// spec and workload. Every data segment is acknowledged and every
+// segment carries TCP timestamps, as in the paper.
+const (
+	// Bounded resource pools (§3.1.1).
+	segPoolSize  = 512 // CTM segment buffers
+	descPoolSize = 256 // HC descriptor buffers
+
+	// Scheduler wheel (§3.4).
+	schedSlot  = 2 * sim.Microsecond
+	schedSlots = 4096
+)
 
 // AgilioCX40Config is the paper's primary target (§4): four flow-group
 // islands with 4 pre/post FPCs each, protocol FPCs per island, service
@@ -96,12 +99,6 @@ func AgilioCX40Config() Config {
 		CtxRepl:       2,
 		ThreadsPerFPC: 8,
 		MSS:           1448,
-		AckEvery:      1,
-		UseTimestamps: true,
-		SegPoolSize:   512,
-		DescPoolSize:  256,
-		SchedSlot:     2 * sim.Microsecond,
-		SchedSlots:    4096,
 		CostScale:     1.0,
 	}
 }
@@ -137,12 +134,6 @@ func X86Config(replicated bool) Config {
 		CtxRepl:         1,
 		ThreadsPerFPC:   1,
 		MSS:             1448,
-		AckEvery:        1,
-		UseTimestamps:   true,
-		SegPoolSize:     512,
-		DescPoolSize:    256,
-		SchedSlot:       2 * sim.Microsecond,
-		SchedSlots:      4096,
 		SoftwareRings:   true,
 		NetifStage:      true,
 		CostScale:       0.45, // superscalar x86 retires several NFP-ISA ops per cycle
@@ -180,9 +171,6 @@ func (c *Config) Validate() {
 	if c.MSS == 0 {
 		c.MSS = 1448
 	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 1
-	}
 	if c.OOOIntervals <= 0 {
 		c.OOOIntervals = 1
 	}
@@ -194,18 +182,6 @@ func (c *Config) Validate() {
 	}
 	if c.CostScale == 0 {
 		c.CostScale = 1.0
-	}
-	if c.SegPoolSize <= 0 {
-		c.SegPoolSize = 512
-	}
-	if c.DescPoolSize <= 0 {
-		c.DescPoolSize = 256
-	}
-	if c.SchedSlot <= 0 {
-		c.SchedSlot = 2 * sim.Microsecond
-	}
-	if c.SchedSlots <= 0 {
-		c.SchedSlots = 4096
 	}
 	for _, r := range []*int{&c.PreRepl, &c.ProtoRepl, &c.PostRepl, &c.DMARepl, &c.CtxRepl} {
 		if *r <= 0 {

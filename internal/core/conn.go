@@ -50,7 +50,6 @@ type Conn struct {
 	revHash  uint32
 
 	fg        uint8
-	ackSkip   int16 // delayed-ACK counter (AckEvery extension)
 	live      bool
 	timerHint bool // control plane has a timer armed for this conn
 }

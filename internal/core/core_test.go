@@ -383,24 +383,6 @@ func TestBlueFieldPortTransfers(t *testing.T) {
 	}
 }
 
-func TestDelayedAckExtension(t *testing.T) {
-	cfgB := AgilioCX40Config()
-	cfgB.AckEvery = 2
-	p := newPair(t, AgilioCX40Config(), cfgB, netsim.SwitchConfig{}, 65536)
-	data := testData(100000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
-	p.eng.RunUntil(200 * sim.Millisecond)
-	if !bytes.Equal(p.b.got, data) {
-		t.Fatalf("delayed-ack transfer incomplete: %d/%d", len(p.b.got), len(data))
-	}
-	if p.toeB.AcksSuppressed == 0 {
-		t.Fatal("no acks suppressed with AckEvery=2")
-	}
-	if p.toeB.AcksSent >= p.toeA.TxSegs {
-		t.Fatalf("delayed acks: sent %d acks for %d segments", p.toeB.AcksSent, p.toeA.TxSegs)
-	}
-}
-
 func TestConnStatsPoll(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(20000)

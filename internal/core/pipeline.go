@@ -25,20 +25,19 @@ const (
 
 // Counters aggregates data-path statistics for experiments and tests.
 type Counters struct {
-	RxSegs         uint64
-	RxBytes        uint64
-	TxSegs         uint64
-	TxBytes        uint64
-	AcksSent       uint64
-	AcksSuppressed uint64
-	RxDropNoBuf    uint64
-	RxToControl    uint64
-	XDPDrops       uint64
-	XDPTx          uint64
-	XDPRedirects   uint64
-	HCOps          uint64
-	Notifies       uint64
-	FastRetx       uint64
+	RxSegs       uint64
+	RxBytes      uint64
+	TxSegs       uint64
+	TxBytes      uint64
+	AcksSent     uint64
+	RxDropNoBuf  uint64
+	RxToControl  uint64
+	XDPDrops     uint64
+	XDPTx        uint64
+	XDPRedirects uint64
+	HCOps        uint64
+	Notifies     uint64
+	FastRetx     uint64
 	// DupAcks counts received pure duplicate acknowledgments (same
 	// cumulative ack, no payload, unchanged window, data outstanding) —
 	// the ground truth flowmon's passive inference is checked against.
@@ -117,9 +116,6 @@ type TOE struct {
 	xdpProgs []xdp.Program
 	xdpSt    *stage
 
-	// Module hooks (native modules on idle FPCs).
-	mods []Module
-
 	preLookup *nfp.Cache
 
 	txInflight  int
@@ -163,7 +159,8 @@ type island struct {
 
 type protoWorker struct {
 	fpc   *nfp.FPC
-	q     *sim.Queue[*segItem]
+	q     []*segItem // FIFO: append to push, shm.PopRing at qHead to pop
+	qHead int
 	cache *nfp.StateCache
 	t     *TOE
 	isl   *island
@@ -177,7 +174,8 @@ type protoWorker struct {
 // 64 FPCs fall back to the linear scan.
 type stage struct {
 	name     string
-	q        *sim.Queue[*segItem]
+	q        []*segItem // FIFO: append to push, shm.PopRing at qHead to pop
+	qHead    int
 	fpcs     []*nfp.FPC
 	freeMask uint64
 	taskOf   func(*segItem) sim.Task
@@ -191,7 +189,6 @@ func (t *TOE) newStage(name string, n int, qTrace trace.Point,
 	taskOf func(*segItem) sim.Task, handler func(*segItem)) *stage {
 	s := &stage{
 		name:    name,
-		q:       sim.NewQueue[*segItem](t.eng, name, 0),
 		taskOf:  taskOf,
 		handler: handler,
 		qTrace:  qTrace,
@@ -214,8 +211,8 @@ func (t *TOE) newStage(name string, n int, qTrace trace.Point,
 }
 
 func (s *stage) push(item *segItem) {
-	s.t.trace.HitN(s.qTrace, uint64(s.q.Len()))
-	s.q.Push(item)
+	s.t.trace.HitN(s.qTrace, uint64(len(s.q)-s.qHead))
+	s.q = append(s.q, item)
 	s.pump()
 }
 
@@ -246,12 +243,13 @@ func (s *stage) pickFPC() *nfp.FPC {
 }
 
 func (s *stage) pump() {
-	for s.q.Len() > 0 {
+	for s.qHead < len(s.q) {
 		f := s.pickFPC()
 		if f == nil {
 			return
 		}
-		item, _ := s.q.Pop()
+		item := s.q[s.qHead]
+		s.q, s.qHead = shm.PopRing(s.q, s.qHead)
 		f.SubmitCall(s.taskOf(item), s.handleCb, item)
 	}
 }
@@ -265,8 +263,8 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 		costs:        DefaultCosts(),
 		iface:        iface,
 		trace:        &trace.Registry{},
-		segPool:      shm.NewPool("seg", cfg.SegPoolSize),
-		descPool:     shm.NewPool("desc", cfg.DescPoolSize),
+		segPool:      shm.NewPool("seg", segPoolSize),
+		descPool:     shm.NewPool("desc", descPoolSize),
 		preLookup:    nfp.NewCache(cfg.NFP.PreLookupEntries, 1),
 		OOOOccupancy: stats.NewLinearHist(tcpseg.MaxOOOIntervals),
 		pkts:         packet.PoolOf(eng),
@@ -277,7 +275,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 	if cfg.CopyBytesPerSec > 0 {
 		t.copyRes = sim.NewResource(eng, "memcpy", cfg.CopyBytesPerSec)
 	}
-	t.sched = sched.New(eng, cfg.SchedSlot, cfg.SchedSlots)
+	t.sched = sched.New(eng, schedSlot, schedSlots)
 	t.controlCb = func(a any) {
 		pkt := a.(*packet.Packet)
 		if cb := t.ControlRx; cb != nil {
@@ -316,7 +314,6 @@ func (t *TOE) buildPipeline() {
 		for i := 0; i < cfg.ProtoRepl; i++ {
 			pw := &protoWorker{
 				fpc:   nfp.NewFPC(t.eng, fmt.Sprintf("proto%d/%d", fg, i), &cfg.NFP),
-				q:     sim.NewQueue[*segItem](t.eng, fmt.Sprintf("protoq%d/%d", fg, i), 0),
 				cache: nfp.NewStateCache(&cfg.NFP, cls, emem),
 				t:     t,
 				isl:   isl,
@@ -347,9 +344,6 @@ func (t *TOE) Engine() *sim.Engine { return t.eng }
 
 // Config returns the active configuration.
 func (t *TOE) Config() *Config { return &t.cfg }
-
-// Costs returns the mutable cost table (calibration knobs).
-func (t *TOE) CostTable() *Costs { return &t.costs }
 
 // tsNow is the TCP timestamp clock in microseconds.
 func (t *TOE) tsNow() uint32 { return uint32(t.eng.Now() / sim.Microsecond) }
@@ -482,14 +476,15 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 // worker (same connection -> same worker: atomicity without locks).
 func (t *TOE) protoAdmit(isl *island, s *segItem) {
 	w := isl.protos[int(s.conn)%len(isl.protos)]
-	t.trace.HitN(trace.TPQProto, uint64(w.q.Len()))
-	w.q.Push(s)
+	t.trace.HitN(trace.TPQProto, uint64(len(w.q)-w.qHead))
+	w.q = append(w.q, s)
 	w.pump()
 }
 
 func (w *protoWorker) pump() {
-	for w.q.Len() > 0 && w.fpc.FreeThreads() > 0 {
-		item, _ := w.q.Pop()
+	for w.qHead < len(w.q) && w.fpc.FreeThreads() > 0 {
+		item := w.q[w.qHead]
+		w.q, w.qHead = shm.PopRing(w.q, w.qHead)
 		task := w.taskOf(item)
 		// The protocol stage is atomic (§3.1: "the only pipeline
 		// hazard"): state mutations execute here, in admission order,
@@ -552,23 +547,6 @@ func (t *TOE) protoExec(isl *island, s *segItem) {
 			t.trace.Hit(trace.TPConnFastRetx)
 		}
 		t.countReassembly(&s.rx)
-		// Delayed-ACK extension: suppress all but every Nth ACK unless
-		// the segment demands attention (OOO activity, FIN, window
-		// edge). ACKs that merge intervals, leave intervals outstanding,
-		// or carry SACK blocks are recovery-critical — the peer's
-		// selective-retransmit machinery keys off them — and are never
-		// suppressed.
-		if s.rx.SendAck && t.cfg.AckEvery > 1 && s.rx.WriteLen > 0 &&
-			!s.rx.WasOOO && !s.rx.OOODrop && !s.rx.FinRx && !s.rx.FastRetransmit &&
-			s.rx.OOOMerged == 0 && s.rx.OOOIvs == 0 && s.rx.AckSACKCnt == 0 {
-			conn.ackSkip++
-			if int(conn.ackSkip) < t.cfg.AckEvery {
-				s.rx.SendAck = false
-				t.AcksSuppressed++
-			} else {
-				conn.ackSkip = 0
-			}
-		}
 		if s.rx.SendAck {
 			s.hasNBI = true
 			s.nbiTicket = isl.nbi.ticket()
@@ -660,10 +638,7 @@ func (t *TOE) postTask(s *segItem) sim.Task {
 	case segRX:
 		instr = c.PostStats + c.PostPos
 		if s.rx.SendAck {
-			instr += c.PostAck
-			if t.cfg.UseTimestamps {
-				instr += c.PostStamp
-			}
+			instr += c.PostAck + c.PostStamp
 		}
 		if s.rx.NewInOrder > 0 || s.rx.AckedBytes > 0 || s.rx.FinRx {
 			instr += c.PostNotify
@@ -979,11 +954,9 @@ func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
 	for i := uint8(0); i < s.rx.AckSACKCnt; i++ {
 		pkt.TCP.AddSACK(packet.SACKBlock{Start: s.rx.AckSACK[i].Start, End: s.rx.AckSACK[i].End})
 	}
-	if t.cfg.UseTimestamps {
-		pkt.TCP.HasTimestamp = true
-		pkt.TCP.TSVal = t.tsNow()
-		pkt.TCP.TSEcr = s.rx.EchoTS
-	}
+	pkt.TCP.HasTimestamp = true
+	pkt.TCP.TSVal = t.tsNow()
+	pkt.TCP.TSEcr = s.rx.EchoTS
 	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }
@@ -1016,11 +989,9 @@ func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
 	for i := uint8(0); i < s.tx.SACKCnt; i++ {
 		pkt.TCP.AddSACK(packet.SACKBlock{Start: s.tx.SACK[i].Start, End: s.tx.SACK[i].End})
 	}
-	if t.cfg.UseTimestamps {
-		pkt.TCP.HasTimestamp = true
-		pkt.TCP.TSVal = t.tsNow()
-		pkt.TCP.TSEcr = s.tx.EchoTS
-	}
+	pkt.TCP.HasTimestamp = true
+	pkt.TCP.TSVal = t.tsNow()
+	pkt.TCP.TSEcr = s.tx.EchoTS
 	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }

@@ -45,12 +45,7 @@ type Config struct {
 	LocalMAC packet.EtherAddr
 	BufSize  uint32 // per-socket payload buffer size (power of two)
 
-	CC          CCAlgo
-	CCInterval  sim.Time // per-connection CC poll period while active
-	MinRTO      sim.Time
-	DCTCPGainG  float64 // alpha EWMA gain
-	InitialCWnd uint32  // bytes; 0 = 10*MSS
-	MaxCWnd     uint32  // bytes; 0 = buffer size
+	CC CCAlgo
 
 	// ListenBacklog bounds half-open (SYN-received) connections per
 	// listener; SYNs beyond it are dropped silently, as a SYN-flooded
@@ -61,13 +56,23 @@ type Config struct {
 	// listener (token bucket, burst 1): connection-setup admission
 	// control for the storm experiments.
 	AcceptRate float64
-	// HandshakeTimeout expires half-open connections (both passive
-	// SYN-received and active SYN-sent) so floods and lost handshakes
-	// don't pin state forever. 0 = 50ms.
-	HandshakeTimeout sim.Time
 
 	Seed uint64
 }
+
+// Control-plane parameters: constants, because every figure, spec and
+// workload runs with these values. The congestion-window ceiling is
+// Config.BufSize (a sender never has more than one buffer in flight).
+const (
+	ccInterval  = 100 * sim.Microsecond // per-connection CC poll period while active
+	minRTO      = 2 * sim.Millisecond
+	dctcpGainG  = 1.0 / 16  // alpha EWMA gain
+	initialCWnd = 10 * 1448 // bytes
+	// handshakeTimeout expires half-open connections (both passive
+	// SYN-received and active SYN-sent) so floods and lost handshakes
+	// don't pin state forever.
+	handshakeTimeout = 50 * sim.Millisecond
+)
 
 // Plane is one machine's control plane.
 type Plane struct {
@@ -208,26 +213,8 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 	if cfg.BufSize == 0 {
 		cfg.BufSize = 65536
 	}
-	if cfg.CCInterval == 0 {
-		cfg.CCInterval = 100 * sim.Microsecond
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = 2 * sim.Millisecond
-	}
-	if cfg.DCTCPGainG == 0 {
-		cfg.DCTCPGainG = 1.0 / 16
-	}
-	if cfg.InitialCWnd == 0 {
-		cfg.InitialCWnd = 10 * 1448
-	}
-	if cfg.MaxCWnd == 0 {
-		cfg.MaxCWnd = cfg.BufSize
-	}
 	if cfg.ListenBacklog == 0 {
 		cfg.ListenBacklog = 128
-	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 50 * sim.Millisecond
 	}
 	p := &Plane{
 		eng:       eng,
@@ -265,7 +252,7 @@ func (p *Plane) sackEnabled() bool { return p.toe.Config().EnableSACK }
 
 // Dial initiates a connection to a remote endpoint. If the peer drops
 // our SYN (backlog overflow, rate limit, loss), the half-open state
-// expires after HandshakeTimeout and the connected callback never fires.
+// expires after handshakeTimeout and the connected callback never fires.
 func (p *Plane) Dial(remoteIP packet.IPv4Addr, remoteMAC packet.EtherAddr, remotePort uint16, connected func(*Conn)) {
 	p.nextPort++
 	flow := packet.Flow{SrcIP: p.cfg.LocalIP, DstIP: remoteIP, SrcPort: p.nextPort, DstPort: remotePort}
@@ -281,7 +268,7 @@ func (p *Plane) addPending(pc *pendingConn) {
 	if pc.lis != nil {
 		pc.lis.pendingN++
 	}
-	p.own.AfterCall(p.cfg.HandshakeTimeout, pendingExpire, pc)
+	p.own.AfterCall(handshakeTimeout, pendingExpire, pc)
 }
 
 // dropPending unregisters a half-open connection (completed, reset, or
@@ -445,10 +432,10 @@ func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uin
 	*cc = ccState{
 		epoch:     cc.epoch + 1, // invalidate any stale carriers for this slot
 		live:      true,
-		cwnd:      p.cfg.InitialCWnd,
+		cwnd:      initialCWnd,
 		rate:      1e9,
 		lastAcked: p.eng.Now(),
-		rto:       p.cfg.MinRTO,
+		rto:       minRTO,
 		scanIdx:   len(p.scan),
 	}
 	p.scan = append(p.scan, id)
@@ -541,7 +528,7 @@ func (p *Plane) timerKick(id uint32) {
 	if p.cfg.CC != CCNone && !cc.ccArmed {
 		cc.ccArmed = true
 		cc.ccIdle = 0
-		p.own.AfterCall(p.cfg.CCInterval, connTimerFire, p.getTimer(id, cc.epoch, timerCC))
+		p.own.AfterCall(ccInterval, connTimerFire, p.getTimer(id, cc.epoch, timerCC))
 	}
 }
 
@@ -643,7 +630,7 @@ func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
 		// Both directions closed and acknowledged: linger long enough
 		// for stragglers to drain, then reclaim the slot.
 		if cc.lingerAt == 0 {
-			cc.lingerAt = now + 4*p.cfg.MinRTO
+			cc.lingerAt = now + 4*minRTO
 		}
 		if now >= cc.lingerAt {
 			p.putTimer(tm)
@@ -689,10 +676,10 @@ func (p *Plane) ccFire(tm *connTimer, cc *ccState) {
 		} else {
 			cc.srtt += (rtt - cc.srtt) / 8
 		}
-		if r := 4 * cc.srtt; r > p.cfg.MinRTO {
+		if r := 4 * cc.srtt; r > minRTO {
 			cc.rto = r
 		} else {
-			cc.rto = p.cfg.MinRTO
+			cc.rto = minRTO
 		}
 	}
 	switch p.cfg.CC {
@@ -723,7 +710,7 @@ func (p *Plane) ccFire(tm *connTimer, cc *ccState) {
 		}
 		return
 	}
-	p.own.AfterCall(p.cfg.CCInterval, connTimerFire, tm)
+	p.own.AfterCall(ccInterval, connTimerFire, tm)
 }
 
 // sendZeroWindowProbe emits the persist probe via the control plane's own
@@ -760,8 +747,7 @@ func (p *Plane) dctcp(id uint32, cc *ccState, st core.ConnStats) {
 		return
 	}
 	frac := float64(st.ECNBytes) / float64(st.AckedBytes)
-	g := p.cfg.DCTCPGainG
-	cc.alpha = (1-g)*cc.alpha + g*frac
+	cc.alpha = (1-dctcpGainG)*cc.alpha + dctcpGainG*frac
 	if st.ECNBytes > 0 {
 		cc.cwnd = uint32(float64(cc.cwnd) * (1 - cc.alpha/2))
 	} else {
@@ -773,8 +759,8 @@ func (p *Plane) dctcp(id uint32, cc *ccState, st core.ConnStats) {
 	if cc.cwnd < 2*1448 {
 		cc.cwnd = 2 * 1448
 	}
-	if cc.cwnd > p.cfg.MaxCWnd {
-		cc.cwnd = p.cfg.MaxCWnd
+	if cc.cwnd > p.cfg.BufSize {
+		cc.cwnd = p.cfg.BufSize
 	}
 	p.toe.SetCongestionWindow(id, cc.cwnd)
 }

@@ -186,12 +186,6 @@ func (a *Asm) JmpImm(op uint8, dst uint8, imm int32, label string) *Asm {
 	return a.emit(Insn{Op: ClassJMP | op | SrcImm, Dst: dst, Imm: imm})
 }
 
-// JmpReg jumps to label when dst <op> src.
-func (a *Asm) JmpReg(op uint8, dst, src uint8, label string) *Asm {
-	a.fixups = append(a.fixups, fixup{len(a.ins), label})
-	return a.emit(Insn{Op: ClassJMP | op | SrcReg, Dst: dst, Src: src})
-}
-
 // Jmp jumps unconditionally.
 func (a *Asm) Jmp(label string) *Asm {
 	a.fixups = append(a.fixups, fixup{len(a.ins), label})

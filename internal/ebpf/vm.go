@@ -34,13 +34,12 @@ const MaxInstructions = 100_000
 
 // Execution errors.
 var (
-	ErrOutOfBounds  = errors.New("ebpf: memory access out of bounds")
-	ErrDivByZero    = errors.New("ebpf: division by zero")
-	ErrBadInsn      = errors.New("ebpf: unknown instruction")
-	ErrTooLong      = errors.New("ebpf: instruction limit exceeded")
-	ErrBadHelper    = errors.New("ebpf: unknown helper")
-	ErrBadMap       = errors.New("ebpf: bad map reference")
-	ErrWriteToFrame = errors.New("ebpf: write to read-only register r10")
+	ErrOutOfBounds = errors.New("ebpf: memory access out of bounds")
+	ErrDivByZero   = errors.New("ebpf: division by zero")
+	ErrBadInsn     = errors.New("ebpf: unknown instruction")
+	ErrTooLong     = errors.New("ebpf: instruction limit exceeded")
+	ErrBadHelper   = errors.New("ebpf: unknown helper")
+	ErrBadMap      = errors.New("ebpf: bad map reference")
 )
 
 // VM executes eBPF programs against packet memory and registered maps.

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flextoe/internal/scenario"
 	"flextoe/internal/sim"
@@ -79,10 +78,7 @@ func (s Scale) cores() int {
 // goroutines. Each cell is a self-contained seeded testbed writing only
 // to its own result slot, so the output is bit-identical to the serial
 // loop regardless of scheduling: cross-cell state is nil by construction
-// (per-engine pools, per-testbed switch RNGs), and the one package-level
-// counter cells do share — netsim's interface ID allocator — is atomic
-// and only the per-testbed *relative* order of IDs matters for event
-// tie-breaking, which single-goroutine testbed construction preserves.
+// (per-engine pools, link ids and owner ranks, per-testbed switch RNGs).
 func runCells(workers, n int, cell func(i int)) {
 	if workers > n {
 		workers = n
@@ -114,42 +110,6 @@ func runCells(workers, n int, cell func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// scalingCoreCounts is the per-core-count sweep reported by the scaling
-// tables (clamped to the Scale's core budget).
-var scalingCoreCounts = []int{1, 2, 4, 8}
-
-// scalingTable re-runs one figure's cell set at increasing core counts
-// and reports wall-clock time and speedup over the serial run. Results
-// are identical at every row (the determinism contract); only the
-// wall-clock changes. Host timing is deliberate here: this package is
-// not simulation-critical, and the table measures the simulator itself.
-func scalingTable(id, title string, maxCores int, run func(cores int)) *Table {
-	t := &Table{
-		ID:     id,
-		Title:  title,
-		Header: []string{"Cores", "Wall (ms)", "Speedup"},
-		Notes:  "same seeded cells at every core count — results are bit-identical, only wall-clock changes (doc.go \"One job, one engine\")",
-	}
-	var base float64
-	for _, c := range scalingCoreCounts {
-		if c > maxCores {
-			break
-		}
-		start := time.Now()
-		run(c)
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		if c == 1 {
-			base = ms
-		}
-		speedup := 0.0
-		if ms > 0 {
-			speedup = base / ms
-		}
-		t.AddRow(fmt.Sprintf("%d", c), f1(ms), f2(speedup))
-	}
-	return t
 }
 
 // Table is one regenerated result table/figure.

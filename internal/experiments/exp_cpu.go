@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"flextoe/internal/apps"
-	"flextoe/internal/baseline"
-	"flextoe/internal/host"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
 	"flextoe/internal/stats"
@@ -197,8 +195,7 @@ func fig8Cells(cores []int, d sim.Time, workers int) [][]float64 {
 
 // Fig8 regenerates Figure 8: memcached throughput scaling with server
 // cores for all four stacks. With Scale.Cores > 1 the sweep cells run on
-// a worker pool and a second table reports the harness's own wall-clock
-// scaling across host core counts.
+// a worker pool (results unchanged).
 func Fig8(s Scale) []*Table {
 	t := &Table{
 		ID:     "Figure 8",
@@ -215,13 +212,7 @@ func Fig8(s Scale) []*Table {
 		}
 		t.AddRow(cells...)
 	}
-	out := []*Table{t}
-	if s.cores() > 1 {
-		out = append(out, scalingTable("Figure 8 (harness scaling)",
-			"Fig 8 sweep wall-clock vs host cores (identical results at every row)",
-			s.cores(), func(c int) { fig8Cells(cores, d, c) }))
-	}
-	return out
+	return []*Table{t}
 }
 
 // Fig9 regenerates Figure 9: memcached operation latency for every
@@ -291,6 +282,3 @@ func Table5(Scale) []*Table {
 		fmt.Sprintf("+%d", len(proto.MarshalSACKExtension())))
 	return []*Table{t}
 }
-
-var _ = baseline.Profile{}
-var _ = host.Counters{}

@@ -321,8 +321,7 @@ func fig17Cells(sw fig17Sweep, workers int) (incast []fig17IncastResult, ecmp []
 // leaf–spine fabric. 17a sweeps N-to-1 incast fan-in against the control
 // plane's CC policies; 17b measures per-flow ECMP load balance across the
 // spines; 17c moves the congestion point with the trunk rate. With
-// Scale.Cores > 1 the points run on a worker pool (results unchanged) and
-// a final table reports the harness's wall-clock scaling.
+// Scale.Cores > 1 the points run on a worker pool (results unchanged).
 func Fig17(s Scale) []*Table {
 	sw := fig17SweepAt(s)
 	incastRes, ecmpRes, oversubRes := fig17Cells(sw, s.cores())
@@ -392,11 +391,5 @@ func Fig17(s Scale) []*Table {
 			f1(float64(r.peakUplinkQ)/1024), f1(float64(r.peakHostQ)/1024),
 			fmt.Sprintf("%d", r.uplinkMarks), fmt.Sprintf("%d", r.hostMarks))
 	}
-	out := []*Table{incast, ecmp, split, oversub}
-	if s.cores() > 1 {
-		out = append(out, scalingTable("Figure 17 (harness scaling)",
-			"Fig 17 sweep wall-clock vs host cores (identical results at every row)",
-			s.cores(), func(c int) { fig17Cells(sw, c) }))
-	}
-	return out
+	return []*Table{incast, ecmp, split, oversub}
 }

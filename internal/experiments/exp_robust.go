@@ -192,7 +192,7 @@ func fig15Cells(rates []float64, dS, dL sim.Time, workers int) (small, large [][
 // Fig15 regenerates Figure 15: throughput under injected packet loss for
 // (a) small pipelined RPCs and (b) large unidirectional flows. With
 // Scale.Cores > 1 the sweep cells run on a worker pool (results
-// unchanged) and a final table reports the harness's wall-clock scaling.
+// unchanged).
 func Fig15(s Scale) []*Table {
 	rates := []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 0.02}
 	if !s.Full {
@@ -325,13 +325,7 @@ func Fig15(s Scale) []*Table {
 		cross.AddRow(fmt.Sprintf("%g%%", loss*100), f2(r.g), f1(r.retxKB),
 			fmt.Sprintf("%d", r.sackRetx), fmt.Sprintf("%d", r.reneges))
 	}
-	out := []*Table{small, large, recovery, reasm, cross}
-	if s.cores() > 1 {
-		out = append(out, scalingTable("Figure 15 (harness scaling)",
-			"Fig 15a+15b sweep wall-clock vs host cores (identical results at every row)",
-			s.cores(), func(c int) { fig15Cells(rates, dS, dL, c) }))
-	}
-	return out
+	return []*Table{small, large, recovery, reasm, cross}
 }
 
 // fig15CrossStackPoint runs 8 bulk FlexTOE→Linux flows at the given loss

@@ -198,9 +198,6 @@ func (f *Fabric) LeafPort(name string) *netsim.Iface {
 	return nil
 }
 
-// Uplink returns leaf l's trunk port toward spine s (ECMP index s).
-func (f *Fabric) Uplink(l, s int) *netsim.Iface { return f.leafUplinks[l][s] }
-
 // SpineTxBytes returns, per spine, the bytes all leaves transmitted up
 // that spine — the ECMP load-balance measurement.
 func (f *Fabric) SpineTxBytes() []uint64 {

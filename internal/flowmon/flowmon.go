@@ -28,7 +28,7 @@
 //
 // Inference tolerances — what a passive observer provably cannot see —
 // are documented on Report and asserted by the xval cross-validation
-// harness (cmd/flextrace's diff mode).
+// harness (internal/flowmon/xval).
 package flowmon
 
 import (

@@ -7,8 +7,8 @@
 // decisions at the receiver tap must match exactly; duplicate-ACK counts
 // may diverge by a documented bounded amount around recovery episodes.
 //
-// The harness backs both cmd/flextrace's diff mode and the CI
-// cross-validation tests.
+// The harness backs the CI cross-validation tests
+// (TestCrossValidateFlexTOE/Linux/HighLoss).
 package xval
 
 import (

@@ -1,8 +1,8 @@
 // Package host models the server and client machines of the testbed: CPU
 // cores that execute application and network-stack work serially, with
-// cycle accounting detailed enough to regenerate Table 1 (per-request
-// cycles by component, top-down pipeline-slot breakdown, IPC and icache
-// footprint).
+// per-core busy-time and instruction accounting (Table 1's kilocycles
+// per request are read from it; the component split and the top-down
+// shares are calibrated profiles in internal/experiments).
 package host
 
 import (
@@ -21,12 +21,11 @@ type Core struct {
 	hz      int64
 	cyclePs sim.Time
 
-	busyUntil sim.Time
-	queue     []hostTask
-	qHead     int
-	running   bool
-	curCb     func(any) // completion of the task currently executing
-	curArg    any
+	queue   []hostTask
+	qHead   int
+	running bool
+	curCb   func(any) // completion of the task currently executing
+	curArg  any
 
 	// Statistics.
 	Tasks        uint64
@@ -140,54 +139,4 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[p:])
-}
-
-// LeastLoaded returns the core with the shortest queue.
-func (m *Machine) LeastLoaded() *Core {
-	best := m.Cores[0]
-	for _, c := range m.Cores[1:] {
-		if !c.Busy() && best.Busy() {
-			best = c
-		} else if c.QueueLen() < best.QueueLen() && c.Busy() == best.Busy() {
-			best = c
-		}
-	}
-	return best
-}
-
-// Counters models the hardware performance counters used in §2.1's
-// analysis: it accumulates per-component cycles and classifies them into
-// top-down pipeline slots.
-type Counters struct {
-	// Per-component kilocycles per request (Table 1 rows).
-	Driver  float64
-	TCPIP   float64
-	Sockets float64
-	App     float64
-	Other   float64
-
-	// Top-down breakdown fractions of total cycles.
-	Retiring float64
-	Frontend float64
-	Backend  float64
-	BadSpec  float64
-
-	Instructions float64 // thousands per request
-	IcacheKB     float64
-
-	Requests uint64
-}
-
-// Total returns total kilocycles per request.
-func (c *Counters) Total() float64 {
-	return c.Driver + c.TCPIP + c.Sockets + c.App + c.Other
-}
-
-// IPC returns instructions per cycle.
-func (c *Counters) IPC() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return c.Instructions / t
 }

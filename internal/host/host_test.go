@@ -73,23 +73,6 @@ func TestCoreUtilization(t *testing.T) {
 	}
 }
 
-func TestMachineLeastLoaded(t *testing.T) {
-	eng := sim.New()
-	m := NewMachine(eng, "host", 4, 2e9)
-	if len(m.Cores) != 4 {
-		t.Fatalf("cores = %d", len(m.Cores))
-	}
-	eng.AtCall(0, func(any) {
-		m.Cores[0].SubmitCall(sim.TaskC(10000), nil, nil)
-		m.Cores[1].SubmitCall(sim.TaskC(10000), nil, nil)
-		ll := m.LeastLoaded()
-		if ll == m.Cores[0] || ll == m.Cores[1] {
-			t.Error("LeastLoaded picked a busy core over an idle one")
-		}
-	}, nil)
-	eng.Run()
-}
-
 // TestSubmitCallOrderAndArgs: call-form tasks run serially in submission
 // order with their own arguments, interleaved with plain Submits.
 func TestSubmitCallOrderAndArgs(t *testing.T) {
@@ -126,20 +109,6 @@ func TestSubmitCallAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("SubmitCall allocates %.1f/op in steady state", allocs)
-	}
-}
-
-func TestCountersAccessors(t *testing.T) {
-	c := Counters{Driver: 1, TCPIP: 4, Sockets: 2, App: 1, Other: 3, Instructions: 14.3}
-	if c.Total() != 11 {
-		t.Fatalf("total = %v", c.Total())
-	}
-	if ipc := c.IPC(); ipc < 1.29 || ipc > 1.31 {
-		t.Fatalf("IPC = %v", ipc)
-	}
-	var zero Counters
-	if zero.IPC() != 0 {
-		t.Fatal("zero counters IPC")
 	}
 }
 

@@ -376,9 +376,6 @@ func (s *Switch) AddUplink(name string, bytesPerSec float64) *Iface {
 	return port
 }
 
-// Uplinks returns the ECMP uplink ports in index order.
-func (s *Switch) Uplinks() []*Iface { return s.uplinks }
-
 // Ports returns every switch port in creation order.
 func (s *Switch) Ports() []*Iface { return s.ports }
 

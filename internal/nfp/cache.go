@@ -135,6 +135,3 @@ func (sc *StateCache) Access(conn uint64) sim.Time {
 	}
 	return sc.cfg.CyclesTime(sc.cfg.DRAMCycles)
 }
-
-// LocalHitRate exposes the first-level hit rate for diagnostics.
-func (sc *StateCache) LocalHitRate() float64 { return sc.local.HitRate() }

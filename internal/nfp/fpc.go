@@ -20,10 +20,8 @@ import (
 
 // Config describes an NFP-4000-class part.
 type Config struct {
-	FPCHz      int64 // FPC clock (Agilio CX: 800 MHz; Agilio LX: 1.2 GHz)
-	Threads    int   // hardware threads per FPC (8)
-	FPCsPerIsl int   // FPCs per general-purpose island (12)
-	Islands    int   // general-purpose islands (5)
+	FPCHz   int64 // FPC clock (Agilio CX: 800 MHz; Agilio LX: 1.2 GHz)
+	Threads int   // hardware threads per FPC (8)
 
 	// Memory access latencies in FPC cycles (§2.3: CLS/CTM up to 100,
 	// IMEM up to 250, EMEM up to 500; DRAM behind the EMEM cache costs
@@ -54,10 +52,8 @@ type Config struct {
 // in the paper's evaluation.
 func AgilioCX40() Config {
 	return Config{
-		FPCHz:      800e6,
-		Threads:    8,
-		FPCsPerIsl: 12,
-		Islands:    5,
+		FPCHz:   800e6,
+		Threads: 8,
 
 		LocalMemCycles: 1,
 		CLSCycles:      100,
@@ -77,15 +73,6 @@ func AgilioCX40() Config {
 
 		MMIOLatency: 300 * sim.Nanosecond,
 	}
-}
-
-// AgilioLX returns the larger Agilio LX part (footnote 7: 1.2 GHz FPCs,
-// double the islands), used for the splicing headroom discussion.
-func AgilioLX() Config {
-	c := AgilioCX40()
-	c.FPCHz = 1200e6
-	c.Islands = 10
-	return c
 }
 
 // CyclePs returns the FPC cycle time in picoseconds.

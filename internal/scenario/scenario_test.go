@@ -86,6 +86,8 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"buf_bytes not a power of two", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 100000`, 1), "buf_bytes must be 0 or a power of two"},
 		{"buf_bytes below one window unit", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 64`, 1), "buf_bytes must be 0 or a power of two"},
 		{"buf_bytes above the widest window", strings.Replace(base, `"buf_bytes": 262144`, `"buf_bytes": 16777216`, 1), "buf_bytes must be 0 or a power of two"},
+		{"ooo_cap above the flextoe interval array", strings.Replace(base, `"sack": true, "seed": 155`, `"sack": true, "ooo_cap": 16, "seed": 155`, 1), "ooo_cap must be in [0,4] on a flextoe machine"},
+		{"ooo_cap above the baseline bound", strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "ooo_cap": 33`, 1), "ooo_cap must be in [0,32] on a linux machine"},
 		{"rack out of range", strings.Replace(incastSpec(), `"rack": 2`, `"rack": 7`, 1), "out of range"},
 		{"fleets plus flowmon", strings.Replace(incastSpec(), `"per_rack_fleets": true`, `"per_rack_fleets": true, "flowmon": [{"machine": "agg"}]`, 1), "excludes explicit flowmon"},
 	}
@@ -95,6 +97,11 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+	// The flextoe bound is the personality's, not a new global one.
+	linux32 := strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "ooo_cap": 32`, 1)
+	if _, err := Parse([]byte(linux32)); err != nil {
+		t.Errorf("ooo_cap 32 on a linux machine: %v", err)
 	}
 }
 

@@ -109,7 +109,8 @@ type Machine struct {
 	CC string `json:"cc,omitempty"`
 	// SACK enables SACK negotiation (flextoe machines only).
 	SACK bool `json:"sack,omitempty"`
-	// OOOCap overrides the reassembly interval budget (any personality).
+	// OOOCap overrides the reassembly interval budget (any personality;
+	// at most tcpseg.MaxOOOIntervals on flextoe machines, 32 otherwise).
 	OOOCap        int     `json:"ooo_cap,omitempty"`
 	ListenBacklog int     `json:"listen_backlog,omitempty"`
 	AcceptRate    float64 `json:"accept_rate,omitempty"`
@@ -429,8 +430,14 @@ func (s *Spec) Validate() error {
 		if m.Cores < 0 || m.StackCores < 0 || m.ListenBacklog < 0 || m.AcceptRate < 0 || m.NICGbps < 0 {
 			return errf("machine %q: negative resource values", m.Name)
 		}
-		if m.OOOCap < 0 || m.OOOCap > 32 {
-			return errf("machine %q: ooo_cap must be in [0,32]", m.Name)
+		// A FlexTOE connection's reassembly set is a fixed array in its
+		// protocol state (Table 5); the baselines grow theirs.
+		oooMax := 32
+		if m.Stack == StackFlexTOE {
+			oooMax = tcpseg.MaxOOOIntervals
+		}
+		if m.OOOCap < 0 || m.OOOCap > oooMax {
+			return errf("machine %q: ooo_cap must be in [0,%d] on a %s machine", m.Name, oooMax, m.Stack)
 		}
 		if b := m.BufBytes; b != 0 && (b&(b-1) != 0 || b < minBufBytes || b > maxBufBytes) {
 			return errf("machine %q: buf_bytes must be 0 or a power of two in [%d,%d]", m.Name, minBufBytes, maxBufBytes)

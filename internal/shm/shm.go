@@ -238,9 +238,11 @@ func (f *Freelist[T]) Put(x *T) {
 // PopRing advances a slice-backed FIFO ring's head past one consumed
 // slot (zeroing it so the ring retains no reference), compacting the
 // backing slice when over half is dead so the ring stays O(outstanding)
-// under sustained load instead of growing with every push. Shared by the
-// app-layer request/response queues and libTOE's per-socket notification
-// FIFO.
+// under sustained load instead of growing with every push. It is the one
+// FIFO in the tree: the pipeline's stage queues, the FPC run queue, the
+// DMA wait list, host.Core, the connection free lists, the app-layer
+// request/response queues and libTOE's notification FIFO all keep a
+// slice and a head index, append to push, and pop through here.
 func PopRing[T any](s []T, head int) ([]T, int) {
 	var zero T
 	s[head] = zero

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTimeUnits(t *testing.T) {
 	if Second != 1e12*Picosecond {
@@ -166,75 +163,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e, "q", 0)
-	for i := 0; i < 200; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < 200; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d, %v", i, v, ok)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop from empty succeeded")
-	}
-}
-
-func TestQueueCapacityAndDrops(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e, "q", 2)
-	if !q.Push(1) || !q.Push(2) {
-		t.Fatal("pushes under capacity failed")
-	}
-	if q.Push(3) {
-		t.Fatal("push over capacity succeeded")
-	}
-	if q.Drops() != 1 {
-		t.Fatalf("drops = %d", q.Drops())
-	}
-	q.Pop()
-	if !q.Push(3) {
-		t.Fatal("push after pop failed")
-	}
-}
-
-func TestQueueOccupancyStats(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e, "q", 0)
-	e.AtCall(0, func(any) { q.Push(1); q.Push(2) }, nil)
-	e.AtCall(100, func(any) { q.Pop() }, nil)
-	e.AtCall(200, func(any) { q.Pop() }, nil)
-	e.Run()
-	// Occupancy: 2 for [0,100), 1 for [100,200) => mean 1.5 over 200ps.
-	if got := q.MeanOccupancy(); got != 1.5 {
-		t.Fatalf("mean occupancy = %v", got)
-	}
-	if q.MaxOccupancy() != 2 {
-		t.Fatalf("max occupancy = %d", q.MaxOccupancy())
-	}
-}
-
-func TestQueueCompaction(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e, "q", 0)
-	// Interleave pushes and pops to force head movement + compaction.
-	for i := 0; i < 10000; i++ {
-		q.Push(i)
-		if i%2 == 1 {
-			v, ok := q.Pop()
-			if !ok || v != i/2 {
-				t.Fatalf("pop = %d, %v at i=%d", v, ok, i)
-			}
-		}
-	}
-	if q.Len() != 5000 {
-		t.Fatalf("len = %d", q.Len())
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	e := New()
 	// 1000 units/second => 1e9 ps per unit.
@@ -275,30 +203,5 @@ func TestTaskAccessors(t *testing.T) {
 	}
 	if task.StallTime() != 15*Nanosecond {
 		t.Fatalf("stall = %v", task.StallTime())
-	}
-}
-
-func TestQueuePropertyFIFO(t *testing.T) {
-	// Property: any interleaving of pushes and pops preserves FIFO order.
-	f := func(ops []bool) bool {
-		e := New()
-		q := NewQueue[int](e, "q", 0)
-		next := 0
-		expect := 0
-		for _, push := range ops {
-			if push {
-				q.Push(next)
-				next++
-			} else if v, ok := q.Pop(); ok {
-				if v != expect {
-					return false
-				}
-				expect++
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

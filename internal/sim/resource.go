@@ -52,9 +52,6 @@ func (r *Resource) Reserve(n int64, extra Time) Time {
 	return r.free + extra
 }
 
-// NextFree returns when the resource next becomes idle.
-func (r *Resource) NextFree() Time { return r.free }
-
 // Utilization returns the fraction of simulated time the resource was busy.
 func (r *Resource) Utilization() float64 {
 	now := r.eng.Now()

@@ -153,30 +153,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 // Median is Percentile(50).
 func (h *Histogram) Median() int64 { return h.Percentile(50) }
 
-// CDF returns (value, cumulative fraction) pairs for plotting, one per
-// non-empty bucket.
-type CDFPoint struct {
-	Value    int64
-	Fraction float64
-}
-
-// CDF returns the cumulative distribution of observations.
-func (h *Histogram) CDF() []CDFPoint {
-	if h.n == 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var cum uint64
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		pts = append(pts, CDFPoint{Value: h.bucketLow(b), Fraction: float64(cum) / float64(h.n)})
-	}
-	return pts
-}
-
 // Merge adds all observations from other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {

@@ -81,22 +81,6 @@ func (r *RNG) Norm(mean, sigma float64) float64 {
 	return mean + sigma*z
 }
 
-// LogNormal returns a log-normally distributed value parameterized by the
-// location mu and scale sigma of the underlying normal.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Pareto returns a Pareto-distributed value with minimum xm and shape
-// alpha. Heavy tails (alpha near 1) model kernel-scheduler latency spikes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Split returns a new RNG deterministically derived from this one,
 // useful to give each simulated entity an independent stream.
 func (r *RNG) Split() *RNG {

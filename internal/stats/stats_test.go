@@ -88,15 +88,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestParetoMinimum(t *testing.T) {
-	r := NewRNG(13)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(5, 2); v < 5 {
-			t.Fatalf("pareto below xm: %v", v)
-		}
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(17)
 	seen := make(map[int]bool)
@@ -189,27 +180,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if a.Min() != 0 || a.Max() != 1049 {
 		t.Fatalf("min/max = %d/%d", a.Min(), a.Max())
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram()
-	h.Record(1)
-	h.Record(2)
-	h.Record(2)
-	h.Record(3)
-	cdf := h.CDF()
-	if len(cdf) != 3 {
-		t.Fatalf("cdf = %v", cdf)
-	}
-	if cdf[len(cdf)-1].Fraction != 1.0 {
-		t.Fatalf("cdf final fraction = %v", cdf[len(cdf)-1].Fraction)
-	}
-	// Fractions must be non-decreasing.
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Fraction < cdf[i-1].Fraction {
-			t.Fatalf("cdf not monotone: %v", cdf)
-		}
 	}
 }
 
