@@ -106,24 +106,36 @@ func (t *TOE) nbiSubmit(isl *island, s *segItem) {
 // pipeline entry; the rob releases them to its output strictly in ticket
 // order. Cancelled tickets (e.g. XDP_DROP after ticketing) are skipped so
 // the stream never stalls.
+//
+// Tickets are dense, so what waits behind the head waits in a power-of-two
+// ring indexed by ticket: ring[t&mask] is the segment submitted under
+// ticket t, robSkipped if t was cancelled, nil if t is still in the
+// pipeline. Only tickets in (next, next+len(ring)) are ever stored, and a
+// slot is cleared as the head passes it, so two tickets never meet in one
+// slot; the ring doubles before a ticket further ahead than that is stored
+// (tickets outstanding are bounded by the segment and descriptor pools, so
+// it stops growing early).
 type rob struct {
-	next    uint64
-	issued  uint64
-	held    map[uint64]*segItem
-	skipped map[uint64]bool
-	out     func(*segItem)
+	next   uint64
+	issued uint64
+	ring   []*segItem
+	held   int
+	out    func(*segItem)
 
 	// Statistics.
 	Holds    uint64 // segments that arrived out of ticket order
 	Releases uint64
 }
 
+// robSkipped marks a cancelled ticket's ring slot.
+var robSkipped = new(segItem)
+
+// robInitialRing is the ring's first size: wider than the window the
+// pipeline's stage queues hold in a steady run.
+const robInitialRing = 64
+
 func newROB(out func(*segItem)) *rob {
-	return &rob{
-		held:    make(map[uint64]*segItem),
-		skipped: make(map[uint64]bool),
-		out:     out,
-	}
+	return &rob{ring: make([]*segItem, robInitialRing), out: out}
 }
 
 // ticket hands out the next ticket in this rob's order domain.
@@ -137,7 +149,8 @@ func (r *rob) ticket() uint64 {
 // segments it unblocks) in order.
 func (r *rob) submit(t uint64, s *segItem) {
 	if t != r.next {
-		r.held[t] = s
+		r.put(t, s)
+		r.held++
 		r.Holds++
 		return
 	}
@@ -152,7 +165,22 @@ func (r *rob) skip(t uint64) {
 		r.drain()
 		return
 	}
-	r.skipped[t] = true
+	r.put(t, robSkipped)
+}
+
+// put stores v under ticket t, which is ahead of the head.
+func (r *rob) put(t uint64, v *segItem) {
+	if t < r.next || t >= r.issued {
+		panic("core: rob ticket outside (next, issued)")
+	}
+	for t-r.next >= uint64(len(r.ring)) {
+		old := r.ring
+		r.ring = make([]*segItem, 2*len(old))
+		for u := r.next; u < r.next+uint64(len(old)); u++ {
+			r.ring[u&uint64(len(r.ring)-1)] = old[u&uint64(len(old)-1)]
+		}
+	}
+	r.ring[t&uint64(len(r.ring)-1)] = v
 }
 
 func (r *rob) release(s *segItem) {
@@ -163,19 +191,20 @@ func (r *rob) release(s *segItem) {
 
 func (r *rob) drain() {
 	for {
-		if r.skipped[r.next] {
-			delete(r.skipped, r.next)
+		slot := &r.ring[r.next&uint64(len(r.ring)-1)]
+		s := *slot
+		if s == nil {
+			return
+		}
+		*slot = nil
+		if s == robSkipped {
 			r.next++
 			continue
 		}
-		s, ok := r.held[r.next]
-		if !ok {
-			return
-		}
-		delete(r.held, r.next)
+		r.held--
 		r.release(s)
 	}
 }
 
 // pendingHeld returns how many segments wait in the buffer.
-func (r *rob) pendingHeld() int { return len(r.held) }
+func (r *rob) pendingHeld() int { return r.held }

@@ -210,10 +210,10 @@ func NewIface(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec fl
 	}
 }
 
-// SetRate replaces the interface's transmit rate (port shaping).
-func (i *Iface) SetRate(bytesPerSec float64) {
-	i.tx = sim.NewResource(i.eng, i.Name+"/tx", bytesPerSec)
-}
+// SetRate changes the interface's transmit rate (port shaping). Frames
+// already on the wire keep their delivery instants and later frames queue
+// behind them.
+func (i *Iface) SetRate(bytesPerSec float64) { i.tx.SetRate(bytesPerSec) }
 
 // Connect joins two interfaces with the given propagation delay. Both must
 // live on one engine: a delivery is scheduled on the sender's engine, so a
@@ -307,11 +307,11 @@ type SwitchConfig struct {
 }
 
 // Switch is a store-and-forward Ethernet switch with static MAC learning
-// and an optional ECMP uplink group: frames whose destination MAC misses
-// the table are spread across the uplinks by the flow 4-tuple's CRC-32
-// hash (packet.Flow.Hash — the same hash the FlexTOE pre-processor's
-// lookup engine computes), so every segment of a flow takes one path and
-// per-flow ordering survives the fan-out.
+// (macTable, one probe per frame) and an optional ECMP uplink group: frames
+// whose destination MAC misses the table are spread across the uplinks by
+// the flow 4-tuple's CRC-32 hash (packet.Flow.Hash — the same hash the
+// FlexTOE pre-processor's lookup engine computes), so every segment of a
+// flow takes one path and per-flow ordering survives the fan-out.
 type Switch struct {
 	Name string
 
@@ -321,7 +321,7 @@ type Switch struct {
 	rng     *stats.RNG
 	ports   []*Iface
 	uplinks []*Iface
-	table   map[packet.EtherAddr]*Iface
+	table   macTable
 
 	// Statistics.
 	Forwarded   uint64
@@ -346,11 +346,10 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
 		cfg.Latency = 600 * sim.Nanosecond
 	}
 	return &Switch{
-		eng:   eng,
-		own:   eng.NewOwner(),
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed ^ 0x5317c4),
-		table: make(map[packet.EtherAddr]*Iface),
+		eng: eng,
+		own: eng.NewOwner(),
+		cfg: cfg,
+		rng: stats.NewRNG(cfg.Seed ^ 0x5317c4),
 	}
 }
 
@@ -380,8 +379,66 @@ func (s *Switch) AddUplink(name string, bytesPerSec float64) *Iface {
 func (s *Switch) Ports() []*Iface { return s.ports }
 
 // Learn installs a static MAC table entry toward the given port.
-func (s *Switch) Learn(mac packet.EtherAddr, port *Iface) {
-	s.table[mac] = port
+func (s *Switch) Learn(mac packet.EtherAddr, port *Iface) { s.table.learn(mac, port) }
+
+// macTable is the switch's forwarding table: open addressing with linear
+// probing over the address packed into one word, so the per-frame lookup
+// is a multiply and, at a load of at most one half, about one probe.
+// Entries are installed at set-up and never removed.
+type macTable struct {
+	slots []macSlot // power-of-two length; key 0 marks a free slot
+	n     int
+}
+
+type macSlot struct {
+	key  uint64 // the 48-bit address under macUsed
+	port *Iface
+}
+
+// macUsed tells an installed all-zero address from a free slot.
+const macUsed = 1 << 48
+
+// find returns the slot holding key k, or the free slot where k belongs.
+// The table must have a free slot.
+func (t *macTable) find(k uint64) *macSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> 40 & mask; ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.key == k || sl.key == 0 {
+			return sl
+		}
+	}
+}
+
+func macKey(a packet.EtherAddr) uint64 {
+	return macUsed | uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
+		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
+}
+
+// lookup returns the port learned for a, nil if there is none.
+func (t *macTable) lookup(a packet.EtherAddr) *Iface {
+	if t.n == 0 {
+		return nil
+	}
+	return t.find(macKey(a)).port
+}
+
+func (t *macTable) learn(a packet.EtherAddr, port *Iface) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]macSlot, max(16, 2*len(old)))
+		for _, sl := range old {
+			if sl.key != 0 {
+				*t.find(sl.key) = sl
+			}
+		}
+	}
+	k := macKey(a)
+	sl := t.find(k)
+	if sl.key == 0 {
+		sl.key = k
+		t.n++
+	}
+	sl.port = port
 }
 
 func (s *Switch) forwardFrom(in *Iface, f *Frame) {
@@ -425,8 +482,8 @@ func (s *Switch) cloneFrame(f *Frame) *Frame {
 
 // forwardOne runs one frame through lookup and the egress pipeline.
 func (s *Switch) forwardOne(in *Iface, f *Frame) {
-	out, ok := s.table[f.Pkt.Eth.Dst]
-	if !ok {
+	out := s.table.lookup(f.Pkt.Eth.Dst)
+	if out == nil {
 		if len(s.uplinks) > 0 {
 			// ECMP: hash the flow 4-tuple onto an uplink. A frame that
 			// arrived on the chosen uplink would loop back up the fabric

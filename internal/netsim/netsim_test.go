@@ -220,6 +220,46 @@ func TestPortShaping(t *testing.T) {
 	}
 }
 
+// TestSetRateKeepsLinkFIFO: a rate change keeps what the serializer has
+// booked. Two frames go out back to back with a 100x rate increase between
+// them; the second queues behind the first and is delivered after it (a
+// link's delivery instants are strictly increasing, which sim's
+// same-instant order relies on), and the change takes no owner rank.
+func TestSetRateKeepsLinkFIFO(t *testing.T) {
+	eng := sim.New()
+	a := NewIface(eng, "a", packet.MAC(2, 0, 0, 0, 0, 1), GbpsToBytesPerSec(1))
+	b := NewIface(eng, "b", packet.MAC(2, 0, 0, 0, 0, 2), GbpsToBytesPerSec(1))
+	Connect(a, b, 100*sim.Nanosecond)
+	var seqs []uint32
+	var at []sim.Time
+	b.Recv = func(f *Frame) { seqs, at = append(seqs, f.Pkt.TCP.Seq), append(at, eng.Now()) }
+	send := func(seq uint32) {
+		pkt := testPacket(a.MAC, b.MAC, 1400)
+		pkt.TCP.Seq = seq
+		a.Send(NewFrame(pkt, 0))
+	}
+	rank := eng.NewLinkID()
+	send(1)
+	a.SetRate(GbpsToBytesPerSec(100))
+	send(2)
+	if next := eng.NewLinkID(); next != rank+1 {
+		t.Errorf("SetRate took %d owner ranks, want none", next-rank-1)
+	}
+	eng.Run()
+	if !reflect.DeepEqual(seqs, []uint32{1, 2}) {
+		t.Fatalf("delivery order %v at %v, want [1 2]", seqs, at)
+	}
+	wire := float64(testPacket(a.MAC, b.MAC, 1400).WireLen())
+	first := sim.Time(wire / GbpsToBytesPerSec(1) * 1e12)
+	second := first + sim.Time(wire/GbpsToBytesPerSec(100)*1e12)
+	if at[0] != first+100*sim.Nanosecond || at[1] != second+100*sim.Nanosecond {
+		t.Errorf("delivered at %v, want %v and %v after the 100 ns link", at, first, second)
+	}
+	if u := a.tx.Utilization(); u < 0.99 || u > 1 {
+		t.Errorf("serializer utilization %v over a back-to-back run, want ~1", u)
+	}
+}
+
 func TestFIFOOrderPreserved(t *testing.T) {
 	eng, _, a, b := buildNet(t, SwitchConfig{})
 	var seqs []uint32
@@ -533,4 +573,44 @@ func TestLinkIDsArePerEngine(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMACTableMatchesMap drives the forwarding table and a Go map with the
+// same learns — sequential addresses that differ in one byte (what a
+// testbed installs), the all-zero address, re-learns toward another port,
+// enough of them to grow the table several times — and requires the same
+// answer for every address learned and nil for addresses never learned.
+func TestMACTableMatchesMap(t *testing.T) {
+	var tab macTable
+	ref := map[packet.EtherAddr]*Iface{}
+	ports := []*Iface{{Name: "p0"}, {Name: "p1"}, {Name: "p2"}}
+	if tab.lookup(packet.EtherAddr{}) != nil {
+		t.Fatal("empty table resolved an address")
+	}
+	for i := 0; i < 3000; i++ {
+		mac := packet.MAC(2, 0, byte(i>>16), byte(i>>8), byte(i), byte(i%7))
+		switch {
+		case i == 100:
+			mac = packet.EtherAddr{}
+		case i%5 == 4:
+			mac = packet.MAC(2, 0, 0, byte((i-3)>>8), byte(i-3), byte((i-3)%7)) // learned before: moves
+		}
+		tab.learn(mac, ports[i%3])
+		ref[mac] = ports[i%3]
+		if tab.n != len(ref) {
+			t.Fatalf("after %d learns the table counts %d addresses, the map %d", i+1, tab.n, len(ref))
+		}
+	}
+	for mac, want := range ref {
+		if got := tab.lookup(mac); got != want {
+			t.Fatalf("%v resolves to %v, want %v", mac, got, want)
+		}
+		mac[0] ^= 0x40
+		if got := tab.lookup(mac); got != nil {
+			t.Fatalf("%v was never learned but resolves to %s", mac, got.Name)
+		}
+	}
+	if 2*tab.n > len(tab.slots) {
+		t.Errorf("load %d/%d above one half", tab.n, len(tab.slots))
+	}
 }

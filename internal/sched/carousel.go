@@ -10,7 +10,8 @@ package sched
 
 import "flextoe/internal/sim"
 
-// Carousel schedules flows by connection index.
+// Carousel schedules flows by connection index (§3.4): an id is the data
+// path's connection slot number, and every per-flow lookup indexes by it.
 type Carousel struct {
 	eng      *sim.Engine
 	gran     sim.Time // slot granularity
@@ -31,12 +32,23 @@ type Carousel struct {
 	// only runs when something is actually rate-limited.
 	wheelItems int
 
-	state map[uint32]*flowState
+	// state is indexed by connection id in pages of statePage entries, as
+	// the data path's connection slab is: ids are slot numbers, handed out
+	// densely and reused, so a page is allocated once and a lookup is two
+	// indexations. A flow that was never programmed, or was removed, is
+	// the zero flowState.
+	state [][]flowState
 
 	// Statistics.
 	Scheduled uint64 // wheel insertions
 	Bypassed  uint64 // RR insertions
 }
+
+// State-page geometry: 256 entries, one connection-slab block's worth.
+const (
+	statePageShift = 8
+	statePage      = 1 << statePageShift
+)
 
 type flowState struct {
 	inWheel  bool
@@ -55,20 +67,22 @@ func New(eng *sim.Engine, gran sim.Time, slots int) *Carousel {
 		eng:   eng,
 		gran:  gran,
 		wheel: make([][]uint32, slots),
-		state: make(map[uint32]*flowState),
 	}
 }
 
 // Horizon returns the wheel's reach.
 func (c *Carousel) Horizon() sim.Time { return c.gran * sim.Time(len(c.wheel)) }
 
+// flow returns id's state, allocating its page on first touch.
 func (c *Carousel) flow(id uint32) *flowState {
-	st := c.state[id]
-	if st == nil {
-		st = &flowState{}
-		c.state[id] = st
+	pg := int(id >> statePageShift)
+	if pg >= len(c.state) {
+		c.state = append(c.state, make([][]flowState, pg+1-len(c.state))...)
 	}
-	return st
+	if c.state[pg] == nil {
+		c.state[pg] = make([]flowState, statePage)
+	}
+	return &c.state[pg][id&(statePage-1)]
 }
 
 // SetInterval programs a flow's pacing interval in time-per-byte (the
@@ -78,12 +92,7 @@ func (c *Carousel) SetInterval(id uint32, perByte sim.Time) {
 }
 
 // Interval returns the flow's programmed pacing interval.
-func (c *Carousel) Interval(id uint32) sim.Time {
-	if st := c.state[id]; st != nil {
-		return st.interval
-	}
-	return 0
-}
+func (c *Carousel) Interval(id uint32) sim.Time { return c.flow(id).interval }
 
 // Submit makes a flow eligible for transmission: uncongested flows join
 // the round-robin list; rate-limited flows enter the wheel at their next
@@ -135,8 +144,8 @@ func (c *Carousel) advanceHand(now sim.Time) {
 			c.wheel[c.cur] = nil
 			c.wheelItems -= len(due)
 			for _, id := range due {
-				st, ok := c.state[id]
-				if !ok || !st.inWheel {
+				st := c.flow(id)
+				if !st.inWheel {
 					continue // removed while queued
 				}
 				st.inWheel = false
@@ -168,8 +177,8 @@ func (c *Carousel) Next(bytes uint32) (uint32, bool) {
 			c.rr = c.rr[:n]
 			c.rrHead = 0
 		}
-		st, ok := c.state[id]
-		if !ok || !st.inRR {
+		st := c.flow(id)
+		if !st.inRR {
 			continue // removed while queued
 		}
 		st.inRR = false
@@ -208,10 +217,11 @@ func (c *Carousel) NextDeadline() (sim.Time, bool) {
 // Pending returns the number of flows waiting (wheel + RR).
 func (c *Carousel) Pending() int {
 	n := 0
-	//flexvet:ordered pure count over the map; the result is order-insensitive
-	for _, st := range c.state {
-		if st.inWheel || st.inRR {
-			n++
+	for _, pg := range c.state {
+		for i := range pg {
+			if pg[i].inWheel || pg[i].inRR {
+				n++
+			}
 		}
 	}
 	return n
@@ -219,6 +229,4 @@ func (c *Carousel) Pending() int {
 
 // Remove drops a flow entirely (connection teardown). Stale wheel or RR
 // entries are skipped when encountered.
-func (c *Carousel) Remove(id uint32) {
-	delete(c.state, id)
-}
+func (c *Carousel) Remove(id uint32) { *c.flow(id) = flowState{} }

@@ -185,6 +185,54 @@ func TestRemoveWhileInWheel(t *testing.T) {
 	eng.Run()
 }
 
+// TestSlotReuseAcrossPages: ids are connection slot numbers, so they span
+// state pages and come back after Remove. A reused slot must start from
+// nothing — no rate limit, no conformance debt, not queued — and an id that
+// was never programmed reads as unlimited, in whichever page it falls.
+func TestSlotReuseAcrossPages(t *testing.T) {
+	eng := sim.New()
+	c := New(eng, sim.Microsecond, 64)
+	ids := []uint32{3, statePage - 1, statePage, 70000}
+	for _, id := range ids {
+		if c.Interval(id) != 0 {
+			t.Fatalf("flow %d: interval %v before it was programmed", id, c.Interval(id))
+		}
+		c.SetInterval(id, 100*sim.Nanosecond)
+		c.Submit(id)
+	}
+	for range ids {
+		c.Next(1000) // charges 100 us of conformance debt each
+	}
+	for _, id := range ids {
+		c.Submit(id) // rate-limited now: into the wheel
+	}
+	if c.Pending() != len(ids) || c.Scheduled != uint64(len(ids)) {
+		t.Fatalf("pending %d, wheel insertions %d, want %d of each", c.Pending(), c.Scheduled, len(ids))
+	}
+	for _, id := range ids {
+		c.Remove(id)
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("pending = %d after removing every flow", c.Pending())
+	}
+	// The slots come back for new connections while the old ids still sit
+	// in wheel slots.
+	for _, id := range ids {
+		if c.Interval(id) != 0 {
+			t.Errorf("reused slot %d inherited interval %v", id, c.Interval(id))
+		}
+		c.Submit(id)
+	}
+	for i := range ids {
+		if id, ok := c.Next(1000); !ok || id != ids[i] {
+			t.Fatalf("Next = %d, %v; want flow %d straight from the round-robin list", id, ok, ids[i])
+		}
+	}
+	if _, ok := c.Next(1000); ok {
+		t.Fatal("a flow was scheduled twice")
+	}
+}
+
 func TestPending(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, sim.Microsecond, 64)

@@ -7,20 +7,36 @@
 // stay exact. All state mutation happens inside events executed by a single
 // goroutine, so simulations are reproducible bit-for-bit from their seed.
 //
-// The event core is a hierarchical timing wheel: a near wheel of
-// fixed-width buckets covering the next ~67 us absorbs the dense
-// sub-microsecond traffic of the data-path (FPC issue slots, memory
-// stalls, PCIe completions), while an overflow binary heap holds the
-// sparse far future (retransmission timeouts, experiment end markers).
-// The data path keeps several live events in a bucket and schedules most
-// of them behind the bucket's tail, so a bucket is kept in execution
-// order at all times: an insert appends and shifts the event back to its
-// place — a handful of slots — and running the next event is one lookup
-// and one pop from the bucket's head. Bucket storage and the heap are
-// reused, and an event carries only a long-lived func(any) plus an
-// argument (AtCall and its siblings are the one scheduling API; RunFunc
-// adapts an application-owned func()), so steady-state event scheduling
-// performs no heap allocation.
+// The event core is a sliding two-level timing wheel over a small heap.
+// Time is cut into blocks of 33.5 us. The near wheel — 1024 buckets of
+// 65.5 ns — always holds the block the clock is in and the one after it,
+// so an event due less than a block ahead lands in a bucket wherever in
+// its block the clock stands: the window moves with the clock, one block at
+// a time, and never waits to drain. That is where the dense
+// sub-microsecond traffic of the data path lives (FPC issue slots, memory
+// stalls, PCIe completions). It keeps several live events in a bucket and
+// schedules most of them behind the bucket's tail, so a bucket is kept in
+// execution order at all times: an insert appends and shifts the event
+// back to its place — a handful of slots — and running the next event is
+// one lookup and one pop from the bucket's head.
+//
+// The far wheel has one unordered bucket for each of the next 2048 blocks
+// (68.7 ms: serializer backlogs, retransmission and delayed-work timers);
+// queueing an event there is a list push. When the clock enters block k,
+// the far bucket of block k+1 is emptied into the near wheel through the
+// same ordered insert a direct scheduling takes. The binary heap is left
+// with what lies beyond the far wheel's span — backed-off retransmission
+// timeouts, experiment end markers — and hands events down as the span
+// reaches them. An event so passes through at most three structures, and
+// its place among the events of its bucket is decided by (at, dkey, seq)
+// when it gets there, seq being the one it was scheduled with: which
+// structures it crossed, and when, cannot be seen in the execution order.
+//
+// Bucket storage, the far wheel's nodes and the heap are reused, and an
+// event carries only a long-lived func(any) plus an argument (AtCall and
+// its siblings are the one scheduling API; RunFunc adapts an
+// application-owned func()), so steady-state event scheduling performs no
+// heap allocation.
 //
 // Execution order is the total order (at, dkey, seq), and what happens at
 // one instant is declared, never an accident of who called a scheduler
@@ -149,24 +165,36 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// Timing-wheel geometry. One bucket spans 2^tickBits ps (65.536 ns); the
-// wheel spans wheelSize buckets (wheelSpan, ~67 us). Deadlines beyond the
-// span go to the overflow heap and migrate into the wheel when it advances.
+// Timing-wheel geometry. One bucket spans 2^tickBits ps (65.536 ns) and
+// the near wheel has wheelSize of them, two blocks of 2^blockBits ps
+// (33.55 us) each: the block the clock is in and the one after it. The far
+// wheel has one unordered bucket per block for the farSize blocks from the
+// clock's on (68.7 ms); the heap holds what lies beyond.
 const (
 	tickBits  = 16
 	tickSpan  = Time(1) << tickBits
 	wheelBits = 10
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
-	wheelSpan = Time(wheelSize) << tickBits
+
+	blockBits  = tickBits + wheelBits - 1
+	blockTicks = wheelSize / 2
+	farSize    = 1 << 11
+	farMask    = farSize - 1
 )
 
-// bucket is one wheel slot. evs[head:] is the live suffix, always in
+// bucket is one near-wheel slot. evs[head:] is the live suffix, always in
 // execution order (see event.before); evs[:head] has already run and is
 // dropped when the cursor moves on.
 type bucket struct {
 	evs  []event
 	head int
+}
+
+// farNode is one far-wheel event and the index of the next in its block.
+type farNode struct {
+	ev   event
+	next int32
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -178,24 +206,43 @@ type Engine struct {
 	nRun    uint64
 	ranks   uint32 // owner ranks and link ids handed out so far
 
-	// Near wheel: buckets[i&wheelMask] holds events whose tick index
-	// (at>>tickBits) is i, for ticks in [start>>tickBits, +wheelSize).
+	// Near wheel: buckets[i&wheelMask] holds, in execution order, the
+	// events whose tick index (at>>tickBits) is i, for the ticks of blocks
+	// blk and blk+1. blk is the clock's block whenever a callback or the
+	// caller can schedule; blockEnd and horizon cache the instants where
+	// block blk and the near window end, so the hot paths decide with one
+	// compare each (insert: near or not; step: new block or not).
 	buckets  []bucket
-	start    Time  // wheel window lower bound, tick-aligned
-	curTick  int64 // cursor: no wheel event lives below this tick
-	wheelCnt int
+	blk      int64
+	blockEnd Time
+	horizon  Time
+	curTick  int64 // cursor: no near event lives below this tick
+	nearCnt  int
 
-	// spare is a stack of emptied bucket storage. A bucket the cursor has
-	// drained gives its slice up, and the next bucket to receive its first
-	// event takes the most recently drained one: that memory was read a
-	// moment ago and is still in cache, where the bucket's own slice from
-	// the previous rotation is long evicted.
+	// spare is a stack of emptied near-bucket storage. A bucket the cursor
+	// has drained gives its slice up, and the next bucket to receive its
+	// first event takes the most recently drained one: that memory was
+	// read a moment ago and is still in cache, where the bucket's own
+	// slice from the previous rotation is long evicted.
 	spare [][]event
 
-	// Overflow heap for events beyond the wheel span, in execution
-	// order. Invariant: every overflow event is at or beyond start+span
-	// whenever the wheel is non-empty, so the wheel minimum is always the
-	// global minimum when wheelCnt > 0.
+	// Far wheel: far[b&farMask] heads the list of block b's events, in no
+	// order, for blocks blk+2 up to farEnd's. Entering a block cascades the
+	// list of the block after it into the near wheel through insert, which
+	// is where the order comes from. The lists are linked by index through
+	// one arena (index 0 ends a list; farFree heads the unused nodes), so
+	// the far wheel's memory is its high-water population however that
+	// spreads over blocks — a slice per block would pin every block's
+	// own high water.
+	far      []int32
+	farNodes []farNode
+	farFree  int32
+	farEnd   Time
+	farCnt   int
+
+	// Overflow heap, in execution order, for events at or beyond farEnd:
+	// backed-off retransmission timeouts, experiment end markers. Every
+	// slide of the window moves what farEnd has passed into the wheels.
 	overflow []event
 
 	// locals holds per-engine singletons (pools, freelists) keyed by an
@@ -205,7 +252,9 @@ type Engine struct {
 
 // New returns an empty engine at time zero.
 func New() *Engine {
-	return &Engine{buckets: make([]bucket, wheelSize)}
+	e := &Engine{buckets: make([]bucket, wheelSize), far: make([]int32, farSize), farNodes: make([]farNode, 1)}
+	e.setWindow(0)
+	return e
 }
 
 // Group holds a testbed's one engine. It is what is left of the sharded
@@ -375,25 +424,33 @@ func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 // event or completion: pass it as cb with the stored func() as arg.
 func RunFunc(a any) { a.(func())() }
 
-// insert routes an event to the overflow heap or to its wheel bucket,
-// where it goes straight to its execution-order position: append, then
-// shift later events up one slot. The shift stops at the consumed head, so
-// an event that orders before one already run (a local event scheduled
-// from a same-instant delivery) still runs next. Out of order is the
-// common case on the data path — several events per bucket, most arriving
-// behind the tail — which is why the order is paid for here, a few slots
-// at a time, and not by a sort at drain time.
+// insert puts an event where its distance from the window says: its near
+// bucket, its block's far bucket, or the heap. In a near bucket it goes
+// straight to its execution-order position: append, then shift later
+// events up one slot. The shift stops at the consumed head, so an event
+// that orders before one already run (a local event scheduled from a
+// same-instant delivery) still runs next. Out of order is the common case
+// on the data path — several events per bucket, most arriving behind the
+// tail — which is why the order is paid for here, a few slots at a time,
+// and not by a sort at drain time.
 func (e *Engine) insert(ev event) {
-	if ev.at-e.start >= wheelSpan {
-		if e.wheelCnt == 0 {
-			// Empty wheel: slide the window up to now so near-future
-			// events keep landing in buckets.
-			e.anchor(e.now)
-		}
-		if ev.at-e.start >= wheelSpan {
+	if ev.at >= e.horizon {
+		if ev.at >= e.farEnd {
 			e.heapPush(ev)
 			return
 		}
+		i := e.farFree
+		if i != 0 {
+			e.farFree = e.farNodes[i].next
+		} else {
+			e.farNodes = append(e.farNodes, farNode{})
+			i = int32(len(e.farNodes) - 1)
+		}
+		head := &e.far[int(ev.at>>blockBits)&farMask]
+		e.farNodes[i] = farNode{ev, *head}
+		*head = i
+		e.farCnt++
+		return
 	}
 	tick := int64(ev.at >> tickBits)
 	if tick < e.curTick {
@@ -412,22 +469,71 @@ func (e *Engine) insert(ev event) {
 	}
 	evs[j] = ev
 	bk.evs = evs
-	e.wheelCnt++
+	e.nearCnt++
 }
 
-// anchor moves the wheel window so it starts at the tick containing t and
-// migrates overflow events that fall inside the new window. Only legal
-// when the wheel is empty.
-func (e *Engine) anchor(t Time) {
-	e.start = t &^ (tickSpan - 1)
-	e.curTick = int64(e.start >> tickBits)
-	for len(e.overflow) > 0 && e.overflow[0].at-e.start < wheelSpan {
+// setWindow makes b the window's first block.
+func (e *Engine) setWindow(b int64) {
+	e.blk = b
+	e.blockEnd = Time(b+1) << blockBits
+	e.horizon = Time(b+2) << blockBits
+	e.farEnd = Time(b+farSize) << blockBits
+}
+
+// slideTo moves the window up to block b and brings into the wheels what
+// now belongs there: the far buckets of blocks b and b+1 cascade into the
+// near wheel and the heap gives up what lies below the new farEnd. All of
+// it goes through insert, so a cascaded event takes the place (at, dkey,
+// seq) gives it among the events scheduled straight into its bucket, its
+// seq being the one it was scheduled with. The caller guarantees that no
+// pending event lies in a block below b; the window never moves past the
+// clock's block, or an insert between the clock and the window would land
+// one turn of the ring later.
+func (e *Engine) slideTo(b int64) {
+	c := e.blk + 2 // first block still in the far wheel
+	if c < b {
+		c = b // a jump: the blocks skipped hold nothing
+	}
+	e.setWindow(b)
+	if first := b * blockTicks; e.curTick < first {
+		e.curTick = first
+	}
+	for ; c <= b+1; c++ {
+		head := &e.far[int(c)&farMask]
+		for i := *head; i != 0; {
+			n := &e.farNodes[i]
+			e.insert(n.ev)
+			next := n.next
+			*n = farNode{next: e.farFree}
+			e.farFree = i
+			i = next
+			e.farCnt--
+		}
+		*head = 0
+	}
+	for len(e.overflow) > 0 && e.overflow[0].at < e.farEnd {
 		e.insert(e.heapPop())
 	}
 }
 
-// wheelMin advances the cursor to the first non-empty bucket and returns
-// it; its earliest event is evs[head]. Only valid when wheelCnt > 0.
+// nextBlock returns the earliest block holding an event when the near
+// wheel holds none.
+func (e *Engine) nextBlock() (int64, bool) {
+	if e.farCnt > 0 {
+		for b := e.blk + 2; ; b++ {
+			if e.far[int(b)&farMask] != 0 {
+				return b, true
+			}
+		}
+	}
+	if len(e.overflow) > 0 {
+		return int64(e.overflow[0].at >> blockBits), true
+	}
+	return 0, false
+}
+
+// wheelMin advances the cursor to the first non-empty near bucket and
+// returns it; its earliest event is evs[head]. Only valid when nearCnt > 0.
 func (e *Engine) wheelMin() *bucket {
 	for {
 		bk := &e.buckets[int(e.curTick)&wheelMask]
@@ -448,25 +554,33 @@ func (e *Engine) wheelMin() *bucket {
 // The minimum is looked up once and read in place; its slot is
 // released and the head advanced before the callback runs, because the
 // callback may append to, grow or reorder the very bucket being drained.
+// The window slides only for an event that is about to run, so it is
+// never ahead of the clock when step gives up at limit.
 func (e *Engine) step(limit Time) bool {
 	if e.stopped {
 		return false
 	}
-	if e.wheelCnt == 0 {
-		if len(e.overflow) == 0 || e.overflow[0].at > limit {
+	if e.nearCnt == 0 {
+		b, ok := e.nextBlock()
+		if !ok || Time(b)<<blockBits > limit {
 			return false
 		}
-		e.anchor(e.overflow[0].at)
+		e.slideTo(b)
 	}
 	bk := e.wheelMin()
 	ev := &bk.evs[bk.head]
 	if ev.at > limit {
 		return false
 	}
+	if ev.at >= e.blockEnd {
+		// The cascade fills the ring half the cursor has left behind,
+		// never the bucket ev is in.
+		e.slideTo(e.blk + 1)
+	}
 	at, cb, arg := ev.at, ev.cb, ev.arg
 	ev.cb, ev.arg = nil, nil
 	bk.head++
-	e.wheelCnt--
+	e.nearCnt--
 	e.now = at
 	e.nRun++
 	cb(arg)
@@ -492,6 +606,10 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
+		if t >= e.blockEnd {
+			// Everything left is later than t: park the window with the clock.
+			e.slideTo(int64(t >> blockBits))
+		}
 	}
 }
 
@@ -502,7 +620,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.wheelCnt + len(e.overflow) }
+func (e *Engine) Pending() int { return e.nearCnt + e.farCnt + len(e.overflow) }
 
 // ---------------------------------------------------------------------
 // Overflow heap: a plain binary min-heap in execution order, hand-rolled so

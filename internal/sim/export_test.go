@@ -11,3 +11,7 @@ func UnfoldedTask(steps ...Step) Task {
 	}
 	return t
 }
+
+// OutsideNear returns how many pending events wait in the far wheel or the
+// heap: what TestNearEventsStayInTheWheel requires to stay zero.
+func (e *Engine) OutsideNear() int { return e.farCnt + len(e.overflow) }

@@ -16,10 +16,19 @@ type Resource struct {
 // NewResource returns a resource that moves unitsPerSecond units each
 // simulated second.
 func NewResource(eng *Engine, name string, unitsPerSecond float64) *Resource {
+	r := &Resource{eng: eng, own: eng.NewOwner(), name: name}
+	r.SetRate(unitsPerSecond)
+	return r
+}
+
+// SetRate changes the service rate for transfers reserved from now on. The
+// time already booked stays booked, so a transfer reserved after the change
+// still completes after every transfer reserved before it.
+func (r *Resource) SetRate(unitsPerSecond float64) {
 	if unitsPerSecond <= 0 {
 		panic("sim: non-positive resource rate")
 	}
-	return &Resource{eng: eng, own: eng.NewOwner(), name: name, psPerUnit: 1e12 / unitsPerSecond}
+	r.psPerUnit = 1e12 / unitsPerSecond
 }
 
 // AcquireCall schedules a transfer of n units plus a fixed latency;

@@ -102,6 +102,12 @@ func (w wheelSched) now() Time       { return w.e.Now() }
 func (w wheelSched) step() bool      { return w.e.Step() }
 func (w wheelSched) runUntil(t Time) { w.e.RunUntil(t) }
 
+// Spans of the wheel's two levels, for picking deltas on either side.
+const (
+	blockSpan = Time(1) << blockBits
+	farSpan   = Time(farSize) << blockBits
+)
+
 type refSched struct{ e *refEngine }
 
 func (r refSched) schedule(t Time, dkey uint64, fn func()) { r.e.schedule(t, dkey, fn) }
@@ -112,9 +118,10 @@ func (r refSched) runUntil(t Time)                         { r.e.RunUntil(t) }
 // driveSchedule runs one pseudo-random scenario on a scheduler and records
 // the (event id, execution time) trace. Events reschedule follow-ups from
 // inside their handlers — same-instant bursts, near deltas that stay in
-// one wheel bucket, mid-range deltas that cross buckets, and far deltas
-// (RTO-scale) that exercise the overflow heap and window re-anchoring.
-// One follow-up in three is a link delivery and one in three belongs to
+// one wheel bucket, mid-range deltas that cross buckets and blocks, a fifth
+// of them between one block and the far wheel's span (33 us – 68 ms: far
+// buckets and their cascade) and one in twenty beyond it (the heap, then
+// the far wheel, then the near one). One follow-up in three is a link delivery and one in three belongs to
 // one of three owners (two sub-contexts each), and half of all follow-ups
 // snap to a 4 ns grid, so unowned events, owners and deliveries from
 // several links meet at equal instants — the dkey arm of event.before.
@@ -135,17 +142,19 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 			kids := rng.Intn(3)
 			for k := 0; k < kids; k++ {
 				var d Time
-				switch rng.Intn(5) {
-				case 0:
+				switch c := rng.Intn(20); {
+				case c < 4:
 					d = 0 // same instant (FIFO tie-break)
-				case 1:
+				case c < 8:
 					d = Time(rng.Intn(int(tickSpan))) // same/next bucket
-				case 2:
+				case c < 12:
 					d = Time(rng.Intn(1 << 22)) // a few microseconds
-				case 3:
-					d = Time(rng.Intn(1 << 27)) // ~100 us: wheel span edge
+				case c < 15:
+					d = Time(rng.Intn(1 << 27)) // ~100 us: the near window's edge
+				case c < 19:
+					d = blockSpan + Time(rng.Int63n(int64(farSpan-blockSpan))) // the far wheel
 				default:
-					d = Time(rng.Intn(1 << 33)) // milliseconds: overflow heap
+					d = farSpan + Time(rng.Int63n(int64(farSpan))) // beyond it: the heap
 				}
 				at := s.now() + d
 				if rng.Intn(2) == 0 {
@@ -171,9 +180,18 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 		s.schedule(12345, 0, spawn(2))
 	}
 	// Interleave stepping with RunUntil jumps that park the clock between
-	// events (exercises the cursor pull-back path).
+	// events, up to 60 blocks ahead (the cursor pull-back path, and the
+	// window sliding with the clock while events wait beyond it).
 	for i := 0; i < 10; i++ {
 		s.runUntil(s.now() + Time(rng.Intn(1<<31)))
+	}
+	for s.step() {
+	}
+	// The same on an empty engine, then a second burst from where the
+	// clock was parked.
+	s.runUntil(s.now() + 7*blockSpan + Time(rng.Intn(1<<20)))
+	for i := 0; i < 10; i++ {
+		s.schedule(s.now()+Time(rng.Intn(1<<26)), 0, spawn(2))
 	}
 	for s.step() {
 	}
@@ -250,9 +268,9 @@ var directedCases = []struct {
 		s.schedule(10*Microsecond, 0, mark(4))
 		s.runUntil(60 * Microsecond)
 	}},
-	// The wheel is empty and the next events wait in the overflow heap:
-	// an insert re-anchors the window, the overflow events migrate into
-	// their bucket, and the insert then lands in front of them.
+	// The near wheel is empty and the next events wait in the far wheel:
+	// the window slides to their block, they cascade into their bucket,
+	// and the inserts then land around them.
 	{"migration beside an earlier insert", func(s scheduler, mark func(int) func()) {
 		const far = 100 * Microsecond
 		s.schedule(far+50*Nanosecond, 0, mark(0))
@@ -263,6 +281,46 @@ var directedCases = []struct {
 		s.schedule(far+10*Nanosecond, 0, mark(4))
 		s.schedule(far+40*Nanosecond, 0, mark(5))
 		s.runUntil(far + tickSpan)
+	}},
+	// An idle engine jumps many blocks, then takes two events of one block
+	// in reverse time order, on either side of the ring position the
+	// cursor was left at: a cursor that stays behind the window reaches
+	// the later event first. Once in the clock's block, once in the next.
+	{"reverse-order inserts after an idle jump", func(s scheduler, mark func(int) func()) {
+		s.schedule(300*tickSpan, 0, mark(0))
+		s.runUntil(1000 * blockSpan)
+		s.schedule(1000*blockSpan+400*tickSpan, 0, mark(1))
+		s.schedule(1000*blockSpan+200*tickSpan, 0, mark(2))
+		s.runUntil(1001 * blockSpan)
+		s.runUntil(3000*blockSpan + 5)
+		s.schedule(3001*blockSpan+400*tickSpan, 0, mark(3))
+		s.schedule(3001*blockSpan+200*tickSpan, 0, mark(4))
+	}},
+	// RunUntil gives up with the near wheel empty and the next far block
+	// starting beyond its limit; the inserts that follow lie between the
+	// clock and that block. A window that ran ahead to the waiting block
+	// would file them one turn of the ring later.
+	{"insert between a parked clock and the next far block", func(s scheduler, mark func(int) func()) {
+		s.schedule(10*blockSpan+100, 0, mark(0))
+		s.runUntil(3*blockSpan + 50)
+		s.schedule(5*blockSpan+7, 0, mark(1))
+		s.schedule(3*blockSpan+60, 0, mark(2))
+		s.schedule(10*blockSpan+50, 0, mark(3))
+		s.schedule(4*blockSpan, 2<<32|1, mark(4))
+	}},
+	// One instant and one key reached three ways: through the heap, then
+	// the far wheel, then the near one; straight into the far wheel; and
+	// straight into its near bucket. seq alone orders the three, and an
+	// owner's event that went into the heap first still runs behind them.
+	{"heap, far and near inserts tied on (at, dkey)", func(s scheduler, mark func(int) func()) {
+		const at = farSpan + 10*blockSpan + 123
+		s.schedule(at, 5<<subBits, mark(3))
+		s.schedule(at, 0, mark(0))
+		s.runUntil(20 * blockSpan) // at is now within the far wheel's span
+		s.schedule(at, 0, mark(1))
+		s.runUntil(at - blockSpan/2) // and now within the near window
+		s.schedule(at, 0, mark(2))
+		s.schedule(at, 1<<32|1, mark(4))
 	}},
 }
 
@@ -445,6 +503,59 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// TestPendingCountsEveryLevel: one event in the near wheel, one in the far
+// wheel and one in the heap are three pending events, and each leaves the
+// count as it runs.
+func TestPendingCountsEveryLevel(t *testing.T) {
+	e := New()
+	for _, at := range []Time{tickSpan, 5 * blockSpan, 2 * farSpan} {
+		e.AtCall(at, func(any) {}, nil)
+	}
+	if e.nearCnt != 1 || e.farCnt != 1 || len(e.overflow) != 1 {
+		t.Fatalf("near/far/heap hold %d/%d/%d events, want 1/1/1", e.nearCnt, e.farCnt, len(e.overflow))
+	}
+	for want := 3; want >= 0; want-- {
+		if e.Pending() != want {
+			t.Fatalf("Pending() = %d, want %d", e.Pending(), want)
+		}
+		e.Step()
+	}
+}
+
+// TestNearEventsStayInTheWheel is the regression test for the hopping
+// window this engine replaced, which sent every event scheduled in the tail
+// of its 67 us span through the overflow heap however near it was due. 64
+// chains reschedule themselves 0–30 us ahead for 50 turns of the near
+// wheel; the window slides with the clock, so none of those events may ever
+// be found in the far wheel or the heap. The chains start where an idle
+// RunUntil parked the clock, which must have brought the window along.
+func TestNearEventsStayInTheWheel(t *testing.T) {
+	e := New()
+	rng := rand.New(rand.NewSource(1))
+	const start = 123*blockSpan + 17
+	const end = start + 50*wheelSize*tickSpan
+	e.RunUntil(start)
+	strayed := 0
+	var fire func(any)
+	fire = func(any) {
+		if e.Now() < end {
+			e.AfterCall(Time(rng.Int63n(int64(30*Microsecond))), fire, nil)
+		}
+		strayed += e.OutsideNear()
+	}
+	for i := 0; i < 64; i++ {
+		e.AtCall(start+Time(i)*Nanosecond, fire, nil)
+	}
+	strayed += e.OutsideNear()
+	e.Run()
+	if strayed != 0 {
+		t.Errorf("%d sightings of an event outside the near wheel, want none", strayed)
+	}
+	if e.Processed() < 64*50 {
+		t.Fatalf("only %d events ran", e.Processed())
+	}
+}
+
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
@@ -512,5 +623,32 @@ func BenchmarkEngineDense(b *testing.B) {
 	b.ResetTimer()
 	for end := e.Processed() + uint64(b.N); e.Processed() < end; {
 		e.RunUntil(e.Now() + Microsecond)
+	}
+}
+
+// BenchmarkEngineFarBand is the regime between the near window and the far
+// wheel's span: 4096 self-rearming chains, each due 100 us – 5 ms ahead
+// (serializer backlogs, retransmission timers), so every event waits in a
+// far bucket and reaches the near wheel by a cascade. One op is one event
+// scheduled and executed.
+func BenchmarkEngineFarBand(b *testing.B) {
+	const chains = 4096
+	e := New()
+	rng := uint64(0x9e3779b97f4a7c15)
+	var fire func(any)
+	fire = func(a any) {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		e.AfterCall(100*Microsecond+Time(rng>>8)%(4900*Microsecond), fire, a)
+	}
+	for i := 0; i < chains; i++ {
+		e.AtCall(Time(i)*Microsecond, fire, nil)
+	}
+	e.RunUntil(20 * Millisecond) // reach the steady-state shape
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := e.Processed() + uint64(b.N); e.Processed() < end; {
+		e.RunUntil(e.Now() + 10*Microsecond)
 	}
 }
