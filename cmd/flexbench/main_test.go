@@ -118,6 +118,7 @@ func TestRunSpecErrors(t *testing.T) {
 		{`"clients": ["client"]`, `"clients": []`},
 		{`"buf_bytes": 524288`, `"buf_bytes": 100000`},
 		{`"ooo_cap": 4`, `"ooo_cap": 16`},
+		{`"conns": 8`, `"conns": 65536`},
 	} {
 		bad := bytes.Replace(good, []byte(edit[0]), []byte(edit[1]), 1)
 		if bytes.Equal(bad, good) {

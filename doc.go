@@ -112,10 +112,10 @@
 //     allocations and deletions leave no tombstones. Freed slots are
 //     reused FIFO, oldest-freed first: a just-torn-down id stays
 //     quarantined behind the whole free ring while straggling in-flight
-//     work drains. Establishment order, not hash order, drives every
-//     fleet scan (CC polls, adaptive-OOO sweeps), which keeps churn from
-//     perturbing event order — the same workload is bit-identical however
-//     many connections lived and died before it (TestChurnDeterminism).
+//     work drains. No list of connections is kept or scanned: what is
+//     deterministic is the slot FIFO and the establishment-ordered
+//     readout (flowmon.Analyzer.order) — the same workload is bit-identical
+//     however many lived and died before it (TestChurnDeterminism).
 //
 //   - Wheel-armed timers. Per-connection deadlines (RTO, persist probes,
 //     FIN teardown, CC polls) are individual sim.Engine events armed only
@@ -123,14 +123,14 @@
 //     timer kick on the transition into "needs service" (bytes in
 //     flight, FIN unacked, zero window with staged data), deduped by a
 //     per-connection hint, and the control plane arms a pooled timer
-//     carrier (getTimer/putTimer, a poolown-enforced pool). A fired
-//     carrier re-arms while service is still needed and is recycled the
-//     moment it is not; the engine has no cancellation, so disarm is
-//     lazy — an epoch check (liveness check in the baselines) kills stale
-//     events. Consequence, and the Fig. 9 gate: idle connections schedule
-//     nothing, and timer cost scales with activations, not with fleet
-//     size (TestTimerCostIdleIndependence: the same active workload costs
-//     the same events over 10^3 and 10^5 idle neighbours).
+//     carrier (getTimer/putTimer, a poolown-enforced pool; a baseline
+//     connection is its own). A fired carrier re-arms while service is
+//     still needed and is recycled the moment it is not; the engine has no
+//     cancellation, so disarm is lazy — an epoch check (liveness check in
+//     the baselines) kills stale events. Consequence, and the Fig. 9 gate:
+//     idle connections schedule nothing, and timer cost scales with
+//     activations, not fleet size (TestTimerCostIdleIndependence: the same
+//     active workload costs the same events over 10^3 and 10^5 idle ones).
 //
 //   - Accounting and the budget. Table 5 totals 109 B of wire-protocol
 //     state per connection, +32 B OOO extension, +32 B SACK scoreboard =
@@ -341,7 +341,7 @@
 // SendNext high-water model, reassembly accept/drop decisions by exact
 // re-execution of the tcpseg interval machinery, dupack runs under the
 // observed stack's own counting rule, zero-window stalls, ECN marks, and
-// goodput timelines. The contract has three clauses:
+// acknowledged-byte goodput. The contract has three clauses:
 //
 //   - Observation only, no ownership. A tap callback receives the pooled
 //     *packet.Packet mid-flight: the analyzer reads it synchronously and
@@ -357,8 +357,8 @@
 //
 //   - Zero-alloc streaming. Flow records live in fixed-size slab blocks
 //     addressed through the same conntab index the data path uses;
-//     RTT probes, SACK scoreboards, OOO interval sets and timelines are
-//     fixed arrays inside the record. Steady-state observation allocates
+//     RTT probes, SACK scoreboards and OOO interval sets are fixed arrays
+//     inside it (TestFlowStateBytes). Steady-state observation allocates
 //     nothing; the CI gate is TestFlowmonAllocBudget (≤ 2 allocations per
 //     packet under AllocsPerRun, covering slab growth). Reports are
 //     deterministic by construction — establishment-ordered flow scans,
@@ -383,7 +383,7 @@
 // internal/scenario turns the hand-built experiment harnesses into data:
 // a JSON Spec names a topology (single-switch testbed or leaf-spine
 // fabric), machines (any stack personality with its per-machine knobs),
-// workloads (bulk, rpc, kv, flowgen, incast, background), injected
+// workloads (five kinds: bulk, rpc, kv, flowgen, incast), injected
 // loss/reorder/duplication, seeds, duration/warmup, and a measurement
 // block (counter groups, flowmon attach points or per-rack fleets,
 // per-flow records). internal/scenario/server exposes the runner as an
@@ -394,8 +394,8 @@
 //
 //   - Strict validation, then exact construction. Parse rejects unknown
 //     fields, out-of-range probabilities, dangling machine references,
-//     duplicate listeners, and flowmon attach conflicts (an Iface holds
-//     one tap — duplicate attaches and fleets-plus-explicit-taps are
+//     duplicate listeners, over 65 535 dials by one machine (its ports),
+//     and flowmon conflicts (an Iface holds one tap — double attaches are
 //     spec errors, not silent overwrites). Build compiles the Spec
 //     through the same testbed/fabric/workload constructors the figure
 //     runners use, in spec order; Fig 15c and Fig 17a run through this

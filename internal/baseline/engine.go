@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"math/bits"
+
 	"flextoe/internal/api"
 	"flextoe/internal/conntab"
 	"flextoe/internal/host"
@@ -30,25 +32,15 @@ type Stack struct {
 
 	// Connection table: an open-addressed flow-hash index into a dense
 	// slot array (doc.go "Connection state budget"). Slot ids of removed
-	// connections recycle FIFO so straggling timer carriers and in-flight
-	// segment work see a nil slot, not a stranger.
-	flowIdx  *conntab.Index
-	slots    []*bconn
-	free     []uint32
-	freeHead int
-	nLive    int
-	// connList is the deterministic establishment-order scan list
-	// (swap-compacted on removal); iterating a map here would randomize
-	// event order between identical runs.
-	connList  []*bconn
+	// connections recycle FIFO so in-flight segment work sees a nil slot,
+	// not a stranger (a straggling timer holds its bconn and sees !live).
+	flowIdx   *conntab.Index
+	slots     []*bconn
+	free      []uint32
+	freeHead  int
+	nLive     int
 	listeners map[uint16]*blistener
 	nextPort  uint16
-
-	// timerFree recycles per-connection retransmission-timer carriers:
-	// each live connection with bytes (or a FIN) outstanding holds at most
-	// one armed timer on the engine wheel, so timer cost scales with
-	// active connections, not with the table size.
-	timerFree shm.Freelist[btimer]
 
 	// ResolveMAC maps destination IPs to MACs (static ARP, installed by
 	// the testbed).
@@ -154,11 +146,9 @@ type bconn struct {
 	peerMAC  packet.EtherAddr
 
 	// Table bookkeeping (doc.go "Connection state budget"): id is the
-	// dense slot, listIdx the position in the establishment-order scan
-	// list. live gates straggling timer fires and deferred segment work
-	// after removal.
+	// dense slot. live gates straggling timer fires and deferred segment
+	// work after removal.
 	id       uint32
-	listIdx  int
 	live     bool
 	rtoArmed bool
 	halfOpen bool     // passive open awaiting its first post-handshake segment
@@ -272,7 +262,7 @@ func (s *Stack) segCost(conns int) sim.Task {
 	p := &s.prof
 	cycles := p.DriverPerSeg + p.TCPPerSeg + p.OtherPerSeg
 	if p.ConnPenalty > 0 && conns > 1 {
-		cycles += int64(p.ConnPenalty * log2(conns))
+		cycles += int64(p.ConnPenalty * float64(bits.Len(uint(conns))-1))
 	}
 	var stall sim.Time
 	if p.SpikeProb > 0 && s.rng.Bool(p.SpikeProb) {
@@ -283,15 +273,6 @@ func (s *Stack) segCost(conns int) sim.Task {
 		cycles = p.DriverPerSeg + p.OtherPerSeg
 	}
 	return sim.TaskC(cycles).Add(0, stall)
-}
-
-func log2(n int) float64 {
-	v := 0.0
-	for n > 1 {
-		v++
-		n >>= 1
-	}
-	return v
 }
 
 // segWork carries one received segment through the cost model's deferred
@@ -715,18 +696,11 @@ func (s *Stack) mkPacket(c *bconn, seq uint32, flags uint8) *packet.Packet {
 	pkt.TCP = packet.TCP{
 		SrcPort: c.flow.SrcPort, DstPort: c.flow.DstPort,
 		Seq: seq, Ack: c.ackField(), Flags: flags,
-		Window: uint16(min64(int64(c.rxAvail>>tcpseg.WindowScale), 0xffff)),
+		Window: uint16(min(c.rxAvail>>tcpseg.WindowScale, 0xffff)),
 		WScale: -1,
 	}
 	pkt.SeedFlowHashes(c.flowHash, c.revHash)
 	return pkt
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ackField returns the cumulative acknowledgment (FIN occupies a slot).
@@ -882,15 +856,13 @@ func (s *Stack) installConn(c *bconn) {
 	}
 	c.id = id
 	c.live = true
-	c.listIdx = len(s.connList)
 	s.slots[id] = c
 	s.flowIdx.Insert(c.flow, id)
-	s.connList = append(s.connList, c)
 	s.nLive++
 }
 
 // removeConn reclaims a fully-closed connection: the flow-index entry, the
-// dense slot (FIFO-recycled), and the scan-list position (swap-compacted).
+// dense slot (FIFO-recycled).
 // The bconn itself stays readable so an application socket can still drain
 // buffered bytes; it is garbage once the socket reference drops.
 func (s *Stack) removeConn(c *bconn) {
@@ -899,35 +871,9 @@ func (s *Stack) removeConn(c *bconn) {
 	}
 	c.live = false
 	s.flowIdx.Delete(c.flow) // before the slot is cleared: Delete reads flows via slots
-	last := len(s.connList) - 1
-	moved := s.connList[last]
-	s.connList[c.listIdx] = moved
-	moved.listIdx = c.listIdx
-	s.connList[last] = nil
-	s.connList = s.connList[:last]
 	s.slots[c.id] = nil
 	s.free = append(s.free, c.id)
 	s.nLive--
-}
-
-// btimer carries one armed retransmission timer from AfterCall to its
-// fire without a closure per arm. Pooled: the fire consumes and recycles
-// the carrier when the connection no longer needs timer service.
-type btimer struct {
-	s *Stack
-	c *bconn
-}
-
-func (s *Stack) getTimer() *btimer {
-	if tm := s.timerFree.Get(); tm != nil {
-		return tm
-	}
-	return &btimer{}
-}
-
-func (s *Stack) putTimer(tm *btimer) {
-	*tm = btimer{}
-	s.timerFree.Put(tm)
 }
 
 // timerOutstanding reports whether the retransmission timer has work:
@@ -968,20 +914,19 @@ func (s *Stack) maybeArmTimer(c *bconn) {
 		return
 	}
 	c.rtoArmed = true
-	tm := s.getTimer()
-	tm.s, tm.c = s, c
-	s.own.AfterCall(delay, btimerFire, tm)
+	s.own.AfterCall(delay, btimerFire, c)
 }
 
 // btimerFire services one connection's timer: retransmit on RTO expiry and
 // re-arm while work remains; reclaim fully-closed connections after the
-// linger period; otherwise disarm and recycle the carrier (lazy
-// cancellation — state changes never chase an in-flight timer).
+// linger period; otherwise disarm (lazy cancellation — state changes
+// never chase an in-flight timer). The connection is its own timer
+// carrier: rtoArmed keeps at most one event in flight per connection, so
+// timer cost scales with active connections, not with the table size.
 func btimerFire(a any) {
-	tm := a.(*btimer)
-	s, c := tm.s, tm.c
+	c := a.(*bconn)
+	s := c.stack
 	if !c.live {
-		s.putTimer(tm)
 		return
 	}
 	now := s.eng.Now()
@@ -1013,20 +958,18 @@ func btimerFire(a any) {
 			}
 			rto = c.rto()
 		}
-		s.own.AfterCall(c.lastProgress+rto-now, btimerFire, tm)
+		s.own.AfterCall(c.lastProgress+rto-now, btimerFire, c)
 	case c.finAcked && c.peerFin:
 		if c.lingerAt == 0 {
 			c.lingerAt = now + 4*s.prof.MinRTO
 		}
 		if now >= c.lingerAt {
 			c.rtoArmed = false
-			s.putTimer(tm)
 			s.removeConn(c)
 			return
 		}
-		s.own.AfterCall(c.lingerAt-now, btimerFire, tm)
+		s.own.AfterCall(c.lingerAt-now, btimerFire, c)
 	default:
 		c.rtoArmed = false
-		s.putTimer(tm)
 	}
 }

@@ -16,18 +16,6 @@ package baseline
 
 import "flextoe/internal/sim"
 
-// Kind selects the stack personality.
-type Kind int
-
-const (
-	// KindLinux is the in-kernel TCP stack.
-	KindLinux Kind = iota
-	// KindTAS is TAS: a protected user-mode fast path on dedicated cores.
-	KindTAS
-	// KindChelsio is the Terminator TOE: TCP on the NIC ASIC, kernel API.
-	KindChelsio
-)
-
 // Recovery selects the loss-recovery behaviour.
 type Recovery int
 
@@ -51,7 +39,6 @@ const (
 // into per-segment and per-call costs; a request involves roughly 2.5
 // segment operations (request in, response out, ack processing).
 type Profile struct {
-	Kind Kind
 	Name string
 
 	// Host cycles per segment for NIC driver + TCP/IP processing.
@@ -133,7 +120,6 @@ func (p *Profile) oooIvs() int {
 // per request, 62% stall cycles, versatile but bulky).
 func LinuxProfile() Profile {
 	return Profile{
-		Kind:           KindLinux,
 		Name:           "Linux",
 		DriverPerSeg:   280,  // 0.71 kc/req over ~2.5 segment ops
 		TCPPerSeg:      1700, // 4.25 kc/req
@@ -154,7 +140,6 @@ func LinuxProfile() Profile {
 // TCP on dedicated fast-path cores, lean sockets).
 func TASProfile() Profile {
 	return Profile{
-		Kind:           KindTAS,
 		Name:           "TAS",
 		DriverPerSeg:   72,  // 0.18 kc/req
 		TCPPerSeg:      576, // 1.44 kc/req (Table 6 breaks down the 1,440)
@@ -176,7 +161,6 @@ func TASProfile() Profile {
 // 100 Gbps unidirectional streaming strength; OOO discard on loss).
 func ChelsioProfile() Profile {
 	return Profile{
-		Kind:           KindChelsio,
 		Name:           "Chelsio",
 		DriverPerSeg:   512,  // 1.28 kc/req: the "sophisticated TOE NIC driver"
 		TCPPerSeg:      160,  // 0.40 kc/req residual host TCP glue

@@ -23,34 +23,41 @@ type stalePair struct {
 
 const staleSent = 3000
 
-func newStalePair(t *testing.T, prof Profile) *stalePair {
-	t.Helper()
-	eng := sim.New()
+// newPair is two stacks of one personality on a direct link, the server
+// listening on port 7000 with the given accept handler.
+func newPair(prof Profile, accept func(api.Socket)) (eng *sim.Engine, client, server *Stack, srv api.Addr) {
+	eng = sim.New()
 	macC, macS := packet.MAC(2, 0, 0, 0, 0, 1), packet.MAC(2, 0, 0, 0, 0, 2)
 	ipC, ipS := packet.IP(10, 0, 0, 1), packet.IP(10, 0, 0, 2)
 	ifC := netsim.NewIface(eng, "c", macC, 5e9)
 	ifS := netsim.NewIface(eng, "s", macS, 5e9)
 	netsim.Connect(ifC, ifS, sim.Microsecond)
-	p := &stalePair{eng: eng}
-	p.client = NewStack(eng, prof, ifC, host.NewMachine(eng, "c", 2, 2_000_000_000), ipC, 65536, 1)
-	p.server = NewStack(eng, prof, ifS, host.NewMachine(eng, "s", 2, 2_000_000_000), ipS, 65536, 2)
-	p.client.ResolveMAC = func(packet.IPv4Addr) packet.EtherAddr { return macS }
-	p.server.ResolveMAC = func(packet.IPv4Addr) packet.EtherAddr { return macC }
-	p.server.Listen(7000, func(api.Socket) {})
+	client = NewStack(eng, prof, ifC, host.NewMachine(eng, "c", 2, 2_000_000_000), ipC, 65536, 1)
+	server = NewStack(eng, prof, ifS, host.NewMachine(eng, "s", 2, 2_000_000_000), ipS, 65536, 2)
+	client.ResolveMAC = func(packet.IPv4Addr) packet.EtherAddr { return macS }
+	server.ResolveMAC = func(packet.IPv4Addr) packet.EtherAddr { return macC }
+	server.Listen(7000, accept)
+	return eng, client, server, api.Addr{IP: ipS, Port: 7000}
+}
+
+func newStalePair(t *testing.T, prof Profile) *stalePair {
+	t.Helper()
+	eng, client, server, srv := newPair(prof, func(api.Socket) {})
+	p := &stalePair{eng: eng, client: client, server: server}
 	payload := make([]byte, staleSent)
 	for i := range payload {
 		payload[i] = byte(i*7 + 1)
 	}
-	p.client.Dial(api.Addr{IP: ipS, Port: 7000}, func(s api.Socket) {
+	p.client.Dial(srv, func(s api.Socket) {
 		if n := s.Send(payload); n != len(payload) {
 			t.Errorf("Send accepted %d of %d bytes", n, len(payload))
 		}
 	})
 	eng.RunUntil(5 * sim.Millisecond)
-	if len(p.client.connList) != 1 || len(p.server.connList) != 1 {
-		t.Fatalf("%s: %d client / %d server connections, want 1 / 1", prof.Name, len(p.client.connList), len(p.server.connList))
+	if p.client.nLive != 1 || p.server.nLive != 1 {
+		t.Fatalf("%s: %d client / %d server connections, want 1 / 1", prof.Name, p.client.nLive, p.server.nLive)
 	}
-	p.cc, p.sc = p.client.connList[0], p.server.connList[0]
+	p.cc, p.sc = p.client.slots[0], p.server.slots[0]
 	if p.sc.rcvd != staleSent || p.cc.una != staleSent {
 		t.Fatalf("%s: server rcvd %d, client una %d, want %d", prof.Name, p.sc.rcvd, p.cc.una, staleSent)
 	}

@@ -35,7 +35,6 @@ func hcDoorbell(a any) {
 	}
 	item.conn = item.hc.Conn
 	item.fg = int(conn.fg)
-	item.entered = t.eng.Now()
 	t.hcFetch(item)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"flextoe/internal/packet"
 	"flextoe/internal/sim"
 	"flextoe/internal/trace"
@@ -51,7 +53,6 @@ func (t *TOE) DetachXDP(name string) bool {
 // detect mutation), so the hook's per-frame marshalling allocates nothing
 // in steady state.
 type xdpWork struct {
-	pkt      *packet.Packet
 	verdict  xdp.Verdict
 	buf      []byte // owned backing the packet serializes into
 	pristine []byte // owned copy for mutation detection
@@ -69,7 +70,6 @@ func (t *TOE) getXDPWork() *xdpWork {
 }
 
 func (t *TOE) putXDPWork(w *xdpWork) {
-	w.pkt = nil
 	w.data = nil
 	w.ctx = xdp.Context{}
 	t.xdpFree.Put(w)
@@ -81,7 +81,6 @@ func (t *TOE) xdpIngress(pkt *packet.Packet) {
 	// functionally first to learn its instruction count, then the stage
 	// charges that cost before the verdict takes effect.
 	w := t.getXDPWork()
-	w.pkt = pkt
 	w.verdict = xdp.Pass
 	n := pkt.WireLen()
 	if cap(w.buf) < n {
@@ -104,26 +103,13 @@ func (t *TOE) xdpIngress(pkt *packet.Packet) {
 			break
 		}
 	}
-	w.mutated = !sameBytes(w.pristine, w.ctx.Data)
+	w.mutated = !bytes.Equal(w.pristine, w.ctx.Data)
 	w.data = w.ctx.Data
 	w.instr = total
 	item := t.allocSeg()
 	item.kind = segRX
-	item.entered = t.eng.Now()
 	item.pkt = pkt
 	t.xdpQueue(item, w)
-}
-
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // xdpQueue pushes the work through the XDP stage for cost accounting.

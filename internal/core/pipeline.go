@@ -149,12 +149,11 @@ type TOE struct {
 // reorder buffer, protocol workers (atomic per connection), the
 // post-processing stage, and the NBI transmission reorder buffer.
 type island struct {
-	fg      int
-	entry   *rob
-	protos  []*protoWorker
-	post    *stage
-	nbi     *rob
-	ememCLS *nfp.Cache
+	fg     int
+	entry  *rob
+	protos []*protoWorker
+	post   *stage
+	nbi    *rob
 }
 
 type protoWorker struct {
@@ -170,8 +169,8 @@ type protoWorker struct {
 // stage is a pool of FPCs serving one intake queue. freeMask is a bitset
 // of FPC indices that may have an idle hardware thread, so dispatch picks
 // the lowest-indexed free FPC in O(1) instead of scanning the pool per
-// segment (wide stages paid that scan on every push). Stages wider than
-// 64 FPCs fall back to the linear scan.
+// segment (wide stages paid that scan on every push). The mask bounds a
+// stage at 64 FPCs; the widest any configuration builds is 8.
 type stage struct {
 	name     string
 	q        []*segItem // FIFO: append to push, shm.PopRing at qHead to pop
@@ -195,16 +194,15 @@ func (t *TOE) newStage(name string, n int, qTrace trace.Point,
 		t:       t,
 	}
 	s.handleCb = func(a any) { s.handler(a.(*segItem)) }
+	if n > 64 {
+		panic(fmt.Sprintf("core: stage %s has %d FPCs, freeMask tracks 64", name, n))
+	}
 	for i := 0; i < n; i++ {
 		f := nfp.NewFPC(t.eng, fmt.Sprintf("%s/%d", name, i), &t.cfg.NFP)
 		f.SetThreads(t.cfg.ThreadsPerFPC)
-		if i < 64 {
-			bit := uint64(1) << i
-			f.Idle = func() { s.freeMask |= bit; s.pump() }
-			s.freeMask |= bit
-		} else {
-			f.Idle = s.pump
-		}
+		bit := uint64(1) << i
+		f.Idle = func() { s.freeMask |= bit; s.pump() }
+		s.freeMask |= bit
 		s.fpcs = append(s.fpcs, f)
 	}
 	return s
@@ -232,12 +230,6 @@ func (s *stage) pickFPC() *nfp.FPC {
 		}
 		s.freeMask &^= bit
 		m &^= bit
-	}
-	// Overflow FPCs (index >= 64) are not tracked in the mask.
-	for i := 64; i < len(s.fpcs); i++ {
-		if s.fpcs[i].FreeThreads() > 0 {
-			return s.fpcs[i]
-		}
 	}
 	return nil
 }
@@ -310,7 +302,6 @@ func (t *TOE) buildPipeline() {
 		isl := &island{fg: fg}
 		isl.entry = newROB(func(s *segItem) { t.protoAdmit(isl, s) })
 		cls := nfp.NewCLSCache(&cfg.NFP)
-		isl.ememCLS = cls
 		for i := 0; i < cfg.ProtoRepl; i++ {
 			pw := &protoWorker{
 				fpc:   nfp.NewFPC(t.eng, fmt.Sprintf("proto%d/%d", fg, i), &cfg.NFP),
@@ -381,7 +372,6 @@ func (t *TOE) rxToPre(pkt *packet.Packet) {
 	item := t.allocSeg()
 	item.kind = segRX
 	item.pkt = pkt
-	item.entered = t.eng.Now()
 	// Sequencing happens at pipeline entry (§3.2: "we assign a sequence
 	// number to each segment entering the pipeline"): the NBI computes
 	// the flow-group hash in hardware, so the ticket predates the
@@ -903,9 +893,6 @@ func sendCtrlFrame(a any) {
 	t.putMonoWork(w)
 	t.sendFrame(pkt)
 }
-
-// MAC returns the NIC's Ethernet address.
-func (t *TOE) MAC() packet.EtherAddr { return t.iface.MAC }
 
 // releaseSeg drops a segment mid-pipeline, skipping its NBI ticket so the
 // reorder buffer never stalls and returning its pool resources (including

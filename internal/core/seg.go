@@ -3,7 +3,6 @@ package core
 import (
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
-	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
 )
 
@@ -66,9 +65,6 @@ type segItem struct {
 	// dropped marks a segment abandoned mid-pipeline (window closed,
 	// connection removed); downstream stages release its resources.
 	dropped bool
-
-	// Timing diagnostics.
-	entered sim.Time
 }
 
 // allocSeg takes a zeroed item from the TOE's pool with one reference.

@@ -80,7 +80,6 @@ func (t *TOE) txPump() {
 		item.kind = segTX
 		item.conn = id
 		item.fg = int(conn.fg)
-		item.entered = t.eng.Now()
 		item.ticket = t.islands[int(conn.fg)].entry.ticket()
 		t.pre.push(item)
 		// If the flow can send more than one MSS, keep it scheduled.

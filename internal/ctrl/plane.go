@@ -10,7 +10,8 @@
 // ReadStats.
 //
 // Timer architecture (doc.go "Connection state budget"): there is no
-// periodic full-table scan. Each connection's RTO/persist/teardown
+// periodic full-table scan, and no list of connections to scan — Plane
+// keeps a live count (NumTracked). Each connection's RTO/persist/teardown
 // deadline and its congestion-control poll are individual timing-wheel
 // events carried by pooled connTimer objects, armed when the data-path
 // reports the connection may need timer service (core.TOE.TimerKick) and
@@ -86,13 +87,10 @@ type Plane struct {
 	pending   map[packet.Flow]*pendingConn
 
 	// ccs is the dense per-slot control state, indexed by the data-path
-	// connection id (core reuses slot ids, so this array never leaks).
-	// scan lists live ids in establishment order — the deterministic
-	// iteration the adaptive-OOO controller and experiments use;
-	// iterating a map here would let Go's randomized order reshuffle
-	// events between identical runs.
-	ccs  []ccState
-	scan []uint32
+	// connection id (core reuses slot ids, so this array never leaks);
+	// tracked counts its live entries.
+	ccs     []ccState
+	tracked int
 
 	// timerFree recycles connTimer carriers (pooled per plane;
 	// steady-state timer arming is allocation-free).
@@ -173,9 +171,6 @@ type ccState struct {
 	// lingerAt is the teardown deadline after full close (0 = not
 	// lingering); when it passes, the slot is reclaimed.
 	lingerAt sim.Time
-
-	// scanIdx is this connection's slot in Plane.scan (O(1) removal).
-	scanIdx int
 
 	// seenUna is SND.UNA at the last timer fire, so the timer itself
 	// detects forward progress. Without this, a run with congestion
@@ -436,9 +431,8 @@ func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uin
 		rate:      1e9,
 		lastAcked: p.eng.Now(),
 		rto:       minRTO,
-		scanIdx:   len(p.scan),
 	}
-	p.scan = append(p.scan, id)
+	p.tracked++
 	if p.cfg.CC != CCNone {
 		p.toe.SetCongestionWindow(id, cc.cwnd)
 	}
@@ -458,12 +452,6 @@ func (p *Plane) InstallEstablished(flow packet.Flow, peerMAC packet.EtherAddr, i
 	return p.install(flow, peerMAC, iss, irs, txBuf, rxBuf, 0, false)
 }
 
-// Close tears down a connection: FIN via the data-path, state removal
-// after the exchange drains.
-func (p *Plane) Close(id uint32) {
-	p.toe.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: id})
-}
-
 // Remove deletes data-path and control state for a connection; the slot
 // is recycled. Called by the teardown timer after the post-close linger,
 // or directly on abort.
@@ -471,15 +459,7 @@ func (p *Plane) Remove(id uint32) {
 	if int(id) < len(p.ccs) {
 		cc := &p.ccs[id]
 		if cc.live {
-			// O(1) swap-remove via the stored index: the resulting order
-			// differs from establishment order but is still a pure
-			// function of the connection history, so reruns stay
-			// bit-identical.
-			last := len(p.scan) - 1
-			moved := p.scan[last]
-			p.scan[cc.scanIdx] = moved
-			p.ccs[moved].scanIdx = cc.scanIdx
-			p.scan = p.scan[:last]
+			p.tracked--
 			cc.live = false
 			cc.epoch++ // in-flight timer carriers release themselves on fire
 			cc.rtoArmed = false
@@ -491,7 +471,7 @@ func (p *Plane) Remove(id uint32) {
 
 // NumTracked returns the number of live control-plane connection states
 // (== live data-path connections).
-func (p *Plane) NumTracked() int { return len(p.scan) }
+func (p *Plane) NumTracked() int { return p.tracked }
 
 // getTimer draws a pooled timer carrier.
 func (p *Plane) getTimer(id, epoch uint32, kind uint8) *connTimer {

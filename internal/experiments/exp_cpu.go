@@ -6,7 +6,6 @@ import (
 	"flextoe/internal/apps"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
-	"flextoe/internal/stats"
 	"flextoe/internal/tcpseg"
 	"flextoe/internal/testbed"
 )
@@ -16,10 +15,7 @@ import (
 // cycles the server spent.
 type memcachedResult struct {
 	ops       uint64
-	appCycles uint64 // on application cores
-	allCycles uint64 // app + dedicated stack cores
-	dur       sim.Time
-	latency   *stats.Histogram
+	allCycles uint64 // application cores + dedicated stack cores
 }
 
 func memcachedRun(kind testbed.StackKind, serverCores int, clientConns int, d sim.Time, seed uint64) memcachedResult {
@@ -30,35 +26,23 @@ func memcachedRun(kind testbed.StackKind, serverCores int, clientConns int, d si
 	)
 	kv := &apps.KVServer{AppCycles: 890, ValueLen: 32}
 	kv.Serve(tb.M("server").Stack, 11211)
-	// Each client machine records into its own histogram; the merge below
-	// is the readout.
 	cl := &apps.KVClient{KeyLen: 32, ValLen: 32, SetRatio: 0.1, Pipeline: 2, Seed: seed}
 	cl.Start(tb.M("client").Stack, tb.Addr("server", 11211), clientConns/2)
 	cl2 := &apps.KVClient{KeyLen: 32, ValLen: 32, SetRatio: 0.1, Pipeline: 2, Seed: seed + 7}
 	cl2.Start(tb.M("client2").Stack, tb.Addr("server", 11211), clientConns/2)
 	tb.Run(d)
-	lat := stats.NewHistogram()
-	lat.Merge(cl.Latency)
-	lat.Merge(cl2.Latency)
 
-	var app, all uint64
+	var all uint64
 	srv := tb.M("server")
 	for _, c := range srv.Stack.Machine().Cores {
-		app += c.Instructions
+		all += c.Instructions
 	}
-	all = app
 	if srv.Base != nil {
 		// TAS dedicated fast-path cores are part of the per-request
 		// budget.
 		all += srv.Base.FastPathInstructions()
 	}
-	return memcachedResult{
-		ops:       cl.Completed + cl2.Completed,
-		appCycles: app,
-		allCycles: all,
-		dur:       d,
-		latency:   lat,
-	}
+	return memcachedResult{ops: cl.Completed + cl2.Completed, allCycles: all}
 }
 
 // table1Profile returns the per-request component decomposition and

@@ -183,9 +183,6 @@ func (f *Fabric) AttachHost(rack int, name string, mac packet.EtherAddr, bytesPe
 	return nic
 }
 
-// Host returns a previously attached host by name (nil if unknown).
-func (f *Fabric) Host(name string) *Host { return f.hosts[name] }
-
 // Hosts returns every attached host in attachment order.
 func (f *Fabric) Hosts() []*Host { return f.hostList }
 

@@ -1,10 +1,10 @@
 // Package workload drives datacenter traffic patterns over any api.Stack:
 // an open-loop flow generator with Poisson arrivals and pluggable flow
 // size distributions (fixed, web-search and data-mining heavy tails),
-// N-to-1 incast groups with barrier-synchronized rounds, and background
-// cross-rack bulk traffic. Workloads speak only api.Stack/api.Socket, so
-// FlexTOE, Linux-, TAS- and Chelsio-personality machines run them
-// unmodified over the single-switch testbed or the leaf–spine fabric.
+// and N-to-1 incast groups with barrier-synchronized rounds. Workloads
+// speak only api.Stack/api.Socket, so FlexTOE, Linux-, TAS- and
+// Chelsio-personality machines run them unmodified over the
+// single-switch testbed or the leaf–spine fabric.
 //
 // Every piece of mutable workload state belongs to exactly one machine.
 // The generator keeps per-connection arrival streams on each sender, flow
@@ -26,7 +26,6 @@ import (
 	"math"
 
 	"flextoe/internal/api"
-	"flextoe/internal/apps"
 	"flextoe/internal/sim"
 	"flextoe/internal/stats"
 )
@@ -152,7 +151,6 @@ type genConn struct {
 	pending  []pendingFlow
 	head     int
 	hdr      [flowHdrLen]byte
-	size     int // scratch: size of the flow being headered
 }
 
 // flowSink accumulates one Serve call's measurement on that machine.
@@ -161,8 +159,6 @@ type flowSink struct {
 	fct            *stats.Histogram
 	completed      uint64
 	bytesCompleted uint64
-	bytesReceived  uint64
-	lastDone       sim.Time
 }
 
 // Serve installs the flow sink on a stack port. Call before Start; may be
@@ -329,11 +325,9 @@ func (sc *sinkConn) drain() {
 			sk.completed++
 			sk.bytesCompleted += uint64(sc.size)
 			sk.fct.Record(int64(now - sc.start))
-			sk.lastDone = now
 		}
 	}
 	if pos > 0 {
-		sk.bytesReceived += uint64(pos)
 		sc.sock.Consume(pos)
 	}
 }
@@ -351,8 +345,6 @@ func (g *FlowGen) ResetMeasurement() {
 		sk.fct = stats.NewHistogram()
 		sk.completed = 0
 		sk.bytesCompleted = 0
-		sk.bytesReceived = 0
-		sk.lastDone = 0
 	}
 }
 
@@ -386,16 +378,6 @@ func (g *FlowGen) BytesCompleted() uint64 {
 	return n
 }
 
-// BytesReceived returns all flow-stream bytes consumed by the sinks
-// (headers included).
-func (g *FlowGen) BytesReceived() uint64 {
-	var n uint64
-	for _, sk := range g.sinks {
-		n += sk.bytesReceived
-	}
-	return n
-}
-
 // FCT returns the flow-completion-time histogram (picoseconds, arrival →
 // last byte at sink), merged across sinks in construction order.
 func (g *FlowGen) FCT() *stats.Histogram {
@@ -404,17 +386,6 @@ func (g *FlowGen) FCT() *stats.Histogram {
 		h.Merge(sk.fct)
 	}
 	return h
-}
-
-// LastDone returns the completion instant of the latest flow.
-func (g *FlowGen) LastDone() sim.Time {
-	var t sim.Time
-	for _, sk := range g.sinks {
-		if sk.lastDone > t {
-			t = sk.lastDone
-		}
-	}
-	return t
 }
 
 // Done reports whether every generated flow has completed (meaningful
@@ -602,26 +573,4 @@ func (is *incastSender) pump() {
 		is.sock.Commit(w)
 		is.remaining -= w
 	}
-}
-
-// ---------------------------------------------------------------------
-// Background cross-rack traffic.
-// ---------------------------------------------------------------------
-
-// Background is continuous bulk cross-traffic: conns connections from
-// the source stacks (round-robin) into one sink machine, reusing the
-// apps bulk primitives.
-type Background struct {
-	Sink *apps.BulkSink
-}
-
-// StartBackground installs a bulk sink on sinkStack:port and saturates it
-// with conns connections from srcs.
-func StartBackground(srcs []api.Stack, sinkStack api.Stack, port uint16, conns int) *Background {
-	b := &Background{Sink: &apps.BulkSink{}}
-	b.Sink.Serve(sinkStack, port)
-	for i := 0; i < conns; i++ {
-		(&apps.BulkSender{}).Start(srcs[i%len(srcs)], api.Addr{IP: sinkStack.LocalIP(), Port: port})
-	}
-	return b
 }

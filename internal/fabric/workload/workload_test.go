@@ -136,14 +136,3 @@ func TestIncastRoundsComplete(t *testing.T) {
 		t.Fatalf("round FCT samples = %d, want 5", g.RoundFCT.Count())
 	}
 }
-
-// TestBackgroundTraffic starts cross-rack bulk noise and verifies it
-// moves bytes.
-func TestBackgroundTraffic(t *testing.T) {
-	tb := twoRack(testbed.FlexTOE, 77)
-	bg := workload.StartBackground([]api.Stack{tb.M("snd").Stack}, tb.M("rcv").Stack, 9300, 2)
-	tb.Run(3 * sim.Millisecond)
-	if bg.Sink.Received == 0 {
-		t.Fatal("background traffic delivered nothing")
-	}
-}

@@ -11,7 +11,7 @@
 // selective repairs by SACK-scoreboard inference (the m-lab SendNext
 // model), out-of-order arrivals and reassembly-hole depth via exact
 // re-execution of the stack's interval-set machinery, duplicate-ACK runs,
-// zero-window stalls, ECN mark rates, and goodput timelines.
+// zero-window stalls, ECN mark rates, and acknowledged-byte goodput.
 //
 // Contracts (doc.go "Passive flow analysis"):
 //
@@ -64,7 +64,6 @@ const (
 	blockSize = 256 // flow states per slab block (conntab idiom)
 	oooMax    = 32  // interval backing capacity (Linux's reassembly cap)
 	ringN     = 8   // in-flight RTT probes tracked per flow
-	flowBins  = 32  // per-flow goodput timeline bins
 )
 
 // Config parameterizes an Analyzer. The zero value is usable: defaults
@@ -86,13 +85,6 @@ type Config struct {
 	// RTTMaxUs is the top bucket of the RTT histograms in microseconds
 	// (default 4096; larger samples clamp).
 	RTTMaxUs int
-	// TimelineBin is the width of one goodput-timeline bin (default
-	// 1 ms). The fleet timeline has unbounded bins (grown at readout
-	// granularity); per-flow timelines keep the first 32 bins.
-	TimelineBin sim.Time
-	// TimelineBins is the number of fleet-timeline bins (default 64;
-	// later traffic clamps into the last bin).
-	TimelineBins int
 }
 
 func (c *Config) withDefaults() Config {
@@ -108,12 +100,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if d.RTTMaxUs <= 0 {
 		d.RTTMaxUs = 4096
-	}
-	if d.TimelineBin <= 0 {
-		d.TimelineBin = sim.Millisecond
-	}
-	if d.TimelineBins <= 0 {
-		d.TimelineBins = 64
 	}
 	return d
 }
@@ -179,7 +165,6 @@ type flowState struct {
 	rttN     uint64
 
 	ackedBytes uint64
-	timeline   [flowBins]uint32 // acked bytes per TimelineBin, saturating
 
 	// Receiver role: exact re-execution of the observed receiver's
 	// reassembly decisions for this flow's data.
@@ -214,7 +199,6 @@ type Analyzer struct {
 
 	rttHist  *stats.LinearHist // all RTT samples, microseconds
 	oooDepth *stats.LinearHist // interval-set size at each reassembly event
-	timeline []uint64          // acked bytes per TimelineBin across all flows
 }
 
 // New builds an analyzer.
@@ -223,7 +207,6 @@ func New(cfg Config) *Analyzer {
 	a.idx = conntab.New(func(slot uint32) packet.Flow { return a.at(slot).flow })
 	a.rttHist = stats.NewLinearHist(a.cfg.RTTMaxUs)
 	a.oooDepth = stats.NewLinearHist(oooMax)
-	a.timeline = make([]uint64, a.cfg.TimelineBins)
 	return a
 }
 
@@ -363,7 +346,6 @@ func (a *Analyzer) observeAck(at sim.Time, fs, rs *flowState, tcp *packet.TCP, p
 			acked := tcpseg.SeqDiff(tcpseg.SeqMin(ack, rs.sndHigh), rs.una)
 			if acked > 0 {
 				rs.ackedBytes += uint64(acked)
-				a.creditTimeline(rs, at, uint64(acked))
 			}
 		}
 		sampled = a.harvestSeqProbes(rs, ack, at)
@@ -578,25 +560,6 @@ func (a *Analyzer) recordRTT(fs *flowState, d sim.Time) {
 		fs.rttMaxUs = u
 	}
 	a.rttHist.Record(int(us))
-}
-
-// creditTimeline bins newly acknowledged bytes at their ack time into
-// the fleet and per-flow goodput timelines.
-func (a *Analyzer) creditTimeline(fs *flowState, at sim.Time, bytes uint64) {
-	bin := int(at / a.cfg.TimelineBin)
-	fb := bin
-	if bin >= len(a.timeline) {
-		bin = len(a.timeline) - 1
-	}
-	a.timeline[bin] += bytes
-	if fb >= flowBins {
-		fb = flowBins - 1
-	}
-	if s := uint64(fs.timeline[fb]) + bytes; s > uint64(^uint32(0)) {
-		fs.timeline[fb] = ^uint32(0)
-	} else {
-		fs.timeline[fb] = uint32(s)
-	}
 }
 
 // pushProbe appends to a fixed probe ring, evicting the oldest entry

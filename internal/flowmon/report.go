@@ -44,10 +44,6 @@ type FlowReport struct {
 	ZeroWinStall  sim.Time
 	CEPkts        uint64
 	ECEPkts       uint64
-
-	// Timeline holds acked bytes per Config.TimelineBin for the flow's
-	// first 32 bins (later traffic clamps into the last).
-	Timeline [flowBins]uint32
 }
 
 // RTTMeanUs returns the mean RTT sample in microseconds (0 when none).
@@ -95,9 +91,6 @@ type Report struct {
 
 	RTTHist  *stats.LinearHist // microsecond buckets
 	OOODepth *stats.LinearHist // interval-set size per reassembly event
-
-	TimelineBin sim.Time
-	Timeline    []uint64 // acked bytes per bin, all flows
 }
 
 // Report snapshots the analyzer in establishment (first-seen) order.
@@ -109,12 +102,9 @@ func (a *Analyzer) Report() *Report {
 		FlowsDropped: a.FlowsDropped,
 		RTTHist:      stats.NewLinearHist(a.cfg.RTTMaxUs),
 		OOODepth:     stats.NewLinearHist(oooMax),
-		TimelineBin:  a.cfg.TimelineBin,
-		Timeline:     make([]uint64, len(a.timeline)),
 	}
 	r.RTTHist.Add(a.rttHist)
 	r.OOODepth.Add(a.oooDepth)
-	copy(r.Timeline, a.timeline)
 	for _, slot := range a.order {
 		fs := a.at(slot)
 		fr := FlowReport{
@@ -142,7 +132,6 @@ func (a *Analyzer) Report() *Report {
 			ZeroWinStall:  fs.zeroWinStall,
 			CEPkts:        fs.cePkts,
 			ECEPkts:       fs.ecePkts,
-			Timeline:      fs.timeline,
 		}
 		if fs.rttN > 0 {
 			fr.RTTMinUs = fs.rttMinUs
@@ -273,9 +262,6 @@ type Fleet struct {
 // Add appends an analyzer to the fleet.
 func (fl *Fleet) Add(a *Analyzer) { fl.mons = append(fl.mons, a) }
 
-// Analyzers returns the attached analyzers in attach order.
-func (fl *Fleet) Analyzers() []*Analyzer { return fl.mons }
-
 // Report merges every analyzer's readout in attach order: flow lists
 // concatenate (each in its own establishment order), histograms and
 // counters sum. Flows observed by two taps (e.g. both endpoints' NICs)
@@ -293,12 +279,6 @@ func (fl *Fleet) Report() *Report {
 		r.FlowsDropped += o.FlowsDropped
 		r.RTTHist.Add(o.RTTHist)
 		r.OOODepth.Add(o.OOODepth)
-		if len(o.Timeline) > len(r.Timeline) {
-			r.Timeline, o.Timeline = o.Timeline, r.Timeline
-		}
-		for i, v := range o.Timeline {
-			r.Timeline[i] += v
-		}
 	}
 	return r
 }

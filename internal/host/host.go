@@ -6,6 +6,8 @@
 package host
 
 import (
+	"strconv"
+
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 )
@@ -122,21 +124,7 @@ type Machine struct {
 func NewMachine(eng *sim.Engine, name string, n int, hz int64) *Machine {
 	m := &Machine{Name: name}
 	for i := 0; i < n; i++ {
-		m.Cores = append(m.Cores, NewCore(eng, name+"/cpu"+itoa(i), hz))
+		m.Cores = append(m.Cores, NewCore(eng, name+"/cpu"+strconv.Itoa(i), hz))
 	}
 	return m
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }

@@ -87,13 +87,6 @@ func (s *Stack) LocalIP() packet.IPv4Addr { return s.localIP }
 // Costs returns the mutable socket cost profile.
 func (s *Stack) Costs() *CostProfile { return &s.costs }
 
-// TOE exposes the data-path (experiments attach XDP programs, read
-// counters).
-func (s *Stack) TOE() *core.TOE { return s.toe }
-
-// Ctrl exposes the control plane.
-func (s *Stack) Ctrl() *ctrl.Plane { return s.ctrl }
-
 // appCore picks the core a new socket's notifications run on
 // (per-thread context queues: sockets are distributed round-robin, as
 // with TAS/FlexTOE's per-core context queues, §5.1).

@@ -577,9 +577,6 @@ func (n *Network) AttachHost(name string, mac packet.EtherAddr, bytesPerSec floa
 	return host
 }
 
-// Host returns a previously attached host interface.
-func (n *Network) Host(name string) *Iface { return n.hosts[name] }
-
 // ShapePort restricts the switch-side egress rate toward the named host
 // (used by the incast experiment to emulate a shaped port).
 func (n *Network) ShapePort(name string, bytesPerSec float64) {

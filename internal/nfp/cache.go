@@ -81,15 +81,6 @@ func (c *Cache) Invalidate(key uint64) {
 	}
 }
 
-// HitRate returns the fraction of accesses that hit.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // StateCache models the protocol stage's multi-level connection-state
 // caching (§4.1): a 16-entry fully associative CAM in FPC local memory, a
 // 512-entry direct-mapped second level in the island's CLS, the EMEM SRAM

@@ -10,7 +10,6 @@ import (
 // the link's round-trip latency (§2.3, [41]). FPCs issue transactions and
 // continue; completion fires as a simulation event.
 type DMAEngine struct {
-	eng      *sim.Engine
 	link     *sim.Resource
 	lat      sim.Time
 	max      int
@@ -44,7 +43,6 @@ func dmaDone(a any) { a.(*dmaTxn).complete() }
 // NewDMAEngine builds the engine from the chip config.
 func NewDMAEngine(eng *sim.Engine, cfg *Config) *DMAEngine {
 	return &DMAEngine{
-		eng:  eng,
 		link: sim.NewResource(eng, "pcie", cfg.PCIeBytesPerSec),
 		lat:  cfg.PCIeLatency,
 		max:  cfg.DMAMaxInflight,

@@ -255,12 +255,7 @@ func fabricConfig(s *Spec) fabric.Config {
 }
 
 func flowmonConfig(fa *FlowmonAttach) flowmon.Config {
-	cfg := flowmon.Config{
-		OOOCap:       fa.OOOCap,
-		RTTMaxUs:     fa.RTTMaxUs,
-		TimelineBin:  sim.Time(fa.TimelineBinUs) * sim.Microsecond,
-		TimelineBins: fa.TimelineBins,
-	}
+	cfg := flowmon.Config{OOOCap: fa.OOOCap, RTTMaxUs: fa.RTTMaxUs}
 	if fa.DupAck == "baseline" {
 		cfg.DupAck = flowmon.DupAckBaseline
 	}
@@ -365,10 +360,6 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 		}
 		g.Start(senders, b.TB.Addr(in.Agg, in.Port))
 		return &incastRT{g: g}
-	case KindBackground:
-		bg := w.Background
-		bk := workload.StartBackground(b.stacks(bg.Srcs), b.TB.M(bg.Sink).Stack, bg.Port, bg.Conns)
-		return &bgRT{sink: bk.Sink}
 	}
 	panic(fmt.Sprintf("scenario: unreachable workload kind %q", w.Kind))
 }
@@ -487,17 +478,6 @@ func (rt *incastRT) result(d sim.Time) WorkloadResult {
 		r.P99Us = usOf(rt.g.RoundFCT.Percentile(99))
 	}
 	return r
-}
-
-type bgRT struct {
-	sink *apps.BulkSink
-	base uint64
-}
-
-func (rt *bgRT) reset() { rt.base = rt.sink.Received }
-func (rt *bgRT) result(d sim.Time) WorkloadResult {
-	delta := rt.sink.Received - rt.base
-	return WorkloadResult{Kind: KindBackground, Bytes: delta, GoodputGbps: gbps(delta, d)}
 }
 
 // ---------------------------------------------------------------------

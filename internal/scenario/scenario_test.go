@@ -61,6 +61,7 @@ func mustRun(t *testing.T, spec string, progress Progress) *Result {
 
 func TestParseRejectsInvalidSpecs(t *testing.T) {
 	base := bulkSpec()
+	const rpc30000 = `{"kind": "rpc", "rpc": {"server": "server", "port": 9001, "clients": ["client"], "conns": 30000, "req_bytes": 64}}`
 	cases := []struct {
 		name string
 		spec string
@@ -90,6 +91,13 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"ooo_cap above the baseline bound", strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "ooo_cap": 33`, 1), "ooo_cap must be in [0,32] on a linux machine"},
 		{"rack out of range", strings.Replace(incastSpec(), `"rack": 2`, `"rack": 7`, 1), "out of range"},
 		{"fleets plus flowmon", strings.Replace(incastSpec(), `"per_rack_fleets": true`, `"per_rack_fleets": true, "flowmon": [{"machine": "agg"}]`, 1), "excludes explicit flowmon"},
+		{"removed background kind", strings.Replace(base, `"kind": "bulk"`, `"kind": "background"`, 1), "unknown kind"},
+		{"removed timeline key", strings.Replace(base, `[{"machine": "client"}]`, `[{"machine": "client", "timeline_bins": 4}]`, 1), "unknown field"},
+		{"one dial too many", strings.Replace(base, `"conns": 4`, `"conns": 65536`, 1), `machine "client" dials more than 65535`},
+		{"dials summed over workloads", strings.Replace(base, `"conns": 4}}`, `"conns": 40000}}, `+rpc30000, 1), `machine "client" dials more than 65535`},
+		{"rpc conns per listed client", strings.Replace(base, `"kind": "bulk", "bulk": {"server": "server", "port": 9000, "clients": ["client"], "conns": 4}`,
+			`"kind": "rpc", "rpc": {"server": "server", "port": 9000, "clients": ["client", "client"], "conns": 32768, "req_bytes": 64}`, 1), `machine "client" dials more than 65535`},
+		{"round-robin share", strings.Replace(incastSpec(), `"fan_in": 4`, `"fan_in": 131071`, 1), `machine "snd0" dials more than 65535`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.spec)); err == nil {
@@ -102,6 +110,19 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 	linux32 := strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "ooo_cap": 32`, 1)
 	if _, err := Parse([]byte(linux32)); err != nil {
 		t.Errorf("ooo_cap 32 on a linux machine: %v", err)
+	}
+	// A machine has 65 535 ephemeral ports, and each block of the summed
+	// pair above fits on its own.
+	for _, ok := range [][2]string{
+		{"65535 dials", strings.Replace(base, `"conns": 4`, `"conns": 65535`, 1)},
+		{"bulk 40000 alone", strings.Replace(base, `"conns": 4`, `"conns": 40000`, 1)},
+		{"rpc 30000 alone", strings.Replace(base, `"conns": 4}}`, `"conns": 4}}, `+rpc30000, 1)},
+		{"65535 per sender", strings.Replace(incastSpec(), `"fan_in": 4`, `"fan_in": 131070`, 1)},
+	} {
+		name, spec := ok[0], ok[1]
+		if _, err := Parse([]byte(spec)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -47,10 +47,10 @@ type Spec struct {
 	// retires sim.shard2_speedup removes it with Result.Cores.
 	Cores int `json:"cores,omitempty"`
 
-	Topology  Topology  `json:"topology"`
-	Machines  []Machine `json:"machines"`
+	Topology  Topology   `json:"topology"`
+	Machines  []Machine  `json:"machines"`
 	Workloads []Workload `json:"workloads"`
-	Measure   Measure   `json:"measure,omitempty"`
+	Measure   Measure    `json:"measure,omitempty"`
 }
 
 // Topology selects the network between the NICs.
@@ -140,24 +140,22 @@ const (
 // Workload is one traffic pattern; Kind selects which sub-spec applies,
 // and exactly that sub-spec must be present.
 type Workload struct {
-	// Kind is "bulk", "rpc", "kv", "flowgen", "incast", or "background".
-	Kind       string              `json:"kind"`
-	Bulk       *BulkWorkload       `json:"bulk,omitempty"`
-	RPC        *RPCWorkload        `json:"rpc,omitempty"`
-	KV         *KVWorkload         `json:"kv,omitempty"`
-	FlowGen    *FlowGenWorkload    `json:"flowgen,omitempty"`
-	Incast     *IncastWorkload     `json:"incast,omitempty"`
-	Background *BackgroundWorkload `json:"background,omitempty"`
+	// Kind is "bulk", "rpc", "kv", "flowgen", or "incast".
+	Kind    string           `json:"kind"`
+	Bulk    *BulkWorkload    `json:"bulk,omitempty"`
+	RPC     *RPCWorkload     `json:"rpc,omitempty"`
+	KV      *KVWorkload      `json:"kv,omitempty"`
+	FlowGen *FlowGenWorkload `json:"flowgen,omitempty"`
+	Incast  *IncastWorkload  `json:"incast,omitempty"`
 }
 
 // Workload kinds.
 const (
-	KindBulk       = "bulk"
-	KindRPC        = "rpc"
-	KindKV         = "kv"
-	KindFlowGen    = "flowgen"
-	KindIncast     = "incast"
-	KindBackground = "background"
+	KindBulk    = "bulk"
+	KindRPC     = "rpc"
+	KindKV      = "kv"
+	KindFlowGen = "flowgen"
+	KindIncast  = "incast"
 )
 
 // BulkWorkload saturates Conns connections from the client machines
@@ -222,14 +220,6 @@ type IncastWorkload struct {
 	Rounds     int      `json:"rounds,omitempty"` // 0 = until sim end
 }
 
-// BackgroundWorkload is continuous bulk cross-traffic.
-type BackgroundWorkload struct {
-	Sink  string   `json:"sink"`
-	Port  uint16   `json:"port"`
-	Srcs  []string `json:"srcs"`
-	Conns int      `json:"conns"`
-}
-
 // Measure selects what the Result reports beyond the always-present
 // workload readouts.
 type Measure struct {
@@ -255,11 +245,9 @@ type FlowmonAttach struct {
 	Machine string `json:"machine"`
 	// DupAck is the observed stack's duplicate-ACK rule: "flextoe"
 	// (default) or "baseline".
-	DupAck        string `json:"dupack,omitempty"`
-	OOOCap        int    `json:"ooo_cap,omitempty"`
-	RTTMaxUs      int    `json:"rtt_max_us,omitempty"`
-	TimelineBinUs int64  `json:"timeline_bin_us,omitempty"`
-	TimelineBins  int    `json:"timeline_bins,omitempty"`
+	DupAck   string `json:"dupack,omitempty"`
+	OOOCap   int    `json:"ooo_cap,omitempty"`
+	RTTMaxUs int    `json:"rtt_max_us,omitempty"`
 }
 
 // Parse decodes a Spec strictly: unknown fields are errors, and the
@@ -455,6 +443,26 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
+	// Each dial takes its stack's next 16-bit source port, unchecked: a
+	// machine's 65 537th would share a 4-tuple with its first, if open.
+	dials := make([]int, len(s.Machines))
+	for i := range s.Workloads {
+		from, n, each := s.Workloads[i].dials()
+		for j, name := range from {
+			share := n
+			if !each {
+				share = n / len(from)
+				if j < n%len(from) {
+					share++
+				}
+			}
+			m := s.machineIndex(name)
+			dials[m] += min(share, maxDials+1) // saturate: conns is any int
+			if dials[m] > maxDials {
+				return errf("machine %q dials more than %d connections (one ephemeral port each)", name, maxDials)
+			}
+		}
+	}
 
 	for _, c := range s.Measure.Counters {
 		switch c {
@@ -489,8 +497,8 @@ func (s *Spec) Validate() error {
 		if fa.OOOCap < -1 || fa.OOOCap > 32 {
 			return errf("measure.flowmon[%d]: ooo_cap must be in [-1,32]", i)
 		}
-		if fa.RTTMaxUs < 0 || fa.TimelineBinUs < 0 || fa.TimelineBins < 0 {
-			return errf("measure.flowmon[%d]: negative histogram options", i)
+		if fa.RTTMaxUs < 0 {
+			return errf("measure.flowmon[%d]: rtt_max_us must be >= 0", i)
 		}
 	}
 	if s.Measure.PerRackFleets && s.Topology.Kind != TopoFabric {
@@ -514,7 +522,7 @@ type listenKey struct {
 func (s *Spec) validateWorkload(i int) error {
 	w := &s.Workloads[i]
 	subs := 0
-	for _, p := range []bool{w.Bulk != nil, w.RPC != nil, w.KV != nil, w.FlowGen != nil, w.Incast != nil, w.Background != nil} {
+	for _, p := range []bool{w.Bulk != nil, w.RPC != nil, w.KV != nil, w.FlowGen != nil, w.Incast != nil} {
 		if p {
 			subs++
 		}
@@ -631,21 +639,34 @@ func (s *Spec) validateWorkload(i int) error {
 		if in.FanIn < 1 || in.BlockBytes < 1 || in.Rounds < 0 {
 			return errf("workload incast: fan_in and block_bytes must be >= 1, rounds >= 0")
 		}
-	case KindBackground:
-		if w.Background == nil {
-			return errf("workload %d: kind %q requires the matching block", i, w.Kind)
-		}
-		bg := w.Background
-		if err := s.checkRefs("background", append([]string{bg.Sink}, bg.Srcs...)); err != nil {
-			return err
-		}
-		if len(bg.Srcs) == 0 || bg.Conns < 1 {
-			return errf("workload background: srcs must be non-empty and conns >= 1")
-		}
 	default:
 		return errf("workload %d: unknown kind %q", i, w.Kind)
 	}
 	return nil
+}
+
+// maxDials is the number of distinct 16-bit ephemeral source ports.
+const maxDials = 1<<16 - 1
+
+// dials returns the machines a validated workload dials from and its n
+// connections: n from each one listed (rpc, kv), else dealt round-robin.
+func (w *Workload) dials() (from []string, n int, each bool) {
+	switch {
+	case w.RPC != nil:
+		return w.RPC.Clients, w.RPC.Conns, true
+	case w.KV != nil:
+		return w.KV.Clients, w.KV.Conns, true
+	case w.Bulk != nil:
+		from, n = w.Bulk.Clients, w.Bulk.Conns
+	case w.FlowGen != nil:
+		from, n = w.FlowGen.Clients, w.FlowGen.Conns
+	case w.Incast != nil:
+		return w.Incast.Senders, w.Incast.FanIn, false
+	}
+	if n == 0 {
+		n = len(from) // bulk and flowgen default to one per client
+	}
+	return from, n, false
 }
 
 // listeners returns the (machine, port) pairs this workload listens on.
@@ -665,8 +686,6 @@ func (w *Workload) listeners() []listenKey {
 		return out
 	case w.Incast != nil:
 		return []listenKey{{w.Incast.Agg, w.Incast.Port}}
-	case w.Background != nil:
-		return []listenKey{{w.Background.Sink, w.Background.Port}}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -34,22 +35,11 @@ func (h *Histogram) bucketOf(v int64) int {
 		return int(v)
 	}
 	// exponent of the highest set bit beyond the linear range
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	shift := uint(exp) - h.subBits
 	sub := int(v>>shift) - (1 << h.subBits) // position within [2^exp, 2^(exp+1))
 	base := int(1)<<h.subBits + int(shift)*(1<<h.subBits)
 	return base + sub
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // bucketLow returns the smallest value that maps to bucket b.

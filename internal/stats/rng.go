@@ -70,17 +70,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed value (Box-Muller).
-func (r *RNG) Norm(mean, sigma float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + sigma*z
-}
-
 // Split returns a new RNG deterministically derived from this one,
 // useful to give each simulated entity an independent stream.
 func (r *RNG) Split() *RNG {

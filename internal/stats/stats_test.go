@@ -69,25 +69,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := NewRNG(11)
-	var s, s2 float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 3)
-		s += v
-		s2 += v * v
-	}
-	mean := s / n
-	variance := s2/n - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("norm mean = %v", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.1 {
-		t.Fatalf("norm sigma = %v", math.Sqrt(variance))
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(17)
 	seen := make(map[int]bool)

@@ -32,9 +32,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Pick draws one rank in [0, N) using the caller's RNG.
 func (z *Zipf) Pick(r *RNG) int {
 	u := r.Float64()

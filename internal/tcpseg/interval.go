@@ -27,7 +27,6 @@ type SeqInterval struct {
 // IvResult reports what an insertion did, for the reassembly counters.
 type IvResult struct {
 	Accepted bool // payload may be placed in the receive buffer
-	Grew     bool // opened a new disjoint interval slot
 	Merged   int  // previously separate intervals coalesced away
 	AtHead   bool // touched the head (lowest) interval of the prior set
 }
@@ -59,7 +58,7 @@ func InsertSeqInterval(ivs []SeqInterval, iv SeqInterval, max int) ([]SeqInterva
 		ivs = append(ivs, SeqInterval{})
 		copy(ivs[i+1:], ivs[i:])
 		ivs[i] = iv
-		return ivs, IvResult{Accepted: true, Grew: true}
+		return ivs, IvResult{Accepted: true}
 	}
 	res := IvResult{Accepted: true, Merged: j - i - 1, AtHead: i == 0}
 	lo := SeqMin(ivs[i].Start, iv.Start)

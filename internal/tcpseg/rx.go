@@ -18,9 +18,8 @@ type RXResult struct {
 	NewInOrder uint32 // bytes newly in-order (notify application)
 
 	// Sender-side bookkeeping from the ACK field.
-	AckedBytes   uint32 // TX-buffer bytes newly acknowledged (free them)
-	FinAcked     bool   // our FIN is now acknowledged
-	WindowUpdate bool   // remote window changed
+	AckedBytes uint32 // TX-buffer bytes newly acknowledged (free them)
+	FinAcked   bool   // our FIN is now acknowledged
 
 	// Acknowledgment generation.
 	SendAck bool
@@ -189,10 +188,7 @@ func ProcessRX(st *ProtoState, post *PostState, seg *SegInfo, tsNow uint32) RXRe
 				}
 			}
 		}
-		if seg.Window != st.RemoteWin {
-			st.RemoteWin = seg.Window
-			res.WindowUpdate = true
-		}
+		st.RemoteWin = seg.Window
 	}
 
 	// RTT estimation from the echoed timestamp.

@@ -182,7 +182,6 @@ type HCOp struct {
 // HCResult reports protocol-state changes a host-control operation caused.
 type HCResult struct {
 	TxWindowOpened   bool // transmit window expanded: poke the flow scheduler
-	RxWindowOpened   bool // receive window expanded: maybe send window update
 	SendWindowUpdate bool // receive window reopened from (near) zero: ack the peer
 	Reset            bool // transmission state was reset (go-back-N)
 }
@@ -199,7 +198,6 @@ func ProcessHC(st *ProtoState, post *PostState, op HCOp) HCResult {
 	case HCRxConsumed:
 		wasClosed := st.LocalWindow() == 0
 		st.RxAvail += op.Bytes
-		res.RxWindowOpened = op.Bytes > 0
 		res.SendWindowUpdate = wasClosed && st.LocalWindow() > 0
 	case HCFin:
 		st.Flags |= flagFinPending
