@@ -32,7 +32,8 @@
 //     API: every event and
 //     task completion (AtCall/AfterCall/ImmediatelyCall/EveryCall on a
 //     component's sim.Owner or, unowned, on the Engine;
-//     Resource.AcquireCall, Core/FPC.SubmitCall, DMAEngine.IssueCall)
+//     Resource.AcquireCall, Core/FPC.SubmitStepCall and SubmitCall,
+//     DMAEngine.IssueCall)
 //     carries a long-lived func(any) plus a per-event arg, so no closure
 //     is allocated; sim.RunFunc is the one adapter for firing an
 //     application-owned func(). An arg must never be a pooled object that
@@ -322,9 +323,17 @@
 // step, at issueFree + stall, where it used to run a retirement event
 // that only scheduled the stall's expiry (TestFPCFusedMatchesTwoEventOracle
 // keeps the two-event core as its oracle), and an idle host.Core starts a
-// submitted task on the spot, without a kick event at the same instant;
-// TestEventsPerSegmentBudget keeps the count from creeping back (<= 24.5
-// events per received segment on kv_flextoe). TestOwnerOrder pins the
+// submitted task on the spot, without a kick event at the same instant.
+// The third is the switch crossbar: a netsim.Switch books a forwarded
+// frame on its egress serializer at forward time, from the egress instant
+// on, where a crossbar event used to call Send 600 ns later. That event
+// was the switch's own and the only kind it scheduled, so removing it
+// takes an event out of the switch's own FIFO and moves no tie; the
+// port's counters still change at the egress instant
+// (TestSwitchFoldMatchesEventPath and FuzzSwitchFold hold it against the
+// event path). TestEventsPerSegmentBudget keeps the count from creeping
+// back (<= 23.0 events per received segment on kv_flextoe, <= 26.0 on
+// incast_fabric). TestOwnerOrder pins the
 // rule under every permutation of the call order,
 // TestWheelMatchesHeapOrder the wheel against the reference heap,
 // TestEventLayout the 48-byte event: the key rides in the field the

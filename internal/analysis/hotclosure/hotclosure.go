@@ -3,11 +3,11 @@
 // task completions carry a long-lived func(any) plus an argument, never a
 // closure built per event.
 //
-// Every scheduler and processor exposes exactly one form — AtCall,
+// Every scheduler and processor exposes only the callback form — AtCall,
 // AfterCall, ImmediatelyCall, EveryCall (sim.Engine and a component's
-// sim.Owner), AcquireCall
-// (sim.Resource), SubmitCall (host.Core, nfp.FPC), IssueCall
-// (nfp.DMAEngine) — so the one way left to allocate per event is to hand
+// sim.Owner), AcquireCall (sim.Resource), SubmitStepCall and SubmitCall
+// (host.Core, nfp.FPC), IssueCall (nfp.DMAEngine) — so the one way left
+// to allocate per event is to hand
 // such a method a func literal, as the callback or as its argument. That
 // is the rule: a func literal passed to a method whose name ends in "Call"
 // is flagged. Package-level functions, cached func fields and

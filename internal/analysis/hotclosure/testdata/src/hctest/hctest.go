@@ -19,14 +19,15 @@ type pump struct {
 // literals allocate one closure per arming: every one is a hot-path
 // regression, whether the literal is the callback or its argument.
 func literals(p *pump, core *host.Core, res *sim.Resource, dma *nfp.DMAEngine) {
-	p.eng.AtCall(10, func(any) {}, nil)                          // want `func literal passed to Engine\.AtCall allocates a closure per event`
-	p.eng.AtCall(10, sim.RunFunc, func() {})                     // want `func literal passed to Engine\.AtCall`
-	p.eng.EveryCall(0, 10, func(any) bool { return false }, nil) // want `func literal passed to Engine\.EveryCall`
-	core.SubmitCall(sim.TaskC(100), func(any) {}, nil)           // want `func literal passed to Core\.SubmitCall`
-	res.AcquireCall(1, 0, func(any) {}, nil)                     // want `func literal passed to Resource\.AcquireCall`
-	dma.IssueCall(64, func(any) {}, nil)                         // want `func literal passed to DMAEngine\.IssueCall`
-	p.own.AfterCall(10, func(any) {}, nil)                       // want `func literal passed to Owner\.AfterCall`
-	p.own.Sub(1).AtCall(10, sim.RunFunc, func() {})              // want `func literal passed to Owner\.AtCall`
+	p.eng.AtCall(10, func(any) {}, nil)                            // want `func literal passed to Engine\.AtCall allocates a closure per event`
+	p.eng.AtCall(10, sim.RunFunc, func() {})                       // want `func literal passed to Engine\.AtCall`
+	p.eng.EveryCall(0, 10, func(any) bool { return false }, nil)   // want `func literal passed to Engine\.EveryCall`
+	core.SubmitCall(sim.TaskC(100), func(any) {}, nil)             // want `func literal passed to Core\.SubmitCall`
+	core.SubmitStepCall(sim.Step{Compute: 100}, func(any) {}, nil) // want `func literal passed to Core\.SubmitStepCall`
+	res.AcquireCall(1, 0, func(any) {}, nil)                       // want `func literal passed to Resource\.AcquireCall`
+	dma.IssueCall(64, func(any) {}, nil)                           // want `func literal passed to DMAEngine\.IssueCall`
+	p.own.AfterCall(10, func(any) {}, nil)                         // want `func literal passed to Owner\.AfterCall`
+	p.own.Sub(1).AtCall(10, sim.RunFunc, func() {})                // want `func literal passed to Owner\.AtCall`
 }
 
 // longLived are the sanctioned zero-alloc shapes: a package-level
@@ -38,6 +39,7 @@ func longLived(p *pump, core *host.Core) {
 	p.own.ImmediatelyCall(tick, p)
 	core.SubmitCall(sim.TaskC(100), p.work, nil)
 	core.SubmitCall(sim.TaskC(100), sim.RunFunc, p.notify)
+	core.SubmitStepCall(sim.Step{Compute: 100}, p.work, nil)
 }
 
 func tick(any) {}

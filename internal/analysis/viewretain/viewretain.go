@@ -339,7 +339,7 @@ func retainingCallName(name string) bool {
 	}
 	switch name {
 	case "At", "AtCall", "After", "AfterCall", "Every", "EveryCall",
-		"Immediately", "ImmediatelyCall", "Submit", "SubmitCall",
+		"Immediately", "ImmediatelyCall", "Submit", "SubmitCall", "SubmitStepCall",
 		"Acquire", "AcquireCall":
 		return true
 	}

@@ -74,7 +74,7 @@ func (sess *rpcSession) onReadable() {
 		sess.buffered -= sess.srv.ReqSize
 		sess.srv.Served++
 		if sess.srv.AppCycles > 0 {
-			sess.core.SubmitCall(sim.TaskC(sess.srv.AppCycles), rpcRespond, sess)
+			sess.core.SubmitStepCall(sim.Step{Compute: sess.srv.AppCycles}, rpcRespond, sess)
 		} else {
 			sess.owed += sess.respSize()
 		}
@@ -90,7 +90,7 @@ func (sess *rpcSession) respSize() int {
 }
 
 // rpcRespond releases one response after its application-processing cost
-// has been paid (see host.Core.SubmitCall).
+// has been paid (see host.Core.SubmitStepCall).
 func rpcRespond(a any) {
 	sess := a.(*rpcSession)
 	sess.owed += sess.respSize()
@@ -572,14 +572,14 @@ func (sess *kvSession) handle(op byte, key, val []byte) {
 	}
 	sess.respQ = append(sess.respQ, resp)
 	if kv.AppCycles > 0 {
-		sess.core.SubmitCall(sim.TaskC(kv.AppCycles), kvRespond, sess)
+		sess.core.SubmitStepCall(sim.Step{Compute: kv.AppCycles}, kvRespond, sess)
 	} else {
 		sess.ready++
 	}
 }
 
 // kvRespond releases one response after its application cost (see
-// host.Core.SubmitCall).
+// host.Core.SubmitStepCall).
 func kvRespond(a any) {
 	sess := a.(*kvSession)
 	sess.ready++

@@ -141,9 +141,13 @@ func (s *Stack) FastPathInstructions() uint64 {
 type bconn struct {
 	stack    *Stack
 	flow     packet.Flow
-	flowHash uint32 // flow.Hash(), fixed at creation: picks the cores below
+	flowHash uint32 // flow.Hash(), fixed at creation: picks the two cores
 	revHash  uint32 // flow.Reverse().Hash(); mkPacket stamps both on every segment
 	peerMAC  packet.EtherAddr
+
+	// appCore runs the connection's socket calls and application
+	// callbacks, stackCore its segment processing (see setCores).
+	appCore, stackCore *host.Core
 
 	// Table bookkeeping (doc.go "Connection state budget"): id is the
 	// dense slot. live gates straggling timer fires and deferred segment
@@ -239,26 +243,23 @@ func unwrapOff(base uint64, rel uint32) (uint64, bool) {
 	return uint64(off), off >= 0
 }
 
-// appCore returns the core application callbacks run on (RSS-style
-// connection-to-core affinity). The stored hash is indexed, not a stored
-// core, because the stack-core set can be rebuilt under a live connection.
-func (c *bconn) appCore() *host.Core {
-	cores := c.stack.machine.Cores
-	return cores[int(c.flowHash)%len(cores)]
-}
-
-// stackCore returns where segment processing executes.
-func (c *bconn) stackCore() *host.Core {
+// setCores resolves, once at creation, the core a connection's
+// application callbacks run on (RSS-style connection-to-core affinity by
+// its flow hash) and the core its segment processing runs on: a dedicated
+// stack core picked the same way, or the application core for an inline
+// stack. Both sets are fixed when the stack is built.
+func (c *bconn) setCores() {
 	s := c.stack
+	c.appCore = s.machine.Cores[int(c.flowHash)%len(s.machine.Cores)]
+	c.stackCore = c.appCore
 	if len(s.stackCores) > 0 {
-		return s.stackCores[int(c.flowHash)%len(s.stackCores)]
+		c.stackCore = s.stackCores[int(c.flowHash)%len(s.stackCores)]
 	}
-	return c.appCore()
 }
 
-// segCost builds the per-segment processing task, including lock
+// segCost is the per-segment processing charge, including lock
 // serialization, connection-count penalties, and scheduler spikes.
-func (s *Stack) segCost(conns int) sim.Task {
+func (s *Stack) segCost(conns int) sim.Step {
 	p := &s.prof
 	cycles := p.DriverPerSeg + p.TCPPerSeg + p.OtherPerSeg
 	if p.ConnPenalty > 0 && conns > 1 {
@@ -272,7 +273,7 @@ func (s *Stack) segCost(conns int) sim.Task {
 		// Host only pays driver + glue; TCP ran on the ASIC.
 		cycles = p.DriverPerSeg + p.OtherPerSeg
 	}
-	return sim.TaskC(cycles).Add(0, stall)
+	return sim.Step{Compute: cycles, Stall: stall}
 }
 
 // segWork carries one received segment through the cost model's deferred
@@ -284,7 +285,7 @@ type segWork struct {
 	c    *bconn
 	pkt  *packet.Packet
 	core *host.Core
-	task sim.Task
+	step sim.Step
 }
 
 func (s *Stack) getSegWork() *segWork {
@@ -298,7 +299,7 @@ func (s *Stack) getSegWork() *segWork {
 // task on its stack core.
 func segWorkSubmit(a any) {
 	w := a.(*segWork)
-	w.core.SubmitCall(w.task, segWorkHandle, w)
+	w.core.SubmitStepCall(w.step, segWorkHandle, w)
 }
 
 // segWorkHandle runs when the segment's processing cost has been paid.
@@ -347,20 +348,20 @@ func (s *Stack) rx(f *netsim.Frame) {
 		s.asic.AcquireCall(1, 0, segWorkHandle, w)
 		return
 	}
-	core := c.stackCore()
-	task := s.segCost(s.nLive)
+	core := c.stackCore
+	step := s.segCost(s.nLive)
 	if len(s.stackCores) == 0 && !core.Busy() && s.prof.NotifyWakeupUs > 0 {
 		// Inline stack on an idle core: the interrupt must wake the
 		// CPU and schedule the softirq before any TCP work happens.
-		task = task.Add(0, sim.Time(s.prof.NotifyWakeupUs*float64(sim.Microsecond)))
+		step.Stall += sim.Time(s.prof.NotifyWakeupUs * float64(sim.Microsecond))
 	}
 	if s.prof.LockFrac > 0 {
 		lockCycles := int64(float64(s.prof.TCPPerSeg) * s.prof.LockFrac)
-		w.core, w.task = core, task
+		w.core, w.step = core, step
 		s.lock.AcquireCall(lockCycles, 0, segWorkSubmit, w)
 		return
 	}
-	core.SubmitCall(task, segWorkHandle, w)
+	core.SubmitStepCall(step, segWorkHandle, w)
 }
 
 // handleSeg runs the protocol logic (after the cost model).
@@ -756,7 +757,7 @@ func (s *Stack) txStep(c *bconn) {
 		return
 	}
 	txCost := (s.prof.DriverPerSeg + s.prof.TCPPerSeg + s.prof.OtherPerSeg) / 2
-	c.stackCore().SubmitCall(sim.TaskC(txCost), bconnEmit, c)
+	c.stackCore.SubmitStepCall(sim.Step{Compute: txCost}, bconnEmit, c)
 }
 
 // bconnEmit transmits the segment txStep sized, then continues the pump.

@@ -52,6 +52,7 @@ func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 		finAt:        ^uint64(0),
 		lastProgress: s.eng.Now(),
 	}
+	c.setCores()
 	s.installConn(c)
 	return c
 }
@@ -188,7 +189,7 @@ func (k *bsocket) Consume(n int) {
 	}
 	c.rxAvail += uint32(n)
 	cost := s.prof.SocketPerOp + int64(float64(n)*s.prof.PerByte)
-	c.appCore().SubmitCall(sim.TaskC(cost), bconnRecvDone, c)
+	c.appCore.SubmitStepCall(sim.Step{Compute: cost}, bconnRecvDone, c)
 }
 
 // Reserve returns up to n bytes of free socket transmit buffer to stage
@@ -220,7 +221,7 @@ func (k *bsocket) Commit(n int) {
 		// Kernel-mediated TOE API: the host driver runs per write.
 		cost += s.prof.DriverPerSeg + s.prof.OtherPerSeg
 	}
-	c.appCore().SubmitCall(sim.TaskC(cost), bconnTxPump, c)
+	c.appCore.SubmitStepCall(sim.Step{Compute: cost}, bconnTxPump, c)
 }
 
 // Send copies into the socket buffer and triggers transmission: the
@@ -237,7 +238,7 @@ func (k *bsocket) Send(p []byte) int {
 }
 
 // bconnTxPump / bconnRecvDone are the socket calls' charged completions
-// (see host.Core.SubmitCall).
+// (see host.Core.SubmitStepCall).
 func bconnTxPump(a any) {
 	c := a.(*bconn)
 	c.stack.txPump(c)
@@ -288,26 +289,25 @@ func (k *bsocket) rxArrived(n uint32) {
 	}
 	k.readable += n
 	if k.onReadable != nil {
-		core := k.c.appCore()
+		core := k.c.appCore
 		cb := k.onReadable
 		prof := &k.c.stack.prof
-		cycles := prof.SocketPerOp / 4
+		step := sim.Step{Compute: prof.SocketPerOp / 4}
 		if prof.ASIC {
-			cycles += prof.DriverPerSeg + prof.OtherPerSeg
+			step.Compute += prof.DriverPerSeg + prof.OtherPerSeg
 		}
-		task := sim.TaskC(cycles)
 		// Inline stacks already paid the wakeup at interrupt time (rx);
 		// only dedicated-core and ASIC personalities wake the app here.
 		distinct := len(k.c.stack.stackCores) > 0 || prof.ASIC
 		if distinct && !core.Busy() && prof.NotifyWakeupUs > 0 {
-			task = task.Add(0, sim.Time(prof.NotifyWakeupUs*float64(sim.Microsecond)))
+			step.Stall += sim.Time(prof.NotifyWakeupUs * float64(sim.Microsecond))
 		}
 		if prof.ASIC && prof.SpikeProb > 0 && k.c.stack.rng.Bool(prof.SpikeProb) {
 			// The TOE's kernel-mediated delivery path still suffers
 			// interrupt/scheduler spikes — the tail §5.2 measures.
-			task = task.Add(0, sim.Time(k.c.stack.rng.Exp(prof.SpikeMeanUs)*float64(sim.Microsecond)))
+			step.Stall += sim.Time(k.c.stack.rng.Exp(prof.SpikeMeanUs) * float64(sim.Microsecond))
 		}
-		core.SubmitCall(task, sim.RunFunc, cb)
+		core.SubmitStepCall(step, sim.RunFunc, cb)
 	}
 }
 

@@ -14,6 +14,8 @@
 package core
 
 import (
+	"fmt"
+
 	"flextoe/internal/nfp"
 	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
@@ -186,6 +188,15 @@ func (c *Config) Validate() {
 	for _, r := range []*int{&c.PreRepl, &c.ProtoRepl, &c.PostRepl, &c.DMARepl, &c.CtxRepl} {
 		if *r <= 0 {
 			*r = 1
+		}
+	}
+	// Steering picks a flow group, a protocol worker and a context-queue
+	// FPC with a mask, as the NIC's hash and index units do: those widths
+	// are powers of two (every preset uses 1, 2 or 4).
+	for _, n := range []int{c.FlowGroups, c.ProtoRepl, c.CtxRepl} {
+		if n&(n-1) != 0 {
+			panic(fmt.Sprintf("core: FlowGroups %d, ProtoRepl %d, CtxRepl %d: steering needs powers of two",
+				c.FlowGroups, c.ProtoRepl, c.CtxRepl))
 		}
 	}
 }

@@ -486,3 +486,28 @@ func TestOOOIntervalConfigClamped(t *testing.T) {
 		t.Fatalf("default OOOIntervals = %d, want 1", zero.OOOIntervals)
 	}
 }
+
+// TestSteeringWidthsArePowersOfTwo: flow groups, protocol workers and
+// context-queue FPCs are picked with a mask, so Validate refuses a width
+// that is not a power of two and accepts every preset (1, 2 or 4).
+func TestSteeringWidthsArePowersOfTwo(t *testing.T) {
+	for _, cfg := range []Config{AgilioCX40Config(), X86Config(false), X86Config(true), BlueFieldConfig(true), {}} {
+		cfg.Validate()
+	}
+	for _, set := range []func(*Config){
+		func(c *Config) { c.FlowGroups = 3 },
+		func(c *Config) { c.ProtoRepl = 3 },
+		func(c *Config) { c.CtxRepl = 6 },
+	} {
+		cfg := AgilioCX40Config()
+		set(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Validate accepted FlowGroups %d, ProtoRepl %d, CtxRepl %d", cfg.FlowGroups, cfg.ProtoRepl, cfg.CtxRepl)
+				}
+			}()
+			cfg.Validate()
+		}()
+	}
+}

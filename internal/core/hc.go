@@ -53,9 +53,8 @@ func (t *TOE) hcFetch(item *segItem) {
 	}
 	item.ticket = t.islands[item.fg].entry.ticket()
 	// Poll + fetch on a context-queue FPC, then DMA the descriptor.
-	task := sim.TaskC(t.scale(t.costs.CtxQPoll))
-	fpc := t.ctxSt.fpcs[int(item.conn)%len(t.ctxSt.fpcs)]
-	fpc.SubmitCall(task, hcPolled, item)
+	fpc := t.ctxSt.fpcs[int(item.conn)&(len(t.ctxSt.fpcs)-1)] // CtxRepl is a power of two
+	fpc.SubmitStepCall(sim.Step{Compute: t.scale(t.costs.CtxQPoll)}, hcPolled, item)
 }
 
 func hcRetry(a any) {

@@ -118,11 +118,11 @@ func (t *TOE) xdpQueue(item *segItem, w *xdpWork) {
 	t.xdpSt.push(item)
 }
 
-func (t *TOE) xdpTask(s *segItem) sim.Task {
+func (t *TOE) xdpTask(s *segItem) sim.Step {
 	w := s.xdp
 	// Programs touch the raw frame: charge a word per 8 bytes of packet
 	// memory the hook makes addressable.
-	return sim.TaskC(t.scale(w.instr + int64(len(w.data)/8)))
+	return sim.Step{Compute: t.scale(w.instr + int64(len(w.data)/8))}
 }
 
 func (t *TOE) xdpDone(s *segItem) {

@@ -50,17 +50,16 @@ func (t *TOE) monoRX(pkt *packet.Packet) {
 		return
 	}
 	c := &t.costs
-	n := &t.cfg.NFP
 	instr := t.monoInstr(c.PreValidate + c.PreLookup + c.PreSummary + c.ProtoRX +
 		c.PostAck + c.PostStamp + c.PostStats + c.PostPos + c.PostNotify +
 		c.DMAIssue + c.CtxQNotify)
 	payloadDMA := t.blockingXferTime(len(pkt.Payload))
 	descDMA := t.blockingXferTime(shm.DescWireSize)
 	task := sim.TaskC(instr/3).
-		Add(0, n.CyclesTime(n.IMEMCycles+1500)).    // uncached lookup + codestore refill from IMEM
-		Add(instr/3, n.CyclesTime(2*n.DRAMCycles)). // uncached state fetch + writeback
-		Add(instr/3, payloadDMA).                   // blocking payload DMA
-		Add(0, descDMA)                             // blocking notification
+		Add(0, t.stalls.monoLookup).      // uncached lookup + codestore refill from IMEM
+		Add(instr/3, t.stalls.monoState). // uncached state fetch + writeback
+		Add(instr/3, payloadDMA).         // blocking payload DMA
+		Add(0, descDMA)                   // blocking notification
 	w := t.getMonoWork()
 	w.t, w.conn, w.pkt = t, conn.ID, pkt
 	t.mono.SubmitCall(task, monoRXDone, w)
@@ -139,11 +138,10 @@ func (t *TOE) blockingXferTime(bytes int) sim.Time {
 
 func (t *TOE) monoHC(conn *Conn, d shm.Desc) {
 	c := &t.costs
-	n := &t.cfg.NFP
 	instr := t.monoInstr(c.CtxQPoll + c.ProtoHC + c.PostStats)
 	task := sim.TaskC(instr).
 		Add(0, t.blockingXferTime(shm.DescWireSize)).
-		Add(0, n.CyclesTime(n.DRAMCycles))
+		Add(0, t.stalls.monoDRAM)
 	w := t.getMonoWork()
 	w.t, w.conn, w.d = t, conn.ID, d
 	t.mono.SubmitCall(task, monoHCDone, w)
@@ -191,14 +189,13 @@ func (t *TOE) monoTXPump() {
 		return
 	}
 	c := &t.costs
-	n := &t.cfg.NFP
 	instr := t.monoInstr(c.PreAlloc + c.PreHeader + c.ProtoTX + c.PostPos + c.PostStats + c.DMAIssue)
 	sendable := tcpseg.SendableBytes(&conn.Proto, conn.CWnd)
 	if sendable > t.cfg.MSS {
 		sendable = t.cfg.MSS
 	}
 	task := sim.TaskC(instr/2).
-		Add(0, n.CyclesTime(2*n.DRAMCycles)).
+		Add(0, t.stalls.monoState).
 		Add(instr/2, t.blockingXferTime(int(sendable)))
 	w := t.getMonoWork()
 	w.t, w.conn = t, id

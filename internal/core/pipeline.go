@@ -66,6 +66,7 @@ type TOE struct {
 	own     sim.Owner
 	cfg     Config
 	costs   Costs
+	stalls  stalls
 	iface   *netsim.Iface
 	dma     *nfp.DMAEngine
 	copyRes *sim.Resource // shared-memory copy engine on x86/BlueField ports
@@ -145,6 +146,32 @@ type TOE struct {
 	Counters
 }
 
+// stalls holds the data path's fixed memory stalls, converted from FPC
+// cycles once in New so that no task pays a division for them.
+type stalls struct {
+	imemMiss sim.Time // pre-processor lookup-cache miss: the IMEM lookup
+	post     sim.Time // post-processing state: CTM, or the flat memory latency
+
+	// The run-to-completion ablation's uncached lookup plus codestore
+	// refill, a DRAM state fetch plus writeback, and one DRAM access.
+	monoLookup, monoState, monoDRAM sim.Time
+}
+
+func newStalls(cfg *Config) stalls {
+	n := &cfg.NFP
+	st := stalls{
+		imemMiss:   n.CyclesTime(n.IMEMCycles),
+		post:       n.CyclesTime(n.CTMCycles),
+		monoLookup: n.CyclesTime(n.IMEMCycles + 1500),
+		monoState:  n.CyclesTime(2 * n.DRAMCycles),
+		monoDRAM:   n.CyclesTime(n.DRAMCycles),
+	}
+	if cfg.FlatMemory {
+		st.post = n.CyclesTime(cfg.FlatMemCycles)
+	}
+	return st
+}
+
 // island groups the per-flow-group pipeline: the protocol-admission
 // reorder buffer, protocol workers (atomic per connection), the
 // post-processing stage, and the NBI transmission reorder buffer.
@@ -177,7 +204,7 @@ type stage struct {
 	qHead    int
 	fpcs     []*nfp.FPC
 	freeMask uint64
-	taskOf   func(*segItem) sim.Task
+	taskOf   func(*segItem) sim.Step
 	handler  func(*segItem)
 	handleCb func(any) // bound once: adapts handler to the cb(arg) form
 	qTrace   trace.Point
@@ -185,7 +212,7 @@ type stage struct {
 }
 
 func (t *TOE) newStage(name string, n int, qTrace trace.Point,
-	taskOf func(*segItem) sim.Task, handler func(*segItem)) *stage {
+	taskOf func(*segItem) sim.Step, handler func(*segItem)) *stage {
 	s := &stage{
 		name:    name,
 		taskOf:  taskOf,
@@ -242,7 +269,7 @@ func (s *stage) pump() {
 		}
 		item := s.q[s.qHead]
 		s.q, s.qHead = shm.PopRing(s.q, s.qHead)
-		f.SubmitCall(s.taskOf(item), s.handleCb, item)
+		f.SubmitStepCall(s.taskOf(item), s.handleCb, item)
 	}
 }
 
@@ -253,6 +280,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 		eng:          eng,
 		cfg:          cfg,
 		costs:        DefaultCosts(),
+		stalls:       newStalls(&cfg),
 		iface:        iface,
 		trace:        &trace.Registry{},
 		segPool:      shm.NewPool("seg", segPoolSize),
@@ -383,7 +411,7 @@ func (t *TOE) rxToPre(pkt *packet.Packet) {
 
 // preTask: Val + Id (+ IMEM lookup stall on cache miss) + Sum + Steer for
 // RX; Alloc + Head + Steer for TX (Fig. 5/6).
-func (t *TOE) preTask(s *segItem) sim.Task {
+func (t *TOE) preTask(s *segItem) sim.Step {
 	c := &t.costs
 	switch s.kind {
 	case segRX:
@@ -395,7 +423,7 @@ func (t *TOE) preTask(s *segItem) sim.Task {
 		var stall sim.Time
 		key := uint64(s.pkt.FlowHash())
 		if !t.preLookup.Access(key) {
-			stall = t.cfg.NFP.CyclesTime(t.cfg.NFP.IMEMCycles)
+			stall = t.stalls.imemMiss
 			t.trace.Hit(trace.TPPreLookupMiss)
 		}
 		if t.cfg.SoftwareRings {
@@ -404,15 +432,15 @@ func (t *TOE) preTask(s *segItem) sim.Task {
 		if t.cfg.NetifStage {
 			instr += c.Netif
 		}
-		return sim.TaskC(t.scale(instr)).Add(0, stall)
+		return sim.Step{Compute: t.scale(instr), Stall: stall}
 	case segTX:
 		instr := c.PreAlloc + c.PreHeader + c.PreSteer
 		if t.cfg.SoftwareRings {
 			instr += c.RingOp
 		}
-		return sim.TaskC(t.scale(instr))
+		return sim.Step{Compute: t.scale(instr)}
 	default: // segHC: Fetch already done by ctx stage; Steer only.
-		return sim.TaskC(t.scale(c.PreSteer))
+		return sim.Step{Compute: t.scale(c.PreSteer)}
 	}
 }
 
@@ -465,7 +493,7 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 // protoAdmit distributes in-order segments to the connection's protocol
 // worker (same connection -> same worker: atomicity without locks).
 func (t *TOE) protoAdmit(isl *island, s *segItem) {
-	w := isl.protos[int(s.conn)%len(isl.protos)]
+	w := isl.protos[int(s.conn)&(len(isl.protos)-1)] // ProtoRepl is a power of two
 	t.trace.HitN(trace.TPQProto, uint64(len(w.q)-w.qHead))
 	w.q = append(w.q, s)
 	w.pump()
@@ -482,11 +510,11 @@ func (w *protoWorker) pump() {
 		// accounts for the time; hardware threads overlap only the
 		// stall portions of *different* segments.
 		w.t.protoExec(w.isl, item)
-		w.fpc.SubmitCall(task, w.fwdCb, item)
+		w.fpc.SubmitStepCall(task, w.fwdCb, item)
 	}
 }
 
-func (w *protoWorker) taskOf(s *segItem) sim.Task {
+func (w *protoWorker) taskOf(s *segItem) sim.Step {
 	t := w.t
 	c := &t.costs
 	stall := w.cache.Access(uint64(s.conn))
@@ -506,7 +534,7 @@ func (w *protoWorker) taskOf(s *segItem) sim.Task {
 	if t.cfg.SoftwareRings {
 		instr += c.RingOp
 	}
-	return sim.TaskC(t.scale(instr+seqCost)).Add(0, stall)
+	return sim.Step{Compute: t.scale(instr + seqCost), Stall: stall}
 }
 
 // protoExec executes the real protocol logic at the atomic point, in
@@ -621,7 +649,7 @@ func hcOpOf(d shm.Desc) tcpseg.HCOp {
 }
 
 // postTask: Ack + Stamp + Stats for RX, Pos for TX, FS update for HC.
-func (t *TOE) postTask(s *segItem) sim.Task {
+func (t *TOE) postTask(s *segItem) sim.Step {
 	c := &t.costs
 	var instr int64
 	switch s.kind {
@@ -643,15 +671,7 @@ func (t *TOE) postTask(s *segItem) sim.Task {
 		instr += c.RingOp
 	}
 	// CTM access for the post partition state.
-	stall := t.stateStall()
-	return sim.TaskC(t.scale(instr)).Add(0, stall)
-}
-
-func (t *TOE) stateStall() sim.Time {
-	if t.cfg.FlatMemory {
-		return t.cfg.NFP.CyclesTime(t.cfg.FlatMemCycles)
-	}
-	return t.cfg.NFP.CyclesTime(t.cfg.NFP.CTMCycles)
+	return sim.Step{Compute: t.scale(instr), Stall: t.stalls.post}
 }
 
 func (t *TOE) postDone(isl *island, s *segItem) {
@@ -698,7 +718,7 @@ func (t *TOE) postDone(isl *island, s *segItem) {
 
 // dmaTask models descriptor construction; the PCIe/copy latency itself is
 // asynchronous (the DMA engine), so the FPC only pays issue cost.
-func (t *TOE) dmaTask(s *segItem) sim.Task {
+func (t *TOE) dmaTask(s *segItem) sim.Step {
 	instr := t.costs.DMAIssue
 	if t.cfg.SoftwareRings {
 		instr += t.costs.RingOp
@@ -706,7 +726,7 @@ func (t *TOE) dmaTask(s *segItem) sim.Task {
 	if t.PacketTap != nil {
 		instr += t.PacketTapCost // egress logging
 	}
-	return sim.TaskC(t.scale(instr))
+	return sim.Step{Compute: t.scale(instr)}
 }
 
 func (t *TOE) dmaDone(s *segItem) {
@@ -812,13 +832,13 @@ func (t *TOE) pushNotif(conn *Conn, d shm.Desc) {
 	t.ctxSt.push(n)
 }
 
-func (t *TOE) ctxTask(s *segItem) sim.Task {
+func (t *TOE) ctxTask(s *segItem) sim.Step {
 	instr := t.costs.CtxQNotify
 	if t.cfg.SoftwareRings {
 		instr += t.costs.RingOp
 	}
 	instr += t.trace.Hit(trace.TPCtxQNotify)
-	return sim.TaskC(t.scale(instr))
+	return sim.Step{Compute: t.scale(instr)}
 }
 
 func (t *TOE) ctxDone(s *segItem) {

@@ -201,6 +201,7 @@ func (f *Fabric) SpineTxBytes() []uint64 {
 	out := make([]uint64, len(f.Spines))
 	for _, ups := range f.leafUplinks {
 		for s, up := range ups {
+			up.Sync()
 			out[s] += up.TxBytes
 		}
 	}

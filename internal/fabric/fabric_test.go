@@ -1,11 +1,13 @@
 package fabric_test
 
 import (
+	"reflect"
 	"testing"
 
 	"flextoe/internal/apps"
 	"flextoe/internal/fabric"
 	"flextoe/internal/netsim"
+	"flextoe/internal/packet"
 	"flextoe/internal/sim"
 	"flextoe/internal/testbed"
 )
@@ -142,5 +144,44 @@ func TestFabricQueueStats(t *testing.T) {
 	h, _ := port.QueueHist()
 	if h.Count() != 0 {
 		t.Fatal("ResetQueueStats left histogram samples")
+	}
+}
+
+// TestSpineTxBytesAtEgress: a leaf books a frame on its uplink at forward
+// time and credits the uplink's TxBytes at egress, so SpineTxBytes must
+// commit each uplink before reading it. Read at 300 instants of a
+// 16-flow cross-rack run, it equals the same run with a no-op TxTap on
+// every switch port, where every frame crosses on an event and is counted
+// when sent. Kills: SpineTxBytes reading TxBytes without Sync.
+func TestSpineTxBytesAtEgress(t *testing.T) {
+	run := func(tapped bool) [][]uint64 {
+		tb := fabricPair(testbed.FlexTOE, 2, 23)
+		if tapped {
+			for _, sw := range append(append([]*netsim.Switch{}, tb.Fabric.Leaves...), tb.Fabric.Spines...) {
+				for _, p := range sw.Ports() {
+					p.TxTap = func(sim.Time, *packet.Packet) {}
+				}
+			}
+		}
+		sink := &apps.BulkSink{}
+		sink.Serve(tb.M("a").Stack, 9000)
+		for i := 0; i < 16; i++ {
+			(&apps.BulkSender{}).Start(tb.M("b").Stack, tb.Addr("a", 9000))
+		}
+		var reads [][]uint64
+		for i := 1; i <= 300; i++ {
+			tb.Run(sim.Millisecond + sim.Time(i)*7309*sim.Nanosecond)
+			reads = append(reads, tb.Fabric.SpineTxBytes())
+		}
+		return reads
+	}
+	got, want := run(false), run(true)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("read %d: SpineTxBytes %v, event path %v", i, got[i], want[i])
+		}
+	}
+	if want[len(want)-1][0] == want[0][0] && want[len(want)-1][1] == want[0][1] {
+		t.Fatal("no spine traffic between the reads")
 	}
 }

@@ -53,23 +53,27 @@ func NewCore(eng *sim.Engine, name string, hz int64) *Core {
 // Hz returns the core clock.
 func (c *Core) Hz() int64 { return c.hz }
 
-// CyclesTime converts core cycles to time.
-func (c *Core) CyclesTime(n int64) sim.Time { return sim.Cycles(n, c.hz) }
-
-// SubmitCall queues a task for serial execution; cb(arg) runs when it
-// completes (nil cb: nothing runs). cb should be a long-lived function
-// value and arg the per-task state, so queueing a task performs no heap
-// allocation beyond amortized queue growth. The core stores the task's
-// duration and instruction count, not its steps (see hostTask). An idle
-// core starts the task on the spot: one event per task, its completion.
-func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
-	instr := task.Instructions()
-	dur := sim.Time(instr)*c.cyclePs + task.StallTime()
-	c.queue = append(c.queue, hostTask{dur, uint64(instr), cb, arg})
+// SubmitStepCall queues a one-step task for serial execution; cb(arg)
+// runs when it completes (nil cb: nothing runs). cb should be a long-lived
+// function value and arg the per-task state, so queueing a task performs
+// no heap allocation beyond amortized queue growth. The core stores the
+// step's duration on its clock and its instruction count (see hostTask).
+// An idle core starts the task on the spot: one event per task, its
+// completion.
+func (c *Core) SubmitStepCall(step sim.Step, cb func(any), arg any) {
+	dur := sim.Time(step.Compute)*c.cyclePs + step.Stall
+	c.queue = append(c.queue, hostTask{dur, uint64(step.Compute), cb, arg})
 	if !c.running {
 		c.running = true
 		c.next()
 	}
+}
+
+// SubmitCall is SubmitStepCall for a multi-step task. A core runs a task
+// as one interval whose stalls do not overlap other work, so the task
+// reduces to one step carrying its summed instructions and stall.
+func (c *Core) SubmitCall(task sim.Task, cb func(any), arg any) {
+	c.SubmitStepCall(sim.Step{Compute: task.Instructions(), Stall: task.StallTime()}, cb, arg)
 }
 
 // Busy reports whether the core has queued or running work.

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"math/rand"
 	"testing"
 
 	"flextoe/internal/sim"
@@ -178,5 +179,100 @@ func TestCoreStartsIdleSubmitDirectly(t *testing.T) {
 	// Two submit events, seven looks, and one completion per task.
 	if n := eng.Processed() - before; n != 2+7+3 {
 		t.Errorf("%d events executed, want %d: a task is one event", n, 2+7+3)
+	}
+}
+
+// TestStepSubmitMatchesTask: a core runs a task as one interval whose
+// stalls block it, so a Task and the one Step carrying its summed
+// instructions and stall are the same charge. Two cores on two engines
+// take one seeded stream of 1–4-step tasks, several with two stalls
+// (TaskC(c).Add(0, s1).Add(0, s2) keeps both, where an FPC would wait
+// twice): one core as Tasks through SubmitCall, the other as Steps through
+// SubmitStepCall. Completion instants and order, Busy and QueueLen at
+// every completion, and Tasks, Instructions and Utilization at the end
+// must be equal, and a directed pair pins the instants. Kills, each
+// applied and seen failing: the Task reduced by its first step only, a
+// second stall or burst lost (instants, Instructions); the stall dropped,
+// or a step started over a running task (the directed instants).
+func TestStepSubmitMatchesTask(t *testing.T) {
+	type done struct {
+		at         sim.Time
+		id         int
+		busy       bool
+		queued     int
+		tasks, ins uint64
+	}
+	run := func(seed int64, asStep bool) ([]done, *Core) {
+		eng := sim.New()
+		c := NewCore(eng, "cpu0", 2_100_000_000) // 476 ps/cycle, rounded
+		rng := rand.New(rand.NewSource(seed))
+		var got []done
+		note := func(a any) {
+			got = append(got, done{eng.Now(), a.(int), c.Busy(), c.QueueLen(), c.Tasks, c.Instructions})
+		}
+		stall := func() sim.Time { return sim.Time([]int64{0, 0, 1, 3, 250}[rng.Intn(5)]) * sim.Nanosecond }
+		id := 0
+		submit := func(any) {
+			task := sim.TaskC(rng.Int63n(3000)).Add(0, stall())
+			if rng.Intn(3) == 0 {
+				task = task.Add(0, stall()) // a second stall of its own
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				task = task.Add(rng.Int63n(500), stall())
+			}
+			if asStep {
+				c.SubmitStepCall(sim.Step{Compute: task.Instructions(), Stall: task.StallTime()}, note, id)
+			} else {
+				c.SubmitCall(task, note, id)
+			}
+			id++
+		}
+		at := sim.Time(0)
+		for i := 0; i < 400; i++ {
+			at += sim.Time(rng.Intn(1500)) * sim.Nanosecond
+			eng.AtCall(at, submit, nil)
+			if rng.Intn(4) == 0 {
+				eng.AtCall(at, submit, nil) // a burst: the second queues
+			}
+		}
+		eng.Run()
+		return got, c
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		wantDone, wantCore := run(seed, false)
+		gotDone, gotCore := run(seed, true)
+		if len(gotDone) != len(wantDone) {
+			t.Fatalf("seed %d: %d completions as steps, %d as tasks", seed, len(gotDone), len(wantDone))
+		}
+		queued := 0
+		for i := range wantDone {
+			if gotDone[i] != wantDone[i] {
+				t.Fatalf("seed %d: completion %d = %+v as a step, %+v as a task", seed, i, gotDone[i], wantDone[i])
+			}
+			if wantDone[i].queued > 0 {
+				queued++
+			}
+		}
+		if gotCore.Tasks != wantCore.Tasks || gotCore.Instructions != wantCore.Instructions ||
+			gotCore.Utilization() != wantCore.Utilization() {
+			t.Fatalf("seed %d: steps end at %d tasks, %d instructions, utilization %v; tasks at %d, %d, %v", seed,
+				gotCore.Tasks, gotCore.Instructions, gotCore.Utilization(),
+				wantCore.Tasks, wantCore.Instructions, wantCore.Utilization())
+		}
+		if queued < 50 {
+			t.Errorf("seed %d: only %d completions with work queued behind them: no contention", seed, queued)
+		}
+	}
+
+	// Directed: two stalls in a Task are one Step with their sum.
+	eng := sim.New()
+	c := NewCore(eng, "cpu0", 2e9) // 500 ps/cycle
+	var at []sim.Time
+	rec := func(any) { at = append(at, eng.Now()) }
+	c.SubmitCall(sim.TaskC(1000).Add(0, 300*sim.Nanosecond).Add(0, 200*sim.Nanosecond), rec, nil)
+	c.SubmitStepCall(sim.Step{Compute: 1000, Stall: 500 * sim.Nanosecond}, rec, nil)
+	eng.Run()
+	if len(at) != 2 || at[0] != sim.Microsecond || at[1] != 2*sim.Microsecond {
+		t.Fatalf("two-stall task and summed step completed at %v, want [1us 2us]", at)
 	}
 }

@@ -210,7 +210,7 @@ func (k *Socket) consume(n int, cost int64) {
 	k.avail -= uint32(n)
 	k.conn.RxBuf.Release(uint32(n))
 	k.pendRx += uint32(n)
-	k.core.SubmitCall(sim.TaskC(cost), sockRxDoorbell, k)
+	k.core.SubmitStepCall(sim.Step{Compute: cost}, sockRxDoorbell, k)
 }
 
 // Reserve returns up to n bytes of free TX payload buffer to stage into,
@@ -243,7 +243,7 @@ func (k *Socket) commit(n int, cost int64) {
 	k.txHead += uint32(n)
 	k.txFree -= uint32(n)
 	k.pendTx += uint32(n)
-	k.core.SubmitCall(sim.TaskC(cost), sockTxDoorbell, k)
+	k.core.SubmitStepCall(sim.Step{Compute: cost}, sockTxDoorbell, k)
 }
 
 // sockTxDoorbell / sockRxDoorbell run when a socket call's charged cost
@@ -309,16 +309,16 @@ func (k *Socket) Close() {
 // delivery cost has been paid — one FIFO ring per socket, no closure per
 // notification.
 func (k *Socket) notify(d shm.Desc) {
-	task := sim.TaskC(k.stack.costs.NotifyCycles)
-	if !k.core.Busy() && k.stack.costs.WakeupLatency > 0 {
-		task = task.Add(0, k.stack.costs.WakeupLatency)
+	step := sim.Step{Compute: k.stack.costs.NotifyCycles}
+	if !k.core.Busy() {
+		step.Stall = k.stack.costs.WakeupLatency
 	}
 	k.notifQ = append(k.notifQ, d)
-	k.core.SubmitCall(task, sockNotify, k)
+	k.core.SubmitStepCall(step, sockNotify, k)
 }
 
 // sockNotify processes the next queued context-queue descriptor (see
-// host.Core.SubmitCall: tasks complete in FIFO order per core, so the
+// host.Core.SubmitStepCall: tasks complete in FIFO order per core, so the
 // queue head always matches the completing task).
 func sockNotify(a any) {
 	k := a.(*Socket)

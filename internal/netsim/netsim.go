@@ -6,6 +6,23 @@
 // depend on: uniform random loss injection (Fig. 15), ECN marking above a
 // DCTCP-style threshold (Fig. 16, Table 4), WRED with tail drop, and
 // per-port rate shaping to simulate incast degrees (Table 4).
+//
+// A forwarded frame crosses the switch's crossbar in a fixed Latency and
+// then takes its egress port's serializer. Because that latency is the
+// same for every frame of a switch, frames reach a port in the order they
+// were forwarded, and because the switch is the only sender on its ports,
+// everything booked on a port before a frame's egress instant is booked
+// by then already. So the switch books the frame on the serializer at
+// forward time, from its egress instant on, and schedules its delivery
+// there: no event marks the crossbar crossing. What the port reports —
+// queue depth, TxFrames, TxBytes — still changes at the egress instant:
+// the port keeps a FIFO of (egress instant, wire bytes) that every read
+// commits up to now (QueueBytes, Sync). Three cases keep the crossing as
+// an event of its own, sending the frame at its egress instant as a host
+// NIC does: a frame delayed by reorder injection (later frames overtake
+// it), any frame forwarded to a port while such an event-path frame is
+// still in that port's crossbar (it must book behind it), and every frame
+// on a port with a TxTap (the tap observes at send time).
 package netsim
 
 import (
@@ -33,7 +50,7 @@ type Frame struct {
 	Ingress sim.Time // when the frame first entered the fabric
 
 	link   *Iface // transmitting interface while on a link
-	dst    *Iface // forwarding destination while queued in the switch
+	dst    *Iface // egress port while crossing the switch on an event
 	pooled bool
 	pool   *FramePool // the pool the frame was drawn from
 }
@@ -103,7 +120,12 @@ func dropFrame(f *Frame) {
 }
 
 // Iface is one end of a full-duplex link: it serializes outbound frames at
-// the link rate and delivers inbound frames to its receive handler.
+// the link rate and delivers inbound frames to its receive handler. On a
+// switch port, frames are booked on the serializer at forward time and
+// credited to the port's counters at egress through a crossbar FIFO; a
+// reorder-delayed frame, a frame behind one in the crossbar, and every
+// frame on a tapped port cross on an event and are sent at egress instead
+// (see the package comment).
 type Iface struct {
 	Name string
 	MAC  packet.EtherAddr
@@ -130,7 +152,9 @@ type Iface struct {
 	// Taps never take ownership of the frame or packet and charge zero
 	// simulated cost — unlike core.TOE.PacketTap, which models the cycles
 	// of an on-NIC capture (doc.go "Passive flow analysis"). The packet
-	// is valid only for the duration of the call.
+	// is valid only for the duration of the call. A switch port sends
+	// every frame at egress while it has a TxTap; set one before traffic,
+	// since frames already booked in the crossbar pass it by.
 	TxTap func(at sim.Time, pkt *packet.Packet)
 	RxTap func(at sim.Time, pkt *packet.Packet)
 
@@ -155,6 +179,21 @@ type Iface struct {
 	// queueBytes tracks bytes accepted for transmission but not yet on
 	// the wire — the output queue depth used for ECN marking and WRED.
 	queueBytes int
+
+	// Crossbar state of a switch port (see the package comment). xbar,
+	// from xbarHead, holds the frames the switch booked on this port whose
+	// egress is not yet credited to TxFrames, TxBytes and queueBytes;
+	// Sync credits those due. xbarEvents counts frames crossing to this
+	// port on a switchDeliver event: while one is, later frames do too.
+	xbar       []xbarFrame
+	xbarHead   int
+	xbarEvents int
+}
+
+// xbarFrame is a booked frame's egress instant and wire length.
+type xbarFrame struct {
+	at   sim.Time
+	wire int
 }
 
 // EnableQueueHist attaches an egress occupancy histogram to the port:
@@ -212,8 +251,15 @@ func NewIface(eng *sim.Engine, name string, mac packet.EtherAddr, bytesPerSec fl
 
 // SetRate changes the interface's transmit rate (port shaping). Frames
 // already on the wire keep their delivery instants and later frames queue
-// behind them.
-func (i *Iface) SetRate(bytesPerSec float64) { i.tx.SetRate(bytesPerSec) }
+// behind them. Shaping a switch port whose crossbar still holds a booked
+// frame short of egress panics: that frame was booked at the old rate,
+// and it would have been sent at the new one.
+func (i *Iface) SetRate(bytesPerSec float64) {
+	if i.Sync(); i.xbarHead < len(i.xbar) {
+		panic(fmt.Sprintf("netsim: shaping %s with %d frames in its crossbar (shape ports before traffic)", i.Name, len(i.xbar)-i.xbarHead))
+	}
+	i.tx.SetRate(bytesPerSec)
+}
 
 // Connect joins two interfaces with the given propagation delay. Both must
 // live on one engine: a delivery is scheduled on the sender's engine, so a
@@ -227,7 +273,28 @@ func Connect(a, b *Iface, prop sim.Time) {
 }
 
 // QueueBytes returns the current output queue depth in bytes.
-func (i *Iface) QueueBytes() int { return i.queueBytes }
+func (i *Iface) QueueBytes() int {
+	i.Sync()
+	return i.queueBytes
+}
+
+// Sync commits the crossbar FIFO: it credits TxFrames, TxBytes and the
+// queue depth with the frames the switch booked on this port whose egress
+// instant is at or before now. Read a switch port's TxFrames or TxBytes
+// after it (QueueBytes syncs by itself); a host NIC's are always current.
+// At an instant, a frame's egress counts as done for every reader that
+// runs after the switch's own events: its forwarding (a delivery event),
+// readers ranked behind it, and code outside the run.
+func (i *Iface) Sync() {
+	now := i.eng.Now()
+	for i.xbarHead < len(i.xbar) && i.xbar[i.xbarHead].at <= now {
+		wire := i.xbar[i.xbarHead].wire
+		i.xbar, i.xbarHead = shm.PopRing(i.xbar, i.xbarHead)
+		i.TxFrames++
+		i.TxBytes += uint64(wire)
+		i.queueBytes += wire
+	}
+}
 
 // Send serializes the frame onto the wire and delivers it to the peer
 // after the propagation delay. Ownership of the frame (and its packet)
@@ -244,16 +311,33 @@ func (i *Iface) Send(f *Frame) {
 	i.TxFrames++
 	i.TxBytes += uint64(f.Wire)
 	i.queueBytes += f.Wire
+	i.transmit(i.eng.Now(), f)
+}
+
+// book is Send for a switch port's frame at forward time: the frame will
+// leave the crossbar at egress, and its serialization and delivery are
+// booked now from that instant on (see the package comment). The port's
+// counters are credited at egress, by Sync.
+func (i *Iface) book(egress sim.Time, f *Frame) {
+	checkFrame(f)
+	i.xbar = append(i.xbar, xbarFrame{egress, f.Wire})
+	i.transmit(egress, f)
+}
+
+// transmit serializes f from instant at behind the frames already booked
+// and schedules its delivery under the link's next ordering key.
+func (i *Iface) transmit(at sim.Time, f *Frame) {
 	i.txSeq++
 	dkey := uint64(i.linkID)<<32 | uint64(i.txSeq)
-	end := i.tx.Reserve(int64(f.Wire), i.prop)
+	end := i.tx.ReserveFrom(at, int64(f.Wire), i.prop)
 	f.link = i
 	i.eng.AtLinkCall(end, dkey, frameDelivered, f)
 }
 
 // frameDelivered runs when a frame's serialization + propagation ends: it
 // debits the transmit queue and hands the frame to the receiving interface
-// (see Engine.AtLinkCall).
+// (see Engine.AtLinkCall). A booked frame's credit may still wait in the
+// crossbar FIFO; Sync adds it before any read, so the debit can go first.
 func frameDelivered(a any) {
 	f := a.(*Frame)
 	i := f.link
@@ -311,7 +395,9 @@ type SwitchConfig struct {
 // whose destination MAC misses the table are spread across the uplinks by
 // the flow 4-tuple's CRC-32 hash (packet.Flow.Hash — the same hash the
 // FlexTOE pre-processor's lookup engine computes), so every segment of a
-// flow takes one path and per-flow ordering survives the fan-out.
+// flow takes one path and per-flow ordering survives the fan-out. A
+// forwarded frame is booked on its egress port at once, or crosses on an
+// event in the three cases the package comment lists.
 type Switch struct {
 	Name string
 
@@ -534,23 +620,28 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 	}
 	s.Forwarded++
 	out.noteQueueDepth(q)
-	f.dst = out
 	delay := s.cfg.Latency
 	// Reorder injection holds the frame in the crossbar for ReorderDelay
 	// extra, letting later same-flow frames overtake it.
 	if s.cfg.ReorderProb > 0 && s.rng.Bool(s.cfg.ReorderProb) {
 		s.Reordered++
 		delay += s.cfg.ReorderDelay
+	} else if out.xbarEvents == 0 && out.TxTap == nil && out.peer != nil {
+		out.book(s.eng.Now()+delay, f)
+		return
 	}
+	out.xbarEvents++
+	f.dst = out
 	s.own.AfterCall(delay, switchDeliver, f)
 }
 
-// switchDeliver moves a frame from the switch crossbar onto its egress
-// port (see Engine.AtCall).
+// switchDeliver moves a frame that crossed the crossbar on an event of its
+// own onto its egress port (see Engine.AtCall).
 func switchDeliver(a any) {
 	f := a.(*Frame)
 	out := f.dst
 	f.dst = nil
+	out.xbarEvents--
 	out.Send(f)
 }
 
@@ -578,7 +669,9 @@ func (n *Network) AttachHost(name string, mac packet.EtherAddr, bytesPerSec floa
 }
 
 // ShapePort restricts the switch-side egress rate toward the named host
-// (used by the incast experiment to emulate a shaped port).
+// (used by the incast experiment to emulate a shaped port). Shaping is a
+// set-up action: a port with frames in its crossbar refuses it (see
+// Iface.SetRate).
 func (n *Network) ShapePort(name string, bytesPerSec float64) {
 	host := n.hosts[name]
 	if host == nil || host.peer == nil {

@@ -1,6 +1,10 @@
 package nfp
 
-import "flextoe/internal/sim"
+import (
+	"fmt"
+
+	"flextoe/internal/sim"
+)
 
 // Cache is a set-associative cache with LRU replacement, used to model the
 // per-FPC CAM caches, the per-island CLS direct-mapped caches, the EMEM
@@ -8,7 +12,7 @@ import "flextoe/internal/sim"
 // connection indices (or hash values); the cache tracks presence only —
 // the simulated state itself lives elsewhere.
 type Cache struct {
-	sets int
+	mask uint64 // sets - 1: a key's set is key & mask
 	ways int
 	tags []uint64 // sets*ways, 0 = empty (keys are offset by 1)
 	age  []uint64
@@ -20,13 +24,20 @@ type Cache struct {
 
 // NewCache builds a cache with the given total entries and associativity.
 // ways == entries gives a fully associative CAM; ways == 1 gives a
-// direct-mapped cache.
+// direct-mapped cache. The set count must be a power of two, as it is on
+// every modelled part (1/512/2048/128 sets on the Agilio, 1/65536/262144/
+// 4096 on the x86 and BlueField ports), so an access picks its set with a
+// mask, not a division.
 func NewCache(entries, ways int) *Cache {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic("nfp: bad cache geometry")
 	}
+	sets := entries / ways
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("nfp: cache of %d entries in %d ways has %d sets, not a power of two", entries, ways, sets))
+	}
 	return &Cache{
-		sets: entries / ways,
+		mask: uint64(sets - 1),
 		ways: ways,
 		tags: make([]uint64, entries),
 		age:  make([]uint64, entries),
@@ -38,8 +49,7 @@ func NewCache(entries, ways int) *Cache {
 func (c *Cache) Access(key uint64) bool {
 	c.tick++
 	k := key + 1 // reserve 0 for "empty"
-	set := int(key % uint64(c.sets))
-	base := set * c.ways
+	base := int(key&c.mask) * c.ways
 	var victim, oldest = base, c.age[base]
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
@@ -60,7 +70,7 @@ func (c *Cache) Access(key uint64) bool {
 // Contains reports presence without updating LRU state or counters.
 func (c *Cache) Contains(key uint64) bool {
 	k := key + 1
-	base := int(key%uint64(c.sets)) * c.ways
+	base := int(key&c.mask) * c.ways
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
 			return true
@@ -72,7 +82,7 @@ func (c *Cache) Contains(key uint64) bool {
 // Invalidate removes key if present.
 func (c *Cache) Invalidate(key uint64) {
 	k := key + 1
-	base := int(key%uint64(c.sets)) * c.ways
+	base := int(key&c.mask) * c.ways
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
 			c.tags[i] = 0
@@ -87,10 +97,13 @@ func (c *Cache) Invalidate(key uint64) {
 // cache, and finally EMEM DRAM. Access returns the stall the requesting
 // FPC experiences.
 type StateCache struct {
-	cfg   *Config
 	local *Cache // per-FPC
 	cls   *Cache // per-island (shared among the island's FPCs)
 	emem  *Cache // global SRAM cache
+
+	// The four levels' access latencies, converted from FPC cycles once
+	// here so an access pays no division.
+	localLat, clsLat, ememLat, dramLat sim.Time
 }
 
 // NewStateCache builds the hierarchy for one protocol FPC. cls and emem
@@ -98,10 +111,13 @@ type StateCache struct {
 // NIC.
 func NewStateCache(cfg *Config, cls, emem *Cache) *StateCache {
 	return &StateCache{
-		cfg:   cfg,
-		local: NewCache(cfg.LocalCAMEntries, cfg.LocalCAMEntries),
-		cls:   cls,
-		emem:  emem,
+		local:    NewCache(cfg.LocalCAMEntries, cfg.LocalCAMEntries),
+		cls:      cls,
+		emem:     emem,
+		localLat: cfg.CyclesTime(cfg.LocalMemCycles),
+		clsLat:   cfg.CyclesTime(cfg.CLSCycles),
+		ememLat:  cfg.CyclesTime(cfg.EMEMCycles),
+		dramLat:  cfg.CyclesTime(cfg.DRAMCycles),
 	}
 }
 
@@ -116,13 +132,13 @@ func NewEMEMCache(cfg *Config) *Cache { return NewCache(cfg.EMEMCacheEntries, 4)
 // Access charges the stall for bringing connection state to the FPC.
 func (sc *StateCache) Access(conn uint64) sim.Time {
 	if sc.local.Access(conn) {
-		return sc.cfg.CyclesTime(sc.cfg.LocalMemCycles)
+		return sc.localLat
 	}
 	if sc.cls.Access(conn) {
-		return sc.cfg.CyclesTime(sc.cfg.CLSCycles)
+		return sc.clsLat
 	}
 	if sc.emem.Access(conn) {
-		return sc.cfg.CyclesTime(sc.cfg.EMEMCycles)
+		return sc.ememLat
 	}
-	return sc.cfg.CyclesTime(sc.cfg.DRAMCycles)
+	return sc.dramLat
 }

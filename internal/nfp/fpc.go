@@ -117,18 +117,19 @@ type FPC struct {
 	Instructions uint64
 }
 
-// fpcTask is the execution record of one submitted task, from SubmitCall
-// to completion: the task's steps (the only copy the FPC keeps — a queued
-// task waits in its record), the step cursor and the completion callback.
+// fpcTask is the execution record of one submitted task, from submission
+// to completion: its steps (the only copy the FPC keeps — a queued task
+// waits in its record), the step cursor and the completion callback.
 // Records are recycled via the FPC's freelist so steady-state submission
 // allocates nothing.
 type fpcTask struct {
-	f    *FPC
-	own  sim.Owner // the hardware thread the task occupies
-	task sim.Task
-	idx  int
-	cb   func(any)
-	arg  any
+	f     *FPC
+	own   sim.Owner // the hardware thread the task occupies
+	steps [sim.MaxTaskSteps]sim.Step
+	n     int // steps in use
+	idx   int // next step to run
+	cb    func(any)
+	arg   any
 }
 
 // fpcStepDone is the long-lived event callback of the step state machine
@@ -169,22 +170,43 @@ func (f *FPC) FreeThreads() int { return len(f.idle) }
 // Busy reports whether any thread is occupied.
 func (f *FPC) Busy() bool { return len(f.idle) < f.threads || f.runqHead < len(f.runq) }
 
-// SubmitCall queues a task; cb(arg) runs when it completes (nil cb:
-// nothing runs), with cb a long-lived function value and arg the per-task
-// state (typically the pipeline work item). If all hardware threads are
-// busy the task waits in the core's run queue (callers gate on FreeThreads
-// for backpressure; the run queue only absorbs same-instant races). The
-// task is copied once, into its pooled execution record; the run queue
-// holds records, not tasks.
+// SubmitStepCall queues a one-step task; cb(arg) runs when it completes
+// (nil cb: nothing runs), with cb a long-lived function value and arg the
+// per-task state (typically the pipeline work item). If all hardware
+// threads are busy the task waits in the core's run queue (callers gate on
+// FreeThreads for backpressure; the run queue only absorbs same-instant
+// races). The step arrives in registers and is stored once, in the task's
+// pooled execution record; the run queue holds records, not tasks. Every
+// pipeline stage charges its work this way.
+func (f *FPC) SubmitStepCall(step sim.Step, cb func(any), arg any) {
+	ft := f.record(cb, arg)
+	ft.steps[0], ft.n = step, 1
+	f.submit(ft)
+}
+
+// SubmitCall is SubmitStepCall for a multi-step task (the run-to-
+// completion ablation): its steps are copied into the record and run
+// through the same step loop, one wake-up per step.
 func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
+	ft := f.record(cb, arg)
+	ft.n = task.NumSteps()
+	for i := 0; i < ft.n; i++ {
+		ft.steps[i] = task.Step(i)
+	}
+	f.submit(ft)
+}
+
+// record takes an execution record from the freelist, cursor at step 0.
+func (f *FPC) record(cb func(any), arg any) *fpcTask {
 	ft := f.free.Get()
 	if ft == nil {
 		ft = &fpcTask{f: f}
 	}
-	ft.task = task
-	ft.idx = 0
-	ft.cb = cb
-	ft.arg = arg
+	ft.idx, ft.cb, ft.arg = 0, cb, arg
+	return ft
+}
+
+func (f *FPC) submit(ft *fpcTask) {
 	if len(f.idle) > 0 {
 		f.begin(ft)
 		return
@@ -209,8 +231,8 @@ func (f *FPC) begin(ft *fpcTask) {
 func (ft *fpcTask) runStep() {
 	f := ft.f
 	now := f.eng.Now()
-	for ft.idx < ft.task.NumSteps() {
-		step := ft.task.Step(ft.idx)
+	for ft.idx < ft.n {
+		step := ft.steps[ft.idx]
 		ft.idx++
 		end := now
 		if step.Compute > 0 {

@@ -20,7 +20,7 @@ type refFPC struct {
 	runq    []*refTask
 
 	issueBusy, issueFree sim.Time
-	instructions         uint64
+	instructions, tasks  uint64
 }
 
 type refTask struct {
@@ -44,6 +44,7 @@ func (f *refFPC) SubmitCall(task sim.Task, cb func(any), arg any) {
 func (f *refFPC) begin(rt *refTask) {
 	top := len(f.idle) - 1
 	rt.own, f.idle = f.idle[top], f.idle[:top]
+	f.tasks++
 	rt.runStep()
 }
 
@@ -83,20 +84,39 @@ func (rt *refTask) nextStep() {
 	rt.runStep()
 }
 
-// fpcView is what the driver needs of either core.
+// fpcView is what the driver needs of either core: a multi-step and a
+// one-step entry, and what an outsider can read.
 type fpcView struct {
 	submit func(sim.Task, func(any), any)
+	step   func(sim.Step, func(any), any)
 	free   func() int
 	busy   func() sim.Time
 	instr  func() uint64
+	tasks  func() uint64
 	util   func() float64
 }
 
+// asTask is the one-step entry spelled as the Task every charge used to
+// build: TaskC(compute).Add(0, stall).
+func asTask(submit func(sim.Task, func(any), any)) func(sim.Step, func(any), any) {
+	return func(st sim.Step, cb func(any), arg any) { submit(sim.TaskC(st.Compute).Add(0, st.Stall), cb, arg) }
+}
+
+// fusedView drives the FPC through both of its entries: one-step tasks
+// through SubmitStepCall, the others through SubmitCall.
 func fusedView(eng *sim.Engine, cfg *Config, threads int) fpcView {
 	f := NewFPC(eng, "fused", cfg)
 	f.SetThreads(threads)
-	return fpcView{f.SubmitCall, f.FreeThreads, func() sim.Time { return f.issueBusy },
-		func() uint64 { return f.Instructions }, f.Utilization}
+	return fpcView{f.SubmitCall, f.SubmitStepCall, f.FreeThreads, func() sim.Time { return f.issueBusy },
+		func() uint64 { return f.Instructions }, func() uint64 { return f.Tasks }, f.Utilization}
+}
+
+// taskView is fusedView with every task, one-step or not, a sim.Task
+// through SubmitCall.
+func taskView(eng *sim.Engine, cfg *Config, threads int) fpcView {
+	v := fusedView(eng, cfg, threads)
+	v.step = asTask(v.submit)
+	return v
 }
 
 func refView(eng *sim.Engine, cfg *Config, threads int) fpcView {
@@ -112,12 +132,13 @@ func refView(eng *sim.Engine, cfg *Config, threads int) fpcView {
 		}
 		return float64(busy) / float64(eng.Now())
 	}
-	return fpcView{f.SubmitCall, func() int { return len(f.idle) }, func() sim.Time { return f.issueBusy },
-		func() uint64 { return f.instructions }, util}
+	return fpcView{f.SubmitCall, asTask(f.SubmitCall), func() int { return len(f.idle) }, func() sim.Time { return f.issueBusy },
+		func() uint64 { return f.instructions }, func() uint64 { return f.tasks }, util}
 }
 
-// driveFPC runs one seeded stream of 1–4-step tasks through a core and
-// returns everything an outsider can see of it. Every time in the stream
+// driveFPC runs one seeded stream of 1–4-step tasks through a core — a
+// task that is one step through the core's one-step entry — and returns
+// everything an outsider can see of it. Every time in the stream
 // sits on a 5 ns grid — four FPC cycles — so step ends of different
 // threads, submissions and the probes of two other owners, one ranked
 // before the core and one behind it, keep falling on the same picosecond.
@@ -134,8 +155,8 @@ func driveFPC(mk func(*sim.Engine, *Config, int) fpcView, seed int64, threads in
 	rng := rand.New(rand.NewSource(seed))
 
 	see := func(what string, id int) {
-		trace = append(trace, fmt.Sprintf("%d %s %d free=%d busy=%d instr=%d",
-			eng.Now(), what, id, f.free(), f.busy(), f.instr()))
+		trace = append(trace, fmt.Sprintf("%d %s %d free=%d busy=%d instr=%d tasks=%d",
+			eng.Now(), what, id, f.free(), f.busy(), f.instr(), f.tasks()))
 	}
 	newTask := func() sim.Task {
 		pick := func(vals ...int64) int64 { return vals[rng.Intn(len(vals))] }
@@ -154,7 +175,11 @@ func driveFPC(mk func(*sim.Engine, *Config, int) fpcView, seed int64, threads in
 		if f.free() == 0 {
 			queued++
 		}
-		f.submit(newTask(), done, id)
+		if t := newTask(); t.NumSteps() == 1 {
+			f.step(t.Step(0), done, id)
+		} else {
+			f.submit(t, done, id)
+		}
 	}
 	done = func(a any) {
 		see("done", a.(int))
@@ -200,10 +225,12 @@ func driveFPC(mk func(*sim.Engine, *Config, int) fpcView, seed int64, threads in
 // step, at issueFree + stall, where the core it replaced ran a retirement
 // event and then a stall-expiry event. Nobody outside may be able to tell:
 // completions at the same instants in the same order, the same free
-// threads, issue-slot busy time and instruction count at every completion
-// and at every probe of a neighbouring owner, the same utilisation — on
-// one, two and eight threads. Scheduling the wake-up under the core's key
-// in place of the thread's, or with another step's stall, fails it.
+// threads, issue-slot busy time, instruction and task counts at every
+// completion and at every probe of a neighbouring owner, the same
+// utilisation — on one, two and eight threads, with one-step tasks
+// entering through SubmitStepCall and the rest through SubmitCall.
+// Scheduling the wake-up under the core's key in place of the thread's,
+// or with another step's stall, fails it.
 func TestFPCFusedMatchesTwoEventOracle(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -222,6 +249,38 @@ func TestFPCFusedMatchesTwoEventOracle(t *testing.T) {
 				t.Errorf("threads %d seed %d: %d submissions queued, %d probes tied with a completion: the stream is too easy",
 					threads, seed, queued, tied)
 			}
+		}
+	}
+}
+
+// TestStepSubmitMatchesTask: a one-step charge through SubmitStepCall is
+// the Task it replaced, TaskC(compute).Add(0, stall) through SubmitCall,
+// on the same FPC and under contention — eight threads, bursts that keep
+// the run queue non-empty, and multi-step tasks through SubmitCall in the
+// same stream whose records the one-step entry then reuses. Every
+// completion instant, the order of completions at one instant (the thread
+// sub-keys), free threads, issue-slot busy time, Instructions and Tasks at
+// every completion and probe, and the final Utilization must be equal.
+// Kills, each applied and seen failing: the stall dropped; the compute
+// turned into an off-slot wait, so it is neither booked on the issue slot
+// nor counted; a step queued on the run queue with a thread free; the
+// record's step count not reset, so a step runs a recycled record's old
+// step count.
+func TestStepSubmitMatchesTask(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		got, queued, _ := driveFPC(fusedView, seed, 8)
+		want, _, _ := driveFPC(taskView, seed, 8)
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: traces diverge at entry %d:\nstep %q\ntask %q",
+						seed, i, got[max(0, i-2):min(len(got), i+3)], want[max(0, i-2):i+1])
+				}
+			}
+			t.Fatalf("seed %d: step trace has %d entries, task trace %d", seed, len(got), len(want))
+		}
+		if queued < 20 {
+			t.Errorf("seed %d: only %d submissions found the threads busy: no contention", seed, queued)
 		}
 	}
 }

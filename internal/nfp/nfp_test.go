@@ -143,6 +143,28 @@ func TestCacheDirectMappedConflicts(t *testing.T) {
 	}
 }
 
+// TestCacheSetsArePowersOfTwo: a set is picked with a mask, so a geometry
+// whose set count is not a power of two is refused, and every shipped one
+// (Agilio, x86, BlueField) builds.
+func TestCacheSetsArePowersOfTwo(t *testing.T) {
+	x86 := AgilioCX40()
+	x86.LocalCAMEntries, x86.CLSCacheEntries, x86.EMEMCacheEntries, x86.PreLookupEntries = 64, 1<<16, 1<<20, 1<<12
+	for _, cfg := range []Config{AgilioCX40(), x86} {
+		NewStateCache(&cfg, NewCLSCache(&cfg), NewEMEMCache(&cfg))
+		NewCache(cfg.PreLookupEntries, 1)
+	}
+	for _, g := range [][2]int{{12, 1}, {24, 4}, {96, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache(%d, %d) built %d sets", g[0], g[1], g[0]/g[1])
+				}
+			}()
+			NewCache(g[0], g[1])
+		}()
+	}
+}
+
 func TestCacheLRUFullyAssociative(t *testing.T) {
 	c := NewCache(4, 4)
 	for k := uint64(0); k < 4; k++ {

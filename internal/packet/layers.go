@@ -223,17 +223,11 @@ func (f Flow) Hash() uint32 {
 	return ^crc
 }
 
-// FlowGroup maps the flow to one of n flow-group islands (§3.1).
-func (f Flow) FlowGroup(n int) int { return HashGroup(f.Hash(), n) }
-
-// HashGroup is FlowGroup for a caller that already holds hash ==
-// f.Hash(), read off the segment (Packet.FlowHash / RevFlowHash).
-func HashGroup(hash uint32, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(hash % uint32(n))
-}
+// HashGroup maps a flow to one of n flow-group islands (§3.1) by its
+// hash (Flow.Hash, read off the segment as Packet.FlowHash/RevFlowHash).
+// n is a power of two (core.Config.Validate insists), so the pick is a
+// mask.
+func HashGroup(hash uint32, n int) int { return int(hash & uint32(n-1)) }
 
 func (f Flow) String() string {
 	return fmt.Sprintf("%v:%d>%v:%d", f.SrcIP, f.SrcPort, f.DstIP, f.DstPort)

@@ -197,9 +197,9 @@ func TestFlowReverseInvolution(t *testing.T) {
 
 func TestFlowGroupStable(t *testing.T) {
 	f := Flow{SrcIP: IP(10, 0, 0, 1), DstIP: IP(10, 0, 0, 2), SrcPort: 1234, DstPort: 80}
-	g := f.FlowGroup(4)
+	g := HashGroup(f.Hash(), 4)
 	for i := 0; i < 10; i++ {
-		if f.FlowGroup(4) != g {
+		if HashGroup(f.Hash(), 4) != g {
 			t.Fatal("flow group unstable")
 		}
 	}
@@ -212,7 +212,7 @@ func TestFlowGroupDistribution(t *testing.T) {
 	counts := make([]int, 4)
 	for port := 1000; port < 5000; port++ {
 		f := Flow{SrcIP: IP(10, 0, 0, 1), DstIP: IP(10, 0, 0, 2), SrcPort: uint16(port), DstPort: 80}
-		counts[f.FlowGroup(4)]++
+		counts[HashGroup(f.Hash(), 4)]++
 	}
 	for g, c := range counts {
 		if c < 700 || c > 1300 {

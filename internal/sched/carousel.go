@@ -121,11 +121,21 @@ func (c *Carousel) Submit(id uint32) {
 	if slots >= len(c.wheel) {
 		slots = len(c.wheel) - 1
 	}
-	idx := (c.cur + slots) % len(c.wheel)
+	idx := c.slot(slots)
 	c.wheel[idx] = append(c.wheel[idx], id)
 	c.wheelItems++
 	st.inWheel = true
 	c.Scheduled++
+}
+
+// slot returns the wheel index k slots past the hand, 0 <= k < len(wheel):
+// one compare for the wrap, as the hardware's queue index does it.
+func (c *Carousel) slot(k int) int {
+	idx := c.cur + k
+	if idx >= len(c.wheel) {
+		idx -= len(c.wheel)
+	}
+	return idx
 }
 
 // advanceHand rotates the wheel so the hand covers now, collecting due
@@ -153,7 +163,9 @@ func (c *Carousel) advanceHand(now sim.Time) {
 				c.rr = append(c.rr, id)
 			}
 		}
-		c.cur = (c.cur + 1) % len(c.wheel)
+		if c.cur++; c.cur == len(c.wheel) {
+			c.cur = 0
+		}
 		c.hand += c.gran
 	}
 }
@@ -206,8 +218,7 @@ func (c *Carousel) NextDeadline() (sim.Time, bool) {
 		return 0, false
 	}
 	for i := 0; i < len(c.wheel); i++ {
-		idx := (c.cur + i) % len(c.wheel)
-		if len(c.wheel[idx]) > 0 {
+		if len(c.wheel[c.slot(i)]) > 0 {
 			return c.hand + sim.Time(i+1)*c.gran, true
 		}
 	}

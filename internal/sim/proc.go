@@ -1,26 +1,26 @@
 package sim
 
-// Step is one segment of a Task: a burst of straight-line computation
-// followed by a stall (memory access, DMA wait, lock wait) during which the
-// processor's issue slot is free for other hardware threads.
+// Step is one segment of work on a simulated processor: a burst of
+// straight-line computation followed by a stall (memory access, DMA wait,
+// lock wait) during which the processor's issue slot is free for other
+// hardware threads. It is two words, so the data path hands a step to
+// nfp.FPC.SubmitStepCall or host.Core.SubmitStepCall in registers: every
+// pipeline stage, libTOE call, responder and baseline charge is one step.
 type Step struct {
 	Compute int64 // instructions, executed at 1 instruction/cycle
 	Stall   Time  // latency hidden from the issue slot
 }
 
-// MaxTaskSteps bounds the steps in one Task. Tasks are value types with a
-// fixed-size step array so that building one on the data path performs no
-// heap allocation (the run-to-completion ablation's RX task, four steps
-// once Add has folded its trailing stall, is the deepest in the tree);
-// keeping the array tight matters because a task is copied by value as it
-// is built and into SubmitCall. Past that point an nfp.FPC keeps one
-// copy, in the task's pooled execution record, and a host.Core keeps
-// none — only the total duration and instruction count.
+// MaxTaskSteps bounds the steps in one Task. A Task is a value with a
+// fixed-size step array, so building one performs no heap allocation; the
+// run-to-completion ablation's RX task, four steps once Add has folded its
+// trailing stall, is the deepest in the tree.
 const MaxTaskSteps = 4
 
-// Task is a unit of work submitted to a simulated processor (nfp.FPC,
-// host.Core): alternating compute bursts and stalls. Tasks are value
-// types and may be built incrementally.
+// Task is a multi-step unit of work: alternating compute bursts and
+// stalls, for SubmitCall. Only the run-to-completion ablation (core's
+// mono path) and the benchmark drivers build one; the data path charges
+// single Steps.
 type Task struct {
 	n     int
 	steps [MaxTaskSteps]Step
@@ -38,10 +38,9 @@ func TaskC(instr int64) Task {
 // (instr == 0) after a step that does not stall itself becomes that
 // step's stall instead of a step of its own: a processor runs {c, 0},
 // {0, s} and {c, s} to the same completion instant — the compute retires,
-// then the stall expires — so every pipeline stage's "compute, then maybe
-// stall" task stays one step, which an nfp.FPC runs as one wake-up. A
-// step that already stalls is never folded onto: its stall and the next
-// are two waits.
+// then the stall expires. A step that already stalls is never folded
+// onto: on an nfp.FPC its stall and the next are two waits (a host.Core
+// sums every stall of a task anyway).
 func (t Task) Add(instr int64, stall Time) Task {
 	if instr == 0 && t.n > 0 && t.steps[t.n-1].Stall == 0 {
 		t.steps[t.n-1].Stall = stall

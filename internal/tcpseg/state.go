@@ -20,7 +20,7 @@ type PreState struct {
 	LocalIP    packet.IPv4Addr // implicit in the paper (NIC-global); kept per-conn for multi-host sims
 	LocalPort  uint16
 	RemotePort uint16
-	FlowGroup  uint8 // hash(4-tuple) % flow groups, 2 bits on the Agilio
+	FlowGroup  uint8 // hash(4-tuple) & (flow groups - 1), 2 bits on the Agilio
 }
 
 // preStateWire is the packed wire size of the Table 5 pre-processor
