@@ -331,8 +331,19 @@
 // takes an event out of the switch's own FIFO and moves no tie; the
 // port's counters still change at the egress instant
 // (TestSwitchFoldMatchesEventPath and FuzzSwitchFold hold it against the
-// event path). TestEventsPerSegmentBudget keeps the count from creeping
-// back (<= 23.0 events per received segment on kv_flextoe, <= 26.0 on
+// event path). The fourth is the transmit pump's empty run: a kick arms
+// a core.TOE's pump only when its flow scheduler holds a flow, ready or
+// on the wheel. A kick that finds the carousel empty is held with its
+// instant, and the arming rule is that the TOE arms a held kick before it
+// queues any later event of its own at that instant (the control-plane
+// hand-off, an immediate host transfer). The pump so keeps the place among
+// the TOE's own events that arming at the kick gave it, other owners order
+// against it by rank, and a flow that arrives later in the instant arms it
+// through its own kick: no tie moves (TestHeldKickMatchesEagerArm on churn
+// and paced rows, TestHeldKickSameInstant on the one instant where the
+// rule matters; the run-to-completion ablation still arms on every kick).
+// TestEventsPerSegmentBudget keeps the count from creeping
+// back (<= 22.0 events per received segment on kv_flextoe, <= 23.0 on
 // incast_fabric). TestOwnerOrder pins the
 // rule under every permutation of the call order,
 // TestWheelMatchesHeapOrder the wheel against the reference heap,

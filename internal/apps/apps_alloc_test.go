@@ -62,6 +62,40 @@ func TestAppSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
+// TestKVSteadyStateAllocBudget extends the contract to the key-value
+// server: a two-machine KV pair at set ratio 0.5 — every SET a fresh random
+// 32-byte key, as kv_flextoe's are — must average at most 0.05 heap
+// allocations per request end to end. The record arena allocates a 64 KiB
+// block per ~980 stored records and doubles its index now and then; a
+// map[string][]byte store allocates the key string and the value copy on
+// every SET: 1.0 allocations per request at this mix.
+func TestKVSteadyStateAllocBudget(t *testing.T) {
+	tb := testbed.New(netsim.SwitchConfig{},
+		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 2, BufSize: 1 << 16, Seed: 43},
+		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 2, BufSize: 1 << 16, Seed: 44},
+	)
+	srv := &KVServer{AppCycles: 890, ValueLen: 32}
+	srv.Serve(tb.M("server").Stack, 11211)
+	cli := &KVClient{SetRatio: 0.5, Pipeline: 2, Seed: 5}
+	cli.Start(tb.M("client").Stack, tb.Addr("server", 11211), 4)
+	run := func(n uint64) {
+		for target := cli.Completed + n; cli.Completed < target; {
+			if !tb.Eng.Step() {
+				t.Fatal("apps: KV workload stalled")
+			}
+		}
+	}
+	run(4000) // warm pools, rings, histogram buckets, the first blocks
+	const reqs = 2000
+	allocs := testing.AllocsPerRun(3, func() { run(reqs) })
+	perReq := allocs / reqs
+	t.Logf("steady-state allocs per KV request at set ratio 0.5: %.4f (%d stored keys, %d hits)",
+		perReq, srv.store.keys, srv.Hits)
+	if perReq > 0.05 {
+		t.Fatalf("allocs per request = %.4f, budget is 0.05", perReq)
+	}
+}
+
 // BenchmarkAppRPCRequest reports the wall-clock and allocation cost of
 // one simulated RPC request-response end to end at the application
 // layer (the number TestAppSteadyStateAllocBudget gates).

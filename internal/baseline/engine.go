@@ -59,6 +59,7 @@ type Stack struct {
 	FastRetx         uint64
 	SYNDrops         uint64 // SYNs silently dropped (no RST), all causes
 	BacklogOverflows uint64 // SYN drops due to a full listen backlog
+	PortSkips        uint64 // dial source ports passed over: their 4-tuple was live
 	// Wire-level ground truth for flowmon's passive cross-validation,
 	// mirroring the core.Counters fields of the same names. RetxSegs /
 	// RetxBytes count at emitSegment against the sent high-water mark, so

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+
 	"flextoe/internal/api"
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
@@ -19,8 +21,7 @@ func (s *Stack) Listen(port uint16, accept func(api.Socket)) {
 // Dial opens a connection to a remote endpoint. The MAC is resolved via
 // ResolveMAC (static ARP).
 func (s *Stack) Dial(remote api.Addr, connected func(api.Socket)) {
-	s.nextPort++
-	flow := packet.Flow{SrcIP: s.localIP, DstIP: remote.IP, SrcPort: s.nextPort, DstPort: remote.Port}
+	flow := s.ephemeral(packet.Flow{SrcIP: s.localIP, DstIP: remote.IP, DstPort: remote.Port})
 	mac := packet.EtherAddr{}
 	if s.ResolveMAC != nil {
 		mac = s.ResolveMAC(remote.IP)
@@ -33,6 +34,25 @@ func (s *Stack) Dial(remote api.Addr, connected func(api.Socket)) {
 	syn.TCP.WScale = tcpseg.WindowScale
 	syn.TCP.SACKPerm = s.prof.Recovery == RecoverySACK
 	s.iface.Send(s.frames.NewFrame(syn, s.eng.Now()))
+}
+
+// ephemeral gives flow the next source port whose 4-tuple is not live —
+// one flow-index probe, which covers half-open connections too — and
+// counts the ports it passes over. The counter wraps past 65 535 and never
+// hands out port 0.
+func (s *Stack) ephemeral(flow packet.Flow) packet.Flow {
+	for range 1 << 16 {
+		s.nextPort++
+		if s.nextPort == 0 {
+			continue
+		}
+		flow.SrcPort = s.nextPort
+		if _, live := s.flowIdx.Lookup(flow); !live {
+			return flow
+		}
+		s.PortSkips++
+	}
+	panic(fmt.Sprintf("baseline: every source port toward %v:%d is in use", flow.DstIP, flow.DstPort))
 }
 
 func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {

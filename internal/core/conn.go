@@ -174,6 +174,13 @@ func (t *TOE) lookupFlow(f packet.Flow, h uint32) *Conn {
 	return t.connAt(id)
 }
 
+// HasFlow reports whether a live connection is filed under f (local
+// endpoint's view): one flow-index probe.
+func (t *TOE) HasFlow(f packet.Flow) bool {
+	_, ok := t.flowIdx.Lookup(f)
+	return ok
+}
+
 // Connection returns a connection by slot id (nil if out of range or
 // closed).
 func (t *TOE) Connection(id uint32) *Conn { return t.connOrNil(id) }

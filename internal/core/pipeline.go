@@ -121,6 +121,13 @@ type TOE struct {
 
 	txInflight  int
 	txPumpArmed bool
+	// A kick that found the carousel empty, and its instant (see kickTX).
+	txKickHeld bool
+	txKickAt   sim.Time
+	// eagerTX arms the pump on every kick: the run-to-completion
+	// ablation's rule, and the oracle TestHeldKickMatchesEagerArm holds
+	// held kicks to.
+	eagerTX bool
 
 	// PacketTap, when set, observes every frame entering or leaving the
 	// MAC (tcpdump; Table 2's logging build charges its cost).
@@ -308,6 +315,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 	}
 
 	if cfg.RunToCompletion {
+		t.eagerTX = true
 		t.mono = nfp.NewFPC(eng, "mono", &cfg.NFP)
 		t.mono.SetThreads(cfg.ThreadsPerFPC)
 	} else {
@@ -487,7 +495,7 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 		packet.Release(pkt)
 		return
 	}
-	t.own.ImmediatelyCall(t.controlCb, pkt)
+	t.ownNow(t.controlCb, pkt)
 }
 
 // protoAdmit distributes in-order segments to the connection's protocol
@@ -799,7 +807,7 @@ func txPayloadFetched(a any) {
 // completion.
 func (t *TOE) xferCall(n int, cb func(any), arg any) {
 	if n <= 0 {
-		t.own.ImmediatelyCall(cb, arg)
+		t.ownNow(cb, arg)
 		return
 	}
 	if t.copyRes != nil {

@@ -26,13 +26,39 @@ func (t *TOE) kickConn(c *Conn) {
 	}
 }
 
-// kickTX arms the transmit pump (idempotent within an instant).
+// kickTX arms the transmit pump (idempotent within an instant) when the
+// flow scheduler holds a flow, ready or on its wheel. A kick that finds the
+// carousel empty is only held, with its instant: armed, the pump would run
+// and find nothing unless a flow arrived before its turn, and a flow
+// arrives through submitFlow, whose own kick then arms it. That later arm
+// takes the place the held kick's arm would have had: the TOE arms a held
+// kick before it queues any later event of its own at that instant
+// (ownNow), and other owners' events order against the pump by rank, not
+// by sequence. The run-to-completion ablation arms on every kick.
 func (t *TOE) kickTX() {
 	if t.txPumpArmed {
 		return
 	}
-	t.txPumpArmed = true
+	if !t.eagerTX && t.sched.Empty() {
+		t.txKickHeld, t.txKickAt = true, t.eng.Now()
+		return
+	}
+	t.armTX()
+}
+
+// armTX queues the pump at the current instant.
+func (t *TOE) armTX() {
+	t.txPumpArmed, t.txKickHeld = true, false
 	t.own.ImmediatelyCall(toeTXPump, t)
+}
+
+// ownNow schedules cb(arg) on the TOE's own key at the current instant,
+// behind a pump for a kick held at this instant (see kickTX).
+func (t *TOE) ownNow(cb func(any), arg any) {
+	if t.txKickHeld && t.txKickAt == t.eng.Now() {
+		t.armTX()
+	}
+	t.own.ImmediatelyCall(cb, arg)
 }
 
 // Long-lived event callbacks for the transmit pump (see

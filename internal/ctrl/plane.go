@@ -6,8 +6,8 @@
 // The control plane executes on a host core (or SmartNIC control CPU) in
 // its own protection domain. It touches the data-path only through the
 // narrow MMIO/queue interface core.TOE exposes: AddConnection,
-// InjectHC(retransmit), SetCongestionWindow / SetRateInterval, and
-// ReadStats.
+// InjectHC(retransmit), SetCongestionWindow / SetRateInterval, ReadStats,
+// and HasFlow, the dial port allocator's probe.
 //
 // Timer architecture (doc.go "Connection state budget"): there is no
 // periodic full-table scan, and no list of connections to scan — Plane
@@ -20,6 +20,8 @@
 package ctrl
 
 import (
+	"fmt"
+
 	"flextoe/internal/core"
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
@@ -110,6 +112,7 @@ type Plane struct {
 	BacklogOverflows uint64 // SYNs dropped: listener backlog full
 	AcceptRateDrops  uint64 // SYNs dropped: accept-rate token bucket empty
 	HandshakeExpires uint64 // half-open connections reaped by timeout
+	PortSkips        uint64 // dial source ports passed over: their 4-tuple was live
 }
 
 // Conn is the control plane's view of an established connection, handed
@@ -249,12 +252,30 @@ func (p *Plane) sackEnabled() bool { return p.toe.Config().EnableSACK }
 // our SYN (backlog overflow, rate limit, loss), the half-open state
 // expires after handshakeTimeout and the connected callback never fires.
 func (p *Plane) Dial(remoteIP packet.IPv4Addr, remoteMAC packet.EtherAddr, remotePort uint16, connected func(*Conn)) {
-	p.nextPort++
-	flow := packet.Flow{SrcIP: p.cfg.LocalIP, DstIP: remoteIP, SrcPort: p.nextPort, DstPort: remotePort}
+	flow := p.ephemeral(packet.Flow{SrcIP: p.cfg.LocalIP, DstIP: remoteIP, DstPort: remotePort})
 	iss := uint32(p.rng.Uint64())
 	pc := &pendingConn{p: p, flow: flow, peerMAC: remoteMAC, iss: iss, active: true, connected: connected}
 	p.addPending(pc)
 	p.sendControl(flow, remoteMAC, packet.FlagSYN, iss, 0, p.sackEnabled())
+}
+
+// ephemeral gives flow the next source port whose 4-tuple is not live —
+// neither installed in the data path (one flow-index probe) nor half-open —
+// and counts the ports it passes over. The counter wraps past 65 535 and
+// never hands out port 0.
+func (p *Plane) ephemeral(flow packet.Flow) packet.Flow {
+	for range 1 << 16 {
+		p.nextPort++
+		if p.nextPort == 0 {
+			continue
+		}
+		flow.SrcPort = p.nextPort
+		if !p.toe.HasFlow(flow) && p.pending[flow] == nil {
+			return flow
+		}
+		p.PortSkips++
+	}
+	panic(fmt.Sprintf("ctrl: every source port toward %v:%d is in use", flow.DstIP, flow.DstPort))
 }
 
 // addPending registers a half-open connection and schedules its expiry.

@@ -157,6 +157,66 @@ func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	}
 }
 
+// TestDialPortWrapSkipsLiveFlows churns 70 000 dials through 100 live
+// connections on each personality (ROADMAP item 11(e)). The client's dial
+// counter wraps past 65 535 and comes round to the live connections' source
+// ports, which it must pass over and count, so every churned dial gets a
+// fresh 4-tuple and every live connection still carries its bytes after.
+// A bare uint16 counter files the 100 wrapped dials under live flows.
+func TestDialPortWrapSkipsLiveFlows(t *testing.T) {
+	const live, churn, perWave = 100, 70_000, 100
+	for _, kind := range []testbed.StackKind{testbed.FlexTOE, testbed.Linux} {
+		tb := testbed.New(netsim.SwitchConfig{Seed: 80},
+			testbed.MachineSpec{Name: "server", Kind: kind, BufSize: 4096, Seed: 80},
+			testbed.MachineSpec{Name: "client", Kind: kind, BufSize: 4096, Seed: 81},
+		)
+		srv, cl := tb.M("server"), tb.M("client")
+		// One listener: its first live accepts stay open and count the
+		// bytes they receive, every later one is closed at once.
+		got, kept, accepted := 0, 0, 0
+		srv.Stack.Listen(9090, func(sock api.Socket) {
+			if kept == live {
+				accepted++
+				sock.Close()
+				return
+			}
+			kept++
+			sock.OnReadable(func() {
+				n := sock.Readable()
+				sock.Consume(n)
+				got += n
+			})
+		})
+		var socks []api.Socket
+		for i := 0; i < live; i++ {
+			cl.Stack.Dial(tb.Addr("server", 9090), func(sock api.Socket) { socks = append(socks, sock) })
+		}
+		tb.Run(2 * sim.Millisecond)
+		churnLoop(tb, "client", "server", 9090, churn/perWave, perWave, sim.Millisecond)
+		tb.Run(tb.Eng.Now() + 30*sim.Millisecond)
+		for _, sock := range socks {
+			sock.Send([]byte{1})
+		}
+		tb.Run(tb.Eng.Now() + 2*sim.Millisecond)
+
+		var skips uint64
+		if kind == testbed.FlexTOE {
+			skips = cl.Ctrl.PortSkips
+		} else {
+			skips = cl.Base.PortSkips
+		}
+		t.Logf("%v: %d live, %d of %d churned dials accepted, %d port skips, %d bytes on the live connections",
+			kind, len(socks), accepted, churn, skips, got)
+		if len(socks) != live || accepted != churn || got != live {
+			t.Errorf("%v: %d of %d live connections, %d of %d churned dials accepted, %d of %d bytes delivered",
+				kind, len(socks), live, accepted, churn, got, live)
+		}
+		if skips != live {
+			t.Errorf("%v: %d port skips, want %d (one per live connection once the counter wraps)", kind, skips, live)
+		}
+	}
+}
+
 // socketRingBudgetBytes is the per-connection host-memory gate for a
 // connection that has moved one small request each way: both ends, all
 // four payload rings on their 4 KB start (16 KB) plus socket, connection

@@ -225,6 +225,10 @@ func (c *Carousel) NextDeadline() (sim.Time, bool) {
 	return 0, false
 }
 
+// Empty reports whether the scheduler holds no flow, ready or on the
+// wheel (stale entries of removed flows count as held until drained).
+func (c *Carousel) Empty() bool { return c.rrHead == len(c.rr) && c.wheelItems == 0 }
+
 // Pending returns the number of flows waiting (wheel + RR).
 func (c *Carousel) Pending() int {
 	n := 0
