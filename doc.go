@@ -50,8 +50,11 @@
 //     mid-pipeline drop point; it also releases the item's packet.
 //
 //   - Packets (internal/packet) and Frames (internal/netsim): a packet
-//     has exactly one owner at a time. Building one (packet.Get, payload
-//     carved from the shm.Slab via GrowPayload) and sending it transfers
+//     has exactly one owner at a time. Building one (packet.Get; a data
+//     segment's payload is a view of the sender's committed transmit
+//     bytes, SetPayloadView, and only a copy — a window straddling the
+//     ring's end, a duplicate of a copy — borrows a buffer from the
+//     shm.Slab via GrowPayload until Release) and sending it transfers
 //     ownership hop by hop through the fabric; whoever terminates its
 //     journey calls packet.Release exactly once — the consuming stack
 //     (FlexTOE pipeline after the payload DMA lands; the baseline stack
@@ -140,12 +143,16 @@
 //     flow index, and the free ring — NIC connection state — and
 //     excludes host payload buffers, which are an application sizing
 //     choice (ctrl.Plane.InstallEstablished therefore accepts shared
-//     buffers for idle fleets). The CI gate (TestMillionConnStateBudget)
-//     bounds the whole thing at 2x Table 5 — 346 B/conn at 10^6
-//     established connections (~330 B measured). Teardown returns a slot
-//     after a linger of four minimum RTOs (8 ms on the FlexTOE control
-//     plane, where the minimum RTO is a constant); churned fleets plateau
-//     (TestChurnSteadyStateMemory) instead of growing.
+//     buffers for idle fleets; data moves on one sharer at a time, and
+//     the next starts only once every byte of the last is acknowledged,
+//     because a sharer's stale frames read the next sharer's bytes and
+//     only its own receiver's trim makes that harmless). The CI gate
+//     (TestMillionConnStateBudget) bounds the whole thing at 2x Table 5 —
+//     346 B/conn at 10^6 established connections (~330 B measured).
+//     Teardown returns a slot after a linger of four minimum RTOs (8 ms
+//     on the FlexTOE control plane, where the minimum RTO is a constant);
+//     churned fleets plateau (TestChurnSteadyStateMemory) instead of
+//     growing.
 //
 //   - Listen-path hardening. Half-open connections per listener are
 //     bounded (ListenBacklog; control-plane default 128, baseline default
@@ -234,6 +241,27 @@
 //     whose payload content matters stages it via Reserve first, one
 //     that pads (fixed-size RPC benchmarks, bulk streams) may commit
 //     without staging.
+//
+//   - The payload lives once, in the host buffer. A data segment on the
+//     wire carries a view of its committed transmit bytes
+//     (shm.PayloadBuf.View into packet.Packet.SetPayloadView, on FlexTOE
+//     and the baselines alike), not a copy: the NIC never buffers
+//     segments (§3). A window straddling the physical ring's end is
+//     copied into a slab buffer; a ring nothing was written to (padding)
+//     yields a shared zero view; a switch duplicate shares the view. The
+//     view is safe because committed bytes are immutable until
+//     acknowledged and a move to full size leaves the old ring to its
+//     views. A frame that outlives the acknowledgment of its bytes — a
+//     switch duplicate, a reordered or a retransmitted original — may
+//     read bytes the sender has written since, but every acknowledged
+//     byte lies below the receiver's next expected sequence number, and
+//     both receivers trim below it before they write (the FlexTOE NBI
+//     reorder buffer also holds any ACK covering a segment behind that
+//     segment's payload DMA). So a stale view is only ever trimmed, never
+//     delivered (TestPayloadIntegrityUnderStaleViews streams a pattern
+//     through a duplicating, reordering, lossy switch on FlexTOE and
+//     Linux, finds stale frames, and checks every rewritten byte lies
+//     below the delivered point).
 //
 // Composition with the pooling rules above: the RX payload ring is
 // written by the data-path (DMA from pooled packets) strictly ahead of
@@ -450,7 +478,11 @@
 //
 //   - viewretain: Peek/Reserve/PayloadBuf.Slices views must stay local —
 //     never stored, never captured by an escaping closure, never used
-//     after the invalidating Consume/Commit on the same socket.
+//     after the invalidating Consume/Commit on the same socket. A
+//     PayloadBuf.View (a wire view) may flow only into
+//     Packet.SetPayloadView: storing it, capturing it in an escaping
+//     closure, returning it or passing it to any other call is a
+//     diagnostic.
 //   - poolown: pooled objects (packet.Get, netsim frames, shm
 //     freelists/slabs, segItems) must be released exactly once or handed
 //     off exactly once per acquisition.
@@ -481,10 +513,14 @@
 //
 // The runtime complement is the flexdebug build tag: `go test -tags
 // flexdebug ./...` makes every freelist panic on double release, fills
-// released packet payloads and slab buffers with 0xDB poison (so stale
-// reads see garbage and stale writes panic at the next Get), makes the
-// fabric panic on transmitting a released frame, and recomputes every
-// flow-hash memo that is served or seeded, panicking on a mismatch.
+// released slab buffers — the packets' payload copies — with 0xDB poison
+// (so stale reads see garbage and stale writes panic at the slab's next
+// Get), makes the fabric panic on transmitting a released frame,
+// recomputes every flow-hash memo that is served or seeded, panicking on
+// a mismatch, and checksums every wire view when SetPayloadView attaches
+// it: a receive path about to write a whole in-window payload
+// (core's rxPayloadLanded and the run-to-completion ablation, the
+// baseline's receivePayload) panics if the view changed in flight.
 package main
 
 import (

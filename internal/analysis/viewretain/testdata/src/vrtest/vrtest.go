@@ -4,6 +4,7 @@ package vrtest
 
 import (
 	"flextoe/internal/api"
+	"flextoe/internal/packet"
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 )
@@ -166,6 +167,46 @@ func payloadBufSlices(pb *shm.PayloadBuf) {
 	a, _ := pb.Slices(0, 64)
 	retained = a // want `Slices view a stored into package variable retained`
 }
+
+// frame is a stand-in for anything that outlives a segment build.
+type frame struct{ payload []byte }
+
+// wireViewIntoPacket is the one sanctioned flow of a wire view: into the
+// packet it is the payload of, with the straddling window copied.
+func wireViewIntoPacket(pb *shm.PayloadBuf, p *packet.Packet) {
+	if v, ok := pb.View(0, 64); ok {
+		p.SetPayloadView(v)
+		_ = len(v)
+	} else {
+		pb.ReadAt(0, p.GrowPayload(64))
+	}
+}
+
+func wireViewIntoField(pb *shm.PayloadBuf, f *frame, p *packet.Packet) {
+	v, _ := pb.View(0, 64)
+	f.payload = v      // want `View view v stored into field f\.payload: a wire view may flow only into Packet\.SetPayloadView`
+	p.Payload = v[:32] // want `View view v stored into field p\.Payload`
+}
+
+func wireViewIntoGlobal(pb *shm.PayloadBuf) {
+	v, _ := pb.View(0, 64)
+	retained = v // want `View view v stored into package variable retained`
+}
+
+func wireViewCaptured(pb *shm.PayloadBuf, own sim.Owner, p *packet.Packet) {
+	v, _ := pb.View(0, 64)
+	own.AfterCall(10, func(any) {
+		p.SetPayloadView(v) // want `View view v captured by AfterCall registration`
+	}, nil)
+}
+
+func wireViewHandedOn(pb *shm.PayloadBuf, f *frame) []byte {
+	v, _ := pb.View(0, 64)
+	keep(f, v) // want `View view v passed to keep`
+	return v   // want `View view v returned`
+}
+
+func keep(f *frame, b []byte) { f.payload = b }
 
 // annotated: a deliberate, justified retention is suppressed.
 func annotated(s *session) {

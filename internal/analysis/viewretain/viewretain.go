@@ -3,13 +3,17 @@
 // returned by Socket.Peek / Socket.Reserve (and shm.PayloadBuf.Slices)
 // are windows into a payload ring, not copies. They are invalidated by
 // the next Consume/Commit on the same socket and must never outlive the
-// callback that obtained them.
+// callback that obtained them. A wire view (shm.PayloadBuf.View) is a
+// data segment's payload and lives exactly as long as its packet: it may
+// flow only into packet.Packet.SetPayloadView.
 //
 // Three violation shapes are flagged, all intraprocedural:
 //
 //   - Retention: a view slice stored into a struct field, package-level
 //     variable, map/slice element, or sent on a channel. The store is the
 //     PR-5 hazard shape — the ring advances underneath the stored alias.
+//     A wire view is also retained when it is returned or passed to any
+//     call but SetPayloadView and the builtins.
 //   - Escaping capture: a view slice captured by a func literal in a
 //     retained position — a callback registration (On*), event scheduling
 //     (At/After/Every/Submit/Acquire and their Call forms), a go or defer
@@ -37,8 +41,8 @@ import (
 // Analyzer is the viewretain pass.
 var Analyzer = &flexanalysis.Analyzer{
 	Name: "viewretain",
-	Doc: "forbid retaining Peek/Reserve/Slices ring views in fields, globals, " +
-		"escaping closures, or past Consume/Commit",
+	Doc: "forbid retaining Peek/Reserve/Slices/View ring views in fields, globals, " +
+		"escaping closures, or past Consume/Commit, and any use of a View but SetPayloadView",
 	Run: run,
 }
 
@@ -48,6 +52,7 @@ const (
 	kindPeek viewKind = iota
 	kindReserve
 	kindSlices
+	kindView // shm.PayloadBuf.View: a data segment's payload
 )
 
 func (k viewKind) String() string {
@@ -56,9 +61,21 @@ func (k viewKind) String() string {
 		return "Peek"
 	case kindReserve:
 		return "Reserve"
+	case kindView:
+		return "View"
 	default:
 		return "Slices"
 	}
+}
+
+// rule states, for a diagnostic, why a view of this kind must not go
+// where it went.
+func (k viewKind) rule() string {
+	if k == kindView {
+		return "a wire view may flow only into Packet.SetPayloadView"
+	}
+	return "ring views are invalidated by the next " + k.invalidatedBy() +
+		" and must not outlive the callback that obtained them"
 }
 
 // invalidatedBy names the call that kills views of this kind.
@@ -159,9 +176,13 @@ func viewCall(pass *flexanalysis.Pass, call *ast.CallExpr) (recv ast.Expr, kind 
 			k = kindReserve
 		}
 		return sel.X, k, true
-	case "Slices":
+	case "Slices", "View":
 		if flexanalysis.NamedIs(selection.Recv(), "flextoe/internal/shm", "PayloadBuf") {
-			return sel.X, kindSlices, true
+			k := kindSlices
+			if sel.Sel.Name == "View" {
+				k = kindView
+			}
+			return sel.X, k, true
 		}
 	}
 	return nil, 0, false
@@ -188,7 +209,8 @@ func bindViews(pass *flexanalysis.Pass, sc *scope) {
 			if !ok || id.Name == "_" {
 				continue
 			}
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			// View's second result is its ok flag, not a view.
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil && flexanalysis.IsByteSlice(obj.Type()) {
 				sc.views[obj] = &viewVar{kind: kind, recv: recvStr, pos: id}
 			}
 		}
@@ -223,12 +245,18 @@ func aliasIdents(e ast.Expr, out []*ast.Ident) []*ast.Ident {
 }
 
 // checkRetention flags stores of view values into locations that outlive
-// the view: fields, package variables, map/slice elements, channels.
+// the view: fields, package variables, map/slice elements, channels; and
+// a wire view handed to anything but SetPayloadView.
 func checkRetention(pass *flexanalysis.Pass, sc *scope) {
 	report := func(id *ast.Ident, vv *viewVar, where string) {
-		pass.Reportf(id.Pos(),
-			"%s view %s stored into %s: ring views are invalidated by the next %s and must not outlive the callback that obtained them",
-			vv.kind, id.Name, where, vv.kind.invalidatedBy())
+		pass.Reportf(id.Pos(), "%s view %s stored into %s: %s", vv.kind, id.Name, where, vv.kind.rule())
+	}
+	wireViews := func(e ast.Expr, where string) {
+		for _, id := range aliasIdents(e, nil) {
+			if vv, ok := sc.views[pass.TypesInfo.ObjectOf(id)]; ok && vv.kind == kindView {
+				pass.Reportf(id.Pos(), "%s view %s %s: %s", vv.kind, id.Name, where, vv.kind.rule())
+			}
+		}
 	}
 	classifyLHS := func(lhs ast.Expr) (string, bool) {
 		switch l := lhs.(type) {
@@ -275,9 +303,42 @@ func checkRetention(pass *flexanalysis.Pass, sc *scope) {
 					report(id, vv, "channel send")
 				}
 			}
+		case *ast.CallExpr:
+			if name := callName(st); !isBuiltin(pass, st) && !isSetPayloadView(pass, st) {
+				for _, a := range st.Args {
+					wireViews(a, "passed to "+name)
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, r := range st.Results {
+				wireViews(r, "returned")
+			}
 		}
 		return true
 	})
+}
+
+// isBuiltin reports a call of a predeclared function (len, copy, ...):
+// none of them retains its arguments.
+func isBuiltin(pass *flexanalysis.Pass, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, builtin := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return builtin
+}
+
+// isSetPayloadView reports a call of packet.Packet.SetPayloadView, the one
+// sink a wire view may flow into.
+func isSetPayloadView(pass *flexanalysis.Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "SetPayloadView" {
+		return false
+	}
+	selection := pass.TypesInfo.Selections[sel]
+	return selection != nil && selection.Kind() == types.MethodVal &&
+		flexanalysis.NamedIs(selection.Recv(), "flextoe/internal/packet", "Packet")
 }
 
 // retainedLitPositions collects func literals in retained positions

@@ -498,6 +498,9 @@ func (s *Stack) receivePayload(c *bconn, pkt *packet.Packet) {
 	}
 
 	maxIvs := s.prof.oooIvs()
+	if len(data) == len(pkt.Payload) {
+		pkt.CheckPayloadView()
+	}
 
 	if start == c.rcvd {
 		// In order: write, merge intervals, deliver.
@@ -686,8 +689,8 @@ func (c *bconn) appendSACK(tcp *packet.TCP) {
 }
 
 // mkPacket fills a recycled packet with the connection's headers. The
-// caller attaches payload (GrowPayload) and owns the packet until it is
-// transmitted.
+// caller attaches payload (SetPayloadView or GrowPayload) and owns the
+// packet until it is transmitted.
 func (s *Stack) mkPacket(c *bconn, seq uint32, flags uint8) *packet.Packet {
 	pkt := s.pkts.Get()
 	pkt.Eth = packet.Ethernet{Src: s.localMAC, Dst: c.peerMAC, EtherType: packet.EtherTypeIPv4}
@@ -789,7 +792,13 @@ func (s *Stack) emitSegment(c *bconn, off, n uint64, fin bool) {
 		c.finSent = true
 	}
 	pkt := s.mkPacket(c, c.sndSeq(off), flags)
-	c.tx.ReadAt(uint32(off), pkt.GrowPayload(int(n)))
+	// The payload is the socket buffer's committed bytes in place; only a
+	// window straddling the ring's end is copied.
+	if v, ok := c.tx.View(uint32(off), uint32(n)); ok {
+		pkt.SetPayloadView(v)
+	} else {
+		c.tx.ReadAt(uint32(off), pkt.GrowPayload(int(n)))
+	}
 	s.TxSegs++
 	// Sent high-water mark: any payload byte below it has been on the
 	// wire before — the m-lab SendNext retransmit criterion, and the

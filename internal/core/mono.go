@@ -80,6 +80,9 @@ func monoRXDone(a any) {
 	}
 	res := tcpseg.ProcessRX(&conn2.Proto, &conn2.Post, &info, t.tsNow())
 	if res.WriteLen > 0 {
+		if res.WriteOff == 0 && int(res.WriteLen) == len(pkt.Payload) {
+			pkt.CheckPayloadView()
+		}
 		conn2.RxBuf.WriteAt(res.WritePos, pkt.Payload[res.WriteOff:res.WriteOff+res.WriteLen])
 	}
 	packet.Release(pkt) // the run-to-completion path consumes it here

@@ -766,6 +766,9 @@ func (t *TOE) dmaDone(s *segItem) {
 func rxPayloadLanded(a any) {
 	s := a.(*segItem)
 	conn := s.connRef
+	if s.rx.WriteOff == 0 && int(s.rx.WriteLen) == len(s.pkt.Payload) {
+		s.pkt.CheckPayloadView()
+	}
 	conn.RxBuf.WriteAt(s.rx.WritePos, s.pkt.Payload[s.rx.WriteOff:s.rx.WriteOff+s.rx.WriteLen])
 	s.toe.rxComplete(s)
 }
@@ -976,9 +979,10 @@ func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
 	return pkt
 }
 
-// buildData constructs a data segment into a recycled packet, fetching
-// real payload bytes from the host transmit buffer into the packet's
-// slab-backed payload (the DMA the paper's TX pipeline performs).
+// buildData constructs a data segment into a recycled packet whose
+// payload is the host transmit buffer's committed bytes in place (the DMA
+// the paper's TX pipeline performs, one-shot: no staging copy). Only a
+// window straddling the ring's end is copied, into a slab buffer.
 func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
 	flags := packet.FlagACK | packet.FlagPSH
 	if s.tx.FIN {
@@ -986,8 +990,11 @@ func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
 		t.trace.Hit(trace.TPConnFinTx)
 	}
 	pkt := t.pkts.Get()
-	payload := pkt.GrowPayload(int(s.tx.Len))
-	conn.TxBuf.ReadAt(s.tx.BufPos, payload)
+	if v, ok := conn.TxBuf.View(s.tx.BufPos, s.tx.Len); ok {
+		pkt.SetPayloadView(v)
+	} else {
+		conn.TxBuf.ReadAt(s.tx.BufPos, pkt.GrowPayload(int(s.tx.Len)))
+	}
 	pkt.Eth = packet.Ethernet{Src: t.iface.MAC, Dst: conn.Pre.PeerMAC, EtherType: packet.EtherTypeIPv4}
 	pkt.IP = packet.IPv4{
 		TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0,

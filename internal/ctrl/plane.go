@@ -467,7 +467,10 @@ func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uin
 // buffers and MAY share one buffer pair across many idle connections
 // (per-connection buffers are a host sizing choice, not NIC state; see
 // doc.go "Connection state budget") — but must then never transfer data
-// on more than one of the sharers at a time.
+// on more than one of the sharers at a time, nor start on the next before
+// every byte of the last is acknowledged: data segments carry views of
+// the shared transmit buffer, so a sharer's stale frames read the next
+// sharer's bytes, which only its own receiver's trim makes harmless.
 func (p *Plane) InstallEstablished(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uint32,
 	txBuf, rxBuf *shm.PayloadBuf) *Conn {
 	return p.install(flow, peerMAC, iss, irs, txBuf, rxBuf, 0, false)

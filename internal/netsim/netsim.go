@@ -551,16 +551,20 @@ func (s *Switch) forwardFrom(in *Iface, f *Frame) {
 	s.forwardOne(in, f)
 }
 
-// cloneFrame deep-copies a frame for duplication injection: a fresh pooled
-// packet takes struct copies of the headers and a payload copy, so the
-// duplicate's journey is owned independently of the original's.
+// cloneFrame copies a frame for duplication injection: a fresh pooled
+// packet takes struct copies of the headers, so the duplicate's journey is
+// owned independently of the original's. A payload view of the sender's
+// transmit bytes is shared — the duplicate is one more reader of them —
+// and only a payload the packet owns is copied.
 func (s *Switch) cloneFrame(f *Frame) *Frame {
 	p := packet.PoolOf(s.eng).Get()
 	p.Eth = f.Pkt.Eth
 	p.IP = f.Pkt.IP
 	p.TCP = f.Pkt.TCP
 	p.SeedFlowHashes(f.Pkt.FlowHash(), f.Pkt.RevFlowHash())
-	if n := len(f.Pkt.Payload); n > 0 {
+	if f.Pkt.PayloadIsView() {
+		p.SetPayloadView(f.Pkt.Payload)
+	} else if n := len(f.Pkt.Payload); n > 0 {
 		copy(p.GrowPayload(n), f.Pkt.Payload)
 	}
 	return FramesOf(s.eng).NewFrame(p, f.Ingress)

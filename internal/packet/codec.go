@@ -20,13 +20,18 @@ type Packet struct {
 	TCP     TCP
 	Payload []byte
 
-	// buf is the retained payload backing of a pooled packet (GrowPayload
-	// carves Payload from it); pooled marks packets obtained from a Pool
-	// so Release is a safe no-op on ordinary &Packet{} literals; pool is
-	// the pool the packet was drawn from.
+	// buf is the payload copy a pooled packet borrowed from its pool's
+	// slab for this journey (GrowPayload carves Payload from it; Release
+	// returns it). view marks a Payload that is a view of the sender's
+	// transmit bytes (SetPayloadView), which the packet never owns. pooled
+	// marks packets obtained from a Pool so Release is a safe no-op on
+	// ordinary &Packet{} literals; pool is the pool the packet was drawn
+	// from.
 	buf    []byte
 	pooled bool
+	view   bool
 	pool   *Pool
+	vsum   viewSum // zero-size unless built with -tags flexdebug
 
 	// Flow-hash memo (FlowHash/RevFlowHash): hashFlow is the 4-tuple
 	// fwdHash and revHash were computed for, valid while hashed is set

@@ -4,31 +4,21 @@ package packet
 
 import (
 	"fmt"
-
-	"flextoe/internal/shm"
+	"hash/crc32"
 )
 
-// poisonPayload fills the released packet's retained payload backing with
-// the poison byte. A stale Payload slice held past Release now reads
-// deterministic garbage, and any write through it is caught by checkPoison
-// when the pool hands the packet out again.
-func poisonPayload(p *Packet) {
-	buf := p.buf[:cap(p.buf)]
-	for i := range buf {
-		buf[i] = shm.PoisonByte
-	}
-}
+// viewSum is the CRC-32 of a payload view taken when SetPayloadView
+// attached it. A receiver that writes the whole payload in window
+// recomputes it: those bytes are unacknowledged, so a sender must not
+// have rewritten them since.
+type viewSum struct{ sum uint32 }
 
-// checkPoison verifies the payload backing is still fully poisoned at Get:
-// a dirty byte means someone wrote through a Payload slice they no longer
-// owned.
-func checkPoison(p *Packet) {
-	buf := p.buf[:cap(p.buf)]
-	for i, b := range buf {
-		if b != shm.PoisonByte {
-			panic(fmt.Sprintf("packet: write-after-release detected: payload byte %d of %p is %#x, want poison %#x",
-				i, p, b, shm.PoisonByte))
-		}
+func (s *viewSum) record(v []byte) { s.sum = crc32.ChecksumIEEE(v) }
+
+func (s *viewSum) check(v []byte) {
+	if got := crc32.ChecksumIEEE(v); got != s.sum {
+		panic(fmt.Sprintf("packet: payload view of %d bytes changed in flight: CRC-32 %#x, attached as %#x (transmit bytes rewritten before their acknowledgment)",
+			len(v), got, s.sum))
 	}
 }
 

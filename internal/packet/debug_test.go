@@ -22,13 +22,37 @@ func TestPacketDoubleReleasePanics(t *testing.T) {
 	_ = Get()
 }
 
+// TestPacketWriteAfterReleaseCaught: Release returns a copy's buffer to
+// the slab, so a stale write through it is caught when the slab hands the
+// buffer to the next copy.
 func TestPacketWriteAfterReleaseCaught(t *testing.T) {
 	p := Get()
 	payload := p.GrowPayload(32)
 	Release(p)
-	// Stale write through the view handed out before Release.
+	// Stale write through the payload handed out before Release.
 	payload[5] = 0xAA
-	mustPanic(t, "Get after write-after-release", func() { _ = Get() })
+	mustPanic(t, "GrowPayload after write-after-release", func() { _ = Get().GrowPayload(32) })
+}
+
+// TestPayloadViewChangeCaught: a view whose bytes change between
+// SetPayloadView and the receiver's whole-payload write panics there; an
+// untouched view, a copy and a released view pass.
+func TestPayloadViewChangeCaught(t *testing.T) {
+	ring := []byte("committed transmit bytes")
+	p := Get()
+	p.SetPayloadView(ring[:9])
+	p.CheckPayloadView()
+	ring[3] = 'X' // the sender rewrote an unacknowledged byte
+	mustPanic(t, "CheckPayloadView on a changed view", p.CheckPayloadView)
+	Release(p)
+	if ring[0] != 'c' {
+		t.Fatal("Release poisoned a view")
+	}
+	q := Get()
+	copy(q.GrowPayload(9), ring)
+	ring[0] = 'Y'
+	q.CheckPayloadView() // a copy is the packet's own
+	Release(q)
 }
 
 func TestPacketStaleReadSeesPoison(t *testing.T) {
@@ -43,9 +67,11 @@ func TestPacketStaleReadSeesPoison(t *testing.T) {
 			t.Fatalf("stale payload byte %d = %#x, want poison 0xDB", i, v)
 		}
 	}
-	// Reacquire (contents untouched, so the check passes) and restore the
-	// pool to a clean state.
-	Release(Get())
+	// Reacquire the buffer (contents untouched, so the check passes) and
+	// restore the pool to a clean state.
+	q := Get()
+	q.GrowPayload(16)
+	Release(q)
 }
 
 // TestWrongFlowHashSeedPanics: a builder that stamps another flow's hashes

@@ -5,9 +5,14 @@ import (
 	"flextoe/internal/sim"
 )
 
-// The data path builds every ACK and data segment into a recycled Packet
-// whose payload bytes are carved from a slab (shm.Slab), so the
-// steady-state wire path performs no heap allocation.
+// The data path builds every ACK and data segment into a recycled Packet.
+// A data segment's payload is a view of the sender's committed transmit
+// bytes (SetPayloadView of an shm.PayloadBuf.View): the payload lives once,
+// in the host buffer. Only a copy — a window straddling the ring's end, a
+// duplicate of a copy — borrows a buffer from the pool's slab
+// (GrowPayload) for its packet's journey, and Release returns it. So the
+// steady-state wire path performs no heap allocation, and the slab holds
+// the copies in flight, not the shells' high-water mark.
 //
 // Ownership rule (the single rule everything follows): a Packet has
 // exactly one owner at a time. Building one and handing it to the fabric
@@ -26,8 +31,8 @@ import (
 // wherever the journey ends — recycles into that pool.
 
 // Pool is one engine's packet pool: a freelist of Packet shells plus the
-// slab backing their payload bytes. A Pool is single-threaded; use one
-// per engine (PoolOf) or per test.
+// slab their payload copies borrow from. A Pool is single-threaded; use
+// one per engine (PoolOf) or per test.
 type Pool struct {
 	slab *shm.Slab
 	free shm.Freelist[Packet]
@@ -41,8 +46,8 @@ type Pool struct {
 }
 
 // NewPool returns an empty pool. The 2 KB payload class covers the
-// MTU-sized segments of every experiment; oversized payloads fall back to
-// a dedicated make that the packet then retains.
+// MTU-sized segments of every experiment; an oversized copy falls back to
+// a dedicated make that Release leaves to the collector.
 func NewPool() *Pool {
 	return &Pool{slab: shm.NewSlab(2048, 256)}
 }
@@ -68,11 +73,14 @@ func PoolOf(eng *sim.Engine) *Pool {
 func (pl *Pool) Get() *Packet {
 	pl.Stats.Gets++
 	if p := pl.free.Get(); p != nil {
-		checkPoison(p)
 		return p
 	}
 	return &Packet{pooled: true, pool: pl}
 }
+
+// SlabBlocks returns how many blocks the pool's payload slab has carved:
+// its high-water mark of payload copies in flight, in units of 256.
+func (pl *Pool) SlabBlocks() uint64 { return pl.slab.Blocks }
 
 // Get returns a zeroed pooled Packet from the default pool. Single-
 // threaded callers only; simulations use PoolOf(engine).Get.
@@ -92,20 +100,18 @@ func Release(p *Packet) {
 	}
 	pl := p.pool
 	pl.Stats.Releases++
-	buf := p.buf
-	*p = Packet{}
-	p.buf = buf[:0]
-	p.pooled = true
-	p.pool = pl
-	poisonPayload(p)
+	if p.buf != nil {
+		pl.slab.Put(p.buf) // poisoned under flexdebug; a view is never touched
+	}
+	*p = Packet{pooled: true, pool: pl}
 	pl.free.Put(p)
 }
 
-// GrowPayload sets p.Payload to an n-byte buffer carved from the packet's
-// retained backing (growing it from the owning pool's slab on first use)
-// and returns it. The contents are unspecified; callers overwrite them
-// fully.
+// GrowPayload sets p.Payload to an n-byte copy buffer the packet owns —
+// borrowed from the owning pool's slab until Release — and returns it.
+// The contents are unspecified; callers overwrite them fully.
 func (p *Packet) GrowPayload(n int) []byte {
+	p.view = false
 	if cap(p.buf) < n {
 		if p.pooled && n <= p.pool.slab.Class() {
 			p.buf = p.pool.slab.Get()
@@ -115,4 +121,31 @@ func (p *Packet) GrowPayload(n int) []byte {
 	}
 	p.Payload = p.buf[:n]
 	return p.Payload
+}
+
+// SetPayloadView makes v, a view of committed transmit bytes
+// (shm.PayloadBuf.View), the packet's payload without copying it. The
+// packet never writes, poisons or recycles a view; Release only drops it.
+// Under -tags flexdebug the packet records a checksum of v, which
+// CheckPayloadView compares.
+func (p *Packet) SetPayloadView(v []byte) {
+	p.Payload = v
+	p.view = true
+	p.vsum.record(v)
+}
+
+// PayloadIsView reports whether the payload is a view of transmit bytes
+// (SetPayloadView) rather than bytes the packet owns.
+func (p *Packet) PayloadIsView() bool { return p.view }
+
+// CheckPayloadView is called by a receiver about to write the packet's
+// whole payload into its receive ring, every byte in window. Those bytes
+// are unacknowledged, so a view must still read what it read when it was
+// attached. Under -tags flexdebug a changed view panics (a sender that
+// rewrote transmit bytes before their acknowledgment); otherwise this
+// does nothing.
+func (p *Packet) CheckPayloadView() {
+	if p.view {
+		p.vsum.check(p.Payload)
+	}
 }

@@ -14,3 +14,4 @@ func (poolCheck[T]) got(x *T) {}
 func (poolCheck[T]) put(x *T) {}
 
 func slabPoison(b []byte) {}
+func slabCheck(b []byte)  {}

@@ -40,3 +40,14 @@ func slabPoison(b []byte) {
 		b[i] = PoisonByte
 	}
 }
+
+// slabCheck verifies a recycled buffer is still fully poisoned when Get
+// hands it out again: a dirty byte means someone wrote through a slice of
+// a buffer they had already returned.
+func slabCheck(b []byte) {
+	for i, v := range b[:cap(b)] {
+		if v != PoisonByte {
+			panic(fmt.Sprintf("shm: write-after-release detected: slab byte %d is %#x, want poison %#x", i, v, PoisonByte))
+		}
+	}
+}

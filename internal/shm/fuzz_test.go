@@ -1,0 +1,300 @@
+package shm
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// heldView is a View result kept across later operations, as a data
+// segment on the wire keeps its payload.
+type heldView struct {
+	pos  uint32
+	v    []byte
+	zero bool // taken of a ring nothing was written to
+}
+
+// viewCoverage names the corners checkPayloadBuf reached.
+type viewCoverage struct {
+	zeroViews int  // views of a never-written ring
+	straddles int  // View calls that reported the ring end in the window
+	direct    bool // the ring went nil -> full size at once
+	grew      bool // the ring went small -> full size
+	heldMove  bool // a view taken of the small ring was checked after the move
+	smallWrap bool // a View was taken after a write wrapped the small ring
+	fullWrap  bool // a View was taken after a write wrapped the full ring
+}
+
+// checkPayloadBuf drives one PayloadBuf with the operations data encodes
+// and holds it to a flat reference of the logical stream (ref[i] is the
+// byte at position base+i). data[0] picks the logical size (8 to 64 KB,
+// all above the 4 KB small ring) and whether positions start just below
+// the uint32 wrap; then every three bytes are one operation:
+//
+//	op%8 0, 1  in-order write at head (WriteAt, or through Slices as Reserve+Commit does)
+//	     2     write a block ahead of a hole      3  fill the hole
+//	     4     Release part or all of the live window
+//	     5     View a window and hold it          6  Slices a window   7  ReadAt a window
+//
+// After every operation each held view must still read the reference
+// while its bytes are unreleased — across writes, wraps and the move to
+// full size — and a view of a never-written ring must read zeros forever.
+func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
+	var cov viewCoverage
+	if len(data) == 0 {
+		return cov
+	}
+	size := uint32(8192) << (data[0] & 3)
+	b := NewPayloadBuf(size)
+	start := uint32(0)
+	if data[0]&4 != 0 {
+		start = -size - size/2 // cross the uint32 wrap of the absolute positions
+	}
+	b.Release(start)
+	tail, head, oooS, oooE := start, start, start, start
+	base, ref := start, []byte(nil)
+	var held []heldView
+	var wroteSmallWrap, wroteFullWrap bool
+
+	// length decodes a write or window length below limit from two bytes:
+	// mostly short, sometimes up to 32 KB.
+	length := func(x, y byte, limit uint32) uint32 {
+		n := 1 + uint32(y)
+		if x >= 128 {
+			n = 1 + (uint32(x-128)<<8 | uint32(y))
+		}
+		return 1 + (n-1)%limit
+	}
+	write := func(pos, n uint32, viaSlices bool, fill byte) {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = fill + byte(i*7) + byte((pos+uint32(i))>>8)
+		}
+		if end := pos + n - base; end > uint32(len(ref)) {
+			ref = append(ref, make([]byte, end-uint32(len(ref)))...)
+		}
+		copy(ref[pos-base:], p)
+		before := len(b.data)
+		if viaSlices {
+			a, c := b.Slices(pos, n)
+			copy(c, p[copy(a, p):])
+		} else {
+			b.WriteAt(pos, p)
+		}
+		phys := uint32(len(b.data))
+		if before != len(b.data) && phys == size {
+			cov.direct = cov.direct || before == 0
+			if before != 0 {
+				cov.grew = true
+				for _, h := range held {
+					cov.heldMove = cov.heldMove || !h.zero
+				}
+			}
+		}
+		if pos&(phys-1)+n > phys {
+			wroteSmallWrap = wroteSmallWrap || phys < size
+			wroteFullWrap = wroteFullWrap || phys == size
+		}
+	}
+	// window picks [pos, pos+n) inside the written live bytes.
+	window := func(x, y byte) (pos, n uint32, ok bool) {
+		lo, hi := tail, head
+		if oooS != oooE && x&1 == 1 {
+			lo, hi = oooS, oooE
+		}
+		if hi == lo {
+			return 0, 0, false
+		}
+		off := uint32(x) * (hi - lo) / 256
+		return lo + off, length(y, x^y, hi-lo-off), true
+	}
+	want := func(pos, n uint32) []byte { return ref[pos-base : pos-base+n] }
+
+	for i := 1; i+2 < len(data); i += 3 {
+		op, x, y := data[i]%8, data[i+1], data[i+2]
+		free := size - (head - tail)
+		switch {
+		case op < 2 && oooS == oooE && free > 0:
+			n := length(x, y, free)
+			write(head, n, op == 1, x)
+			head += n
+			oooS, oooE = head, head
+		case op == 2 && oooS == oooE && free > 2:
+			gap := 1 + uint32(x)%(free-2)
+			n := length(y, x, free-gap)
+			oooS, oooE = head+gap, head+gap+n
+			write(oooS, n, y&1 == 1, y)
+		case op == 3 && oooS != oooE:
+			write(head, oooS-head, x&1 == 1, x)
+			head = oooE
+			oooS = oooE
+		case op == 4 && head != tail:
+			n := max((head-tail)*(uint32(x)+1)/256, 1) // x == 255: all of it
+			b.Release(n)
+			tail += n
+		case op == 5 && b.data == nil:
+			// Nothing was ever written: any window reads as zeros.
+			pos, n := tail+uint32(x)*size/256, length(y, x, size)
+			v, ok := b.View(pos, n)
+			if !ok || uint32(len(v)) != n || b.data != nil {
+				t.Fatalf("View(%d, %d) on an unwritten ring: %d bytes, ok %v, ring %d bytes", pos, n, len(v), ok, len(b.data))
+			}
+			cov.zeroViews++
+			held = append(held, heldView{pos: pos, v: v, zero: true})
+		case op == 5:
+			pos, n, ok := window(x, y)
+			if !ok {
+				break
+			}
+			phys := len(b.data)
+			v, ok := b.View(pos, n)
+			if len(b.data) != phys {
+				t.Fatalf("View(%d, %d) moved the ring from %d to %d bytes", pos, n, phys, len(b.data))
+			}
+			if !ok {
+				if pos&uint32(phys-1)+n <= uint32(phys) {
+					t.Fatalf("View(%d, %d) refused a window the %d-byte ring holds in one piece", pos, n, phys)
+				}
+				cov.straddles++
+				break
+			}
+			if !bytes.Equal(v, want(pos, n)) || cap(v) != len(v) {
+				t.Fatalf("View(%d, %d) (ring %d bytes, cap %d) differs from the stream", pos, n, phys, cap(v))
+			}
+			cov.smallWrap = cov.smallWrap || wroteSmallWrap
+			cov.fullWrap = cov.fullWrap || wroteFullWrap
+			held = append(held, heldView{pos: pos, v: v})
+			if len(held) > 8 {
+				held = held[1:]
+			}
+		case op == 6:
+			if pos, n, ok := window(x, y); ok {
+				a, c := b.Slices(pos, n)
+				if got := append(append([]byte(nil), a...), c...); !bytes.Equal(got, want(pos, n)) {
+					t.Fatalf("Slices(%d, %d) differs from the stream", pos, n)
+				}
+			}
+		case op == 7:
+			if pos, n, ok := window(x, y); ok {
+				got := make([]byte, n)
+				b.ReadAt(pos, got)
+				if !bytes.Equal(got, want(pos, n)) {
+					t.Fatalf("ReadAt(%d, %d) differs from the stream", pos, n)
+				}
+			}
+		}
+
+		kept := held[:0]
+		for _, h := range held {
+			if h.zero {
+				if bytes.Count(h.v, []byte{0}) != len(h.v) {
+					t.Fatalf("op %d: a zero view of [%d,%d) was written through", i/3, h.pos, h.pos+uint32(len(h.v)))
+				}
+				kept = append(kept, h)
+				continue
+			}
+			if int32(h.pos-tail) < 0 {
+				continue // released: the sender may rewrite these bytes now
+			}
+			if !bytes.Equal(h.v, want(h.pos, uint32(len(h.v)))) {
+				t.Fatalf("op %d: held view of [%d,%d) changed while its bytes were live (ring %d bytes)",
+					i/3, h.pos, h.pos+uint32(len(h.v)), len(b.data))
+			}
+			kept = append(kept, h)
+		}
+		held = kept
+		// Forget released reference bytes: no held view starts below tail.
+		if d := tail - base; d > 1<<17 {
+			ref = append([]byte(nil), ref[d:]...)
+			base = tail
+		}
+	}
+	return cov
+}
+
+// FuzzPayloadBuf holds PayloadBuf's WriteAt/Release/Slices/View/ReadAt to
+// a flat reference of the logical stream on arbitrary operation sequences
+// (see checkPayloadBuf for the encoding), views held across later writes
+// and the ring's moves included. The committed corpus
+// (testdata/fuzz/FuzzPayloadBuf: 600 random operations on every size and
+// start, one run of 3 000, and a directed run that views the small ring
+// and then outgrows it) reaches every corner viewCoverage names.
+func FuzzPayloadBuf(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkPayloadBuf(t, data) })
+}
+
+// payloadBufSeedOps returns a selector byte and n random operations,
+// short writes only in the first half. Two views of the still unwritten
+// ring come first; with direct, the first write outgrows the small ring
+// at once.
+func payloadBufSeedOps(seed int64, sel byte, n int, direct bool) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{sel, 5, byte(seed), 200, 5, 77, byte(seed)}
+	if direct {
+		data = append(data, 0, 128+40, 0) // a 10 KB write
+	}
+	for i := 0; i < n; i++ {
+		x, y := byte(rng.Intn(256)), byte(rng.Intn(256))
+		if i < n/2 && x >= 128 {
+			x -= 128
+		}
+		data = append(data, byte(rng.Intn(256)), x, y)
+	}
+	return data
+}
+
+// TestPayloadBufViewMatchesStream runs long seeded sequences through
+// checkPayloadBuf on every size and requires the corners the view
+// contract depends on: zero views of an unwritten ring, straddling windows
+// refused, a view of the small ring held across its move to full size,
+// views after the small and the full ring wrapped, and a ring that went
+// nil -> full at once.
+func TestPayloadBufViewMatchesStream(t *testing.T) {
+	var all viewCoverage
+	for seed := int64(1); seed <= 8; seed++ {
+		cov := checkPayloadBuf(t, payloadBufSeedOps(seed, byte(seed-1), 3000, seed%2 == 0))
+		t.Logf("seed %d: %+v", seed, cov)
+		all.zeroViews += cov.zeroViews
+		all.straddles += cov.straddles
+		all.direct = all.direct || cov.direct
+		all.grew = all.grew || cov.grew
+		all.heldMove = all.heldMove || cov.heldMove
+		all.smallWrap = all.smallWrap || cov.smallWrap
+		all.fullWrap = all.fullWrap || cov.fullWrap
+	}
+	if all.zeroViews == 0 || all.straddles == 0 || !all.direct || !all.grew || !all.heldMove ||
+		!all.smallWrap || !all.fullWrap {
+		t.Errorf("the runs reached only %+v", all)
+	}
+}
+
+// TestPayloadBufView pins View's contract on small cases: in place and
+// capped, false across the ring end, zeros without allocating on an
+// unwritten ring, and the old bytes kept by a view across the move to
+// full size.
+func TestPayloadBufView(t *testing.T) {
+	b := NewPayloadBuf(16384)
+	if v, ok := b.View(100, 1448); !ok || len(v) != 1448 || !bytes.Equal(v, make([]byte, 1448)) || b.data != nil {
+		t.Fatalf("unwritten ring: View = %d bytes, ok %v, ring %d bytes", len(v), ok, len(b.data))
+	}
+	b.WriteAt(0, []byte("committed"))
+	v, ok := b.View(0, 9)
+	if !ok || string(v) != "committed" || cap(v) != 9 || &v[0] != &b.data[0] {
+		t.Fatalf("View = %q (cap %d, ok %v), want the ring's bytes in place", v, cap(v), ok)
+	}
+	if _, ok := b.View(smallRing-4, 8); ok {
+		t.Fatal("View of a window straddling the small ring's end reported ok")
+	}
+	small := len(b.data)
+	b.WriteAt(9, make([]byte, 2*smallRing)) // the live window outgrows the small ring
+	if len(b.data) == small {
+		t.Fatal("the ring did not move to full size")
+	}
+	b.WriteAt(0, []byte("rewritten")) // only after the move, and only in the new ring
+	if string(v) != "committed" {
+		t.Fatalf("a view held across the move reads %q", v)
+	}
+	if w, ok := b.View(0, 9); !ok || string(w) != "rewritten" {
+		t.Fatalf("View after the move = %q, ok %v", w, ok)
+	}
+}

@@ -1,9 +1,10 @@
 // Package shm models the shared-memory structures at the host/NIC
 // boundary (§3, Fig. 2): per-socket payload buffers in host memory that
-// the data-path DMAs into directly (one-shot offload: the NIC never
-// buffers segments), context-queue descriptors, and the bounded NIC-side
-// descriptor pools whose exhaustion flow-controls host interaction
-// (§3.1.1).
+// the data-path DMAs into and out of directly (one-shot offload: the NIC
+// never buffers segments, and a data segment's payload on the wire is a
+// PayloadBuf.View of the sender's committed bytes, not a copy),
+// context-queue descriptors, and the bounded NIC-side descriptor pools
+// whose exhaustion flow-controls host interaction (§3.1.1).
 package shm
 
 import "fmt"
@@ -16,9 +17,9 @@ import "fmt"
 // advertised window see. The physical ring behind it costs what it
 // holds: nil until first use, then min(Size, smallRing), and it moves
 // once to full size the first time the live window [tail, pos+n) of a
-// write or view outgrows it. The owner advances tail with Release; an
-// owner that never releases only grows sooner, it never reads wrong
-// bytes.
+// write or a Slices view outgrows it (View never moves it). The owner
+// advances tail with Release; an owner that never releases only grows
+// sooner, it never reads wrong bytes.
 type PayloadBuf struct {
 	data []byte // physical ring: nil, small, or full size
 	size uint32 // logical capacity
@@ -127,6 +128,39 @@ func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
 		return b.data[start : start+n], nil
 	}
 	return b.data[start:], b.data[:start+n-phys]
+}
+
+// zeroView backs View on a ring nothing was ever written to. It is shared
+// by every buffer of every engine and must never be written through.
+var zeroView [64 << 10]byte
+
+// View returns the window [pos, pos+n) in place: the bytes ReadAt would
+// copy, as one read-only slice. On a ring nothing was ever written to it
+// is a shared zero window (up to 64 KB). It reports false when the
+// physical ring holds the window in two pieces (it straddles the ring
+// end), and never grows the ring.
+//
+// A view is the payload of a data segment on the wire
+// (packet.Packet.SetPayloadView). Committed transmit bytes are immutable
+// until acknowledged, and a move to full size leaves the old ring to its
+// views, so the view reads the committed bytes for as long as a receiver
+// can still accept them. A frame that outlives the acknowledgment of its
+// bytes may read whatever the sender wrote there since; every such byte
+// lies below the receiver's next expected sequence number, where both
+// receivers trim before they write.
+func (b *PayloadBuf) View(pos, n uint32) ([]byte, bool) {
+	if b.data == nil {
+		if n > uint32(len(zeroView)) {
+			return nil, false
+		}
+		return zeroView[:n:n], true
+	}
+	phys := uint32(len(b.data))
+	start := pos & (phys - 1)
+	if start+n > phys {
+		return nil, false
+	}
+	return b.data[start : start+n : start+n], true
 }
 
 // DescKind discriminates context-queue descriptors.
@@ -257,12 +291,13 @@ func PopRing[T any](s []T, head int) ([]T, int) {
 	return s, head
 }
 
-// Slab is a grow-only arena of fixed-size byte buffers: payload staging
-// for the zero-allocation data path. Buffers are carved class-size at a
-// time from large blocks (one make per unitsPerBlock buffers) and recycled
-// through a freelist, so steady-state Get/Put performs no heap allocation
-// and consecutive buffers stay cache-adjacent, like the CTM packet-buffer
-// SRAM they stand in for.
+// Slab is a grow-only arena of fixed-size byte buffers: the payload copies
+// of the zero-allocation data path (a segment straddling its ring's end, a
+// duplicate of a copy), each borrowed for one packet's journey. Buffers
+// are carved class-size at a time from large blocks (one make per
+// unitsPerBlock buffers) and recycled through a freelist, so steady-state
+// Get/Put performs no heap allocation and consecutive buffers stay
+// cache-adjacent, like the CTM packet-buffer SRAM they stand in for.
 type Slab struct {
 	class int
 	unit  int // buffers carved per block
@@ -295,6 +330,7 @@ func (s *Slab) Get() []byte {
 		b := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
+		slabCheck(b)
 		return b
 	}
 	if len(s.block) < s.class {
