@@ -1,12 +1,14 @@
 // Command flexvet is the repo's contract checker: a multichecker that
-// runs the four flextoe analysis passes over Go packages and exits
+// runs the three flextoe analysis passes over Go packages and exits
 // non-zero on any unsuppressed diagnostic. It is the static half of the
 // contracts doc.go states and CI's runtime gates probe:
 //
 //	viewretain  zero-copy view aliasing (PR 5)
 //	poolown     pooled single-ownership (PR 3)
 //	detrange    one-seed determinism (map order, wall clock, global rand)
-//	hotclosure  zero-alloc event scheduling (no func literal to a *Call method)
+//
+// Zero-alloc event scheduling has no pass: a closure built per event
+// fails the runtime allocation gates (doc.go "Pooling ownership").
 //
 // Usage:
 //
@@ -28,7 +30,6 @@ import (
 
 	"flextoe/internal/analysis/detrange"
 	"flextoe/internal/analysis/flexanalysis"
-	"flextoe/internal/analysis/hotclosure"
 	"flextoe/internal/analysis/poolown"
 	"flextoe/internal/analysis/viewretain"
 )
@@ -38,7 +39,6 @@ var Analyzers = []*flexanalysis.Analyzer{
 	viewretain.Analyzer,
 	poolown.Analyzer,
 	detrange.Analyzer,
-	hotclosure.Analyzer,
 }
 
 func main() {

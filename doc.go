@@ -86,18 +86,24 @@
 //     seed would mis-steer silently, so -tags flexdebug recomputes every
 //     hit and every seed and panics on a mismatch.
 //
-// The budget is enforced in CI by TestPipelineSteadyStateAllocBudget
-// (internal/core): at most 2 heap allocations per simulated data segment
-// end to end, measured with testing.AllocsPerRun under plain `go test`.
-// BenchmarkPipelineSegment reports the live number (~0.06 at this
-// writing) plus wall-clock ns per simulated segment; BENCH_pipeline.json
-// records the trajectory.
+// The budget is enforced at runtime under plain `go test`
+// (testing.AllocsPerRun): at most 0.01 heap allocations per simulated
+// data segment (TestPipelineSteadyStateAllocBudget, internal/core; 0.000
+// measured) and at most 0.05 per RPC request-response on all four stacks,
+// lossless and at 1 % loss, and on FlexTOE with DCTCP, TIMELY and across a
+// fabric (TestAppSteadyStateAllocBudget, internal/apps). These gates
+// enforce the no-closure-per-event rule: a closure built on a per-segment
+// or congestion-control-tick path costs at least 0.2 allocations per
+// request and fails them; one built once per RTO interval (~0.01) does
+// not. Containers keep their arrays in steady state: the flow scheduler's
+// wheel truncates a drained slot rather than dropping it, so a paced
+// flow's next Submit there reuses the array. BenchmarkPipelineSegment
+// reports the live number plus wall-clock ns per simulated segment.
 //
 // The ownership rule is statically enforced by flexvet/poolown (leaks,
-// double release, use after release) and the no-closure-per-event rule by
-// flexvet/hotclosure; building with -tags flexdebug adds runtime
-// double-release panics and payload poisoning on top (see the flexvet
-// section below).
+// double release, use after release); building with -tags flexdebug adds
+// runtime double-release panics and payload poisoning on top (see the
+// flexvet section below).
 //
 // # Connection state budget: million-connection tables and timers
 //
@@ -278,8 +284,8 @@
 // charging the kernel copy, which their architecture cannot avoid.
 //
 // The app-layer budget is enforced in CI by TestAppSteadyStateAllocBudget
-// (internal/apps): at most 2 heap allocations per steady-state RPC
-// request-response end to end; the cross-personality semantics
+// (internal/apps): at most 0.05 heap allocations per steady-state RPC
+// request-response end to end, on every stack; the cross-personality semantics
 // (including view aliasing rules) are pinned by the conformance suite in
 // internal/api/apitest. The no-retention rule is statically enforced by
 // flexvet/viewretain: storing a view into a struct field or package
@@ -446,9 +452,9 @@
 //     and flowmon conflicts (an Iface holds one tap — double attaches are
 //     spec errors, not silent overwrites). Build compiles the Spec
 //     through the same testbed/fabric/workload constructors the figure
-//     runners use, in spec order; Fig 15c and Fig 17a run through this
-//     builder, so spec-built scenarios are proven equivalent to the
-//     committed tables bit for bit.
+//     runners use, in spec order; Fig 15c, Fig 17a and Fig 17b run
+//     through this builder, so spec-built scenarios are proven
+//     equivalent to the committed tables bit for bit.
 //
 //   - Canonical, deterministic results. A Result marshals to one
 //     canonical byte sequence (Result.Canonical); the same spec produces
@@ -473,7 +479,7 @@
 //
 // The contracts above — and the one-seed determinism rule stated in
 // ROADMAP.md — are enforced at compile time by cmd/flexvet, a
-// multichecker over four passes (internal/analysis/...), run as a
+// multichecker over three passes (internal/analysis/...), run as a
 // blocking CI job and in-process by `go test ./internal/analysis`:
 //
 //   - viewretain: Peek/Reserve/PayloadBuf.Slices views must stay local —
@@ -493,21 +499,19 @@
 //     experiments and testbed) nothing schedules on a *sim.Engine
 //     directly without saying why it is not a component with a
 //     sim.Owner.
-//   - hotclosure: a func literal passed to a *Call scheduling or
-//     submission method (as callback or argument) in a
-//     simulation-critical package is flagged; the closure-typed
-//     schedulers themselves no longer exist.
+//
+// The zero-alloc event rule has no pass; the runtime allocation gates of
+// "Pooling ownership" enforce it.
 //
 // Suppression convention: a deliberate exception is annotated in place
 // with a machine-checked comment on the diagnosed line or the line above,
 //
 //	//flexvet:<pass> <why>
 //
-// e.g. `//flexvet:hotclosure connection establishment runs once per
-// connection, not per event`. For order-insensitive map scans (pure
-// counts, sums) the detrange alias `//flexvet:ordered <why>` reads
-// better, and `//flexvet:unowned <why>` marks an application's or a
-// generator's direct use of the engine's schedulers. The <why> is
+// e.g. `//flexvet:unowned the incast barrier is the workload generator's,
+// not a machine's` on a generator's direct use of the engine's
+// schedulers. For order-insensitive map scans (pure counts, sums) the
+// detrange alias `//flexvet:ordered <why>` reads better. The <why> is
 // mandatory prose for the reviewer; an annotation
 // without a justification should be rejected in review.
 //

@@ -5,9 +5,10 @@
 // nothing more:
 //
 //   - Analyzer / Pass / Diagnostic mirroring the x/tools shapes, so the
-//     four contract passes (viewretain, poolown, detrange, hotclosure)
-//     read like ordinary go/analysis passes and could move to the real
-//     framework wholesale if it ever lands in the build image.
+//     three contract passes (viewretain, poolown, detrange) read like
+//     ordinary go/analysis passes and could move to the real framework
+//     wholesale if it ever lands in the build image. The zero-alloc event
+//     contract is not a pass: the runtime allocation gates enforce it.
 //   - A package loader (Loader) that parses one directory with build-tag
 //     awareness and type-checks it against the stdlib source importer, so
 //     intra-module and stdlib imports resolve without a module download.
@@ -83,10 +84,10 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 }
 
 // CriticalPrefixes are the simulation-critical package roots: everything
-// that runs inside the discrete-event engine, where the determinism and
-// zero-alloc event contracts apply. detrange and hotclosure enforce only
-// within these subtrees (a package is critical when its import path equals
-// a prefix or sits beneath one).
+// that runs inside the discrete-event engine, where the determinism
+// contract applies. detrange enforces only within these subtrees (a
+// package is critical when its import path equals a prefix or sits
+// beneath one).
 var CriticalPrefixes = []string{
 	"flextoe/internal/sim",
 	"flextoe/internal/core",

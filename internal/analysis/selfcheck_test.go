@@ -9,7 +9,6 @@ import (
 
 	"flextoe/internal/analysis/detrange"
 	"flextoe/internal/analysis/flexanalysis"
-	"flextoe/internal/analysis/hotclosure"
 	"flextoe/internal/analysis/poolown"
 	"flextoe/internal/analysis/viewretain"
 )
@@ -18,7 +17,6 @@ var enforcing = []*flexanalysis.Analyzer{
 	viewretain.Analyzer,
 	poolown.Analyzer,
 	detrange.Analyzer,
-	hotclosure.Analyzer,
 }
 
 // loadTree loads every package in the module (the CLI's ./... pattern).
@@ -43,7 +41,7 @@ func loadTree(t *testing.T) []*flexanalysis.Package {
 }
 
 // TestTreeClean asserts the real tree has zero unsuppressed diagnostics
-// from the four enforcing passes.
+// from the three enforcing passes.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")

@@ -584,8 +584,8 @@ func (s *Stack) sackRetransmit(c *bconn) bool {
 		return false
 	}
 	budget := uint64(c.cwnd)
-	if min := 2 * s.prof.mss(); budget < min {
-		budget = min
+	if budget < 2*mss {
+		budget = 2 * mss
 	}
 	una32 := c.sndSeq(c.una)
 	high := c.sack[len(c.sack)-1].End
@@ -601,12 +601,7 @@ func (s *Stack) sackRetransmit(c *bconn) bool {
 		}
 		for tcpseg.SeqLT(prev, edge) && budget > 0 {
 			n := uint64(uint32(tcpseg.SeqDiff(edge, prev)))
-			if mss := s.prof.mss(); n > mss {
-				n = mss
-			}
-			if n > budget {
-				n = budget
-			}
+			n = min(n, mss, budget)
 			off := c.una + uint64(uint32(tcpseg.SeqDiff(prev, una32)))
 			s.emitSegment(c, off, n, false)
 			prev += uint32(n)
@@ -744,10 +739,7 @@ func (s *Stack) txStep(c *bconn) {
 		c.pumping = false
 		return
 	}
-	n := s.prof.mss()
-	if n > avail {
-		n = avail
-	}
+	n := min(mss, avail)
 	if inflight < limit && n > limit-inflight {
 		n = limit - inflight
 	}
@@ -819,7 +811,7 @@ func (s *Stack) emitSegment(c *bconn, off, n uint64, fin bool) {
 
 // retxLen bounds a head retransmission to one MSS of sent data.
 func (c *bconn) retxLen() uint64 {
-	n := c.stack.prof.mss()
+	n := mss
 	if c.una+n > c.nxt {
 		n = c.nxt - c.una
 	}

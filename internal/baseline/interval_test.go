@@ -149,7 +149,4 @@ func TestProfilesDistinct(t *testing.T) {
 	if linuxPerSeg <= tasPerSeg {
 		t.Fatal("Linux per-segment cost should exceed TAS")
 	}
-	if p := ChelsioProfile(); p.mss() != 1448 {
-		t.Fatalf("default MSS = %d", p.mss())
-	}
 }

@@ -88,18 +88,10 @@ type Profile struct {
 	// dropped, as the kernel SYN queue does. 0 = unbounded (the default:
 	// scaling experiments open storms of connections by design).
 	ListenBacklog int
-
-	// MSS is the maximum segment size (default 1448).
-	MSS uint32
 }
 
-// mss returns the configured MSS with the default applied.
-func (p *Profile) mss() uint64 {
-	if p.MSS == 0 {
-		return 1448
-	}
-	return uint64(p.MSS)
-}
+// mss is every personality's maximum segment size.
+const mss uint64 = 1448
 
 // oooIvs returns the reassembly interval capacity with the
 // recovery-policy default applied.

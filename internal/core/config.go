@@ -55,15 +55,11 @@ type Config struct {
 	// TAS-style recovery exactly.
 	EnableSACK bool
 	// AdaptiveOOO lets the control plane steer per-connection OOOCap at
-	// runtime against a fleet-wide interval budget (OOOStateBudget),
-	// using the OOOOccupancy histogram as the pressure signal. New and
-	// active connections adopt the controller's cap lazily
-	// (SetDynOOOCap); OOOIntervals remains the starting point.
+	// runtime against a fleet-wide interval budget (the control plane's
+	// oooStateBudget), using the OOOOccupancy histogram as the pressure
+	// signal. New and active connections adopt the controller's cap
+	// lazily (SetDynOOOCap); OOOIntervals remains the starting point.
 	AdaptiveOOO bool
-	// OOOStateBudget is the total number of reassembly intervals the
-	// fleet may hold when AdaptiveOOO is on (0 = 4096). The controller
-	// divides it by the live connection count to derive the per-conn cap.
-	OOOStateBudget int
 
 	// Platform adjustments for the x86/BlueField ports (§E).
 	SoftwareRings   bool    // inter-stage queues cost ring ops instead of CLS rings
@@ -175,9 +171,6 @@ func (c *Config) Validate() {
 	}
 	if c.OOOIntervals <= 0 {
 		c.OOOIntervals = 1
-	}
-	if c.AdaptiveOOO && c.OOOStateBudget <= 0 {
-		c.OOOStateBudget = 4096
 	}
 	if c.OOOIntervals > tcpseg.MaxOOOIntervals {
 		c.OOOIntervals = tcpseg.MaxOOOIntervals

@@ -176,7 +176,7 @@ func monoHCDone(a any) {
 func (t *TOE) monoTXPump() {
 	// One segment at a time: pop, process to completion, transmit, loop.
 	if t.mono.FreeThreads() == 0 {
-		t.mono.Idle = func() { t.mono.Idle = nil; t.kickTX() }
+		t.mono.Idle = t.monoWake
 		return
 	}
 	id, ok := t.sched.Next(t.cfg.MSS)

@@ -112,6 +112,9 @@ type TOE struct {
 	dmaSt   *stage
 	ctxSt   *stage
 	mono    *nfp.FPC // run-to-completion ablation
+	// monoWake, bound once, is the Idle hook a busy run-to-completion
+	// pump leaves on the FPC: it clears itself and kicks the pump.
+	monoWake func()
 
 	// XDP ingress chain (§3.3).
 	xdpProgs []xdp.Program
@@ -180,24 +183,15 @@ func newStalls(cfg *Config) stalls {
 }
 
 // island groups the per-flow-group pipeline: the protocol-admission
-// reorder buffer, protocol workers (atomic per connection), the
-// post-processing stage, and the NBI transmission reorder buffer.
+// reorder buffer, protocol workers (one-FPC stages, atomic per
+// connection), the post-processing stage, and the NBI transmission
+// reorder buffer.
 type island struct {
 	fg     int
 	entry  *rob
-	protos []*protoWorker
+	protos []*stage
 	post   *stage
 	nbi    *rob
-}
-
-type protoWorker struct {
-	fpc   *nfp.FPC
-	q     []*segItem // FIFO: append to push, shm.PopRing at qHead to pop
-	qHead int
-	cache *nfp.StateCache
-	t     *TOE
-	isl   *island
-	fwdCb func(any) // bound once: forwards the item when the FPC task ends
 }
 
 // stage is a pool of FPCs serving one intake queue. freeMask is a bitset
@@ -318,6 +312,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 		t.eagerTX = true
 		t.mono = nfp.NewFPC(eng, "mono", &cfg.NFP)
 		t.mono.SetThreads(cfg.ThreadsPerFPC)
+		t.monoWake = func() { t.mono.Idle = nil; t.kickTX() }
 	} else {
 		t.buildPipeline()
 	}
@@ -339,16 +334,19 @@ func (t *TOE) buildPipeline() {
 		isl.entry = newROB(func(s *segItem) { t.protoAdmit(isl, s) })
 		cls := nfp.NewCLSCache(&cfg.NFP)
 		for i := 0; i < cfg.ProtoRepl; i++ {
-			pw := &protoWorker{
-				fpc:   nfp.NewFPC(t.eng, fmt.Sprintf("proto%d/%d", fg, i), &cfg.NFP),
-				cache: nfp.NewStateCache(&cfg.NFP, cls, emem),
-				t:     t,
-				isl:   isl,
-			}
-			pw.fpc.SetThreads(cfg.ThreadsPerFPC)
-			pw.fpc.Idle = pw.pump
-			pw.fwdCb = func(a any) { pw.t.protoForward(pw.isl, a.(*segItem)) }
-			isl.protos = append(isl.protos, pw)
+			cache := nfp.NewStateCache(&cfg.NFP, cls, emem)
+			isl.protos = append(isl.protos, t.newStage(fmt.Sprintf("proto%d/%d", fg, i), 1, trace.TPQProto,
+				func(s *segItem) sim.Step {
+					step := t.protoTask(cache, s)
+					// The protocol stage is atomic (§3.1: "the only pipeline
+					// hazard"): state mutations execute here, in admission
+					// order, under the connection's critical section. The
+					// FPC task then accounts for the time; hardware threads
+					// overlap only the stall portions of *different* segments.
+					t.protoExec(isl, s)
+					return step
+				},
+				func(s *segItem) { t.protoForward(isl, s) }))
 		}
 		isl.post = t.newStage(fmt.Sprintf("post%d", fg), cfg.PostRepl, trace.TPQPost,
 			t.postTask, func(s *segItem) { t.postDone(isl, s) })
@@ -501,31 +499,15 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 // protoAdmit distributes in-order segments to the connection's protocol
 // worker (same connection -> same worker: atomicity without locks).
 func (t *TOE) protoAdmit(isl *island, s *segItem) {
-	w := isl.protos[int(s.conn)&(len(isl.protos)-1)] // ProtoRepl is a power of two
-	t.trace.HitN(trace.TPQProto, uint64(len(w.q)-w.qHead))
-	w.q = append(w.q, s)
-	w.pump()
+	isl.protos[int(s.conn)&(len(isl.protos)-1)].push(s) // ProtoRepl is a power of two
 }
 
-func (w *protoWorker) pump() {
-	for w.qHead < len(w.q) && w.fpc.FreeThreads() > 0 {
-		item := w.q[w.qHead]
-		w.q, w.qHead = shm.PopRing(w.q, w.qHead)
-		task := w.taskOf(item)
-		// The protocol stage is atomic (§3.1: "the only pipeline
-		// hazard"): state mutations execute here, in admission order,
-		// under the connection's critical section. The FPC task then
-		// accounts for the time; hardware threads overlap only the
-		// stall portions of *different* segments.
-		w.t.protoExec(w.isl, item)
-		w.fpc.SubmitStepCall(task, w.fwdCb, item)
-	}
-}
-
-func (w *protoWorker) taskOf(s *segItem) sim.Step {
-	t := w.t
+// protoTask charges the protocol stage: the connection-state fetch through
+// the worker's cache hierarchy, the sequencer's ticket and reorder work,
+// and the per-kind protocol instructions.
+func (t *TOE) protoTask(cache *nfp.StateCache, s *segItem) sim.Step {
 	c := &t.costs
-	stall := w.cache.Access(uint64(s.conn))
+	stall := cache.Access(uint64(s.conn))
 	seqCost := c.SeqTicket + c.SeqReorder // sequencer FPCs (§3.2), charged here
 	var instr int64
 	switch s.kind {

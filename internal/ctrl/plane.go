@@ -193,8 +193,13 @@ const (
 // polls (the connection went idle; the next data-path kick re-arms).
 const ccIdleLimit = 8
 
-// oooAdaptPeriod is the adaptive-OOOCap controller interval.
-const oooAdaptPeriod = 10 * sim.Millisecond
+// The adaptive-OOOCap controller's interval, and the total number of
+// reassembly intervals the fleet may hold; the controller divides the
+// budget by the live connection count to derive the per-connection cap.
+const (
+	oooAdaptPeriod = 10 * sim.Millisecond
+	oooStateBudget = 1 << 14
+)
 
 // connTimer carries one armed per-connection timer through the timing
 // wheel (pooled; see Plane.getTimer). kind selects the handler; epoch
@@ -425,7 +430,6 @@ func (p *Plane) establish(pc *pendingConn, peerWin uint16) {
 	rxBuf := shm.NewPayloadBuf(p.cfg.BufSize)
 	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs, txBuf, rxBuf, peerWin, pc.sackOK)
 	if pc.connected != nil {
-		//flexvet:hotclosure connection establishment runs once per connection, not per event
 		p.own.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
 	}
 }
@@ -818,7 +822,7 @@ func (p *Plane) adaptOOO() {
 	if live == 0 {
 		return
 	}
-	base := p.toe.Config().OOOStateBudget / live
+	base := oooStateBudget / live
 	if base < 1 {
 		base = 1
 	}

@@ -91,7 +91,6 @@ func fig9Sweep(s Scale) *Table {
 	for _, n := range counts {
 		cfg := core.AgilioCX40Config()
 		cfg.AdaptiveOOO = true
-		cfg.OOOStateBudget = 1 << 14
 		tb := testbed.New(netsim.SwitchConfig{Seed: 90},
 			testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 8, BufSize: 1 << 16, FlexCfg: &cfg, Seed: 90},
 			testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 8, BufSize: 1 << 16, Seed: 91},

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"flextoe/internal/api"
 	"flextoe/internal/ctrl"
 	"flextoe/internal/fabric"
 	"flextoe/internal/fabric/workload"
-	"flextoe/internal/flowmon"
 	"flextoe/internal/netsim"
 	"flextoe/internal/scenario"
 	"flextoe/internal/sim"
@@ -189,74 +189,56 @@ func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	}
 }
 
-// fig17ECMPPoint measures hash balance: flows fixed-size transfers from
-// rack-1 hosts to rack-0 hosts over a fabric with the given spine count,
+// fig17ECMPPoint measures hash balance: 64 KB flows from four rack-1
+// hosts to four rack-0 hosts over a fabric with the given spine count,
 // returning the bytes each spine carried upward out of the sender leaf
 // tier, the heaviest spine's load relative to the fair share, and one
-// flowmon Fleet report per rack (ROADMAP 5c): every host NIC in a rack
-// feeds one analyzer, merged in attachment order, so per-spine RTT/retx
-// splits come from Report.GroupTotals over the same CRC-32 flow hash the
-// ECMP stage forwards with. The taps are passive — attaching them left
-// the spine byte counts bit-identical (TestTapsDoNotPerturbSimulation).
-func fig17ECMPPoint(spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []*flowmon.Report) {
-	fc := fabric.Config{Leaves: 2, Spines: spines, Seed: 171_000 + uint64(spines)}
-	const hostsPerSide = 4
-	var specs []testbed.MachineSpec
-	for i := 0; i < hostsPerSide; i++ {
-		specs = append(specs,
-			testbed.MachineSpec{Name: fmt.Sprintf("src%d", i), Kind: testbed.FlexTOE, Cores: 2,
-				Rack: 1, BufSize: 1 << 17, Seed: uint64(1750 + i)},
-			testbed.MachineSpec{Name: fmt.Sprintf("dst%d", i), Kind: testbed.FlexTOE, Cores: 2,
-				Rack: 0, BufSize: 1 << 17, Seed: uint64(1760 + i)},
+// flowmon fleet per rack (ROADMAP 5c): every host NIC in a rack feeds one
+// analyzer, and the per-spine RTT/retx splits group flows by the same
+// CRC-32 flow hash the ECMP stage forwards with. The taps are passive —
+// attaching them left the spine byte counts bit-identical
+// (TestTapsDoNotPerturbSimulation). examples/scenarios/ecmp64.json is the
+// 2-spine, 64-flow point in JSON clothing.
+func fig17ECMPPoint(spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []scenario.RackResult) {
+	spec := &scenario.Spec{
+		Name:       "fig17b-ecmp",
+		Seed:       171_000 + uint64(spines),
+		DurationUs: int64(d / sim.Microsecond),
+		Topology: scenario.Topology{
+			Kind:   scenario.TopoFabric,
+			Fabric: &scenario.FabricSpec{Racks: 2, Spines: spines},
+		},
+		Measure: scenario.Measure{PerRackFleets: true},
+	}
+	g := &scenario.FlowGenWorkload{
+		Port:      9500,
+		Rate:      1e7, // effectively simultaneous arrivals
+		SizeBytes: 65536,
+		Conns:     flows,
+		MaxFlows:  flows,
+		Seed:      171,
+	}
+	for i := 0; i < 4; i++ {
+		src, dst := fmt.Sprintf("src%d", i), fmt.Sprintf("dst%d", i)
+		spec.Machines = append(spec.Machines,
+			scenario.Machine{Name: src, Stack: scenario.StackFlexTOE, Cores: 2, Rack: 1, BufBytes: 1 << 17, Seed: uint64(1750 + i)},
+			scenario.Machine{Name: dst, Stack: scenario.StackFlexTOE, Cores: 2, Rack: 0, BufBytes: 1 << 17, Seed: uint64(1760 + i)},
 		)
+		g.Clients = append(g.Clients, src)
+		g.Servers = append(g.Servers, dst)
 	}
-	tb := testbed.NewFabric(fc, specs...)
+	spec.Workloads = []scenario.Workload{{Kind: scenario.KindFlowGen, FlowGen: g}}
+	_, res := mustScenario(spec)
 
-	fleets := make([]*flowmon.Fleet, fc.Leaves)
-	for r := range fleets {
-		fleets[r] = &flowmon.Fleet{}
-	}
-	for _, h := range tb.Fabric.Hosts() {
-		mon := flowmon.New(flowmon.Config{})
-		flowmon.Attach(mon, h.Iface)
-		fleets[h.Rack].Add(mon)
-	}
-
-	g := &workload.FlowGen{
-		Rate:     1e7, // effectively simultaneous arrivals
-		Size:     workload.Fixed(65536),
-		Conns:    flows,
-		MaxFlows: flows,
-		Seed:     171,
-	}
-	srcs := make([]api.Stack, hostsPerSide)
-	dsts := make([]api.Addr, hostsPerSide)
-	for i := 0; i < hostsPerSide; i++ {
-		srcs[i] = tb.M(fmt.Sprintf("src%d", i)).Stack
-		g.Serve(tb.M(fmt.Sprintf("dst%d", i)).Stack, 9500)
-		dsts[i] = tb.Addr(fmt.Sprintf("dst%d", i), 9500)
-	}
-	g.Start(srcs, dsts...)
-	tb.Run(d)
-
-	spineBytes = tb.Fabric.SpineTxBytes()
+	spineBytes = res.Fabric.SpineTxBytes
 	var total uint64
-	max := uint64(0)
 	for _, b := range spineBytes {
 		total += b
-		if b > max {
-			max = b
-		}
 	}
-	fair := float64(total) / float64(spines)
-	if fair > 0 {
-		maxOverFair = float64(max) / fair
+	if fair := float64(total) / float64(spines); fair > 0 {
+		maxOverFair = float64(slices.Max(spineBytes)) / fair
 	}
-	racks = make([]*flowmon.Report, len(fleets))
-	for r, fl := range fleets {
-		racks[r] = fl.Report()
-	}
-	return spineBytes, maxOverFair, racks
+	return spineBytes, maxOverFair, res.Racks
 }
 
 // fig17CCs is Figure 17a's control-plane policy order within one fan-in.
@@ -292,7 +274,7 @@ func fig17SweepAt(s Scale) fig17Sweep {
 type fig17ECMPResult struct {
 	spineBytes  []uint64
 	maxOverFair float64
-	racks       []*flowmon.Report
+	racks       []scenario.RackResult
 }
 
 // fig17Cells runs all three Fig. 17 sweeps on up to workers host cores;
@@ -364,18 +346,15 @@ func Fig17(s Scale) []*Table {
 			per += f1(float64(b) / 1e6)
 		}
 		ecmp.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows), per, f2(r.maxOverFair))
-		for rack, rep := range r.racks {
-			groups := rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
-				return int(f.Flow.Hash() % uint32(spines))
-			})
-			for spine, gt := range groups {
+		for _, rack := range r.racks {
+			for _, sp := range rack.Spines {
 				split.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows),
-					fmt.Sprintf("%d", rack), fmt.Sprintf("%d", spine),
-					fmt.Sprintf("%d", gt.Flows),
-					fmt.Sprintf("%d", gt.RetxSegs),
-					fmt.Sprintf("%d", gt.DupAcks),
-					fmt.Sprintf("%d", gt.RTTN),
-					f1(gt.RTTMeanUs()))
+					fmt.Sprintf("%d", rack.Rack), fmt.Sprintf("%d", sp.Spine),
+					fmt.Sprintf("%d", sp.Flows),
+					fmt.Sprintf("%d", sp.RetxSegs),
+					fmt.Sprintf("%d", sp.DupAcks),
+					fmt.Sprintf("%d", sp.RTTSamples),
+					f1(sp.RTTMeanUs))
 			}
 		}
 	}

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"flextoe/internal/ctrl"
-	"flextoe/internal/flowmon"
+	"flextoe/internal/scenario"
 	"flextoe/internal/sim"
 )
 
@@ -64,19 +68,16 @@ func TestFig17ECMPBalanceWithinBound(t *testing.T) {
 		}
 		// The per-rack flowmon fleets ride along: every rack observed
 		// flows, and the per-spine split partitions them exactly.
-		for r, rep := range racks {
-			tot := rep.Totals()
-			if tot.Flows == 0 {
+		for r, rack := range racks {
+			if rack.Flows == 0 {
 				t.Fatalf("spines=%d: rack %d fleet saw no flows", spines, r)
 			}
 			var split uint64
-			for _, g := range rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
-				return int(f.Flow.Hash() % uint32(spines))
-			}) {
-				split += g.Flows
+			for _, sp := range rack.Spines {
+				split += sp.Flows
 			}
-			if split != tot.Flows {
-				t.Errorf("spines=%d: rack %d spine splits cover %d of %d flows", spines, r, split, tot.Flows)
+			if split != rack.Flows {
+				t.Errorf("spines=%d: rack %d spine splits cover %d of %d flows", spines, r, split, rack.Flows)
 			}
 		}
 	}
@@ -145,5 +146,26 @@ func TestFig17Determinism(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Errorf("spine %d bytes diverged: %d vs %d", i, a1[i], a2[i])
 		}
+	}
+}
+
+// TestECMPExampleSpecIsFig17b: examples/scenarios/ecmp64.json is Fig 17b's
+// 2-spine, 64-flow point in JSON clothing — the same per-spine bytes and
+// the same per-rack fleets as fig17ECMPPoint at the spec's duration.
+func TestECMPExampleSpecIsFig17b(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "ecmp64.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scenario.Run(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, _, racks := fig17ECMPPoint(2, 64, sim.Time(res.DurationUs)*sim.Microsecond)
+	if !slices.Equal(res.Fabric.SpineTxBytes, bytes) {
+		t.Errorf("spine bytes: spec %v, figure %v", res.Fabric.SpineTxBytes, bytes)
+	}
+	if !reflect.DeepEqual(res.Racks, racks) {
+		t.Errorf("rack fleets differ:\nspec   %+v\nfigure %+v", res.Racks, racks)
 	}
 }

@@ -1,6 +1,5 @@
 // Package workload drives datacenter traffic patterns over any api.Stack:
-// an open-loop flow generator with Poisson arrivals and pluggable flow
-// size distributions (fixed, web-search and data-mining heavy tails),
+// an open-loop flow generator with Poisson arrivals of fixed-size flows,
 // and N-to-1 incast groups with barrier-synchronized rounds. Workloads
 // speak only api.Stack/api.Socket, so FlexTOE, Linux-, TAS- and
 // Chelsio-personality machines run them unmodified over the
@@ -23,82 +22,11 @@ package workload
 
 import (
 	"encoding/binary"
-	"math"
 
 	"flextoe/internal/api"
 	"flextoe/internal/sim"
 	"flextoe/internal/stats"
 )
-
-// ---------------------------------------------------------------------
-// Flow-size distributions.
-// ---------------------------------------------------------------------
-
-// SizeDist samples flow sizes in bytes. Implementations are immutable, so
-// one distribution may be shared by every per-connection sampler.
-type SizeDist interface {
-	Name() string
-	Sample(r *stats.RNG) int
-}
-
-// fixedDist is a degenerate point mass.
-type fixedDist int
-
-func (d fixedDist) Name() string          { return "fixed" }
-func (d fixedDist) Sample(*stats.RNG) int { return int(d) }
-func Fixed(bytes int) SizeDist            { return fixedDist(bytes) }
-
-type cdfPoint struct {
-	bytes float64
-	cum   float64
-}
-
-// cdfDist samples from an empirical CDF with log-linear interpolation
-// between the tabulated points (sizes span five orders of magnitude, so
-// linear interpolation would put nearly all mass at the segment tops).
-type cdfDist struct {
-	name string
-	pts  []cdfPoint
-}
-
-func (d *cdfDist) Name() string { return d.name }
-
-func (d *cdfDist) Sample(r *stats.RNG) int {
-	u := r.Float64()
-	prev := cdfPoint{bytes: d.pts[0].bytes, cum: 0}
-	for _, p := range d.pts {
-		if u <= p.cum {
-			if p.cum == prev.cum || p.bytes == prev.bytes {
-				return int(p.bytes)
-			}
-			frac := (u - prev.cum) / (p.cum - prev.cum)
-			return int(prev.bytes * math.Pow(p.bytes/prev.bytes, frac))
-		}
-		prev = p
-	}
-	return int(d.pts[len(d.pts)-1].bytes)
-}
-
-// WebSearch approximates the DCTCP web-search workload: query/short-
-// message dominated by count, with a heavy tail of multi-megabyte
-// responses carrying most of the bytes.
-func WebSearch() SizeDist {
-	return &cdfDist{name: "websearch", pts: []cdfPoint{
-		{6e3, 0.15}, {13e3, 0.20}, {19e3, 0.30}, {33e3, 0.40},
-		{53e3, 0.53}, {133e3, 0.60}, {667e3, 0.70}, {1.3e6, 0.80},
-		{3.3e6, 0.90}, {6.7e6, 0.95}, {20e6, 0.98}, {30e6, 1.0},
-	}}
-}
-
-// DataMining approximates the VL2 data-mining workload: ~80% of flows
-// under 10 KB, with a far heavier tail than web-search.
-func DataMining() SizeDist {
-	return &cdfDist{name: "datamining", pts: []cdfPoint{
-		{180, 0.10}, {216, 0.20}, {560, 0.30}, {900, 0.40},
-		{1.1e3, 0.50}, {1.87e3, 0.60}, {3.16e3, 0.70}, {1e4, 0.80},
-		{4e5, 0.90}, {3.16e6, 0.95}, {1e8, 0.98}, {1e9, 1.0},
-	}}
-}
 
 // flowHdrLen is the per-flow wire header: the flow's arrival instant (8)
 // and its payload size (4). Carrying the arrival timestamp on the wire is
@@ -111,7 +39,7 @@ const flowHdrLen = 12
 // ---------------------------------------------------------------------
 
 // FlowGen issues flows open-loop: Poisson arrivals at Rate flows/second
-// in aggregate, each flow Size.Sample bytes, over a pool of persistent
+// in aggregate, each flow SizeBytes bytes, over a pool of persistent
 // connections. Serve installs the sink side (callable on several
 // machines); Start opens the connections and begins arrivals.
 //
@@ -122,11 +50,11 @@ const flowHdrLen = 12
 // per sink; the accessor methods (Started, Completed, FCT, ...) merge it
 // in deterministic construction order, so call them only between runs.
 type FlowGen struct {
-	Rate     float64  // aggregate flow arrivals per second
-	Size     SizeDist // flow size distribution
-	Conns    int      // connection pool size (default: one per sender)
-	MaxFlows int      // stop generating after this many arrivals (0 = never)
-	Seed     uint64
+	Rate      float64 // aggregate flow arrivals per second
+	SizeBytes int     // every flow's payload size
+	Conns     int     // connection pool size (default: one per sender)
+	MaxFlows  int     // stop generating after this many arrivals (0 = never)
+	Seed      uint64
 
 	conns []*genConn
 	sinks []*flowSink
@@ -225,16 +153,12 @@ func genConnArrive(a any) {
 	gc.scheduleArrival()
 }
 
-// arrive admits one flow: sample a size, stamp the arrival, enqueue.
+// arrive admits one flow: stamp the arrival, enqueue.
 func (gc *genConn) arrive() {
-	size := gc.g.Size.Sample(gc.rng)
-	if size < 1 {
-		size = 1
-	}
 	gc.started++
 	gc.pending = append(gc.pending, pendingFlow{
 		start:     gc.eng.Now(),
-		remaining: size,
+		remaining: max(gc.g.SizeBytes, 1),
 		hdrLeft:   flowHdrLen,
 	})
 	gc.pump()

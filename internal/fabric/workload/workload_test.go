@@ -7,45 +7,8 @@ import (
 	"flextoe/internal/fabric"
 	"flextoe/internal/fabric/workload"
 	"flextoe/internal/sim"
-	"flextoe/internal/stats"
 	"flextoe/internal/testbed"
 )
-
-// TestSizeDistSanity pins the shape of the heavy-tail distributions: the
-// data-mining median is tiny, the web-search median tens of KB, and both
-// stay within their tabulated support.
-func TestSizeDistSanity(t *testing.T) {
-	for _, tc := range []struct {
-		d        workload.SizeDist
-		min, max int
-		medLo    int
-		medHi    int
-	}{
-		{workload.WebSearch(), 1, 30e6, 10_000, 200_000},
-		{workload.DataMining(), 1, 1e9, 200, 5_000},
-	} {
-		r := stats.NewRNG(7)
-		var samples []float64
-		for i := 0; i < 20000; i++ {
-			s := tc.d.Sample(r)
-			if s < tc.min || s > tc.max {
-				t.Fatalf("%s: sample %d outside [%d, %d]", tc.d.Name(), s, tc.min, tc.max)
-			}
-			samples = append(samples, float64(s))
-		}
-		med := stats.PercentileOf(samples, 50)
-		if med < float64(tc.medLo) || med > float64(tc.medHi) {
-			t.Fatalf("%s: median %.0f outside [%d, %d]", tc.d.Name(), med, tc.medLo, tc.medHi)
-		}
-		// Heavy tail: p99 must dwarf the median.
-		if p99 := stats.PercentileOf(samples, 99); p99 < 20*med {
-			t.Fatalf("%s: p99 %.0f not heavy-tailed vs median %.0f", tc.d.Name(), p99, med)
-		}
-	}
-	if workload.Fixed(4096).Sample(stats.NewRNG(1)) != 4096 {
-		t.Fatal("Fixed distribution not a point mass")
-	}
-}
 
 // twoRack builds a sender (rack 1) / receiver (rack 0) fabric testbed.
 func twoRack(kind testbed.StackKind, seed uint64) *testbed.Testbed {
@@ -60,11 +23,11 @@ func twoRack(kind testbed.StackKind, seed uint64) *testbed.Testbed {
 func TestFlowGenCompletesAllFlows(t *testing.T) {
 	tb := twoRack(testbed.FlexTOE, 5)
 	g := &workload.FlowGen{
-		Rate:     2e5,
-		Size:     workload.Fixed(8192),
-		Conns:    8,
-		MaxFlows: 50,
-		Seed:     5,
+		Rate:      2e5,
+		SizeBytes: 8192,
+		Conns:     8,
+		MaxFlows:  50,
+		Seed:      5,
 	}
 	g.Serve(tb.M("rcv").Stack, 9100)
 	g.Start([]api.Stack{tb.M("snd").Stack}, tb.Addr("rcv", 9100))
@@ -84,22 +47,22 @@ func TestFlowGenCompletesAllFlows(t *testing.T) {
 	}
 }
 
-// TestFlowGenHeavyTailOverLinux drives the web-search distribution over
-// the Linux personality: the workload layer must be stack-agnostic.
-func TestFlowGenHeavyTailOverLinux(t *testing.T) {
+// TestFlowGenOverLinux drives megabyte flows over the Linux personality:
+// the workload layer must be stack-agnostic.
+func TestFlowGenOverLinux(t *testing.T) {
 	tb := twoRack(testbed.Linux, 9)
 	g := &workload.FlowGen{
-		Rate:     5e4,
-		Size:     workload.WebSearch(),
-		Conns:    4,
-		MaxFlows: 12,
-		Seed:     9,
+		Rate:      5e4,
+		SizeBytes: 1 << 20,
+		Conns:     4,
+		MaxFlows:  12,
+		Seed:      9,
 	}
 	g.Serve(tb.M("rcv").Stack, 9100)
 	g.Start([]api.Stack{tb.M("snd").Stack}, tb.Addr("rcv", 9100))
 	tb.Run(120 * sim.Millisecond)
 	if g.Completed() == 0 {
-		t.Fatal("no heavy-tail flows completed over the Linux personality")
+		t.Fatal("no flows completed over the Linux personality")
 	}
 }
 

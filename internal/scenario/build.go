@@ -327,21 +327,12 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 		return rt
 	case KindFlowGen:
 		g := w.FlowGen
-		var dist workload.SizeDist
-		switch g.Dist {
-		case "fixed":
-			dist = workload.Fixed(g.SizeBytes)
-		case "websearch":
-			dist = workload.WebSearch()
-		default:
-			dist = workload.DataMining()
-		}
 		fg := &workload.FlowGen{
-			Rate:     g.Rate,
-			Size:     dist,
-			Conns:    g.Conns,
-			MaxFlows: g.MaxFlows,
-			Seed:     wseed(g.Seed),
+			Rate:      g.Rate,
+			SizeBytes: g.SizeBytes,
+			Conns:     g.Conns,
+			MaxFlows:  g.MaxFlows,
+			Seed:      wseed(g.Seed),
 		}
 		targets := make([]api.Addr, len(g.Servers))
 		for i, srv := range g.Servers {

@@ -2,7 +2,7 @@
 // the simulated testbed: a Spec names a topology (single switch or
 // leaf–spine fabric), a set of machines (stack personality, buffers,
 // congestion control, reassembly budget), a set of workloads (bulk, RPC,
-// KV, open-loop flows, incast, background traffic), fault injection
+// KV, open-loop flows, incast), fault injection
 // (loss/duplication/reordering matrices), and a measurement block
 // (flowmon attach points, per-rack fleets, histogram options). The
 // builder compiles a validated Spec into the exact constructor sequence
@@ -194,19 +194,18 @@ type KVWorkload struct {
 	Seed      uint64   `json:"seed,omitempty"` // 0 = derive from Spec.Seed
 }
 
-// FlowGenWorkload generates open-loop Poisson flow arrivals from the
-// client machines into the server sinks.
+// FlowGenWorkload generates open-loop Poisson arrivals of SizeBytes-byte
+// flows over Conns persistent connections, dealt round-robin from the
+// client machines to the server sinks (Fig 17b's ECMP point is one).
 type FlowGenWorkload struct {
-	Servers []string `json:"servers"`
-	Port    uint16   `json:"port"`
-	Clients []string `json:"clients"`
-	Rate    float64  `json:"rate"` // aggregate flows/second
-	// Dist is "fixed", "websearch", or "datamining".
-	Dist      string `json:"dist"`
-	SizeBytes int    `json:"size_bytes,omitempty"` // fixed only
-	Conns     int    `json:"conns,omitempty"`
-	MaxFlows  int    `json:"max_flows,omitempty"`
-	Seed      uint64 `json:"seed,omitempty"` // 0 = derive from Spec.Seed
+	Servers   []string `json:"servers"`
+	Port      uint16   `json:"port"`
+	Clients   []string `json:"clients"`
+	Rate      float64  `json:"rate"`       // aggregate flows/second
+	SizeBytes int      `json:"size_bytes"` // every flow's payload
+	Conns     int      `json:"conns,omitempty"`
+	MaxFlows  int      `json:"max_flows,omitempty"`
+	Seed      uint64   `json:"seed,omitempty"` // 0 = derive from Spec.Seed
 }
 
 // IncastWorkload drives barrier-synchronized N-to-1 incast: FanIn
@@ -610,17 +609,8 @@ func (s *Spec) validateWorkload(i int) error {
 		if g.Rate <= 0 {
 			return errf("workload flowgen: rate must be > 0")
 		}
-		switch g.Dist {
-		case "fixed":
-			if g.SizeBytes < 1 {
-				return errf("workload flowgen: fixed dist requires size_bytes >= 1")
-			}
-		case "websearch", "datamining":
-			if g.SizeBytes != 0 {
-				return errf("workload flowgen: size_bytes applies to the fixed dist only")
-			}
-		default:
-			return errf("workload flowgen: unknown dist %q", g.Dist)
+		if g.SizeBytes < 1 {
+			return errf("workload flowgen: size_bytes must be >= 1")
 		}
 		if g.Conns < 0 || g.MaxFlows < 0 {
 			return errf("workload flowgen: conns and max_flows must be >= 0")

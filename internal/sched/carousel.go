@@ -151,7 +151,7 @@ func (c *Carousel) advanceHand(now sim.Time) {
 	for c.hand+c.gran <= now {
 		due := c.wheel[c.cur]
 		if len(due) > 0 {
-			c.wheel[c.cur] = nil
+			c.wheel[c.cur] = due[:0] // keep the slot's array for its next turn
 			c.wheelItems -= len(due)
 			for _, id := range due {
 				st := c.flow(id)
