@@ -1,14 +1,15 @@
 // Command flexvet is the repo's contract checker: a multichecker that
-// runs the three flextoe analysis passes over Go packages and exits
+// runs the two flextoe analysis passes over Go packages and exits
 // non-zero on any unsuppressed diagnostic. It is the static half of the
 // contracts doc.go states and CI's runtime gates probe:
 //
 //	viewretain  zero-copy view aliasing (PR 5)
-//	poolown     pooled single-ownership (PR 3)
 //	detrange    one-seed determinism (map order, wall clock, global rand)
 //
-// Zero-alloc event scheduling has no pass: a closure built per event
-// fails the runtime allocation gates (doc.go "Pooling ownership").
+// Pooling ownership has no pass (doc.go "Pooling ownership"): a closure
+// built per event fails the runtime allocation gates, and a pooled object
+// leaked or released twice leaves its pool's loan count off zero once a
+// run goes quiet (sim.Engine.Unreturned).
 //
 // Usage:
 //
@@ -30,14 +31,12 @@ import (
 
 	"flextoe/internal/analysis/detrange"
 	"flextoe/internal/analysis/flexanalysis"
-	"flextoe/internal/analysis/poolown"
 	"flextoe/internal/analysis/viewretain"
 )
 
 // Analyzers is the flexvet suite in reporting order.
 var Analyzers = []*flexanalysis.Analyzer{
 	viewretain.Analyzer,
-	poolown.Analyzer,
 	detrange.Analyzer,
 }
 

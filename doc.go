@@ -100,10 +100,24 @@
 // flow's next Submit there reuses the array. BenchmarkPipelineSegment
 // reports the live number plus wall-clock ns per simulated segment.
 //
-// The ownership rule is statically enforced by flexvet/poolown (leaks,
-// double release, use after release); building with -tags flexdebug adds
-// runtime double-release panics and payload poisoning on top (see the
-// flexvet section below).
+// The ownership rule is enforced at runtime, by counting. Every pool
+// counts what it lends — a shm.Freelist (packet shells, frames, segItems,
+// FPC task records, DMA transactions, timer carriers, baseline segment
+// work) counts its Gets and Puts, the payload slab its buffers, a NIC
+// shm.Pool its segment buffers and descriptors — and registers on its
+// engine where it is built (sim.Engine.Lends). Loans are what is in
+// flight, so a quiet engine owes nothing: once the workload stops, its
+// last segments land and its idle timers disarm, every pool has had back
+// all it lent, and sim.Engine.Unreturned names any that has not — out by
+// a leak, over by a double release. TestQuiescentRunReturnsEveryLoan
+// (internal/apps) checks it after every stack row of the allocation gate;
+// so do the socket conformance suite (internal/api/apitest) after each
+// of its runs, the churn, lossy-churn and port-wrap gates after their
+// drains, and core's bulk, XDP-drop and run-to-completion transfers. A
+// connection that never finishes shows up there too, through the timer
+// carrier it holds. Building with -tags flexdebug adds a panic at the
+// double release itself and payload poisoning on top (see the flexdebug
+// paragraph below).
 //
 // # Connection state budget: million-connection tables and timers
 //
@@ -133,7 +147,7 @@
 //     timer kick on the transition into "needs service" (bytes in
 //     flight, FIN unacked, zero window with staged data), deduped by a
 //     per-connection hint, and the control plane arms a pooled timer
-//     carrier (getTimer/putTimer, a poolown-enforced pool; a baseline
+//     carrier (getTimer/putTimer, a counted pool; a baseline
 //     connection is its own). A fired carrier re-arms while service is
 //     still needed and is recycled the moment it is not; the engine has no
 //     cancellation, so disarm is lazy — an epoch check (liveness check in
@@ -479,7 +493,7 @@
 //
 // The contracts above — and the one-seed determinism rule stated in
 // ROADMAP.md — are enforced at compile time by cmd/flexvet, a
-// multichecker over three passes (internal/analysis/...), run as a
+// multichecker over two passes (internal/analysis/...), run as a
 // blocking CI job and in-process by `go test ./internal/analysis`:
 //
 //   - viewretain: Peek/Reserve/PayloadBuf.Slices views must stay local —
@@ -489,9 +503,6 @@
 //     Packet.SetPayloadView: storing it, capturing it in an escaping
 //     closure, returning it or passing it to any other call is a
 //     diagnostic.
-//   - poolown: pooled objects (packet.Get, netsim frames, shm
-//     freelists/slabs, segItems) must be released exactly once or handed
-//     off exactly once per acquisition.
 //   - detrange: simulation-critical packages must not range over maps
 //     (iteration order would leak into the event order), call wall-clock
 //     time, or draw from global/unseeded randomness; and wherever
@@ -500,8 +511,9 @@
 //     directly without saying why it is not a component with a
 //     sim.Owner.
 //
-// The zero-alloc event rule has no pass; the runtime allocation gates of
-// "Pooling ownership" enforce it.
+// Pooling ownership has no pass: the runtime allocation gates enforce
+// its zero-alloc event rule and the pools' loan counts at quiescence its
+// release-exactly-once rule (see "Pooling ownership").
 //
 // Suppression convention: a deliberate exception is annotated in place
 // with a machine-checked comment on the diagnosed line or the line above,

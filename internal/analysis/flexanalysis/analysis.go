@@ -5,10 +5,11 @@
 // nothing more:
 //
 //   - Analyzer / Pass / Diagnostic mirroring the x/tools shapes, so the
-//     three contract passes (viewretain, poolown, detrange) read like
-//     ordinary go/analysis passes and could move to the real framework
-//     wholesale if it ever lands in the build image. The zero-alloc event
-//     contract is not a pass: the runtime allocation gates enforce it.
+//     two contract passes (viewretain, detrange) read like ordinary
+//     go/analysis passes and could move to the real framework wholesale
+//     if it ever lands in the build image. Pooling ownership is not a
+//     pass: the runtime allocation gates and the pools' loan counts at
+//     quiescence enforce it.
 //   - A package loader (Loader) that parses one directory with build-tag
 //     awareness and type-checks it against the stdlib source importer, so
 //     intra-module and stdlib imports resolve without a module download.

@@ -3,8 +3,8 @@ package flexanalysis
 import "go/ast"
 
 // WalkLinear visits a statement list in source order, approximating
-// execution order for flow-sensitive contract checks (use-after-release,
-// view-after-invalidate). pre is called for every statement before its
+// execution order for flow-sensitive contract checks (view after
+// invalidate). pre is called for every statement before its
 // nested bodies are descended; it must examine only the statement's own
 // expressions (conditions, operands), never nested statement lists — the
 // walker owns those.

@@ -9,13 +9,11 @@ import (
 
 	"flextoe/internal/analysis/detrange"
 	"flextoe/internal/analysis/flexanalysis"
-	"flextoe/internal/analysis/poolown"
 	"flextoe/internal/analysis/viewretain"
 )
 
 var enforcing = []*flexanalysis.Analyzer{
 	viewretain.Analyzer,
-	poolown.Analyzer,
 	detrange.Analyzer,
 }
 
@@ -41,7 +39,7 @@ func loadTree(t *testing.T) []*flexanalysis.Package {
 }
 
 // TestTreeClean asserts the real tree has zero unsuppressed diagnostics
-// from the three enforcing passes.
+// from the two enforcing passes.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")

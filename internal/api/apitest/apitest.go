@@ -20,7 +20,8 @@
 //   - EOF after FIN surfaced as an OnReadable fire that drains to
 //     Readable()==0,
 //   - no loss of data arriving between accept and OnReadable
-//     registration.
+//     registration,
+//   - every byte sent ahead of a FIN committed in the same callback.
 package apitest
 
 import (
@@ -85,6 +86,18 @@ func (p *pair) until(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// quiesce lets the testbed go idle — last segments landed, idle timers
+// disarmed — and then requires every pool of its engine to have had back
+// all it lent (sim.Engine.Unreturned): the ownership rule, checked at the
+// end of every conformance run.
+func quiesce(t *testing.T, tb *testbed.Testbed) {
+	t.Helper()
+	tb.Run(tb.Eng.Now() + sim.Second)
+	if err := tb.Eng.Unreturned(); err != nil {
+		t.Fatalf("%s: %v", tb.M("server").Spec.Kind, err)
+	}
+}
+
 // pattern returns the deterministic byte stream the suite validates
 // content with.
 func pattern(off int) byte { return byte(7*off + 13) }
@@ -98,6 +111,7 @@ func Run(t *testing.T, kind testbed.StackKind) {
 	t.Run("EOFAfterFINDrain", func(t *testing.T) { eofAfterFIN(t, kind) })
 	t.Run("DataBeforeOnReadable", func(t *testing.T) { dataBeforeOnReadable(t, kind) })
 	t.Run("AcceptStormBacklog", func(t *testing.T) { acceptStorm(t, kind) })
+	t.Run("SendThenClose", func(t *testing.T) { sendThenClose(t, kind) })
 }
 
 // acceptStorm pins the listen-path hardening contract: under a SYN storm
@@ -155,6 +169,7 @@ func acceptStorm(t *testing.T, kind testbed.StackKind) {
 	if received != 4*accepted {
 		t.Errorf("%s: accepted sockets delivered %d bytes, want %d", kind, received, 4*accepted)
 	}
+	quiesce(t, tb)
 }
 
 // partialSend floods a small-buffer connection while the receiver sits on
@@ -220,6 +235,7 @@ func partialSend(t *testing.T, kind testbed.StackKind) {
 			t.Fatalf("byte %d = %#x, want %#x: stream corrupted or reordered", i, v, pattern(i))
 		}
 	}
+	quiesce(t, p.tb)
 }
 
 // edgeTriggered pins the callback contract: OnReadable fires on upward
@@ -257,6 +273,7 @@ func edgeTriggered(t *testing.T, kind testbed.StackKind) {
 	if fires == quiesced {
 		t.Fatal("OnReadable did not fire for the second burst")
 	}
+	quiesce(t, p.tb)
 }
 
 // viewAliasing pins the zero-copy view rules on both directions: Reserve
@@ -322,6 +339,7 @@ func viewAliasing(t *testing.T, kind testbed.StackKind) {
 	if api.ViewLen(ra2, rb2) != p.srv.Readable() || api.ViewByte(ra2, rb2, 0) != second {
 		t.Fatal("Peek view did not shift after Consume")
 	}
+	quiesce(t, p.tb)
 }
 
 // viewsAcrossGrowth drives both rings of a 64 KB-buffer connection over
@@ -391,6 +409,7 @@ func viewsAcrossGrowth(t *testing.T, kind testbed.StackKind) {
 			t.Fatalf("byte %d = %#x after Consume, want %#x", i, v, pattern(i))
 		}
 	}
+	quiesce(t, p.tb)
 }
 
 // eofAfterFIN pins the EOF contract: after the peer closes, the receiver
@@ -422,6 +441,54 @@ func eofAfterFIN(t *testing.T, kind testbed.StackKind) {
 	if got != total {
 		t.Fatalf("drained %d bytes before EOF, want %d", got, total)
 	}
+	quiesce(t, p.tb)
+}
+
+// sendThenClose is the regression for a close that races its own send: a
+// server that echoes a request and closes in the same callback must put
+// every byte on the wire ahead of its FIN. On FlexTOE the FIN once went
+// first whenever the echo's doorbell still waited on a busy app core: it
+// took the sequence slot of the echo's first byte, the client trimmed that
+// byte as already received, and the server retransmitted a FIN the
+// client's acknowledgments never covered, holding its timer for good.
+func sendThenClose(t *testing.T, kind testbed.StackKind) {
+	const conns, msg = 16, 8
+	// One app core per machine, shared by every connection's callbacks
+	// and doorbells.
+	tb := testbed.New(netsim.SwitchConfig{},
+		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 1, BufSize: 4096, Seed: 11},
+		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 1, BufSize: 4096, Seed: 22},
+	)
+	tb.M("server").Stack.Listen(9007, func(k api.Socket) {
+		k.OnReadable(func() {
+			var buf [msg]byte
+			if n := k.Recv(buf[:]); n > 0 {
+				k.Send(buf[:n])
+				k.Close()
+			}
+		})
+	})
+	echoed := 0
+	for i := 0; i < conns; i++ {
+		tb.M("client").Stack.Dial(tb.Addr("server", 9007), func(k api.Socket) {
+			got := 0
+			k.OnReadable(func() {
+				a, b := k.Peek()
+				n := api.ViewLen(a, b)
+				k.Consume(n)
+				if got += n; n > 0 && got == msg {
+					echoed++
+					k.Close()
+				}
+			})
+			k.Send(make([]byte, msg))
+		})
+	}
+	tb.Run(50 * sim.Millisecond)
+	if echoed != conns {
+		t.Fatalf("%s: %d of %d echoes arrived whole", kind, echoed, conns)
+	}
+	quiesce(t, tb)
 }
 
 // dataBeforeOnReadable is the regression for the accept/registration
@@ -466,4 +533,5 @@ func dataBeforeOnReadable(t *testing.T, kind testbed.StackKind) {
 
 	p.cli.Send(make([]byte, late))
 	p.until(t, "late data", func() bool { return got == early+late })
+	quiesce(t, p.tb)
 }

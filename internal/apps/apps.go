@@ -155,7 +155,12 @@ type ClosedLoopClient struct {
 
 	perConn []uint64 // completions per connection (fairness)
 	eng     *sim.Engine
+	stopped bool
 }
+
+// Stop ends the load: requests in flight still complete, but none issues
+// another, so the run drains to quiescence.
+func (c *ClosedLoopClient) Stop() { c.stopped = true }
 
 // ConnJFI returns Jain's fairness index over per-connection completion
 // counts.
@@ -234,7 +239,7 @@ func (cc *clientConn) onReadable() {
 		if cc.c.Completed > cc.c.WarmupOps {
 			cc.c.Latency.Record(int64(cc.c.eng.Now() - start))
 		}
-		if !cc.openLoop {
+		if !cc.openLoop && !cc.c.stopped {
 			cc.issue()
 		}
 	}

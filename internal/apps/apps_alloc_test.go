@@ -31,6 +31,25 @@ type stackRow struct {
 
 var flexTOELossless = stackRow{name: "flextoe", kind: testbed.FlexTOE}
 
+// stackRows are the configurations the app-layer gates run: the four
+// personalities lossless and at 1 % loss (retransmit timers, SACK and
+// reassembly), FlexTOE's two congestion-control loops (the CC poll, and
+// TIMELY's pacing through the flow scheduler's wheel) and the fabric's
+// ECMP hop.
+var stackRows = []stackRow{
+	flexTOELossless,
+	{name: "linux", kind: testbed.Linux},
+	{name: "tas", kind: testbed.TAS},
+	{name: "chelsio", kind: testbed.Chelsio},
+	{name: "flextoe-loss1", kind: testbed.FlexTOE, loss: 0.01},
+	{name: "linux-loss1", kind: testbed.Linux, loss: 0.01},
+	{name: "tas-loss1", kind: testbed.TAS, loss: 0.01},
+	{name: "chelsio-loss1", kind: testbed.Chelsio, loss: 0.01},
+	{name: "flextoe-dctcp", kind: testbed.FlexTOE, cc: ctrl.CCDCTCP},
+	{name: "flextoe-timely", kind: testbed.FlexTOE, cc: ctrl.CCTimely, warm: 300 * sim.Millisecond},
+	{name: "flextoe-fabric", kind: testbed.FlexTOE, fabric: true},
+}
+
 func newRPCPair(row stackRow, reqSize, pipeline int) *rpcPair {
 	specs := []testbed.MachineSpec{
 		{Name: "server", Kind: row.kind, Cores: 2, BufSize: 1 << 16, CC: row.cc, Seed: 41},
@@ -64,11 +83,8 @@ func (p *rpcPair) runRequests(n uint64, until sim.Time) {
 // the data path to the application layer, on every stack: a steady-state
 // 64 B RPC request-response — client issue, the data path both ways,
 // server parse + respond, client completion with latency recording —
-// must average at most 0.05 heap allocations end to end. Rows cover the
-// four personalities lossless and at 1 % loss (retransmit timers, SACK
-// and reassembly), FlexTOE's two congestion-control loops (the CC poll,
-// and TIMELY's pacing through the flow scheduler's wheel) and the fabric's
-// ECMP hop. This gate, not a static pass, enforces the one scheduling
+// must average at most 0.05 heap allocations end to end, on every row of
+// stackRows. This gate, not a static pass, enforces the one scheduling
 // API: a closure built per segment or per congestion-control tick costs
 // at least 0.2 allocations per request and fails here; one built once per
 // RTO interval (~0.01) does not. TIMELY's
@@ -78,20 +94,7 @@ func (p *rpcPair) runRequests(n uint64, until sim.Time) {
 // per request before the carousel kept its slot arrays), not a slot's
 // first array.
 func TestAppSteadyStateAllocBudget(t *testing.T) {
-	rows := []stackRow{
-		flexTOELossless,
-		{name: "linux", kind: testbed.Linux},
-		{name: "tas", kind: testbed.TAS},
-		{name: "chelsio", kind: testbed.Chelsio},
-		{name: "flextoe-loss1", kind: testbed.FlexTOE, loss: 0.01},
-		{name: "linux-loss1", kind: testbed.Linux, loss: 0.01},
-		{name: "tas-loss1", kind: testbed.TAS, loss: 0.01},
-		{name: "chelsio-loss1", kind: testbed.Chelsio, loss: 0.01},
-		{name: "flextoe-dctcp", kind: testbed.FlexTOE, cc: ctrl.CCDCTCP},
-		{name: "flextoe-timely", kind: testbed.FlexTOE, cc: ctrl.CCTimely, warm: 300 * sim.Millisecond},
-		{name: "flextoe-fabric", kind: testbed.FlexTOE, fabric: true},
-	}
-	for _, row := range rows {
+	for _, row := range stackRows {
 		t.Run(row.name, func(t *testing.T) {
 			p := newRPCPair(row, 64, 4)
 			p.runRequests(2000, row.warm) // warm pools, rings, histogram buckets
@@ -101,6 +104,32 @@ func TestAppSteadyStateAllocBudget(t *testing.T) {
 			t.Logf("steady-state allocs per RPC request (app layer end to end): %.4f", perReq)
 			if perReq > 0.05 {
 				t.Fatalf("allocs per request = %.4f, budget is 0.05", perReq)
+			}
+		})
+	}
+}
+
+// TestQuiescentRunReturnsEveryLoan is the runtime gate of the pooling
+// ownership rule, on every row of stackRows: 2 000 RPCs, then the client
+// stops, the last responses land and the idle timers disarm, and every
+// pool of the engine — packets and their payload copies, frames,
+// segItems, NIC segment buffers and descriptors, FPC task records, DMA
+// transactions, control-plane timer carriers, baseline segment work —
+// must have had back all it lent (sim.Engine.Unreturned). A pooled object
+// that some path these runs take drops without its release leaves its
+// pool out; one released twice leaves it over.
+func TestQuiescentRunReturnsEveryLoan(t *testing.T) {
+	for _, row := range stackRows {
+		t.Run(row.name, func(t *testing.T) {
+			p := newRPCPair(row, 64, 4)
+			p.runRequests(2000, 0)
+			p.cli.Stop()
+			p.tb.Run(p.tb.Eng.Now() + sim.Second)
+			if gets, _ := p.tb.PoolStats(); gets == 0 {
+				t.Fatal("the run lent no packet")
+			}
+			if err := p.tb.Eng.Unreturned(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -98,6 +98,7 @@ func NewStack(eng *sim.Engine, prof Profile, iface *netsim.Iface,
 		listeners: make(map[uint16]*blistener),
 		nextPort:  30000,
 	}
+	eng.Lends(iface.Name+" segment work", &s.segFree)
 	s.flowIdx = conntab.New(func(slot uint32) packet.Flow { return s.slots[slot].flow })
 	hz := machine.Cores[0].Hz()
 	s.lock = sim.NewResource(eng, prof.Name+"/lock", float64(hz))

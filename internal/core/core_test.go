@@ -234,14 +234,9 @@ func TestSegPoolConserved(t *testing.T) {
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
 	}
-	// All pools drain back to full when idle.
-	for _, toe := range []*TOE{p.toeA, p.toeB} {
-		if got := toe.segPool.InUse(); got != 0 {
-			t.Errorf("%v segPool leaked %d buffers", toe.iface.Name, got)
-		}
-		if got := toe.descPool.InUse(); got != 0 {
-			t.Errorf("%v descPool leaked %d descriptors", toe.iface.Name, got)
-		}
+	// Every pool of both TOEs has had back all it lent once idle.
+	if err := p.eng.Unreturned(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -331,6 +326,9 @@ func TestRunToCompletionMode(t *testing.T) {
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("mono transfer incomplete: %d/%d", len(p.b.got), len(data))
+	}
+	if err := p.eng.Unreturned(); err != nil {
+		t.Fatal(err)
 	}
 }
 

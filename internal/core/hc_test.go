@@ -26,7 +26,7 @@ func TestHCDescriptorPoolRetry(t *testing.T) {
 	if toe.HCOps != n {
 		t.Fatalf("processed %d of %d descriptors", toe.HCOps, n)
 	}
-	if got := toe.descPool.InUse(); got != 0 {
+	if got := toe.descPool.Lent(); got != 0 {
 		t.Fatalf("descriptor pool has %d in use after the burst drained", got)
 	}
 	if toe.descPool.PeakInUse != descPoolSize {

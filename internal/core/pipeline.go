@@ -228,6 +228,7 @@ func (t *TOE) newStage(name string, n int, qTrace trace.Point,
 	for i := 0; i < n; i++ {
 		f := nfp.NewFPC(t.eng, fmt.Sprintf("%s/%d", name, i), &t.cfg.NFP)
 		f.SetThreads(t.cfg.ThreadsPerFPC)
+		t.eng.Lends(t.iface.Name+" fpc "+f.Name, f)
 		bit := uint64(1) << i
 		f.Idle = func() { s.freeMask |= bit; s.pump() }
 		s.freeMask |= bit
@@ -293,6 +294,12 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 	}
 	t.flowIdx = conntab.New(func(slot uint32) packet.Flow { return t.connAt(slot).Flow })
 	t.dma = nfp.NewDMAEngine(eng, &cfg.NFP)
+	eng.Lends(iface.Name+" dma transactions", t.dma)
+	eng.Lends(iface.Name+" segItems", &t.segFree)
+	eng.Lends(iface.Name+" xdp work", &t.xdpFree)
+	eng.Lends(iface.Name+" mono work", &t.monoFree)
+	eng.Lends(iface.Name+" seg buffers", t.segPool)
+	eng.Lends(iface.Name+" descriptors", t.descPool)
 	if cfg.CopyBytesPerSec > 0 {
 		t.copyRes = sim.NewResource(eng, "memcpy", cfg.CopyBytesPerSec)
 	}
@@ -312,6 +319,7 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 		t.eagerTX = true
 		t.mono = nfp.NewFPC(eng, "mono", &cfg.NFP)
 		t.mono.SetThreads(cfg.ThreadsPerFPC)
+		eng.Lends(iface.Name+" fpc mono", t.mono)
 		t.monoWake = func() { t.mono.Idle = nil; t.kickTX() }
 	} else {
 		t.buildPipeline()

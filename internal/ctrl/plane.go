@@ -229,6 +229,7 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 		pending:   make(map[packet.Flow]*pendingConn),
 		nextPort:  20000,
 	}
+	eng.Lends(cfg.LocalIP.String()+" timers", &p.timerFree)
 	toe.ControlRx = p.handleSegment
 	toe.TimerKick = p.timerKick
 	if tc := toe.Config(); tc.AdaptiveOOO {
@@ -601,6 +602,18 @@ func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
 		cc.persistAt, cc.persistBackoff = 0, 0
 		cc.lingerAt = 0
 		deadline := cc.lastAcked + (cc.rto << uint(cc.backoff))
+		if now >= deadline && cc.backoff == 6 && pr.TxSent == 0 && pr.FinRx() {
+			// LAST-ACK gives up: both FINs were exchanged and only ours is
+			// unacknowledged through a whole backed-off series. The peer's
+			// ACK of it was lost, and the peer, done with its linger, has
+			// reclaimed the slot and drops each retransmission as a
+			// stranger's; retrying on would hold the slot and its timer
+			// forever.
+			p.putTimer(tm)
+			cc.rtoArmed = false
+			p.Remove(id)
+			return
+		}
 		if now >= deadline {
 			p.Timeouts++
 			p.toe.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: id})

@@ -28,6 +28,7 @@ type churnLossResult struct {
 	tracked    int    // live connections after the linger drain
 	stateBytes [2]int // NIC connection state after each churn half
 	retxSegs   uint64 // server retransmissions (proves loss was live)
+	loans      string // what sim.Engine.Unreturned names after the drain
 }
 
 // tagFor derives connection i's unique 8-byte tag.
@@ -117,6 +118,12 @@ func churnLossRun(seed uint64, lossProb float64, waves, perWave int) churnLossRe
 	r.stateBytes[1] = srv.TOE.ConnStateBytes()
 	r.tracked = srv.Ctrl.NumTracked()
 	r.retxSegs = srv.TOE.RetxSegs + tb.M("client").TOE.RetxSegs
+	// A teardown whose last ACK was lost retries its FIN through a whole
+	// backed-off series (about a quarter second) before it gives up.
+	tb.Run(tb.Eng.Now() + sim.Second)
+	if err := tb.Eng.Unreturned(); err != nil {
+		r.loans = err.Error()
+	}
 	return r
 }
 
@@ -145,6 +152,11 @@ func TestChurnUnderLossKeepsTagsIntact(t *testing.T) {
 	}
 	if r.tracked != 0 {
 		t.Errorf("%d connections still tracked after the linger drain", r.tracked)
+	}
+	// Every handshake, teardown, retransmission and linger timer is over:
+	// every pool must have had back all it lent.
+	if r.loans != "" {
+		t.Error(r.loans)
 	}
 }
 

@@ -90,6 +90,7 @@ type churnResult struct {
 	midBytes    int
 	endBytes    int
 	endTracked  int
+	loans       string // what sim.Engine.Unreturned names after the drain
 }
 
 // flexChurn runs dial/close churn waves against a FlexTOE pair, sampling
@@ -111,6 +112,9 @@ func flexChurn(seed uint64, waves int) churnResult {
 	r.processed = tb.Eng.Processed()
 	r.endBytes = srv.TOE.ConnStateBytes()
 	r.endTracked = srv.Ctrl.NumTracked() + tb.M("client").Ctrl.NumTracked()
+	if err := tb.Eng.Unreturned(); err != nil {
+		r.loans = err.Error()
+	}
 	return r
 }
 
@@ -125,6 +129,9 @@ func TestChurnSteadyStateMemory(t *testing.T) {
 	}
 	if r.endTracked != 0 {
 		t.Errorf("%d connections still tracked after drain", r.endTracked)
+	}
+	if r.loans != "" {
+		t.Error(r.loans)
 	}
 	if r.endBytes != r.midBytes {
 		t.Errorf("connection state grew across churn: %d -> %d bytes (slots not reused)",
@@ -154,6 +161,9 @@ func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	}
 	if end := srv.Base.ConnTableBytes(); end != midBytes {
 		t.Errorf("baseline connection table grew across churn: %d -> %d bytes", midBytes, end)
+	}
+	if err := tb.Eng.Unreturned(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -213,6 +223,12 @@ func TestDialPortWrapSkipsLiveFlows(t *testing.T) {
 		}
 		if skips != live {
 			t.Errorf("%v: %d port skips, want %d (one per live connection once the counter wraps)", kind, skips, live)
+		}
+		// Once the live connections' last RTO timers have fired idle,
+		// every pool has had back all it lent.
+		tb.Run(tb.Eng.Now() + sim.Second)
+		if err := tb.Eng.Unreturned(); err != nil {
+			t.Errorf("%v: %v", kind, err)
 		}
 	}
 }

@@ -152,6 +152,9 @@ type Socket struct {
 	// total, so no closure is allocated per socket call.
 	pendTx uint32
 	pendRx uint32
+	// finTx marks a Close made while committed bytes still waited for
+	// their doorbell: the FIN is injected right behind them.
+	finTx bool
 
 	// Pending NIC->host notifications awaiting their charged delivery
 	// task (FIFO ring; amortized allocation-free).
@@ -255,6 +258,10 @@ func sockTxDoorbell(a any) {
 		k.pendTx = 0
 		k.stack.toe.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: k.conn.ID, Bytes: n})
 	}
+	if k.finTx {
+		k.finTx = false
+		k.stack.toe.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: k.conn.ID})
+	}
 }
 
 func sockRxDoorbell(a any) {
@@ -294,12 +301,19 @@ func (k *Socket) Recv(p []byte) int {
 	return n
 }
 
-// Close sends FIN.
+// Close sends FIN, behind every byte committed before it: bytes whose
+// doorbell is still pending take the FIN along with them. A FIN injected
+// ahead of them would claim the sequence slot of their first byte, which
+// the peer would then trim as already received.
 func (k *Socket) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
+	if k.pendTx > 0 {
+		k.finTx = true
+		return
+	}
 	k.stack.toe.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: k.conn.ID})
 }
 

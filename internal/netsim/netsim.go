@@ -69,7 +69,13 @@ var defaultFrames = &FramePool{}
 // framesKey keys the per-engine FramePool in Engine.Local.
 type framesKey struct{}
 
-func newFramePool() any { return &FramePool{} }
+// newFramePool builds an engine's frame pool and registers it with the
+// engine (sim.Engine.Unreturned).
+func newFramePool(eng *sim.Engine) any {
+	fp := &FramePool{}
+	eng.Lends("frames", &fp.free)
+	return fp
+}
 
 // FramesOf returns eng's own frame pool, creating it on first use.
 func FramesOf(eng *sim.Engine) *FramePool {

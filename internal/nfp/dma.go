@@ -49,6 +49,10 @@ func NewDMAEngine(eng *sim.Engine, cfg *Config) *DMAEngine {
 	}
 }
 
+// Lent returns the transaction records out on loan: the transactions in
+// flight.
+func (d *DMAEngine) Lent() int { return d.free.Lent() }
+
 // IssueCall starts a DMA of the given size; cb(arg) runs when the data
 // has landed (nil cb: nothing runs; see sim.Engine.AtCall for the
 // contract). Transactions beyond the in-flight limit queue inside the

@@ -148,6 +148,9 @@ func NewFPC(eng *sim.Engine, name string, cfg *Config) *FPC {
 	return f
 }
 
+// Lent returns the task records out on loan: the tasks running or queued.
+func (f *FPC) Lent() int { return f.free.Lent() }
+
 // SetThreads sets the hardware thread count of an idle core (the Table 3
 // ablation runs with 1 thread to disable intra-FPC parallelism).
 func (f *FPC) SetThreads(n int) {

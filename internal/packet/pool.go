@@ -36,13 +36,6 @@ import (
 type Pool struct {
 	slab *shm.Slab
 	free shm.Freelist[Packet]
-
-	// Stats counts pooled-packet traffic for tests and diagnostics (see
-	// testbed.PoolStats).
-	Stats struct {
-		Gets     uint64
-		Releases uint64
-	}
 }
 
 // NewPool returns an empty pool. The 2 KB payload class covers the
@@ -60,7 +53,14 @@ var defaultPool = NewPool()
 // poolKey keys the per-engine Pool in Engine.Local.
 type poolKey struct{}
 
-func newPool() any { return NewPool() }
+// newPool builds an engine's pool and registers its shells and its slab
+// with the engine (sim.Engine.Unreturned).
+func newPool(eng *sim.Engine) any {
+	pl := NewPool()
+	eng.Lends("packets", &pl.free)
+	eng.Lends("payload copies", pl.slab)
+	return pl
+}
 
 // PoolOf returns eng's own packet pool, creating it on first use.
 func PoolOf(eng *sim.Engine) *Pool {
@@ -71,12 +71,14 @@ func PoolOf(eng *sim.Engine) *Pool {
 // it until it calls Release or transmits it (transferring ownership to
 // the receiver).
 func (pl *Pool) Get() *Packet {
-	pl.Stats.Gets++
 	if p := pl.free.Get(); p != nil {
 		return p
 	}
 	return &Packet{pooled: true, pool: pl}
 }
+
+// Traffic returns how many packets the pool has lent and had released.
+func (pl *Pool) Traffic() (gets, releases uint64) { return pl.free.Gets, pl.free.Puts }
 
 // SlabBlocks returns how many blocks the pool's payload slab has carved:
 // its high-water mark of payload copies in flight, in units of 256.
@@ -99,7 +101,6 @@ func Release(p *Packet) {
 		return
 	}
 	pl := p.pool
-	pl.Stats.Releases++
 	if p.buf != nil {
 		pl.slab.Put(p.buf) // poisoned under flexdebug; a view is never touched
 	}

@@ -14,8 +14,8 @@ const PoisonByte = 0xDB
 
 // poolCheck tracks which objects are resident in a freelist and panics
 // when the same pointer is Put twice without an intervening Get — the
-// two-owners bug the poolown pass hunts statically, caught here at
-// runtime for the flows static analysis cannot follow.
+// two-owners bug, caught at the second Put. Every build counts it too: the
+// freelist's loan count ends below zero (sim.Engine.Unreturned).
 type poolCheck[T any] struct {
 	resident map[*T]struct{}
 }

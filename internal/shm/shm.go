@@ -235,22 +235,32 @@ func (p *Pool) Free() {
 	p.free++
 }
 
-// InUse returns the number of allocated buffers.
-func (p *Pool) InUse() int { return p.cap - p.free }
+// Lent returns the number of allocated buffers.
+func (p *Pool) Lent() int { return p.cap - p.free }
 
 // Freelist recycles pointers to pooled objects: the pop-last/nil-slot
 // mechanics shared by every object pool on the zero-allocation hot path
-// (packets, frames, segItems, FPC task records, DMA transactions). The
-// caller owns reset semantics; Get returns nil when empty so each pool
-// constructs its own fresh object. Slots are nilled on Get so the
-// freelist never retains a reference to an object in flight.
+// (packets, frames, segItems, FPC task records, DMA transactions, timer
+// carriers). The caller owns reset semantics; Get returns nil when empty
+// so each pool constructs its own fresh object. Slots are nilled on Get so
+// the freelist never retains a reference to an object in flight.
+//
+// A freelist counts what it lends: every Get is a loan — of the object it
+// pops or, when it returns nil, of the one the caller builds — and every
+// Put ends one, so Lent is the objects out now.
 type Freelist[T any] struct {
-	items []*T
-	check poolCheck[T] // zero-size unless built with -tags flexdebug
+	items      []*T
+	Gets, Puts uint64
+	check      poolCheck[T] // zero-size unless built with -tags flexdebug
 }
+
+// Lent returns the objects handed out and not yet put back: negative once
+// more came back than went out (a double release).
+func (f *Freelist[T]) Lent() int { return int(f.Gets - f.Puts) }
 
 // Get pops the most recently returned object, or nil when empty.
 func (f *Freelist[T]) Get() *T {
+	f.Gets++
 	n := len(f.items)
 	if n == 0 {
 		return nil
@@ -265,6 +275,7 @@ func (f *Freelist[T]) Get() *T {
 // Put returns an object to the freelist. The caller must have dropped
 // every other reference (and reset the object, per its pool's contract).
 func (f *Freelist[T]) Put(x *T) {
+	f.Puts++
 	f.check.put(x)
 	f.items = append(f.items, x)
 }
@@ -321,6 +332,9 @@ func NewSlab(class, unitsPerBlock int) *Slab {
 
 // Class returns the buffer size this slab serves.
 func (s *Slab) Class() int { return s.class }
+
+// Lent returns the buffers handed out and not yet put back.
+func (s *Slab) Lent() int { return int(s.Gets - s.Puts) }
 
 // Get returns a zero-length buffer with capacity Class. The caller owns it
 // until Put.

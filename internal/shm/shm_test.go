@@ -87,16 +87,16 @@ func TestPoolDoubleFreePanics(t *testing.T) {
 }
 
 func TestPoolInvariantProperty(t *testing.T) {
-	// Property: InUse is always in [0, cap] under any alloc/free pattern.
+	// Property: Lent is always in [0, cap] under any alloc/free pattern.
 	f := func(ops []bool) bool {
 		p := NewPool("q", 8)
 		for _, alloc := range ops {
 			if alloc {
 				p.TryAlloc()
-			} else if p.InUse() > 0 {
+			} else if p.Lent() > 0 {
 				p.Free()
 			}
-			if p.InUse() < 0 || p.InUse() > 8 {
+			if p.Lent() < 0 || p.Lent() > 8 {
 				return false
 			}
 		}
@@ -364,5 +364,45 @@ func TestPayloadBufModel(t *testing.T) {
 		if size > smallRing && !(smallWrap && grew && direct) {
 			t.Errorf("size %d: coverage smallWrap=%v grew=%v nil->full=%v, want all", size, smallWrap, grew, direct)
 		}
+	}
+}
+
+// TestFreelistCountsLoans pins the loan count every pool's quiescence
+// check reads (sim.Engine.Unreturned): a Get lends whether it pops or
+// returns nil (the caller builds the object), a Put ends a loan, and a
+// Put of an object never lent leaves the count below zero.
+func TestFreelistCountsLoans(t *testing.T) {
+	type obj struct{ n int }
+	var fl Freelist[obj]
+	a := fl.Get() // empty: the caller builds it, still a loan
+	if a != nil || fl.Lent() != 1 {
+		t.Fatalf("Get on empty: %v, Lent = %d, want nil, 1", a, fl.Lent())
+	}
+	a = &obj{}
+	fl.Put(a)
+	if b := fl.Get(); b != a || fl.Lent() != 1 {
+		t.Fatalf("Get after Put: %p, Lent = %d, want %p, 1", b, fl.Lent(), a)
+	}
+	fl.Put(a)
+	if fl.Lent() != 0 || fl.Gets != 2 || fl.Puts != 2 {
+		t.Fatalf("Lent = %d (Gets %d, Puts %d), want 0 (2, 2)", fl.Lent(), fl.Gets, fl.Puts)
+	}
+	fl.Put(&obj{})
+	if fl.Lent() != -1 {
+		t.Fatalf("Lent = %d after returning an object never lent, want -1", fl.Lent())
+	}
+}
+
+func TestSlabCountsLoans(t *testing.T) {
+	s := NewSlab(64, 2)
+	a, b := s.Get(), s.Get()
+	s.Put(a)
+	if s.Lent() != 1 {
+		t.Fatalf("Lent = %d, want 1", s.Lent())
+	}
+	s.Put(make([]byte, 32)) // foreign class: dropped, not counted
+	s.Put(b)
+	if s.Lent() != 0 {
+		t.Fatalf("Lent = %d, want 0", s.Lent())
 	}
 }

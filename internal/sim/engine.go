@@ -66,6 +66,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Time is a simulated instant or duration in picoseconds.
@@ -246,8 +247,10 @@ type Engine struct {
 	overflow []event
 
 	// locals holds per-engine singletons (pools, freelists) keyed by an
-	// arbitrary comparable key; see Local.
-	locals map[any]any
+	// arbitrary comparable key; see Local. lenders lists every pool of the
+	// engine in registration order; see Lends.
+	locals  map[any]any
+	lenders []lender
 }
 
 // New returns an empty engine at time zero.
@@ -373,17 +376,51 @@ func (o Owner) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 // it with mk on first use. Pools and freelists are single-threaded by
 // design; hanging one instance off each engine keeps the hot path
 // allocation-free while concurrent jobs and cells, each on its own
-// engine, share nothing.
-func (e *Engine) Local(key any, mk func() any) any {
+// engine, share nothing. mk receives the engine, so a pool can register
+// with Lends as it is built.
+func (e *Engine) Local(key any, mk func(*Engine) any) any {
 	if v, ok := e.locals[key]; ok {
 		return v
 	}
 	if e.locals == nil {
 		e.locals = make(map[any]any)
 	}
-	v := mk()
+	v := mk(e)
 	e.locals[key] = v
 	return v
+}
+
+// Lender is a pool that counts what it lends: Lent is the objects handed
+// out and not yet given back, negative once more came back than went out.
+type Lender interface{ Lent() int }
+
+type lender struct {
+	name string
+	l    Lender
+}
+
+// Lends registers one of this engine's pools under name. Every pool on the
+// engine registers once, where it is built, so Unreturned sees them all.
+func (e *Engine) Lends(name string, l Lender) { e.lenders = append(e.lenders, lender{name, l}) }
+
+// Unreturned names, in registration order, every pool of this engine that
+// has not had back all it lent, or returns nil. Loans are what the data
+// path has in flight, so the answer is only meaningful at quiescence: once
+// the workload has stopped, its last segments have landed and its idle
+// timers have disarmed, every pool has had everything back, and a pool
+// still out (a leak) or over (a double release) is a broken ownership
+// chain. Tests call it there (doc.go "Pooling ownership").
+func (e *Engine) Unreturned() error {
+	var out []string
+	for _, l := range e.lenders {
+		if n := l.l.Lent(); n != 0 {
+			out = append(out, fmt.Sprintf("%s %+d", l.name, n))
+		}
+	}
+	if out == nil {
+		return nil
+	}
+	return fmt.Errorf("sim: loans not returned: %s", strings.Join(out, ", "))
 }
 
 // AfterCall schedules cb(arg) d picoseconds from now (see AtCall).

@@ -205,3 +205,30 @@ func TestTaskAccessors(t *testing.T) {
 		t.Fatalf("stall = %v", task.StallTime())
 	}
 }
+
+// lendCount is a test pool: n objects out.
+type lendCount struct{ n int }
+
+func (l *lendCount) Lent() int { return l.n }
+
+// TestUnreturnedNamesOpenPools: nil while every registered pool is even,
+// and otherwise every pool that is out or over, by name, in registration
+// order.
+func TestUnreturnedNamesOpenPools(t *testing.T) {
+	e := New()
+	if err := e.Unreturned(); err != nil {
+		t.Fatalf("no pools: %v", err)
+	}
+	frames, packets, timers := &lendCount{}, &lendCount{}, &lendCount{}
+	e.Lends("frames", frames)
+	e.Lends("packets", packets)
+	e.Lends("timers", timers)
+	if err := e.Unreturned(); err != nil {
+		t.Fatalf("all returned: %v", err)
+	}
+	timers.n, frames.n = 2, -1
+	err := e.Unreturned()
+	if err == nil || err.Error() != "sim: loans not returned: frames -1, timers +2" {
+		t.Fatalf("Unreturned = %v", err)
+	}
+}

@@ -245,7 +245,4 @@ func (tb *Testbed) Addr(name string, port uint16) api.Addr {
 func (tb *Testbed) Run(until sim.Time) { tb.Eng.RunUntil(until) }
 
 // PoolStats reads the engine's packet-pool traffic counters.
-func (tb *Testbed) PoolStats() (gets, releases uint64) {
-	pl := packet.PoolOf(tb.Eng)
-	return pl.Stats.Gets, pl.Stats.Releases
-}
+func (tb *Testbed) PoolStats() (gets, releases uint64) { return packet.PoolOf(tb.Eng).Traffic() }
