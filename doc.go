@@ -250,8 +250,10 @@
 //   - Repeated Peek/Reserve without an intervening Consume/Commit return
 //     stable views of the same window: the same bytes, but only the
 //     newest pair of slices may be used. A socket ring costs what it
-//     holds (shm.PayloadBuf): it starts at 4 KB and moves once, to full
-//     size, when the bytes in flight outgrow that. A Reserve view is
+//     holds (shm.PayloadBuf): it starts at the smallest power of two of
+//     at least 512 B that holds its first bytes, moves to the next size
+//     that holds the bytes in flight each time they outgrow it, up to
+//     4 KB, and beyond that once to full size. A Reserve view is
 //     therefore also invalidated by the next Reserve on the same socket,
 //     and a Peek view by the next arriving segment, either of which may
 //     move the ring (its bytes move with it). Size, TxSpace and the
@@ -270,7 +272,7 @@
 //     copied into a slab buffer; a ring nothing was written to (padding)
 //     yields a shared zero view; a switch duplicate shares the view. The
 //     view is safe because committed bytes are immutable until
-//     acknowledged and a move to full size leaves the old ring to its
+//     acknowledged and a move of the ring leaves the old ring to its
 //     views. A frame that outlives the acknowledgment of its bytes — a
 //     switch duplicate, a reordered or a retransmitted original — may
 //     read bytes the sender has written since, but every acknowledged

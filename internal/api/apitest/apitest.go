@@ -14,8 +14,8 @@
 //     storms while data sits unconsumed),
 //   - the zero-copy view aliasing rules (Peek invalidated by Consume,
 //     Reserve by Commit; views stable between those calls),
-//   - views across the payload ring's one move to full size (rings start
-//     at 4 KB and grow when the bytes in flight outgrow that): staged,
+//   - views across the payload ring's move to full size (rings start
+//     small and grow when the bytes in flight outgrow them): staged,
 //     unacknowledged and unconsumed bytes all survive it,
 //   - EOF after FIN surfaced as an OnReadable fire that drains to
 //     Readable()==0,
@@ -343,9 +343,9 @@ func viewAliasing(t *testing.T, kind testbed.StackKind) {
 }
 
 // viewsAcrossGrowth drives both rings of a 64 KB-buffer connection over
-// the point where they outgrow their 4 KB start, in the ways that could
+// the point where they outgrow their small start, in the ways that could
 // lose bytes if the move to full size mislaid any: a Reserve larger than
-// the small ring while earlier bytes are still unsent, more than 4 KB
+// every small ring while earlier bytes are still unsent, more than 4 KB
 // received before the first Consume, and — through a reordering switch,
 // with out-of-order acceptance on — segments landing far ahead of a hole
 // while the ring is still small. The delivered stream must be the

@@ -235,8 +235,10 @@ func TestDialPortWrapSkipsLiveFlows(t *testing.T) {
 
 // socketRingBudgetBytes is the per-connection host-memory gate for a
 // connection that has moved one small request each way: both ends, all
-// four payload rings on their 4 KB start (16 KB) plus socket, connection
-// and timer objects. Eagerly allocated 64 KB rings cost 256 KB.
+// four payload rings on their 512 B start (2 KB) plus socket, connection
+// and timer objects; 3.5 KB on Linux and 6.0 KB on FlexTOE (17.9 and
+// 20.3 KB when rings started at 4 KB). Eagerly allocated 64 KB rings cost
+// 256 KB.
 const socketRingBudgetBytes = 32 << 10
 
 // TestSocketRingMemoryBudget establishes a fleet on the default 64 KB

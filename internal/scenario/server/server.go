@@ -5,7 +5,9 @@
 // Jobs execute asynchronously on a bounded worker pool (clamped to
 // GOMAXPROCS, runCells-style). Specs and finished payloads persist to an
 // on-disk directory, so a restarted server lists completed jobs with
-// their original byte-identical results and resumes interrupted ones.
+// their original byte-identical results and resumes an interrupted job
+// once: a job a restart finds interrupted a second time is a poison pill
+// (a spec that takes the process down) and ends failed instead.
 // Because scenario execution is seed-deterministic, the same spec
 // produces byte-identical result payloads on every rerun, at any worker
 // pool width, and across server restarts — the CI gate submits each
@@ -89,6 +91,7 @@ type job struct {
 	doneUs     int64
 	totalUs    int64
 	cancel     bool
+	attempts   int    // times a worker claimed the job, persisted on each claim
 	persistErr string // last failure writing this job's files, if any
 }
 
@@ -111,8 +114,10 @@ type Server struct {
 
 // New builds a Server, reloads any persisted jobs from cfg.Dir, and
 // starts the worker pool. Persisted jobs with a result (or a terminal
-// error marker) come back in their finished state; interrupted ones
-// re-enter the queue and run again — same spec, same bytes.
+// error marker) come back in their finished state. A job interrupted
+// after its first claim re-enters the queue and runs again — same spec,
+// same bytes; one interrupted after its second claim ends
+// "failed: interrupted".
 func New(cfg Config) (*Server, error) {
 	w := cfg.Workers
 	if w < 1 {
@@ -204,6 +209,20 @@ func (s *Server) reload() error {
 				j.state, j.errMsg = t.State, t.Error
 			}
 		}
+		if j.state == StateQueued {
+			if b, err := os.ReadFile(filepath.Join(s.dir, id+".attempt.json")); err == nil {
+				var a struct {
+					Attempts int `json:"attempts"`
+				}
+				if json.Unmarshal(b, &a) == nil {
+					j.attempts = a.Attempts
+				}
+			}
+			if j.attempts >= 2 {
+				j.state, j.errMsg = StateFailed, "interrupted"
+				s.persistTerminal(j)
+			}
+		}
 		var seq uint64
 		if _, err := fmt.Sscanf(id, "j%d-", &seq); err == nil && seq >= s.seq {
 			s.seq = seq + 1
@@ -233,6 +252,8 @@ func (s *Server) worker() {
 			return
 		}
 		j.state = StateRunning
+		j.attempts++
+		s.persistAttempt(j)
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		s.runJob(j)
@@ -299,23 +320,37 @@ func (s *Server) execute(j *job) (res *scenario.Result, err error) {
 }
 
 // persistTerminal records a canceled/failed outcome so a restarted
-// server does not re-queue the job. A persistence failure is recorded on
-// the job (and logged) — the in-memory state stays authoritative.
-// Caller holds the mutex.
+// server does not re-queue the job. Caller holds the mutex.
 func (s *Server) persistTerminal(j *job) {
-	if s.dir == "" {
-		return
-	}
-	b, err := json.Marshal(struct {
+	s.persistJSON(j, "state", struct {
 		State string `json:"state"`
 		Error string `json:"error,omitempty"`
 	}{j.state, j.errMsg})
+}
+
+// persistAttempt records a claim before the job runs, so a restart can
+// tell a job interrupted once from one that keeps taking the process
+// down. Caller holds the mutex.
+func (s *Server) persistAttempt(j *job) {
+	s.persistJSON(j, "attempt", struct {
+		Attempts int `json:"attempts"`
+	}{j.attempts})
+}
+
+// persistJSON writes v as the job's <id>.<kind>.json. A persistence
+// failure is recorded on the job (and logged) — the in-memory state
+// stays authoritative. Caller holds the mutex.
+func (s *Server) persistJSON(j *job, kind string, v any) {
+	if s.dir == "" {
+		return
+	}
+	b, err := json.Marshal(v)
 	if err == nil {
-		err = s.writeFile(j.id+".state.json", b)
+		err = s.writeFile(j.id+"."+kind+".json", b)
 	}
 	if err != nil {
 		j.persistErr = err.Error()
-		s.logf("job %s: persist state: %v", j.id, err)
+		s.logf("job %s: persist %s: %v", j.id, kind, err)
 	}
 }
 

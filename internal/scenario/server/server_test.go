@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -265,6 +266,61 @@ func TestPersistenceSurvivesRestart(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].ID != id || list[0].State != StateDone {
 		t.Fatalf("restarted job list: %+v", list)
+	}
+}
+
+// TestInterruptedJobRetriedOnceThenFailed simulates a process that dies
+// while running a job: the claim is on disk (the attempt marker) but the
+// result is not. A restart finding one attempt re-runs the job, which
+// completes with the same bytes; a restart finding the second attempt
+// interrupted too ends the job "failed: interrupted" without running it,
+// and every later restart keeps it failed.
+func TestInterruptedJobRetriedOnceThenFailed(t *testing.T) {
+	dir := t.TempDir()
+	var id string
+	var want []byte
+	for run := 1; run <= 4; run++ {
+		s, err := New(Config{Dir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		if run == 1 {
+			id = submit(t, ts.URL, smallSpec)
+		}
+		state, _, _ := followStream(t, ts.URL, id)
+		var got []byte
+		if state == StateDone {
+			got = fetchResult(t, ts.URL, id)
+		}
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		ts.Close()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch run {
+		case 1:
+			want = got
+		case 2:
+			if state != StateDone || !bytes.Equal(got, want) {
+				t.Fatalf("restart after one interrupted attempt: %q, payload equal %v", state, bytes.Equal(got, want))
+			}
+		default:
+			if state != StateFailed || st.Error != "interrupted" || st.DoneUs != 0 {
+				t.Fatalf("restart %d after two interrupted attempts: %+v", run-1, st)
+			}
+		}
+		// Crash between claim and result: only the result goes missing.
+		if err := os.Remove(filepath.Join(dir, id+".result.json")); err != nil && run <= 2 {
+			t.Fatal(err)
+		}
 	}
 }
 

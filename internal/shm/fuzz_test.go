@@ -3,6 +3,10 @@ package shm
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -16,19 +20,43 @@ type heldView struct {
 
 // viewCoverage names the corners checkPayloadBuf reached.
 type viewCoverage struct {
-	zeroViews int  // views of a never-written ring
-	straddles int  // View calls that reported the ring end in the window
-	direct    bool // the ring went nil -> full size at once
-	grew      bool // the ring went small -> full size
-	heldMove  bool // a view taken of the small ring was checked after the move
-	smallWrap bool // a View was taken after a write wrapped the small ring
-	fullWrap  bool // a View was taken after a write wrapped the full ring
+	zeroViews int    // views of a never-written ring
+	straddles int    // View calls that reported the ring end in the window
+	rungs     uint32 // OR of the small ring sizes a View was taken on
+	direct    bool   // the ring went nil -> full size at once
+	stepped   bool   // the ring moved from one small size to a larger one
+	grew      bool   // the ring went small -> full size
+	heldMove  bool   // a view taken of a small ring was checked after a move
+	smallWrap bool   // a View was taken after a write wrapped a small ring
+	fullWrap  bool   // a View was taken after a write wrapped the full ring
+}
+
+// allRungs is viewCoverage.rungs once every small ring size was viewed.
+const allRungs = maxSmallRing<<1 - minRing
+
+// add merges o into c.
+func (c *viewCoverage) add(o viewCoverage) {
+	c.zeroViews += o.zeroViews
+	c.straddles += o.straddles
+	c.rungs |= o.rungs
+	c.direct = c.direct || o.direct
+	c.stepped = c.stepped || o.stepped
+	c.grew = c.grew || o.grew
+	c.heldMove = c.heldMove || o.heldMove
+	c.smallWrap = c.smallWrap || o.smallWrap
+	c.fullWrap = c.fullWrap || o.fullWrap
+}
+
+// complete reports whether c reached every corner.
+func (c viewCoverage) complete() bool {
+	return c.zeroViews > 0 && c.straddles > 0 && c.rungs == allRungs && c.direct && c.stepped &&
+		c.grew && c.heldMove && c.smallWrap && c.fullWrap
 }
 
 // checkPayloadBuf drives one PayloadBuf with the operations data encodes
 // and holds it to a flat reference of the logical stream (ref[i] is the
 // byte at position base+i). data[0] picks the logical size (8 to 64 KB,
-// all above the 4 KB small ring) and whether positions start just below
+// all above the largest small ring) and whether positions start just below
 // the uint32 wrap; then every three bytes are one operation:
 //
 //	op%8 0, 1  in-order write at head (WriteAt, or through Slices as Reserve+Commit does)
@@ -37,8 +65,8 @@ type viewCoverage struct {
 //	     5     View a window and hold it          6  Slices a window   7  ReadAt a window
 //
 // After every operation each held view must still read the reference
-// while its bytes are unreleased — across writes, wraps and the move to
-// full size — and a view of a never-written ring must read zeros forever.
+// while its bytes are unreleased — across writes, wraps and every move of
+// the ring — and a view of a never-written ring must read zeros forever.
 func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 	var cov viewCoverage
 	if len(data) == 0 {
@@ -82,13 +110,12 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 			b.WriteAt(pos, p)
 		}
 		phys := uint32(len(b.data))
-		if before != len(b.data) && phys == size {
-			cov.direct = cov.direct || before == 0
-			if before != 0 {
-				cov.grew = true
-				for _, h := range held {
-					cov.heldMove = cov.heldMove || !h.zero
-				}
+		if before != len(b.data) {
+			cov.direct = cov.direct || before == 0 && phys == size
+			cov.stepped = cov.stepped || before != 0 && phys < size
+			cov.grew = cov.grew || before != 0 && phys == size
+			for _, h := range held {
+				cov.heldMove = cov.heldMove || before != 0 && !h.zero
 			}
 		}
 		if pos&(phys-1)+n > phys {
@@ -161,6 +188,9 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 			if !bytes.Equal(v, want(pos, n)) || cap(v) != len(v) {
 				t.Fatalf("View(%d, %d) (ring %d bytes, cap %d) differs from the stream", pos, n, phys, cap(v))
 			}
+			if uint32(phys) < size {
+				cov.rungs |= uint32(phys)
+			}
 			cov.smallWrap = cov.smallWrap || wroteSmallWrap
 			cov.fullWrap = cov.fullWrap || wroteFullWrap
 			held = append(held, heldView{pos: pos, v: v})
@@ -217,15 +247,16 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 // (see checkPayloadBuf for the encoding), views held across later writes
 // and the ring's moves included. The committed corpus
 // (testdata/fuzz/FuzzPayloadBuf: 600 random operations on every size and
-// start, one run of 3 000, and a directed run that views the small ring
-// and then outgrows it) reaches every corner viewCoverage names.
+// start, one run of 3 000, a directed run that views a small ring and
+// then outgrows it, and payloadBufLadderOps) reaches every corner
+// viewCoverage names (TestPayloadBufCorpusCoverage).
 func FuzzPayloadBuf(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkPayloadBuf(t, data) })
 }
 
 // payloadBufSeedOps returns a selector byte and n random operations,
 // short writes only in the first half. Two views of the still unwritten
-// ring come first; with direct, the first write outgrows the small ring
+// ring come first; with direct, the first write outgrows every small ring
 // at once.
 func payloadBufSeedOps(seed int64, sel byte, n int, direct bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -243,28 +274,91 @@ func payloadBufSeedOps(seed int64, sel byte, n int, direct bool) []byte {
 	return data
 }
 
-// TestPayloadBufViewMatchesStream runs long seeded sequences through
-// checkPayloadBuf on every size and requires the corners the view
-// contract depends on: zero views of an unwritten ring, straddling windows
-// refused, a view of the small ring held across its move to full size,
-// views after the small and the full ring wrapped, and a ring that went
-// nil -> full at once.
+// payloadBufLadderOps climbs the small rings one by one on an 8 KB buffer
+// whose positions cross the uint32 wrap: on each rung it wraps the ring
+// with 200 B writes, each viewed and then released, and then hoards
+// writes until the live window outgrows the ring, with views of it held.
+// Past the largest small ring it moves to full size and wraps that too.
+func payloadBufLadderOps() []byte {
+	const w = 200
+	data := []byte{4}
+	live := uint32(0)
+	write := func() { data = append(data, 0, 0, w-1); live += w }
+	view := func() { data = append(data, 5, 0, 100) } // 101 bytes from tail
+	release := func() {
+		x := w*256/live - 1
+		data = append(data, 4, byte(x), 0)
+		live -= live * (x + 1) / 256
+	}
+	cycle := func(ring uint32) {
+		for i := uint32(0); i < 2*ring/w+1; i++ {
+			write()
+			view()
+			release()
+		}
+	}
+	for r := uint32(minRing); r <= maxSmallRing; r <<= 1 {
+		for live+w <= r/2 {
+			write()
+		}
+		cycle(r)
+		for live <= r {
+			write()
+			view()
+		}
+	}
+	cycle(8192)
+	return data
+}
+
+// TestPayloadBufViewMatchesStream runs long seeded sequences and the
+// ladder through checkPayloadBuf on every size and requires the corners
+// the view contract depends on: zero views of an unwritten ring,
+// straddling windows refused, views of every small ring size, views held
+// across a move from one small ring to the next and to full size, views
+// after a small and the full ring wrapped, and a ring that went nil ->
+// full at once.
 func TestPayloadBufViewMatchesStream(t *testing.T) {
 	var all viewCoverage
 	for seed := int64(1); seed <= 8; seed++ {
 		cov := checkPayloadBuf(t, payloadBufSeedOps(seed, byte(seed-1), 3000, seed%2 == 0))
 		t.Logf("seed %d: %+v", seed, cov)
-		all.zeroViews += cov.zeroViews
-		all.straddles += cov.straddles
-		all.direct = all.direct || cov.direct
-		all.grew = all.grew || cov.grew
-		all.heldMove = all.heldMove || cov.heldMove
-		all.smallWrap = all.smallWrap || cov.smallWrap
-		all.fullWrap = all.fullWrap || cov.fullWrap
+		all.add(cov)
 	}
-	if all.zeroViews == 0 || all.straddles == 0 || !all.direct || !all.grew || !all.heldMove ||
-		!all.smallWrap || !all.fullWrap {
+	ladder := checkPayloadBuf(t, payloadBufLadderOps())
+	t.Logf("ladder: %+v", ladder)
+	if ladder.rungs != allRungs || !ladder.stepped || !ladder.grew || !ladder.heldMove || !ladder.smallWrap || !ladder.fullWrap {
+		t.Errorf("the ladder reached only %+v", ladder)
+	}
+	if all.add(ladder); !all.complete() {
 		t.Errorf("the runs reached only %+v", all)
+	}
+}
+
+// TestPayloadBufCorpusCoverage replays the committed FuzzPayloadBuf corpus
+// through checkPayloadBuf and requires it to reach every corner, so a
+// change to the ring that strands a corner of the corpus fails here and
+// not only after fuzzing.
+func TestPayloadBufCorpusCoverage(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzPayloadBuf/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	var all viewCoverage
+	for _, name := range files {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(text)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus entry: %v", name, err)
+		}
+		all.add(checkPayloadBuf(t, []byte(data)))
+	}
+	if !all.complete() {
+		t.Errorf("the corpus reached only %+v", all)
 	}
 }
 
@@ -282,11 +376,11 @@ func TestPayloadBufView(t *testing.T) {
 	if !ok || string(v) != "committed" || cap(v) != 9 || &v[0] != &b.data[0] {
 		t.Fatalf("View = %q (cap %d, ok %v), want the ring's bytes in place", v, cap(v), ok)
 	}
-	if _, ok := b.View(smallRing-4, 8); ok {
+	if _, ok := b.View(minRing-4, 8); ok {
 		t.Fatal("View of a window straddling the small ring's end reported ok")
 	}
 	small := len(b.data)
-	b.WriteAt(9, make([]byte, 2*smallRing)) // the live window outgrows the small ring
+	b.WriteAt(9, make([]byte, 2*maxSmallRing)) // the live window outgrows every small ring
 	if len(b.data) == small {
 		t.Fatal("the ring did not move to full size")
 	}

@@ -15,23 +15,29 @@ import "fmt"
 //
 // Size is the logical capacity — what window arithmetic and the
 // advertised window see. The physical ring behind it costs what it
-// holds: nil until first use, then min(Size, smallRing), and it moves
-// once to full size the first time the live window [tail, pos+n) of a
-// write or a Slices view outgrows it (View never moves it). The owner
-// advances tail with Release; an owner that never releases only grows
-// sooner, it never reads wrong bytes.
+// holds: nil until first use, then the smallest power of two of at least
+// minRing that holds the live window [tail, pos+n) of a write or a Slices
+// view (View never moves it). Each time the live window outgrows the
+// ring it moves to the next size that holds it, up to maxSmallRing, and
+// beyond that once to full size. The owner advances tail with Release;
+// an owner that never releases only grows sooner, it never reads wrong
+// bytes.
 type PayloadBuf struct {
-	data []byte // physical ring: nil, small, or full size
+	data []byte // physical ring: nil, small (minRing..maxSmallRing), or full size
 	size uint32 // logical capacity
 	tail uint32 // oldest live position, advanced by Release
 }
 
-// smallRing is the physical size a ring starts at: room for a few
-// requests in flight, which is all most connections of a large fleet
-// ever hold. One step to full size (not doubling) leaves at most this
-// much garbage behind per ring, so a ring that does fill costs what it
-// cost when it was allocated eagerly.
-const smallRing = 4096
+// The small rings run from minRing to maxSmallRing. minRing holds a
+// request or two of a large fleet's connections; below it, views
+// straddling the ring end (each a slab copy) grow too common. A ring
+// that outgrows maxSmallRing moves to full size in one step rather than
+// doubling on, so a ring that fills leaves under 2*maxSmallRing of small
+// rings behind and costs what it cost when it was allocated eagerly.
+const (
+	minRing      = 512
+	maxSmallRing = 4096
+)
 
 // NewPayloadBuf creates a buffer. size must be a power of two.
 func NewPayloadBuf(size uint32) *PayloadBuf {
@@ -52,27 +58,33 @@ func (b *PayloadBuf) Release(n uint32) { b.tail += n }
 // fit makes the physical ring hold the live window [tail, pos+n).
 func (b *PayloadBuf) fit(pos, n uint32) {
 	need := (pos-b.tail)&(b.size-1) + n
-	if need <= uint32(len(b.data)) {
+	s := uint32(len(b.data))
+	if need <= s {
 		return
 	}
-	small := b.data
-	if small == nil && need <= smallRing {
-		b.data = make([]byte, min(b.size, smallRing))
+	phys := max(minRing, s<<1)
+	for phys < need {
+		phys <<= 1
+	}
+	if phys > maxSmallRing || phys > b.size {
+		phys = b.size
+	}
+	old := b.data
+	b.data = make([]byte, phys)
+	if old == nil {
 		return
 	}
-	b.data = make([]byte, b.size)
-	if small == nil {
-		return
-	}
-	// The small ring holds the live window [tail, tail+s) and, where that
+	// The old ring holds the live window [tail, tail+s) and, where that
 	// has not wrapped onto them yet, released bytes of [tail-s, tail) that
 	// ReadAt may still ask for (ctrl's persist probe re-reads TxPos-1).
-	// Both windows sit in it at the same rotation; copy it to each.
-	s := uint32(len(small))
+	// Both windows sit in it at the same rotation; copy it to each. The
+	// new ring is at least twice as large, so the two copies never
+	// overlap. They go straight in: WriteAt would fit again and, seeing
+	// the released window, move the ring on to full size.
 	o := b.tail & (s - 1)
 	for _, w := range [2]uint32{b.tail - s, b.tail} {
-		b.WriteAt(w, small[o:])
-		b.WriteAt(w+s-o, small[:o])
+		b.put(w, old[o:])
+		b.put(w+s-o, old[:o])
 	}
 }
 
@@ -84,6 +96,12 @@ func (b *PayloadBuf) WriteAt(pos uint32, p []byte) {
 	if uint32(len(b.data)) != b.size {
 		b.fit(pos, uint32(len(p)))
 	}
+	b.put(pos, p)
+}
+
+// put copies p into the physical ring at pos, wrapping as needed; p must
+// fit the ring.
+func (b *PayloadBuf) put(pos uint32, p []byte) {
 	start := pos & uint32(len(b.data)-1)
 	n := copy(b.data[start:], p)
 	if n < len(p) {
@@ -110,8 +128,8 @@ func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
 // slice is non-nil only when the window wraps the physical ring end.
 // The slices alias the ring — they stay valid only until the region is
 // recycled (receive: consumed; transmit: acknowledged and rewritten) or
-// the next WriteAt or Slices call, either of which may move the ring to
-// full size. n must not exceed the buffer size.
+// the next WriteAt or Slices call, either of which may move the ring. n
+// must not exceed the buffer size.
 func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
 	if n > b.size {
 		panic(fmt.Sprintf("shm: view of %d bytes exceeds %d-byte payload buffer", n, b.size))
@@ -142,9 +160,9 @@ var zeroView [64 << 10]byte
 //
 // A view is the payload of a data segment on the wire
 // (packet.Packet.SetPayloadView). Committed transmit bytes are immutable
-// until acknowledged, and a move to full size leaves the old ring to its
-// views, so the view reads the committed bytes for as long as a receiver
-// can still accept them. A frame that outlives the acknowledgment of its
+// until acknowledged, and a move leaves the old ring to its views, so
+// the view reads the committed bytes for as long as a receiver can still
+// accept them. A frame that outlives the acknowledgment of its
 // bytes may read whatever the sender wrote there since; every such byte
 // lies below the receiver's next expected sequence number, where both
 // receivers trim before they write.

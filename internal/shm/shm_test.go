@@ -196,9 +196,10 @@ type ringModel struct {
 	oooS, oooE uint32 // one out-of-order block ahead of head; empty when equal
 	next       byte   // payload pattern
 
-	// Coverage: a write wrapped the small ring, wrapped the full-size
-	// ring, moved small -> full, allocated nil -> full at once.
-	smallWrap, fullWrap, grew, direct bool
+	// Coverage: a write wrapped a small ring, wrapped the full-size ring,
+	// moved small -> larger small, moved small -> full, allocated nil ->
+	// full at once.
+	smallWrap, fullWrap, stepped, grew, direct bool
 }
 
 func (m *ringModel) fill(p []byte) {
@@ -230,9 +231,10 @@ func (m *ringModel) write(pos, n uint32) {
 		copy(c, p[copy(a, p):])
 	}
 	phys := uint32(len(m.buf.data))
-	if before != len(m.buf.data) && phys == m.size {
-		m.grew = m.grew || before != 0
-		m.direct = m.direct || before == 0
+	if before != len(m.buf.data) {
+		m.stepped = m.stepped || before != 0 && phys < m.size
+		m.grew = m.grew || before != 0 && phys == m.size
+		m.direct = m.direct || before == 0 && phys == m.size
 	}
 	if pos&(phys-1)+n > phys {
 		m.smallWrap = m.smallWrap || phys < m.size
@@ -317,7 +319,7 @@ func (m *ringModel) step(maxWrite uint32, release int) {
 // every two-slice view must equal the reference after every step.
 func TestPayloadBufModel(t *testing.T) {
 	for _, size := range []uint32{512, 4096, 65536} {
-		var smallWrap, fullWrap, grew, direct bool
+		var smallWrap, fullWrap, stepped, grew, direct bool
 		for seed := int64(1); seed <= 6; seed++ {
 			m := &ringModel{t: t, rng: rand.New(rand.NewSource(seed)), buf: NewPayloadBuf(size),
 				ref: make([]byte, size), scratch: make([]byte, 2*size), size: size}
@@ -355,14 +357,77 @@ func TestPayloadBufModel(t *testing.T) {
 			}
 			smallWrap = smallWrap || m.smallWrap
 			fullWrap = fullWrap || m.fullWrap
+			stepped = stepped || m.stepped
 			grew = grew || m.grew
 			direct = direct || m.direct
 		}
 		if !fullWrap {
 			t.Errorf("size %d: no write wrapped the full-size ring", size)
 		}
-		if size > smallRing && !(smallWrap && grew && direct) {
-			t.Errorf("size %d: coverage smallWrap=%v grew=%v nil->full=%v, want all", size, smallWrap, grew, direct)
+		if size > minRing && !(smallWrap && stepped && grew && direct) {
+			t.Errorf("size %d: coverage smallWrap=%v stepped=%v grew=%v nil->full=%v, want all",
+				size, smallWrap, stepped, grew, direct)
+		}
+	}
+}
+
+// TestPayloadBufLadder pins where a ring settles. One 64 KB buffer,
+// its positions crossing the uint32 wrap, carries a stream whose live
+// window peaks at 256 B (an echo), then 600 B, 3 KB and 5 KB: each phase
+// writes half a window at a time and releases it one write later. The
+// ring must settle at 512 B, 1 KB, 4 KB and full size, and after every
+// move both the live bytes and the released bytes the old ring still held
+// behind tail (ctrl's persist probe re-reads TxPos-1) must read back.
+func TestPayloadBufLadder(t *testing.T) {
+	const size = 65536
+	b := NewPayloadBuf(size)
+	pat := func(pos uint32) byte { return byte(pos*0x9E3779B1>>24) ^ byte(pos) }
+	start := uint32(1<<32 - 3000)
+	b.Release(start)
+	tail, head, floor := start, start, start
+	check := func(lo, hi uint32, what string) {
+		got := make([]byte, hi-lo)
+		b.ReadAt(lo, got)
+		for i, c := range got {
+			if c != pat(lo+uint32(i)) {
+				t.Fatalf("ring %d B: %s byte at %d (tail %d) reads %#x, want %#x",
+					len(b.data), what, lo+uint32(i), tail, c, pat(lo+uint32(i)))
+			}
+		}
+	}
+	for _, ph := range []struct{ window, settle uint32 }{
+		{256, 512}, {600, 1024}, {3072, 4096}, {5120, size},
+	} {
+		for round := 0; round < 40; round++ {
+			half := ph.window / 2
+			p := make([]byte, half)
+			for i := range p {
+				p[i] = pat(head + uint32(i))
+			}
+			before := len(b.data)
+			if round%2 == 0 {
+				b.WriteAt(head, p)
+			} else {
+				a, c := b.Slices(head, half)
+				copy(c, p[copy(a, p):])
+			}
+			head += half
+			if len(b.data) != before {
+				t.Logf("window %d: ring %d -> %d B", ph.window, before, len(b.data))
+			}
+			// Released bytes stay readable until the ring wraps onto them.
+			if f := head - uint32(len(b.data)); int32(f-floor) > 0 {
+				floor = f
+			}
+			check(tail, head, "live")
+			check(floor, tail, "released")
+			if live := head - tail; live > half { // keep the newest half window
+				b.Release(live - half)
+				tail += live - half
+			}
+		}
+		if uint32(len(b.data)) != ph.settle {
+			t.Errorf("a %d B window settled the ring at %d B, want %d", ph.window, len(b.data), ph.settle)
 		}
 	}
 }

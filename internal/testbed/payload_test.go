@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 
 	"flextoe/internal/api"
@@ -18,14 +19,14 @@ func streamByte(conn uint16, off uint64) byte {
 	return byte(((off + uint64(conn)<<40) * 0x9E3779B97F4A7C15) >> 56)
 }
 
-// warmBytes is the first message of every stream: it fits the 4 KB rings
-// every socket starts on, and the stream proper begins once it is
+// warmBytes is the first message of every stream: it puts every socket's
+// rings on a small size, and the stream proper begins once it is
 // acknowledged, so both rings move to full size mid-run.
 const warmBytes = 1000
 
 // patternSender streams total bytes of streamByte through Reserve/Commit,
-// in writes of 1 to 2 000 bytes: each fits the 4 KB ring a socket starts
-// on, so only the bytes in flight decide when the ring moves.
+// in writes of 1 to 2 000 bytes: each fits the largest small ring, so only
+// the bytes in flight decide when the ring moves.
 type patternSender struct {
 	sock       api.Socket
 	conn       uint16
@@ -95,7 +96,7 @@ func (k *patternSink) onReadable() {
 // acknowledgment falls inside it, only its prefix is released and
 // rewritten, and its suffix still reads the committed bytes. The rings
 // are 16 KB, so each of the two 1 MB streams laps them 64 times, after a
-// first message that keeps them on their 4 KB start.
+// first message that keeps them on a small ring.
 func TestPayloadIntegrityUnderStaleViews(t *testing.T) {
 	const port, conns, total, bufSize = 7000, 2, 1 << 20, 16384
 	sw := netsim.SwitchConfig{DupProb: 0.05, ReorderProb: 0.2, ReorderDelay: 30 * sim.Microsecond, LossProb: 0.003, Seed: 3}
@@ -234,6 +235,114 @@ func TestBulkBacklogPayloadMemory(t *testing.T) {
 			if blocks > 1 {
 				t.Errorf("the packet slab carved %d blocks for %d queued frames, want <= 1", blocks, queued)
 			}
+		})
+	}
+}
+
+// burstEcho is one client connection of TestEchoFleetRingMemory: it
+// sends a burst of 1, 2, 3, 4, 1, … staged 256 B requests and the next
+// burst once the echo of the last one is in, so each of its rings first
+// holds one request and later four.
+type burstEcho struct {
+	sock   api.Socket
+	bursts int
+	owed   int // echoed bytes of the current burst not yet received
+}
+
+func (e *burstEcho) send() {
+	n := echoReqBytes * (1 + e.bursts%4)
+	a, b := e.sock.Reserve(n)
+	for i := range a {
+		a[i] = byte(i)
+	}
+	for i := range b {
+		b[i] = byte(len(a) + i)
+	}
+	e.sock.Commit(n)
+	e.owed = n
+}
+
+func (e *burstEcho) onReadable() {
+	n := e.sock.Readable()
+	e.sock.Consume(n)
+	if e.owed -= n; e.owed == 0 {
+		e.bursts++
+		e.send()
+	}
+}
+
+const echoReqBytes = 256
+
+// echoFleetBudget bounds the live heap per connection of
+// TestEchoFleetRingMemory: both ends' four rings, sockets and connection
+// state, and the testbed's fixed cost spread over the fleet. Readings
+// (x86-64, go1.24) for Linux, Chelsio, TAS and FlexTOE:
+//
+//	rings start at 4 KB                        23.4, 23.3, 23.7, 35.9 KB
+//	rings climb from 512 B (they settle at 1 KB) 11.1, 10.9, 11.4, 23.6 KB
+//	that climb, with the move copied through
+//	WriteAt (every ring goes to full size)    268.9, 269.0, 269.5, 281.7 KB
+//
+// Each budget sits between the first two rows.
+var echoFleetBudget = map[StackKind]int64{Linux: 17 << 10, Chelsio: 17 << 10, TAS: 17 << 10, FlexTOE: 29 << 10}
+
+// TestEchoFleetRingMemory gates what an echo fleet's payload rings cost.
+// On every personality, 128 connections echo bursts of one to four 256 B
+// requests (a burstEcho each; the server echoes what it reads) for 20 ms,
+// and the live heap per connection is read after a GC, as
+// TestKVStoreBytesPerRecord reads its arena. Every ring first holds one
+// request and then four, so it moves once from one small size to the
+// next: a move that lands anywhere but the next small ring shows here.
+func TestEchoFleetRingMemory(t *testing.T) {
+	const port, conns = 7002, 128
+	for _, kind := range AllStacks {
+		t.Run(string(kind), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tb := New(netsim.SwitchConfig{},
+				MachineSpec{Name: "server", Kind: kind, Cores: 4, Seed: 1},
+				MachineSpec{Name: "client", Kind: kind, Cores: 4, Seed: 2},
+			)
+			tb.M("server").Stack.Listen(port, func(sock api.Socket) {
+				sock.OnReadable(func() {
+					a, b := sock.Peek()
+					n := api.ViewLen(a, b)
+					ra, rb := sock.Reserve(n)
+					api.ViewCopyIn(ra, rb, 0, a)
+					api.ViewCopyIn(ra, rb, len(a), b)
+					sock.Commit(n)
+					sock.Consume(n)
+				})
+			})
+			fleet := make([]*burstEcho, 0, conns)
+			for i := 0; i < conns; i++ {
+				tb.M("client").Stack.Dial(tb.Addr("server", port), func(sock api.Socket) {
+					e := &burstEcho{sock: sock}
+					fleet = append(fleet, e)
+					sock.OnReadable(e.onReadable)
+					e.send()
+				})
+			}
+			tb.Run(20 * sim.Millisecond)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perConn := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / conns
+			bursts := 0
+			for _, e := range fleet {
+				bursts += e.bursts
+			}
+			budget := echoFleetBudget[kind]
+			t.Logf("%d connections, %d bursts echoed, %d B of live heap per connection, budget %d",
+				len(fleet), bursts, perConn, budget)
+			if len(fleet) != conns || bursts < 8*conns {
+				t.Fatalf("%d of %d connections echoed only %d bursts", len(fleet), conns, bursts)
+			}
+			if perConn > budget {
+				t.Errorf("%d B of live heap per connection, budget %d: payload rings are not sized by what they hold",
+					perConn, budget)
+			}
+			runtime.KeepAlive(tb)
 		})
 	}
 }
