@@ -50,13 +50,16 @@
 //     mid-pipeline drop point; it also releases the item's packet.
 //
 //   - Packets (internal/packet) and Frames (internal/netsim): a packet
-//     has exactly one owner at a time. Building one (packet.Get; a data
-//     segment's payload is a view of the sender's committed transmit
-//     bytes, SetPayloadView, and only a copy — a window straddling the
-//     ring's end, a duplicate of a copy — borrows a buffer from the
-//     shm.Slab via GrowPayload until Release) and sending it transfers
-//     ownership hop by hop through the fabric; whoever terminates its
-//     journey calls packet.Release exactly once — the consuming stack
+//     has exactly one owner at a time. Every pooled packet and frame
+//     comes from its engine's pool (packet.PoolOf, netsim.FramesOf);
+//     there is no process-global pool, so the engine counts every loan
+//     (below). Building one (Pool.Get; a data segment's payload is a
+//     view of the sender's committed transmit bytes, SetPayloadView, and
+//     only a copy — a window straddling the ring's end, a duplicate of a
+//     copy — borrows a buffer from the shm.Slab via GrowPayload until
+//     Release) and sending it transfers ownership hop by hop through
+//     the fabric; whoever terminates its journey calls packet.Release
+//     exactly once — the consuming stack
 //     (FlexTOE pipeline after the payload DMA lands; the baseline stack
 //     at the end of handleSeg; the TOE's control-delivery event after
 //     ControlRx returns), or the drop point (switch loss/WRED/flood,
@@ -225,13 +228,14 @@
 //
 // # Zero-copy socket views: ownership and aliasing contract
 //
-// api.Socket's primary data-path interface is the four view calls —
+// api.Socket's data path is the four view calls and nothing else —
 // Peek/Consume on receive, Reserve/Commit on transmit — mirroring
 // libTOE's payload-buffer model (§3, Fig. 2): the application reads
 // received bytes and stages transmit bytes in place in the per-socket
-// payload ring, and only descriptors cross the host/NIC boundary.
-// Send/Recv survive as copy-based compatibility wrappers over the views.
-// The contract:
+// payload ring, and only descriptors cross the host/NIC boundary. There
+// is no copying send/recv on any stack; an application that wants a copy
+// makes it through the views (api.ViewCopyIn/ViewCopyOut; the tests'
+// one copying pair is apitest.Write/Read). The contract:
 //
 //   - Views are windows into the socket's payload ring, never copies.
 //     Peek returns every readable byte as up to two slices (the ring may
@@ -294,8 +298,8 @@
 // rebuild from the TX payload ring, which is why committed bytes must
 // stay untouched until acknowledged (DescTxFree) — the same one-shot
 // rule packets follow. Cost model: libTOE charges descriptor/doorbell
-// cycles but no PerByte copy cost on the view path (Table 1's split of
-// what offload can and cannot eliminate); the baseline personalities
+// cycles and no per-byte copy cost (Table 1's split of what offload can
+// and cannot eliminate); the baseline personalities
 // implement the same view semantics for binary compatibility but keep
 // charging the kernel copy, which their architecture cannot avoid.
 //
@@ -319,9 +323,12 @@
 // testbed on its own engine, and everything pooled on the hot path hangs
 // off that engine (Engine.Local — packet pools, frame pools; TOE work
 // rings and segment freelists per stack), so concurrent simulations share
-// no mutable state. The gates are TestCellsMatchSerial
-// (internal/experiments: worker pools of 2 and 4 reproduce the serial
-// loop slot for slot) and the scenario service's determinism suite, both
+// no mutable state. There is no pool outside an engine, not even for a
+// test or an example: packet.PoolOf and netsim.FramesOf are the only
+// constructors, and each registers what it builds with Engine.Lends.
+// The gates are TestCellsMatchSerial (internal/experiments: worker pools
+// of 2 and 4 reproduce the serial loop slot for slot) and the scenario
+// service's determinism suite, both
 // under `go test -race ./...`; link ids and owner ranks come from the
 // engine too (TestLinkIDsArePerEngine, TestConcurrentJobsMatchSolo).
 // netsim.Connect refuses to join interfaces of two engines: a delivery is

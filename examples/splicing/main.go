@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"flextoe/internal/ebpf"
 	"flextoe/internal/netsim"
@@ -16,6 +18,11 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Stdout))
+}
+
+// run is the testable entry point; it returns the process exit code.
+func run(stdout io.Writer) int {
 	tb := testbed.New(netsim.SwitchConfig{},
 		testbed.MachineSpec{Name: "proxy", Kind: testbed.FlexTOE, Cores: 2, Seed: 1},
 		testbed.MachineSpec{Name: "gen", Kind: testbed.FlexTOE, Cores: 2, Seed: 2},
@@ -35,7 +42,7 @@ func main() {
 		panic(err)
 	}
 	proxy.TOE.AttachXDP(xp)
-	fmt.Printf("splice program: %d instructions, verified\n", len(prog))
+	fmt.Fprintf(stdout, "splice program: %d instructions, verified\n", len(prog))
 
 	// The control plane installs one splice: gen:5000->proxy:80 rewrites
 	// to sink:8080 with seq/ack deltas of 0.
@@ -55,7 +62,9 @@ func main() {
 		origRecv(f)
 	}
 
-	// Stream MTU-sized frames from the generator.
+	// Stream MTU-sized frames from the generator, each drawn from the
+	// engine's frame pool like every frame a stack sends.
+	frames := netsim.FramesOf(tb.Eng)
 	frame := &packet.Packet{
 		Eth:     packet.Ethernet{Src: gen.MAC, Dst: proxy.MAC, EtherType: packet.EtherTypeIPv4},
 		IP:      packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: gen.IP, Dst: proxy.IP},
@@ -68,19 +77,29 @@ func main() {
 		if tb.Eng.Now() >= dur {
 			return false
 		}
-		gen.Iface.Send(netsim.NewFrame(frame, tb.Eng.Now()))
+		gen.Iface.Send(frames.NewFrame(frame, tb.Eng.Now()))
 		return true
 	}, nil)
 	tb.Run(dur + sim.Millisecond)
 
-	fmt.Printf("spliced at %.2f Mpps (%d frames forwarded, %d received at sink)\n",
+	fmt.Fprintf(stdout, "spliced at %.2f Mpps (%d frames forwarded, %d received at sink)\n",
 		float64(proxy.TOE.XDPTx)/dur.Seconds()/1e6, proxy.TOE.XDPTx, received)
 
 	// A FIN tears the splice down and redirects to the control plane.
 	fin := *frame
 	fin.TCP.Flags |= packet.FlagFIN
-	gen.Iface.Send(netsim.NewFrame(&fin, tb.Eng.Now()))
+	gen.Iface.Send(frames.NewFrame(&fin, tb.Eng.Now()))
 	tb.Run(tb.Eng.Now() + sim.Millisecond)
-	fmt.Printf("after FIN: map entries=%d, redirects to control plane=%d\n",
+	fmt.Fprintf(stdout, "after FIN: map entries=%d, redirects to control plane=%d\n",
 		tbl.Len(), proxy.TOE.XDPRedirects)
+
+	// Let the testbed go quiet: every frame, including the generator's,
+	// must be back in the engine's pool.
+	tb.Run(tb.Eng.Now() + sim.Second)
+	if err := tb.Eng.Unreturned(); err != nil {
+		fmt.Fprintln(stdout, err)
+		return 1
+	}
+	fmt.Fprintln(stdout, "pools: every loan returned")
+	return 0
 }

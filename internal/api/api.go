@@ -25,10 +25,12 @@ type Addr struct {
 //
 // # Zero-copy views
 //
-// The primary data-path operations are the four view calls, mirroring
+// The data path is the four view calls and nothing else, mirroring
 // FlexTOE's libTOE payload-buffer model (§3, Fig. 2): the application
 // reads received bytes and stages transmit bytes in place in the
 // per-socket payload ring; only descriptors cross the host/NIC boundary.
+// There is no copying send/recv: an application that wants one copies
+// through the views (api.ViewCopyIn/ViewCopyOut).
 //
 //   - Peek returns every readable byte as up to two ring slices (two
 //     because the ring may wrap); len(a)+len(b) == Readable().
@@ -50,16 +52,7 @@ type Addr struct {
 // Peek/Reserve without an intervening Consume/Commit return stable
 // views. See doc.go ("Zero-copy socket views") for how this composes
 // with the data-path pooling rules.
-//
-// Send and Recv are thin compatibility wrappers over the views
-// (Reserve+copy+Commit, Peek+copy+Consume) that additionally pay the
-// per-byte copy cost the views avoid.
 type Socket interface {
-	// Send appends up to len(p) bytes to the transmit stream, returning
-	// how many were accepted (bounded by socket-buffer space).
-	Send(p []byte) int
-	// Recv copies up to len(p) available bytes, returning the count.
-	Recv(p []byte) int
 	// Peek returns the readable byte stream as up to two ring slices,
 	// valid until the next Consume.
 	Peek() (a, b []byte)

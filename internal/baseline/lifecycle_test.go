@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/api/apitest"
 	"flextoe/internal/sim"
 )
 
@@ -25,8 +26,8 @@ func newLifePair(t *testing.T, prof Profile) *lifePair {
 		p.accepted[s.RemoteAddr().Port] = s
 		buf := make([]byte, lifeMsg)
 		s.OnReadable(func() {
-			if n := s.Recv(buf); n > 0 {
-				s.Send(buf[:n])
+			if n := apitest.Read(s, buf); n > 0 {
+				apitest.Write(s, buf[:n])
 			}
 		})
 	})
@@ -42,8 +43,8 @@ func (p *lifePair) echo() (cc, sc *bconn) {
 	p.client.Dial(p.srv, func(s api.Socket) {
 		sock = s
 		buf := make([]byte, lifeMsg)
-		s.OnReadable(func() { back += s.Recv(buf) })
-		s.Send(buf)
+		s.OnReadable(func() { back += apitest.Read(s, buf) })
+		apitest.Write(s, buf)
 	})
 	p.eng.RunUntil(p.eng.Now() + 2*sim.Millisecond)
 	if sock == nil || back != lifeMsg {

@@ -244,19 +244,6 @@ func (k *bsocket) Commit(n int) {
 	c.appCore.SubmitStepCall(sim.Step{Compute: cost}, bconnTxPump, c)
 }
 
-// Send copies into the socket buffer and triggers transmission: the
-// compatibility wrapper over Reserve/Commit.
-func (k *bsocket) Send(p []byte) int {
-	a, b := k.Reserve(len(p))
-	n := copy(a, p)
-	n += copy(b, p[n:])
-	if n == 0 {
-		return 0
-	}
-	k.Commit(n)
-	return n
-}
-
 // bconnTxPump / bconnRecvDone are the socket calls' charged completions
 // (see host.Core.SubmitStepCall).
 func bconnTxPump(a any) {
@@ -270,21 +257,6 @@ func bconnRecvDone(a any) {
 		c.needWinUpdate = false
 		c.stack.sendAck(c, false) // window update
 	}
-}
-
-// Recv drains readable bytes, reopening the receive window: the
-// compatibility wrapper over Peek/Consume.
-func (k *bsocket) Recv(p []byte) int {
-	a, b := k.Peek()
-	n := copy(p, a)
-	if n < len(p) {
-		n += copy(p[n:], b)
-	}
-	if n == 0 {
-		return 0
-	}
-	k.Consume(n)
-	return n
 }
 
 // Close sends FIN after buffered data.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/api/apitest"
 	"flextoe/internal/host"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
@@ -49,8 +50,8 @@ func newStalePair(t *testing.T, prof Profile) *stalePair {
 		payload[i] = byte(i*7 + 1)
 	}
 	p.client.Dial(srv, func(s api.Socket) {
-		if n := s.Send(payload); n != len(payload) {
-			t.Errorf("Send accepted %d of %d bytes", n, len(payload))
+		if n := apitest.Write(s, payload); n != len(payload) {
+			t.Errorf("Write accepted %d of %d bytes", n, len(payload))
 		}
 	})
 	eng.RunUntil(5 * sim.Millisecond)

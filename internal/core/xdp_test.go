@@ -204,7 +204,7 @@ func TestVLANStripInPipeline(t *testing.T) {
 		Payload: []byte("tagged payload"),
 	}
 	p.eng.AtCall(sim.Microsecond, func(any) {
-		p.toeB.rxFromWire(netsim.NewFrame(pkt, p.eng.Now()))
+		p.toeB.rxFromWire(netsim.FramesOf(p.eng).NewFrame(pkt, p.eng.Now()))
 	}, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if string(p.b.got) != "tagged payload" {

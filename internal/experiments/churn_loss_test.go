@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/api/apitest"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
 	"flextoe/internal/testbed"
@@ -57,11 +58,11 @@ func churnLossRun(seed uint64, lossProb float64, waves, perWave int) churnLossRe
 		var buf [8]byte
 		sock.OnReadable(func() {
 			for {
-				n := sock.Recv(buf[:])
+				n := apitest.Read(sock, buf[:])
 				if n == 0 {
 					return
 				}
-				sock.Send(buf[:n])
+				apitest.Write(sock, buf[:n])
 				echoed += n
 				if echoed >= 8 {
 					sock.Close()
@@ -80,12 +81,12 @@ func churnLossRun(seed uint64, lossProb float64, waves, perWave int) churnLossRe
 			conn++
 			r.dials++
 			cl.Dial(addr, func(sock api.Socket) {
-				sock.Send(tag[:])
+				apitest.Write(sock, tag[:])
 				got := 0
 				var buf [8]byte
 				sock.OnReadable(func() {
 					for got < 8 {
-						n := sock.Recv(buf[got:])
+						n := apitest.Read(sock, buf[got:])
 						if n == 0 {
 							return
 						}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/api/apitest"
 	"flextoe/internal/apps"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
@@ -205,7 +206,7 @@ func TestDialPortWrapSkipsLiveFlows(t *testing.T) {
 		churnLoop(tb, "client", "server", 9090, churn/perWave, perWave, sim.Millisecond)
 		tb.Run(tb.Eng.Now() + 30*sim.Millisecond)
 		for _, sock := range socks {
-			sock.Send([]byte{1})
+			apitest.Write(sock, []byte{1})
 		}
 		tb.Run(tb.Eng.Now() + 2*sim.Millisecond)
 
@@ -282,7 +283,7 @@ func TestSocketRingMemoryBudget(t *testing.T) {
 							echoed++
 						}
 					})
-					sock.Send(make([]byte, reqBytes))
+					apitest.Write(sock, make([]byte, reqBytes))
 				})
 			}
 			tb.Run(tb.Eng.Now() + 2*sim.Millisecond)

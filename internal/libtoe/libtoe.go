@@ -21,10 +21,9 @@ import (
 
 // CostProfile is the per-operation host cycle cost of the socket layer.
 type CostProfile struct {
-	SendCycles   int64   // per send() call (descriptor + doorbell MMIO)
-	RecvCycles   int64   // per recv() call
-	NotifyCycles int64   // per context-queue notification processed
-	PerByte      float64 // copy cost per byte (app <-> payload buffer)
+	SendCycles   int64 // per Commit (descriptor + doorbell MMIO)
+	RecvCycles   int64 // per Consume
+	NotifyCycles int64 // per context-queue notification processed
 	// WakeupLatency is the MSI-X -> eventfd -> scheduler path when the
 	// application slept waiting for IO (§4 "Driver"). Charged only when
 	// the socket's core is idle; busy applications poll.
@@ -39,7 +38,6 @@ func DefaultCosts() CostProfile {
 		SendCycles:    240,
 		RecvCycles:    200,
 		NotifyCycles:  150,
-		PerByte:       0.06,
 		WakeupLatency: 3500 * sim.Nanosecond,
 	}
 }
@@ -83,9 +81,6 @@ func (s *Stack) Engine() *sim.Engine { return s.eng }
 
 // LocalIP returns the machine's address.
 func (s *Stack) LocalIP() packet.IPv4Addr { return s.localIP }
-
-// Costs returns the mutable socket cost profile.
-func (s *Stack) Costs() *CostProfile { return &s.costs }
 
 // appCore picks the core a new socket's notifications run on
 // (per-thread context queues: sockets are distributed round-robin, as
@@ -131,9 +126,8 @@ func (s *Stack) newSocket(c *ctrl.Conn) *Socket {
 // hand the application windows straight into the shared-memory payload
 // buffers and cross the host/NIC boundary with descriptors only, so the
 // cost model charges descriptor/doorbell cycles but no per-byte copy
-// cost — Table 1's "cannot be eliminated with TCP offload" split.
-// Send/Recv remain as copy-based compatibility wrappers that add the
-// PerByte cost the views avoid.
+// cost — Table 1's "cannot be eliminated with TCP offload" split. They
+// are the socket's only data path: there is no copying send/recv.
 type Socket struct {
 	stack *Stack
 	conn  *ctrl.Conn
@@ -199,10 +193,6 @@ func (k *Socket) Peek() (a, b []byte) {
 // window. Only the descriptor cost is charged: the application read the
 // bytes in place.
 func (k *Socket) Consume(n int) {
-	k.consume(n, k.stack.costs.RecvCycles)
-}
-
-func (k *Socket) consume(n int, cost int64) {
 	if n == 0 {
 		return
 	}
@@ -213,7 +203,7 @@ func (k *Socket) consume(n int, cost int64) {
 	k.avail -= uint32(n)
 	k.conn.RxBuf.Release(uint32(n))
 	k.pendRx += uint32(n)
-	k.core.SubmitStepCall(sim.Step{Compute: cost}, sockRxDoorbell, k)
+	k.core.SubmitStepCall(sim.Step{Compute: k.stack.costs.RecvCycles}, sockRxDoorbell, k)
 }
 
 // Reserve returns up to n bytes of free TX payload buffer to stage into,
@@ -233,10 +223,6 @@ func (k *Socket) Reserve(n int) (a, b []byte) {
 // the descriptor + doorbell cost is charged: the payload already sits in
 // the shared-memory buffer the data-path DMAs from.
 func (k *Socket) Commit(n int) {
-	k.commit(n, k.stack.costs.SendCycles)
-}
-
-func (k *Socket) commit(n int, cost int64) {
 	if k.closed || n == 0 {
 		return
 	}
@@ -246,7 +232,7 @@ func (k *Socket) commit(n int, cost int64) {
 	k.txHead += uint32(n)
 	k.txFree -= uint32(n)
 	k.pendTx += uint32(n)
-	k.core.SubmitStepCall(sim.Step{Compute: cost}, sockTxDoorbell, k)
+	k.core.SubmitStepCall(sim.Step{Compute: k.stack.costs.SendCycles}, sockTxDoorbell, k)
 }
 
 // sockTxDoorbell / sockRxDoorbell run when a socket call's charged cost
@@ -270,35 +256,6 @@ func sockRxDoorbell(a any) {
 		k.pendRx = 0
 		k.stack.toe.InjectHC(shm.Desc{Kind: shm.DescRxConsume, Conn: k.conn.ID, Bytes: n})
 	}
-}
-
-// Send appends to the transmit payload buffer and doorbells the NIC: the
-// copy-based compatibility wrapper over Reserve/Commit, paying the
-// per-byte copy cost the view path avoids.
-func (k *Socket) Send(p []byte) int {
-	a, b := k.Reserve(len(p))
-	n := copy(a, p)
-	n += copy(b, p[n:])
-	if n == 0 {
-		return 0
-	}
-	k.commit(n, k.stack.costs.SendCycles+int64(float64(n)*k.stack.costs.PerByte))
-	return n
-}
-
-// Recv copies received bytes out and reopens the receive window: the
-// copy-based compatibility wrapper over Peek/Consume.
-func (k *Socket) Recv(p []byte) int {
-	a, b := k.Peek()
-	n := copy(p, a)
-	if n < len(p) {
-		n += copy(p[n:], b)
-	}
-	if n == 0 {
-		return 0
-	}
-	k.consume(n, k.stack.costs.RecvCycles+int64(float64(n)*k.stack.costs.PerByte))
-	return n
 }
 
 // Close sends FIN, behind every byte committed before it: bytes whose

@@ -20,11 +20,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 func TestFrameDoubleReleasePanics(t *testing.T) {
-	p := &packet.Packet{}
-	f := NewFrame(p, 0)
+	f := FramesOf(sim.New()).NewFrame(&packet.Packet{}, 0)
 	ReleaseFrame(f)
 	mustPanic(t, "double ReleaseFrame", func() { ReleaseFrame(f) })
-	_ = defaultFrames.getFrame() // drain the poisoned entry
 }
 
 func TestFrameUseAfterReleaseCaught(t *testing.T) {
@@ -32,8 +30,7 @@ func TestFrameUseAfterReleaseCaught(t *testing.T) {
 	a := NewIface(eng, "a", packet.EtherAddr{1}, 1e9)
 	b := NewIface(eng, "b", packet.EtherAddr{2}, 1e9)
 	Connect(a, b, 0)
-	f := NewFrame(&packet.Packet{}, 0)
+	f := FramesOf(eng).NewFrame(&packet.Packet{}, 0)
 	ReleaseFrame(f)
 	mustPanic(t, "Send of released frame", func() { a.Send(f) })
-	_ = defaultFrames.getFrame() // drain the poisoned entry
 }

@@ -345,7 +345,7 @@ func foldSpecOf(data []byte) *foldSpec {
 func TestShapingMidCrossbarPanics(t *testing.T) {
 	eng, n, a, b := buildNet(t, SwitchConfig{})
 	b.Recv = func(f *Frame) { ReleaseFrame(f) }
-	eng.AtCall(0, func(any) { a.Send(NewFrame(testPacket(a.MAC, b.MAC, 1400), 0)) }, nil)
+	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(testPacket(a.MAC, b.MAC, 1400), 0)) }, nil)
 	// Forwarded at ~392 ns (292 ns serialization + 100 ns link), egress
 	// 600 ns later.
 	eng.RunUntil(700 * sim.Nanosecond)

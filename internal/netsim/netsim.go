@@ -55,16 +55,12 @@ type Frame struct {
 	pool   *FramePool // the pool the frame was drawn from
 }
 
-// FramePool is one engine's frame freelist. Single-threaded; use one per
-// engine (FramesOf) or per test.
+// FramePool is one engine's frame freelist. FramesOf is the only way to
+// get one, and it registers the pool with its engine
+// (sim.Engine.Unreturned). Single-threaded.
 type FramePool struct {
 	free shm.Freelist[Frame]
 }
-
-// defaultFrames serves the package-level NewFrame for single-threaded
-// tests and examples. Anything that may run as one of several concurrent
-// jobs or cells uses FramesOf(engine).
-var defaultFrames = &FramePool{}
 
 // framesKey keys the per-engine FramePool in Engine.Local.
 type framesKey struct{}
@@ -97,12 +93,6 @@ func (fp *FramePool) getFrame() *Frame {
 		return f
 	}
 	return &Frame{pooled: true, pool: fp}
-}
-
-// NewFrame wraps a packet using the default pool. Single-threaded callers
-// only; simulations use FramesOf(engine).NewFrame.
-func NewFrame(p *packet.Packet, now sim.Time) *Frame {
-	return defaultFrames.NewFrame(p, now)
 }
 
 // ReleaseFrame recycles a frame into the pool it came from once its

@@ -2,7 +2,11 @@
 
 package packet
 
-import "testing"
+import (
+	"testing"
+
+	"flextoe/internal/sim"
+)
 
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
@@ -15,31 +19,31 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 func TestPacketDoubleReleasePanics(t *testing.T) {
-	p := Get()
+	p := PoolOf(sim.New()).Get()
 	Release(p)
 	mustPanic(t, "double Release", func() { Release(p) })
-	// Drain the poisoned entry so later tests start clean.
-	_ = Get()
 }
 
 // TestPacketWriteAfterReleaseCaught: Release returns a copy's buffer to
 // the slab, so a stale write through it is caught when the slab hands the
 // buffer to the next copy.
 func TestPacketWriteAfterReleaseCaught(t *testing.T) {
-	p := Get()
+	pool := PoolOf(sim.New())
+	p := pool.Get()
 	payload := p.GrowPayload(32)
 	Release(p)
 	// Stale write through the payload handed out before Release.
 	payload[5] = 0xAA
-	mustPanic(t, "GrowPayload after write-after-release", func() { _ = Get().GrowPayload(32) })
+	mustPanic(t, "GrowPayload after write-after-release", func() { _ = pool.Get().GrowPayload(32) })
 }
 
 // TestPayloadViewChangeCaught: a view whose bytes change between
 // SetPayloadView and the receiver's whole-payload write panics there; an
 // untouched view, a copy and a released view pass.
 func TestPayloadViewChangeCaught(t *testing.T) {
+	pool := PoolOf(sim.New())
 	ring := []byte("committed transmit bytes")
-	p := Get()
+	p := pool.Get()
 	p.SetPayloadView(ring[:9])
 	p.CheckPayloadView()
 	ring[3] = 'X' // the sender rewrote an unacknowledged byte
@@ -48,7 +52,7 @@ func TestPayloadViewChangeCaught(t *testing.T) {
 	if ring[0] != 'c' {
 		t.Fatal("Release poisoned a view")
 	}
-	q := Get()
+	q := pool.Get()
 	copy(q.GrowPayload(9), ring)
 	ring[0] = 'Y'
 	q.CheckPayloadView() // a copy is the packet's own
@@ -56,7 +60,8 @@ func TestPayloadViewChangeCaught(t *testing.T) {
 }
 
 func TestPacketStaleReadSeesPoison(t *testing.T) {
-	p := Get()
+	pool := PoolOf(sim.New())
+	p := pool.Get()
 	payload := p.GrowPayload(16)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -67,9 +72,8 @@ func TestPacketStaleReadSeesPoison(t *testing.T) {
 			t.Fatalf("stale payload byte %d = %#x, want poison 0xDB", i, v)
 		}
 	}
-	// Reacquire the buffer (contents untouched, so the check passes) and
-	// restore the pool to a clean state.
-	q := Get()
+	// Reacquiring the buffer checks the poison is intact.
+	q := pool.Get()
 	q.GrowPayload(16)
 	Release(q)
 }

@@ -1,6 +1,10 @@
 package packet
 
-import "testing"
+import (
+	"testing"
+
+	"flextoe/internal/sim"
+)
 
 // checkMemo requires the flow-hash memo to agree with the headers as
 // they are now, whatever was decoded, poked or seeded before.
@@ -24,7 +28,7 @@ func checkMemo(t *testing.T, p *Packet, when string) {
 // ACK+SACK, SYN, SYN-ACK and VLAN frames plus truncated SACK and timestamp
 // options and a cut-off frame.
 func FuzzDecodeInto(f *testing.F) {
-	pool := NewPool()
+	pool := PoolOf(sim.New())
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		p := pool.Get()
 		if err := p.DecodeInto(first); err != nil {

@@ -26,37 +26,28 @@ import (
 // tests) is a no-op, so consumers can release unconditionally.
 //
 // Freelists and slabs are single-threaded by design, so each engine owns
-// a private Pool (PoolOf): concurrent jobs and cells, one engine each,
-// share none. A packet remembers the pool it came from and Release —
-// wherever the journey ends — recycles into that pool.
+// a private Pool (PoolOf) and there is no other: concurrent jobs and
+// cells, one engine each, share none, and the engine counts every loan
+// (sim.Engine.Unreturned). A packet remembers the pool it came from and
+// Release — wherever the journey ends — recycles into that pool.
 
 // Pool is one engine's packet pool: a freelist of Packet shells plus the
-// slab their payload copies borrow from. A Pool is single-threaded; use
-// one per engine (PoolOf) or per test.
+// slab their payload copies borrow from. PoolOf is the only way to get
+// one; a test that needs a pool takes its engine's.
 type Pool struct {
 	slab *shm.Slab
 	free shm.Freelist[Packet]
 }
 
-// NewPool returns an empty pool. The 2 KB payload class covers the
-// MTU-sized segments of every experiment; an oversized copy falls back to
-// a dedicated make that Release leaves to the collector.
-func NewPool() *Pool {
-	return &Pool{slab: shm.NewSlab(2048, 256)}
-}
-
-// defaultPool serves the package-level Get for single-threaded tests,
-// examples, and the control plane's standalone uses. Anything that may run
-// as one of several concurrent jobs or cells uses PoolOf(engine).
-var defaultPool = NewPool()
-
 // poolKey keys the per-engine Pool in Engine.Local.
 type poolKey struct{}
 
 // newPool builds an engine's pool and registers its shells and its slab
-// with the engine (sim.Engine.Unreturned).
+// with the engine (sim.Engine.Unreturned). The 2 KB payload class covers
+// the MTU-sized segments of every experiment; an oversized copy falls
+// back to a dedicated make that Release leaves to the collector.
 func newPool(eng *sim.Engine) any {
-	pl := NewPool()
+	pl := &Pool{slab: shm.NewSlab(2048, 256)}
 	eng.Lends("packets", &pl.free)
 	eng.Lends("payload copies", pl.slab)
 	return pl
@@ -83,12 +74,6 @@ func (pl *Pool) Traffic() (gets, releases uint64) { return pl.free.Gets, pl.free
 // SlabBlocks returns how many blocks the pool's payload slab has carved:
 // its high-water mark of payload copies in flight, in units of 256.
 func (pl *Pool) SlabBlocks() uint64 { return pl.slab.Blocks }
-
-// Get returns a zeroed pooled Packet from the default pool. Single-
-// threaded callers only; simulations use PoolOf(engine).Get.
-func Get() *Packet {
-	return defaultPool.Get()
-}
 
 // Release recycles a pooled packet into the pool it came from.
 // It is a no-op for packets not obtained from a Pool, so consumers may

@@ -442,8 +442,11 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	// Each dial takes its stack's next 16-bit source port, unchecked: a
-	// machine's 65 537th would share a 4-tuple with its first, if open.
+	// Each dial takes its stack's next 16-bit source port whose 4-tuple
+	// is not live, skipping live ones, and a stack panics once every port
+	// toward a destination is in use. A machine whose dials outnumber the
+	// ports could get there, so the spec is refused here instead; the
+	// bound counts every dial, closed or not, and is conservative.
 	dials := make([]int, len(s.Machines))
 	for i := range s.Workloads {
 		from, n, each := s.Workloads[i].dials()
