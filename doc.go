@@ -255,9 +255,9 @@
 //     stable views of the same window: the same bytes, but only the
 //     newest pair of slices may be used. A socket ring costs what it
 //     holds (shm.PayloadBuf): it starts at the smallest power of two of
-//     at least 512 B that holds its first bytes, moves to the next size
-//     that holds the bytes in flight each time they outgrow it, up to
-//     4 KB, and beyond that once to full size. A Reserve view is
+//     at least 512 B that holds its first bytes and moves to the next
+//     power of two that holds the bytes in flight each time they outgrow
+//     it, up to full size. A Reserve view is
 //     therefore also invalidated by the next Reserve on the same socket,
 //     and a Peek view by the next arriving segment, either of which may
 //     move the ring (its bytes move with it). Size, TxSpace and the

@@ -331,8 +331,8 @@ func viewAliasing(t *testing.T, kind testbed.StackKind) {
 
 // viewsAcrossGrowth drives both rings of a 64 KB-buffer connection over
 // the point where they outgrow their small start, in the ways that could
-// lose bytes if the move to full size mislaid any: a Reserve larger than
-// every small ring while earlier bytes are still unsent, more than 4 KB
+// lose bytes if a move of the ring mislaid any: a 12 000 B Reserve while
+// earlier bytes are still unsent, more than 4 KB
 // received before the first Consume, and — through a reordering switch,
 // with out-of-order acceptance on — segments landing far ahead of a hole
 // while the ring is still small. The delivered stream must be the

@@ -19,7 +19,7 @@
 //     packets and charges zero simulated cost; the packet is valid only
 //     for the duration of the Observe call.
 //   - Zero allocations per packet in steady state (CI-gated at <= 2):
-//     flow state lives in fixed 256-entry blocks behind a conntab flow
+//     flow state lives in fixed 64-entry blocks behind a conntab flow
 //     index — the PR-8 slab idiom — with first-seen-order readout, and
 //     every per-flow structure is fixed-size.
 //   - Deterministic: same packet stream, same report, bit for bit; one
@@ -61,9 +61,9 @@ const (
 
 // Analyzer sizing constants.
 const (
-	blockSize = 256 // flow states per slab block (conntab idiom)
-	oooMax    = 32  // interval backing capacity (Linux's reassembly cap)
-	ringN     = 8   // in-flight RTT probes tracked per flow
+	blockSize = 64 // flow states per slab block (conntab idiom)
+	oooMax    = 32 // interval backing capacity (Linux's reassembly cap)
+	ringN     = 8  // in-flight RTT probes tracked per flow
 )
 
 // Config parameterizes an Analyzer. The zero value is usable: defaults

@@ -11,10 +11,19 @@ import (
 // SRAM cache, and the pre-processor's lookup cache (§4.1). Keys are
 // connection indices (or hash values); the cache tracks presence only —
 // the simulated state itself lives elsewhere.
+//
+// The arrays cost what the cache holds: tags and age cover only the sets
+// below the highest one accessed so far (at least 64 entries), doubling
+// as higher sets are touched, up to the full geometry. A set past the end
+// reads exactly like an empty one — no tag, age 0 — so hits, misses and
+// LRU victims are those of the full arrays. Connection indices are dense
+// and small, so the x86 port's 2^20-entry EMEM cache holds a few hundred
+// entries, not 16 MB.
 type Cache struct {
 	mask uint64 // sets - 1: a key's set is key & mask
 	ways int
-	tags []uint64 // sets*ways, 0 = empty (keys are offset by 1)
+	size int      // sets*ways: the full geometry
+	tags []uint64 // the first len sets*ways slots, 0 = empty (keys are offset by 1)
 	age  []uint64
 	tick uint64
 
@@ -36,12 +45,18 @@ func NewCache(entries, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("nfp: cache of %d entries in %d ways has %d sets, not a power of two", entries, ways, sets))
 	}
-	return &Cache{
-		mask: uint64(sets - 1),
-		ways: ways,
-		tags: make([]uint64, entries),
-		age:  make([]uint64, entries),
-	}
+	return &Cache{mask: uint64(sets - 1), ways: ways, size: entries}
+}
+
+// grow extends the arrays to cover the set at base: to twice their length,
+// at least 64 entries, and at most the full geometry. The new sets are
+// empty.
+func (c *Cache) grow(base int) {
+	n := min(c.size, max(2*len(c.tags), base+c.ways, 64))
+	tags, age := make([]uint64, n), make([]uint64, n)
+	copy(tags, c.tags)
+	copy(age, c.age)
+	c.tags, c.age = tags, age
 }
 
 // Access looks up key, installing it (with LRU eviction) on miss. It
@@ -50,6 +65,9 @@ func (c *Cache) Access(key uint64) bool {
 	c.tick++
 	k := key + 1 // reserve 0 for "empty"
 	base := int(key&c.mask) * c.ways
+	if base+c.ways > len(c.tags) {
+		c.grow(base)
+	}
 	var victim, oldest = base, c.age[base]
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
@@ -71,6 +89,9 @@ func (c *Cache) Access(key uint64) bool {
 func (c *Cache) Contains(key uint64) bool {
 	k := key + 1
 	base := int(key&c.mask) * c.ways
+	if base+c.ways > len(c.tags) {
+		return false // never touched: empty
+	}
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
 			return true
@@ -83,6 +104,9 @@ func (c *Cache) Contains(key uint64) bool {
 func (c *Cache) Invalidate(key uint64) {
 	k := key + 1
 	base := int(key&c.mask) * c.ways
+	if base+c.ways > len(c.tags) {
+		return // never touched: empty
+	}
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == k {
 			c.tags[i] = 0

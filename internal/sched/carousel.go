@@ -8,28 +8,31 @@
 // computes deadlines with a single multiplication (§3.4).
 package sched
 
-import "flextoe/internal/sim"
+import (
+	"flextoe/internal/shm"
+	"flextoe/internal/sim"
+)
 
 // Carousel schedules flows by connection index (§3.4): an id is the data
 // path's connection slot number, and every per-flow lookup indexes by it.
 type Carousel struct {
 	eng      *sim.Engine
-	gran     sim.Time // slot granularity
-	wheel    [][]uint32
-	cur      int      // slot under the hand
-	hand     sim.Time // time at the start of the current slot
+	gran     sim.Time   // slot granularity
+	slots    int        // wheel size: the horizon is gran*slots
+	wheel    [][]uint32 // nil until the first paced Submit
+	cur      int        // slot under the hand
+	hand     sim.Time   // time at the start of the current slot
 	handInit bool
 
-	// Round-robin list: due and uncongested flows. Consumed from rrHead
-	// and compacted periodically so the backing array recycles instead of
-	// reallocating on every append (the old head-slicing grew a fresh
-	// array per wheel rotation).
+	// Round-robin list: due and uncongested flows, a FIFO popped from
+	// rrHead through shm.PopRing.
 	rr     []uint32
 	rrHead int
 
 	// wheelItems counts entries sitting in wheel slots (including stale
 	// ones not yet drained), so NextDeadline's slot scan — 4096 probes —
-	// only runs when something is actually rate-limited.
+	// only runs when something is actually rate-limited, and the hand
+	// crosses an empty wheel in one step.
 	wheelItems int
 
 	// state is indexed by connection id in pages of statePage entries, as
@@ -44,9 +47,10 @@ type Carousel struct {
 	Bypassed  uint64 // RR insertions
 }
 
-// State-page geometry: 256 entries, one connection-slab block's worth.
+// State-page geometry: 64 entries, so a machine with a handful of
+// connections holds one small page.
 const (
-	statePageShift = 8
+	statePageShift = 6
 	statePage      = 1 << statePageShift
 )
 
@@ -63,15 +67,11 @@ func New(eng *sim.Engine, gran sim.Time, slots int) *Carousel {
 	if gran <= 0 || slots <= 0 {
 		panic("sched: bad wheel geometry")
 	}
-	return &Carousel{
-		eng:   eng,
-		gran:  gran,
-		wheel: make([][]uint32, slots),
-	}
+	return &Carousel{eng: eng, gran: gran, slots: slots}
 }
 
 // Horizon returns the wheel's reach.
-func (c *Carousel) Horizon() sim.Time { return c.gran * sim.Time(len(c.wheel)) }
+func (c *Carousel) Horizon() sim.Time { return c.gran * sim.Time(c.slots) }
 
 // flow returns id's state, allocating its page on first touch.
 func (c *Carousel) flow(id uint32) *flowState {
@@ -118,8 +118,11 @@ func (c *Carousel) Submit(id uint32) {
 	if slots < 0 {
 		slots = 0
 	}
-	if slots >= len(c.wheel) {
-		slots = len(c.wheel) - 1
+	if slots >= c.slots {
+		slots = c.slots - 1
+	}
+	if c.wheel == nil {
+		c.wheel = make([][]uint32, c.slots)
 	}
 	idx := c.slot(slots)
 	c.wheel[idx] = append(c.wheel[idx], id)
@@ -128,12 +131,12 @@ func (c *Carousel) Submit(id uint32) {
 	c.Scheduled++
 }
 
-// slot returns the wheel index k slots past the hand, 0 <= k < len(wheel):
+// slot returns the wheel index k slots past the hand, 0 <= k < slots:
 // one compare for the wrap, as the hardware's queue index does it.
 func (c *Carousel) slot(k int) int {
 	idx := c.cur + k
-	if idx >= len(c.wheel) {
-		idx -= len(c.wheel)
+	if idx >= c.slots {
+		idx -= c.slots
 	}
 	return idx
 }
@@ -141,7 +144,9 @@ func (c *Carousel) slot(k int) int {
 // advanceHand rotates the wheel so the hand covers now, collecting due
 // flows into the round-robin ready list. Note the order of flows within a
 // slot is not preserved relative to sub-slot deadlines, matching the
-// hardware-queue implementation (§4).
+// hardware-queue implementation (§4). An empty wheel has nothing to
+// collect, so the hand skips its remaining slots in one step: idle time
+// costs O(1), not one iteration per slot.
 func (c *Carousel) advanceHand(now sim.Time) {
 	if !c.handInit {
 		c.hand = now - now%c.gran
@@ -149,6 +154,12 @@ func (c *Carousel) advanceHand(now sim.Time) {
 		return
 	}
 	for c.hand+c.gran <= now {
+		if c.wheelItems == 0 {
+			k := (now - c.hand) / c.gran
+			c.hand += k * c.gran
+			c.cur = int((sim.Time(c.cur) + k) % sim.Time(c.slots))
+			return
+		}
 		due := c.wheel[c.cur]
 		if len(due) > 0 {
 			c.wheel[c.cur] = due[:0] // keep the slot's array for its next turn
@@ -163,7 +174,7 @@ func (c *Carousel) advanceHand(now sim.Time) {
 				c.rr = append(c.rr, id)
 			}
 		}
-		if c.cur++; c.cur == len(c.wheel) {
+		if c.cur++; c.cur == c.slots {
 			c.cur = 0
 		}
 		c.hand += c.gran
@@ -180,15 +191,7 @@ func (c *Carousel) Next(bytes uint32) (uint32, bool) {
 	c.advanceHand(now)
 	for c.rrHead < len(c.rr) {
 		id := c.rr[c.rrHead]
-		c.rrHead++
-		if c.rrHead == len(c.rr) {
-			c.rr = c.rr[:0]
-			c.rrHead = 0
-		} else if c.rrHead > 64 && c.rrHead*2 >= len(c.rr) {
-			n := copy(c.rr, c.rr[c.rrHead:])
-			c.rr = c.rr[:n]
-			c.rrHead = 0
-		}
+		c.rr, c.rrHead = shm.PopRing(c.rr, c.rrHead)
 		st := c.flow(id)
 		if !st.inRR {
 			continue // removed while queued
@@ -217,7 +220,7 @@ func (c *Carousel) NextDeadline() (sim.Time, bool) {
 	if c.wheelItems == 0 {
 		return 0, false
 	}
-	for i := 0; i < len(c.wheel); i++ {
+	for i := 0; i < c.slots; i++ {
 		if len(c.wheel[c.slot(i)]) > 0 {
 			return c.hand + sim.Time(i+1)*c.gran, true
 		}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"flextoe/internal/sim"
@@ -267,5 +269,136 @@ func TestManyFlowsFairShare(t *testing.T) {
 		if n != 100 {
 			t.Fatalf("flow %d served %d times", id, n)
 		}
+	}
+}
+
+// walkHand is advanceHand as it was before an empty wheel was skipped in
+// one step: the hand visits every slot up to now, collecting each one.
+// Run right before a call that advances the hand (Next, NextDeadline, a
+// Submit of a flow not yet queued), it leaves that call's own advanceHand
+// nothing to do.
+func walkHand(c *Carousel, now sim.Time) {
+	if !c.handInit {
+		c.hand = now - now%c.gran
+		c.handInit = true
+		return
+	}
+	for c.hand+c.gran <= now {
+		if c.wheel != nil {
+			due := c.wheel[c.cur]
+			c.wheel[c.cur] = due[:0]
+			c.wheelItems -= len(due)
+			for _, id := range due {
+				st := c.flow(id)
+				if !st.inWheel {
+					continue
+				}
+				st.inWheel = false
+				st.inRR = true
+				c.rr = append(c.rr, id)
+			}
+		}
+		if c.cur++; c.cur == c.slots {
+			c.cur = 0
+		}
+		c.hand += c.gran
+	}
+}
+
+// TestIdleSkipMatchesSlotWalk holds the carousel's one-step crossing of an
+// empty wheel to the slot-by-slot walk. Two carousels on one engine take
+// the same seeded calls — submits of paced and unpaced flows, pops,
+// removals, rate changes — at instants apart by anything from nothing to
+// 100 ms of idle time, hundreds of horizons long; before each call on the
+// reference that advances the hand, walkHand visits every slot. After
+// every call the hand, the slot under it, the round-robin order and
+// NextDeadline must agree.
+func TestIdleSkipMatchesSlotWalk(t *testing.T) {
+	const gran, slots = 2 * sim.Microsecond, 64
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.New()
+		got, ref := New(eng, gran, slots), New(eng, gran, slots)
+		now := sim.Time(rng.Int63n(int64(sim.Millisecond)))
+		skipped := 0
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(20); {
+			case r < 12: // busy: within a few slots
+				now += sim.Time(rng.Int63n(int64(4 * gran)))
+			case r < 18: // a pause of up to a few horizons
+				now += sim.Time(rng.Int63n(int64(3 * slots * gran)))
+			case r < 19: // idle for up to 100 ms, 50 000 slots
+				now += sim.Time(rng.Int63n(int64(100 * sim.Millisecond)))
+			}
+			eng.RunUntil(now)
+			if got.wheelItems == 0 && got.handInit && now-got.hand >= 2*gran {
+				skipped++
+			}
+			id := uint32(rng.Intn(12))
+			switch op := rng.Intn(10); {
+			case op < 4:
+				got.Submit(id)
+				if st := ref.flow(id); !st.inWheel && !st.inRR {
+					walkHand(ref, now)
+				}
+				ref.Submit(id)
+			case op < 7:
+				n := uint32(64 + rng.Intn(1448))
+				walkHand(ref, now)
+				a, aok := got.Next(n)
+				b, bok := ref.Next(n)
+				if a != b || aok != bok {
+					t.Fatalf("seed %d step %d: Next = %d, %v; slot walk %d, %v", seed, step, a, aok, b, bok)
+				}
+			case op < 9:
+				per := sim.Time(0)
+				if rng.Intn(3) > 0 {
+					per = sim.Time(1+rng.Intn(200)) * sim.Nanosecond
+				}
+				got.SetInterval(id, per)
+				ref.SetInterval(id, per)
+			default:
+				got.Remove(id)
+				ref.Remove(id)
+			}
+			a, aok := got.NextDeadline()
+			walkHand(ref, now)
+			b, bok := ref.NextDeadline()
+			if got.hand != ref.hand || got.cur != ref.cur || a != b || aok != bok ||
+				!slices.Equal(got.rr[got.rrHead:], ref.rr[ref.rrHead:]) {
+				t.Fatalf("seed %d step %d at %v: hand %v cur %d rr %v deadline %v,%v; slot walk hand %v cur %d rr %v deadline %v,%v",
+					seed, step, now, got.hand, got.cur, got.rr[got.rrHead:], a, aok,
+					ref.hand, ref.cur, ref.rr[ref.rrHead:], b, bok)
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("seed %d: the wheel was never empty across an idle gap", seed)
+		}
+	}
+}
+
+// TestWheelAllocatedOnFirstPacedSubmit: a carousel that only ever sees
+// unpaced flows never allocates its wheel, and its horizon is the full
+// geometry all the same.
+func TestWheelAllocatedOnFirstPacedSubmit(t *testing.T) {
+	eng := sim.New()
+	c := New(eng, 2*sim.Microsecond, 4096)
+	if c.Horizon() != 8192*sim.Microsecond {
+		t.Fatalf("horizon %v, want 8.192 ms", c.Horizon())
+	}
+	for i := 0; i < 100; i++ {
+		c.Submit(uint32(i % 7))
+		c.Next(1448)
+		eng.RunUntil(eng.Now() + sim.Millisecond)
+	}
+	if c.wheel != nil {
+		t.Fatal("unpaced flows allocated the wheel")
+	}
+	c.SetInterval(3, sim.Nanosecond)
+	c.Submit(3)
+	c.Next(1448)
+	c.Submit(3)
+	if len(c.wheel) != 4096 || c.wheelItems != 1 {
+		t.Fatalf("after a paced submit: wheel of %d slots holding %d, want 4096 holding 1", len(c.wheel), c.wheelItems)
 	}
 }

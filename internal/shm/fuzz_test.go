@@ -18,46 +18,70 @@ type heldView struct {
 	zero bool // taken of a ring nothing was written to
 }
 
-// viewCoverage names the corners checkPayloadBuf reached.
-type viewCoverage struct {
-	zeroViews int    // views of a never-written ring
-	straddles int    // View calls that reported the ring end in the window
-	rungs     uint32 // OR of the small ring sizes a View was taken on
-	direct    bool   // the ring went nil -> full size at once
-	stepped   bool   // the ring moved from one small size to a larger one
-	grew      bool   // the ring went small -> full size
-	heldMove  bool   // a view taken of a small ring was checked after a move
-	smallWrap bool   // a View was taken after a write wrapped a small ring
-	fullWrap  bool   // a View was taken after a write wrapped the full ring
-}
+// fuzzSizes is the number of logical sizes checkPayloadBuf runs: 8 KB
+// shifted left by 0 to 3.
+const fuzzSizes = 4
 
-// allRungs is viewCoverage.rungs once every small ring size was viewed.
-const allRungs = maxSmallRing<<1 - minRing
+// fuzzSize returns the logical size data[0] selects.
+func fuzzSize(sel byte) uint32 { return 8192 << (sel % fuzzSizes) }
+
+// allRungs is the OR of every small ring size of a buffer of the given
+// logical size: the powers of two from minRing to size/2.
+func allRungs(size uint32) uint32 { return size - minRing }
+
+// viewCoverage names the corners checkPayloadBuf reached. The rung masks
+// are kept per logical size (fuzzSize), each an OR of small ring sizes.
+type viewCoverage struct {
+	zeroViews int               // views of a never-written ring
+	straddles int               // View calls that reported the ring end in the window
+	rungs     [fuzzSizes]uint32 // small ring sizes a View was taken on
+	heldMoves [fuzzSizes]uint32 // small ring sizes the ring moved away from while a view was held
+	direct    bool              // the ring went nil -> full size at once
+	stepped   bool              // the ring moved from one small size to a larger one
+	grew      bool              // the ring went small -> full size
+	smallWrap bool              // a View was taken after a write wrapped a small ring
+	fullWrap  bool              // a View was taken after a write wrapped the full ring
+}
 
 // add merges o into c.
 func (c *viewCoverage) add(o viewCoverage) {
 	c.zeroViews += o.zeroViews
 	c.straddles += o.straddles
-	c.rungs |= o.rungs
+	for i := range c.rungs {
+		c.rungs[i] |= o.rungs[i]
+		c.heldMoves[i] |= o.heldMoves[i]
+	}
 	c.direct = c.direct || o.direct
 	c.stepped = c.stepped || o.stepped
 	c.grew = c.grew || o.grew
-	c.heldMove = c.heldMove || o.heldMove
 	c.smallWrap = c.smallWrap || o.smallWrap
 	c.fullWrap = c.fullWrap || o.fullWrap
 }
 
-// complete reports whether c reached every corner.
+// climbed reports whether, on the logical size sel selects, a View was
+// taken on every small ring and the ring moved away from every one of
+// them with a view held.
+func (c viewCoverage) climbed(sel byte) bool {
+	all := allRungs(fuzzSize(sel))
+	return c.rungs[sel%fuzzSizes] == all && c.heldMoves[sel%fuzzSizes] == all
+}
+
+// complete reports whether c reached every corner on every logical size.
 func (c viewCoverage) complete() bool {
-	return c.zeroViews > 0 && c.straddles > 0 && c.rungs == allRungs && c.direct && c.stepped &&
-		c.grew && c.heldMove && c.smallWrap && c.fullWrap
+	for sel := byte(0); sel < fuzzSizes; sel++ {
+		if !c.climbed(sel) {
+			return false
+		}
+	}
+	return c.zeroViews > 0 && c.straddles > 0 && c.direct && c.stepped &&
+		c.grew && c.smallWrap && c.fullWrap
 }
 
 // checkPayloadBuf drives one PayloadBuf with the operations data encodes
 // and holds it to a flat reference of the logical stream (ref[i] is the
 // byte at position base+i). data[0] picks the logical size (8 to 64 KB,
-// all above the largest small ring) and whether positions start just below
-// the uint32 wrap; then every three bytes are one operation:
+// fuzzSize) and whether positions start just below the uint32 wrap; then
+// every three bytes are one operation:
 //
 //	op%8 0, 1  in-order write at head (WriteAt, or through Slices as Reserve+Commit does)
 //	     2     write a block ahead of a hole      3  fill the hole
@@ -72,7 +96,8 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 	if len(data) == 0 {
 		return cov
 	}
-	size := uint32(8192) << (data[0] & 3)
+	sel := data[0] % fuzzSizes
+	size := fuzzSize(sel)
 	b := NewPayloadBuf(size)
 	start := uint32(0)
 	if data[0]&4 != 0 {
@@ -115,7 +140,9 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 			cov.stepped = cov.stepped || before != 0 && phys < size
 			cov.grew = cov.grew || before != 0 && phys == size
 			for _, h := range held {
-				cov.heldMove = cov.heldMove || before != 0 && !h.zero
+				if before != 0 && !h.zero {
+					cov.heldMoves[sel] |= uint32(before)
+				}
 			}
 		}
 		if pos&(phys-1)+n > phys {
@@ -189,7 +216,7 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 				t.Fatalf("View(%d, %d) (ring %d bytes, cap %d) differs from the stream", pos, n, phys, cap(v))
 			}
 			if uint32(phys) < size {
-				cov.rungs |= uint32(phys)
+				cov.rungs[sel] |= uint32(phys)
 			}
 			cov.smallWrap = cov.smallWrap || wroteSmallWrap
 			cov.fullWrap = cov.fullWrap || wroteFullWrap
@@ -248,8 +275,8 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 // and the ring's moves included. The committed corpus
 // (testdata/fuzz/FuzzPayloadBuf: 600 random operations on every size and
 // start, one run of 3 000, a directed run that views a small ring and
-// then outgrows it, and payloadBufLadderOps) reaches every corner
-// viewCoverage names (TestPayloadBufCorpusCoverage).
+// then outgrows it, and payloadBufLadderOps on every size) reaches every
+// corner viewCoverage names (TestPayloadBufCorpusCoverage).
 func FuzzPayloadBuf(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkPayloadBuf(t, data) })
 }
@@ -257,12 +284,14 @@ func FuzzPayloadBuf(f *testing.F) {
 // payloadBufSeedOps returns a selector byte and n random operations,
 // short writes only in the first half. Two views of the still unwritten
 // ring come first; with direct, the first write outgrows every small ring
-// at once.
+// at once: a block 255 B ahead of the stream, three quarters of the
+// logical size long (32 KB at most), so the live window it opens is over
+// half the logical size.
 func payloadBufSeedOps(seed int64, sel byte, n int, direct bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := []byte{sel, 5, byte(seed), 200, 5, 77, byte(seed)}
 	if direct {
-		data = append(data, 0, 128+40, 0) // a 10 KB write
+		data = append(data, 2, 254, byte(128+min(127, fuzzSize(sel)*3/4>>8)))
 	}
 	for i := 0; i < n; i++ {
 		x, y := byte(rng.Intn(256)), byte(rng.Intn(256))
@@ -274,16 +303,24 @@ func payloadBufSeedOps(seed int64, sel byte, n int, direct bool) []byte {
 	return data
 }
 
-// payloadBufLadderOps climbs the small rings one by one on an 8 KB buffer
-// whose positions cross the uint32 wrap: on each rung it wraps the ring
-// with 200 B writes, each viewed and then released, and then hoards
-// writes until the live window outgrows the ring, with views of it held.
-// Past the largest small ring it moves to full size and wraps that too.
-func payloadBufLadderOps() []byte {
-	const w = 200
-	data := []byte{4}
-	live := uint32(0)
-	write := func() { data = append(data, 0, 0, w-1); live += w }
+// payloadBufLadderOps climbs the small rings one by one on the logical
+// size sel selects, its positions crossing the uint32 wrap: on each rung
+// it wraps the ring with writes of 200 B (1/32 of the ring above 8 KB),
+// each viewed and then released, and then hoards writes until the live
+// window outgrows the ring, with views of it held. Past the largest small
+// ring it moves to full size and wraps that too.
+func payloadBufLadderOps(sel byte) []byte {
+	size := fuzzSize(sel)
+	data := []byte{4 | sel}
+	live, w := uint32(0), uint32(0)
+	write := func() {
+		if n := w - 1; n < 256 {
+			data = append(data, 0, 0, byte(n))
+		} else {
+			data = append(data, 0, byte(128+n>>8), byte(n))
+		}
+		live += w
+	}
 	view := func() { data = append(data, 5, 0, 100) } // 101 bytes from tail
 	release := func() {
 		x := w*256/live - 1
@@ -291,14 +328,19 @@ func payloadBufLadderOps() []byte {
 		live -= live * (x + 1) / 256
 	}
 	cycle := func(ring uint32) {
+		w = max(200, ring/32)
+		if ring <= 8192 {
+			w = 200
+		}
 		for i := uint32(0); i < 2*ring/w+1; i++ {
 			write()
 			view()
 			release()
 		}
 	}
-	for r := uint32(minRing); r <= maxSmallRing; r <<= 1 {
-		for live+w <= r/2 {
+	for r := uint32(minRing); r < size; r <<= 1 {
+		for live+200 <= r/2 {
+			w = 200
 			write()
 		}
 		cycle(r)
@@ -307,30 +349,36 @@ func payloadBufLadderOps() []byte {
 			view()
 		}
 	}
-	cycle(8192)
+	cycle(size)
 	return data
 }
 
 // TestPayloadBufViewMatchesStream runs long seeded sequences and the
 // ladder through checkPayloadBuf on every size and requires the corners
 // the view contract depends on: zero views of an unwritten ring,
-// straddling windows refused, views of every small ring size, views held
-// across a move from one small ring to the next and to full size, views
-// after a small and the full ring wrapped, and a ring that went nil ->
-// full at once.
+// straddling windows refused, views of every small ring size of every
+// logical size, views held across each move from one small ring to the
+// next and to full size, views after a small and the full ring wrapped,
+// and a ring that went nil -> full at once.
 func TestPayloadBufViewMatchesStream(t *testing.T) {
 	var all viewCoverage
 	for seed := int64(1); seed <= 8; seed++ {
 		cov := checkPayloadBuf(t, payloadBufSeedOps(seed, byte(seed-1), 3000, seed%2 == 0))
 		t.Logf("seed %d: %+v", seed, cov)
+		if seed%2 == 0 && !cov.direct {
+			t.Errorf("seed %d: the first write did not take the ring nil -> full", seed)
+		}
 		all.add(cov)
 	}
-	ladder := checkPayloadBuf(t, payloadBufLadderOps())
-	t.Logf("ladder: %+v", ladder)
-	if ladder.rungs != allRungs || !ladder.stepped || !ladder.grew || !ladder.heldMove || !ladder.smallWrap || !ladder.fullWrap {
-		t.Errorf("the ladder reached only %+v", ladder)
+	for sel := byte(0); sel < fuzzSizes; sel++ {
+		ladder := checkPayloadBuf(t, payloadBufLadderOps(sel))
+		t.Logf("ladder of %d B: %+v", fuzzSize(sel), ladder)
+		if !ladder.climbed(sel) || !ladder.stepped || !ladder.grew || !ladder.smallWrap || !ladder.fullWrap {
+			t.Errorf("the ladder of %d B reached only %+v", fuzzSize(sel), ladder)
+		}
+		all.add(ladder)
 	}
-	if all.add(ladder); !all.complete() {
+	if !all.complete() {
 		t.Errorf("the runs reached only %+v", all)
 	}
 }
@@ -380,7 +428,7 @@ func TestPayloadBufView(t *testing.T) {
 		t.Fatal("View of a window straddling the small ring's end reported ok")
 	}
 	small := len(b.data)
-	b.WriteAt(9, make([]byte, 2*maxSmallRing)) // the live window outgrows every small ring
+	b.WriteAt(9, make([]byte, 8192)) // over half the buffer: only full size holds it
 	if len(b.data) == small {
 		t.Fatal("the ring did not move to full size")
 	}

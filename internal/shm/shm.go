@@ -18,26 +18,22 @@ import "fmt"
 // holds: nil until first use, then the smallest power of two of at least
 // minRing that holds the live window [tail, pos+n) of a write or a Slices
 // view (View never moves it). Each time the live window outgrows the
-// ring it moves to the next size that holds it, up to maxSmallRing, and
-// beyond that once to full size. The owner advances tail with Release;
-// an owner that never releases only grows sooner, it never reads wrong
-// bytes.
+// ring it moves to the next power of two that holds it, up to full size.
+// The owner advances tail with Release; an owner that never releases
+// only grows sooner, it never reads wrong bytes.
 type PayloadBuf struct {
-	data []byte // physical ring: nil, small (minRing..maxSmallRing), or full size
+	data []byte // physical ring: nil, or a power of two from minRing to size
 	size uint32 // logical capacity
 	tail uint32 // oldest live position, advanced by Release
 }
 
-// The small rings run from minRing to maxSmallRing. minRing holds a
-// request or two of a large fleet's connections; below it, views
-// straddling the ring end (each a slab copy) grow too common. A ring
-// that outgrows maxSmallRing moves to full size in one step rather than
-// doubling on, so a ring that fills leaves under 2*maxSmallRing of small
-// rings behind and costs what it cost when it was allocated eagerly.
-const (
-	minRing      = 512
-	maxSmallRing = 4096
-)
+// minRing holds a request or two of a large fleet's connections; below
+// it, views straddling the ring end (each a slab copy) grow too common.
+// Above it a ring doubles all the way to full size, so a stream whose
+// live window peaks at 40 KB settles in a 64 KB ring whatever the
+// logical size, and a ring that fills has left less than its own size
+// of smaller rings behind.
+const minRing = 512
 
 // NewPayloadBuf creates a buffer. size must be a power of two.
 func NewPayloadBuf(size uint32) *PayloadBuf {
@@ -66,9 +62,7 @@ func (b *PayloadBuf) fit(pos, n uint32) {
 	for phys < need {
 		phys <<= 1
 	}
-	if phys > maxSmallRing || phys > b.size {
-		phys = b.size
-	}
+	phys = min(phys, b.size)
 	old := b.data
 	b.data = make([]byte, phys)
 	if old == nil {
@@ -80,7 +74,7 @@ func (b *PayloadBuf) fit(pos, n uint32) {
 	// Both windows sit in it at the same rotation; copy it to each. The
 	// new ring is at least twice as large, so the two copies never
 	// overlap. They go straight in: WriteAt would fit again and, seeing
-	// the released window, move the ring on to full size.
+	// the released window, move the ring on to the next size.
 	o := b.tail & (s - 1)
 	for _, w := range [2]uint32{b.tail - s, b.tail} {
 		b.put(w, old[o:])

@@ -198,8 +198,9 @@ type ringModel struct {
 
 	// Coverage: a write wrapped a small ring, wrapped the full-size ring,
 	// moved small -> larger small, moved small -> full, allocated nil ->
-	// full at once.
+	// full at once; rungs ORs the small ring sizes a write landed in.
 	smallWrap, fullWrap, stepped, grew, direct bool
+	rungs                                      uint32
 }
 
 func (m *ringModel) fill(p []byte) {
@@ -231,6 +232,9 @@ func (m *ringModel) write(pos, n uint32) {
 		copy(c, p[copy(a, p):])
 	}
 	phys := uint32(len(m.buf.data))
+	if phys < m.size {
+		m.rungs |= phys
+	}
 	if before != len(m.buf.data) {
 		m.stepped = m.stepped || before != 0 && phys < m.size
 		m.grew = m.grew || before != 0 && phys == m.size
@@ -286,7 +290,7 @@ func (m *ringModel) step(maxWrite uint32, release int) {
 	case op < 6 && m.oooS != m.oooE: // the hole fills, the block joins the stream
 		m.write(m.head, m.oooS-m.head)
 		m.head, m.oooS = m.oooE, m.oooE
-	case op < 9: // consume / acknowledge
+	case op < 9 && release > 0: // consume / acknowledge
 		if live := m.head - m.tail; live > 0 {
 			n := 1 + uint32(m.rng.Intn(int(live)))
 			if m.rng.Intn(3) < release {
@@ -316,10 +320,13 @@ func (m *ringModel) step(maxWrite uint32, release int) {
 // TestPayloadBufModel: seeded random Release/WriteAt/Slices/ReadAt
 // sequences against a flat reference, over the nil -> small -> full
 // boundaries with wrap on both sides of growth. Every readable byte and
-// every two-slice view must equal the reference after every step.
+// every two-slice view must equal the reference after every step, and
+// the runs must write into every small ring size from minRing to half
+// the logical size.
 func TestPayloadBufModel(t *testing.T) {
 	for _, size := range []uint32{512, 4096, 65536} {
 		var smallWrap, fullWrap, stepped, grew, direct bool
+		var rungs uint32
 		for seed := int64(1); seed <= 6; seed++ {
 			m := &ringModel{t: t, rng: rand.New(rand.NewSource(seed)), buf: NewPayloadBuf(size),
 				ref: make([]byte, size), scratch: make([]byte, 2*size), size: size}
@@ -331,11 +338,17 @@ func TestPayloadBufModel(t *testing.T) {
 			if m.buf.data != nil {
 				t.Fatalf("size %d: ReadAt allocated the ring", size)
 			}
-			// Three shapes of run. 0: any write size from the start, so the
-			// ring may jump nil -> full. 1: small writes released promptly,
+			// Three shapes of run. 0: any write size from the start, the
+			// first one over half the buffer, so the ring jumps nil -> full.
+			// 1: small writes released promptly,
 			// so the small ring wraps many times before anything outgrows
 			// it. 2: small writes hoarded, so the live window creeps past
 			// the small ring with released bytes right below it.
+			if seed%3 == 0 {
+				n := size/2 + 1 + uint32(m.rng.Intn(int(size/2)))
+				m.write(m.head, n)
+				m.head += n
+			}
 			const steps = 2000
 			for i := 0; i < steps; i++ {
 				maxWrite, release := size, 1
@@ -360,24 +373,26 @@ func TestPayloadBufModel(t *testing.T) {
 			stepped = stepped || m.stepped
 			grew = grew || m.grew
 			direct = direct || m.direct
+			rungs |= m.rungs
 		}
-		if !fullWrap {
-			t.Errorf("size %d: no write wrapped the full-size ring", size)
+		if !fullWrap || !direct {
+			t.Errorf("size %d: fullWrap=%v nil->full=%v, want both", size, fullWrap, direct)
 		}
-		if size > minRing && !(smallWrap && stepped && grew && direct) {
-			t.Errorf("size %d: coverage smallWrap=%v stepped=%v grew=%v nil->full=%v, want all",
-				size, smallWrap, stepped, grew, direct)
+		if size > minRing && !(smallWrap && stepped && grew && rungs == size-minRing) {
+			t.Errorf("size %d: coverage smallWrap=%v stepped=%v grew=%v rungs %#x, want all and %#x",
+				size, smallWrap, stepped, grew, rungs, size-minRing)
 		}
 	}
 }
 
 // TestPayloadBufLadder pins where a ring settles. One 64 KB buffer,
 // its positions crossing the uint32 wrap, carries a stream whose live
-// window peaks at 256 B (an echo), then 600 B, 3 KB and 5 KB: each phase
-// writes half a window at a time and releases it one write later. The
-// ring must settle at 512 B, 1 KB, 4 KB and full size, and after every
-// move both the live bytes and the released bytes the old ring still held
-// behind tail (ctrl's persist probe re-reads TxPos-1) must read back.
+// window peaks at 256 B (an echo), then 600 B, 3 KB, 5 KB, 20 KB and
+// 40 KB: each phase writes half a window at a time and releases it one
+// write later. The ring must settle at 512 B, 1 KB, 4 KB, 8 KB, 32 KB and
+// full size, and after every move both the live bytes and the released
+// bytes the old ring still held behind tail (ctrl's persist probe re-reads
+// TxPos-1) must read back.
 func TestPayloadBufLadder(t *testing.T) {
 	const size = 65536
 	b := NewPayloadBuf(size)
@@ -396,7 +411,7 @@ func TestPayloadBufLadder(t *testing.T) {
 		}
 	}
 	for _, ph := range []struct{ window, settle uint32 }{
-		{256, 512}, {600, 1024}, {3072, 4096}, {5120, size},
+		{256, 512}, {600, 1024}, {3072, 4096}, {5120, 8192}, {20480, 32768}, {40960, size},
 	} {
 		for round := 0; round < 40; round++ {
 			half := ph.window / 2

@@ -21,12 +21,12 @@ func streamByte(conn uint16, off uint64) byte {
 
 // warmBytes is the first message of every stream: it puts every socket's
 // rings on a small size, and the stream proper begins once it is
-// acknowledged, so both rings move to full size mid-run.
+// acknowledged, so both rings move to larger sizes mid-run.
 const warmBytes = 1000
 
 // patternSender streams total bytes of streamByte through Reserve/Commit,
-// in writes of 1 to 2 000 bytes: each fits the largest small ring, so only
-// the bytes in flight decide when the ring moves.
+// in writes of 1 to 2 000 bytes: each fits a 2 KB ring, so only the bytes
+// in flight decide when the ring moves.
 type patternSender struct {
 	sock       api.Socket
 	conn       uint16
@@ -282,6 +282,8 @@ const echoReqBytes = 256
 //	rings climb from 512 B (they settle at 1 KB) 11.1, 10.9, 11.4, 23.6 KB
 //	that climb, with the move copied through
 //	WriteAt (every ring goes to full size)    268.9, 269.0, 269.5, 281.7 KB
+//	NIC caches and wheel grown with use,
+//	rings doubling up to full size            11.1, 10.9, 11.4, 19.7 KB
 //
 // Each budget sits between the first two rows.
 var echoFleetBudget = map[StackKind]int64{Linux: 17 << 10, Chelsio: 17 << 10, TAS: 17 << 10, FlexTOE: 29 << 10}
