@@ -16,11 +16,16 @@ const kvMinIndexBits = 4
 //
 // Records are [keyLen][valLen:2][key][val], appended to byte blocks that
 // are never rewritten; a record larger than a block gets a block of its
-// own. An open-addressed index of record locations (block<<16 | offset,
-// stored +1 so that 0 marks an empty slot) finds them by a fixed FNV-1a
-// hash and a full key compare. Nothing in the store holds a pointer but
-// the block list, so the collector has one pointer per 64 KiB to follow,
-// and a SET allocates nothing but the occasional block or index doubling.
+// own. An open-addressed index finds them by a fixed FNV-1a hash: the
+// hash's top bits pick a key's first slot, and each slot holds a record
+// location (block<<16 | offset) beside a control byte, 0 for an empty
+// slot and otherwise 0x80 | the hash's low 7 bits. A probe compares a key
+// only where the control byte matches, so a miss reads control bytes and
+// (one time in 128 per occupied slot passed) a record. The index doubles
+// at 7/8 load, so it costs 5.7 to 11.4 B per record. Nothing in the store
+// holds a pointer but the block list, so the collector has one pointer per
+// 64 KiB to follow, and a SET allocates nothing but the occasional block
+// or index doubling.
 //
 // An overwrite appends a new record and counts the old one dead. Once
 // dead bytes exceed live bytes (and a block's worth), compact copies the
@@ -32,8 +37,9 @@ type kvStore struct {
 	blockSize int
 	blocks    [][]byte // len = bytes used, cap = block size
 	fill      int      // block taking appends, -1 before the first
-	index     []uint32 // record location + 1 per slot, 0 = empty; len a power of two
-	shift     uint     // 64 - log2(len(index)): a hash's top bits pick its slot
+	ctrl      []uint8  // per slot: 0 = empty, else 0x80 | hash&0x7f; len a power of two
+	index     []uint32 // per slot: the record location, when ctrl is not 0
+	shift     uint     // 64 - log2(len(ctrl)): a hash's top bits pick its slot
 	keys      int      // distinct keys stored
 	live      int      // bytes of the records the index points to
 	dead      int      // bytes of overwritten records still in the blocks
@@ -45,7 +51,10 @@ func newKVStore(blockSize int) *kvStore {
 	if blockSize <= 0 || blockSize > kvBlockSize {
 		panic(fmt.Sprintf("apps: kv block size %d outside 1..%d", blockSize, kvBlockSize))
 	}
-	return &kvStore{blockSize: blockSize, fill: -1, index: make([]uint32, 1<<kvMinIndexBits), shift: 64 - kvMinIndexBits}
+	return &kvStore{
+		blockSize: blockSize, fill: -1, shift: 64 - kvMinIndexBits,
+		ctrl: make([]uint8, 1<<kvMinIndexBits), index: make([]uint32, 1<<kvMinIndexBits),
+	}
 }
 
 // kvHash is 64-bit FNV-1a: fixed, so the index layout (and with it every
@@ -59,6 +68,9 @@ func kvHash(key []byte) uint64 {
 	return h
 }
 
+// kvCtrl is the control byte of an occupied slot whose key hashes to h.
+func kvCtrl(h uint64) uint8 { return 0x80 | uint8(h&0x7f) }
+
 // record returns the key and value of the record at loc; the value is
 // capped at its length, so nothing appended through it reaches the block.
 func (s *kvStore) record(loc uint32) (key, val []byte) {
@@ -69,45 +81,49 @@ func (s *kvStore) record(loc uint32) (key, val []byte) {
 	return blk[off+3 : k], blk[k:v:v]
 }
 
-// find returns the slot holding key, or the empty slot where it would go,
-// and that slot's entry (0 when empty).
-func (s *kvStore) find(key []byte) (int, uint32) {
-	mask := len(s.index) - 1
-	for i := int(kvHash(key) >> s.shift); ; i = (i + 1) & mask {
-		e := s.index[i]
-		if e == 0 {
-			return i, 0
-		}
-		if k, _ := s.record(e - 1); bytes.Equal(k, key) {
-			return i, e
+// find returns the slot holding key, whose hash is h, and true; or the
+// empty slot where key would go and false.
+func (s *kvStore) find(h uint64, key []byte) (int, bool) {
+	c, mask := kvCtrl(h), len(s.ctrl)-1
+	for i := int(h >> s.shift); ; i = (i + 1) & mask {
+		switch s.ctrl[i] {
+		case 0:
+			return i, false
+		case c:
+			if k, _ := s.record(s.index[i]); bytes.Equal(k, key) {
+				return i, true
+			}
 		}
 	}
 }
 
 // get returns a view of key's value.
 func (s *kvStore) get(key []byte) ([]byte, bool) {
-	_, e := s.find(key)
-	if e == 0 {
+	slot, ok := s.find(kvHash(key), key)
+	if !ok {
 		return nil, false
 	}
-	_, v := s.record(e - 1)
+	_, v := s.record(s.index[slot])
 	return v, true
 }
 
 // set stores a copy of val under key. key is at most 255 bytes and val at
 // most 65 535 (the wire's length fields).
 func (s *kvStore) set(key, val []byte) {
-	if 2*(s.keys+1) > len(s.index) {
+	if 8*(s.keys+1) > 7*len(s.ctrl) { // past 7/8 load
 		s.grow()
 	}
-	slot, old := s.find(key)
-	s.index[slot] = s.append(key, val) + 1
+	h := kvHash(key)
+	slot, ok := s.find(h, key)
+	old := s.index[slot]
+	s.ctrl[slot] = kvCtrl(h)
+	s.index[slot] = s.append(key, val)
 	s.live += 3 + len(key) + len(val)
-	if old == 0 {
+	if !ok {
 		s.keys++
 		return
 	}
-	k, v := s.record(old - 1)
+	k, v := s.record(old)
 	n := 3 + len(k) + len(v)
 	s.live -= n
 	s.dead += n
@@ -144,17 +160,25 @@ func (s *kvStore) newBlock(capacity int) int {
 	return len(s.blocks) - 1
 }
 
-// grow doubles the index and re-files every entry.
+// grow doubles the index and re-files every slot's control byte and
+// location. The keys are distinct, so each goes to the first empty slot
+// on its path.
 func (s *kvStore) grow() {
-	old := s.index
-	s.index = make([]uint32, 2*len(old))
+	ctrl, index := s.ctrl, s.index
+	s.ctrl = make([]uint8, 2*len(ctrl))
+	s.index = make([]uint32, 2*len(index))
 	s.shift--
-	for _, e := range old {
-		if e != 0 {
-			k, _ := s.record(e - 1)
-			slot, _ := s.find(k)
-			s.index[slot] = e
+	mask := len(s.ctrl) - 1
+	for i, c := range ctrl {
+		if c == 0 {
+			continue
 		}
+		k, _ := s.record(index[i])
+		j := int(kvHash(k) >> s.shift)
+		for s.ctrl[j] != 0 {
+			j = (j + 1) & mask
+		}
+		s.ctrl[j], s.index[j] = c, index[i]
 	}
 }
 
@@ -170,8 +194,8 @@ func (s *kvStore) compact() {
 		for off := 0; off < len(blk); {
 			loc := uint32(b)<<16 | uint32(off)
 			k, v := s.record(loc)
-			if slot, e := s.find(k); e == loc+1 {
-				s.index[slot] = s.append(k, v) + 1
+			if slot, ok := s.find(kvHash(k), k); ok && s.index[slot] == loc {
+				s.index[slot] = s.append(k, v)
 			}
 			off += 3 + len(k) + len(v)
 		}
@@ -180,9 +204,9 @@ func (s *kvStore) compact() {
 	if s.fill >= 0 {
 		s.fill -= nOld
 	}
-	for i, e := range s.index {
-		if e != 0 {
-			s.index[i] = e - uint32(nOld)<<16
+	for i, c := range s.ctrl {
+		if c != 0 {
+			s.index[i] -= uint32(nOld) << 16
 		}
 	}
 	s.dead = 0

@@ -166,6 +166,10 @@ func TestVerifierRejects(t *testing.T) {
 	if err := vm.Verify(bad); err == nil {
 		t.Fatal("write to r10 accepted")
 	}
+	bad = []Insn{{Op: ClassLDX | ModeMem | SizeDW, Dst: R10, Src: R1}, {Op: ClassJMP | Exit}}
+	if err := vm.Verify(bad); err == nil {
+		t.Fatal("load into r10 accepted")
+	}
 	// No exit.
 	bad = []Insn{{Op: ClassALU64 | OpMov | SrcImm, Dst: R0}}
 	if err := vm.Verify(bad); err == nil {
@@ -265,7 +269,7 @@ func TestMapHelpersFromProgram(t *testing.T) {
 	}
 }
 
-func makeTCPFrame(t *testing.T, srcIP, dstIP packet.IPv4Addr, sport, dport uint16, flags uint8) []byte {
+func makeTCPFrame(t testing.TB, srcIP, dstIP packet.IPv4Addr, sport, dport uint16, flags uint8) []byte {
 	t.Helper()
 	p := &packet.Packet{
 		Eth: packet.Ethernet{

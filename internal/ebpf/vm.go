@@ -60,19 +60,20 @@ func (v *VM) RegisterMap(m Map) int32 {
 }
 
 // Verify performs the static checks the kernel verifier would: known
-// opcodes, jump targets in range, and no writes to R10.
+// opcodes, registers that exist, jump targets in range, and no writes to
+// R10.
 func (v *VM) Verify(prog []Insn) error {
 	if len(prog) == 0 {
 		return fmt.Errorf("ebpf: empty program")
 	}
 	for pc, ins := range prog {
+		if ins.Dst >= NumRegs || ins.Src >= NumRegs {
+			return fmt.Errorf("ebpf: bad register at %d: %v", pc, ins)
+		}
 		cls := ins.Op & 0x07
 		switch cls {
 		case ClassALU, ClassALU64, ClassLDX, ClassSTX, ClassST:
-			if ins.Dst >= NumRegs || ins.Src >= NumRegs {
-				return fmt.Errorf("ebpf: bad register at %d: %v", pc, ins)
-			}
-			if (cls == ClassALU || cls == ClassALU64) && ins.Dst == R10 {
+			if (cls == ClassALU || cls == ClassALU64 || cls == ClassLDX) && ins.Dst == R10 {
 				return fmt.Errorf("ebpf: write to r10 at %d", pc)
 			}
 		case ClassJMP:
@@ -102,16 +103,18 @@ type memory struct {
 	scratch [ScratchSize]byte
 }
 
+// slice returns the size bytes at addr. Each bound is checked as an offset
+// into its region, so an address near 2^64 cannot wrap into one.
 func (m *memory) slice(addr uint64, size int) ([]byte, error) {
-	switch {
-	case addr+uint64(size) <= uint64(len(m.pkt)):
-		return m.pkt[addr : addr+uint64(size)], nil
-	case addr >= StackBase && addr+uint64(size) <= StackTop:
-		off := addr - StackBase
-		return m.stack[off : off+uint64(size)], nil
-	case addr >= ScratchBase && addr+uint64(size) <= ScratchBase+ScratchSize:
-		off := addr - ScratchBase
-		return m.scratch[off : off+uint64(size)], nil
+	n := uint64(size)
+	if pkt := uint64(len(m.pkt)); addr <= pkt && n <= pkt-addr {
+		return m.pkt[addr : addr+n], nil
+	}
+	if off := addr - StackBase; addr >= StackBase && off <= StackSize && n <= StackSize-off {
+		return m.stack[off : off+n], nil
+	}
+	if off := addr - ScratchBase; addr >= ScratchBase && off <= ScratchSize && n <= ScratchSize-off {
+		return m.scratch[off : off+n], nil
 	}
 	return nil, ErrOutOfBounds
 }
