@@ -2,13 +2,14 @@
 # Alternating-pairs comparison of two checkouts on one benchmark workload
 # (ROADMAP item 1(a)'s measuring half):
 #
-#   bash .github/bench-pairs.sh PARENT CHANGE WORKLOAD SEED PAIRS [bench flags...]
+#   bash .github/bench-pairs.sh PARENT CHANGE WORKLOAD SEED PAIRS
 #
 # Each pair runs `bash bench/run.sh --workload WORKLOAD --seed SEED --trace 0`
 # once in each checkout, the parent first in odd pairs and the change first
-# in even ones; extra flags (say `--seconds 4`) go to every run. For every
+# in even ones; the run length is the benchmark's own. For every
 # end-to-end metric in the parent's BENCHMARK.json it prints each side's
-# median, quartiles (linear interpolation) and runs in pair order, the
+# median, quartiles (bench/stats.go's rule, Python's exclusive
+# statistics.quantiles) and runs in pair order, the
 # number of pairs the change won, and a verdict against the metric's bound:
 #   unresolved  the parent's interquartile range exceeds the bound, so the
 #               runs cannot tell a regression of that size from noise
@@ -23,19 +24,18 @@
 # and edits neither; the exit code is 1 when a run fails, a verdict is not
 # ok, or the two sides' hashes differ.
 set -euo pipefail
-if [ $# -lt 5 ] || ! [[ $5 =~ ^[1-9][0-9]*$ ]]; then
-	echo "usage: $0 PARENT CHANGE WORKLOAD SEED PAIRS [bench flags...]" >&2
+if [ $# -ne 5 ] || ! [[ $5 =~ ^[1-9][0-9]*$ ]]; then
+	echo "usage: $0 PARENT CHANGE WORKLOAD SEED PAIRS" >&2
 	exit 2
 fi
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd) workload=$3 seed=$4 pairs=$5
-shift 5
 spec="$parent/BENCHMARK.json"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # run SIDE DIR PAIR: one benchmark run, its output kept as $out/SIDE.PAIR.
 run() {
-	if ! (cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --trace 0 "${@:4}") >"$out/$1.$3" 2>&1; then
+	if ! (cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --trace 0) >"$out/$1.$3" 2>&1; then
 		echo "pair $3: $1 run failed:" >&2
 		tail -n 5 "$out/$1.$3" >&2
 		exit 1
@@ -48,11 +48,11 @@ run() {
 
 for ((p = 1; p <= pairs; p++)); do
 	if ((p % 2)); then
-		run parent "$parent" "$p" "$@"
-		run change "$change" "$p" "$@"
+		run parent "$parent" "$p"
+		run change "$change" "$p"
 	else
-		run change "$change" "$p" "$@"
-		run parent "$parent" "$p" "$@"
+		run change "$change" "$p"
+		run parent "$parent" "$p"
 	fi
 	echo "pair $p of $pairs done" >&2
 done
@@ -76,7 +76,16 @@ while read -r metric better bound; do
 			for (j = i; j > 1 && a[j-1] + 0 > a[j] + 0; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
 		return n
 	}
-	function q(a, n, f,   h, l) { h = (n - 1) * f; l = int(h); return a[l+1] + (h - l) * (a[l+2] - a[l+1]) }
+	# q is bench/stats.go quantile on sorted a[1..n]: position f(n+1),
+	# interpolated between its neighbours, clamped to the second and
+	# next-to-last (so it extrapolates at the ends of short samples).
+	function q(a, n, f,   pos, j) {
+		if (n == 1) return a[1]
+		pos = f * (n + 1); j = int(pos)
+		if (j < 1) j = 1
+		if (j > n - 1) j = n - 1
+		return a[j] + (pos - j) * (a[j+1] - a[j])
+	}
 	function runs(a, n,   i, s) { for (i = 1; i <= n; i++) s = s sprintf(" %.4g", a[i]); return s }
 	BEGIN {
 		n = sorted(par, pa); sorted(chg, ca)

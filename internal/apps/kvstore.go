@@ -161,24 +161,18 @@ func (s *kvStore) newBlock(capacity int) int {
 }
 
 // grow doubles the index and re-files every slot's control byte and
-// location. The keys are distinct, so each goes to the first empty slot
-// on its path.
+// location.
 func (s *kvStore) grow() {
 	ctrl, index := s.ctrl, s.index
 	s.ctrl = make([]uint8, 2*len(ctrl))
 	s.index = make([]uint32, 2*len(index))
 	s.shift--
-	mask := len(s.ctrl) - 1
 	for i, c := range ctrl {
-		if c == 0 {
-			continue
+		if c != 0 {
+			k, _ := s.record(index[i])
+			j, _ := s.find(kvHash(k), k)
+			s.ctrl[j], s.index[j] = c, index[i]
 		}
-		k, _ := s.record(index[i])
-		j := int(kvHash(k) >> s.shift)
-		for s.ctrl[j] != 0 {
-			j = (j + 1) & mask
-		}
-		s.ctrl[j], s.index[j] = c, index[i]
 	}
 }
 
