@@ -31,7 +31,7 @@
 //     structures it crossed leave no trace in it. There is one scheduling
 //     API: every event and
 //     task completion (AtCall/AfterCall/ImmediatelyCall/EveryCall on a
-//     component's sim.Owner or, unowned, on the Engine;
+//     component's sim.Owner or, unowned, on sim.Unowned or the Engine;
 //     Resource.AcquireCall, Core/FPC.SubmitStepCall and SubmitCall,
 //     DMAEngine.IssueCall)
 //     carries a long-lived func(any) plus a per-event arg, so no closure
@@ -307,10 +307,13 @@
 // (internal/apps): at most 0.05 heap allocations per steady-state RPC
 // request-response end to end, on every stack; the cross-personality semantics
 // (including view aliasing rules) are pinned by the conformance suite in
-// internal/api/apitest. The no-retention rule is statically enforced by
-// flexvet/viewretain: storing a view into a struct field or package
-// variable, capturing it in an escaping closure, or touching it after the
-// invalidating Consume/Commit is a build-breaking diagnostic.
+// internal/api/apitest. The no-retention rule is enforced at runtime
+// under -tags flexdebug: a Consume fills the receive bytes it releases
+// with poison, every Peek/Reserve view is stamped with its ring's
+// generation, which the next Consume, Commit or move of the ring ends,
+// and the api view helpers panic on a view whose generation has ended
+// (TestStaleViewsTrip); a wire view released from a packet without
+// SetPayloadView panics too (TestWireViewOnlyThroughSetPayloadView).
 //
 // # One job, one engine
 //
@@ -367,9 +370,13 @@
 //
 // Unowned scheduling (Engine.AtCall and siblings) is for what stands
 // outside the modelled machines: applications, workload generators,
-// experiment traffic sources, tests and the benchmark drivers. Inside the
-// packages that build or run simulations a direct Engine.*Call is a
-// flexvet/detrange finding unless annotated `//flexvet:unowned <why>`.
+// experiment traffic sources, tests and the benchmark drivers. Code that
+// schedules unowned from inside a callback says so through one named
+// adapter, sim.Unowned(eng, why), an Owner with key 0; a periodic source
+// arms only through an Owner (there is no Engine.EveryCall). Under -tags
+// flexdebug the engine's own AtCall, AfterCall and ImmediatelyCall panic
+// while an owned event or a delivery runs
+// (TestOwnedEventsScheduleThroughOwners).
 //
 // The rule is what lets the engine be optimised without moving a table:
 // an event whose only act is to schedule another can be removed, and two
@@ -484,11 +491,12 @@
 //     byte-identical payloads on rerun, at any server worker-pool
 //     width, and across server restarts (TestRerunIsByteIdentical, the CI
 //     scenario-serve job; TestCoresFieldInvariance pins that the
-//     vestigial "cores" field changes nothing but its own echo). The scenario packages sit inside the flexvet
-//     determinism perimeter: no wall-clock reads, no global randomness,
-//     no map-order iteration — job ids derive from a submission sequence
-//     number plus a hash of the spec bytes, and validation, build, and
-//     readout all walk spec-ordered slices.
+//     vestigial "cores" field changes nothing but its own echo). The
+//     scenario packages sit inside the determinism perimeter: no
+//     wall-clock reads, no randomness but seeded generators, no map-order
+//     iteration — job ids derive from a submission sequence number plus
+//     a hash of the spec bytes, and validation, build, and readout all
+//     walk spec-ordered slices.
 //
 //   - Async jobs with bounded workers. Jobs run on a worker pool clamped
 //     to GOMAXPROCS (the runCells rationale: more runnable workers than
@@ -498,54 +506,35 @@
 //     byte-identically and resumes interrupted ones. Example specs and
 //     curl workflows live in examples/scenarios/.
 //
-// # Static enforcement: flexvet
+// # Enforcement: one runtime gate per contract
 //
-// The contracts above — and the one-seed determinism rule stated in
-// ROADMAP.md — are enforced at compile time by cmd/flexvet, a
-// multichecker over two passes (internal/analysis/...), run as a
-// blocking CI job and in-process by `go test ./internal/analysis`:
+// Every contract above is enforced by a test in `go test ./...` or by
+// the CI step that runs the packages' tests with -tags flexdebug:
 //
-//   - viewretain: Peek/Reserve/PayloadBuf.Slices views must stay local —
-//     never stored, never captured by an escaping closure, never used
-//     after the invalidating Consume/Commit on the same socket. A
-//     PayloadBuf.View (a wire view) may flow only into
-//     Packet.SetPayloadView: storing it, capturing it in an escaping
-//     closure, returning it or passing it to any other call is a
-//     diagnostic.
-//   - detrange: simulation-critical packages must not range over maps
-//     (iteration order would leak into the event order), call wall-clock
-//     time, or draw from global/unseeded randomness; and wherever
-//     simulations are built or run (those packages plus apps,
-//     experiments and testbed) nothing schedules on a *sim.Engine
-//     directly without saying why it is not a component with a
-//     sim.Owner.
+//   - pooling ownership: the allocation budgets and the loan counts at
+//     quiescence (sim.Engine.Unreturned);
+//   - zero-copy views: the view stamps, receive-ring poison and wire-view
+//     checks under flexdebug, and the conformance suite's byte checks;
+//   - determinism: TestInternalImportsNoClockOrRandomness (no package
+//     under internal/ imports time, math/rand, math/rand/v2 or
+//     crypto/rand) and the rerun gates, which catch map-order scans;
+//   - same-instant order: the owner check under flexdebug and
+//     TestOwnerOrder.
 //
-// Pooling ownership has no pass: the runtime allocation gates enforce
-// its zero-alloc event rule and the pools' loan counts at quiescence its
-// release-exactly-once rule (see "Pooling ownership").
-//
-// Suppression convention: a deliberate exception is annotated in place
-// with a machine-checked comment on the diagnosed line or the line above,
-//
-//	//flexvet:<pass> <why>
-//
-// e.g. `//flexvet:unowned the incast barrier is the workload generator's,
-// not a machine's` on a generator's direct use of the engine's
-// schedulers. For order-insensitive map scans (pure counts, sums) the
-// detrange alias `//flexvet:ordered <why>` reads better. The <why> is
-// mandatory prose for the reviewer; an annotation
-// without a justification should be rejected in review.
-//
-// The runtime complement is the flexdebug build tag: `go test -tags
-// flexdebug ./...` makes every freelist panic on double release, fills
-// released slab buffers — the packets' payload copies — with 0xDB poison
-// (so stale reads see garbage and stale writes panic at the slab's next
-// Get), makes the fabric panic on transmitting a released frame,
+// `go test -tags flexdebug ./...` makes every freelist panic on double
+// release, fills released slab buffers — the packets' payload copies —
+// with 0xDB poison (so stale reads see garbage and stale writes panic at
+// the slab's next Get), makes the fabric panic on transmitting a released frame,
 // recomputes every flow-hash memo that is served or seeded, panicking on
 // a mismatch, and checksums every wire view when SetPayloadView attaches
 // it: a receive path about to write a whole in-window payload
 // (core's rxPayloadLanded and the run-to-completion ablation, the
-// baseline's receivePayload) panics if the view changed in flight.
+// baseline's receivePayload) panics if the view changed in flight. It
+// also poisons the receive bytes a Consume releases, panics in the api
+// view helpers on a Peek view used after its Consume or a Reserve view
+// after its Commit, panics when a packet is released holding a wire view
+// that bypassed SetPayloadView, and panics when an owned event or a
+// delivery schedules through the engine's unowned schedulers.
 package main
 
 import (

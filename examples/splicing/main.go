@@ -73,7 +73,7 @@ func run(stdout io.Writer) int {
 	}
 	gap := sim.Time(float64(frame.WireLen()) / netsim.GbpsToBytesPerSec(40) * 1e12)
 	const dur = 5 * sim.Millisecond
-	tb.Eng.EveryCall(0, gap, func(any) bool {
+	sim.Unowned(tb.Eng, "the example's frame source bypasses every modelled stack").EveryCall(0, gap, func(any) bool {
 		if tb.Eng.Now() >= dur {
 			return false
 		}

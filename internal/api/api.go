@@ -81,12 +81,15 @@ type Socket interface {
 
 // View helpers: applications address the two-slice ring windows returned
 // by Peek/Reserve as one logical byte range without materializing it.
+// Under -tags flexdebug each helper panics on a view that has outlived
+// its Consume or Commit (see Socket).
 
 // ViewLen returns the total length of a two-slice view.
 func ViewLen(a, b []byte) int { return len(a) + len(b) }
 
 // ViewByte returns view byte i.
 func ViewByte(a, b []byte, i int) byte {
+	checkViews(a, b)
 	if i < len(a) {
 		return a[i]
 	}
@@ -95,6 +98,7 @@ func ViewByte(a, b []byte, i int) byte {
 
 // ViewCopyOut copies view[off : off+len(dst)] into dst.
 func ViewCopyOut(dst []byte, a, b []byte, off int) {
+	checkViews(a, b)
 	if off < len(a) {
 		n := copy(dst, a[off:])
 		if n < len(dst) {
@@ -107,6 +111,7 @@ func ViewCopyOut(dst []byte, a, b []byte, off int) {
 
 // ViewCopyIn copies src into the view starting at off.
 func ViewCopyIn(a, b []byte, off int, src []byte) {
+	checkViews(a, b)
 	if off < len(a) {
 		n := copy(a[off:], src)
 		if n < len(src) {
@@ -124,6 +129,7 @@ func ViewCopyIn(a, b []byte, off int, src []byte) {
 // either the view or scratch — the same lifetime rules as the view
 // itself apply.
 func ViewBytes(a, b []byte, off, n int, scratch *[]byte) []byte {
+	checkViews(a, b)
 	if off+n <= len(a) {
 		return a[off : off+n]
 	}

@@ -1,0 +1,57 @@
+//go:build flexdebug
+
+package apitest
+
+import (
+	"testing"
+
+	"flextoe/internal/api"
+	"flextoe/internal/shm"
+	"flextoe/internal/testbed"
+)
+
+// mustPanic runs f and fails the test if it completes without panicking.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestStaleViewsTrip: on every stack, a Reserve view written after its
+// Commit and a Peek view read after its Consume panic in the view
+// helpers, and the consumed receive bytes read as poison (shm.PayloadBuf
+// under flexdebug). A view re-taken after the call is live again.
+func TestStaleViewsTrip(t *testing.T) {
+	for _, kind := range testbed.AllStacks {
+		t.Run(string(kind), func(t *testing.T) {
+			const n = 64
+			p := newPair(t, kind, 4096, 9010, nil)
+			a, b := p.cli.Reserve(n)
+			for i := 0; i < n; i++ {
+				api.ViewCopyIn(a, b, i, []byte{pattern(i)})
+			}
+			p.cli.Commit(n)
+			mustPanic(t, "a Reserve view written after its Commit", func() { api.ViewCopyIn(a, b, 0, []byte{0xEE}) })
+			a, b = p.cli.Reserve(n)
+			api.ViewCopyIn(a, b, 0, []byte{pattern(n)})
+
+			p.until(t, "delivery", func() bool { return p.srv.Readable() >= n })
+			ra, rb := p.srv.Peek()
+			if got := api.ViewByte(ra, rb, n-1); got != pattern(n-1) {
+				t.Fatalf("byte %d reads %#x, want %#x", n-1, got, pattern(n-1))
+			}
+			p.srv.Consume(n)
+			if ra[0] != shm.PoisonByte || ra[n-1] != shm.PoisonByte {
+				t.Errorf("consumed bytes read %#x..%#x, want poison %#x", ra[0], ra[n-1], shm.PoisonByte)
+			}
+			mustPanic(t, "a Peek view read after its Consume", func() { api.ViewByte(ra, rb, 0) })
+			scratch := make([]byte, 0, n)
+			mustPanic(t, "a Peek view copied after its Consume", func() { api.ViewBytes(ra, rb, 0, n, &scratch) })
+			quiesce(t, p.tb)
+		})
+	}
+}

@@ -304,8 +304,7 @@ func (c *OpenLoopClient) Start(stack api.Stack, server api.Addr, conns int) {
 
 func (c *OpenLoopClient) scheduleNext() {
 	gap := sim.Time(c.rng.Exp(1e12 / c.Rate))
-	//flexvet:unowned an application's arrival process stands outside the modelled machines
-	c.eng.AfterCall(gap, openLoopArrive, c)
+	sim.Unowned(c.eng, "an application's arrival process stands outside the modelled machines").AfterCall(gap, openLoopArrive, c)
 }
 
 // openLoopArrive fires one Poisson arrival and rearms (allocation-free

@@ -236,6 +236,9 @@ func (k *bsocket) Commit(n int) {
 	c := k.c
 	s := c.stack
 	c.appended += uint64(n)
+	if shm.Debug {
+		c.tx.Release(0) // ends the Reserve views (flexdebug)
+	}
 	cost := s.prof.SocketPerOp + int64(float64(n)*s.prof.PerByte)
 	if s.prof.ASIC {
 		// Kernel-mediated TOE API: the host driver runs per write.

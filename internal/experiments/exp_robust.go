@@ -119,8 +119,7 @@ func spliceRate(s Scale) float64 {
 	wire := frame.WireLen()
 	gap := sim.Time(float64(wire) / netsim.GbpsToBytesPerSec(40) * 1e12)
 	d := s.dur(2*sim.Millisecond, 20*sim.Millisecond)
-	//flexvet:unowned the experiment's line-rate frame source bypasses every modelled stack
-	tb.Eng.EveryCall(0, gap, func(any) bool {
+	sim.Unowned(tb.Eng, "the experiment's line-rate frame source bypasses every modelled stack").EveryCall(0, gap, func(any) bool {
 		if tb.Eng.Now() >= d {
 			return false
 		}

@@ -141,8 +141,7 @@ func (gc *genConn) scheduleArrival() {
 		return // this connection has no share of the bounded flow budget
 	}
 	gap := sim.Time(gc.rng.Exp(1e12 / gc.rate))
-	//flexvet:unowned a workload generator's arrival process stands outside the modelled machines
-	gc.eng.AfterCall(gap, genConnArrive, gc)
+	sim.Unowned(gc.eng, "a workload generator's arrival process stands outside the modelled machines").AfterCall(gap, genConnArrive, gc)
 }
 
 // genConnArrive fires one Poisson arrival on this connection and rearms
@@ -449,8 +448,7 @@ func (g *IncastGroup) roundDone() {
 	g.RoundsDone++
 	g.LastDone = now
 	if g.Rounds == 0 || int(g.RoundsDone) < g.Rounds {
-		//flexvet:unowned the incast barrier is the workload generator's, not a machine's
-		g.eng.ImmediatelyCall(incastStartRound, g)
+		sim.Unowned(g.eng, "the incast barrier is the workload generator's, not a machine's").ImmediatelyCall(incastStartRound, g)
 	}
 }
 

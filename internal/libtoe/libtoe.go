@@ -232,6 +232,9 @@ func (k *Socket) Commit(n int) {
 	k.txHead += uint32(n)
 	k.txFree -= uint32(n)
 	k.pendTx += uint32(n)
+	if shm.Debug {
+		k.conn.TxBuf.Release(0) // ends the Reserve views (flexdebug)
+	}
 	k.core.SubmitStepCall(sim.Step{Compute: k.stack.costs.SendCycles}, sockTxDoorbell, k)
 }
 

@@ -325,8 +325,9 @@ func TestSaturatedQueuesAllocFree(t *testing.T) {
 	var taskDone, dmaDone func(any)
 	submit := func(any) { f.SubmitCall(task, taskDone, f) }
 	issue := func(any) { d.IssueCall(1448, dmaDone, d) }
-	taskDone = func(any) { eng.ImmediatelyCall(submit, f) }
-	dmaDone = func(any) { eng.ImmediatelyCall(issue, d) }
+	drv := sim.Unowned(eng, "the test resubmits from the FPC's and the DMA engine's completions")
+	taskDone = func(any) { drv.ImmediatelyCall(submit, f) }
+	dmaDone = func(any) { drv.ImmediatelyCall(issue, d) }
 	for i := 0; i < 4; i++ { // one running, three queued
 		f.SubmitCall(task, taskDone, f)
 	}

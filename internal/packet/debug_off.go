@@ -10,3 +10,5 @@ func (viewSum) record(v []byte) {}
 func (viewSum) check(v []byte)  {}
 
 func checkFlowHashes(p *Packet) {}
+
+func checkPayloadOwner(p *Packet) {}

@@ -5,6 +5,7 @@ package packet
 import (
 	"fmt"
 	"hash/crc32"
+	_ "unsafe" // for go:linkname
 )
 
 // viewSum is the CRC-32 of a payload view taken when SetPayloadView
@@ -33,3 +34,18 @@ func checkFlowHashes(p *Packet) {
 			p, f, p.fwdHash, p.revHash, fwd, rev))
 	}
 }
+
+// checkPayloadOwner panics when a pooled packet is released holding a
+// wire view (shm.PayloadBuf.View) that was not attached through
+// SetPayloadView: a switch duplicate would copy it and no receiver would
+// check it.
+func checkPayloadOwner(p *Packet) {
+	if !p.view && len(p.Payload) > 0 && isWireView(p.Payload) {
+		panic("packet: a wire view was assigned to Payload directly: attach it with SetPayloadView")
+	}
+}
+
+// isWireView reports whether b starts where a wire view starts.
+//
+//go:linkname isWireView flextoe/internal/shm.isWireView
+func isWireView(b []byte) bool

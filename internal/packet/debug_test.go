@@ -5,6 +5,7 @@ package packet
 import (
 	"testing"
 
+	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 )
 
@@ -95,4 +96,34 @@ func TestWrongFlowHashSeedPanics(t *testing.T) {
 		t.Fatal("rewrite after a wrong seed did not recompute")
 	}
 	p.SeedFlowHashes(p.Flow().Hash(), p.Flow().Reverse().Hash())
+}
+
+// TestWireViewOnlyThroughSetPayloadView: a packet released holding a
+// wire view assigned to Payload directly panics; the same view attached
+// with SetPayloadView, and a decoded frame's payload, pass.
+func TestWireViewOnlyThroughSetPayloadView(t *testing.T) {
+	pool := PoolOf(sim.New())
+	ring := shm.NewPayloadBuf(4096)
+	ring.WriteAt(0, []byte("committed transmit bytes"))
+	v, ok := ring.View(0, 9)
+	if !ok {
+		t.Fatal("View refused a window inside the ring")
+	}
+	p := pool.Get()
+	p.SetPayloadView(v)
+	Release(p)
+	q := pool.Get()
+	q.Payload = v[:4]
+	mustPanic(t, "Release of a wire view assigned to Payload", func() { Release(q) })
+	frame := (&Packet{
+		Eth:     Ethernet{EtherType: EtherTypeIPv4},
+		IP:      IPv4{TTL: 64, Protocol: ProtoTCP},
+		TCP:     TCP{Flags: FlagACK, WScale: -1},
+		Payload: []byte("payload"),
+	}).Serialize(SerializeOptions{FixLengths: true})
+	d := pool.Get()
+	if err := d.DecodeInto(frame); err != nil {
+		t.Fatal(err)
+	}
+	Release(d)
 }

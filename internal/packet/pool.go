@@ -85,6 +85,7 @@ func Release(p *Packet) {
 	if p == nil || !p.pooled {
 		return
 	}
+	checkPayloadOwner(p)
 	pl := p.pool
 	if p.buf != nil {
 		pl.slab.Put(p.buf) // poisoned under flexdebug; a view is never touched

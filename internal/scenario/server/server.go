@@ -28,11 +28,11 @@
 //	POST /jobs/{id}/cancel  request cancellation (effective at the next
 //	                        progress boundary)
 //
-// The package sits under internal/scenario and therefore inside the
-// flexvet determinism perimeter: no wall-clock reads, no global
-// randomness, and no map-order iteration — job ids derive from a
-// submission sequence number plus an FNV hash of the spec bytes, and
-// every scan walks the ordered job slice.
+// The package sits under internal/ and therefore inside the determinism
+// perimeter: it imports no wall clock and no random source
+// (TestInternalImportsNoClockOrRandomness), and no scan depends on map
+// order — job ids derive from a submission sequence number plus an FNV
+// hash of the spec bytes, and every scan walks the ordered job slice.
 package server
 
 import (

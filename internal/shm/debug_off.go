@@ -15,3 +15,14 @@ func (poolCheck[T]) put(x *T) {}
 
 func slabPoison(b []byte) {}
 func slabCheck(b []byte)  {}
+
+// ringCheck is the release-build no-op of the flexdebug view stamps and
+// receive-ring poison: zero-size, so a PayloadBuf keeps its layout and
+// its methods gain no store or branch.
+type ringCheck struct{}
+
+func (ringCheck) lend(b *PayloadBuf, start, n uint32) {}
+func (ringCheck) wire(v []byte)                       {}
+func (ringCheck) moved()                              {}
+func (ringCheck) markRead()                           {}
+func (ringCheck) released(b *PayloadBuf, n uint32)    {}

@@ -2,7 +2,11 @@
 
 package shm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"unsafe"
+)
 
 // Debug reports whether the flexdebug build tag is active.
 const Debug = true
@@ -34,12 +38,7 @@ func (c *poolCheck[T]) put(x *T) {
 	c.resident[x] = struct{}{}
 }
 
-func slabPoison(b []byte) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = PoisonByte
-	}
-}
+func slabPoison(b []byte) { poison(b[:cap(b)]) }
 
 // slabCheck verifies a recycled buffer is still fully poisoned when Get
 // hands it out again: a dirty byte means someone wrote through a slice of
@@ -48,6 +47,112 @@ func slabCheck(b []byte) {
 	for i, v := range b[:cap(b)] {
 		if v != PoisonByte {
 			panic(fmt.Sprintf("shm: write-after-release detected: slab byte %d is %#x, want poison %#x", i, v, PoisonByte))
+		}
+	}
+}
+
+// ringCheck is one PayloadBuf's flexdebug state: the generation its
+// Slices views are stamped with (ended by every Release and every move
+// of the ring), and whether the data path has read the ring through View
+// or ReadAt, as it reads only transmit rings.
+type ringCheck struct {
+	gen     uint64
+	readOut bool
+}
+
+// viewStamp is what views records of one Slices view: the ring that lent
+// it and the generation it was lent in.
+type viewStamp struct {
+	b   *PayloadBuf
+	gen uint64
+}
+
+// views maps the first byte of each Slices view to its stamp, and wires
+// holds the first byte of each wire view (View). Concurrent engines
+// share them, so they are locked. Each is emptied when it reaches
+// maxViews entries: that forgets views, so an old one goes unchecked, and
+// never makes a live view look stale.
+var views struct {
+	sync.Mutex
+	m     map[*byte]viewStamp
+	wires map[*byte]struct{}
+}
+
+const maxViews = 1 << 16
+
+// lend stamps the Slices view that starts at start and, when it wraps,
+// its second piece at the ring's first byte.
+func (c *ringCheck) lend(b *PayloadBuf, start, n uint32) {
+	views.Lock()
+	if views.m == nil || len(views.m) >= maxViews {
+		views.m = make(map[*byte]viewStamp)
+	}
+	views.m[&b.data[start]] = viewStamp{b, c.gen}
+	if start+n > uint32(len(b.data)) {
+		views.m[&b.data[0]] = viewStamp{b, c.gen}
+	}
+	views.Unlock()
+}
+
+// wire records the wire view v.
+func (c *ringCheck) wire(v []byte) {
+	views.Lock()
+	if views.wires == nil || len(views.wires) >= maxViews {
+		views.wires = make(map[*byte]struct{})
+	}
+	views.wires[unsafe.SliceData(v)] = struct{}{}
+	views.Unlock()
+}
+
+// isWireView reports whether p starts where a wire view of a payload ring
+// starts. packet's release check reaches it by linkname.
+func isWireView(p []byte) bool {
+	views.Lock()
+	_, ok := views.wires[unsafe.SliceData(p)]
+	views.Unlock()
+	return ok
+}
+
+func (c *ringCheck) moved()    { c.gen++ }
+func (c *ringCheck) markRead() { c.readOut = true }
+
+// released ends the current views and poisons the n bytes about to be
+// released on a ring nothing but Slices views reads. They lie in the ring
+// apart from every live byte: the ring holds [tail, the highest write).
+func (c *ringCheck) released(b *PayloadBuf, n uint32) {
+	c.gen++
+	if c.readOut || b.data == nil {
+		return
+	}
+	phys := uint32(len(b.data))
+	start := b.tail & (phys - 1)
+	n = min(n, phys)
+	poison(b.data[start:min(start+n, phys)])
+	if start+n > phys {
+		poison(b.data[:start+n-phys])
+	}
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = PoisonByte
+	}
+}
+
+// checkViews panics when a is a Slices view whose generation has ended:
+// a Peek view read after the Consume that released it, a Reserve view
+// written after its Commit, or either after a move of the ring. api's
+// view helpers reach it by linkname, so it adds no exported name.
+func checkViews(a, c []byte) {
+	for _, v := range [2][]byte{a, c} {
+		if len(v) == 0 {
+			continue
+		}
+		views.Lock()
+		s, ok := views.m[unsafe.SliceData(v)]
+		views.Unlock()
+		if ok && s.gen != s.b.dbg.gen {
+			panic(fmt.Sprintf("shm: stale payload view: lent in generation %d of its ring, which is now at %d (a Peek view outlived its Consume, or a Reserve view its Commit)", s.gen, s.b.dbg.gen))
 		}
 	}
 }

@@ -22,9 +22,10 @@ import "fmt"
 // The owner advances tail with Release; an owner that never releases
 // only grows sooner, it never reads wrong bytes.
 type PayloadBuf struct {
-	data []byte // physical ring: nil, or a power of two from minRing to size
-	size uint32 // logical capacity
-	tail uint32 // oldest live position, advanced by Release
+	data []byte    // physical ring: nil, or a power of two from minRing to size
+	dbg  ringCheck // zero-size unless built with -tags flexdebug
+	size uint32    // logical capacity
+	tail uint32    // oldest live position, advanced by Release
 }
 
 // minRing holds a request or two of a large fleet's connections; below
@@ -49,7 +50,17 @@ func (b *PayloadBuf) Size() uint32 { return b.size }
 // Release retires the oldest n live bytes: consumed by the application
 // (RX) or acknowledged by the peer (TX). Released bytes stay readable
 // until the ring wraps onto them, as in any circular buffer.
-func (b *PayloadBuf) Release(n uint32) { b.tail += n }
+//
+// Under -tags flexdebug a Release, even of nothing, also ends every
+// Slices view lent before it (a socket's Commit releases nothing to end
+// its Reserve views), and on a ring the data path has never read through
+// View or ReadAt — a receive ring — it fills the released bytes with
+// PoisonByte. A transmit ring is never poisoned: a frame's wire view may
+// still read its released bytes.
+func (b *PayloadBuf) Release(n uint32) {
+	b.dbg.released(b, n)
+	b.tail += n
+}
 
 // fit makes the physical ring hold the live window [tail, pos+n).
 func (b *PayloadBuf) fit(pos, n uint32) {
@@ -65,6 +76,7 @@ func (b *PayloadBuf) fit(pos, n uint32) {
 	phys = min(phys, b.size)
 	old := b.data
 	b.data = make([]byte, phys)
+	b.dbg.moved()
 	if old == nil {
 		return
 	}
@@ -106,6 +118,7 @@ func (b *PayloadBuf) put(pos uint32, p []byte) {
 // ReadAt copies len(p) bytes from the buffer starting at pos. It never
 // grows the ring: a buffer nothing was written to reads as zeros.
 func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
+	b.dbg.markRead()
 	if b.data == nil {
 		clear(p)
 		return
@@ -123,7 +136,9 @@ func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
 // The slices alias the ring — they stay valid only until the region is
 // recycled (receive: consumed; transmit: acknowledged and rewritten) or
 // the next WriteAt or Slices call, either of which may move the ring. n
-// must not exceed the buffer size.
+// must not exceed the buffer size. Under -tags flexdebug each view is
+// stamped with the ring's generation, which the next Release or move
+// ends; api's view helpers panic on a view whose generation has ended.
 func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
 	if n > b.size {
 		panic(fmt.Sprintf("shm: view of %d bytes exceeds %d-byte payload buffer", n, b.size))
@@ -136,6 +151,7 @@ func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
 	}
 	phys := uint32(len(b.data))
 	start := pos & (phys - 1)
+	b.dbg.lend(b, start, n)
 	if start+n <= phys {
 		return b.data[start : start+n], nil
 	}
@@ -161,6 +177,7 @@ var zeroView [64 << 10]byte
 // lies below the receiver's next expected sequence number, where both
 // receivers trim before they write.
 func (b *PayloadBuf) View(pos, n uint32) ([]byte, bool) {
+	b.dbg.markRead()
 	if b.data == nil {
 		if n > uint32(len(zeroView)) {
 			return nil, false
@@ -172,7 +189,9 @@ func (b *PayloadBuf) View(pos, n uint32) ([]byte, bool) {
 	if start+n > phys {
 		return nil, false
 	}
-	return b.data[start : start+n : start+n], true
+	v := b.data[start : start+n : start+n]
+	b.dbg.wire(v)
+	return v, true
 }
 
 // DescKind discriminates context-queue descriptors.

@@ -1,0 +1,47 @@
+//go:build flexdebug
+
+package sim
+
+import "testing"
+
+// TestOwnedEventsScheduleThroughOwners: inside an owned event or a
+// delivery, Engine.AtCall, AfterCall and ImmediatelyCall panic
+// (flexdebug), and Unowned's do not; inside an unowned event and outside
+// any event the engine's own schedulers are legal.
+func TestOwnedEventsScheduleThroughOwners(t *testing.T) {
+	e := New()
+	own := e.NewOwner()
+	link := uint64(e.NewLinkID()) << 32
+	nop := func(any) {}
+	direct := map[string]func(){
+		"AtCall":          func() { e.AtCall(e.Now()+5, nop, nil) },
+		"AfterCall":       func() { e.AfterCall(5, nop, nil) },
+		"ImmediatelyCall": func() { e.ImmediatelyCall(nop, nil) },
+	}
+	viaUnowned := func() { Unowned(e, "the test schedules from its own callbacks").AfterCall(5, nop, nil) }
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	check := func(where string, want bool) {
+		for _, name := range []string{"AtCall", "AfterCall", "ImmediatelyCall"} {
+			if got := panics(direct[name]); got != want {
+				t.Errorf("Engine.%s %s: panicked %v, want %v", name, where, got, want)
+			}
+		}
+		if panics(viaUnowned) {
+			t.Errorf("Unowned(...).AfterCall %s panicked", where)
+		}
+	}
+	var ran int
+	own.AtCall(10, func(any) { check("in an owned event", true); ran++ }, nil)
+	own.Sub(3).AtCall(10, func(any) { check("in a sub-context's event", true); ran++ }, nil)
+	e.AtLinkCall(10, link|1, func(any) { check("in a delivery", true); ran++ }, nil)
+	e.AtCall(10, func(any) { check("in an unowned event", false); ran++ }, nil)
+	e.Run()
+	check("outside any event", false)
+	if ran != 4 {
+		t.Fatalf("%d of 4 events ran", ran)
+	}
+}

@@ -205,7 +205,8 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	nRun    uint64
-	ranks   uint32 // owner ranks and link ids handed out so far
+	run     running // zero-size unless built with -tags flexdebug
+	ranks   uint32  // owner ranks and link ids handed out so far
 
 	// Near wheel: buckets[i&wheelMask] holds, in execution order, the
 	// events whose tick index (at>>tickBits) is i, for the ticks of blocks
@@ -289,12 +290,18 @@ func (e *Engine) schedule(t Time, dkey uint64, cb func(any), arg any) {
 // AtCall schedules cb(arg) at absolute time t as an unowned event: at its
 // instant it runs before every component's events, FIFO among its like.
 // Unowned scheduling is for applications, workload generators, tests and
-// benchmark drivers; a modelled component schedules through its Owner
-// (flexvet/detrange flags the rest). cb should be a long-lived function
-// value (package-level or cached on a struct) and arg the per-event state,
-// so scheduling performs no closure allocation. arg must not be a pooled
-// object that could be recycled before the event fires.
-func (e *Engine) AtCall(t Time, cb func(any), arg any) { e.schedule(t, 0, cb, arg) }
+// benchmark drivers; a modelled component schedules through its Owner.
+// Under -tags flexdebug the engine's own AtCall, AfterCall and
+// ImmediatelyCall panic inside an owned event or a delivery, where
+// anything that schedules unowned goes through Unowned.
+// cb should be a long-lived function value (package-level or cached on a
+// struct) and arg the per-event state, so scheduling performs no closure
+// allocation. arg must not be a pooled object that could be recycled
+// before the event fires.
+func (e *Engine) AtCall(t Time, cb func(any), arg any) {
+	checkUnowned(e, "AtCall")
+	e.schedule(t, 0, cb, arg)
+}
 
 // AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
 // event carrying the link-scoped ordering key dkey (link id, from
@@ -331,6 +338,15 @@ type Owner struct {
 	key uint64
 }
 
+// Unowned returns the engine's unowned scheduling handle: its events
+// order like Engine.AtCall's, first at their instant and FIFO. What
+// stands outside the modelled machines (an application's or a workload
+// generator's arrival process, an experiment's traffic source) schedules
+// through it from inside a component's or a delivery's callback, where
+// the engine's own schedulers panic under -tags flexdebug, and arms
+// periodic work through it; why says which, for the reader.
+func Unowned(e *Engine, why string) Owner { return Owner{eng: e} }
+
 // NewOwner returns an owner ranked behind every owner and link made on
 // this engine so far. Components call it once, where they are constructed;
 // a component whose deferred same-instant work must run behind its own
@@ -364,7 +380,10 @@ func (o Owner) ImmediatelyCall(cb func(any), arg any) {
 }
 
 // EveryCall schedules cb(arg) at start and then every interval thereafter,
-// for as long as cb returns true (see Engine.EveryCall).
+// for as long as cb returns true, each firing in the owner's place. cb
+// should be a long-lived function value and arg the periodic state, so
+// arming allocates one small carrier and each firing allocates nothing.
+// A periodic source outside the modelled machines arms through Unowned.
 func (o Owner) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 	if interval <= 0 {
 		panic("sim: non-positive interval")
@@ -425,11 +444,17 @@ func (e *Engine) Unreturned() error {
 
 // AfterCall schedules cb(arg) d picoseconds from now (see AtCall).
 // Negative d panics.
-func (e *Engine) AfterCall(d Time, cb func(any), arg any) { e.schedule(e.now+d, 0, cb, arg) }
+func (e *Engine) AfterCall(d Time, cb func(any), arg any) {
+	checkUnowned(e, "AfterCall")
+	e.schedule(e.now+d, 0, cb, arg)
+}
 
 // ImmediatelyCall schedules cb(arg) at the current instant, behind the
 // unowned events already queued for it (see AtCall).
-func (e *Engine) ImmediatelyCall(cb func(any), arg any) { e.schedule(e.now, 0, cb, arg) }
+func (e *Engine) ImmediatelyCall(cb func(any), arg any) {
+	checkUnowned(e, "ImmediatelyCall")
+	e.schedule(e.now, 0, cb, arg)
+}
 
 // periodic carries one EveryCall arming: who armed it, the long-lived
 // callback, its argument, and the rearm interval.
@@ -447,14 +472,6 @@ func periodicTick(a any) {
 	if p.cb(p.arg) {
 		p.own.AfterCall(p.interval, periodicTick, p)
 	}
-}
-
-// EveryCall schedules cb(arg) at start and then every interval
-// thereafter, for as long as cb returns true. cb should be a long-lived
-// function value and arg the periodic state, so arming allocates one small
-// carrier and each firing allocates nothing.
-func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
-	Owner{eng: e}.EveryCall(start, interval, cb, arg)
 }
 
 // RunFunc is the one adapter for firing an application-owned func() as an
@@ -614,13 +631,15 @@ func (e *Engine) step(limit Time) bool {
 		// never the bucket ev is in.
 		e.slideTo(e.blk + 1)
 	}
-	at, cb, arg := ev.at, ev.cb, ev.arg
+	at, dkey, cb, arg := ev.at, ev.dkey, ev.cb, ev.arg
 	ev.cb, ev.arg = nil, nil
 	bk.head++
 	e.nearCnt--
 	e.now = at
 	e.nRun++
+	prev := e.run.enter(dkey)
 	cb(arg)
+	e.run.leave(prev)
 	return true
 }
 

@@ -117,7 +117,7 @@ func TestRunUntil(t *testing.T) {
 func TestEveryCall(t *testing.T) {
 	e := New()
 	n := 0
-	e.EveryCall(100, 50, func(a any) bool {
+	Unowned(e, "the test's periodic source").EveryCall(100, 50, func(a any) bool {
 		p := a.(*int)
 		*p++
 		return *p < 4
@@ -136,7 +136,7 @@ func TestEveryCall(t *testing.T) {
 func TestEveryCallAllocFree(t *testing.T) {
 	e := New()
 	n := 0
-	e.EveryCall(0, 10, func(a any) bool { n++; return true }, nil)
+	Unowned(e, "the test's periodic source").EveryCall(0, 10, func(a any) bool { n++; return true }, nil)
 	e.RunUntil(100) // warm up past the arming
 	allocs := testing.AllocsPerRun(50, func() {
 		e.RunUntil(e.Now() + 1000)

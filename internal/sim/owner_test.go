@@ -80,6 +80,52 @@ func TestOwnerOrder(t *testing.T) {
 	}
 }
 
+// TestUnownedOrdersLikeEngineAtCall: Unowned's events share the engine's
+// unowned key. Whatever order the calls come in, one instant runs them
+// and Engine.AtCall's first, together in call order, then the owner's,
+// then the delivery.
+func TestUnownedOrdersLikeEngineAtCall(t *testing.T) {
+	e := New()
+	a := e.NewOwner()
+	u := Unowned(e, "the test's own events")
+	link := uint64(e.NewLinkID()) << 32
+	var got []string
+	mark := func(a any) { got = append(got, a.(string)) }
+	var txSeq uint64
+	calls := []struct {
+		key int
+		at  func(t Time, name string)
+	}{
+		{0, func(t Time, n string) { e.AtCall(t, mark, n) }},
+		{0, func(t Time, n string) { u.AtCall(t, mark, n) }},
+		{0, func(t Time, n string) { e.AtCall(t, mark, n) }},
+		{0, func(t Time, n string) { u.AtCall(t, mark, n) }},
+		{1, func(t Time, n string) { a.AtCall(t, mark, n) }},
+		{2, func(t Time, n string) { txSeq++; e.AtLinkCall(t, link|txSeq, mark, n) }},
+	}
+	names := [][]string{{"u#1", "u#2", "u#3", "u#4"}, {"a"}, {"l"}}
+	want := []string{"u#1", "u#2", "u#3", "u#4", "a", "l"}
+	at, perms := Time(0), 0
+	permute(len(calls), func(perm []int) {
+		at += 3 * Nanosecond
+		got = got[:0]
+		var nth [3]int
+		for _, i := range perm {
+			k := calls[i].key
+			calls[i].at(at, names[k][nth[k]])
+			nth[k]++
+		}
+		e.RunUntil(at)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call order %v ran %v, want %v", perm, got, want)
+		}
+		perms++
+	})
+	if perms != 720 || e.Pending() != 0 {
+		t.Fatalf("%d permutations, %d events pending", perms, e.Pending())
+	}
+}
+
 // TestOwnerFIFOWithinKey: two events of one owner and sub-context at one
 // instant run in call order, whatever else is scheduled between the calls.
 func TestOwnerFIFOWithinKey(t *testing.T) {
@@ -114,7 +160,7 @@ func TestOwnerImmediateFromLaterRank(t *testing.T) {
 	b.AtCall(at, func(any) {
 		mark("b")
 		a.ImmediatelyCall(mark, "a from b")
-		e.ImmediatelyCall(mark, "unowned from b")
+		Unowned(e, "the test's unowned event, from an owned one").ImmediatelyCall(mark, "unowned from b")
 		b.ImmediatelyCall(mark, "b from b")
 	}, nil)
 	c.AtCall(at, mark, "c")
@@ -140,7 +186,7 @@ func TestOwnerEveryCallKeepsItsKey(t *testing.T) {
 	tick := func(a any) bool { got = append(got, a.(string)); return e.Now() < 30 }
 	b.EveryCall(10, 10, tick, "b")
 	a.EveryCall(10, 10, tick, "a")
-	e.EveryCall(10, 10, tick, "u")
+	Unowned(e, "the test's unowned periodic source").EveryCall(10, 10, tick, "u")
 	e.Run()
 	want := []string{"u", "a", "b", "u", "a", "b", "u", "a", "b"}
 	if !reflect.DeepEqual(got, want) {

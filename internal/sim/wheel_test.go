@@ -91,7 +91,7 @@ type wheelSched struct{ e *Engine }
 func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
 	switch {
 	case dkey == 0:
-		w.e.AtCall(t, RunFunc, fn)
+		Unowned(w.e, "the driver schedules unowned events from owned ones too").AtCall(t, RunFunc, fn)
 	case dkey < firstLinkKey:
 		Owner{w.e, dkey}.AtCall(t, RunFunc, fn)
 	default:
