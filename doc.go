@@ -61,7 +61,7 @@
 //     the fabric; whoever terminates its journey calls packet.Release
 //     exactly once — the consuming stack
 //     (FlexTOE pipeline after the payload DMA lands; the baseline stack
-//     at the end of handleSeg; the TOE's control-delivery event after
+//     at the end of segWorkHandle; the TOE's control-delivery event after
 //     ControlRx returns), or the drop point (switch loss/WRED/flood,
 //     unconnected interface). Frames return to their pool at the
 //     receiving MAC (netsim.ReleaseFrame) or with the dropped packet.
@@ -186,6 +186,17 @@
 //     AcceptRateDrops), and every dial is either fully established or
 //     counted dropped, uniformly across personalities (apitest
 //     AcceptStormBacklog).
+//
+//   - The baseline's step. A baseline connection is its protocol state
+//     (sequence and window fields, recovery, reassembly, FIN and
+//     handshake flags, the two payload rings) and a carrier (the stack,
+//     the cores, the slot, the socket, the pump). The state's methods are
+//     one step over a cost-paid segment, an application commit, consume
+//     or close, a transmit slot or a timer firing. It calls one narrow
+//     interface, in the order the engine must see: emit, ack, pump, arm,
+//     notify, reclaim. The carrier implements it on the cost model, a
+//     recorder in tests, so the baseline is checked with no engine, as
+//     tcpseg is.
 //
 // The allocation half is enforced by TestConnTableAllocBudget
 // (internal/core): 0 allocations per flow lookup, 0 per warm

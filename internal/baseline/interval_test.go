@@ -57,7 +57,7 @@ func TestBaselineIntervalPolicy(t *testing.T) {
 // scenario where the Linux receiver's 32 intervals meet the 4-block
 // option space.
 func TestSACKAdvertisementRotation(t *testing.T) {
-	c := &bconn{irs: 1000}
+	c := &tcb{irs: 1000}
 	// Six disjoint holes; the most recent arrival extended the fourth.
 	for i := 0; i < 6; i++ {
 		c.ivs = append(c.ivs, tcpseg.SeqInterval{Start: uint32(100 * (i + 1)), End: uint32(100*(i+1) + 50)})
@@ -103,7 +103,7 @@ func TestSACKAdvertisementRotation(t *testing.T) {
 }
 
 func TestSeqUnwrapping(t *testing.T) {
-	c := &bconn{iss: 0xfffffff0, irs: 0xffffff00}
+	c := &tcb{iss: 0xfffffff0, irs: 0xffffff00}
 	// Sender: offset 0x20 wraps past 2^32.
 	if got := c.sndSeq(0x20); got != 0x10 {
 		t.Fatalf("sndSeq = %#x", got)

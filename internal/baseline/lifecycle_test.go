@@ -5,6 +5,7 @@ import (
 
 	"flextoe/internal/api"
 	"flextoe/internal/api/apitest"
+	"flextoe/internal/packet"
 	"flextoe/internal/sim"
 )
 
@@ -143,6 +144,33 @@ func TestBaselineCloseLingerReclaim(t *testing.T) {
 			}
 			if n := p.eng.Pending(); n != 0 {
 				t.Errorf("%d events pending after the stale fires, want 0", n)
+			}
+		})
+	}
+}
+
+// TestStraySYNACKDropped sends a SYN-ACK that meets no connection — a late
+// duplicate after linger reclaim looks like this — to a listening port on
+// each personality. The handshake must drop it: no connection, no SYN
+// drop counted (it is not a SYN), and every loan back once the run is
+// quiet.
+func TestStraySYNACKDropped(t *testing.T) {
+	for _, prof := range []Profile{LinuxProfile(), TASProfile(), ChelsioProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			eng, client, server, srv := newPair(prof, func(api.Socket) { t.Error("a stray SYN-ACK was accepted") })
+			pkt := client.pkts.Get()
+			pkt.Eth = packet.Ethernet{Src: client.localMAC, Dst: server.localMAC, EtherType: packet.EtherTypeIPv4}
+			pkt.IP = packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: client.localIP, Dst: srv.IP}
+			pkt.TCP = packet.TCP{SrcPort: 40000, DstPort: srv.Port, Seq: 77, Ack: 1234,
+				Flags: packet.FlagSYN | packet.FlagACK, Window: 512, MSS: mss, WScale: -1}
+			client.iface.Send(client.frames.NewFrame(pkt, eng.Now()))
+			eng.RunUntil(sim.Millisecond)
+			if server.NumConns() != 0 || server.SYNDrops != 0 || server.RxSegs != 0 {
+				t.Errorf("%d connections, SYNDrops %d, RxSegs %d after a stray SYN-ACK, want 0, 0, 0",
+					server.NumConns(), server.SYNDrops, server.RxSegs)
+			}
+			if err := eng.Unreturned(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -12,6 +12,10 @@
 //     with timeout-only recovery — the Chelsio behaviour Fig. 15 exposes),
 //   - tail-latency character (scheduler and interrupt jitter for the
 //     kernel paths).
+//
+// A connection is protocol state whose methods are one engine-free step,
+// (state, input, now) → effects (step.go), and a carrier that does what
+// the effects say on the personality's cost model (engine.go).
 package baseline
 
 import "flextoe/internal/sim"
@@ -91,7 +95,10 @@ type Profile struct {
 }
 
 // mss is every personality's maximum segment size.
-const mss uint64 = 1448
+const mss = 1448
+
+// segCycles is a host-TCP segment's cycles: driver, TCP and the rest.
+func (p *Profile) segCycles() int64 { return p.DriverPerSeg + p.TCPPerSeg + p.OtherPerSeg }
 
 // oooIvs returns the reassembly interval capacity with the
 // recovery-policy default applied.

@@ -5,7 +5,6 @@ import (
 
 	"flextoe/internal/api"
 	"flextoe/internal/packet"
-	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
 )
@@ -28,11 +27,13 @@ func (s *Stack) Dial(remote api.Addr, connected func(api.Socket)) {
 	}
 	c := s.newConn(flow, mac)
 	c.connected = connected
-	c.active = true
-	syn := s.mkPacket(c, c.iss-1, packet.FlagSYN)
-	syn.TCP.MSS = 1448
-	syn.TCP.WScale = tcpseg.WindowScale
-	syn.TCP.SACKPerm = s.prof.Recovery == RecoverySACK
+	s.sendSYN(c, packet.FlagSYN, s.prof.Recovery == RecoverySACK)
+}
+
+// sendSYN sends a handshake segment with its option trio.
+func (s *Stack) sendSYN(c *bconn, flags uint8, sackPerm bool) {
+	syn := s.mkPacket(c, c.iss-1, flags)
+	syn.TCP.MSS, syn.TCP.WScale, syn.TCP.SACKPerm = mss, tcpseg.WindowScale, sackPerm
 	s.iface.Send(s.frames.NewFrame(syn, s.eng.Now()))
 }
 
@@ -57,38 +58,39 @@ func (s *Stack) ephemeral(flow packet.Flow) packet.Flow {
 
 func (s *Stack) newConn(flow packet.Flow, peerMAC packet.EtherAddr) *bconn {
 	c := &bconn{
-		stack:        s,
-		flow:         flow,
-		flowHash:     flow.Hash(),
-		revHash:      flow.Reverse().Hash(),
-		peerMAC:      peerMAC,
-		iss:          uint32(s.rng.Uint64()) + 1,
-		tx:           shm.NewPayloadBuf(s.bufSize),
-		rx:           shm.NewPayloadBuf(s.bufSize),
-		rxAvail:      s.bufSize,
-		cwnd:         10 * 1448,
-		ssthresh:     1 << 30,
-		remoteWin:    s.bufSize,
-		finAt:        ^uint64(0),
-		lastProgress: s.eng.Now(),
+		tcb:      newTCB(&s.stackEnv, uint32(s.rng.Uint64())+1, s.bufSize, s.eng.Now()),
+		stack:    s,
+		flow:     flow,
+		flowHash: flow.Hash(),
+		revHash:  flow.Reverse().Hash(),
+		peerMAC:  peerMAC,
 	}
 	c.setCores()
 	s.installConn(c)
 	return c
 }
 
-// handshake processes segments for unknown flows (SYN, SYN-ACK, final
-// ACK) with a simplified three-way handshake.
-func (s *Stack) handshake(pkt *packet.Packet, flow packet.Flow) {
+// handshake runs a simplified three-way handshake for a segment that
+// meets no established connection: c is nil (no connection for its flow)
+// or an active open still awaiting its SYN-ACK. It reports whether it
+// consumed the segment: every segment when c is nil, and the SYN-ACK
+// otherwise; an active open's other segments take the data path.
+func (s *Stack) handshake(c *bconn, pkt *packet.Packet, flow packet.Flow) bool {
 	tcp := &pkt.TCP
+	var l *blistener
 	switch {
 	case tcp.HasFlag(packet.FlagSYN | packet.FlagACK):
-		// This side sent the SYN: the conn exists keyed by flow.
-		// (handled below via conns lookup in rx — unreachable here)
+		// Completes an active open. A SYN-ACK that meets no connection
+		// (a late duplicate after linger reclaim, say) is dropped. This
+		// case stays ahead of the SYN case: HasFlag(SYN) matches SYN|ACK.
+		if c == nil {
+			return true
+		}
+	case c != nil:
+		return false // an active open's segment before its SYN-ACK
 	case tcp.HasFlag(packet.FlagSYN):
-		l, ok := s.listeners[tcp.DstPort]
-		if !ok {
-			return
+		if l = s.listeners[tcp.DstPort]; l == nil {
+			return true
 		}
 		if max := s.prof.ListenBacklog; max > 0 && l.pendingN >= max {
 			// SYN-queue overflow: drop silently (no RST), like a kernel
@@ -97,27 +99,26 @@ func (s *Stack) handshake(pkt *packet.Packet, flow packet.Flow) {
 			// observable effect.
 			s.SYNDrops++
 			s.BacklogOverflows++
-			return
+			return true
 		}
-		c := s.newConn(flow, pkt.Eth.Src)
+		c = s.newConn(flow, pkt.Eth.Src)
 		c.halfOpen = true
 		l.pendingN++
-		c.irs = tcp.Seq + 1
-		c.synDone = true
-		c.sackOK = tcp.SACKPerm && s.prof.Recovery == RecoverySACK
-		if tcp.Window > 0 {
-			c.remoteWin = uint32(tcp.Window) << tcpseg.WindowScale
-		}
-		sa := s.mkPacket(c, c.iss-1, packet.FlagSYN|packet.FlagACK)
-		sa.TCP.Ack = c.irs
-		sa.TCP.MSS = 1448
-		sa.TCP.WScale = tcpseg.WindowScale
-		sa.TCP.SACKPerm = c.sackOK
-		s.iface.Send(s.frames.NewFrame(sa, s.eng.Now()))
-		c.sock = newBSocket(c)
+	default:
+		return true
+	}
+	c.synRcvd(tcp)
+	if l != nil {
+		s.sendSYN(c, packet.FlagSYN|packet.FlagACK, c.sackOK)
 		c.connected = l.accept
+	} else {
+		c.ack(false)
+	}
+	c.sock = &bsocket{c: c}
+	if c.connected != nil {
 		s.own.ImmediatelyCall(bconnConnected, c)
 	}
+	return true
 }
 
 // bconnConnected hands a freshly opened connection's socket to its
@@ -125,27 +126,6 @@ func (s *Stack) handshake(pkt *packet.Packet, flow packet.Flow) {
 func bconnConnected(a any) {
 	c := a.(*bconn)
 	c.connected(c.sock)
-}
-
-// connHandshakeRx handles SYN-ACK completion for active opens; called
-// from rx when the conn exists but isn't established yet.
-func (s *Stack) connHandshakeRx(c *bconn, pkt *packet.Packet) bool {
-	tcp := &pkt.TCP
-	if c.active && !c.synDone && tcp.HasFlag(packet.FlagSYN|packet.FlagACK) {
-		c.irs = tcp.Seq + 1
-		c.synDone = true
-		c.sackOK = tcp.SACKPerm && s.prof.Recovery == RecoverySACK
-		if tcp.Window > 0 {
-			c.remoteWin = uint32(tcp.Window) << tcpseg.WindowScale
-		}
-		s.sendAck(c, false)
-		c.sock = newBSocket(c)
-		if c.connected != nil {
-			s.own.ImmediatelyCall(bconnConnected, c)
-		}
-		return true
-	}
-	return false
 }
 
 // bsocket implements api.Socket over the baseline engine.
@@ -156,8 +136,6 @@ type bsocket struct {
 	onWritable func()
 	closedFlag bool
 }
-
-func newBSocket(c *bconn) *bsocket { return &bsocket{c: c} }
 
 var _ api.Socket = (*bsocket)(nil)
 
@@ -201,13 +179,8 @@ func (k *bsocket) Consume(n int) {
 	}
 	c := k.c
 	s := c.stack
-	c.readPos += uint64(n)
-	c.rx.Release(uint32(n))
 	k.readable -= uint32(n)
-	if c.rxAvail>>tcpseg.WindowScale == 0 {
-		c.needWinUpdate = true
-	}
-	c.rxAvail += uint32(n)
+	c.consume(uint32(n))
 	cost := s.prof.SocketPerOp + int64(float64(n)*s.prof.PerByte)
 	c.appCore.SubmitStepCall(sim.Step{Compute: cost}, bconnRecvDone, c)
 }
@@ -218,10 +191,7 @@ func (k *bsocket) Reserve(n int) (a, b []byte) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if free := k.TxSpace(); n > free {
-		n = free
-	}
-	return k.c.tx.Slices(uint32(k.c.appended), uint32(n))
+	return k.c.tx.Slices(uint32(k.c.appended), uint32(min(n, k.TxSpace())))
 }
 
 // Commit publishes the next n staged bytes and triggers transmission,
@@ -235,10 +205,7 @@ func (k *bsocket) Commit(n int) {
 	}
 	c := k.c
 	s := c.stack
-	c.appended += uint64(n)
-	if shm.Debug {
-		c.tx.Release(0) // ends the Reserve views (flexdebug)
-	}
+	c.commit(uint64(n))
 	cost := s.prof.SocketPerOp + int64(float64(n)*s.prof.PerByte)
 	if s.prof.ASIC {
 		// Kernel-mediated TOE API: the host driver runs per write.
@@ -249,17 +216,11 @@ func (k *bsocket) Commit(n int) {
 
 // bconnTxPump / bconnRecvDone are the socket calls' charged completions
 // (see host.Core.SubmitStepCall).
-func bconnTxPump(a any) {
-	c := a.(*bconn)
-	c.stack.txPump(c)
-}
+func bconnTxPump(a any) { a.(*bconn).pump() }
 
 func bconnRecvDone(a any) {
 	c := a.(*bconn)
-	if c.needWinUpdate {
-		c.needWinUpdate = false
-		c.stack.sendAck(c, false) // window update
-	}
+	c.consumed(c)
 }
 
 // Close sends FIN after buffered data.
@@ -268,54 +229,52 @@ func (k *bsocket) Close() {
 		return
 	}
 	k.closedFlag = true
-	c := k.c
-	c.finAt = c.appended
-	c.stack.txPump(c)
+	k.c.close(k.c)
 }
 
-// rxArrived is the engine's delivery notification: the application wakes
+// readable is the step's delivery notification: the application wakes
 // (paying the stack's wakeup latency if it was sleeping) and is charged
 // the host-side delivery cost. On the Chelsio personality this is where
 // the host pays its driver and kernel-glue cycles — the ASIC did the TCP
 // work, but the "sophisticated TOE NIC driver" (§2.1) still runs here.
-func (k *bsocket) rxArrived(n uint32) {
-	if n == 0 {
+func (c *bconn) readable(n uint32) {
+	k := c.sock
+	if k == nil || n == 0 {
 		return
 	}
 	k.readable += n
 	if k.onReadable != nil {
-		core := k.c.appCore
+		core := c.appCore
 		cb := k.onReadable
-		prof := &k.c.stack.prof
+		s := c.stack
+		prof := &s.prof
 		step := sim.Step{Compute: prof.SocketPerOp / 4}
 		if prof.ASIC {
 			step.Compute += prof.DriverPerSeg + prof.OtherPerSeg
 		}
 		// Inline stacks already paid the wakeup at interrupt time (rx);
 		// only dedicated-core and ASIC personalities wake the app here.
-		distinct := len(k.c.stack.stackCores) > 0 || prof.ASIC
+		distinct := len(s.stackCores) > 0 || prof.ASIC
 		if distinct && !core.Busy() && prof.NotifyWakeupUs > 0 {
 			step.Stall += sim.Time(prof.NotifyWakeupUs * float64(sim.Microsecond))
 		}
-		if prof.ASIC && prof.SpikeProb > 0 && k.c.stack.rng.Bool(prof.SpikeProb) {
+		if prof.ASIC && prof.SpikeProb > 0 && s.rng.Bool(prof.SpikeProb) {
 			// The TOE's kernel-mediated delivery path still suffers
 			// interrupt/scheduler spikes — the tail §5.2 measures.
-			step.Stall += sim.Time(k.c.stack.rng.Exp(prof.SpikeMeanUs) * float64(sim.Microsecond))
+			step.Stall += sim.Time(s.rng.Exp(prof.SpikeMeanUs) * float64(sim.Microsecond))
 		}
 		core.SubmitStepCall(step, sim.RunFunc, cb)
 	}
 }
 
-// txFreed reports acknowledged bytes.
-func (k *bsocket) txFreed(n uint32) {
-	if k.onWritable != nil {
-		k.onWritable()
+func (c *bconn) writable() {
+	if c.sock != nil && c.sock.onWritable != nil {
+		c.sock.onWritable()
 	}
 }
 
-// peerClosed reports the peer's FIN.
-func (k *bsocket) peerClosed() {
-	if k.onReadable != nil {
-		k.onReadable()
+func (c *bconn) peerClosed() {
+	if c.sock != nil && c.sock.onReadable != nil {
+		c.sock.onReadable()
 	}
 }
