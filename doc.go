@@ -538,9 +538,9 @@
 // the slab's next Get), makes the fabric panic on transmitting a released frame,
 // recomputes every flow-hash memo that is served or seeded, panicking on
 // a mismatch, and checksums every wire view when SetPayloadView attaches
-// it: a receive path about to write a whole in-window payload
-// (core's rxPayloadLanded and the run-to-completion ablation, the
-// baseline's receivePayload) panics if the view changed in flight. It
+// it: a receive path about to write a whole in-window payload (core's
+// landPayload, the baseline's receivePayload) panics if the view changed
+// in flight. It
 // also poisons the receive bytes a Consume releases, panics in the api
 // view helpers on a Peek view used after its Consume or a Reserve view
 // after its Commit, panics when a packet is released holding a wire view

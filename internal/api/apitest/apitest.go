@@ -1,6 +1,7 @@
 // Package apitest is the cross-stack conformance suite for the
 // api.Socket contract: every stack personality (FlexTOE, Linux, TAS,
-// Chelsio) must present identical semantics to applications — the paper
+// Chelsio, and FlexTOE's run-to-completion ablation) must present
+// identical semantics to applications — the paper
 // runs identical application binaries across all baselines (§5), so the
 // socket layer is the compatibility boundary the whole evaluation rests
 // on.
@@ -22,7 +23,8 @@
 //     Readable()==0,
 //   - no loss of data arriving between accept and OnReadable
 //     registration,
-//   - every byte written ahead of a FIN committed in the same callback.
+//   - every byte written ahead of a FIN committed in the same callback,
+//     and a FIN after the stream has drained and idled.
 //
 // Write and Read are the copying send and receive every test in the tree
 // builds on the views; sockets have no copying calls of their own.

@@ -4,13 +4,43 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/core"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
 	"flextoe/internal/testbed"
 )
 
+// row is one stack the suite runs on: a personality and, for FlexTOE,
+// an optional data-path configuration (nil: the testbed's default).
+type row struct {
+	name string
+	kind testbed.StackKind
+	flex *core.Config
+}
+
+func (r row) String() string { return r.name }
+
+// spec is a machine of the row's stack with the suite's usual shape.
+func (r row) spec(name string, bufSize uint32, seed uint64) testbed.MachineSpec {
+	return testbed.MachineSpec{Name: name, Kind: r.kind, FlexCfg: r.flex, Cores: 2, BufSize: bufSize, Seed: seed}
+}
+
+// rows are the four personalities plus FlexTOE's run-to-completion
+// ablation: Table 3 compares it with the pipeline on parallelism and cost
+// alone, so it must keep the same socket semantics.
+func rows() []row {
+	mono := core.AgilioCX40Config()
+	mono.RunToCompletion = true
+	mono.ThreadsPerFPC = 1
+	rs := make([]row, 0, len(testbed.AllStacks)+1)
+	for _, k := range testbed.AllStacks {
+		rs = append(rs, row{name: string(k), kind: k})
+	}
+	return append(rs, row{name: string(testbed.FlexTOE) + "-run-to-completion", kind: testbed.FlexTOE, flex: &mono})
+}
+
 // pair is a connected client/server socket pair on a two-machine
-// testbed of one personality.
+// testbed of one stack.
 type pair struct {
 	tb  *testbed.Testbed
 	srv api.Socket
@@ -20,12 +50,10 @@ type pair struct {
 // newPair builds the testbed, connects one socket pair and returns it.
 // onAccept, when non-nil, runs inside the server's accept callback
 // (before any data can arrive) in place of the default no-op.
-func newPair(t *testing.T, kind testbed.StackKind, bufSize uint32, port uint16, onAccept func(api.Socket)) *pair {
+func newPair(t *testing.T, r row, bufSize uint32, port uint16, onAccept func(api.Socket)) *pair {
 	t.Helper()
 	return connectPair(t, testbed.New(netsim.SwitchConfig{},
-		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 11},
-		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 22},
-	), port, onAccept)
+		r.spec("server", bufSize, 11), r.spec("client", bufSize, 22)), port, onAccept)
 }
 
 // connectPair connects "client" to "server" on an assembled testbed.
@@ -79,20 +107,21 @@ func quiesce(t *testing.T, tb *testbed.Testbed) {
 func pattern(off int) byte { return byte(7*off + 13) }
 
 // TestSocketConformance runs the api.Socket contract suite against all
-// four stack personalities: the paper's "identical application binaries"
-// claim (§5) holds only if every stack implements the same socket
-// semantics, views included.
+// four stack personalities and FlexTOE's run-to-completion ablation: the
+// paper's "identical application binaries" claim (§5) holds only if every
+// stack implements the same socket semantics, views included.
 func TestSocketConformance(t *testing.T) {
-	for _, kind := range testbed.AllStacks {
-		t.Run(string(kind), func(t *testing.T) {
-			t.Run("PartialSendUnderFullBuffers", func(t *testing.T) { partialSend(t, kind) })
-			t.Run("EdgeTriggeredCallbacks", func(t *testing.T) { edgeTriggered(t, kind) })
-			t.Run("ViewAliasing", func(t *testing.T) { viewAliasing(t, kind) })
-			t.Run("ViewsAcrossRingGrowth", func(t *testing.T) { viewsAcrossGrowth(t, kind) })
-			t.Run("EOFAfterFINDrain", func(t *testing.T) { eofAfterFIN(t, kind) })
-			t.Run("DataBeforeOnReadable", func(t *testing.T) { dataBeforeOnReadable(t, kind) })
-			t.Run("AcceptStormBacklog", func(t *testing.T) { acceptStorm(t, kind) })
-			t.Run("SendThenClose", func(t *testing.T) { sendThenClose(t, kind) })
+	for _, r := range rows() {
+		t.Run(r.name, func(t *testing.T) {
+			t.Run("PartialSendUnderFullBuffers", func(t *testing.T) { partialSend(t, r) })
+			t.Run("EdgeTriggeredCallbacks", func(t *testing.T) { edgeTriggered(t, r) })
+			t.Run("ViewAliasing", func(t *testing.T) { viewAliasing(t, r) })
+			t.Run("ViewsAcrossRingGrowth", func(t *testing.T) { viewsAcrossGrowth(t, r) })
+			t.Run("EOFAfterFINDrain", func(t *testing.T) { eofAfterFIN(t, r) })
+			t.Run("DataBeforeOnReadable", func(t *testing.T) { dataBeforeOnReadable(t, r) })
+			t.Run("AcceptStormBacklog", func(t *testing.T) { acceptStorm(t, r) })
+			t.Run("SendThenClose", func(t *testing.T) { sendThenClose(t, r) })
+			t.Run("CloseAfterDrain", func(t *testing.T) { closeAfterDrain(t, r) })
 		})
 	}
 }
@@ -102,14 +131,12 @@ func TestSocketConformance(t *testing.T) {
 // accept and connect callbacks fire, and the socket carries data) or
 // silently dropped with the drop counted — no half-accepted sockets, no
 // RSTs, no lost counts. Uniform across all four personalities.
-func acceptStorm(t *testing.T, kind testbed.StackKind) {
+func acceptStorm(t *testing.T, r row) {
 	const dials = 192
 	const backlog = 8
-	tb := testbed.New(netsim.SwitchConfig{},
-		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, BufSize: 4096,
-			ListenBacklog: backlog, Seed: 33},
-		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, BufSize: 4096, Seed: 44},
-	)
+	srv := r.spec("server", 4096, 33)
+	srv.ListenBacklog = backlog
+	tb := testbed.New(netsim.SwitchConfig{}, srv, r.spec("client", 4096, 44))
 	accepted := 0
 	received := 0
 	tb.M("server").Stack.Listen(9005, func(k api.Socket) {
@@ -137,20 +164,20 @@ func acceptStorm(t *testing.T, kind testbed.StackKind) {
 		drops, overflows = m.Base.SYNDrops, m.Base.BacklogOverflows
 	}
 	if accepted == 0 {
-		t.Fatalf("%s: storm of %d dials established nothing", kind, dials)
+		t.Fatalf("%s: storm of %d dials established nothing", r, dials)
 	}
 	if drops == 0 || overflows == 0 {
 		t.Fatalf("%s: backlog %d never overflowed under %d dials (drops=%d overflows=%d)",
-			kind, backlog, dials, drops, overflows)
+			r, backlog, dials, drops, overflows)
 	}
 	if accepted != connected {
-		t.Errorf("%s: %d accepts vs %d connects — a handshake half-completed", kind, accepted, connected)
+		t.Errorf("%s: %d accepts vs %d connects — a handshake half-completed", r, accepted, connected)
 	}
 	if uint64(accepted)+drops != dials {
-		t.Errorf("%s: accepted %d + dropped %d != dialed %d", kind, accepted, drops, dials)
+		t.Errorf("%s: accepted %d + dropped %d != dialed %d", r, accepted, drops, dials)
 	}
 	if received != 4*accepted {
-		t.Errorf("%s: accepted sockets delivered %d bytes, want %d", kind, received, 4*accepted)
+		t.Errorf("%s: accepted sockets delivered %d bytes, want %d", r, received, 4*accepted)
 	}
 	quiesce(t, tb)
 }
@@ -160,10 +187,10 @@ func acceptStorm(t *testing.T, kind testbed.StackKind) {
 // short write), no byte may be lost, and OnWritable must resume the
 // transfer once the receiver drains — with the full byte stream intact
 // and in order across many ring wraps.
-func partialSend(t *testing.T, kind testbed.StackKind) {
+func partialSend(t *testing.T, r row) {
 	const total = 16384
 	const bufSize = 4096
-	p := newPair(t, kind, bufSize, 9000, nil)
+	p := newPair(t, r, bufSize, 9000, nil)
 
 	payload := make([]byte, total)
 	for i := range payload {
@@ -228,8 +255,8 @@ func partialSend(t *testing.T, kind testbed.StackKind) {
 // edgeTriggered pins the callback contract: OnReadable fires on upward
 // Readable transitions only — unconsumed data must not retrigger it, and
 // consuming must not fire it either.
-func edgeTriggered(t *testing.T, kind testbed.StackKind) {
-	p := newPair(t, kind, 4096, 9001, nil)
+func edgeTriggered(t *testing.T, r row) {
+	p := newPair(t, r, 4096, 9001, nil)
 	fires := 0
 	p.srv.OnReadable(func() { fires++ })
 
@@ -267,9 +294,9 @@ func edgeTriggered(t *testing.T, kind testbed.StackKind) {
 // views address the ring beyond committed data (a Commit shifts the next
 // view), Peek views shift with Consume, and view lengths track
 // TxSpace/Readable exactly.
-func viewAliasing(t *testing.T, kind testbed.StackKind) {
+func viewAliasing(t *testing.T, r row) {
 	const n = 1000
-	p := newPair(t, kind, 4096, 9002, nil)
+	p := newPair(t, r, 4096, 9002, nil)
 
 	// Stage a full pattern, publish only the first half.
 	a, b := p.cli.Reserve(n)
@@ -337,13 +364,12 @@ func viewAliasing(t *testing.T, kind testbed.StackKind) {
 // with out-of-order acceptance on — segments landing far ahead of a hole
 // while the ring is still small. The delivered stream must be the
 // pattern, byte for byte, through Peek views taken after the growth.
-func viewsAcrossGrowth(t *testing.T, kind testbed.StackKind) {
+func viewsAcrossGrowth(t *testing.T, r row) {
 	const first, burst, bufSize = 100, 12000, 65536
 	sw := netsim.SwitchConfig{ReorderProb: 0.3, ReorderDelay: 30 * sim.Microsecond, Seed: 5}
-	p := connectPair(t, testbed.New(sw,
-		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, OOOCap: 4, Seed: 11},
-		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, OOOCap: 4, Seed: 22},
-	), 9006, nil)
+	srv, cli := r.spec("server", bufSize, 11), r.spec("client", bufSize, 22)
+	srv.SACK, srv.OOOCap, cli.SACK, cli.OOOCap = true, 4, true, 4
+	p := connectPair(t, testbed.New(sw, srv, cli), 9006, nil)
 	oooAccepted := func() uint64 {
 		m := p.tb.M("server")
 		if m.TOE != nil {
@@ -372,7 +398,7 @@ func viewsAcrossGrowth(t *testing.T, kind testbed.StackKind) {
 	// Nothing is consumed until everything has arrived.
 	p.until(t, "burst buffered", func() bool { return p.srv.Readable() == sent })
 	if oooAccepted() == 0 {
-		t.Fatalf("%s: no segment was accepted out of order; the reordering switch did not bite", kind)
+		t.Fatalf("%s: no segment was accepted out of order; the reordering switch did not bite", r)
 	}
 	a, b := p.srv.Peek()
 	if api.ViewLen(a, b) != sent {
@@ -402,33 +428,59 @@ func viewsAcrossGrowth(t *testing.T, kind testbed.StackKind) {
 // eofAfterFIN pins the EOF contract: after the peer closes, the receiver
 // observes an OnReadable fire that drains to Readable()==0 with every
 // byte delivered first.
-func eofAfterFIN(t *testing.T, kind testbed.StackKind) {
+func eofAfterFIN(t *testing.T, r row) {
 	const total = 1000
-	p := newPair(t, kind, 4096, 9003, nil)
-
-	got := 0
-	eof := false
-	p.srv.OnReadable(func() {
-		a, b := p.srv.Peek()
-		if n := api.ViewLen(a, b); n > 0 {
-			p.srv.Consume(n)
-			got += n
-			return
-		}
-		// A fire with nothing readable after the stream drained is the
-		// FIN notification.
-		if got == total {
-			eof = true
-		}
-	})
-
+	p := newPair(t, r, 4096, 9003, nil)
+	rd := readToEOF(p.srv, total)
 	Write(p.cli, make([]byte, total))
 	p.cli.Close()
-	p.until(t, "EOF", func() bool { return eof })
-	if got != total {
-		t.Fatalf("drained %d bytes before EOF, want %d", got, total)
+	p.until(t, "EOF", func() bool { return rd.eof })
+	if rd.got != total {
+		t.Fatalf("drained %d bytes before EOF, want %d", rd.got, total)
 	}
 	quiesce(t, p.tb)
+}
+
+// closeAfterDrain pins a close with nothing left to send: once the peer
+// has consumed every byte and the connection has idled, Close must still
+// put a FIN on the wire and the peer see EOF. FlexTOE's run-to-completion
+// ablation once kept its own host-control step, which woke the flow
+// scheduler only for buffered bytes, so that FIN never left; the suite's
+// other closes all race a send still in flight.
+func closeAfterDrain(t *testing.T, r row) {
+	const total = 1000
+	p := newPair(t, r, 4096, 9008, nil)
+	rd := readToEOF(p.srv, total)
+	Write(p.cli, make([]byte, total))
+	p.until(t, "the peer to consume every byte", func() bool { return rd.got == total })
+	p.run(5 * sim.Millisecond)
+	p.cli.Close()
+	p.until(t, "EOF", func() bool { return rd.eof })
+	quiesce(t, p.tb)
+}
+
+// reader counts what a socket delivers and notes EOF.
+type reader struct {
+	got int
+	eof bool
+}
+
+// readToEOF consumes everything k delivers. A fire with nothing readable
+// once want bytes have arrived is the FIN notification: EOF.
+func readToEOF(k api.Socket, want int) *reader {
+	rd := &reader{}
+	k.OnReadable(func() {
+		a, b := k.Peek()
+		if n := api.ViewLen(a, b); n > 0 {
+			k.Consume(n)
+			rd.got += n
+			return
+		}
+		if rd.got == want {
+			rd.eof = true
+		}
+	})
+	return rd
 }
 
 // sendThenClose is the regression for a close that races its own send: a
@@ -438,14 +490,13 @@ func eofAfterFIN(t *testing.T, kind testbed.StackKind) {
 // took the sequence slot of the echo's first byte, the client trimmed that
 // byte as already received, and the server retransmitted a FIN the
 // client's acknowledgments never covered, holding its timer for good.
-func sendThenClose(t *testing.T, kind testbed.StackKind) {
+func sendThenClose(t *testing.T, r row) {
 	const conns, msg = 16, 8
 	// One app core per machine, shared by every connection's callbacks
 	// and doorbells.
-	tb := testbed.New(netsim.SwitchConfig{},
-		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 1, BufSize: 4096, Seed: 11},
-		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 1, BufSize: 4096, Seed: 22},
-	)
+	srv, cli := r.spec("server", 4096, 11), r.spec("client", 4096, 22)
+	srv.Cores, cli.Cores = 1, 1
+	tb := testbed.New(netsim.SwitchConfig{}, srv, cli)
 	tb.M("server").Stack.Listen(9007, func(k api.Socket) {
 		k.OnReadable(func() {
 			var buf [msg]byte
@@ -473,7 +524,7 @@ func sendThenClose(t *testing.T, kind testbed.StackKind) {
 	}
 	tb.Run(50 * sim.Millisecond)
 	if echoed != conns {
-		t.Fatalf("%s: %d of %d echoes arrived whole", kind, echoed, conns)
+		t.Fatalf("%s: %d of %d echoes arrived whole", r, echoed, conns)
 	}
 	quiesce(t, tb)
 }
@@ -481,10 +532,10 @@ func sendThenClose(t *testing.T, kind testbed.StackKind) {
 // dataBeforeOnReadable is the regression for the accept/registration
 // race: bytes arriving after accept but before the application registers
 // OnReadable must be retained and visible via Readable/Peek.
-func dataBeforeOnReadable(t *testing.T, kind testbed.StackKind) {
+func dataBeforeOnReadable(t *testing.T, r row) {
 	const early = 600
 	const late = 400
-	p := newPair(t, kind, 4096, 9004, nil)
+	p := newPair(t, r, 4096, 9004, nil)
 
 	payload := make([]byte, early)
 	for i := range payload {

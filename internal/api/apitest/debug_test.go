@@ -7,7 +7,6 @@ import (
 
 	"flextoe/internal/api"
 	"flextoe/internal/shm"
-	"flextoe/internal/testbed"
 )
 
 // mustPanic runs f and fails the test if it completes without panicking.
@@ -26,10 +25,10 @@ func mustPanic(t *testing.T, what string, f func()) {
 // helpers, and the consumed receive bytes read as poison (shm.PayloadBuf
 // under flexdebug). A view re-taken after the call is live again.
 func TestStaleViewsTrip(t *testing.T) {
-	for _, kind := range testbed.AllStacks {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, r := range rows() {
+		t.Run(r.name, func(t *testing.T) {
 			const n = 64
-			p := newPair(t, kind, 4096, 9010, nil)
+			p := newPair(t, r, 4096, 9010, nil)
 			a, b := p.cli.Reserve(n)
 			for i := 0; i < n; i++ {
 				api.ViewCopyIn(a, b, i, []byte{pattern(i)})

@@ -11,6 +11,11 @@
 // NFP-4000 model, and x86/BlueField ports where stages map to symmetric
 // cores with software rings and an extra netif stage. Platform differences
 // are confined to Config.
+//
+// The run-to-completion ablation (Config.RunToCompletion, Table 3's
+// Baseline row) is a cost model over the pipeline's own decisions: it
+// runs the pipeline's per-segment methods one segment at a time on a
+// single FPC, so the two differ in parallelism and cost alone.
 package core
 
 import (
@@ -61,12 +66,14 @@ type Config struct {
 	// lazily (SetDynOOOCap); OOOIntervals remains the starting point.
 	AdaptiveOOO bool
 
-	// Platform adjustments for the x86/BlueField ports (§E).
-	SoftwareRings   bool    // inter-stage queues cost ring ops instead of CLS rings
-	NetifStage      bool    // extra DPDK netif module
+	// Platform adjustments for the x86/BlueField ports (§E). SoftwarePort
+	// marks a port on general-purpose cores: inter-stage queues cost ring
+	// ops instead of CLS rings, an extra DPDK netif module runs per
+	// received packet, and a hardware cache hierarchy makes post-processing
+	// state cost a flat FlatMemCycles.
+	SoftwarePort    bool
 	CostScale       float64 // instruction-count multiplier (ISA/IPC difference)
 	CopyBytesPerSec float64 // memcpy bandwidth for the shared-memory "DMA" stage; 0 = use PCIe DMA engine
-	FlatMemory      bool    // hardware cache hierarchy: state accesses cost a flat latency
 	FlatMemCycles   int
 }
 
@@ -132,11 +139,9 @@ func X86Config(replicated bool) Config {
 		CtxRepl:         1,
 		ThreadsPerFPC:   1,
 		MSS:             1448,
-		SoftwareRings:   true,
-		NetifStage:      true,
+		SoftwarePort:    true,
 		CostScale:       0.45, // superscalar x86 retires several NFP-ISA ops per cycle
 		CopyBytesPerSec: 11e9,
-		FlatMemory:      true,
 		FlatMemCycles:   40,
 	}
 	if replicated {

@@ -7,6 +7,7 @@ import (
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
+	"flextoe/internal/trace"
 )
 
 // Connection slots live in fixed 256-entry value blocks: pointers into a
@@ -137,7 +138,7 @@ func (t *TOE) AddConnection(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs
 	}
 	t.flowIdx.Insert(flow, id)
 	t.nLive++
-	t.trace.Hit(traceEstablished)
+	t.trace.Hit(trace.TPConnEstablished)
 	return c
 }
 
@@ -160,7 +161,7 @@ func (t *TOE) RemoveConnection(id uint32) {
 	t.sched.Remove(id)
 	t.connFree = append(t.connFree, id)
 	t.nLive--
-	t.trace.Hit(traceClosed)
+	t.trace.Hit(trace.TPConnClosed)
 }
 
 // lookupFlow resolves a flow to its live connection: the pre-processor's

@@ -361,6 +361,74 @@ func TestRunToCompletionSlowerThanPipeline(t *testing.T) {
 	}
 }
 
+// TestRunToCompletionMatchesPipeline: the run-to-completion ablation is a
+// cost model over the pipeline's own per-segment decisions, so a lossless
+// transfer and close must deliver the same bytes and both FINs under
+// either, with the same segment, ACK, notification and host-control
+// counts on each side. When the ablation kept its own copy of that logic,
+// its sender counted 0 notifications to the pipeline's 21 and its FIN,
+// requested after the send buffer drained, never left.
+func TestRunToCompletionMatchesPipeline(t *testing.T) {
+	type outcome struct {
+		got        []byte
+		finA, finB bool
+		ctrA, ctrB Counters
+	}
+	const bufSize = 65536
+	data := testData(30000)
+	run := func(cfg Config) outcome {
+		p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, bufSize)
+		p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+		drained := func() bool { return len(p.b.got) == len(data) && p.a.txFree == bufSize }
+		for i := 0; !drained(); i++ {
+			if i > 100 {
+				t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
+			}
+			p.eng.RunUntil(p.eng.Now() + sim.Millisecond)
+		}
+		p.eng.RunUntil(p.eng.Now() + sim.Millisecond)
+		p.a.t.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: p.a.conn.ID})
+		p.b.t.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: p.b.conn.ID})
+		p.eng.RunUntil(p.eng.Now() + 20*sim.Millisecond)
+		if err := p.eng.Unreturned(); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{p.b.got, p.a.finRx, p.b.finRx, p.toeA.Counters, p.toeB.Counters}
+	}
+	mono := AgilioCX40Config()
+	mono.RunToCompletion = true
+	mono.ThreadsPerFPC = 1
+	pipe, rtc := run(AgilioCX40Config()), run(mono)
+	for _, o := range []outcome{pipe, rtc} {
+		if !bytes.Equal(o.got, data) {
+			t.Fatalf("delivered %d bytes, want %d", len(o.got), len(data))
+		}
+	}
+	if !rtc.finA || !rtc.finB || !pipe.finA || !pipe.finB {
+		t.Errorf("FINs delivered to a, b: pipeline %v, %v; run-to-completion %v, %v",
+			pipe.finA, pipe.finB, rtc.finA, rtc.finB)
+	}
+	for _, side := range []struct {
+		name     string
+		pipe, rc *Counters
+	}{{"sender", &pipe.ctrA, &rtc.ctrA}, {"receiver", &pipe.ctrB, &rtc.ctrB}} {
+		for _, c := range []struct {
+			name     string
+			pipe, rc uint64
+		}{
+			{"TxSegs", side.pipe.TxSegs, side.rc.TxSegs},
+			{"RxSegs", side.pipe.RxSegs, side.rc.RxSegs},
+			{"AcksSent", side.pipe.AcksSent, side.rc.AcksSent},
+			{"Notifies", side.pipe.Notifies, side.rc.Notifies},
+			{"HCOps", side.pipe.HCOps, side.rc.HCOps},
+		} {
+			if c.pipe != c.rc {
+				t.Errorf("%s %s: pipeline %d, run-to-completion %d", side.name, c.name, c.pipe, c.rc)
+			}
+		}
+	}
+}
+
 func TestX86PortTransfers(t *testing.T) {
 	p := newPair(t, X86Config(true), X86Config(true), netsim.SwitchConfig{}, 65536)
 	data := testData(50000)

@@ -21,10 +21,14 @@ type Module = xdp.Program
 // attach order on the islands' idle FPCs; each charges its executed
 // instruction count to the data-path. Attaching requires no reboot
 // (§5.1: "Customizing FlexTOE is simple and does not require a system
-// reboot").
+// reboot"). The run-to-completion ablation has no ingress hook: attaching
+// to it panics rather than leave the program unrun.
 func (t *TOE) AttachXDP(p xdp.Program) {
+	if t.mono != nil {
+		panic("core: AttachXDP on a run-to-completion TOE: the Table 3 ablation has no XDP stage")
+	}
 	t.xdpProgs = append(t.xdpProgs, p)
-	if t.xdpSt == nil && t.mono == nil {
+	if t.xdpSt == nil {
 		// The paper leaves 3 unassigned FPCs per protocol island for
 		// additional data-path modules (§4); the ingress hook itself
 		// uses a pair of them.
@@ -109,13 +113,8 @@ func (t *TOE) xdpIngress(pkt *packet.Packet) {
 	item := t.allocSeg()
 	item.kind = segRX
 	item.pkt = pkt
-	t.xdpQueue(item, w)
-}
-
-// xdpQueue pushes the work through the XDP stage for cost accounting.
-func (t *TOE) xdpQueue(item *segItem, w *xdpWork) {
 	item.xdp = w
-	t.xdpSt.push(item)
+	t.xdpSt.push(item) // the stage charges the chain's cost
 }
 
 func (t *TOE) xdpTask(s *segItem) sim.Step {

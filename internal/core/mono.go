@@ -7,11 +7,15 @@ import (
 	"flextoe/internal/tcpseg"
 )
 
-// Run-to-completion mode: the Table 3 ablation baseline. The entire TCP
-// data-path executes on a single FPC before the next segment is touched —
-// no pipelining, no stall overlap, no caching discipline, and a monolithic
-// code footprint that blows the 32 KB FPC codestore (modeled as an
-// instruction-fetch penalty on every instruction).
+// Run-to-completion mode: the Table 3 ablation baseline, a cost model
+// over the pipeline's own decisions. The entire TCP data-path executes on
+// a single FPC before the next segment is touched — no pipelining, no
+// stall overlap, no caching discipline, and a monolithic code footprint
+// that blows the 32 KB FPC codestore (modeled as an instruction-fetch
+// penalty on every instruction). Each completion runs the pipeline's own
+// per-segment methods (rxProto, hcProto, txProto and the steps beside
+// them in pipeline.go); this file holds only the cost: the summed
+// instructions, the blocking transfers, the one FPC and its tasks.
 
 func (t *TOE) monoInstr(base int64) int64 {
 	return int64(float64(base) * t.costs.MonolithicFetchPenalty)
@@ -40,13 +44,8 @@ func (t *TOE) putMonoWork(w *monoWork) {
 }
 
 func (t *TOE) monoRX(pkt *packet.Packet) {
-	if !pkt.TCP.IsDataPath() {
-		t.toControl(pkt)
-		return
-	}
-	conn := t.lookupFlow(pkt.Flow().Reverse(), pkt.RevFlowHash())
+	conn := t.rxConn(pkt)
 	if conn == nil {
-		t.toControl(pkt)
 		return
 	}
 	c := &t.costs
@@ -68,63 +67,24 @@ func (t *TOE) monoRX(pkt *packet.Packet) {
 func monoRXDone(a any) {
 	w := a.(*monoWork)
 	t, pkt := w.t, w.pkt
-	conn2 := t.connOrNil(w.conn)
+	conn := t.connOrNil(w.conn)
 	t.putMonoWork(w)
-	if conn2 == nil {
+	if conn == nil {
 		packet.Release(pkt)
 		return
 	}
 	info := tcpseg.Summarize(pkt)
-	if cap := t.dynOOOCap; cap != 0 && conn2.Proto.OOOCap != cap {
-		conn2.Proto.OOOCap = cap
-	}
-	res := tcpseg.ProcessRX(&conn2.Proto, &conn2.Post, &info, t.tsNow())
+	var res tcpseg.RXResult
+	t.rxProto(conn, &info, &res)
 	if res.WriteLen > 0 {
-		if res.WriteOff == 0 && int(res.WriteLen) == len(pkt.Payload) {
-			pkt.CheckPayloadView()
-		}
-		conn2.RxBuf.WriteAt(res.WritePos, pkt.Payload[res.WriteOff:res.WriteOff+res.WriteLen])
+		landPayload(conn, pkt, &res)
 	}
 	packet.Release(pkt) // the run-to-completion path consumes it here
-	t.RxSegs++
-	t.RxBytes += uint64(info.PayloadLen)
-	if res.SACKReneged {
-		t.SACKReneges++
-	}
-	if res.FastRetransmit {
-		t.FastRetx++
-		if res.SACKRetransmit {
-			t.SACKRetx++
-		}
-	}
-	t.countReassembly(&res)
-	t.maybeTimerKick(conn2)
 	if res.SendAck {
-		s := &segItem{kind: segRX, conn: conn2.ID, rx: res}
-		t.AcksSent++
-		t.sendFrame(t.buildAck(conn2, s))
+		t.sendAck(t.buildAck(conn, &res))
 	}
-	s := &segItem{rx: res}
-	t.monoNotify(conn2, s)
-	if tcpseg.SendableBytes(&conn2.Proto, conn2.CWnd) > 0 {
-		t.submitFlow(conn2)
-	}
-}
-
-func (t *TOE) monoNotify(conn *Conn, s *segItem) {
-	if conn.Notify == nil {
-		return
-	}
-	if s.rx.NewInOrder > 0 {
-		conn.Notify(shm.Desc{Kind: shm.DescRxNotify, Conn: conn.ID, Bytes: s.rx.NewInOrder, Opaque: conn.Post.Opaque})
-		t.Notifies++
-	}
-	if s.rx.AckedBytes > 0 {
-		conn.Notify(shm.Desc{Kind: shm.DescTxFree, Conn: conn.ID, Bytes: s.rx.AckedBytes, Opaque: conn.Post.Opaque})
-	}
-	if s.rx.FinRx {
-		conn.Notify(shm.Desc{Kind: shm.DescFinRx, Conn: conn.ID, Opaque: conn.Post.Opaque})
-	}
+	t.notifyHost(conn, &res)
+	t.rxPost(conn, &info)
 }
 
 // blockingXferTime is a host transfer with the FPC stalled on it.
@@ -153,24 +113,16 @@ func (t *TOE) monoHC(conn *Conn, d shm.Desc) {
 func monoHCDone(a any) {
 	w := a.(*monoWork)
 	t, d := w.t, w.d
-	conn2 := t.connOrNil(w.conn)
+	conn := t.connOrNil(w.conn)
 	t.putMonoWork(w)
-	if conn2 == nil {
+	if conn == nil {
 		return
 	}
-	res := tcpseg.ProcessHC(&conn2.Proto, &conn2.Post, hcOpOf(d))
-	t.HCOps++
-	t.maybeTimerKick(conn2)
-	if res.SendWindowUpdate {
-		// Re-advertise the reopened window (same zero-window
-		// deadlock repair as the pipeline's HC path).
-		s := &segItem{kind: segHC, conn: conn2.ID, rx: tcpseg.WindowUpdateAck(&conn2.Proto)}
-		t.AcksSent++
-		t.sendFrame(t.buildAck(conn2, s))
+	var ack tcpseg.RXResult
+	if t.hcProto(conn, d, &ack) {
+		t.sendAck(t.buildAck(conn, &ack))
 	}
-	if tcpseg.SendableBytes(&conn2.Proto, conn2.CWnd) > 0 || conn2.Proto.TxAvail > 0 {
-		t.submitFlow(conn2)
-	}
+	t.hcPost(conn, d)
 }
 
 func (t *TOE) monoTXPump() {
@@ -186,14 +138,13 @@ func (t *TOE) monoTXPump() {
 		}
 		return
 	}
-	conn := t.connOrNil(id)
+	conn, sendable := t.txReady(id)
 	if conn == nil {
 		t.kickTX()
 		return
 	}
 	c := &t.costs
 	instr := t.monoInstr(c.PreAlloc + c.PreHeader + c.ProtoTX + c.PostPos + c.PostStats + c.DMAIssue)
-	sendable := tcpseg.SendableBytes(&conn.Proto, conn.CWnd)
 	if sendable > t.cfg.MSS {
 		sendable = t.cfg.MSS
 	}
@@ -208,24 +159,17 @@ func (t *TOE) monoTXPump() {
 func monoTXDone(a any) {
 	w := a.(*monoWork)
 	t, id := w.t, w.conn
-	conn2 := t.connOrNil(id)
+	conn := t.connOrNil(id)
 	t.putMonoWork(w)
-	if conn2 == nil {
+	if conn == nil {
 		t.kickTX()
 		return
 	}
-	txr, ok := tcpseg.ProcessTX(&conn2.Proto, &conn2.Post, t.cfg.MSS, conn2.CWnd)
-	t.maybeTimerKick(conn2)
-	if ok {
-		s := &segItem{kind: segTX, conn: id, tx: txr}
-		t.TxSegs++
-		t.TxBytes += uint64(txr.Len)
-		if txr.RetxBytes > 0 {
-			t.RetxSegs++
-			t.RetxBytes += uint64(txr.RetxBytes)
-		}
-		t.sendFrame(t.buildData(conn2, s))
-		if tcpseg.SendableBytes(&conn2.Proto, conn2.CWnd) > 0 {
+	var tx tcpseg.TXResult
+	if t.txProto(conn, &tx) {
+		t.countTX(&tx)
+		t.sendFrame(t.buildData(conn, &tx))
+		if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 {
 			t.sched.Submit(id)
 		}
 	}

@@ -17,12 +17,6 @@ import (
 	"flextoe/internal/xdp"
 )
 
-// Trace point aliases used by conn.go.
-const (
-	traceEstablished = trace.TPConnEstablished
-	traceClosed      = trace.TPConnClosed
-)
-
 // Counters aggregates data-path statistics for experiments and tests.
 type Counters struct {
 	RxSegs       uint64
@@ -176,7 +170,7 @@ func newStalls(cfg *Config) stalls {
 		monoState:  n.CyclesTime(2 * n.DRAMCycles),
 		monoDRAM:   n.CyclesTime(n.DRAMCycles),
 	}
-	if cfg.FlatMemory {
+	if cfg.SoftwarePort {
 		st.post = n.CyclesTime(cfg.FlatMemCycles)
 	}
 	return st
@@ -440,16 +434,13 @@ func (t *TOE) preTask(s *segItem) sim.Step {
 			stall = t.stalls.imemMiss
 			t.trace.Hit(trace.TPPreLookupMiss)
 		}
-		if t.cfg.SoftwareRings {
-			instr += c.RingOp
-		}
-		if t.cfg.NetifStage {
-			instr += c.Netif
+		if t.cfg.SoftwarePort {
+			instr += c.RingOp + c.Netif
 		}
 		return sim.Step{Compute: t.scale(instr), Stall: stall}
 	case segTX:
 		instr := c.PreAlloc + c.PreHeader + c.PreSteer
-		if t.cfg.SoftwareRings {
+		if t.cfg.SoftwarePort {
 			instr += c.RingOp
 		}
 		return sim.Step{Compute: t.scale(instr)}
@@ -462,33 +453,36 @@ func (t *TOE) preDone(s *segItem) {
 	isl := t.islands[s.fg]
 	switch s.kind {
 	case segRX:
-		pkt := s.pkt
-		// Filter non-data-path segments to the control plane (§3.1.3).
-		if !pkt.TCP.IsDataPath() {
-			s.pkt = nil
-			t.toControl(pkt)
-			isl.entry.skip(s.ticket)
-			t.segPool.Free()
-			t.putSeg(s)
-			return
-		}
-		// The NIC sees the flow from the sender's perspective; our
-		// connection table is keyed by the local endpoint's view.
-		conn := t.lookupFlow(pkt.Flow().Reverse(), pkt.RevFlowHash())
+		conn := t.rxConn(s.pkt)
 		if conn == nil {
 			s.pkt = nil
-			t.toControl(pkt)
 			isl.entry.skip(s.ticket)
 			t.segPool.Free()
 			t.putSeg(s)
 			return
 		}
 		s.conn = conn.ID
-		s.info = tcpseg.Summarize(pkt)
+		s.info = tcpseg.Summarize(s.pkt)
 		isl.entry.submit(s.ticket, s)
 	case segTX, segHC:
 		isl.entry.submit(s.ticket, s)
 	}
+}
+
+// rxConn is the pre-processor's filter and flow lookup: it returns the
+// connection a received segment belongs to, or hands a segment that is
+// off the data path or of no offloaded flow to the control plane and
+// returns nil (§3.1.3).
+func (t *TOE) rxConn(pkt *packet.Packet) *Conn {
+	if pkt.TCP.IsDataPath() {
+		// The NIC sees the flow from the sender's perspective; our
+		// connection table is keyed by the local endpoint's view.
+		if conn := t.lookupFlow(pkt.Flow().Reverse(), pkt.RevFlowHash()); conn != nil {
+			return conn
+		}
+	}
+	t.toControl(pkt)
+	return nil
 }
 
 // toControl hands a segment to the control plane. Ownership of the packet
@@ -529,7 +523,7 @@ func (t *TOE) protoTask(cache *nfp.StateCache, s *segItem) sim.Step {
 		instr = c.ProtoHC
 		instr += t.trace.Hit(trace.TPProtoHC) + t.trace.Hit(trace.TPCritHC)
 	}
-	if t.cfg.SoftwareRings {
+	if t.cfg.SoftwarePort {
 		instr += c.RingOp
 	}
 	return sim.Step{Compute: t.scale(instr + seqCost), Stall: stall}
@@ -546,58 +540,50 @@ func (t *TOE) protoExec(isl *island, s *segItem) {
 	}
 	switch s.kind {
 	case segRX:
-		// Adaptive OOOCap: adopt the fleet-wide budget lazily, on the
-		// connection's next RX (SetDynOOOCap never walks the table).
-		if cap := t.dynOOOCap; cap != 0 && conn.Proto.OOOCap != cap {
-			conn.Proto.OOOCap = cap
-		}
-		s.rx = tcpseg.ProcessRX(&conn.Proto, &conn.Post, &s.info, t.tsNow())
-		if s.rx.SACKReneged {
-			t.SACKReneges++
-		}
-		if s.rx.FastRetransmit {
-			t.FastRetx++
-			if s.rx.SACKRetransmit {
-				t.SACKRetx++
-			}
-			t.trace.Hit(trace.TPConnFastRetx)
-		}
-		t.countReassembly(&s.rx)
-		if s.rx.SendAck {
-			s.hasNBI = true
-			s.nbiTicket = isl.nbi.ticket()
-		}
+		t.rxProto(conn, &s.info, &s.rx)
+		s.hasNBI = s.rx.SendAck
 	case segTX:
-		txr, ok := tcpseg.ProcessTX(&conn.Proto, &conn.Post, t.cfg.MSS, conn.CWnd)
-		if !ok {
+		if !t.txProto(conn, &s.tx) {
 			// Window closed between scheduling and protocol.
 			s.dropped = true
 			return
 		}
-		s.tx = txr
 		s.hasNBI = true
-		s.nbiTicket = isl.nbi.ticket()
 	case segHC:
-		s.hcOp = hcOpOf(s.hc)
-		res := tcpseg.ProcessHC(&conn.Proto, &conn.Post, s.hcOp)
-		if res.Reset {
-			t.trace.Hit(trace.TPConnRetransmit)
-		}
-		if res.SendWindowUpdate {
-			// Re-advertise the reopened window as a pure ACK, or the
-			// sender stalls at zero window forever.
-			s.rx = tcpseg.WindowUpdateAck(&conn.Proto)
-			s.hasNBI = true
-			s.nbiTicket = isl.nbi.ticket()
-		}
+		s.hasNBI = t.hcProto(conn, s.hc, &s.rx)
 	}
-	t.maybeTimerKick(conn)
+	if s.hasNBI {
+		s.nbiTicket = isl.nbi.ticket()
+	}
 }
 
-// countReassembly updates the OOO reassembly counters and the occupancy
-// histogram from one RX result (shared by the pipeline's protocol stage
-// and the run-to-completion ablation).
-func (t *TOE) countReassembly(res *tcpseg.RXResult) {
+// The protocol steps below (rxProto, txProto, hcProto) and the steps
+// around them in this file (rxConn, hcPost, rxPost, landPayload,
+// notifyHost, countTX, sendAck, txReady in tx.go) are the data path's one
+// copy of its per-segment logic: the pipeline's stages call them at their
+// own sites and the run-to-completion ablation (mono.go) calls them in a
+// row, so the two differ only in parallelism and cost.
+
+// rxProto is the protocol step for a received segment: the connection
+// adopts the fleet-wide reassembly budget, tcpseg.ProcessRX writes res,
+// and its recovery and reassembly outcomes are counted.
+func (t *TOE) rxProto(conn *Conn, info *tcpseg.SegInfo, res *tcpseg.RXResult) {
+	// Adaptive OOOCap: adopt the fleet-wide budget lazily, on the
+	// connection's next RX (SetDynOOOCap never walks the table).
+	if cap := t.dynOOOCap; cap != 0 && conn.Proto.OOOCap != cap {
+		conn.Proto.OOOCap = cap
+	}
+	*res = tcpseg.ProcessRX(&conn.Proto, &conn.Post, info, t.tsNow())
+	if res.SACKReneged {
+		t.SACKReneges++
+	}
+	if res.FastRetransmit {
+		t.FastRetx++
+		if res.SACKRetransmit {
+			t.SACKRetx++
+		}
+		t.trace.Hit(trace.TPConnFastRetx)
+	}
 	if res.DupAck {
 		t.DupAcks++
 		t.trace.Hit(trace.TPConnDupAck)
@@ -617,16 +603,62 @@ func (t *TOE) countReassembly(res *tcpseg.RXResult) {
 	if res.WasOOO || res.OOODrop || res.OOOMerged > 0 {
 		t.OOOOccupancy.Record(int(res.OOOIvs))
 	}
+	t.maybeTimerKick(conn)
+}
+
+// txProto is the protocol step for a scheduled transmission:
+// tcpseg.ProcessTX writes the next segment into tx, or reports false when
+// the windows or an empty buffer leave nothing to send.
+func (t *TOE) txProto(conn *Conn, tx *tcpseg.TXResult) bool {
+	var ok bool
+	if *tx, ok = tcpseg.ProcessTX(&conn.Proto, &conn.Post, t.cfg.MSS, conn.CWnd); ok {
+		t.maybeTimerKick(conn)
+	}
+	return ok
+}
+
+// hcProto is the protocol step for a host-control descriptor:
+// tcpseg.ProcessHC applies it, and when the receive window reopens it
+// writes the pure ACK that re-advertises it into ack and reports true —
+// without that ACK the sender stalls at zero window forever.
+func (t *TOE) hcProto(conn *Conn, d shm.Desc, ack *tcpseg.RXResult) bool {
+	res := tcpseg.ProcessHC(&conn.Proto, &conn.Post, hcOpOf(d))
+	if res.Reset {
+		t.trace.Hit(trace.TPConnRetransmit)
+	}
+	if res.SendWindowUpdate {
+		*ack = tcpseg.WindowUpdateAck(&conn.Proto)
+	}
+	t.maybeTimerKick(conn)
+	return res.SendWindowUpdate
+}
+
+// hcPost finishes a host-control descriptor: it is counted, and the flow
+// scheduler hears of what it made sendable. FIN and retransmit requests
+// must reach the scheduler even with an empty transmit buffer.
+func (t *TOE) hcPost(conn *Conn, d shm.Desc) {
+	t.HCOps++
+	if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 || conn.Proto.TxAvail > 0 ||
+		d.Kind == shm.DescFin || d.Kind == shm.DescRetransmit {
+		t.submitFlow(conn)
+	}
+	t.kickTX()
+}
+
+// rxPost counts a received segment and tells the flow scheduler when its
+// ACK opened the window.
+func (t *TOE) rxPost(conn *Conn, info *tcpseg.SegInfo) {
+	t.RxSegs++
+	t.RxBytes += uint64(info.PayloadLen)
+	if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 {
+		t.submitFlow(conn)
+	}
 }
 
 // protoForward routes a segment onward after the protocol stage's
 // processing time has elapsed.
 func (t *TOE) protoForward(isl *island, s *segItem) {
-	if s.dropped {
-		t.releaseSeg(isl, s)
-		return
-	}
-	if t.connOrNil(s.conn) == nil {
+	if s.dropped || t.connOrNil(s.conn) == nil {
 		t.releaseSeg(isl, s)
 		return
 	}
@@ -665,7 +697,7 @@ func (t *TOE) postTask(s *segItem) sim.Step {
 	case segHC:
 		instr = c.PostStats
 	}
-	if t.cfg.SoftwareRings {
+	if t.cfg.SoftwarePort {
 		instr += c.RingOp
 	}
 	// CTM access for the post partition state.
@@ -680,34 +712,22 @@ func (t *TOE) postDone(isl *island, s *segItem) {
 	}
 	switch s.kind {
 	case segRX:
-		t.RxSegs++
-		t.RxBytes += uint64(s.info.PayloadLen)
-		// Flow-scheduler update: the ACK may have opened the window.
-		if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 {
-			t.submitFlow(conn)
-		}
+		t.rxPost(conn, &s.info)
 		t.dmaSt.push(s)
 	case segTX:
 		t.dmaSt.push(s)
 	case segHC:
-		t.HCOps++
 		t.descPool.Free()
 		if s.hasNBI {
 			// Window-update ACK rides out through the NBI in order.
 			if t.segPool.TryAlloc() {
-				s.pkt = t.buildAck(conn, s)
+				s.pkt = t.buildAck(conn, &s.rx)
 				t.nbiSubmit(isl, s)
 			} else {
 				isl.nbi.skip(s.nbiTicket)
 			}
 		}
-		if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 || conn.Proto.TxAvail > 0 ||
-			s.hc.Kind == shm.DescFin || s.hc.Kind == shm.DescRetransmit {
-			// FIN and retransmit requests must reach the scheduler even
-			// with an empty transmit buffer.
-			t.submitFlow(conn)
-		}
-		t.kickTX()
+		t.hcPost(conn, s.hc)
 		// The HC item's journey ends at the post stage (the NBI holds its
 		// own reference if an ACK rides out).
 		t.putSeg(s)
@@ -718,7 +738,7 @@ func (t *TOE) postDone(isl *island, s *segItem) {
 // asynchronous (the DMA engine), so the FPC only pays issue cost.
 func (t *TOE) dmaTask(s *segItem) sim.Step {
 	instr := t.costs.DMAIssue
-	if t.cfg.SoftwareRings {
+	if t.cfg.SoftwarePort {
 		instr += t.costs.RingOp
 	}
 	if t.PacketTap != nil {
@@ -755,12 +775,18 @@ func (t *TOE) dmaDone(s *segItem) {
 // payload lands directly in the host receive buffer.
 func rxPayloadLanded(a any) {
 	s := a.(*segItem)
-	conn := s.connRef
-	if s.rx.WriteOff == 0 && int(s.rx.WriteLen) == len(s.pkt.Payload) {
-		s.pkt.CheckPayloadView()
-	}
-	conn.RxBuf.WriteAt(s.rx.WritePos, s.pkt.Payload[s.rx.WriteOff:s.rx.WriteOff+s.rx.WriteLen])
+	landPayload(s.connRef, s.pkt, &s.rx)
 	s.toe.rxComplete(s)
+}
+
+// landPayload writes the in-window payload res places into the host
+// receive buffer. A whole payload is a wire view whose checksum
+// (flexdebug) must have survived the flight.
+func landPayload(conn *Conn, pkt *packet.Packet, res *tcpseg.RXResult) {
+	if res.WriteOff == 0 && int(res.WriteLen) == len(pkt.Payload) {
+		pkt.CheckPayloadView()
+	}
+	conn.RxBuf.WriteAt(res.WritePos, pkt.Payload[res.WriteOff:res.WriteOff+res.WriteLen])
 }
 
 // rxComplete finishes the RX workflow after any payload DMA. Ordering
@@ -771,7 +797,7 @@ func (t *TOE) rxComplete(s *segItem) {
 	conn := s.connRef
 	isl := t.islands[s.fg]
 	if s.rx.SendAck {
-		ack := t.buildAck(conn, s)
+		ack := t.buildAck(conn, &s.rx)
 		packet.Release(s.pkt)
 		s.pkt = ack
 		t.nbiSubmit(isl, s)
@@ -780,7 +806,7 @@ func (t *TOE) rxComplete(s *segItem) {
 		packet.Release(s.pkt)
 		s.pkt = nil
 	}
-	t.notifyHost(conn, s)
+	t.notifyHost(conn, &s.rx)
 	t.putSeg(s)
 }
 
@@ -790,7 +816,7 @@ func (t *TOE) rxComplete(s *segItem) {
 func txPayloadFetched(a any) {
 	s := a.(*segItem)
 	t := s.toe
-	s.pkt = t.buildData(s.connRef, s)
+	s.pkt = t.buildData(s.connRef, &s.tx)
 	t.nbiSubmit(t.islands[s.fg], s)
 	t.putSeg(s)
 }
@@ -812,19 +838,27 @@ func (t *TOE) xferCall(n int, cb func(any), arg any) {
 
 // notifyHost emits context-queue notifications for newly in-order payload,
 // freed transmit buffer space, and peer FINs.
-func (t *TOE) notifyHost(conn *Conn, s *segItem) {
-	if s.rx.NewInOrder > 0 {
-		t.pushNotif(conn, shm.Desc{Kind: shm.DescRxNotify, Conn: conn.ID, Bytes: s.rx.NewInOrder, Opaque: conn.Post.Opaque})
+func (t *TOE) notifyHost(conn *Conn, res *tcpseg.RXResult) {
+	if res.NewInOrder > 0 {
+		t.notify(conn, shm.Desc{Kind: shm.DescRxNotify, Conn: conn.ID, Bytes: res.NewInOrder, Opaque: conn.Post.Opaque})
 	}
-	if s.rx.AckedBytes > 0 {
-		t.pushNotif(conn, shm.Desc{Kind: shm.DescTxFree, Conn: conn.ID, Bytes: s.rx.AckedBytes, Opaque: conn.Post.Opaque})
+	if res.AckedBytes > 0 {
+		t.notify(conn, shm.Desc{Kind: shm.DescTxFree, Conn: conn.ID, Bytes: res.AckedBytes, Opaque: conn.Post.Opaque})
 	}
-	if s.rx.FinRx {
-		t.pushNotif(conn, shm.Desc{Kind: shm.DescFinRx, Conn: conn.ID, Opaque: conn.Post.Opaque})
+	if res.FinRx {
+		t.notify(conn, shm.Desc{Kind: shm.DescFinRx, Conn: conn.ID, Opaque: conn.Post.Opaque})
 	}
 }
 
-func (t *TOE) pushNotif(conn *Conn, d shm.Desc) {
+// notify sends one descriptor to the host: through the context-queue
+// stage and a descriptor DMA on the pipeline, at once in the
+// run-to-completion ablation, whose task has already paid the blocking
+// transfer.
+func (t *TOE) notify(conn *Conn, d shm.Desc) {
+	if t.mono != nil {
+		t.deliverNotif(conn, d)
+		return
+	}
 	n := t.allocSeg()
 	n.kind = segHC
 	n.conn = conn.ID
@@ -835,7 +869,7 @@ func (t *TOE) pushNotif(conn *Conn, d shm.Desc) {
 
 func (t *TOE) ctxTask(s *segItem) sim.Step {
 	instr := t.costs.CtxQNotify
-	if t.cfg.SoftwareRings {
+	if t.cfg.SoftwarePort {
 		instr += t.costs.RingOp
 	}
 	instr += t.trace.Hit(trace.TPCtxQNotify)
@@ -855,13 +889,17 @@ func (t *TOE) ctxDone(s *segItem) {
 // notifDelivered runs when the descriptor DMA to the host completes.
 func notifDelivered(a any) {
 	s := a.(*segItem)
-	t := s.toe
+	s.toe.deliverNotif(s.connRef, s.hc)
+	s.toe.putSeg(s)
+}
+
+// deliverNotif counts a descriptor and hands it to the host.
+func (t *TOE) deliverNotif(conn *Conn, d shm.Desc) {
 	t.Notifies++
 	t.trace.Hit(trace.TPDMADescriptor)
-	if s.connRef.Notify != nil {
-		s.connRef.Notify(s.hc)
+	if conn.Notify != nil {
+		conn.Notify(d)
 	}
-	t.putSeg(s)
 }
 
 // nbiOut transmits a frame in ticket order, frees its segment buffer, and
@@ -876,20 +914,31 @@ func (t *TOE) nbiOut(s *segItem) {
 		return
 	}
 	if s.kind == segTX {
-		t.TxSegs++
-		t.TxBytes += uint64(s.tx.Len)
-		if s.tx.RetxBytes > 0 {
-			t.RetxSegs++
-			t.RetxBytes += uint64(s.tx.RetxBytes)
-		}
+		t.countTX(&s.tx)
 		t.txInflight--
 		t.kickTX()
+		t.sendFrame(pkt)
 	} else {
-		t.AcksSent++
+		t.sendAck(pkt)
 	}
-	t.sendFrame(pkt)
 	t.segPool.Free()
 	t.putSeg(s)
+}
+
+// countTX counts a transmitted data segment and the bytes it re-sends.
+func (t *TOE) countTX(tx *tcpseg.TXResult) {
+	t.TxSegs++
+	t.TxBytes += uint64(tx.Len)
+	if tx.RetxBytes > 0 {
+		t.RetxSegs++
+		t.RetxBytes += uint64(tx.RetxBytes)
+	}
+}
+
+// sendAck transmits and counts a pure ACK.
+func (t *TOE) sendAck(pkt *packet.Packet) {
+	t.AcksSent++
+	t.sendFrame(pkt)
 }
 
 func (t *TOE) sendFrame(pkt *packet.Packet) {
@@ -939,11 +988,11 @@ func (t *TOE) releaseSeg(isl *island, s *segItem) {
 	t.putSeg(s)
 }
 
-// buildAck constructs the acknowledgment segment the post stage prepared,
-// into a recycled packet (ownership transfers to the fabric at nbiOut).
-func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
+// buildAck encodes the acknowledgment a protocol result asks for into a
+// recycled packet (ownership transfers to the fabric when it is sent).
+func (t *TOE) buildAck(conn *Conn, rx *tcpseg.RXResult) *packet.Packet {
 	flags := packet.FlagACK
-	if s.rx.AckECE {
+	if rx.AckECE {
 		flags |= packet.FlagECE
 	}
 	pkt := t.pkts.Get()
@@ -954,17 +1003,17 @@ func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
 	}
 	pkt.TCP = packet.TCP{
 		SrcPort: conn.Pre.LocalPort, DstPort: conn.Pre.RemotePort,
-		Seq: s.rx.AckSeq, Ack: s.rx.AckAck, Flags: flags,
-		Window: s.rx.AckWin, WScale: -1,
+		Seq: rx.AckSeq, Ack: rx.AckAck, Flags: flags,
+		Window: rx.AckWin, WScale: -1,
 	}
 	// SACK blocks the protocol stage derived from the reassembly interval
 	// set; the wire encoder fits 3 alongside timestamps, 4 otherwise.
-	for i := uint8(0); i < s.rx.AckSACKCnt; i++ {
-		pkt.TCP.AddSACK(packet.SACKBlock{Start: s.rx.AckSACK[i].Start, End: s.rx.AckSACK[i].End})
+	for i := uint8(0); i < rx.AckSACKCnt; i++ {
+		pkt.TCP.AddSACK(packet.SACKBlock{Start: rx.AckSACK[i].Start, End: rx.AckSACK[i].End})
 	}
 	pkt.TCP.HasTimestamp = true
 	pkt.TCP.TSVal = t.tsNow()
-	pkt.TCP.TSEcr = s.rx.EchoTS
+	pkt.TCP.TSEcr = rx.EchoTS
 	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }
@@ -973,17 +1022,17 @@ func (t *TOE) buildAck(conn *Conn, s *segItem) *packet.Packet {
 // payload is the host transmit buffer's committed bytes in place (the DMA
 // the paper's TX pipeline performs, one-shot: no staging copy). Only a
 // window straddling the ring's end is copied, into a slab buffer.
-func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
+func (t *TOE) buildData(conn *Conn, tx *tcpseg.TXResult) *packet.Packet {
 	flags := packet.FlagACK | packet.FlagPSH
-	if s.tx.FIN {
+	if tx.FIN {
 		flags |= packet.FlagFIN
 		t.trace.Hit(trace.TPConnFinTx)
 	}
 	pkt := t.pkts.Get()
-	if v, ok := conn.TxBuf.View(s.tx.BufPos, s.tx.Len); ok {
+	if v, ok := conn.TxBuf.View(tx.BufPos, tx.Len); ok {
 		pkt.SetPayloadView(v)
 	} else {
-		conn.TxBuf.ReadAt(s.tx.BufPos, pkt.GrowPayload(int(s.tx.Len)))
+		conn.TxBuf.ReadAt(tx.BufPos, pkt.GrowPayload(int(tx.Len)))
 	}
 	pkt.Eth = packet.Ethernet{Src: t.iface.MAC, Dst: conn.Pre.PeerMAC, EtherType: packet.EtherTypeIPv4}
 	pkt.IP = packet.IPv4{
@@ -992,18 +1041,18 @@ func (t *TOE) buildData(conn *Conn, s *segItem) *packet.Packet {
 	}
 	pkt.TCP = packet.TCP{
 		SrcPort: conn.Pre.LocalPort, DstPort: conn.Pre.RemotePort,
-		Seq: s.tx.Seq, Ack: s.tx.Ack, Flags: flags,
-		Window: s.tx.Win, WScale: -1,
+		Seq: tx.Seq, Ack: tx.Ack, Flags: flags,
+		Window: tx.Win, WScale: -1,
 	}
 	// Piggyback SACK blocks the protocol stage copied from the reassembly
 	// interval set (Config.EnableSACK), so heavily bidirectional flows
 	// learn about holes without waiting for a pure ACK.
-	for i := uint8(0); i < s.tx.SACKCnt; i++ {
-		pkt.TCP.AddSACK(packet.SACKBlock{Start: s.tx.SACK[i].Start, End: s.tx.SACK[i].End})
+	for i := uint8(0); i < tx.SACKCnt; i++ {
+		pkt.TCP.AddSACK(packet.SACKBlock{Start: tx.SACK[i].Start, End: tx.SACK[i].End})
 	}
 	pkt.TCP.HasTimestamp = true
 	pkt.TCP.TSVal = t.tsNow()
-	pkt.TCP.TSEcr = s.tx.EchoTS
+	pkt.TCP.TSEcr = tx.EchoTS
 	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }

@@ -56,8 +56,7 @@ type segItem struct {
 	tx tcpseg.TXResult
 
 	// HC workflow.
-	hc   shm.Desc
-	hcOp tcpseg.HCOp
+	hc shm.Desc
 
 	// XDP stage carry-through.
 	xdp *xdpWork
@@ -201,6 +200,3 @@ func (r *rob) drain() {
 		r.release(s)
 	}
 }
-
-// pendingHeld returns how many segments wait in the buffer.
-func (r *rob) pendingHeld() int { return r.held }

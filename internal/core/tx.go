@@ -1,7 +1,6 @@
 package core
 
 import (
-	"flextoe/internal/sim"
 	"flextoe/internal/tcpseg"
 	"flextoe/internal/trace"
 )
@@ -84,16 +83,9 @@ func (t *TOE) txPump() {
 			break
 		}
 		t.trace.Hit(trace.TPSchedPop)
-		conn := t.connOrNil(id)
+		conn, sendable := t.txReady(id)
 		if conn == nil {
 			continue
-		}
-		sendable := tcpseg.SendableBytes(&conn.Proto, conn.CWnd)
-		if sendable == 0 && conn.Proto.FinSent() {
-			continue
-		}
-		if sendable == 0 && !finPending(conn) {
-			continue // stale scheduler entry
 		}
 		if !t.segPool.TryAlloc() {
 			t.trace.Hit(trace.TPSegAllocFail)
@@ -118,19 +110,19 @@ func (t *TOE) txPump() {
 	}
 }
 
-func finPending(c *Conn) bool {
-	// A FIN wanting transmission keeps the flow eligible even with an
-	// empty buffer.
-	return !c.Proto.FinSent() && c.Proto.TxAvail == 0 && pendingFinFlag(c)
+// txReady returns the connection of a flow the scheduler popped and its
+// sendable bytes, or nil for a stale entry: a removed connection, or one
+// with nothing sendable and no FIN waiting on an emptied transmit buffer
+// (a FIN keeps the flow eligible even with an empty buffer).
+func (t *TOE) txReady(id uint32) (*Conn, uint32) {
+	c := t.connOrNil(id)
+	if c == nil {
+		return nil, 0
+	}
+	p := &c.Proto
+	sendable := tcpseg.SendableBytes(p, c.CWnd)
+	if sendable == 0 && (p.FinSent() || p.TxAvail != 0 || !p.FinPending()) {
+		return nil, 0
+	}
+	return c, sendable
 }
-
-func pendingFinFlag(c *Conn) bool {
-	// tcpseg keeps the flag private; SendableBytes==0 with a pending FIN
-	// still yields a segment from ProcessTX, so probing is safe.
-	st := c.Proto
-	_, ok := tcpseg.ProcessTX(&st, &c.Post, 1, 0)
-	return ok && st.FinSent()
-}
-
-// sendDeadline helper for tests.
-func (t *TOE) schedDeadline() (sim.Time, bool) { return t.sched.NextDeadline() }

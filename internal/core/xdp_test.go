@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"flextoe/internal/ebpf"
@@ -55,6 +56,22 @@ func TestXDPRedirectGoesToControlPlane(t *testing.T) {
 	if redirected == 0 || p.toeB.XDPRedirects == 0 {
 		t.Fatalf("redirects: cb=%d counter=%d", redirected, p.toeB.XDPRedirects)
 	}
+}
+
+// TestAttachXDPRunToCompletionPanics: the run-to-completion ablation has
+// no ingress stage, so a program attached to it would never run; the
+// attach panics and names the ablation instead.
+func TestAttachXDPRunToCompletionPanics(t *testing.T) {
+	cfg := AgilioCX40Config()
+	cfg.RunToCompletion = true
+	p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, 4096)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "run-to-completion") {
+			t.Fatalf("AttachXDP on the ablation: recovered %q, want a panic naming run-to-completion", msg)
+		}
+	}()
+	p.toeB.AttachXDP(xdp.Null())
 }
 
 func TestXDPDetach(t *testing.T) {

@@ -252,6 +252,9 @@ func (s *ProtoState) FinAcked() bool { return s.Flags&flagFinAcked != 0 }
 // FinSent reports whether our FIN has been transmitted.
 func (s *ProtoState) FinSent() bool { return s.Flags&flagFinSent != 0 }
 
+// FinPending reports whether a local close waits for its FIN to go out.
+func (s *ProtoState) FinPending() bool { return s.Flags&flagFinPending != 0 }
+
 // PostState is the post-processor's partition: application interface and
 // congestion-control accounting (Table 5, 51 bytes). Read-mostly; the
 // counters are only incremented (updates commute, §3.1).
