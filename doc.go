@@ -198,6 +198,15 @@
 //     recorder in tests, so the baseline is checked with no engine, as
 //     tcpseg is.
 //
+//   - The control plane's step. FlexTOE's connection lifecycle splits the
+//     same way (internal/ctrl/step.go): a slot's ccState and a half-open
+//     pendingConn take a data-path kick, an RTO/persist/linger or CC-poll
+//     firing, a dial or a handshake input, with the NIC state they read
+//     as one declared view (SND.UNA, in-flight and staged bytes, the
+//     peer's window, the FIN flags, the CC counters), and call retransmit,
+//     probe, reclaim, arm, setCwnd, setRate, sendControl and establish.
+//     Plane carries the maps, the slab and the pooled timers.
+//
 // The allocation half is enforced by TestConnTableAllocBudget
 // (internal/core): 0 allocations per flow lookup, 0 per warm
 // establish/teardown cycle, amortized < 0.02 per cold establish. The

@@ -331,7 +331,8 @@ func openLoopArrive(a any) {
 // Bulk transfer: one-directional stream, measuring delivered goodput.
 // ---------------------------------------------------------------------
 
-// BulkSink counts received bytes on a port.
+// BulkSink counts received bytes on a port, in total and per accepted
+// connection (the Fig. 16 fairness measurement).
 type BulkSink struct {
 	Received uint64
 	// Echo reflects RespBytes back per ChunkBytes received (the Fig. 12
@@ -339,19 +340,22 @@ type BulkSink struct {
 	ChunkBytes int
 	RespBytes  int
 	buffered   int
+	counts     []uint64 // bytes received per connection, in accept order
 }
 
 // bulkSession is one accepted bulk connection.
 type bulkSession struct {
 	b    *BulkSink
 	sock api.Socket
+	idx  int // the connection's entry in b.counts
 	owed int // echo bytes awaiting transmit space
 }
 
 // Serve installs the sink.
 func (b *BulkSink) Serve(stack api.Stack, port uint16) {
 	stack.Listen(port, func(sock api.Socket) {
-		bs := &bulkSession{b: b, sock: sock}
+		bs := &bulkSession{b: b, sock: sock, idx: len(b.counts)}
+		b.counts = append(b.counts, 0)
 		sock.OnReadable(bs.onReadable)
 		sock.OnWritable(bs.push)
 	})
@@ -364,6 +368,7 @@ func (bs *bulkSession) onReadable() {
 	if n > 0 {
 		bs.sock.Consume(n)
 		b.Received += uint64(n)
+		b.counts[bs.idx] += uint64(n)
 		b.buffered += n
 	}
 	for b.ChunkBytes > 0 && b.buffered >= b.ChunkBytes {
@@ -375,50 +380,15 @@ func (bs *bulkSession) onReadable() {
 
 func (bs *bulkSession) push() { commitOwed(bs.sock, &bs.owed) }
 
-// PerConnBulkSink counts received bytes per accepted connection (the
-// Fig. 16 fairness measurement).
-type PerConnBulkSink struct {
-	counts []uint64
-}
-
-// NewPerConnBulkSink returns an empty sink.
-func NewPerConnBulkSink() *PerConnBulkSink { return &PerConnBulkSink{} }
-
-// pcSession drains one counted connection.
-type pcSession struct {
-	b    *PerConnBulkSink
-	sock api.Socket
-	idx  int
-}
-
-func (ps *pcSession) onReadable() {
-	a, b := ps.sock.Peek()
-	n := api.ViewLen(a, b)
-	if n == 0 {
-		return
-	}
-	ps.sock.Consume(n)
-	ps.b.counts[ps.idx] += uint64(n)
-}
-
-// Serve installs the sink on a port.
-func (b *PerConnBulkSink) Serve(stack api.Stack, port uint16) {
-	stack.Listen(port, func(sock api.Socket) {
-		ps := &pcSession{b: b, sock: sock, idx: len(b.counts)}
-		b.counts = append(b.counts, 0)
-		sock.OnReadable(ps.onReadable)
-	})
-}
-
 // ResetCounts zeroes the per-connection counters (end of warmup).
-func (b *PerConnBulkSink) ResetCounts() {
+func (b *BulkSink) ResetCounts() {
 	for i := range b.counts {
 		b.counts[i] = 0
 	}
 }
 
 // Shares returns the per-connection byte counts as float64s.
-func (b *PerConnBulkSink) Shares() []float64 {
+func (b *BulkSink) Shares() []float64 {
 	out := make([]float64, len(b.counts))
 	for i, v := range b.counts {
 		out[i] = float64(v)

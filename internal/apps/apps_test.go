@@ -41,7 +41,7 @@ func TestClosedLoopConnJFI(t *testing.T) {
 }
 
 func TestPerConnBulkSinkShares(t *testing.T) {
-	b := NewPerConnBulkSink()
+	b := &BulkSink{}
 	b.counts = []uint64{10, 20, 30}
 	shares := b.Shares()
 	if len(shares) != 3 || shares[2] != 30 {

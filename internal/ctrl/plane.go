@@ -9,6 +9,14 @@
 // InjectHC(retransmit), SetCongestionWindow / SetRateInterval, ReadStats,
 // and HasFlow, the dial port allocator's probe.
 //
+// Its decisions are one engine-free step (step.go): ccState and the
+// half-open pendingConn take an input (a data-path kick, a timer firing,
+// a dial, a handshake segment or expiry), the NIC state they read
+// (nicView) and the time, and call effects in the order the TOE and the
+// engine must see. Plane is the carrier: listener and pending maps, the
+// ccState slab, pooled timer carriers, the adaptive-OOO controller, and
+// the TOE and engine calls the effects stand for.
+//
 // Timer architecture (doc.go "Connection state budget"): there is no
 // periodic full-table scan, and no list of connections to scan — Plane
 // keeps a live count (NumTracked). Each connection's RTO/persist/teardown
@@ -63,26 +71,13 @@ type Config struct {
 	Seed uint64
 }
 
-// Control-plane parameters: constants, because every figure, spec and
-// workload runs with these values. The congestion-window ceiling is
-// Config.BufSize (a sender never has more than one buffer in flight).
-const (
-	ccInterval  = 100 * sim.Microsecond // per-connection CC poll period while active
-	minRTO      = 2 * sim.Millisecond
-	dctcpGainG  = 1.0 / 16  // alpha EWMA gain
-	initialCWnd = 10 * 1448 // bytes
-	// handshakeTimeout expires half-open connections (both passive
-	// SYN-received and active SYN-sent) so floods and lost handshakes
-	// don't pin state forever.
-	handshakeTimeout = 50 * sim.Millisecond
-)
-
 // Plane is one machine's control plane.
 type Plane struct {
+	env // configuration and counters, shared by every step
+
 	eng *sim.Engine
 	own sim.Owner // timers, handshake expiry, connect notifications
 	toe *core.TOE
-	cfg Config
 	rng *stats.RNG
 
 	listeners map[uint16]*listener
@@ -98,21 +93,18 @@ type Plane struct {
 	// steady-state timer arming is allocation-free).
 	timerFree shm.Freelist[connTimer]
 
-	nextPort uint16
+	// The step in progress (steps never nest): the slot or half-open it
+	// steps and, during a timer firing, the timer carrier in hand.
+	cur    uint32
+	curPC  *pendingConn
+	inHand *connTimer
+
+	nextPort  uint16
+	PortSkips uint64 // dial source ports passed over: their 4-tuple was live
 
 	// Adaptive OOOCap controller state (core.Config.AdaptiveOOO).
 	oooCap  uint8
 	oooPrev [tcpseg.MaxOOOIntervals + 1]uint64
-
-	// Statistics.
-	Established      uint64
-	Timeouts         uint64
-	ZeroWindowProbes uint64
-	SYNDrops         uint64 // SYNs dropped by backlog or accept-rate limits
-	BacklogOverflows uint64 // SYNs dropped: listener backlog full
-	AcceptRateDrops  uint64 // SYNs dropped: accept-rate token bucket empty
-	HandshakeExpires uint64 // half-open connections reaped by timeout
-	PortSkips        uint64 // dial source ports passed over: their 4-tuple was live
 }
 
 // Conn is the control plane's view of an established connection, handed
@@ -125,74 +117,6 @@ type Conn struct {
 	RxBuf *shm.PayloadBuf
 }
 
-// listener is one bound port: the accept callback plus half-open
-// accounting for the backlog and accept-rate limits.
-type listener struct {
-	accept   func(*Conn)
-	pendingN int      // half-open connections charged to this listener
-	tokens   float64  // accept-rate bucket (capacity 1)
-	lastFill sim.Time // last token refill
-}
-
-// pendingConn is a half-open connection. It doubles as its own
-// handshake-timeout timer carrier: the expiry event fires with the
-// pendingConn as argument and checks it is still the registered entry.
-type pendingConn struct {
-	p         *Plane
-	lis       *listener // passive opens: the charged listener
-	flow      packet.Flow
-	peerMAC   packet.EtherAddr
-	iss, irs  uint32
-	active    bool // we sent the SYN
-	sackOK    bool // both sides agreed on SACK-permitted
-	connected func(*Conn)
-}
-
-// ccState is the per-connection control state. Slots are reused with the
-// data-path connection slab; epoch invalidates timer carriers armed for
-// a previous occupant of the slot.
-type ccState struct {
-	epoch    uint32
-	live     bool
-	rtoArmed bool // an RTO/persist/teardown timer carrier is in flight
-	ccArmed  bool // a CC poll carrier is in flight
-	ccIdle   int  // consecutive CC polls with no activity
-
-	cwnd      uint32
-	alpha     float64 // DCTCP
-	rate      float64 // TIMELY bytes/s
-	prevRTT   uint32
-	lastAcked sim.Time // last observed forward progress
-	srtt      sim.Time
-	rto       sim.Time
-	backoff   int
-
-	// Persist timer (zero-window probing, RFC 9293 §3.8.6.1).
-	persistAt      sim.Time // next probe deadline (0 = timer off)
-	persistBackoff int
-
-	// lingerAt is the teardown deadline after full close (0 = not
-	// lingering); when it passes, the slot is reclaimed.
-	lingerAt sim.Time
-
-	// seenUna is SND.UNA at the last timer fire, so the timer itself
-	// detects forward progress. Without this, a run with congestion
-	// control off (no CC poll) never refreshes lastAcked and the RTO
-	// fires spuriously every interval of a long transfer,
-	// go-back-N-resending data that was never lost.
-	seenUna uint32
-}
-
-// Timer kinds.
-const (
-	timerRTO uint8 = iota // RTO + persist + teardown lifecycle
-	timerCC               // congestion-control poll
-)
-
-// ccIdleLimit disarms the CC poll after this many consecutive quiet
-// polls (the connection went idle; the next data-path kick re-arms).
-const ccIdleLimit = 8
-
 // The adaptive-OOOCap controller's interval, and the total number of
 // reassembly intervals the fleet may hold; the controller divides the
 // budget by the live connection count to derive the per-connection cap.
@@ -202,7 +126,7 @@ const (
 )
 
 // connTimer carries one armed per-connection timer through the timing
-// wheel (pooled; see Plane.getTimer). kind selects the handler; epoch
+// wheel (pooled; see Plane.arm). kind selects the step; epoch
 // guards against slot reuse between arming and firing.
 type connTimer struct {
 	p     *Plane
@@ -220,10 +144,10 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 		cfg.ListenBacklog = 128
 	}
 	p := &Plane{
+		env:       env{cfg: cfg},
 		eng:       eng,
 		own:       eng.NewOwner(),
 		toe:       toe,
-		cfg:       cfg,
 		rng:       stats.NewRNG(cfg.Seed ^ uint64(cfg.LocalIP)),
 		listeners: make(map[uint16]*listener),
 		pending:   make(map[packet.Flow]*pendingConn),
@@ -233,10 +157,7 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 	toe.ControlRx = p.handleSegment
 	toe.TimerKick = p.timerKick
 	if tc := toe.Config(); tc.AdaptiveOOO {
-		p.oooCap = uint8(tc.OOOIntervals)
-		if p.oooCap == 0 {
-			p.oooCap = 1
-		}
+		p.oooCap = max(uint8(tc.OOOIntervals), 1)
 		p.own.EveryCall(oooAdaptPeriod, oooAdaptPeriod, planeAdaptOOO, p)
 	}
 	return p
@@ -250,19 +171,13 @@ func (p *Plane) Listen(port uint16, accept func(*Conn)) {
 	p.listeners[port] = &listener{accept: accept, tokens: 1}
 }
 
-// sackEnabled reports whether the data-path is configured to negotiate
-// SACK on new connections.
-func (p *Plane) sackEnabled() bool { return p.toe.Config().EnableSACK }
-
 // Dial initiates a connection to a remote endpoint. If the peer drops
 // our SYN (backlog overflow, rate limit, loss), the half-open state
 // expires after handshakeTimeout and the connected callback never fires.
 func (p *Plane) Dial(remoteIP packet.IPv4Addr, remoteMAC packet.EtherAddr, remotePort uint16, connected func(*Conn)) {
 	flow := p.ephemeral(packet.Flow{SrcIP: p.cfg.LocalIP, DstIP: remoteIP, DstPort: remotePort})
-	iss := uint32(p.rng.Uint64())
-	pc := &pendingConn{p: p, flow: flow, peerMAC: remoteMAC, iss: iss, active: true, connected: connected}
-	p.addPending(pc)
-	p.sendControl(flow, remoteMAC, packet.FlagSYN, iss, 0, p.sackEnabled())
+	p.open(&pendingConn{p: p, flow: flow, peerMAC: remoteMAC, iss: uint32(p.rng.Uint64()),
+		active: true, sackOK: p.toe.Config().EnableSACK, connected: connected})
 }
 
 // ephemeral gives flow the next source port whose 4-tuple is not live —
@@ -284,22 +199,11 @@ func (p *Plane) ephemeral(flow packet.Flow) packet.Flow {
 	panic(fmt.Sprintf("ctrl: every source port toward %v:%d is in use", flow.DstIP, flow.DstPort))
 }
 
-// addPending registers a half-open connection and schedules its expiry.
-func (p *Plane) addPending(pc *pendingConn) {
+// open registers a half-open, schedules its expiry, and takes its step.
+func (p *Plane) open(pc *pendingConn) {
 	p.pending[pc.flow] = pc
-	if pc.lis != nil {
-		pc.lis.pendingN++
-	}
 	p.own.AfterCall(handshakeTimeout, pendingExpire, pc)
-}
-
-// dropPending unregisters a half-open connection (completed, reset, or
-// expired) and uncharges its listener.
-func (p *Plane) dropPending(pc *pendingConn) {
-	delete(p.pending, pc.flow)
-	if pc.lis != nil {
-		pc.lis.pendingN--
-	}
+	pc.open(p.step(0, pc, nil))
 }
 
 // pendingExpire reaps a half-open connection whose handshake never
@@ -308,135 +212,68 @@ func (p *Plane) dropPending(pc *pendingConn) {
 // and does nothing.
 func pendingExpire(a any) {
 	pc := a.(*pendingConn)
-	p := pc.p
-	if p.pending[pc.flow] != pc {
-		return
+	if p := pc.p; p.pending[pc.flow] == pc {
+		delete(p.pending, pc.flow)
+		pc.expire(&p.env)
 	}
-	p.dropPending(pc)
-	p.HandshakeExpires++
 }
 
-// takeToken runs the listener's accept-rate token bucket (capacity 1:
-// SYNs are admitted at most every 1/rate seconds).
-func (l *listener) takeToken(now sim.Time, rate float64) bool {
-	l.tokens += (now - l.lastFill).Seconds() * rate
-	l.lastFill = now
-	if l.tokens > 1 {
-		l.tokens = 1
-	}
-	if l.tokens < 1 {
-		return false
-	}
-	l.tokens--
-	return true
+// emit sends a segment on the control plane's own transmit path (by
+// design, handshakes and persist probes bypass the offloaded data-path).
+func (p *Plane) emit(flow packet.Flow, peerMAC packet.EtherAddr, tcp packet.TCP, payload []byte) {
+	tcp.SrcPort, tcp.DstPort = flow.SrcPort, flow.DstPort
+	p.toe.SendControlFrame(&packet.Packet{
+		Eth:     packet.Ethernet{Src: p.cfg.LocalMAC, Dst: peerMAC, EtherType: packet.EtherTypeIPv4},
+		IP:      packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0, Src: flow.SrcIP, Dst: flow.DstIP},
+		TCP:     tcp,
+		Payload: payload,
+	})
 }
 
-// sendControl emits a handshake segment directly (the control plane's own
-// transmit path; these bypass the offloaded data-path by design).
-// sackPerm offers/confirms SACK-permitted; only meaningful on SYNs.
-func (p *Plane) sendControl(flow packet.Flow, peerMAC packet.EtherAddr, flags uint8, seq, ack uint32, sackPerm bool) {
-	pkt := &packet.Packet{
-		Eth: packet.Ethernet{Src: p.cfg.LocalMAC, Dst: peerMAC, EtherType: packet.EtherTypeIPv4},
-		IP: packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0,
-			Src: flow.SrcIP, Dst: flow.DstIP,
-		},
-		TCP: packet.TCP{
-			SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-			Seq: seq, Ack: ack, Flags: flags,
-			Window: uint16(p.cfg.BufSize >> tcpseg.WindowScale),
-			MSS:    1448, WScale: tcpseg.WindowScale, SACKPerm: sackPerm,
-		},
-	}
-	p.toe.SendControlFrame(pkt)
+// handshake sends a handshake segment. sackPerm offers/confirms
+// SACK-permitted; only meaningful on SYNs.
+func (p *Plane) handshake(flow packet.Flow, peerMAC packet.EtherAddr, flags uint8, seq, ack uint32, sackPerm bool) {
+	p.emit(flow, peerMAC, packet.TCP{Seq: seq, Ack: ack, Flags: flags,
+		Window: uint16(p.cfg.BufSize >> tcpseg.WindowScale), MSS: mss, WScale: tcpseg.WindowScale, SACKPerm: sackPerm}, nil)
 }
 
-// handleSegment receives segments the data-path filtered to the control
-// plane: SYN/SYN-ACK/RST and segments of unknown flows.
+// handleSegment takes the segments the data-path filters to the control
+// plane (SYN/SYN-ACK/RST, unknown flows) to their step; a SYN to a port
+// nobody listens on is refused with a RST.
 func (p *Plane) handleSegment(pkt *packet.Packet) {
 	flow := pkt.Flow().Reverse() // local view
 	tcp := &pkt.TCP
+	pc := p.pending[flow]
+	fx := p.step(0, pc, nil)
+	var over bool
 	switch {
 	case tcp.HasFlag(packet.FlagSYN | packet.FlagACK):
-		pc, ok := p.pending[flow]
-		if !ok || !pc.active {
-			return
-		}
-		pc.irs = tcp.Seq + 1
-		// The peer echoes SACK-permitted only if it accepts our offer.
-		pc.sackOK = tcp.SACKPerm && p.sackEnabled()
-		// Complete the handshake.
-		p.sendControl(flow, pc.peerMAC, packet.FlagACK, pc.iss+1, pc.irs, false)
-		p.establish(pc, tcp.Window)
+		over = pc.synAck(fx, tcp)
 	case tcp.HasFlag(packet.FlagSYN):
-		lis, ok := p.listeners[pkt.TCP.DstPort]
-		if !ok {
-			p.sendControl(flow, pkt.Eth.Src, packet.FlagRST, 0, tcp.Seq+1, false)
-			return
+		lis := p.listeners[tcp.DstPort]
+		if lis == nil {
+			p.handshake(flow, pkt.Eth.Src, packet.FlagRST, 0, tcp.Seq+1, false)
+		} else if lis.syn(fx, &p.env, pc, p.eng.Now()) {
+			// Half-opens hold the accept callback of their SYN's instant,
+			// so accept replacement is race-free.
+			p.open(&pendingConn{p: p, lis: lis, flow: flow, peerMAC: pkt.Eth.Src,
+				iss: uint32(p.rng.Uint64()), irs: tcp.Seq + 1,
+				sackOK: tcp.SACKPerm && p.toe.Config().EnableSACK, connected: lis.accept})
 		}
-		if pc, dup := p.pending[flow]; dup {
-			// SYN retransmit for an existing half-open: re-answer, don't
-			// double-charge the backlog.
-			if !pc.active {
-				p.sendControl(flow, pc.peerMAC, packet.FlagSYN|packet.FlagACK, pc.iss, pc.irs, pc.sackOK)
-			}
-			return
-		}
-		// Listen-path hardening: a flooded backlog or an exhausted
-		// accept-rate bucket drops the SYN silently — no RST, no state.
-		if lis.pendingN >= p.cfg.ListenBacklog {
-			p.SYNDrops++
-			p.BacklogOverflows++
-			return
-		}
-		if p.cfg.AcceptRate > 0 && !lis.takeToken(p.eng.Now(), p.cfg.AcceptRate) {
-			p.SYNDrops++
-			p.AcceptRateDrops++
-			return
-		}
-		iss := uint32(p.rng.Uint64())
-		pc := &pendingConn{
-			p: p, lis: lis,
-			flow: flow, peerMAC: pkt.Eth.Src,
-			iss: iss, irs: tcp.Seq + 1,
-			sackOK:    tcp.SACKPerm && p.sackEnabled(),
-			connected: lis.acceptCb(),
-		}
-		p.addPending(pc)
-		p.sendControl(flow, pc.peerMAC, packet.FlagSYN|packet.FlagACK, iss, pc.irs, pc.sackOK)
 	case tcp.HasFlag(packet.FlagACK):
-		// Final handshake ACK for a passive open.
-		if pc, ok := p.pending[flow]; ok && !pc.active {
-			p.establish(pc, tcp.Window)
-		}
-		// Anything else (stale data for removed connections) is dropped.
+		over = pc.ack(fx, tcp.Window)
 	case tcp.HasFlag(packet.FlagRST):
-		if pc, ok := p.pending[flow]; ok {
-			p.dropPending(pc)
-		}
+		over = pc.rst()
 	}
-}
-
-// acceptCb returns the listener's accept callback (half-opens hold the
-// callback, not the listener, so accept replacement is race-free).
-func (l *listener) acceptCb() func(*Conn) { return l.accept }
-
-// establish installs the connection in the data-path and fires the
-// callback (§D: "allocates host payload buffers and a unique connection
-// index for the data-path ... then sets up connection state at the index
-// location").
-func (p *Plane) establish(pc *pendingConn, peerWin uint16) {
-	p.dropPending(pc)
-	txBuf := shm.NewPayloadBuf(p.cfg.BufSize)
-	rxBuf := shm.NewPayloadBuf(p.cfg.BufSize)
-	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs, txBuf, rxBuf, peerWin, pc.sackOK)
-	if pc.connected != nil {
-		p.own.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
+	if over {
+		delete(p.pending, flow)
 	}
 }
 
 // install wires a connection into the data-path slab and the control
-// plane's dense state, reusing the slot id core assigned.
+// plane's dense state, reusing the slot id core assigned (§D: "allocates
+// host payload buffers and a unique connection index for the data-path
+// ... then sets up connection state at the index location").
 func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uint32,
 	txBuf, rxBuf *shm.PayloadBuf, peerWin uint16, sackOK bool) *Conn {
 
@@ -450,14 +287,7 @@ func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uin
 		p.ccs = append(p.ccs, ccState{})
 	}
 	cc := &p.ccs[id]
-	*cc = ccState{
-		epoch:     cc.epoch + 1, // invalidate any stale carriers for this slot
-		live:      true,
-		cwnd:      initialCWnd,
-		rate:      1e9,
-		lastAcked: p.eng.Now(),
-		rto:       minRTO,
-	}
+	cc.open(p.eng.Now())
 	p.tracked++
 	if p.cfg.CC != CCNone {
 		p.toe.SetCongestionWindow(id, cc.cwnd)
@@ -469,13 +299,9 @@ func (p *Plane) install(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uin
 // InstallEstablished installs an already-established connection directly,
 // bypassing the handshake — the connection-scaling experiments use it to
 // populate large mostly-idle fleets. The caller provides the payload
-// buffers and MAY share one buffer pair across many idle connections
-// (per-connection buffers are a host sizing choice, not NIC state; see
-// doc.go "Connection state budget") — but must then never transfer data
-// on more than one of the sharers at a time, nor start on the next before
-// every byte of the last is acknowledged: data segments carry views of
-// the shared transmit buffer, so a sharer's stale frames read the next
-// sharer's bytes, which only its own receiver's trim makes harmless.
+// buffers and MAY share one pair across many idle connections, moving
+// data on one sharer at a time (doc.go "Connection state budget" says
+// why and when the next may start).
 func (p *Plane) InstallEstablished(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs uint32,
 	txBuf, rxBuf *shm.PayloadBuf) *Conn {
 	return p.install(flow, peerMAC, iss, irs, txBuf, rxBuf, 0, false)
@@ -485,15 +311,9 @@ func (p *Plane) InstallEstablished(flow packet.Flow, peerMAC packet.EtherAddr, i
 // is recycled. Called by the teardown timer after the post-close linger,
 // or directly on abort.
 func (p *Plane) Remove(id uint32) {
-	if int(id) < len(p.ccs) {
-		cc := &p.ccs[id]
-		if cc.live {
-			p.tracked--
-			cc.live = false
-			cc.epoch++ // in-flight timer carriers release themselves on fire
-			cc.rtoArmed = false
-			cc.ccArmed = false
-		}
+	if int(id) < len(p.ccs) && p.ccs[id].live {
+		p.tracked--
+		p.ccs[id] = ccState{epoch: p.ccs[id].epoch + 1} // in-flight timer carriers release themselves on fire
 	}
 	p.toe.RemoveConnection(id)
 }
@@ -502,327 +322,99 @@ func (p *Plane) Remove(id uint32) {
 // (== live data-path connections).
 func (p *Plane) NumTracked() int { return p.tracked }
 
-// getTimer draws a pooled timer carrier.
-func (p *Plane) getTimer(id, epoch uint32, kind uint8) *connTimer {
-	tm := p.timerFree.Get()
-	if tm == nil {
-		tm = &connTimer{}
+// timerKick is the data-path's signal (core.TOE.TimerKick) that a
+// connection may need timer service. The data-path dedupes kicks via the
+// per-connection hint, so this runs once per activation, not per segment.
+func (p *Plane) timerKick(id uint32) {
+	if int(id) < len(p.ccs) && p.ccs[id].live {
+		p.ccs[id].kick(p.step(id, nil, nil), &p.env, p.eng.Now())
 	}
-	tm.p, tm.id, tm.epoch, tm.kind = p, id, epoch, kind
-	return tm
 }
 
-// putTimer recycles a timer carrier.
-func (p *Plane) putTimer(tm *connTimer) {
+// view reads the NIC state a connection's step takes as input.
+func (p *Plane) view(id uint32) nicView {
+	pr := &p.toe.Connection(id).Proto
+	return nicView{una: pr.UnackedBase(), txSent: pr.TxSent, txAvail: pr.TxAvail, remoteWin: pr.RemoteWin,
+		finSent: pr.FinSent(), finAcked: pr.FinAcked(), finRx: pr.FinRx()}
+}
+
+// connTimerFire takes a timer carrier to its step, unless its slot was
+// torn down since it was armed. A carrier the step did not re-arm is
+// recycled; with neither timer in flight, the data-path kick re-enables.
+func connTimerFire(a any) {
+	tm := a.(*connTimer)
+	p := tm.p
+	if cc := &p.ccs[tm.id]; cc.live && cc.epoch == tm.epoch {
+		fx, v, now := p.step(tm.id, nil, tm), p.view(tm.id), p.eng.Now()
+		if tm.kind == timerRTO {
+			cc.rtoFire(fx, &p.env, &v, now)
+		} else {
+			v.stats = p.toe.ReadStats(tm.id)
+			cc.ccFire(fx, &p.env, &v, now)
+		}
+		if !cc.rtoArmed && !cc.ccArmed {
+			p.toe.ClearTimerHint(tm.id)
+		}
+		if p.inHand == nil {
+			return
+		}
+	}
 	*tm = connTimer{}
 	p.timerFree.Put(tm)
 }
 
-// timerKick is the data-path's signal (core.TOE.TimerKick) that a
-// connection may need timer service: arm the RTO lifecycle timer and,
-// when congestion control is on, the CC poll. The data-path dedupes
-// kicks via the per-connection hint, so this runs once per activation,
-// not per segment.
-func (p *Plane) timerKick(id uint32) {
-	if int(id) >= len(p.ccs) {
-		return
+// step points the plane, as effects, at slot id or half-open pc, with
+// the firing timer carrier tm in hand.
+func (p *Plane) step(id uint32, pc *pendingConn, tm *connTimer) effects {
+	p.cur, p.curPC, p.inHand = id, pc, tm
+	return p
+}
+
+// Plane implements effects on the TOE and the engine.
+func (p *Plane) retransmit() { p.toe.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.cur}) }
+func (p *Plane) probe()      { p.sendZeroWindowProbe(p.toe.Connection(p.cur)) }
+func (p *Plane) reclaim()    { p.Remove(p.cur) }
+
+// arm re-arms the carrier in hand if it is of kind, else a pooled one.
+func (p *Plane) arm(kind uint8, at sim.Time) {
+	tm := p.inHand
+	if tm != nil && tm.kind == kind {
+		p.inHand = nil
+	} else if tm = p.timerFree.Get(); tm == nil {
+		tm = &connTimer{}
 	}
-	cc := &p.ccs[id]
-	if !cc.live {
-		return
-	}
-	if !cc.rtoArmed {
-		p.armRTO(cc, id)
-	}
-	if p.cfg.CC != CCNone && !cc.ccArmed {
-		cc.ccArmed = true
-		cc.ccIdle = 0
-		p.own.AfterCall(ccInterval, connTimerFire, p.getTimer(id, cc.epoch, timerCC))
+	*tm = connTimer{p: p, id: p.cur, epoch: p.ccs[p.cur].epoch, kind: kind}
+	p.own.AfterCall(max(at-p.eng.Now(), 0), connTimerFire, tm)
+}
+
+func (p *Plane) setCwnd(bytes uint32)     { p.toe.SetCongestionWindow(p.cur, bytes) }
+func (p *Plane) setRate(perByte sim.Time) { p.toe.SetRateInterval(p.cur, perByte) }
+
+func (p *Plane) sendControl(flags uint8, seq, ack uint32, sackPerm bool) {
+	p.handshake(p.curPC.flow, p.curPC.peerMAC, flags, seq, ack, sackPerm)
+}
+
+func (p *Plane) establish(peerWin uint16) {
+	pc := p.curPC
+	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs,
+		shm.NewPayloadBuf(p.cfg.BufSize), shm.NewPayloadBuf(p.cfg.BufSize), peerWin, pc.sackOK)
+	if pc.connected != nil {
+		p.own.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
 	}
 }
 
-// armRTO schedules the RTO lifecycle timer at the connection's current
-// deadline.
-func (p *Plane) armRTO(cc *ccState, id uint32) {
-	cc.rtoArmed = true
-	deadline := cc.lastAcked + (cc.rto << uint(cc.backoff))
-	now := p.eng.Now()
-	var d sim.Time
-	if deadline > now {
-		d = deadline - now
-	}
-	p.own.AfterCall(d, connTimerFire, p.getTimer(id, cc.epoch, timerRTO))
-}
-
-// connTimerFire dispatches a timer carrier (the long-lived AfterCall
-// callback; one function for every armed timer in the plane).
-func connTimerFire(a any) {
-	tm := a.(*connTimer)
-	p := tm.p
-	cc := &p.ccs[tm.id]
-	if !cc.live || cc.epoch != tm.epoch {
-		// The slot was torn down (and possibly re-established) after this
-		// carrier was armed; the new occupant has its own timers.
-		p.putTimer(tm)
-		return
-	}
-	if tm.kind == timerRTO {
-		p.rtoFire(tm, cc)
-	} else {
-		p.ccFire(tm, cc)
-	}
-}
-
-// rtoFire runs one connection's RTO/persist/teardown lifecycle: fire or
-// re-arm against the current deadline. The timer re-arms only while the
-// connection has a reason to be timed (data in flight, unacked FIN, a
-// zero-window stall, or a close lingering toward reclamation); otherwise
-// it disarms and the next data-path kick re-arms it (§3.1.1:
-// "Retransmissions in response to timeouts are triggered by the
-// control-plane"; the retransmit HC op also clears the SACK scoreboard,
-// RFC 2018's reneging rule).
-func (p *Plane) rtoFire(tm *connTimer, cc *ccState) {
-	id := tm.id
-	c := p.toe.Connection(id)
-	if c == nil {
-		p.disarmRTO(tm, cc, id)
-		return
-	}
-	now := p.eng.Now()
-	if una := c.Proto.UnackedBase(); una != cc.seenUna {
-		// The cumulative ack moved since the last fire: forward progress,
-		// regardless of whether the CC loop is polling.
-		cc.seenUna = una
-		cc.lastAcked = now
-		cc.backoff = 0
-	}
-	pr := &c.Proto
-	switch {
-	case pr.TxSent > 0 || (pr.FinSent() && !pr.FinAcked()):
-		cc.persistAt, cc.persistBackoff = 0, 0
-		cc.lingerAt = 0
-		deadline := cc.lastAcked + (cc.rto << uint(cc.backoff))
-		if now >= deadline && cc.backoff == 6 && pr.TxSent == 0 && pr.FinRx() {
-			// LAST-ACK gives up: both FINs were exchanged and only ours is
-			// unacknowledged through a whole backed-off series. The peer's
-			// ACK of it was lost, and the peer, done with its linger, has
-			// reclaimed the slot and drops each retransmission as a
-			// stranger's; retrying on would hold the slot and its timer
-			// forever.
-			p.putTimer(tm)
-			cc.rtoArmed = false
-			p.Remove(id)
-			return
-		}
-		if now >= deadline {
-			p.Timeouts++
-			p.toe.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: id})
-			cc.lastAcked = now
-			if cc.backoff < 6 {
-				cc.backoff++
-			}
-			if p.cfg.CC == CCDCTCP {
-				// Timeout: collapse to one segment, slow-start again.
-				cc.cwnd = 2 * 1448
-				p.toe.SetCongestionWindow(id, cc.cwnd)
-			}
-			deadline = now + (cc.rto << uint(cc.backoff))
-		}
-		p.own.AfterCall(deadline-now, connTimerFire, tm)
-	case pr.TxAvail > 0 && pr.RemoteWin == 0:
-		// Zero-window persist (RFC 9293 §3.8.6.1): data waits in the
-		// transmit buffer, nothing is in flight, and the peer's last
-		// advertised window is zero. A lost window-update ACK would
-		// stall the connection forever; the sender must probe.
-		cc.lastAcked, cc.backoff = now, 0
-		cc.lingerAt = 0
-		if cc.persistAt == 0 {
-			cc.persistAt = now + cc.rto
-		} else if now >= cc.persistAt {
-			p.ZeroWindowProbes++
-			p.sendZeroWindowProbe(c)
-			if cc.persistBackoff < 6 {
-				cc.persistBackoff++
-			}
-			cc.persistAt = now + (cc.rto << uint(cc.persistBackoff))
-		}
-		p.own.AfterCall(cc.persistAt-now, connTimerFire, tm)
-	case pr.FinSent() && pr.FinAcked() && pr.FinRx():
-		// Both directions closed and acknowledged: linger long enough
-		// for stragglers to drain, then reclaim the slot.
-		if cc.lingerAt == 0 {
-			cc.lingerAt = now + 4*minRTO
-		}
-		if now >= cc.lingerAt {
-			p.putTimer(tm)
-			cc.rtoArmed = false
-			p.Remove(id)
-			return
-		}
-		p.own.AfterCall(cc.lingerAt-now, connTimerFire, tm)
-	default:
-		// Idle: nothing outstanding, window open, not closing. Disarm;
-		// the next data-path kick re-arms.
-		cc.lastAcked, cc.backoff = now, 0
-		cc.persistAt, cc.persistBackoff = 0, 0
-		p.disarmRTO(tm, cc, id)
-	}
-}
-
-// disarmRTO releases the RTO carrier and, when the CC poll is also off,
-// re-enables the data-path kick.
-func (p *Plane) disarmRTO(tm *connTimer, cc *ccState, id uint32) {
-	p.putTimer(tm)
-	cc.rtoArmed = false
-	if !cc.ccArmed {
-		p.toe.ClearTimerHint(id)
-	}
-}
-
-// ccFire runs one connection's periodic congestion-control poll (§D):
-// read per-flow statistics from the data-path, compute a new window or
-// rate, and program it back. The poll self-disarms after ccIdleLimit
-// quiet intervals so idle connections cost nothing.
-func (p *Plane) ccFire(tm *connTimer, cc *ccState) {
-	id := tm.id
-	st := p.toe.ReadStats(id)
-	if st.AckedBytes > 0 {
-		cc.lastAcked = p.eng.Now()
-		cc.backoff = 0
-	}
-	if st.RTTMicros > 0 {
-		rtt := sim.Time(st.RTTMicros) * sim.Microsecond
-		if cc.srtt == 0 {
-			cc.srtt = rtt
-		} else {
-			cc.srtt += (rtt - cc.srtt) / 8
-		}
-		if r := 4 * cc.srtt; r > minRTO {
-			cc.rto = r
-		} else {
-			cc.rto = minRTO
-		}
-	}
-	switch p.cfg.CC {
-	case CCDCTCP:
-		p.dctcp(id, cc, st)
-	case CCTimely:
-		p.timely(id, cc, st)
-	}
-	if st.AckedBytes == 0 && st.TxSent == 0 && st.TxPending == 0 {
-		cc.ccIdle++
-	} else {
-		cc.ccIdle = 0
-	}
-	// Close the lost-retransmit hole: while the CC poll runs, guarantee
-	// the RTO timer is armed whenever data is outstanding (the RTO
-	// timer may have disarmed in an idle window just before new data).
-	if !cc.rtoArmed {
-		if c := p.toe.Connection(id); c != nil &&
-			(c.Proto.TxSent > 0 || (c.Proto.FinSent() && !c.Proto.FinAcked())) {
-			p.armRTO(cc, id)
-		}
-	}
-	if cc.ccIdle >= ccIdleLimit {
-		p.putTimer(tm)
-		cc.ccArmed = false
-		if !cc.rtoArmed {
-			p.toe.ClearTimerHint(id)
-		}
-		return
-	}
-	p.own.AfterCall(ccInterval, connTimerFire, tm)
-}
-
-// sendZeroWindowProbe emits the persist probe via the control plane's own
-// transmit path (probes are timer-driven control actions, like timeout
-// retransmissions). Sequence SND.NXT-1 with one byte of already-delivered
-// payload: always outside the receiver's window, always re-ACKed.
+// sendZeroWindowProbe emits the persist probe: sequence SND.NXT-1 with
+// one byte of already-delivered payload, always outside the receiver's
+// window, always re-ACKed. Its reads of NIC state are the one set outside
+// nicView.
 func (p *Plane) sendZeroWindowProbe(c *core.Conn) {
 	st := &c.Proto
 	payload := make([]byte, 1)
 	if c.Post.TxSize > 0 {
 		c.TxBuf.ReadAt((st.TxPos-1)&(c.Post.TxSize-1), payload)
 	}
-	pkt := &packet.Packet{
-		Eth: packet.Ethernet{Src: p.cfg.LocalMAC, Dst: c.Pre.PeerMAC, EtherType: packet.EtherTypeIPv4},
-		IP: packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0,
-			Src: c.Pre.LocalIP, Dst: c.Pre.PeerIP,
-		},
-		TCP: packet.TCP{
-			SrcPort: c.Pre.LocalPort, DstPort: c.Pre.RemotePort,
-			Seq: st.Seq - 1, Ack: st.Ack, Flags: packet.FlagACK,
-			Window: st.LocalWindow(), WScale: -1,
-		},
-		Payload: payload,
-	}
-	p.toe.SendControlFrame(pkt)
-}
-
-// dctcp implements DCTCP [1]: alpha tracks the EWMA fraction of
-// ECN-marked bytes; marked windows shrink by alpha/2, clean ones grow
-// additively.
-func (p *Plane) dctcp(id uint32, cc *ccState, st core.ConnStats) {
-	if st.AckedBytes == 0 {
-		return
-	}
-	frac := float64(st.ECNBytes) / float64(st.AckedBytes)
-	cc.alpha = (1-dctcpGainG)*cc.alpha + dctcpGainG*frac
-	if st.ECNBytes > 0 {
-		cc.cwnd = uint32(float64(cc.cwnd) * (1 - cc.alpha/2))
-	} else {
-		cc.cwnd += 1448 // additive increase per control interval
-	}
-	if st.FastRetx > 0 {
-		cc.cwnd /= 2
-	}
-	if cc.cwnd < 2*1448 {
-		cc.cwnd = 2 * 1448
-	}
-	if cc.cwnd > p.cfg.BufSize {
-		cc.cwnd = p.cfg.BufSize
-	}
-	p.toe.SetCongestionWindow(id, cc.cwnd)
-}
-
-// TIMELY constants [34], scaled for the simulated fabric.
-const (
-	timelyTLow    = 30 * sim.Microsecond
-	timelyTHigh   = 500 * sim.Microsecond
-	timelyAddStep = 20e6 // bytes/s additive increment
-	timelyBeta    = 0.8
-)
-
-// timely implements TIMELY: RTT-gradient rate control, programmed into
-// the data-path as a division-free pacing interval.
-func (p *Plane) timely(id uint32, cc *ccState, st core.ConnStats) {
-	if st.RTTMicros == 0 {
-		return
-	}
-	rtt := st.RTTMicros
-	grad := float64(int32(rtt-cc.prevRTT)) / float64(timelyTLow/sim.Microsecond)
-	cc.prevRTT = rtt
-	rttT := sim.Time(rtt) * sim.Microsecond
-	switch {
-	case rttT < timelyTLow:
-		cc.rate += timelyAddStep
-	case rttT > timelyTHigh:
-		cc.rate *= 1 - timelyBeta*(1-float64(timelyTHigh)/float64(rttT))
-	case grad <= 0:
-		cc.rate += timelyAddStep
-	default:
-		cc.rate *= 1 - timelyBeta*grad*0.1
-	}
-	if cc.rate < 1e6 {
-		cc.rate = 1e6
-	}
-	if cc.rate > 5e9 {
-		cc.rate = 5e9
-	}
-	interval := sim.Time(1e12 / cc.rate)
-	p.toe.SetRateInterval(id, interval)
-	p.toe.SetCongestionWindow(id, 0) // rate-based: no window clamp
+	p.emit(c.Flow, c.Pre.PeerMAC, packet.TCP{Seq: st.Seq - 1, Ack: st.Ack, Flags: packet.FlagACK,
+		Window: st.LocalWindow(), WScale: -1}, payload)
 }
 
 // adaptOOO is the fleet-wide OOOCap controller (core.Config.AdaptiveOOO):
@@ -835,13 +427,7 @@ func (p *Plane) adaptOOO() {
 	if live == 0 {
 		return
 	}
-	base := oooStateBudget / live
-	if base < 1 {
-		base = 1
-	}
-	if base > tcpseg.MaxOOOIntervals {
-		base = tcpseg.MaxOOOIntervals
-	}
+	base := min(max(oooStateBudget/live, 1), tcpseg.MaxOOOIntervals)
 	hist := p.toe.OOOOccupancy
 	var pressure uint64
 	for v := 0; v <= tcpseg.MaxOOOIntervals; v++ {
@@ -862,9 +448,7 @@ func (p *Plane) adaptOOO() {
 	case pressure == 0 && c8 > 1:
 		c8--
 	}
-	if int(c8) > base {
-		c8 = uint8(base) // the budget shrank under connection growth
-	}
+	c8 = min(c8, uint8(base)) // the budget may have shrunk under connection growth
 	if c8 != p.oooCap {
 		p.oooCap = c8
 		p.toe.SetDynOOOCap(c8)
@@ -874,12 +458,3 @@ func (p *Plane) adaptOOO() {
 // OOOCapNow returns the adaptive controller's current per-connection
 // interval cap (0 when AdaptiveOOO is off).
 func (p *Plane) OOOCapNow() uint8 { return p.oooCap }
-
-// CWnd exposes a connection's current congestion window (tests,
-// experiments).
-func (p *Plane) CWnd(id uint32) uint32 {
-	if int(id) < len(p.ccs) && p.ccs[id].live {
-		return p.ccs[id].cwnd
-	}
-	return 0
-}

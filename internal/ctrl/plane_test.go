@@ -298,7 +298,7 @@ func TestDCTCPReactsToECN(t *testing.T) {
 	if received == 0 {
 		t.Fatal("no data delivered under DCTCP")
 	}
-	cwnd := pa.CWnd(conn.ID)
+	cwnd := pa.ccs[conn.ID].cwnd
 	if cwnd == 0 || cwnd >= 65536 {
 		t.Fatalf("DCTCP cwnd = %d; expected reduction below the buffer size", cwnd)
 	}

@@ -185,31 +185,15 @@ func gbps(bytes uint64, d sim.Time) float64 {
 // usOf converts picoseconds to microseconds.
 func usOf(ps int64) float64 { return float64(ps) / 1e6 }
 
-// serverSpec builds a server machine spec for a stack kind, assigning
-// TAS's dedicated fast-path cores out of the core budget (the paper
-// counts total server cores; "TAS runs on additional host cores" only in
-// Fig. 10's single-core app scenario).
-func serverSpec(kind testbed.StackKind, totalCores int, extraFastPath bool, seed uint64) testbed.MachineSpec {
+// serverSpec builds a server machine spec for a stack kind with
+// totalCores application cores. TAS's dedicated fast path runs on
+// additional host cores outside that budget: one, or two from 8 cores up.
+func serverSpec(kind testbed.StackKind, totalCores int, seed uint64) testbed.MachineSpec {
 	spec := testbed.MachineSpec{Name: "server", Kind: kind, Cores: totalCores, Seed: seed}
 	if kind == testbed.TAS {
-		fp := 1
+		spec.StackCores = 1
 		if totalCores >= 8 {
-			fp = 2
-		}
-		if extraFastPath {
-			// Fast path on cores outside the budget.
-			spec.StackCores = fp
-		} else {
-			if totalCores-fp < 1 {
-				fp = totalCores - 1
-			}
-			if fp < 1 {
-				fp = 1
-				spec.Cores = 1
-			} else {
-				spec.Cores = totalCores - fp
-			}
-			spec.StackCores = fp
+			spec.StackCores = 2
 		}
 	}
 	return spec

@@ -20,7 +20,7 @@ type memcachedResult struct {
 
 func memcachedRun(kind testbed.StackKind, serverCores int, clientConns int, d sim.Time, seed uint64) memcachedResult {
 	tb := testbed.New(netsim.SwitchConfig{Seed: seed},
-		serverSpec(kind, serverCores, true, seed),
+		serverSpec(kind, serverCores, seed),
 		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, Seed: seed + 1},
 		testbed.MachineSpec{Name: "client2", Kind: testbed.FlexTOE, Cores: 16, Seed: seed + 2},
 	)
@@ -126,7 +126,7 @@ func Table6(s Scale) []*Table {
 	}
 	d := s.dur(25*sim.Millisecond, 200*sim.Millisecond)
 	tb := testbed.New(netsim.SwitchConfig{Seed: 61},
-		serverSpec(testbed.TAS, 1, true, 61),
+		serverSpec(testbed.TAS, 1, 61),
 		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, Seed: 62},
 	)
 	kv := &apps.KVServer{AppCycles: 890, ValueLen: 32}
@@ -212,7 +212,7 @@ func Fig9(s Scale) []*Table {
 	for _, server := range testbed.AllStacks {
 		for _, client := range testbed.AllStacks {
 			tb := testbed.New(netsim.SwitchConfig{Seed: 91},
-				serverSpec(server, 1, true, 91),
+				serverSpec(server, 1, 91),
 				testbed.MachineSpec{Name: "client", Kind: client, Cores: 4, Seed: 92},
 			)
 			kv := &apps.KVServer{AppCycles: 890, ValueLen: 32}

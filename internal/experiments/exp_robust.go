@@ -137,7 +137,7 @@ var fig15Kinds = []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS
 // pipelined 64 B echo at the given loss rate, returning goodput (Gbps).
 func fig15SmallPoint(kind testbed.StackKind, loss float64, d sim.Time) float64 {
 	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 150},
-		serverSpec(kind, 4, true, 150),
+		serverSpec(kind, 4, 150),
 		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 8, Seed: 151},
 	)
 	srv := &apps.RPCServer{ReqSize: 64}
@@ -444,7 +444,7 @@ func fig16Point(kind testbed.StackKind, conns int, d sim.Time) (med, p1, jfi flo
 		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 8, BufSize: buf, CC: ctrl.CCDCTCP, Seed: 160},
 		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 8, BufSize: buf, CC: ctrl.CCDCTCP, Seed: 161},
 	)
-	sink := apps.NewPerConnBulkSink()
+	sink := &apps.BulkSink{}
 	sink.Serve(tb.M("server").Stack, 9000)
 	for i := 0; i < conns; i++ {
 		snd := &apps.BulkSender{}

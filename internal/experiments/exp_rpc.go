@@ -37,7 +37,7 @@ func Fig10(s Scale) []*Table {
 
 func fig10Point(kind testbed.StackKind, dir string, cycles int64, size int, d sim.Time) float64 {
 	tb := testbed.New(netsim.SwitchConfig{Seed: 10},
-		serverSpec(kind, 1, true, 10),
+		serverSpec(kind, 1, 10),
 		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, Seed: 11},
 	)
 	req, resp := size, 4
@@ -66,7 +66,7 @@ func Fig11(s Scale) []*Table {
 	for _, size := range sizes {
 		for _, kind := range testbed.AllStacks {
 			tb := testbed.New(netsim.SwitchConfig{Seed: 20},
-				serverSpec(kind, 1, true, 20),
+				serverSpec(kind, 1, 20),
 				testbed.MachineSpec{Name: "client", Kind: kind, Cores: 2, Seed: 21},
 			)
 			srv := &apps.RPCServer{ReqSize: size}
@@ -138,7 +138,7 @@ func Fig13(s Scale) []*Table {
 		cells := []string{fmt.Sprintf("%d", n)}
 		for _, kind := range []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE} {
 			tb := testbed.New(netsim.SwitchConfig{Seed: 40},
-				serverSpec(kind, 8, true, 40),
+				serverSpec(kind, 8, 40),
 				testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, BufSize: 2048, Seed: 41},
 				testbed.MachineSpec{Name: "client2", Kind: testbed.FlexTOE, Cores: 16, BufSize: 2048, Seed: 42},
 			)

@@ -67,7 +67,7 @@ func TestFabricCrossRackDelivery(t *testing.T) {
 // across every spine.
 func TestFabricECMPSpreadsFlows(t *testing.T) {
 	tb := fabricPair(testbed.FlexTOE, 2, 23)
-	sink := apps.NewPerConnBulkSink()
+	sink := &apps.BulkSink{}
 	sink.Serve(tb.M("a").Stack, 9000)
 	for i := 0; i < 16; i++ {
 		snd := &apps.BulkSender{}
