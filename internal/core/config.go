@@ -59,12 +59,6 @@ type Config struct {
 	// instead of go-back-N. Off (default) reproduces the paper's
 	// TAS-style recovery exactly.
 	EnableSACK bool
-	// AdaptiveOOO lets the control plane steer per-connection OOOCap at
-	// runtime against a fleet-wide interval budget (the control plane's
-	// oooStateBudget), using the OOOOccupancy histogram as the pressure
-	// signal. New and active connections adopt the controller's cap
-	// lazily (SetDynOOOCap); OOOIntervals remains the starting point.
-	AdaptiveOOO bool
 
 	// Platform adjustments for the x86/BlueField ports (§E). SoftwarePort
 	// marks a port on general-purpose cores: inter-stage queues cost ring

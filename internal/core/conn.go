@@ -127,9 +127,6 @@ func (t *TOE) AddConnection(flow packet.Flow, peerMAC packet.EtherAddr, iss, irs
 		fg:       uint8(fg),
 		live:     true,
 	}
-	if cap := t.dynOOOCap; cap != 0 {
-		c.Proto.OOOCap = cap
-	}
 	// Peers start with a sane default window until the first segment
 	// arrives (the handshake's window, here one full buffer).
 	c.Proto.RemoteWin = uint16(rxBuf.Size() >> tcpseg.WindowScale)
@@ -208,16 +205,6 @@ func (t *TOE) NumConnections() int { return t.nLive }
 func (t *TOE) ConnStateBytes() int {
 	return len(t.connBlks)*connBlockLen*int(unsafe.Sizeof(Conn{})) +
 		t.flowIdx.MemBytes() + cap(t.connFree)*4
-}
-
-// SetDynOOOCap programs the fleet-wide reassembly interval budget
-// (adaptive OOOCap, control-plane MMIO): new connections start at cap,
-// existing ones adopt it lazily on their next RX (0 = static config).
-func (t *TOE) SetDynOOOCap(cap uint8) {
-	if cap > tcpseg.MaxOOOIntervals {
-		cap = tcpseg.MaxOOOIntervals
-	}
-	t.dynOOOCap = cap
 }
 
 // ClearTimerHint re-enables the data-path timer kick for a connection

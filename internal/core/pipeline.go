@@ -81,10 +81,6 @@ type TOE struct {
 	// needing timer service (RTO/persist/CC); see maybeTimerKick.
 	TimerKick func(id uint32)
 
-	// dynOOOCap is the adaptive fleet-wide OOO interval budget
-	// (SetDynOOOCap); 0 means the static Config.OOOIntervals applies.
-	dynOOOCap uint8
-
 	segPool  *shm.Pool
 	descPool *shm.Pool
 
@@ -564,15 +560,9 @@ func (t *TOE) protoExec(isl *island, s *segItem) {
 // own sites and the run-to-completion ablation (mono.go) calls them in a
 // row, so the two differ only in parallelism and cost.
 
-// rxProto is the protocol step for a received segment: the connection
-// adopts the fleet-wide reassembly budget, tcpseg.ProcessRX writes res,
-// and its recovery and reassembly outcomes are counted.
+// rxProto is the protocol step for a received segment: tcpseg.ProcessRX
+// writes res, and its recovery and reassembly outcomes are counted.
 func (t *TOE) rxProto(conn *Conn, info *tcpseg.SegInfo, res *tcpseg.RXResult) {
-	// Adaptive OOOCap: adopt the fleet-wide budget lazily, on the
-	// connection's next RX (SetDynOOOCap never walks the table).
-	if cap := t.dynOOOCap; cap != 0 && conn.Proto.OOOCap != cap {
-		conn.Proto.OOOCap = cap
-	}
 	*res = tcpseg.ProcessRX(&conn.Proto, &conn.Post, info, t.tsNow())
 	if res.SACKReneged {
 		t.SACKReneges++

@@ -14,8 +14,8 @@
 // a dial, a handshake segment or expiry), the NIC state they read
 // (nicView) and the time, and call effects in the order the TOE and the
 // engine must see. Plane is the carrier: listener and pending maps, the
-// ccState slab, pooled timer carriers, the adaptive-OOO controller, and
-// the TOE and engine calls the effects stand for.
+// ccState slab, pooled timer carriers, and the TOE and engine calls the
+// effects stand for.
 //
 // Timer architecture (doc.go "Connection state budget"): there is no
 // periodic full-table scan, and no list of connections to scan — Plane
@@ -101,10 +101,6 @@ type Plane struct {
 
 	nextPort  uint16
 	PortSkips uint64 // dial source ports passed over: their 4-tuple was live
-
-	// Adaptive OOOCap controller state (core.Config.AdaptiveOOO).
-	oooCap  uint8
-	oooPrev [tcpseg.MaxOOOIntervals + 1]uint64
 }
 
 // Conn is the control plane's view of an established connection, handed
@@ -116,14 +112,6 @@ type Conn struct {
 	TxBuf *shm.PayloadBuf
 	RxBuf *shm.PayloadBuf
 }
-
-// The adaptive-OOOCap controller's interval, and the total number of
-// reassembly intervals the fleet may hold; the controller divides the
-// budget by the live connection count to derive the per-connection cap.
-const (
-	oooAdaptPeriod = 10 * sim.Millisecond
-	oooStateBudget = 1 << 14
-)
 
 // connTimer carries one armed per-connection timer through the timing
 // wheel (pooled; see Plane.arm). kind selects the step; epoch
@@ -156,15 +144,8 @@ func New(eng *sim.Engine, toe *core.TOE, cfg Config) *Plane {
 	eng.Lends(cfg.LocalIP.String()+" timers", &p.timerFree)
 	toe.ControlRx = p.handleSegment
 	toe.TimerKick = p.timerKick
-	if tc := toe.Config(); tc.AdaptiveOOO {
-		p.oooCap = max(uint8(tc.OOOIntervals), 1)
-		p.own.EveryCall(oooAdaptPeriod, oooAdaptPeriod, planeAdaptOOO, p)
-	}
 	return p
 }
-
-// planeAdaptOOO adapts the controller to the EveryCall form.
-func planeAdaptOOO(a any) bool { a.(*Plane).adaptOOO(); return true }
 
 // Listen registers an accept callback for a port.
 func (p *Plane) Listen(port uint16, accept func(*Conn)) {
@@ -416,45 +397,3 @@ func (p *Plane) sendZeroWindowProbe(c *core.Conn) {
 	p.emit(c.Flow, c.Pre.PeerMAC, packet.TCP{Seq: st.Seq - 1, Ack: st.Ack, Flags: packet.FlagACK,
 		Window: st.LocalWindow(), WScale: -1}, payload)
 }
-
-// adaptOOO is the fleet-wide OOOCap controller (core.Config.AdaptiveOOO):
-// divide the global interval budget across live connections for the
-// ceiling, grow one step when the occupancy histogram shows connections
-// saturating the current cap this window, decay one step when reordering
-// pressure disappears. Connections adopt the cap lazily on their next RX.
-func (p *Plane) adaptOOO() {
-	live := p.toe.NumConnections()
-	if live == 0 {
-		return
-	}
-	base := min(max(oooStateBudget/live, 1), tcpseg.MaxOOOIntervals)
-	hist := p.toe.OOOOccupancy
-	var pressure uint64
-	for v := 0; v <= tcpseg.MaxOOOIntervals; v++ {
-		n := hist.Bucket(v)
-		d := n - p.oooPrev[v]
-		if n < p.oooPrev[v] {
-			d = n // the histogram was Reset (post-warmup measurement)
-		}
-		if v >= int(p.oooCap) {
-			pressure += d
-		}
-		p.oooPrev[v] = n
-	}
-	c8 := p.oooCap
-	switch {
-	case pressure > 0 && int(c8) < base:
-		c8++
-	case pressure == 0 && c8 > 1:
-		c8--
-	}
-	c8 = min(c8, uint8(base)) // the budget may have shrunk under connection growth
-	if c8 != p.oooCap {
-		p.oooCap = c8
-		p.toe.SetDynOOOCap(c8)
-	}
-}
-
-// OOOCapNow returns the adaptive controller's current per-connection
-// interval cap (0 when AdaptiveOOO is off).
-func (p *Plane) OOOCapNow() uint8 { return p.oooCap }

@@ -8,7 +8,6 @@ import (
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
-	"flextoe/internal/tcpseg"
 )
 
 // buildPair wires two FlexTOE machines with control planes. bGbps <= 0
@@ -329,68 +328,5 @@ func TestTimelyProgramsRate(t *testing.T) {
 	// TIMELY programs a pacing interval into the scheduler.
 	if toeA.Sched().Interval(conn.ID) == 0 {
 		t.Fatal("TIMELY never programmed a rate interval")
-	}
-}
-
-// TestAdaptiveOOOCap pins the fleet controller (core.Config.AdaptiveOOO)
-// under oooStateBudget = 16 384 intervals. With 8 192 live connections the
-// ceiling is 2 intervals per connection: reordering pressure grows the cap
-// from 1 to 2 and no further, and a quiet window decays it to 1. With
-// 4 096 the ceiling is tcpseg.MaxOOOIntervals, reached one step per
-// window. A connection adopts the cap on its next RX segment, not before.
-func TestAdaptiveOOOCap(t *testing.T) {
-	cfg := core.AgilioCX40Config()
-	cfg.AdaptiveOOO = true
-	eng, pa, pb, toeA, toeB := buildPairCfg(t, core.AgilioCX40Config(), cfg, 1<<16)
-	var srv, cli *Conn
-	pb.Listen(80, func(c *Conn) { srv = c })
-	eng.AtCall(0, func(any) {
-		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) { cli = c })
-	}, nil)
-	eng.RunUntil(sim.Millisecond)
-	if srv == nil || cli == nil {
-		t.Fatal("handshake incomplete")
-	}
-	// An idle fleet beside the one active connection.
-	tx, rx := shm.NewPayloadBuf(4096), shm.NewPayloadBuf(4096)
-	var idle []uint32
-	for i := 0; toeB.NumConnections() < 8192; i++ {
-		flow := packet.Flow{SrcIP: packet.IP(10, 0, 0, 2), DstIP: packet.IP(172, 16, byte(i>>8), byte(i)), SrcPort: 7000, DstPort: 443}
-		idle = append(idle, pb.InstallEstablished(flow, packet.EtherAddr{}, 1, 1, tx, rx).ID)
-	}
-	// window runs to the controller's next tick, with or without
-	// connections at the current cap in the occupancy histogram.
-	window := func(pressure bool) uint8 {
-		if pressure {
-			toeB.OOOOccupancy.Record(tcpseg.MaxOOOIntervals)
-		}
-		eng.RunUntil((eng.Now()/oooAdaptPeriod + 1) * oooAdaptPeriod)
-		return pb.OOOCapNow()
-	}
-	if got := window(true); got != 2 {
-		t.Fatalf("8192 live, pressure: cap %d, want 2", got)
-	}
-	if got := srv.Core.Proto.OOOCap; got != 1 {
-		t.Fatalf("connection took cap %d before its next RX, want 1", got)
-	}
-	cli.TxBuf.WriteAt(0, []byte("x"))
-	toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: cli.ID, Bytes: 1})
-	eng.RunUntil(eng.Now() + sim.Millisecond)
-	if got := srv.Core.Proto.OOOCap; got != 2 {
-		t.Fatalf("connection cap after its next RX = %d, want 2", got)
-	}
-	if got := window(true); got != 2 {
-		t.Fatalf("8192 live, pressure at the ceiling: cap %d, want 2", got)
-	}
-	if got := window(false); got != 1 {
-		t.Fatalf("8192 live, quiet: cap %d, want 1", got)
-	}
-	for _, id := range idle[:4096] {
-		pb.Remove(id)
-	}
-	for want := uint8(2); want <= tcpseg.MaxOOOIntervals+1; want++ {
-		if got := window(true); got != min(want, tcpseg.MaxOOOIntervals) {
-			t.Fatalf("4096 live, pressure: cap %d, want %d", got, min(want, tcpseg.MaxOOOIntervals))
-		}
 	}
 }

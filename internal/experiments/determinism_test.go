@@ -7,7 +7,6 @@ import (
 	"flextoe/internal/core"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
-	"flextoe/internal/tcpseg"
 	"flextoe/internal/testbed"
 )
 
@@ -25,12 +24,9 @@ type determinismResult struct {
 }
 
 func determinismRun(seed uint64) determinismResult {
-	cfg := core.AgilioCX40Config()
-	cfg.OOOIntervals = tcpseg.MaxOOOIntervals
-	cfg.EnableSACK = true
 	tb := testbed.New(netsim.SwitchConfig{LossProb: 0.002, Seed: seed},
-		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, FlexCfg: &cfg, Seed: seed + 1},
-		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, FlexCfg: &cfg, Seed: seed + 2},
+		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, SACK: true, Seed: seed + 1},
+		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 17, SACK: true, Seed: seed + 2},
 	)
 	srv := tb.M("server")
 	cl := tb.M("client")

@@ -5,7 +5,6 @@ import (
 
 	"flextoe/internal/api"
 	"flextoe/internal/apps"
-	"flextoe/internal/core"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
@@ -89,17 +88,15 @@ func fig9Sweep(s Scale) *Table {
 	idleWin := 2 * sim.Millisecond
 	d := s.dur(3*sim.Millisecond, 20*sim.Millisecond)
 	for _, n := range counts {
-		cfg := core.AgilioCX40Config()
-		cfg.AdaptiveOOO = true
 		tb := testbed.New(netsim.SwitchConfig{Seed: 90},
-			testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 8, BufSize: 1 << 16, FlexCfg: &cfg, Seed: 90},
+			testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 8, BufSize: 1 << 16, Seed: 90},
 			testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 8, BufSize: 1 << 16, Seed: 91},
 		)
 		srv := tb.M("server")
 		installIdleFleet(srv, n)
 
-		// Idle window: nothing moves; only timer/controller maintenance
-		// events run. Before the wheel-armed timers this grew O(n).
+		// Idle window: nothing moves; only timer maintenance events run.
+		// Before the wheel-armed timers this grew O(n).
 		p0 := tb.Eng.Processed()
 		tb.Run(idleWin)
 		idlePerMs := float64(tb.Eng.Processed()-p0) / (float64(idleWin) / float64(sim.Millisecond))
@@ -113,7 +110,7 @@ func fig9Sweep(s Scale) *Table {
 
 		perConn := float64(srv.TOE.ConnStateBytes()) / float64(srv.TOE.NumConnections())
 		t.AddRow(fmt.Sprintf("%d", n), f1(perConn), f1(idlePerMs),
-			f2(mops(cl.Completed, d)), fmt.Sprintf("%d", srv.Ctrl.OOOCapNow()))
+			f2(mops(cl.Completed, d)), fmt.Sprintf("%d", srv.TOE.Config().OOOIntervals))
 	}
 	return t
 }

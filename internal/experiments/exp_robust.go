@@ -331,12 +331,9 @@ func Fig15(s Scale) []*Table {
 // rate: the FlexTOE client sends with SACK enabled, the Linux-personality
 // server receives with its 32-interval reassembly and real SACK blocks.
 func fig15CrossStackPoint(loss float64, d sim.Time) (goodputGbps, retxKB float64, sackRetx, reneges uint64) {
-	cfg := core.AgilioCX40Config()
-	cfg.OOOIntervals = tcpseg.MaxOOOIntervals
-	cfg.EnableSACK = true
 	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 159},
 		testbed.MachineSpec{Name: "server", Kind: testbed.Linux, Cores: 4, BufSize: 1 << 19, Seed: 159},
-		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, FlexCfg: &cfg, Seed: 160},
+		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, SACK: true, Seed: 160},
 	)
 	sink := &apps.BulkSink{}
 	sink.Serve(tb.M("server").Stack, 9000)
@@ -354,11 +351,9 @@ func fig15CrossStackPoint(loss float64, d sim.Time) (goodputGbps, retxKB float64
 // set is the only variable), returning goodput and the receiver TOE for
 // its reassembly counters.
 func fig15ReassemblyPoint(loss float64, intervals int, d sim.Time) (goodputGbps float64, rx *core.TOE) {
-	cfg := core.AgilioCX40Config()
-	cfg.OOOIntervals = intervals
 	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 157},
-		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, FlexCfg: &cfg, Seed: 157},
-		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, FlexCfg: &cfg, Seed: 158},
+		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, OOOCap: intervals, Seed: 157},
+		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, OOOCap: intervals, Seed: 158},
 	)
 	sink := &apps.BulkSink{}
 	sink.Serve(tb.M("server").Stack, 9000)

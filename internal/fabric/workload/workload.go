@@ -341,7 +341,6 @@ type IncastGroup struct {
 	RoundsDone    uint64
 	BytesReceived uint64
 	RoundFCT      *stats.Histogram // picoseconds
-	LastDone      sim.Time
 
 	eng        *sim.Engine // aggregator's engine (set by Serve)
 	conns      []*incastConn
@@ -443,10 +442,8 @@ func (g *IncastGroup) startRound() {
 
 func (g *IncastGroup) roundDone() {
 	g.running = false
-	now := g.eng.Now()
-	g.RoundFCT.Record(int64(now - g.roundStart))
+	g.RoundFCT.Record(int64(g.eng.Now() - g.roundStart))
 	g.RoundsDone++
-	g.LastDone = now
 	if g.Rounds == 0 || int(g.RoundsDone) < g.Rounds {
 		sim.Unowned(g.eng, "the incast barrier is the workload generator's, not a machine's").ImmediatelyCall(incastStartRound, g)
 	}
@@ -455,12 +452,11 @@ func (g *IncastGroup) roundDone() {
 // incastStartRound launches the next barrier round (see Engine.AtCall).
 func incastStartRound(a any) { a.(*IncastGroup).startRound() }
 
-// ResetMeasurement clears the group's round measurement — counts, byte
-// total, and the round-FCT histogram — without disturbing the round in
-// flight. Call it only while the simulation is quiescent (the warmup
-// boundary). Callers needing deltas against the pre-reset counts should
-// snapshot instead; this reset is the fig17-style fresh-histogram
-// boundary.
+// ResetMeasurement replaces the round-FCT histogram with an empty one,
+// without disturbing the round in flight. RoundsDone and BytesReceived
+// keep counting: a caller that wants a window's counts snapshots them at
+// the reset (scenario's incastRT does). Call it only while the simulation
+// is quiescent (the warmup boundary).
 func (g *IncastGroup) ResetMeasurement() {
 	g.RoundFCT = stats.NewHistogram()
 }

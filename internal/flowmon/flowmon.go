@@ -190,7 +190,7 @@ type Analyzer struct {
 
 	idx    *conntab.Index
 	blocks [][]flowState
-	order  []uint32 // slots in first-seen order (establishment-order readout)
+	n      uint32 // flows tracked; slots are handed out in first-seen order, never freed
 
 	// Fleet-wide statistics.
 	Pkts         uint64 // packets observed
@@ -216,13 +216,13 @@ func (a *Analyzer) at(slot uint32) *flowState {
 }
 
 // NumFlows returns the number of directed flows tracked.
-func (a *Analyzer) NumFlows() int { return len(a.order) }
+func (a *Analyzer) NumFlows() int { return int(a.n) }
 
 // MemBytes reports the flow-table footprint: slab blocks plus the
 // flow-hash index — the fixed budget a million-flow fleet analyzes in.
 func (a *Analyzer) MemBytes() int {
 	stateSize := int(unsafe.Sizeof(flowState{}))
-	return len(a.blocks)*blockSize*stateSize + a.idx.MemBytes() + len(a.order)*4
+	return len(a.blocks)*blockSize*stateSize + a.idx.MemBytes()
 }
 
 // state looks up or creates the directed-flow record of f, whose hash h
@@ -232,17 +232,17 @@ func (a *Analyzer) state(f packet.Flow, h uint32, at sim.Time) (uint32, *flowSta
 	if slot, ok := a.idx.LookupHash(f, h); ok {
 		return slot, a.at(slot)
 	}
-	if len(a.order) >= a.cfg.MaxFlows {
+	if int(a.n) >= a.cfg.MaxFlows {
 		return 0, nil
 	}
-	slot := uint32(len(a.order))
+	slot := a.n
 	if int(slot)/blockSize >= len(a.blocks) {
 		a.blocks = append(a.blocks, make([]flowState, blockSize))
 	}
 	fs := a.at(slot)
 	*fs = flowState{flow: f, firstAt: at, rttMinUs: ^uint32(0)}
 	a.idx.Insert(f, slot)
-	a.order = append(a.order, slot)
+	a.n++
 	return slot, fs
 }
 

@@ -356,7 +356,7 @@ func TestMaxFlowsBudget(t *testing.T) {
 // unlinked record to have no reverse record to link to.
 func checkPeers(t *testing.T, a *Analyzer) {
 	t.Helper()
-	for _, slot := range a.order {
+	for slot := range a.n {
 		fs := a.at(slot)
 		rslot, ok := a.idx.Lookup(fs.flow.Reverse())
 		switch {

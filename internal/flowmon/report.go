@@ -96,7 +96,7 @@ type Report struct {
 // Report snapshots the analyzer in establishment (first-seen) order.
 func (a *Analyzer) Report() *Report {
 	r := &Report{
-		Flows:        make([]FlowReport, 0, len(a.order)),
+		Flows:        make([]FlowReport, 0, a.n),
 		Pkts:         a.Pkts,
 		NonTCP:       a.NonTCP,
 		FlowsDropped: a.FlowsDropped,
@@ -105,7 +105,7 @@ func (a *Analyzer) Report() *Report {
 	}
 	r.RTTHist.Add(a.rttHist)
 	r.OOODepth.Add(a.oooDepth)
-	for _, slot := range a.order {
+	for slot := range a.n {
 		fs := a.at(slot)
 		fr := FlowReport{
 			Flow:          fs.flow,

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"flextoe/internal/apps"
-	"flextoe/internal/core"
 	"flextoe/internal/flowmon"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
@@ -163,17 +162,12 @@ func monitorConfig(kind testbed.StackKind) flowmon.Config {
 // to both NICs (nil mons = bare run), returning the testbed and the
 // bytes the sink application received.
 func play(sc Scenario, clientMon, serverMon *flowmon.Analyzer) (*testbed.Testbed, uint64) {
+	// SACK sets FlexTOE's recovery; a baseline's is fixed by its
+	// personality, which ignores the field.
 	client := testbed.MachineSpec{Name: "client", Kind: sc.Personality,
-		Cores: 4, BufSize: 1 << 19, Seed: sc.Seed + 2}
+		Cores: 4, BufSize: 1 << 19, SACK: true, Seed: sc.Seed + 2}
 	server := testbed.MachineSpec{Name: "server", Kind: sc.Personality,
-		Cores: 4, BufSize: 1 << 19, Seed: sc.Seed + 1}
-	if sc.Personality == testbed.FlexTOE {
-		cfg := core.AgilioCX40Config()
-		cfg.OOOIntervals = tcpseg.MaxOOOIntervals
-		cfg.EnableSACK = true
-		client.FlexCfg = &cfg
-		server.FlexCfg = &cfg
-	}
+		Cores: 4, BufSize: 1 << 19, SACK: true, Seed: sc.Seed + 1}
 
 	tb := testbed.New(netsim.SwitchConfig{LossProb: sc.Loss, Seed: sc.Seed}, server, client)
 	if clientMon != nil {

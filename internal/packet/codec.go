@@ -494,20 +494,3 @@ func VerifyChecksums(frame []byte) error {
 	}
 	return nil
 }
-
-// IncrementalChecksumAdjust updates an Internet checksum for a field that
-// changed from old to new (RFC 1624). The splicing module uses this to
-// patch checksums without recomputation, exactly as the NFP's CRC/checksum
-// unit would.
-func IncrementalChecksumAdjust(sum uint16, old, new uint32) uint16 {
-	// HC' = ~(~HC + ~m + m') per RFC 1624 eqn. 3, applied per 16-bit half.
-	acc := uint32(^sum) & 0xffff
-	acc += uint32(^uint16(old>>16)) & 0xffff
-	acc += uint32(^uint16(old)) & 0xffff
-	acc += uint32(uint16(new >> 16))
-	acc += uint32(uint16(new))
-	for acc>>16 != 0 {
-		acc = acc&0xffff + acc>>16
-	}
-	return ^uint16(acc)
-}

@@ -235,51 +235,6 @@ func TestECNCodepoints(t *testing.T) {
 	}
 }
 
-func TestIncrementalChecksum(t *testing.T) {
-	// Patching a field and adjusting the checksum must equal recomputing.
-	p := samplePacket()
-	frame := p.Serialize(SerializeOptions{FixLengths: true, ComputeChecksums: true})
-	q, _ := Decode(frame)
-	oldSeq := q.TCP.Seq
-	newSeq := oldSeq + 777
-	adjusted := IncrementalChecksumAdjust(q.TCP.Checksum, oldSeq, newSeq)
-
-	p2 := samplePacket()
-	p2.TCP.Seq = newSeq
-	frame2 := p2.Serialize(SerializeOptions{FixLengths: true, ComputeChecksums: true})
-	q2, _ := Decode(frame2)
-	if adjusted != q2.TCP.Checksum {
-		t.Fatalf("incremental %04x != recomputed %04x", adjusted, q2.TCP.Checksum)
-	}
-}
-
-func TestIncrementalChecksumProperty(t *testing.T) {
-	f := func(seq, delta uint32, payload []byte) bool {
-		if len(payload) > 1400 {
-			payload = payload[:1400]
-		}
-		p := samplePacket()
-		p.TCP.Seq = seq
-		p.Payload = payload
-		frame := p.Serialize(SerializeOptions{FixLengths: true, ComputeChecksums: true})
-		q, err := Decode(frame)
-		if err != nil {
-			return false
-		}
-		adjusted := IncrementalChecksumAdjust(q.TCP.Checksum, seq, seq+delta)
-		p.TCP.Seq = seq + delta
-		frame2 := p.Serialize(SerializeOptions{FixLengths: true, ComputeChecksums: true})
-		q2, err := Decode(frame2)
-		if err != nil {
-			return false
-		}
-		return adjusted == q2.TCP.Checksum
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSerializeRoundTripProperty(t *testing.T) {
 	// Property: serialize→decode recovers header fields and payload for
 	// arbitrary field values.

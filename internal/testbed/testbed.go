@@ -45,7 +45,9 @@ type MachineSpec struct {
 	NICGbps float64 // default 40 (Chelsio: 100)
 
 	// FlexTOE knobs.
-	FlexCfg *core.Config // nil = AgilioCX40Config
+	// FlexCfg is a platform or ablation preset (nil = AgilioCX40Config);
+	// recovery is chosen with SACK and OOOCap, which apply on top of it.
+	FlexCfg *core.Config
 	CC      ctrl.CCAlgo
 	// SACK enables SACK negotiation on the FlexTOE data-path (and, when
 	// OOOIntervals is unset, widens the reassembly interval set to the

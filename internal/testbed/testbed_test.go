@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"flextoe/internal/apps"
+	"flextoe/internal/baseline"
+	"flextoe/internal/ctrl"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
+	"flextoe/internal/tcpseg"
 )
 
 func runEcho(t *testing.T, kind StackKind, conns, pipeline int, msgSize int, dur sim.Time) *apps.ClosedLoopClient {
@@ -192,4 +195,60 @@ func TestFlexTOEFasterThanLinuxThroughput(t *testing.T) {
 	if tput[FlexTOE] <= tput[Chelsio] {
 		t.Errorf("FlexTOE (%d) should beat Chelsio (%d)", tput[FlexTOE], tput[Chelsio])
 	}
+}
+
+// TestRecoverySpecFields pins the one translation every recovery choice
+// goes through: MachineSpec.SACK and OOOCap into a FlexTOE machine's
+// core.Config, read back off an established connection's protocol state
+// on both ends, and OOOCap into a baseline personality's profile.
+func TestRecoverySpecFields(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		sack     bool
+		oooCap   int
+		wantCap  uint8
+		wantSACK bool
+	}{
+		{"default", false, 0, 1, false},
+		{"sack", true, 0, tcpseg.MaxOOOIntervals, true},
+		{"ooo-cap", false, 3, 3, false},
+		{"sack+ooo-cap", true, 2, 2, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := New(netsim.SwitchConfig{},
+				MachineSpec{Name: "server", Kind: FlexTOE, SACK: c.sack, OOOCap: c.oooCap, Seed: 1},
+				MachineSpec{Name: "client", Kind: FlexTOE, SACK: c.sack, OOOCap: c.oooCap, Seed: 2},
+			)
+			srv, cl := tb.M("server"), tb.M("client")
+			var ends [2]*ctrl.Conn
+			srv.Ctrl.Listen(80, func(conn *ctrl.Conn) { ends[0] = conn })
+			tb.Eng.AtCall(0, func(any) {
+				cl.Ctrl.Dial(srv.IP, srv.MAC, 80, func(conn *ctrl.Conn) { ends[1] = conn })
+			}, nil)
+			tb.Run(sim.Millisecond)
+			for i, end := range ends {
+				if end == nil {
+					t.Fatalf("end %d: handshake incomplete", i)
+				}
+				if got := end.Core.Proto.OOOCap; got != c.wantCap {
+					t.Errorf("end %d: OOOCap %d, want %d", i, got, c.wantCap)
+				}
+				if got := end.Core.Proto.SACKEnabled(); got != c.wantSACK {
+					t.Errorf("end %d: SACKEnabled %v, want %v", i, got, c.wantSACK)
+				}
+			}
+		})
+	}
+	t.Run("baseline-ooo-cap", func(t *testing.T) {
+		tb := New(netsim.SwitchConfig{},
+			MachineSpec{Name: "linux", Kind: Linux, OOOCap: 7, Seed: 1},
+			MachineSpec{Name: "tas", Kind: TAS, Seed: 2},
+		)
+		if got := tb.M("linux").Base.Profile().OOOIntervals; got != 7 {
+			t.Errorf("Linux OOOIntervals %d, want 7", got)
+		}
+		if got, want := tb.M("tas").Base.Profile().OOOIntervals, baseline.TASProfile().OOOIntervals; got != want {
+			t.Errorf("TAS OOOIntervals %d, want the profile's %d", got, want)
+		}
+	})
 }
