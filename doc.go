@@ -69,7 +69,13 @@
 //     retransmissions rebuild from the payload buffer, matching the
 //     paper's one-shot design. Release on a non-pooled &packet.Packet{}
 //     literal is a no-op, so consumers release unconditionally and
-//     control-plane/application code may keep using plain literals.
+//     control-plane/application code may keep using plain literals. The
+//     XDP hook builds no literal: a frame a program rewrote (an XDP_TX
+//     verdict, or a Pass that changed bytes) is rebuilt in a packet from
+//     the pool, its headers decoded from the program's bytes and its
+//     payload copied into a slab buffer (GrowPayload), because the hook's
+//     work buffer is recycled; examples/splicing's TestSpliceTXAllocBudget
+//     holds it to one pool loan and at most 0.01 allocations per frame.
 //
 //     A packet also carries its flow's CRC-32, forward and reversed
 //     (Packet.FlowHash/RevFlowHash), because the pre-processor hashes a
@@ -489,11 +495,11 @@
 // fabric), machines (any stack personality with its per-machine knobs),
 // workloads (five kinds: bulk, rpc, kv, flowgen, incast), injected
 // loss/reorder/duplication, seeds, duration/warmup, and a measurement
-// block (counter groups, flowmon attach points or per-rack fleets,
-// per-flow records). internal/scenario/server exposes the runner as an
-// HTTP job API (`flexbench serve`): POST a spec, follow the run as an
-// NDJSON stream of progress lines — plus per-flow records when the
-// measure block sets per_flow — and fetch the canonical result. The
+// block (flowmon attach points or per-rack fleets, per-flow records; the
+// counters are always reported). internal/scenario/server exposes the
+// runner as an HTTP job API (`flexbench serve`): POST a spec, follow the
+// run as an NDJSON stream of progress lines — plus per-flow records when
+// the measure block sets per_flow — and fetch the canonical result. The
 // contract has three clauses:
 //
 //   - Strict validation, then exact construction. Parse rejects unknown

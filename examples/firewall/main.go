@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"flextoe/internal/apps"
 	"flextoe/internal/netsim"
@@ -18,6 +20,11 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Stdout))
+}
+
+// run is the testable entry point; it returns the process exit code.
+func run(stdout io.Writer) int {
 	tb := testbed.New(netsim.SwitchConfig{},
 		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 2, Seed: 1},
 		testbed.MachineSpec{Name: "good", Kind: testbed.FlexTOE, Cores: 2, Seed: 2},
@@ -30,12 +37,18 @@ func main() {
 	fw.Block(uint32(tb.M("evil").IP))
 	server.TOE.AttachXDP(fw)
 
-	// tcpdump: capture SYNs and data to port 7777 into a pcap file.
-	f, err := os.CreateTemp("", "flextoe-*.pcap")
+	// tcpdump: capture SYNs and data to port 7777 into a pcap file in a
+	// directory of its own, removed on return.
+	dir, err := os.MkdirTemp("", "flextoe-firewall-")
 	if err != nil {
 		panic(err)
 	}
-	defer os.Remove(f.Name())
+	defer os.RemoveAll(dir)
+	f, err := os.Create(filepath.Join(dir, "firewall.pcap"))
+	if err != nil {
+		panic(err)
+	}
+	defer f.Close()
 	w, err := pcap.NewWriter(f)
 	if err != nil {
 		panic(err)
@@ -58,10 +71,10 @@ func main() {
 
 	tb.Run(20 * sim.Millisecond)
 
-	fmt.Printf("good client completed: %d RPCs\n", good.Completed)
-	fmt.Printf("evil client completed: %d RPCs (blackholed at the firewall)\n", evilClient.Completed)
-	fmt.Printf("firewall drops:        %d packets\n", fw.Dropped)
-	fmt.Printf("pcap capture:          %d packets -> %s\n", w.Packets, f.Name())
+	fmt.Fprintf(stdout, "good client completed: %d RPCs\n", good.Completed)
+	fmt.Fprintf(stdout, "evil client completed: %d RPCs (blackholed at the firewall)\n", evilClient.Completed)
+	fmt.Fprintf(stdout, "firewall drops:        %d packets\n", fw.Dropped)
+	fmt.Fprintf(stdout, "pcap capture:          %d packets -> %s\n", w.Packets, f.Name())
 
 	// Read the capture back and verify every packet passes the filter.
 	if _, err := f.Seek(0, 0); err != nil {
@@ -79,9 +92,26 @@ func main() {
 		}
 		p, err := packet.Decode(rec.Data)
 		if err != nil || !filter.Match(p) {
-			panic("capture contains non-matching packet")
+			fmt.Fprintf(stdout, "capture record %d does not decode or match the filter\n", n)
+			return 1
 		}
 		n++
 	}
-	fmt.Printf("capture verified:      %d records decode and match the filter\n", n)
+	if n != int(w.Packets) {
+		fmt.Fprintf(stdout, "capture holds %d records, %d written\n", n, w.Packets)
+		return 1
+	}
+	fmt.Fprintf(stdout, "capture verified:      %d records decode and match the filter\n", n)
+
+	// Stop the load and let the testbed go quiet: every pooled object
+	// must be back, the firewall's dropped packets among them.
+	good.Stop()
+	evilClient.Stop()
+	tb.Run(tb.Eng.Now() + sim.Second)
+	if err := tb.Eng.Unreturned(); err != nil {
+		fmt.Fprintln(stdout, err)
+		return 1
+	}
+	fmt.Fprintln(stdout, "pools: every loan returned")
+	return 0
 }

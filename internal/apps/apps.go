@@ -443,25 +443,6 @@ const (
 	KVSet byte = 2
 )
 
-// KVRequestSize returns the wire size of a request.
-func KVRequestSize(op byte, keyLen, valLen int) int {
-	if op == KVSet {
-		return 4 + keyLen + valLen
-	}
-	return 4 + keyLen
-}
-
-// KVEncodeRequest builds a request frame: [op][keyLen][valLen:2][key][val].
-func KVEncodeRequest(op byte, key, val []byte) []byte {
-	buf := make([]byte, 4+len(key)+len(val))
-	buf[0] = op
-	buf[1] = byte(len(key))
-	binary.BigEndian.PutUint16(buf[2:4], uint16(len(val)))
-	copy(buf[4:], key)
-	copy(buf[4+len(key):], val)
-	return buf
-}
-
 // KVServer is the memcached-like store. Its work is charged as AppCycles;
 // its memory is the records it holds. A SET copies the key and value into
 // an append-only record arena (kvStore: 64 KiB byte blocks and an

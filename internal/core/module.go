@@ -9,15 +9,11 @@ import (
 	"flextoe/internal/xdp"
 )
 
-// Module is a data-path extension inserted at the XDP ingress hook
-// (§3.3). Modules keep private state (closure or eBPF maps), operate
-// one-shot on raw segments, and forward computed metadata by mutating the
-// packet; FlexTOE re-sequences segments after parallel module stages
-// automatically (modules run before ticket assignment, so ordering is
-// preserved by construction).
-type Module = xdp.Program
-
-// AttachXDP appends a program to the ingress chain. Programs run in
+// AttachXDP appends a program to the ingress chain, the data-path
+// extension hook of §3.3. Programs keep private state (closure or eBPF
+// maps), operate one-shot on raw segments, and forward computed metadata
+// by mutating the packet; they run before ticket assignment, so the
+// pipeline's ordering is preserved by construction. Programs run in
 // attach order on the islands' idle FPCs; each charges its executed
 // instruction count to the data-path. Attaching requires no reboot
 // (§5.1: "Customizing FlexTOE is simple and does not require a system
@@ -38,17 +34,6 @@ func (t *TOE) AttachXDP(p xdp.Program) {
 		}
 		t.xdpSt = t.newStage("xdp", n, trace.TPQPre, t.xdpTask, t.xdpDone)
 	}
-}
-
-// DetachXDP removes a program by name.
-func (t *TOE) DetachXDP(name string) bool {
-	for i, p := range t.xdpProgs {
-		if p.Name() == name {
-			t.xdpProgs = append(t.xdpProgs[:i], t.xdpProgs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // xdpWork carries the raw segment bytes and the verdict through the XDP
@@ -137,37 +122,43 @@ func (t *TOE) xdpDone(s *segItem) {
 	case xdp.TX:
 		t.XDPTx++
 		packet.Release(pkt) // the rewritten bytes replace the original
-		out, err := packet.Decode(w.data)
-		if err != nil {
+		out := t.xdpRebuild(w.data)
+		if out == nil {
 			t.XDPDrops++
 			break
 		}
-		// FlexTOE updates the checksum of modified segments (§3.3).
-		reser := out.Serialize(packet.SerializeOptions{FixLengths: true, ComputeChecksums: true})
-		final, err := packet.Decode(reser)
-		if err != nil {
-			t.XDPDrops++
-			break
-		}
-		final.TCP.Checksum = 0
-		t.sendFrame(final)
+		// FlexTOE updates the checksum of modified segments (§3.3): the
+		// program's stale value is cleared, and every serializer on the
+		// way out fixes lengths and computes checksums.
+		out.TCP.Checksum = 0
+		t.sendFrame(out)
 	case xdp.Redirect:
 		t.XDPRedirects++
 		t.toControl(pkt)
 	default: // Pass
 		if w.mutated {
-			// Re-decode from a fresh copy: the work's buffer is recycled,
-			// so the new packet must not alias it.
-			out, err := packet.Decode(append([]byte(nil), w.data...))
-			if err != nil {
+			packet.Release(pkt)
+			if pkt = t.xdpRebuild(w.data); pkt == nil {
 				t.XDPDrops++
-				packet.Release(pkt)
 				break
 			}
-			packet.Release(pkt)
-			pkt = out
 		}
 		t.rxToPre(pkt)
 	}
 	t.putXDPWork(w)
+}
+
+// xdpRebuild turns a program's rewritten frame into a packet from the
+// engine's pool: its headers decoded from data, its payload copied into
+// the packet's own slab buffer, because data is the work's recycled
+// buffer. It returns nil if the bytes no longer decode.
+func (t *TOE) xdpRebuild(data []byte) *packet.Packet {
+	out := t.pkts.Get()
+	if err := out.DecodeInto(data); err != nil {
+		packet.Release(out)
+		return nil
+	}
+	src := out.Payload
+	copy(out.GrowPayload(len(src)), src)
+	return out
 }

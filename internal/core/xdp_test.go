@@ -18,7 +18,7 @@ import (
 
 func TestXDPDropBlackholesTraffic(t *testing.T) {
 	p := defaultPair(t, 32768)
-	dropAll := &xdp.Func{ProgName: "drop-all", Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }}
+	dropAll := &xdp.Func{Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }}
 	p.toeB.AttachXDP(dropAll)
 	p.eng.AtCall(0, func(any) { p.a.send(testData(5000)) }, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
@@ -49,7 +49,7 @@ func TestXDPRedirectGoesToControlPlane(t *testing.T) {
 	p := defaultPair(t, 32768)
 	redirected := 0
 	p.toeB.ControlRx = func(pkt *packet.Packet) { redirected++ }
-	redirect := &xdp.Func{ProgName: "to-ctrl", Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Redirect }}
+	redirect := &xdp.Func{Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Redirect }}
 	p.toeB.AttachXDP(redirect)
 	p.eng.AtCall(0, func(any) { p.a.send(testData(100)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
@@ -74,41 +74,25 @@ func TestAttachXDPRunToCompletionPanics(t *testing.T) {
 	p.toeB.AttachXDP(xdp.Null())
 }
 
-func TestXDPDetach(t *testing.T) {
-	p := defaultPair(t, 32768)
-	drop := &xdp.Func{ProgName: "drop-all", Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }}
-	p.toeB.AttachXDP(drop)
-	if !p.toeB.DetachXDP("drop-all") {
-		t.Fatal("detach failed")
-	}
-	if p.toeB.DetachXDP("drop-all") {
-		t.Fatal("double detach succeeded")
-	}
-	data := testData(3000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
-	p.eng.RunUntil(10 * sim.Millisecond)
-	if !bytes.Equal(p.b.got, data) {
-		t.Fatal("traffic still blocked after detach")
-	}
-}
-
 func TestXDPMutationReachesProtocol(t *testing.T) {
 	// A program that rewrites the TOS field: the mutated packet must be
 	// re-decoded and processed (CE mark visible to the receiver's ECN
-	// feedback).
+	// feedback). The transfer is long enough that the hook reuses its
+	// work buffers while earlier rebuilt segments are still in flight,
+	// so a rebuilt payload that aliased them would deliver wrong bytes.
 	p := defaultPair(t, 32768)
-	marker := &xdp.Func{ProgName: "ce-mark", Instr: 12, F: func(ctx *xdp.Context) xdp.Verdict {
+	marker := &xdp.Func{Instr: 12, F: func(ctx *xdp.Context) xdp.Verdict {
 		if len(ctx.Data) > 15 {
 			ctx.Data[15] |= 0x03 // set CE in the TOS byte
 		}
 		return xdp.Pass
 	}}
 	p.toeB.AttachXDP(marker)
-	data := testData(2000)
+	data := testData(200000)
 	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
-	p.eng.RunUntil(10 * sim.Millisecond)
+	p.eng.RunUntil(30 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
-		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
+		t.Fatalf("delivered %d of %d bytes, or wrong bytes", len(p.b.got), len(data))
 	}
 	// Sender must have observed ECE-marked acks (CE echoed by B).
 	if p.a.conn.Post.CntECNB == 0 {
@@ -129,7 +113,7 @@ func TestEBPFProgramInPipeline(t *testing.T) {
 		Label("drop").
 		MovImm(ebpf.R0, ebpf.XDPDrop).
 		Exit().MustProgram()
-	xp, err := ebpf.LoadXDP("port-filter", vm, prog)
+	xp, err := ebpf.LoadXDP(vm, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +132,8 @@ func TestXDPChainShortCircuits(t *testing.T) {
 	// First program drops; second must never run.
 	p := defaultPair(t, 32768)
 	secondRan := false
-	p.toeB.AttachXDP(&xdp.Func{ProgName: "first", Instr: 5, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }})
-	p.toeB.AttachXDP(&xdp.Func{ProgName: "second", Instr: 5, F: func(*xdp.Context) xdp.Verdict {
+	p.toeB.AttachXDP(&xdp.Func{Instr: 5, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }})
+	p.toeB.AttachXDP(&xdp.Func{Instr: 5, F: func(*xdp.Context) xdp.Verdict {
 		secondRan = true
 		return xdp.Pass
 	}})

@@ -181,27 +181,6 @@ func TestVerifierRejects(t *testing.T) {
 	}
 }
 
-func TestArrayMap(t *testing.T) {
-	m := NewArrayMap("counters", 8, 4)
-	key := make([]byte, 4) // index 0
-	v, ok := m.Lookup(key)
-	if !ok || len(v) != 8 {
-		t.Fatal("lookup of preallocated slot failed")
-	}
-	if err := m.Update(key, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = m.Lookup(key)
-	if v[0] != 1 || v[7] != 8 {
-		t.Fatalf("value = %v", v)
-	}
-	// Out-of-range index.
-	bad := []byte{10, 0, 0, 0}
-	if _, ok := m.Lookup(bad); ok {
-		t.Fatal("out-of-range lookup succeeded")
-	}
-}
-
 func TestHashMapCapacityAndDelete(t *testing.T) {
 	m := NewHashMap("tbl", 4, 4, 2)
 	if err := m.Update([]byte{1, 0, 0, 0}, []byte{1, 1, 1, 1}); err != nil {
@@ -290,7 +269,7 @@ func TestSpliceProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xp, err := LoadXDP("splice", vm, prog)
+	xp, err := LoadXDP(vm, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +389,7 @@ func TestXDPAdapterFaultDrops(t *testing.T) {
 	prog := NewAsm().
 		LoadMem(R0, R1, 1000, SizeW). // out of bounds
 		Exit().MustProgram()
-	xp, err := LoadXDP("faulty", vm, prog)
+	xp, err := LoadXDP(vm, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ func encodeFuzzInput(prog []Insn, pkt []byte) []byte {
 }
 
 // fuzzVM returns a VM whose map 1 is a splice table holding the entry for
-// 10.0.0.1:5000 -> 10.0.0.2:80 and whose map 2 is a 4-slot array, with a
-// clock and a trace sink, so every helper has something to reach.
+// 10.0.0.1:5000 -> 10.0.0.2:80 and whose map 2 is an empty 4-entry hash
+// map with 4-byte keys and 8-byte values, so every map helper has
+// something to reach.
 func fuzzVM() *VM {
 	vm := NewVM()
 	tbl := NewSpliceTable()
@@ -57,9 +58,7 @@ func fuzzVM() *VM {
 		panic(err)
 	}
 	vm.RegisterMap(tbl)
-	vm.RegisterMap(NewArrayMap("fuzz_arr", 8, 4))
-	vm.Clock = func() uint64 { return 1 }
-	vm.Trace = func(int64) {}
+	vm.RegisterMap(NewHashMap("fuzz_hash", 4, 8, 4))
 	return vm
 }
 

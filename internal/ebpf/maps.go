@@ -1,95 +1,11 @@
 package ebpf
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// Map is a BPF map: fixed-size keys and values, shared between data-path
-// programs and the control plane, with atomic updates (§3.3: "XDP modules
-// may use BPF maps ... which may be modified by the control-plane").
-type Map interface {
-	Name() string
-	KeySize() int
-	ValueSize() int
-	Lookup(key []byte) ([]byte, bool)
-	Update(key, value []byte) error
-	Delete(key []byte) bool
-	Len() int
-}
-
-// ArrayMap is BPF_MAP_TYPE_ARRAY: preallocated, zero-initialized, indexed
-// by a little-endian uint32 key.
-type ArrayMap struct {
-	name      string
-	valueSize int
-	entries   [][]byte
-}
-
-// NewArrayMap builds an array map with maxEntries slots.
-func NewArrayMap(name string, valueSize, maxEntries int) *ArrayMap {
-	m := &ArrayMap{name: name, valueSize: valueSize, entries: make([][]byte, maxEntries)}
-	for i := range m.entries {
-		m.entries[i] = make([]byte, valueSize)
-	}
-	return m
-}
-
-// Name returns the map name.
-func (m *ArrayMap) Name() string { return m.name }
-
-// KeySize is always 4 for array maps.
-func (m *ArrayMap) KeySize() int { return 4 }
-
-// ValueSize returns the value size.
-func (m *ArrayMap) ValueSize() int { return m.valueSize }
-
-// Len returns the number of slots.
-func (m *ArrayMap) Len() int { return len(m.entries) }
-
-func (m *ArrayMap) index(key []byte) (int, bool) {
-	if len(key) < 4 {
-		return 0, false
-	}
-	idx := int(binary.LittleEndian.Uint32(key))
-	if idx < 0 || idx >= len(m.entries) {
-		return 0, false
-	}
-	return idx, true
-}
-
-// Lookup returns the value slot for key.
-func (m *ArrayMap) Lookup(key []byte) ([]byte, bool) {
-	idx, ok := m.index(key)
-	if !ok {
-		return nil, false
-	}
-	return m.entries[idx], true
-}
-
-// Update overwrites the slot for key.
-func (m *ArrayMap) Update(key, value []byte) error {
-	idx, ok := m.index(key)
-	if !ok {
-		return fmt.Errorf("ebpf: array index out of range")
-	}
-	copy(m.entries[idx], value)
-	return nil
-}
-
-// Delete zeroes the slot (array entries cannot be removed).
-func (m *ArrayMap) Delete(key []byte) bool {
-	idx, ok := m.index(key)
-	if !ok {
-		return false
-	}
-	for i := range m.entries[idx] {
-		m.entries[idx][i] = 0
-	}
-	return true
-}
-
-// HashMap is BPF_MAP_TYPE_HASH with byte-string keys.
+// HashMap is a BPF map (BPF_MAP_TYPE_HASH with byte-string keys):
+// fixed-size keys and values, shared between data-path programs and the
+// control plane, with atomic updates (§3.3: "XDP modules may use BPF maps
+// ... which may be modified by the control-plane").
 type HashMap struct {
 	name       string
 	keySize    int
@@ -105,15 +21,6 @@ func NewHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
 		maxEntries: maxEntries, m: make(map[string][]byte),
 	}
 }
-
-// Name returns the map name.
-func (m *HashMap) Name() string { return m.name }
-
-// KeySize returns the key size.
-func (m *HashMap) KeySize() int { return m.keySize }
-
-// ValueSize returns the value size.
-func (m *HashMap) ValueSize() int { return m.valueSize }
 
 // Len returns the live entry count.
 func (m *HashMap) Len() int { return len(m.m) }

@@ -44,9 +44,7 @@ var (
 
 // VM executes eBPF programs against packet memory and registered maps.
 type VM struct {
-	maps  []Map
-	Clock func() uint64  // ktime source; nil = 0
-	Trace func(id int64) // trace helper sink
+	maps []*HashMap
 }
 
 // NewVM returns an empty VM.
@@ -54,7 +52,7 @@ func NewVM() *VM { return &VM{} }
 
 // RegisterMap registers a map and returns its descriptor (used as the
 // first argument to map helpers).
-func (v *VM) RegisterMap(m Map) int32 {
+func (v *VM) RegisterMap(m *HashMap) int32 {
 	v.maps = append(v.maps, m)
 	return int32(len(v.maps))
 }
@@ -340,7 +338,7 @@ func (v *VM) call(id int32, regs *[NumRegs]uint64, mem *memory, scratchUsed *int
 		if err != nil {
 			return err
 		}
-		key, err := mem.slice(regs[R2], m.KeySize())
+		key, err := mem.slice(regs[R2], m.keySize)
 		if err != nil {
 			return err
 		}
@@ -362,11 +360,11 @@ func (v *VM) call(id int32, regs *[NumRegs]uint64, mem *memory, scratchUsed *int
 		if err != nil {
 			return err
 		}
-		key, err := mem.slice(regs[R2], m.KeySize())
+		key, err := mem.slice(regs[R2], m.keySize)
 		if err != nil {
 			return err
 		}
-		val, err := mem.slice(regs[R3], m.ValueSize())
+		val, err := mem.slice(regs[R3], m.valueSize)
 		if err != nil {
 			return err
 		}
@@ -380,7 +378,7 @@ func (v *VM) call(id int32, regs *[NumRegs]uint64, mem *memory, scratchUsed *int
 		if err != nil {
 			return err
 		}
-		key, err := mem.slice(regs[R2], m.KeySize())
+		key, err := mem.slice(regs[R2], m.keySize)
 		if err != nil {
 			return err
 		}
@@ -389,16 +387,9 @@ func (v *VM) call(id int32, regs *[NumRegs]uint64, mem *memory, scratchUsed *int
 		} else {
 			regs[R0] = ^uint64(0)
 		}
-	case HelperKtime:
-		if v.Clock != nil {
-			regs[R0] = v.Clock()
-		} else {
-			regs[R0] = 0
-		}
-	case HelperTrace:
-		if v.Trace != nil {
-			v.Trace(int64(regs[R1]))
-		}
+	case HelperKtime, HelperTrace:
+		// The simulated NIC has no ktime source and no trace sink: ktime
+		// reads 0 and a trace call does nothing.
 		regs[R0] = 0
 	case HelperCsumDiff:
 		// csum_diff(old, new) — returns the RFC 1624 adjustment input;
@@ -410,7 +401,7 @@ func (v *VM) call(id int32, regs *[NumRegs]uint64, mem *memory, scratchUsed *int
 	return nil
 }
 
-func (v *VM) mapOf(fd uint64) (Map, error) {
+func (v *VM) mapOf(fd uint64) (*HashMap, error) {
 	idx := int(fd) - 1
 	if idx < 0 || idx >= len(v.maps) {
 		return nil, ErrBadMap

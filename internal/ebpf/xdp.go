@@ -11,21 +11,17 @@ import (
 // data-path charges as FPC cycles (eBPF compiles roughly 1:1 to NFP
 // assembly, §5.1).
 type XDPProgram struct {
-	name string
 	vm   *VM
 	prog []Insn
 }
 
 // LoadXDP verifies prog and wraps it for attachment.
-func LoadXDP(name string, vm *VM, prog []Insn) (*XDPProgram, error) {
+func LoadXDP(vm *VM, prog []Insn) (*XDPProgram, error) {
 	if err := vm.Verify(prog); err != nil {
 		return nil, err
 	}
-	return &XDPProgram{name: name, vm: vm, prog: prog}, nil
+	return &XDPProgram{vm: vm, prog: prog}, nil
 }
-
-// Name returns the program name.
-func (p *XDPProgram) Name() string { return p.name }
 
 // Run executes the program on the raw frame.
 func (p *XDPProgram) Run(ctx *xdp.Context) (xdp.Verdict, int64) {

@@ -94,7 +94,7 @@ func spliceRate(s Scale) float64 {
 	if err != nil {
 		panic(err)
 	}
-	xp, err := ebpf.LoadXDP("splice", vm, prog)
+	xp, err := ebpf.LoadXDP(vm, prog)
 	if err != nil {
 		panic(err)
 	}

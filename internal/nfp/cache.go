@@ -100,21 +100,6 @@ func (c *Cache) Contains(key uint64) bool {
 	return false
 }
 
-// Invalidate removes key if present.
-func (c *Cache) Invalidate(key uint64) {
-	k := key + 1
-	base := int(key&c.mask) * c.ways
-	if base+c.ways > len(c.tags) {
-		return // never touched: empty
-	}
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == k {
-			c.tags[i] = 0
-			c.age[i] = 0
-		}
-	}
-}
-
 // StateCache models the protocol stage's multi-level connection-state
 // caching (§4.1): a 16-entry fully associative CAM in FPC local memory, a
 // 512-entry direct-mapped second level in the island's CLS, the EMEM SRAM

@@ -191,15 +191,6 @@ func TestCacheHitRate(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(8, 2)
-	c.Access(3)
-	c.Invalidate(3)
-	if c.Contains(3) {
-		t.Fatal("entry survives invalidate")
-	}
-}
-
 func TestCachePropertyInstallAfterMiss(t *testing.T) {
 	// Property: immediately after any access, the key is present.
 	f := func(keys []uint64) bool {

@@ -527,20 +527,6 @@ func (b *Built) resetAtWarmBoundary() {
 	}
 }
 
-// wantCounters reports whether a counter group is selected (empty
-// selection = everything applicable).
-func (s *Spec) wantCounters(group string) bool {
-	if len(s.Measure.Counters) == 0 {
-		return true
-	}
-	for _, c := range s.Measure.Counters {
-		if c == group {
-			return true
-		}
-	}
-	return false
-}
-
 func (b *Built) readout() *Result {
 	s := b.Spec
 	cores := s.Cores
@@ -554,41 +540,37 @@ func (b *Built) readout() *Result {
 		DurationUs: s.DurationUs,
 		WarmupUs:   s.WarmupUs,
 	}
-	if s.wantCounters("stack") {
-		for i := range s.Machines {
-			m := &s.Machines[i]
-			cur := machineCounters(b.TB.M(m.Name))
-			base := b.machBase[i]
-			r.Machines = append(r.Machines, MachineResult{
-				Name:        m.Name,
-				Stack:       m.Stack,
-				RxSegs:      cur.rxSegs - base.rxSegs,
-				TxSegs:      cur.txSegs - base.txSegs,
-				RetxSegs:    cur.retxSegs - base.retxSegs,
-				RetxBytes:   cur.retxBytes - base.retxBytes,
-				DupAcks:     cur.dupAcks - base.dupAcks,
-				OOOAccepted: cur.oooAcc - base.oooAcc,
-				OOODropped:  cur.oooDrop - base.oooDrop,
-			})
-		}
+	for i := range s.Machines {
+		m := &s.Machines[i]
+		cur := machineCounters(b.TB.M(m.Name))
+		base := b.machBase[i]
+		r.Machines = append(r.Machines, MachineResult{
+			Name:        m.Name,
+			Stack:       m.Stack,
+			RxSegs:      cur.rxSegs - base.rxSegs,
+			TxSegs:      cur.txSegs - base.txSegs,
+			RetxSegs:    cur.retxSegs - base.retxSegs,
+			RetxBytes:   cur.retxBytes - base.retxBytes,
+			DupAcks:     cur.dupAcks - base.dupAcks,
+			OOOAccepted: cur.oooAcc - base.oooAcc,
+			OOODropped:  cur.oooDrop - base.oooDrop,
+		})
 	}
 	if b.TB.Fabric != nil {
-		if s.wantCounters("fabric") {
-			cur := fabricCountersOf(b.TB.Fabric)
-			fr := &FabricResult{
-				LeafECNMarks:         cur.leafMarks - b.fabBase.leafMarks,
-				SpineECNMarks:        cur.spineMarks - b.fabBase.spineMarks,
-				Drops:                cur.drops - b.fabBase.drops,
-				PeakLeafQueueBytes:   b.TB.Fabric.PeakLeafQueueBytes(),
-				PeakUplinkQueueBytes: b.TB.Fabric.PeakUplinkQueueBytes(),
-				SpineTxBytes:         make([]uint64, len(cur.spineTx)),
-			}
-			for i, v := range cur.spineTx {
-				fr.SpineTxBytes[i] = v - b.fabBase.spineTx[i]
-			}
-			r.Fabric = fr
+		cur := fabricCountersOf(b.TB.Fabric)
+		fr := &FabricResult{
+			LeafECNMarks:         cur.leafMarks - b.fabBase.leafMarks,
+			SpineECNMarks:        cur.spineMarks - b.fabBase.spineMarks,
+			Drops:                cur.drops - b.fabBase.drops,
+			PeakLeafQueueBytes:   b.TB.Fabric.PeakLeafQueueBytes(),
+			PeakUplinkQueueBytes: b.TB.Fabric.PeakUplinkQueueBytes(),
+			SpineTxBytes:         make([]uint64, len(cur.spineTx)),
 		}
-	} else if s.wantCounters("switch") {
+		for i, v := range cur.spineTx {
+			fr.SpineTxBytes[i] = v - b.fabBase.spineTx[i]
+		}
+		r.Fabric = fr
+	} else {
 		cur := switchCountersOf(b.TB.Net.Switch)
 		r.Switch = &SwitchResult{
 			Forwarded:   cur.forwarded - b.swBase.forwarded,

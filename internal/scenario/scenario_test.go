@@ -93,6 +93,7 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"fleets plus flowmon", strings.Replace(incastSpec(), `"per_rack_fleets": true`, `"per_rack_fleets": true, "flowmon": [{"machine": "agg"}]`, 1), "excludes explicit flowmon"},
 		{"removed background kind", strings.Replace(base, `"kind": "bulk"`, `"kind": "background"`, 1), "unknown kind"},
 		{"removed timeline key", strings.Replace(base, `[{"machine": "client"}]`, `[{"machine": "client", "timeline_bins": 4}]`, 1), "unknown field"},
+		{"removed counters key", strings.Replace(base, `"per_flow": true`, `"per_flow": true, "counters": ["stack"]`, 1), "unknown field"},
 		{"one dial too many", strings.Replace(base, `"conns": 4`, `"conns": 65536`, 1), `machine "client" dials more than 65535`},
 		{"dials summed over workloads", strings.Replace(base, `"conns": 4}}`, `"conns": 40000}}, `+rpc30000, 1), `machine "client" dials more than 65535`},
 		{"rpc conns per listed client", strings.Replace(base, `"kind": "bulk", "bulk": {"server": "server", "port": 9000, "clients": ["client"], "conns": 4}`,

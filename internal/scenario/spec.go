@@ -220,12 +220,9 @@ type IncastWorkload struct {
 }
 
 // Measure selects what the Result reports beyond the always-present
-// workload readouts.
+// workload readouts and counters (every machine's stack counters, plus
+// the single switch's or the fabric's).
 type Measure struct {
-	// Counters selects counter groups: "stack" (per-machine TCP
-	// counters), "switch" (single-switch drop/mark counters), "fabric"
-	// (per-tier fabric counters). Empty = all applicable.
-	Counters []string `json:"counters,omitempty"`
 	// Flowmon attaches a passive analyzer to each named machine's NIC.
 	Flowmon []FlowmonAttach `json:"flowmon,omitempty"`
 	// PerRackFleets attaches one flowmon Fleet per rack (every host NIC
@@ -466,19 +463,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	for _, c := range s.Measure.Counters {
-		switch c {
-		case "stack", "switch", "fabric":
-		default:
-			return errf("measure.counters: unknown group %q", c)
-		}
-		if c == "switch" && s.Topology.Kind != TopoTestbed {
-			return errf("measure.counters: %q requires a testbed topology", c)
-		}
-		if c == "fabric" && s.Topology.Kind != TopoFabric {
-			return errf("measure.counters: %q requires a fabric topology", c)
-		}
-	}
 	for i := range s.Measure.Flowmon {
 		fa := &s.Measure.Flowmon[i]
 		if s.machineIndex(fa.Machine) < 0 {

@@ -69,9 +69,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Split returns a new RNG deterministically derived from this one,
-// useful to give each simulated entity an independent stream.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -243,21 +243,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(99)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams correlated: %d/100", same)
-	}
-}
-
 func TestLinearHist(t *testing.T) {
 	h := NewLinearHist(4)
 	if h.Count() != 0 || h.Mean() != 0 || h.MaxSeen() != 0 {

@@ -12,8 +12,7 @@ import (
 // "XDP (vlan-strip)" row). Untagged packets pass untouched.
 func VLANStrip() Program {
 	return &Func{
-		ProgName: "vlan-strip",
-		Instr:    31,
+		Instr: 31,
 		F: func(ctx *Context) Verdict {
 			d := ctx.Data
 			if len(d) < 18 {
@@ -50,9 +49,6 @@ func (f *Firewall) Block(ip uint32) { f.blocked[ip] = true }
 
 // Unblock removes an address.
 func (f *Firewall) Unblock(ip uint32) { delete(f.blocked, ip) }
-
-// Name returns "firewall".
-func (f *Firewall) Name() string { return "firewall" }
 
 // Run checks the source address against the blacklist.
 func (f *Firewall) Run(ctx *Context) (Verdict, int64) {
@@ -91,9 +87,6 @@ type FlowCount struct {
 func NewFlowClassifier() *FlowClassifier {
 	return &FlowClassifier{counts: make(map[fcKey]*FlowCount)}
 }
-
-// Name returns "flow-classifier".
-func (c *FlowClassifier) Name() string { return "flow-classifier" }
 
 // Run updates the flow's counters and passes the packet.
 func (c *FlowClassifier) Run(ctx *Context) (Verdict, int64) {

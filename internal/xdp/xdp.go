@@ -44,20 +44,15 @@ type Context struct {
 // them as FPC cycles; eBPF programs count dynamically, native programs
 // estimate statically).
 type Program interface {
-	Name() string
 	Run(ctx *Context) (Verdict, int64)
 }
 
 // Func adapts a plain function (with a fixed instruction estimate) to the
 // Program interface — the "C module" flavour of the paper's API.
 type Func struct {
-	ProgName string
-	Instr    int64
-	F        func(ctx *Context) Verdict
+	Instr int64
+	F     func(ctx *Context) Verdict
 }
-
-// Name returns the program name.
-func (f *Func) Name() string { return f.ProgName }
 
 // Run invokes the function.
 func (f *Func) Run(ctx *Context) (Verdict, int64) {
@@ -67,5 +62,5 @@ func (f *Func) Run(ctx *Context) (Verdict, int64) {
 // Null is the no-op program used by Table 2's "XDP (null)" row: it passes
 // every packet untouched, costing only the hook overhead.
 func Null() Program {
-	return &Func{ProgName: "null", Instr: 24, F: func(*Context) Verdict { return Pass }}
+	return &Func{Instr: 24, F: func(*Context) Verdict { return Pass }}
 }
