@@ -13,23 +13,26 @@
 // FlexTOE's real data path never allocates (§3.1). Four object classes
 // are pooled, each with a single ownership rule:
 //
-//   - Events (internal/sim): the engine is a sliding two-level timing
-//     wheel. Time is cut into 33.5 us blocks; a near wheel of 65.5 ns
+//   - Events (internal/sim): the engine is two structures, both timing
+//     wheels. Time is cut into 33.5 us blocks; a near wheel of 65.5 ns
 //     buckets always holds the clock's block and the next, sliding a
 //     block at a time with the clock, so an event due soon lands in a
 //     bucket wherever in its block the clock stands. A bucket is always
 //     in execution order, (at, dkey, seq): an insert appends and shifts
 //     the event back a few slots to its place, so running the next event
 //     is one lookup and a pop from the bucket's head; a drained bucket's
-//     storage goes to the next bucket to fill. A far wheel keeps one
-//     unordered list for each of the next 2048 blocks (68.7 ms: link
-//     backlogs, RTOs); entering a block empties the next block's list
-//     into the near wheel through that same ordered insert, and a binary
-//     heap holds only what lies beyond the far span (backed-off RTOs, end
-//     markers) until the span reaches it. Order is decided where an event
-//     arrives, by the key and the seq it was scheduled with, so the
-//     structures it crossed leave no trace in it. There is one scheduling
-//     API: every event and
+//     storage goes to the next bucket to fill. A lapped far wheel keeps
+//     an unordered list for each block modulo a ring of 2048 (68.7 ms a
+//     lap), so it holds any distance: link backlogs and RTOs in the
+//     first lap, backed-off RTOs and end markers beyond it. Entering a
+//     block moves the next block's events from its list into the near
+//     wheel through that same ordered insert and leaves later laps
+//     listed; with the near wheel empty, the window jumps to the earliest
+//     block that holds an event. Order is decided where an event arrives,
+//     by the key and the seq it was scheduled with, so whether it crossed
+//     the far wheel leaves no trace in it, and every event scheduled has
+//     run or is pending (Engine.Balance, checked at every scenario's
+//     readout). There is one scheduling API: every event and
 //     task completion (AtCall/AfterCall/ImmediatelyCall/EveryCall on a
 //     component's sim.Owner or, unowned, on sim.Unowned or the Engine;
 //     Resource.AcquireCall, Core/FPC.SubmitStepCall and SubmitCall,

@@ -127,10 +127,8 @@ func (t *TOE) xdpDone(s *segItem) {
 			t.XDPDrops++
 			break
 		}
-		// FlexTOE updates the checksum of modified segments (§3.3): the
-		// program's stale value is cleared, and every serializer on the
-		// way out fixes lengths and computes checksums.
-		out.TCP.Checksum = 0
+		// FlexTOE updates the checksum of modified segments (§3.3): every
+		// serializer on the way out fixes lengths and computes checksums.
 		t.sendFrame(out)
 	case xdp.Redirect:
 		t.XDPRedirects++

@@ -132,7 +132,9 @@ func Run(data []byte, progress Progress) (*Result, error) {
 // With a progress callback the measured window runs in fixed chunks
 // (the callback fires between chunks and may cancel); the chunk
 // schedule is the same for every execution of a given spec, so streamed
-// runs stay byte-identical to each other. Execute may be called once.
+// runs stay byte-identical to each other. Execute may be called once. An
+// engine that does not balance at readout (sim.Engine.Balance) fails the
+// run as "invariant sim: …", and no Result is built.
 func (b *Built) Execute(progress Progress) (*Result, error) {
 	if b.done {
 		return nil, errors.New("scenario: Built already executed")
@@ -160,6 +162,9 @@ func (b *Built) Execute(progress Progress) (*Result, error) {
 				return nil, ErrCanceled
 			}
 		}
+	}
+	if err := b.TB.Eng.Balance(); err != nil {
+		return nil, fmt.Errorf("invariant %w", err)
 	}
 	return b.readout(), nil
 }

@@ -7,34 +7,33 @@
 // stay exact. All state mutation happens inside events executed by a single
 // goroutine, so simulations are reproducible bit-for-bit from their seed.
 //
-// The event core is a sliding two-level timing wheel over a small heap.
-// Time is cut into blocks of 33.5 us. The near wheel — 1024 buckets of
-// 65.5 ns — always holds the block the clock is in and the one after it,
-// so an event due less than a block ahead lands in a bucket wherever in
-// its block the clock stands: the window moves with the clock, one block at
-// a time, and never waits to drain. That is where the dense
-// sub-microsecond traffic of the data path lives (FPC issue slots, memory
-// stalls, PCIe completions). It keeps several live events in a bucket and
-// schedules most of them behind the bucket's tail, so a bucket is kept in
-// execution order at all times: an insert appends and shifts the event
-// back to its place — a handful of slots — and running the next event is
-// one lookup and one pop from the bucket's head.
+// The event core is a sliding two-level timing wheel. Time is cut into
+// blocks of 33.5 us. The near wheel — 1024 buckets of 65.5 ns — always
+// holds the block the clock is in and the one after it, so an event due
+// less than a block ahead lands in a bucket wherever in its block the clock
+// stands: the window moves with the clock, one block at a time, and never
+// waits to drain. That is where the dense sub-microsecond traffic of the
+// data path lives (FPC issue slots, memory stalls, PCIe completions). It
+// keeps several live events in a bucket and schedules most of them behind
+// the bucket's tail, so a bucket is kept in execution order at all times:
+// an insert appends and shifts the event back to its place — a handful of
+// slots — and running the next event is one lookup and one pop from the
+// bucket's head.
 //
-// The far wheel has one unordered bucket for each of the next 2048 blocks
-// (68.7 ms: serializer backlogs, retransmission and delayed-work timers);
-// queueing an event there is a list push. When the clock enters block k,
-// the far bucket of block k+1 is emptied into the near wheel through the
-// same ordered insert a direct scheduling takes. The binary heap is left
-// with what lies beyond the far wheel's span — backed-off retransmission
-// timeouts, experiment end markers — and hands events down as the span
-// reaches them. An event so passes through at most three structures, and
-// its place among the events of its bucket is decided by (at, dkey, seq)
-// when it gets there, seq being the one it was scheduled with: which
-// structures it crossed, and when, cannot be seen in the execution order.
+// The far wheel is a lapped ring of 2048 unordered buckets, block b's
+// events in bucket b mod 2048 (68.7 ms a lap), so it holds any distance:
+// serializer backlogs, retransmission timers, backed-off timeouts,
+// experiment end markers. Queueing an event there is a list push. When the
+// clock enters block k, block k+1's events leave their bucket for the near
+// wheel through the same ordered insert a direct scheduling takes, and
+// later laps stay. An event's place among the events of its bucket is
+// decided by (at, dkey, seq) when it gets there, seq being the one it was
+// scheduled with: whether it crossed the far wheel cannot be seen in the
+// execution order.
 //
-// Bucket storage, the far wheel's nodes and the heap are reused, and an
-// event carries only a long-lived func(any) plus an argument (AtCall and
-// its siblings are the one scheduling API; RunFunc adapts an
+// Bucket storage and the far wheel's nodes are reused, and an event
+// carries only a long-lived func(any) plus an argument (AtCall and its
+// siblings are the one scheduling API; RunFunc adapts an
 // application-owned func()), so steady-state event scheduling performs no
 // heap allocation.
 //
@@ -169,8 +168,8 @@ func (a *event) before(b *event) bool {
 // Timing-wheel geometry. One bucket spans 2^tickBits ps (65.536 ns) and
 // the near wheel has wheelSize of them, two blocks of 2^blockBits ps
 // (33.55 us) each: the block the clock is in and the one after it. The far
-// wheel has one unordered bucket per block for the farSize blocks from the
-// clock's on (68.7 ms); the heap holds what lies beyond.
+// wheel's farSize unordered buckets hold block b's events in bucket
+// b&farMask, for every lap of the ring (68.7 ms).
 const (
 	tickBits  = 16
 	tickSpan  = Time(1) << tickBits
@@ -201,12 +200,11 @@ type farNode struct {
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with New.
 type Engine struct {
-	now     Time
-	seq     uint64
-	stopped bool
-	nRun    uint64
-	run     running // zero-size unless built with -tags flexdebug
-	ranks   uint32  // owner ranks and link ids handed out so far
+	now   Time
+	seq   uint64  // events scheduled so far
+	nRun  uint64  // events run so far
+	run   running // zero-size unless built with -tags flexdebug
+	ranks uint32  // owner ranks and link ids handed out so far
 
 	// Near wheel: buckets[i&wheelMask] holds, in execution order, the
 	// events whose tick index (at>>tickBits) is i, for the ticks of blocks
@@ -228,24 +226,18 @@ type Engine struct {
 	// slice from the previous rotation is long evicted.
 	spare [][]event
 
-	// Far wheel: far[b&farMask] heads the list of block b's events, in no
-	// order, for blocks blk+2 up to farEnd's. Entering a block cascades the
-	// list of the block after it into the near wheel through insert, which
-	// is where the order comes from. The lists are linked by index through
-	// one arena (index 0 ends a list; farFree heads the unused nodes), so
-	// the far wheel's memory is its high-water population however that
-	// spreads over blocks — a slice per block would pin every block's
-	// own high water.
+	// Far wheel: far[b&farMask] heads the list of block b's events for
+	// every lap of the ring, in no order (blocks blk+2 on). Entering a block
+	// cascades the next block's events into the near wheel through insert,
+	// which is where the order comes from; later laps stay linked. The
+	// lists are linked by index through one arena (index 0 ends a list;
+	// farFree heads the unused nodes), so the far wheel's memory is its
+	// high-water population however that spreads over blocks — a slice per
+	// block would pin every block's own high water.
 	far      []int32
 	farNodes []farNode
 	farFree  int32
-	farEnd   Time
 	farCnt   int
-
-	// Overflow heap, in execution order, for events at or beyond farEnd:
-	// backed-off retransmission timeouts, experiment end markers. Every
-	// slide of the window moves what farEnd has passed into the wheels.
-	overflow []event
 
 	// locals holds per-engine singletons (pools, freelists) keyed by an
 	// arbitrary comparable key; see Local. lenders lists every pool of the
@@ -479,20 +471,16 @@ func periodicTick(a any) {
 func RunFunc(a any) { a.(func())() }
 
 // insert puts an event where its distance from the window says: its near
-// bucket, its block's far bucket, or the heap. In a near bucket it goes
-// straight to its execution-order position: append, then shift later
-// events up one slot. The shift stops at the consumed head, so an event
-// that orders before one already run (a local event scheduled from a
-// same-instant delivery) still runs next. Out of order is the common case
-// on the data path — several events per bucket, most arriving behind the
-// tail — which is why the order is paid for here, a few slots at a time,
-// and not by a sort at drain time.
+// bucket, or its block's far bucket. In a near bucket it goes straight to
+// its execution-order position: append, then shift later events up one
+// slot. The shift stops at the consumed head, so an event that orders
+// before one already run (a local event scheduled from a same-instant
+// delivery) still runs next. Out of order is the common case on the data
+// path — several events per bucket, most arriving behind the tail — which
+// is why the order is paid for here, a few slots at a time, and not by a
+// sort at drain time.
 func (e *Engine) insert(ev event) {
 	if ev.at >= e.horizon {
-		if ev.at >= e.farEnd {
-			e.heapPush(ev)
-			return
-		}
 		i := e.farFree
 		if i != 0 {
 			e.farFree = e.farNodes[i].next
@@ -531,18 +519,18 @@ func (e *Engine) setWindow(b int64) {
 	e.blk = b
 	e.blockEnd = Time(b+1) << blockBits
 	e.horizon = Time(b+2) << blockBits
-	e.farEnd = Time(b+farSize) << blockBits
 }
 
-// slideTo moves the window up to block b and brings into the wheels what
-// now belongs there: the far buckets of blocks b and b+1 cascade into the
-// near wheel and the heap gives up what lies below the new farEnd. All of
-// it goes through insert, so a cascaded event takes the place (at, dkey,
-// seq) gives it among the events scheduled straight into its bucket, its
-// seq being the one it was scheduled with. The caller guarantees that no
-// pending event lies in a block below b; the window never moves past the
-// clock's block, or an insert between the clock and the window would land
-// one turn of the ring later.
+// slideTo moves the window up to block b and brings the events of blocks b
+// and b+1 from their far buckets into the near wheel; a bucket's events of
+// later laps stay linked. The cascade goes through insert, so a cascaded
+// event takes the place (at, dkey, seq) gives it among the events
+// scheduled straight into its bucket, its seq being the one it was
+// scheduled with; it lands in the near wheel, so the walk never grows the
+// node arena under its own pointers. The caller guarantees that no pending
+// event lies in a block below b; the window never moves past the clock's
+// block, or an insert between the clock and the window would land one turn
+// of the ring later.
 func (e *Engine) slideTo(b int64) {
 	c := e.blk + 2 // first block still in the far wheel
 	if c < b {
@@ -553,37 +541,40 @@ func (e *Engine) slideTo(b int64) {
 		e.curTick = first
 	}
 	for ; c <= b+1; c++ {
-		head := &e.far[int(c)&farMask]
-		for i := *head; i != 0; {
+		for link := &e.far[int(c)&farMask]; *link != 0; {
+			i := *link
 			n := &e.farNodes[i]
+			if int64(n.ev.at>>blockBits) != c {
+				link = &n.next // a later lap
+				continue
+			}
+			*link = n.next
 			e.insert(n.ev)
-			next := n.next
 			*n = farNode{next: e.farFree}
 			e.farFree = i
-			i = next
 			e.farCnt--
 		}
-		*head = 0
-	}
-	for len(e.overflow) > 0 && e.overflow[0].at < e.farEnd {
-		e.insert(e.heapPop())
 	}
 }
 
 // nextBlock returns the earliest block holding an event when the near
-// wheel holds none.
+// wheel holds none: within one lap of the window, the first bucket that
+// holds an event of its own block; when every event is a lap or more away,
+// the earliest of them, which the lap's scan has seen.
 func (e *Engine) nextBlock() (int64, bool) {
-	if e.farCnt > 0 {
-		for b := e.blk + 2; ; b++ {
-			if e.far[int(b)&farMask] != 0 {
+	first := int64(-1)
+	for b := e.blk + 2; b < e.blk+2+farSize; b++ {
+		for i := e.far[int(b)&farMask]; i != 0; i = e.farNodes[i].next {
+			nb := int64(e.farNodes[i].ev.at >> blockBits)
+			if nb == b {
 				return b, true
+			}
+			if first < 0 || nb < first {
+				first = nb
 			}
 		}
 	}
-	if len(e.overflow) > 0 {
-		return int64(e.overflow[0].at >> blockBits), true
-	}
-	return 0, false
+	return first, first >= 0
 }
 
 // wheelMin advances the cursor to the first non-empty near bucket and
@@ -611,9 +602,6 @@ func (e *Engine) wheelMin() *bucket {
 // The window slides only for an event that is about to run, so it is
 // never ahead of the clock when step gives up at limit.
 func (e *Engine) step(limit Time) bool {
-	if e.stopped {
-		return false
-	}
 	if e.nearCnt == 0 {
 		b, ok := e.nextBlock()
 		if !ok || Time(b)<<blockBits > limit {
@@ -649,7 +637,7 @@ const maxTime = Time(1<<63 - 1)
 // Step executes the next event. It reports whether an event was executed.
 func (e *Engine) Step() bool { return e.step(maxTime) }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -660,7 +648,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for e.step(t) {
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 		if t >= e.blockEnd {
 			// Everything left is later than t: park the window with the clock.
@@ -669,57 +657,15 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// Stop halts the engine: Step, Run and RunUntil become no-ops.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.nearCnt + e.farCnt + len(e.overflow) }
+func (e *Engine) Pending() int { return e.nearCnt + e.farCnt }
 
-// ---------------------------------------------------------------------
-// Overflow heap: a plain binary min-heap in execution order, hand-rolled so
-// pushes and pops never box events through container/heap's interface.
-// ---------------------------------------------------------------------
-
-func (e *Engine) heapPush(ev event) {
-	h := append(e.overflow, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+// Balance checks the engine's conservation law: every event scheduled has
+// run or is pending, so none was lost or run twice. A scenario's readout
+// calls it once the run is over.
+func (e *Engine) Balance() error {
+	if p := uint64(e.Pending()); e.seq != e.nRun+p {
+		return fmt.Errorf("sim: %d events scheduled, %d run and %d pending", e.seq, e.nRun, p)
 	}
-	e.overflow = h
-}
-
-func (e *Engine) heapPop() event {
-	h := e.overflow
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h[l].before(&h[min]) {
-			min = l
-		}
-		if r < n && h[r].before(&h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	e.overflow = h
-	return top
+	return nil
 }

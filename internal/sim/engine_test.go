@@ -149,20 +149,6 @@ func TestEveryCallAllocFree(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	ran := 0
-	e.AtCall(10, func(any) { ran++; e.Stop() }, nil)
-	e.AtCall(20, func(any) { ran++ }, nil)
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d", ran)
-	}
-	if !e.Stopped() {
-		t.Fatal("not stopped")
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	e := New()
 	// 1000 units/second => 1e9 ps per unit.

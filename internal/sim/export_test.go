@@ -12,6 +12,6 @@ func UnfoldedTask(steps ...Step) Task {
 	return t
 }
 
-// OutsideNear returns how many pending events wait in the far wheel or the
-// heap: what TestNearEventsStayInTheWheel requires to stay zero.
-func (e *Engine) OutsideNear() int { return e.farCnt + len(e.overflow) }
+// OutsideNear returns how many pending events wait in the far wheel: what
+// TestNearEventsStayInTheWheel requires to stay zero.
+func (e *Engine) OutsideNear() int { return e.farCnt }

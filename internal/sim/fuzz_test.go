@@ -10,10 +10,11 @@ import (
 // operations schedule an event, step once, or run until a later instant;
 // an event that runs schedules up to three follow-ups of its own, read from
 // the same bytes. Deltas come in classes on either side of every boundary
-// the wheel has — the instant, a tick, a block, the far span — and half of
-// the classes keep only a few high bits, so events from different
-// schedulers collide on an instant under different keys. It returns the
-// (event id, execution time) trace.
+// the wheel has — the instant, a tick, a block, a lap of the far wheel —
+// and out to 16 laps, and half of the classes keep only a few high bits,
+// so events from different schedulers collide on an instant under
+// different keys, and events of different laps on a far bucket. It returns
+// the (event id, execution time) trace.
 func fuzzSchedule(s scheduler, data []byte) []int64 {
 	var trace []int64
 	var linkSeq [3]uint64 // per-link transmit sequence: (at, dkey) never repeats
@@ -28,7 +29,7 @@ func fuzzSchedule(s scheduler, data []byte) []int64 {
 	}
 	delta := func() Time {
 		class, m := next(), Time(next())<<8|Time(next())
-		switch class % 8 {
+		switch class % 10 {
 		case 0:
 			return 0
 		case 1:
@@ -42,9 +43,13 @@ func fuzzSchedule(s scheduler, data []byte) []int64 {
 		case 5:
 			return m >> 10 << blockBits // whole blocks
 		case 6:
-			return farSpan - blockSpan + m<<10 // either side of the far wheel's end
+			return farSpan - blockSpan + m<<10 // either side of the first lap's end
+		case 7:
+			return m << 24 // to 16 laps
+		case 8:
+			return farSpan + m<<22 // 1–5 laps
 		default:
-			return m << 24 // the heap
+			return (1+m%5)*farSpan + m>>8<<blockBits // whole laps and blocks: a class-5 event's bucket
 		}
 	}
 	var schedule func(depth int)
@@ -88,15 +93,17 @@ func fuzzSchedule(s scheduler, data []byte) []int64 {
 }
 
 // FuzzEngineOrder: whatever the schedule, the wheel runs the events the
-// reference heap runs, at the same instants, in the same order, and leaves
-// nothing pending.
+// reference heap runs, at the same instants, in the same order, balances
+// after every step and leaves nothing pending. testdata/fuzz holds the
+// multi-lap corpus: every pending event a lap or more away, laps sharing a
+// far bucket, RunUntil across laps.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	// An idle jump, then inserts in reverse time order.
 	f.Add([]byte{3, 5, 0xff, 0xff, 0, 2, 0x80, 0, 0, 0, 0, 2, 0x40, 0, 0, 0})
-	// A heap event 2176 blocks out, and the same instant scheduled again
-	// once an advance has brought it within the far wheel and once more
-	// when it is a block away.
+	// An event 2176 blocks out, in a later lap, and the same instant
+	// scheduled again once an advance has brought it within the first lap
+	// and once more when it is a block away.
 	f.Add([]byte{0, 7, 0x11, 0, 0, 0, 3, 4, 0x14, 0, 0, 4, 0xfc, 0, 0, 0, 3, 4, 0xfb, 0xe0, 0, 5, 0x04, 0, 0, 0})
 	// Parked short of the next far block, then an insert in between.
 	f.Add([]byte{0, 5, 0x28, 0, 0, 0, 3, 5, 0x0c, 0, 0, 5, 0x04, 0, 0, 0, 2, 2, 2})
@@ -108,7 +115,7 @@ func FuzzEngineOrder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New()
-		got, want := fuzzSchedule(wheelSched{e}, data), fuzzSchedule(refSched{&refEngine{}}, data)
+		got, want := fuzzSchedule(wheelSched{e, t}, data), fuzzSchedule(refSched{&refEngine{}}, data)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("wheel ran (id, time) %v, reference heap %v", got, want)
 		}

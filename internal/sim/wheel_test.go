@@ -86,7 +86,18 @@ type scheduler interface {
 	runUntil(t Time)
 }
 
-type wheelSched struct{ e *Engine }
+// wheelSched drives an Engine and fails tb the moment the engine's
+// Balance does not hold after a step or a RunUntil.
+type wheelSched struct {
+	e  *Engine
+	tb testing.TB
+}
+
+func (w wheelSched) balanced() {
+	if err := w.e.Balance(); err != nil {
+		w.tb.Fatal(err)
+	}
+}
 
 func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
 	switch {
@@ -98,11 +109,21 @@ func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
 		w.e.AtLinkCall(t, dkey, RunFunc, fn)
 	}
 }
-func (w wheelSched) now() Time       { return w.e.Now() }
-func (w wheelSched) step() bool      { return w.e.Step() }
-func (w wheelSched) runUntil(t Time) { w.e.RunUntil(t) }
+func (w wheelSched) now() Time { return w.e.Now() }
 
-// Spans of the wheel's two levels, for picking deltas on either side.
+func (w wheelSched) step() bool {
+	ran := w.e.Step()
+	w.balanced()
+	return ran
+}
+
+func (w wheelSched) runUntil(t Time) {
+	w.e.RunUntil(t)
+	w.balanced()
+}
+
+// Spans of the wheel's two levels, for picking deltas on either side:
+// farSpan is one lap of the far wheel's ring.
 const (
 	blockSpan = Time(1) << blockBits
 	farSpan   = Time(farSize) << blockBits
@@ -119,12 +140,14 @@ func (r refSched) runUntil(t Time)                         { r.e.RunUntil(t) }
 // the (event id, execution time) trace. Events reschedule follow-ups from
 // inside their handlers — same-instant bursts, near deltas that stay in
 // one wheel bucket, mid-range deltas that cross buckets and blocks, a fifth
-// of them between one block and the far wheel's span (33 us – 68 ms: far
-// buckets and their cascade) and one in twenty beyond it (the heap, then
-// the far wheel, then the near one). One follow-up in three is a link delivery and one in three belongs to
-// one of three owners (two sub-contexts each), and half of all follow-ups
-// snap to a 4 ns grid, so unowned events, owners and deliveries from
-// several links meet at equal instants — the dkey arm of event.before.
+// of them between one block and one lap of the far wheel (33 us – 68 ms:
+// far buckets and their cascade) and one in twenty 1–5 laps out (68.7 –
+// 344 ms: later laps that share a far bucket with first-lap events and
+// must stay behind when it cascades). One follow-up in three is a link
+// delivery and one in three belongs to one of three owners (two
+// sub-contexts each), and half of all follow-ups snap to a 4 ns grid, so
+// unowned events, owners and deliveries from several links meet at equal
+// instants — the dkey arm of event.before.
 func driveSchedule(s scheduler, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []int64
@@ -152,9 +175,9 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 				case c < 15:
 					d = Time(rng.Intn(1 << 27)) // ~100 us: the near window's edge
 				case c < 19:
-					d = blockSpan + Time(rng.Int63n(int64(farSpan-blockSpan))) // the far wheel
+					d = blockSpan + Time(rng.Int63n(int64(farSpan-blockSpan))) // the far wheel's first lap
 				default:
-					d = farSpan + Time(rng.Int63n(int64(farSpan))) // beyond it: the heap
+					d = farSpan + Time(rng.Int63n(int64(4*farSpan))) // its later laps
 				}
 				at := s.now() + d
 				if rng.Intn(2) == 0 {
@@ -200,10 +223,11 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 
 // TestWheelMatchesHeapOrder pins the timing wheel's execution order to the
 // old binary-heap engine across randomized schedules: identical event IDs
-// at identical times, in identical order.
+// at identical times, in identical order, with the engine balanced after
+// every step.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		got := driveSchedule(wheelSched{New()}, seed)
+		got := driveSchedule(wheelSched{New(), t}, seed)
 		want := driveSchedule(refSched{&refEngine{}}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: trace lengths differ: wheel %d vs heap %d", seed, len(got), len(want))
@@ -308,19 +332,46 @@ var directedCases = []struct {
 		s.schedule(10*blockSpan+50, 0, mark(3))
 		s.schedule(4*blockSpan, 2<<32|1, mark(4))
 	}},
-	// One instant and one key reached three ways: through the heap, then
-	// the far wheel, then the near one; straight into the far wheel; and
-	// straight into its near bucket. seq alone orders the three, and an
-	// owner's event that went into the heap first still runs behind them.
-	{"heap, far and near inserts tied on (at, dkey)", func(s scheduler, mark func(int) func()) {
+	// One instant and one key reached three ways: into the far wheel a
+	// lap early, then through its cascade; into the far wheel within the
+	// lap; and straight into its near bucket. seq alone orders the three,
+	// and an owner's event that went in a lap early still runs behind
+	// them.
+	{"later-lap, far and near inserts tied on (at, dkey)", func(s scheduler, mark func(int) func()) {
 		const at = farSpan + 10*blockSpan + 123
 		s.schedule(at, 5<<subBits, mark(3))
 		s.schedule(at, 0, mark(0))
-		s.runUntil(20 * blockSpan) // at is now within the far wheel's span
+		s.runUntil(20 * blockSpan) // at is now within the far wheel's first lap
 		s.schedule(at, 0, mark(1))
 		s.runUntil(at - blockSpan/2) // and now within the near window
 		s.schedule(at, 0, mark(2))
 		s.schedule(at, 1<<32|1, mark(4))
+	}},
+	// The near wheel empties, twice, while every pending event is a lap
+	// or more away, some of them in the far buckets of blocks the window
+	// passes first: the next block is the earliest event's, not the first
+	// non-empty bucket's, and the window jumps there in one slide. Laps
+	// share buckets: events 1, 2, 5 and 9 wait in block 3's behind event
+	// 4, which schedules 5 there after the cascade left 1, 2 and 9 behind,
+	// and events 3, 6 and 7 in block 0's.
+	{"every pending event a lap or more away", func(s scheduler, mark func(int) func()) {
+		s.schedule(100*Nanosecond, 0, func() {
+			mark(0)()
+			s.schedule(3*farSpan+3*blockSpan+5, 0, mark(1))
+			s.schedule(farSpan+3*blockSpan+9, 1<<32|1, mark(2))
+			s.schedule(2*farSpan, 0, mark(3))
+		})
+		s.schedule(3*blockSpan+7, 2<<subBits, func() {
+			mark(4)()
+			s.schedule(s.now()+farSpan-2, 0, mark(5))
+		})
+		s.schedule(5*farSpan+blockSpan/2, 0, func() {
+			mark(6)()
+			s.schedule(s.now()+farSpan, 0, mark(7))
+			s.schedule(s.now()+2*blockSpan, 0, mark(8))
+		})
+		s.runUntil(blockSpan)
+		s.schedule(farSpan+3*blockSpan+9, 0, mark(9))
 	}},
 }
 
@@ -338,7 +389,7 @@ func TestWheelDirectedOrder(t *testing.T) {
 			return trace
 		}
 		e := New()
-		got, want := drive(wheelSched{e}), drive(refSched{&refEngine{}})
+		got, want := drive(wheelSched{e, t}), drive(refSched{&refEngine{}})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: wheel ran (id, time) %v, reference heap %v", c.name, got, want)
 		}
@@ -360,7 +411,7 @@ func TestWheelDirectedOrder(t *testing.T) {
 func TestWheelSameInstantDeliveryOrder(t *testing.T) {
 	e := New()
 	var order []int
-	directedCases[1].run(wheelSched{e}, func(id int) func() {
+	directedCases[1].run(wheelSched{e, t}, func(id int) func() {
 		return func() { order = append(order, id) }
 	})
 	if want := []int{4, 0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
@@ -368,33 +419,8 @@ func TestWheelSameInstantDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestStopInsideCallback: Stop from a callback halts every run loop
-// before the next event — even one queued for the same instant — and
-// freezes the clock there.
-func TestStopInsideCallback(t *testing.T) {
-	loops := map[string]func(e *Engine){
-		"Run":      func(e *Engine) { e.Run() },
-		"RunUntil": func(e *Engine) { e.RunUntil(100) },
-		"Step": func(e *Engine) {
-			for e.Step() {
-			}
-		},
-	}
-	for name, loop := range loops {
-		e := New()
-		ran := 0
-		e.AtCall(10, func(any) { ran++; e.Stop() }, nil)
-		e.AtCall(10, func(any) { ran++ }, nil)
-		e.AtCall(20, func(any) { ran++ }, nil)
-		loop(e)
-		if ran != 1 || e.Pending() != 2 || e.Now() != 10 || e.Processed() != 1 {
-			t.Errorf("%s: ran %d events, %d pending, now %v; want 1, 2, 10ps", name, ran, e.Pending(), e.Now())
-		}
-	}
-}
-
-// TestWheelFarFutureMigration schedules events far beyond the wheel span
-// and checks they fire in order after migrating from the overflow heap.
+// TestWheelFarFutureMigration schedules events up to 73 laps of the far
+// wheel out and checks they fire in order after waiting there.
 func TestWheelFarFutureMigration(t *testing.T) {
 	e := New()
 	var order []Time
@@ -417,20 +443,21 @@ func TestWheelFarFutureMigration(t *testing.T) {
 	}
 }
 
-// TestWheelSameInstantAcrossOverflow checks the seq tie-break survives the
-// wheel/overflow split: events at one far instant, scheduled at different
-// points, still run FIFO.
-func TestWheelSameInstantAcrossOverflow(t *testing.T) {
+// TestWheelSameInstantAcrossLaps checks the seq tie-break survives the
+// far wheel's laps: events at one instant, scheduled three laps early, one
+// lap early and from within the near window, still run FIFO.
+func TestWheelSameInstantAcrossLaps(t *testing.T) {
 	e := New()
-	const at = 10 * Millisecond
+	const at = 3*farSpan + 10*Millisecond
 	var order []int
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 30; i++ {
 		i := i
 		e.AtCall(at, func(any) { order = append(order, i) }, nil)
-		if i == 9 {
-			// Advance close to the target so later schedulings land in
-			// the wheel while earlier ones migrated from the overflow.
-			e.RunUntil(at - 10*Microsecond)
+		switch i {
+		case 9:
+			e.RunUntil(at - farSpan + Millisecond) // within the lap
+		case 19:
+			e.RunUntil(at - 10*Microsecond) // within the near window
 		}
 	}
 	e.Run()
@@ -503,20 +530,23 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
-// TestPendingCountsEveryLevel: one event in the near wheel, one in the far
-// wheel and one in the heap are three pending events, and each leaves the
-// count as it runs.
+// TestPendingCountsEveryLevel: one event in the near wheel, and one in the
+// far wheel's first lap and one in a later lap, are three pending events,
+// and each leaves the count as it runs, with the engine balanced.
 func TestPendingCountsEveryLevel(t *testing.T) {
 	e := New()
 	for _, at := range []Time{tickSpan, 5 * blockSpan, 2 * farSpan} {
 		e.AtCall(at, func(any) {}, nil)
 	}
-	if e.nearCnt != 1 || e.farCnt != 1 || len(e.overflow) != 1 {
-		t.Fatalf("near/far/heap hold %d/%d/%d events, want 1/1/1", e.nearCnt, e.farCnt, len(e.overflow))
+	if e.nearCnt != 1 || e.farCnt != 2 {
+		t.Fatalf("near/far hold %d/%d events, want 1/2", e.nearCnt, e.farCnt)
 	}
 	for want := 3; want >= 0; want-- {
 		if e.Pending() != want {
 			t.Fatalf("Pending() = %d, want %d", e.Pending(), want)
+		}
+		if err := e.Balance(); err != nil {
+			t.Fatal(err)
 		}
 		e.Step()
 	}
@@ -524,10 +554,10 @@ func TestPendingCountsEveryLevel(t *testing.T) {
 
 // TestNearEventsStayInTheWheel is the regression test for the hopping
 // window this engine replaced, which sent every event scheduled in the tail
-// of its 67 us span through the overflow heap however near it was due. 64
+// of its 67 us span out of the near wheel however near it was due. 64
 // chains reschedule themselves 0–30 us ahead for 50 turns of the near
 // wheel; the window slides with the clock, so none of those events may ever
-// be found in the far wheel or the heap. The chains start where an idle
+// be found in the far wheel. The chains start where an idle
 // RunUntil parked the clock, which must have brought the window along.
 func TestNearEventsStayInTheWheel(t *testing.T) {
 	e := New()
