@@ -248,12 +248,12 @@
 // party releases frame and packet exactly once. The fabric adds hops,
 // never owners.
 //
-// internal/fabric/workload drives the fabric (or the single-switch
-// testbed) through api.Stack only: an open-loop Poisson flow generator
-// with pluggable size distributions (fixed, web-search, data-mining),
-// barrier-synchronized N-to-1 incast groups, and background cross-rack
-// bulk traffic. Figure 17 (cmd/flexbench fig17) sweeps incast fan-in ×
-// {CCNone, CCDCTCP, CCTimely} and tabulates ECMP spine balance.
+// internal/apps' two datacenter generators (flows.go) drive the fabric
+// (or the single-switch testbed) through api.Stack only, like every other
+// application: an open-loop Poisson generator of fixed-size flows and
+// barrier-synchronized N-to-1 incast groups. Figure 17 (cmd/flexbench
+// fig17) sweeps incast fan-in × {CCNone, CCDCTCP, CCTimely} and
+// tabulates ECMP spine balance.
 //
 // # Zero-copy socket views: ownership and aliasing contract
 //
@@ -510,7 +510,7 @@
 //     duplicate listeners, over 65 535 dials by one machine (its ports),
 //     and flowmon conflicts (an Iface holds one tap — double attaches are
 //     spec errors, not silent overwrites). Build compiles the Spec
-//     through the same testbed/fabric/workload constructors the figure
+//     through the same testbed, fabric and apps constructors the figure
 //     runners use, in spec order; Fig 15c, Fig 17a and Fig 17b run
 //     through this builder, so spec-built scenarios are proven
 //     equivalent to the committed tables bit for bit.

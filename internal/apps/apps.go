@@ -1,9 +1,12 @@
 // Package apps implements the evaluation workloads: a memcached-like
 // key-value server driven by a memtier-like load generator (§2.1, §5.1),
 // echo/RPC servers with configurable application processing cost (§5.2),
-// closed- and open-loop clients with pipelining, and bulk-transfer
-// senders (§5.2, §5.3). Applications use only the api.Stack interface, so
-// identical "binaries" run over every stack.
+// closed- and open-loop clients with pipelining, bulk-transfer senders
+// (§5.2, §5.3), and the datacenter traffic patterns: an open-loop flow
+// generator with Poisson arrivals of fixed-size flows and N-to-1 incast
+// groups with barrier-synchronized rounds (flows.go). Applications use
+// only the api.Stack interface, so identical "binaries" run over every
+// stack, on the single-switch testbed or the leaf–spine fabric.
 //
 // Every workload drives the zero-copy view API (Peek/Consume on receive,
 // Reserve/Commit on transmit): frames are parsed and staged directly in
@@ -12,7 +15,14 @@
 // TestAppSteadyStateAllocBudget). Fixed-size benchmark payloads whose
 // content is never examined (RPC requests/responses, bulk streams) are
 // committed without staging — the ring bytes go out as-is, exactly the
-// liberty a padding payload grants a zero-copy application.
+// liberty a padding payload grants a zero-copy application. Such a stream
+// has one send step, commitOwed, and one receive step, consumeAll.
+//
+// Every load object opens its measured window the same way:
+// ResetMeasurement, called while the simulation is quiescent (the warm-up
+// boundary), zeroes exactly what the object measures and never a counter
+// that drives load, so a caller reads the window's counts as they stand,
+// with no snapshot of its own.
 //
 // The key-value server's store charges its work as application cycles,
 // so what it costs the simulator is memory, and it costs what it holds:
@@ -72,14 +82,12 @@ func (srv *RPCServer) Serve(stack api.Stack, port uint16) {
 }
 
 func (sess *rpcSession) onReadable() {
-	a, b := sess.sock.Peek()
-	n := api.ViewLen(a, b)
+	// Requests are content-ignored fixed-size frames: count and release
+	// the bytes in place.
+	n := consumeAll(sess.sock)
 	if n == 0 {
 		return
 	}
-	// Requests are content-ignored fixed-size frames: count and release
-	// the bytes in place.
-	sess.sock.Consume(n)
 	sess.buffered += n
 	for sess.buffered >= sess.srv.ReqSize {
 		sess.buffered -= sess.srv.ReqSize
@@ -113,8 +121,9 @@ func rpcRespond(a any) {
 func (sess *rpcSession) push() { commitOwed(sess.sock, &sess.owed) }
 
 // commitOwed commits up to *owed bytes of padding as transmit space
-// allows — the shared push step of every fixed-content sender (RPC
-// responses, closed-loop requests, bulk echoes).
+// allows — the shared send step of every content-ignored stream (RPC
+// responses, closed-loop requests, bulk echoes, flow payloads, incast
+// triggers and blocks).
 func commitOwed(sock api.Socket, owed *int) {
 	if *owed == 0 {
 		return
@@ -128,6 +137,17 @@ func commitOwed(sock api.Socket, owed *int) {
 	}
 	sock.Commit(w)
 	*owed -= w
+}
+
+// consumeAll releases every received byte in place and returns how many
+// there were — the shared receive step of every content-ignored stream.
+func consumeAll(sock api.Socket) int {
+	a, b := sock.Peek()
+	n := api.ViewLen(a, b)
+	if n > 0 {
+		sock.Consume(n)
+	}
+	return n
 }
 
 // coreFor picks the application core serving a socket.
@@ -152,7 +172,7 @@ type ClosedLoopClient struct {
 	Completed uint64
 	Bytes     uint64
 	Latency   *stats.Histogram // picoseconds
-	WarmupOps uint64           // skip the first N ops in the histogram
+	WarmupOps uint64           // skip the window's first N ops in the histogram
 
 	perConn []uint64 // completions per connection (fairness)
 	eng     *sim.Engine
@@ -162,6 +182,14 @@ type ClosedLoopClient struct {
 // Stop ends the load: requests in flight still complete, but none issues
 // another, so the run drains to quiescence.
 func (c *ClosedLoopClient) Stop() { c.stopped = true }
+
+// ResetMeasurement opens the measured window: completions, bytes, the
+// latency histogram and the per-connection counts start again from zero.
+func (c *ClosedLoopClient) ResetMeasurement() {
+	c.Completed, c.Bytes = 0, 0
+	c.Latency = stats.NewHistogram()
+	clear(c.perConn)
+}
 
 // ConnJFI returns Jain's fairness index over per-connection completion
 // counts.
@@ -180,8 +208,7 @@ type clientConn struct {
 	issued     []sim.Time // send timestamps, FIFO ring per pipelined request
 	issuedHead int
 	received   int
-	txOwed     int  // request bytes stamped but not yet committed
-	openLoop   bool // open-loop mode: responses do not trigger reissue
+	txOwed     int // request bytes stamped but not yet committed
 }
 
 // Start opens conns connections from the stack to the server and begins
@@ -223,11 +250,7 @@ func (cc *clientConn) onReadable() {
 	if resp == 0 {
 		resp = cc.c.ReqSize
 	}
-	a, b := cc.sock.Peek()
-	if n := api.ViewLen(a, b); n > 0 {
-		cc.sock.Consume(n)
-		cc.received += n
-	}
+	cc.received += consumeAll(cc.sock)
 	for cc.received >= resp && cc.issuedHead < len(cc.issued) {
 		cc.received -= resp
 		start := cc.issued[cc.issuedHead]
@@ -240,7 +263,7 @@ func (cc *clientConn) onReadable() {
 		if cc.c.Completed > cc.c.WarmupOps {
 			cc.c.Latency.Record(int64(cc.c.eng.Now() - start))
 		}
-		if !cc.openLoop && !cc.c.stopped {
+		if !cc.c.stopped {
 			cc.issue()
 		}
 	}
@@ -285,10 +308,12 @@ func (c *OpenLoopClient) Start(stack api.Stack, server api.Addr, conns int) {
 	if c.Latency == nil {
 		c.Latency = stats.NewHistogram()
 	}
-	cl := &ClosedLoopClient{ReqSize: c.ReqSize, RespSize: c.RespSize, Latency: c.Latency, eng: c.eng}
+	// The hidden closed-loop client is stopped from the start: a response
+	// completes its request and issues no other.
+	cl := &ClosedLoopClient{ReqSize: c.ReqSize, RespSize: c.RespSize, Latency: c.Latency, eng: c.eng, stopped: true}
 	for i := 0; i < conns; i++ {
 		stack.Dial(server, func(sock api.Socket) {
-			cc := &clientConn{c: cl, sock: sock, openLoop: true}
+			cc := &clientConn{c: cl, sock: sock}
 			sock.OnReadable(func() {
 				cc.onReadable()
 				c.Completed = cl.Completed
@@ -363,10 +388,7 @@ func (b *BulkSink) Serve(stack api.Stack, port uint16) {
 
 func (bs *bulkSession) onReadable() {
 	b := bs.b
-	va, vb := bs.sock.Peek()
-	n := api.ViewLen(va, vb)
-	if n > 0 {
-		bs.sock.Consume(n)
+	if n := consumeAll(bs.sock); n > 0 {
 		b.Received += uint64(n)
 		b.counts[bs.idx] += uint64(n)
 		b.buffered += n
@@ -380,11 +402,12 @@ func (bs *bulkSession) onReadable() {
 
 func (bs *bulkSession) push() { commitOwed(bs.sock, &bs.owed) }
 
-// ResetCounts zeroes the per-connection counters (end of warmup).
-func (b *BulkSink) ResetCounts() {
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
+// ResetMeasurement opens the measured window: the received bytes, in
+// total and per connection, start again from zero. Echo bytes owed stay
+// owed.
+func (b *BulkSink) ResetMeasurement() {
+	b.Received = 0
+	clear(b.counts)
 }
 
 // Shares returns the per-connection byte counts as float64s.
@@ -619,6 +642,13 @@ type KVClient struct {
 	rng *stats.RNG
 }
 
+// ResetMeasurement opens the measured window: completions and the latency
+// histogram start again from zero.
+func (c *KVClient) ResetMeasurement() {
+	c.Completed = 0
+	c.Latency = stats.NewHistogram()
+}
+
 // Start opens conns connections and drives the closed loop.
 func (c *KVClient) Start(stack api.Stack, server api.Addr, conns int) {
 	c.eng = stack.Engine()
@@ -703,11 +733,7 @@ func (kc *kvConn) onWritable() {
 }
 
 func (kc *kvConn) onReadable() {
-	a, b := kc.sock.Peek()
-	if n := api.ViewLen(a, b); n > 0 {
-		kc.sock.Consume(n)
-		kc.acc += n
-	}
+	kc.acc += consumeAll(kc.sock)
 	for kc.expectHead < len(kc.expect) && kc.acc >= kc.expect[kc.expectHead] {
 		kc.acc -= kc.expect[kc.expectHead]
 		kc.expect, kc.expectHead = shm.PopRing(kc.expect, kc.expectHead)

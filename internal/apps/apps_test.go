@@ -90,7 +90,7 @@ func TestPerConnBulkSinkShares(t *testing.T) {
 	if len(shares) != 3 || shares[2] != 30 {
 		t.Fatalf("shares = %v", shares)
 	}
-	b.ResetCounts()
+	b.ResetMeasurement()
 	for _, v := range b.Shares() {
 		if v != 0 {
 			t.Fatal("reset failed")

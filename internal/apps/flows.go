@@ -1,15 +1,10 @@
-// Package workload drives datacenter traffic patterns over any api.Stack:
-// an open-loop flow generator with Poisson arrivals of fixed-size flows,
-// and N-to-1 incast groups with barrier-synchronized rounds. Workloads
-// speak only api.Stack/api.Socket, so FlexTOE, Linux-, TAS- and
-// Chelsio-personality machines run them unmodified over the
-// single-switch testbed or the leaf–spine fabric.
-//
-// Every piece of mutable workload state belongs to exactly one machine.
-// The generator keeps per-connection arrival streams on each sender, flow
-// metadata travels inside the flow header
-// (12 bytes: [arrival:8][size:4]) so the sink computes FCT from its own
-// clock, and measurement accumulates per sink/per connection, merged
+package apps
+
+// Every piece of a generator's mutable state belongs to exactly one
+// machine. FlowGen keeps per-connection arrival streams on each sender,
+// flow metadata travels inside the flow header (12 bytes:
+// [arrival:8][size:4]) so the sink computes FCT from its own clock, and
+// measurement accumulates per sink and per connection, merged
 // deterministically at readout (the accessor methods). The incast
 // aggregator owns all round state and triggers each round by writing one
 // byte down every sender connection — the reply blocks are what incasts.
@@ -18,7 +13,6 @@
 // RPC style, and the regime FlexTOE's Table 5 state budget targets); FCT
 // runs from the flow's *arrival* at the generator — queueing for a busy
 // connection counts against FCT, as in slowdown-style evaluations.
-package workload
 
 import (
 	"encoding/binary"
@@ -53,7 +47,7 @@ type FlowGen struct {
 	Rate      float64 // aggregate flow arrivals per second
 	SizeBytes int     // every flow's payload size
 	Conns     int     // connection pool size (default: one per sender)
-	MaxFlows  int     // stop generating after this many arrivals (0 = never)
+	MaxFlows  int     // stop generating after this many arrivals in the whole run (0 = never)
 	Seed      uint64
 
 	conns []*genConn
@@ -74,7 +68,8 @@ type genConn struct {
 	rng      *stats.RNG
 	rate     float64 // this connection's arrival rate
 	maxFlows int     // this connection's share of MaxFlows (0 = unlimited)
-	started  uint64
+	admitted int     // flows admitted in the whole run: what maxFlows caps
+	started  uint64  // flows admitted in the measured window
 	sock     api.Socket
 	pending  []pendingFlow
 	head     int
@@ -134,7 +129,7 @@ func (g *FlowGen) Start(senders []api.Stack, targets ...api.Addr) {
 }
 
 func (gc *genConn) scheduleArrival() {
-	if gc.maxFlows > 0 && int(gc.started) >= gc.maxFlows {
+	if gc.maxFlows > 0 && gc.admitted >= gc.maxFlows {
 		return
 	}
 	if gc.g.MaxFlows > 0 && gc.maxFlows == 0 {
@@ -154,6 +149,7 @@ func genConnArrive(a any) {
 
 // arrive admits one flow: stamp the arrival, enqueue.
 func (gc *genConn) arrive() {
+	gc.admitted++
 	gc.started++
 	gc.pending = append(gc.pending, pendingFlow{
 		start:     gc.eng.Now(),
@@ -188,16 +184,9 @@ func (gc *genConn) pump() {
 				return
 			}
 		}
-		for f.remaining > 0 {
-			w := gc.sock.TxSpace()
-			if w == 0 {
-				return
-			}
-			if w > f.remaining {
-				w = f.remaining
-			}
-			gc.sock.Commit(w)
-			f.remaining -= w
+		commitOwed(gc.sock, &f.remaining)
+		if f.remaining > 0 {
+			return
 		}
 		gc.pending[gc.head] = pendingFlow{}
 		gc.head++
@@ -255,11 +244,10 @@ func (sc *sinkConn) drain() {
 	}
 }
 
-// ResetMeasurement clears the generator's measurement state — admitted
-// and completed counts, byte totals, and the per-sink FCT histograms —
-// without touching the arrival streams. Call it only while the
-// simulation is quiescent (the warmup boundary); in-flight flows then
-// count toward the post-reset window.
+// ResetMeasurement opens the measured window: admitted and completed
+// counts, byte totals and the per-sink FCT histograms start again from
+// zero. The arrival streams and the MaxFlows budget run on; in-flight
+// flows count toward the new window.
 func (g *FlowGen) ResetMeasurement() {
 	for _, gc := range g.conns {
 		gc.started = 0
@@ -271,9 +259,10 @@ func (g *FlowGen) ResetMeasurement() {
 	}
 }
 
-// Started returns the number of flows admitted, merged across
-// connections. Readout methods merge per-connection and per-sink state in
-// construction order; call them only while the simulation is quiescent.
+// Started returns the number of flows admitted in the measured window,
+// merged across connections. Readout methods merge per-connection and
+// per-sink state in construction order; call them only while the
+// simulation is quiescent.
 func (g *FlowGen) Started() uint64 {
 	var n uint64
 	for _, gc := range g.conns {
@@ -311,12 +300,6 @@ func (g *FlowGen) FCT() *stats.Histogram {
 	return h
 }
 
-// Done reports whether every generated flow has completed (meaningful
-// once MaxFlows bounded the arrival process).
-func (g *FlowGen) Done() bool {
-	return g.MaxFlows > 0 && int(g.Completed()) >= g.MaxFlows
-}
-
 // ---------------------------------------------------------------------
 // N-to-1 incast.
 // ---------------------------------------------------------------------
@@ -335,9 +318,9 @@ func (g *FlowGen) Done() bool {
 // called.
 type IncastGroup struct {
 	BlockBytes int // per-sender bytes per round
-	Rounds     int // stop after this many rounds (0 = run until sim end)
+	Rounds     int // stop after this many rounds in the whole run (0 = run until sim end)
 
-	// Measurement — owned by the aggregator; read between runs.
+	// Measurement of the window — owned by the aggregator; read between runs.
 	RoundsDone    uint64
 	BytesReceived uint64
 	RoundFCT      *stats.Histogram // picoseconds
@@ -345,6 +328,7 @@ type IncastGroup struct {
 	eng        *sim.Engine // aggregator's engine (set by Serve)
 	conns      []*incastConn
 	want       int
+	rounds     int // rounds completed in the whole run: what Rounds caps
 	pending    int
 	roundStart sim.Time
 	running    bool
@@ -360,9 +344,9 @@ type incastConn struct {
 // incastSender is the sender half: it answers each trigger byte with a
 // BlockBytes blast. It reads only immutable group config (BlockBytes).
 type incastSender struct {
-	g         *IncastGroup
-	sock      api.Socket
-	remaining int
+	g    *IncastGroup
+	sock api.Socket
+	owed int // block bytes not yet committed
 }
 
 // Serve installs the aggregator on a stack port.
@@ -376,7 +360,7 @@ func (g *IncastGroup) Serve(stack api.Stack, port uint16) {
 		g.conns = append(g.conns, ic)
 		sock.OnReadable(ic.drain)
 		sock.OnWritable(ic.push)
-		if len(g.conns) == g.want && !g.running && g.RoundsDone == 0 {
+		if len(g.conns) == g.want && !g.running && g.rounds == 0 {
 			g.startRound()
 		}
 	})
@@ -391,7 +375,7 @@ func (g *IncastGroup) Start(senders []api.Stack, agg api.Addr) {
 		is := &incastSender{g: g}
 		stack.Dial(agg, func(sock api.Socket) {
 			is.sock = sock
-			sock.OnWritable(is.pump)
+			sock.OnWritable(is.push)
 			sock.OnReadable(is.trigger)
 		})
 	}
@@ -401,12 +385,10 @@ func (g *IncastGroup) Start(senders []api.Stack, agg api.Addr) {
 // N×BlockBytes are in.
 func (ic *incastConn) drain() {
 	g := ic.g
-	a, b := ic.sock.Peek()
-	n := api.ViewLen(a, b)
+	n := consumeAll(ic.sock)
 	if n == 0 {
 		return
 	}
-	ic.sock.Consume(n)
 	g.BytesReceived += uint64(n)
 	g.pending -= n
 	if g.running && g.pending <= 0 {
@@ -415,20 +397,7 @@ func (ic *incastConn) drain() {
 }
 
 // push commits any trigger bytes that didn't fit earlier.
-func (ic *incastConn) push() {
-	if ic.owed == 0 {
-		return
-	}
-	w := ic.sock.TxSpace()
-	if w > ic.owed {
-		w = ic.owed
-	}
-	if w == 0 {
-		return
-	}
-	ic.sock.Commit(w)
-	ic.owed -= w
-}
+func (ic *incastConn) push() { commitOwed(ic.sock, &ic.owed) }
 
 func (g *IncastGroup) startRound() {
 	g.running = true
@@ -444,7 +413,8 @@ func (g *IncastGroup) roundDone() {
 	g.running = false
 	g.RoundFCT.Record(int64(g.eng.Now() - g.roundStart))
 	g.RoundsDone++
-	if g.Rounds == 0 || int(g.RoundsDone) < g.Rounds {
+	g.rounds++
+	if g.Rounds == 0 || g.rounds < g.Rounds {
 		sim.Unowned(g.eng, "the incast barrier is the workload generator's, not a machine's").ImmediatelyCall(incastStartRound, g)
 	}
 }
@@ -452,43 +422,25 @@ func (g *IncastGroup) roundDone() {
 // incastStartRound launches the next barrier round (see Engine.AtCall).
 func incastStartRound(a any) { a.(*IncastGroup).startRound() }
 
-// ResetMeasurement replaces the round-FCT histogram with an empty one,
-// without disturbing the round in flight. RoundsDone and BytesReceived
-// keep counting: a caller that wants a window's counts snapshots them at
-// the reset (scenario's incastRT does). Call it only while the simulation
-// is quiescent (the warmup boundary).
+// ResetMeasurement opens the measured window: completed rounds, received
+// bytes and the round-FCT histogram start again from zero, without
+// disturbing the round in flight or the Rounds budget.
 func (g *IncastGroup) ResetMeasurement() {
+	g.RoundsDone, g.BytesReceived = 0, 0
 	g.RoundFCT = stats.NewHistogram()
 }
 
 // trigger consumes arrived trigger bytes — one per round — and owes the
 // sender one block per byte (coalesced triggers queue further blocks).
 func (is *incastSender) trigger() {
-	a, b := is.sock.Peek()
-	n := api.ViewLen(a, b)
+	n := consumeAll(is.sock)
 	if n == 0 {
 		return
 	}
-	is.sock.Consume(n)
-	is.remaining += n * is.g.BlockBytes
-	is.pump()
+	is.owed += n * is.g.BlockBytes
+	is.push()
 }
 
-// pump commits the round's remaining block bytes as padding — incast
-// blocks carry no examined content, so nothing is staged or copied.
-func (is *incastSender) pump() {
-	if is.sock == nil {
-		return
-	}
-	for is.remaining > 0 {
-		w := is.sock.TxSpace()
-		if w == 0 {
-			return
-		}
-		if w > is.remaining {
-			w = is.remaining
-		}
-		is.sock.Commit(w)
-		is.remaining -= w
-	}
-}
+// push commits the owed block bytes as padding — incast blocks carry no
+// examined content, so nothing is staged or copied.
+func (is *incastSender) push() { commitOwed(is.sock, &is.owed) }

@@ -1,11 +1,11 @@
-package workload_test
+package apps
 
 import (
 	"testing"
 
 	"flextoe/internal/api"
 	"flextoe/internal/fabric"
-	"flextoe/internal/fabric/workload"
+	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
 	"flextoe/internal/testbed"
 )
@@ -22,7 +22,7 @@ func twoRack(kind testbed.StackKind, seed uint64) *testbed.Testbed {
 // two-rack fabric and requires every flow to finish with a recorded FCT.
 func TestFlowGenCompletesAllFlows(t *testing.T) {
 	tb := twoRack(testbed.FlexTOE, 5)
-	g := &workload.FlowGen{
+	g := &FlowGen{
 		Rate:      2e5,
 		SizeBytes: 8192,
 		Conns:     8,
@@ -33,7 +33,7 @@ func TestFlowGenCompletesAllFlows(t *testing.T) {
 	g.Start([]api.Stack{tb.M("snd").Stack}, tb.Addr("rcv", 9100))
 	tb.Run(20 * sim.Millisecond)
 
-	if !g.Done() {
+	if g.Completed() != uint64(g.MaxFlows) {
 		t.Fatalf("only %d/%d flows completed", g.Completed(), g.MaxFlows)
 	}
 	if g.BytesCompleted() != 50*8192 {
@@ -51,7 +51,7 @@ func TestFlowGenCompletesAllFlows(t *testing.T) {
 // the workload layer must be stack-agnostic.
 func TestFlowGenOverLinux(t *testing.T) {
 	tb := twoRack(testbed.Linux, 9)
-	g := &workload.FlowGen{
+	g := &FlowGen{
 		Rate:      5e4,
 		SizeBytes: 1 << 20,
 		Conns:     4,
@@ -66,9 +66,9 @@ func TestFlowGenOverLinux(t *testing.T) {
 	}
 }
 
-// TestIncastRoundsComplete runs an 8-to-1 incast group and checks the
-// barrier accounting: every round delivers exactly N×BlockBytes.
-func TestIncastRoundsComplete(t *testing.T) {
+// newIncast starts an 8-to-1 incast group of rounds 16 KB rounds over a
+// three-rack fabric: four sender hosts, two connections each.
+func newIncast(rounds int) (*testbed.Testbed, *IncastGroup) {
 	specs := []testbed.MachineSpec{
 		{Name: "agg", Kind: testbed.FlexTOE, Cores: 2, Rack: 0, BufSize: 1 << 17, Seed: 60},
 	}
@@ -80,13 +80,20 @@ func TestIncastRoundsComplete(t *testing.T) {
 	}
 	tb := testbed.NewFabric(fabric.Config{Leaves: 3, Spines: 2, Seed: 59}, specs...)
 
-	g := &workload.IncastGroup{BlockBytes: 16384, Rounds: 5}
+	g := &IncastGroup{BlockBytes: 16384, Rounds: rounds}
 	g.Serve(tb.M("agg").Stack, 9200)
 	senders := make([]api.Stack, 0, 8)
 	for i := 0; i < 8; i++ { // 2 connections per sender host
 		senders = append(senders, tb.M("s"+string(rune('0'+i%4))).Stack)
 	}
 	g.Start(senders, tb.Addr("agg", 9200))
+	return tb, g
+}
+
+// TestIncastRoundsComplete runs an 8-to-1 incast group and checks the
+// barrier accounting: every round delivers exactly N×BlockBytes.
+func TestIncastRoundsComplete(t *testing.T) {
+	tb, g := newIncast(5)
 	tb.Run(40 * sim.Millisecond)
 
 	if g.RoundsDone != 5 {
@@ -97,5 +104,47 @@ func TestIncastRoundsComplete(t *testing.T) {
 	}
 	if g.RoundFCT.Count() != 5 {
 		t.Fatalf("round FCT samples = %d, want 5", g.RoundFCT.Count())
+	}
+}
+
+// TestIncastWindowKeepsRoundBudget opens the measured window after two of
+// five rounds: the window counts the other three, their bytes and their
+// FCTs, and the Rounds budget still stops the group at five.
+func TestIncastWindowKeepsRoundBudget(t *testing.T) {
+	tb, g := newIncast(5)
+	for g.RoundsDone < 2 {
+		if !tb.Eng.Step() {
+			t.Fatal("incast stalled")
+		}
+	}
+	g.ResetMeasurement()
+	tb.Run(40 * sim.Millisecond)
+	if g.RoundsDone != 3 || g.RoundFCT.Count() != 3 {
+		t.Fatalf("window: %d rounds, %d FCT samples, want 3", g.RoundsDone, g.RoundFCT.Count())
+	}
+	if want := uint64(3 * 8 * 16384); g.BytesReceived != want {
+		t.Fatalf("window BytesReceived = %d, want %d", g.BytesReceived, want)
+	}
+}
+
+// TestFlowGenBudgetSpansWarmup holds MaxFlows to the whole run: opening
+// the measured window part-way restarts the window's counts, not the
+// arrival budget. Four connections at 100 flows/s each share a budget of
+// eight; three flows arrive before the 10 ms reset, so the window may
+// admit only the other five.
+func TestFlowGenBudgetSpansWarmup(t *testing.T) {
+	tb := testbed.New(netsim.SwitchConfig{Seed: 7},
+		testbed.MachineSpec{Name: "snd", Kind: testbed.FlexTOE, Cores: 2, BufSize: 1 << 16, Seed: 7},
+		testbed.MachineSpec{Name: "rcv", Kind: testbed.FlexTOE, Cores: 2, BufSize: 1 << 16, Seed: 8},
+	)
+	g := &FlowGen{Rate: 400, SizeBytes: 1024, Conns: 4, MaxFlows: 8, Seed: 7}
+	g.Serve(tb.M("rcv").Stack, 9100)
+	g.Start([]api.Stack{tb.M("snd").Stack}, tb.Addr("rcv", 9100))
+	tb.Run(10 * sim.Millisecond)
+	warm := g.Started()
+	g.ResetMeasurement()
+	tb.Run(500 * sim.Millisecond)
+	if total := warm + g.Started(); warm == 0 || total != uint64(g.MaxFlows) {
+		t.Fatalf("admitted %d + %d flows, budget %d", warm, g.Started(), g.MaxFlows)
 	}
 }

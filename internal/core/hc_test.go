@@ -17,7 +17,7 @@ import (
 func TestHCDescriptorPoolRetry(t *testing.T) {
 	p := defaultPair(t, 65536)
 	toe := p.toeA
-	toe.Trace().Enable(trace.TPDescAllocFail)
+	toe.Trace().EnableAll()
 	const n = descPoolSize + 44
 	for range n {
 		toe.InjectHC(shm.Desc{Kind: shm.DescRxConsume, Conn: p.a.conn.ID})

@@ -377,11 +377,17 @@ func (p *Plane) sendControl(flags uint8, seq, ack uint32, sackPerm bool) {
 
 func (p *Plane) establish(peerWin uint16) {
 	pc := p.curPC
-	conn := p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs,
+	pc.conn = p.install(pc.flow, pc.peerMAC, pc.iss+1, pc.irs,
 		shm.NewPayloadBuf(p.cfg.BufSize), shm.NewPayloadBuf(p.cfg.BufSize), peerWin, pc.sackOK)
 	if pc.connected != nil {
-		p.own.ImmediatelyCall(func(any) { pc.connected(conn) }, nil)
+		p.own.ImmediatelyCall(pendingConnected, pc)
 	}
+}
+
+// pendingConnected hands an established connection to its opener.
+func pendingConnected(a any) {
+	pc := a.(*pendingConn)
+	pc.connected(pc.conn)
 }
 
 // sendZeroWindowProbe emits the persist probe: sequence SND.NXT-1 with

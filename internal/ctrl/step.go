@@ -364,6 +364,7 @@ type pendingConn struct {
 	active    bool // we sent the SYN
 	sackOK    bool // SACK-permitted: offered by us, then agreed by both sides
 	connected func(*Conn)
+	conn      *Conn // the established connection, for connected
 }
 
 // open is the step that starts a half-open: a dial sends its SYN, a

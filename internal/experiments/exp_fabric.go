@@ -5,13 +5,12 @@ import (
 	"slices"
 
 	"flextoe/internal/api"
+	"flextoe/internal/apps"
 	"flextoe/internal/ctrl"
 	"flextoe/internal/fabric"
-	"flextoe/internal/fabric/workload"
 	"flextoe/internal/netsim"
 	"flextoe/internal/scenario"
 	"flextoe/internal/sim"
-	"flextoe/internal/stats"
 	"flextoe/internal/testbed"
 )
 
@@ -163,7 +162,7 @@ func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	}
 	tb := testbed.NewFabric(fc, specs...)
 
-	g := &workload.IncastGroup{BlockBytes: 32768}
+	g := &apps.IncastGroup{BlockBytes: 32768}
 	g.Serve(tb.M("agg").Stack, 9600)
 	senders := make([]api.Stack, 0, 2*hosts)
 	for i := 0; i < 2*hosts; i++ {
@@ -174,13 +173,12 @@ func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	warm := d / 4
 	tb.Run(warm)
 	tb.Fabric.ResetQueueStats()
-	g.RoundFCT = stats.NewHistogram()
-	bytes0 := g.BytesReceived
+	g.ResetMeasurement()
 	upMarks0, hostMarks0 := tb.Fabric.UplinkECNMarks(), tb.Fabric.HostPortECNMarks()
 	tb.Run(warm + d)
 
 	return fig17OversubResult{
-		goodputGbps: gbps(g.BytesReceived-bytes0, d),
+		goodputGbps: gbps(g.BytesReceived, d),
 		p99us:       usOf(g.RoundFCT.Percentile(99)),
 		peakUplinkQ: tb.Fabric.PeakUplinkQueueBytes(),
 		peakHostQ:   tb.Fabric.PeakHostQueueBytes(),

@@ -448,7 +448,7 @@ func fig16Point(kind testbed.StackKind, conns int, d sim.Time) (med, p1, jfi flo
 	// Warm up, then measure.
 	warm := d / 4
 	tb.Run(warm)
-	sink.ResetCounts()
+	sink.ResetMeasurement()
 	tb.Run(warm + d)
 	shares := sink.Shares()
 	if len(shares) == 0 {

@@ -8,7 +8,6 @@ import (
 	"flextoe/internal/apps"
 	"flextoe/internal/ctrl"
 	"flextoe/internal/fabric"
-	"flextoe/internal/fabric/workload"
 	"flextoe/internal/flowmon"
 	"flextoe/internal/netsim"
 	"flextoe/internal/sim"
@@ -332,7 +331,7 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 		return rt
 	case KindFlowGen:
 		g := w.FlowGen
-		fg := &workload.FlowGen{
+		fg := &apps.FlowGen{
 			Rate:      g.Rate,
 			SizeBytes: g.SizeBytes,
 			Conns:     g.Conns,
@@ -348,7 +347,7 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 		return &flowgenRT{g: fg}
 	case KindIncast:
 		in := w.Incast
-		g := &workload.IncastGroup{BlockBytes: in.BlockBytes, Rounds: in.Rounds}
+		g := &apps.IncastGroup{BlockBytes: in.BlockBytes, Rounds: in.Rounds}
 		g.Serve(b.TB.M(in.Agg).Stack, in.Port)
 		senders := make([]api.Stack, in.FanIn)
 		for i := range senders {
@@ -362,27 +361,20 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 
 type bulkRT struct {
 	sink *apps.BulkSink
-	base uint64
 }
 
-func (rt *bulkRT) reset() { rt.base = rt.sink.Received }
+func (rt *bulkRT) reset() { rt.sink.ResetMeasurement() }
 func (rt *bulkRT) result(d sim.Time) WorkloadResult {
-	delta := rt.sink.Received - rt.base
-	return WorkloadResult{Kind: KindBulk, Bytes: delta, GoodputGbps: gbps(delta, d)}
+	return WorkloadResult{Kind: KindBulk, Bytes: rt.sink.Received, GoodputGbps: gbps(rt.sink.Received, d)}
 }
 
 type rpcRT struct {
-	cls   []*apps.ClosedLoopClient
-	ops0  uint64
-	byts0 uint64
+	cls []*apps.ClosedLoopClient
 }
 
 func (rt *rpcRT) reset() {
-	rt.ops0, rt.byts0 = 0, 0
 	for _, c := range rt.cls {
-		rt.ops0 += c.Completed
-		rt.byts0 += c.Bytes
-		c.Latency = stats.NewHistogram()
+		c.ResetMeasurement()
 	}
 }
 
@@ -394,7 +386,7 @@ func (rt *rpcRT) result(d sim.Time) WorkloadResult {
 		byts += c.Bytes
 		lat.Merge(c.Latency)
 	}
-	r := WorkloadResult{Kind: KindRPC, Ops: ops - rt.ops0, Bytes: byts - rt.byts0, GoodputGbps: gbps(byts-rt.byts0, d)}
+	r := WorkloadResult{Kind: KindRPC, Ops: ops, Bytes: byts, GoodputGbps: gbps(byts, d)}
 	if lat.Count() > 0 {
 		r.P50Us = usOf(lat.Percentile(50))
 		r.P99Us = usOf(lat.Percentile(99))
@@ -403,15 +395,12 @@ func (rt *rpcRT) result(d sim.Time) WorkloadResult {
 }
 
 type kvRT struct {
-	cls  []*apps.KVClient
-	ops0 uint64
+	cls []*apps.KVClient
 }
 
 func (rt *kvRT) reset() {
-	rt.ops0 = 0
 	for _, c := range rt.cls {
-		rt.ops0 += c.Completed
-		c.Latency = stats.NewHistogram()
+		c.ResetMeasurement()
 	}
 }
 
@@ -422,7 +411,7 @@ func (rt *kvRT) result(d sim.Time) WorkloadResult {
 		ops += c.Completed
 		lat.Merge(c.Latency)
 	}
-	r := WorkloadResult{Kind: KindKV, Ops: ops - rt.ops0}
+	r := WorkloadResult{Kind: KindKV, Ops: ops}
 	if lat.Count() > 0 {
 		r.P50Us = usOf(lat.Percentile(50))
 		r.P99Us = usOf(lat.Percentile(99))
@@ -431,7 +420,7 @@ func (rt *kvRT) result(d sim.Time) WorkloadResult {
 }
 
 type flowgenRT struct {
-	g *workload.FlowGen
+	g *apps.FlowGen
 }
 
 func (rt *flowgenRT) reset() { rt.g.ResetMeasurement() }
@@ -450,24 +439,16 @@ func (rt *flowgenRT) result(d sim.Time) WorkloadResult {
 }
 
 type incastRT struct {
-	g       *workload.IncastGroup
-	bytes0  uint64
-	rounds0 uint64
+	g *apps.IncastGroup
 }
 
-func (rt *incastRT) reset() {
-	rt.g.ResetMeasurement()
-	rt.bytes0 = rt.g.BytesReceived
-	rt.rounds0 = rt.g.RoundsDone
-}
-
+func (rt *incastRT) reset() { rt.g.ResetMeasurement() }
 func (rt *incastRT) result(d sim.Time) WorkloadResult {
-	delta := rt.g.BytesReceived - rt.bytes0
 	r := WorkloadResult{
 		Kind:        KindIncast,
-		Bytes:       delta,
-		GoodputGbps: gbps(delta, d),
-		Rounds:      rt.g.RoundsDone - rt.rounds0,
+		Bytes:       rt.g.BytesReceived,
+		GoodputGbps: gbps(rt.g.BytesReceived, d),
+		Rounds:      rt.g.RoundsDone,
 	}
 	if rt.g.RoundFCT.Count() > 0 {
 		r.P50Us = usOf(rt.g.RoundFCT.Percentile(50))

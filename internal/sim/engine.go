@@ -608,6 +608,10 @@ func (e *Engine) step(limit Time) bool {
 			return false
 		}
 		e.slideTo(b)
+		if e.nearCnt == 0 {
+			// wheelMin would scan the empty near wheel forever.
+			panic(fmt.Sprintf("sim: sliding to block %d brought no event into the near wheel (%d far events)", b, e.farCnt))
+		}
 	}
 	bk := e.wheelMin()
 	ev := &bk.evs[bk.head]

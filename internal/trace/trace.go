@@ -12,7 +12,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Point identifies one tracepoint.
@@ -109,59 +108,29 @@ func (p Point) Name() string {
 // counter increment in CTM plus the occasional ring append.
 const CyclesPerHit = 22
 
-// Registry holds tracepoint state. The zero value has everything
-// disabled; hits cost nothing when disabled (compiled out in the real
-// system, branch-not-taken here).
+// Registry holds tracepoint state: one switch for all 48 points. The zero
+// value has them off; hits cost nothing when off (compiled out in the
+// real system, branch-not-taken here). A registry belongs to one TOE and
+// is touched only by its engine's goroutine.
 type Registry struct {
-	enabled  [NumPoints]bool
+	on       bool
 	counters [NumPoints]uint64
-	nEnabled int
 }
 
 // EnableAll turns on every tracepoint (Table 2's "statistics and
 // profiling" build).
-func (r *Registry) EnableAll() {
-	for p := Point(0); p < NumPoints; p++ {
-		r.enabled[p] = true
-	}
-	r.nEnabled = int(NumPoints)
-}
-
-// Enable turns on one tracepoint.
-func (r *Registry) Enable(p Point) {
-	if !r.enabled[p] {
-		r.enabled[p] = true
-		r.nEnabled++
-	}
-}
-
-// Disable turns off one tracepoint.
-func (r *Registry) Disable(p Point) {
-	if r.enabled[p] {
-		r.enabled[p] = false
-		r.nEnabled--
-	}
-}
-
-// EnabledCount returns how many tracepoints are active.
-func (r *Registry) EnabledCount() int { return r.nEnabled }
+func (r *Registry) EnableAll() { r.on = true }
 
 // Hit records an event. It returns the cycle cost the data-path pays (0
-// when the tracepoint is disabled).
-func (r *Registry) Hit(p Point) int64 {
-	if r == nil || !r.enabled[p] {
-		return 0
-	}
-	atomic.AddUint64(&r.counters[p], 1)
-	return CyclesPerHit
-}
+// when tracing is off).
+func (r *Registry) Hit(p Point) int64 { return r.HitN(p, 1) }
 
 // HitN records an event with a count (queue occupancies).
 func (r *Registry) HitN(p Point, n uint64) int64 {
-	if r == nil || !r.enabled[p] {
+	if r == nil || !r.on {
 		return 0
 	}
-	atomic.AddUint64(&r.counters[p], n)
+	r.counters[p] += n
 	return CyclesPerHit
 }
 
@@ -170,7 +139,7 @@ func (r *Registry) Count(p Point) uint64 {
 	if r == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&r.counters[p])
+	return r.counters[p]
 }
 
 // Snapshot returns all non-zero counters sorted by name.
