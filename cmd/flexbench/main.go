@@ -25,12 +25,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"flextoe/internal/experiments"
@@ -171,7 +174,17 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "flexbench scenario service listening on %s (workers=%d, dir=%q)\n",
 		ln.Addr(), srv.Workers(), *dir)
-	if err := http.Serve(ln, srv); err != nil {
+	// SIGINT or SIGTERM stops accepting, lets running jobs finish and
+	// exits 0; queued jobs stay persisted for the next server.
+	hs := &http.Server{Handler: srv}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		srv.Close()
+		hs.Shutdown(context.Background())
+	}()
+	if err := hs.Serve(ln); err != http.ErrServerClosed {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -34,7 +34,8 @@
 //     run or is pending (Engine.Balance, checked at every scenario's
 //     readout). There is one scheduling API: every event and
 //     task completion (AtCall/AfterCall/ImmediatelyCall/EveryCall on a
-//     component's sim.Owner or, unowned, on sim.Unowned or the Engine;
+//     component's sim.Owner or, unowned, on sim.Unowned or the Engine's
+//     own AfterCall;
 //     Resource.AcquireCall, Core/FPC.SubmitStepCall and SubmitCall,
 //     DMAEngine.IssueCall)
 //     carries a long-lived func(any) plus a per-event arg, so no closure
@@ -397,15 +398,14 @@
 // is armed once for all of them; the control plane, built on the TOE,
 // ranks behind both.
 //
-// Unowned scheduling (Engine.AtCall and siblings) is for what stands
+// Unowned scheduling (Engine.AfterCall, sim.Unowned) is for what stands
 // outside the modelled machines: applications, workload generators,
 // experiment traffic sources, tests and the benchmark drivers. Code that
 // schedules unowned from inside a callback says so through one named
 // adapter, sim.Unowned(eng, why), an Owner with key 0; a periodic source
 // arms only through an Owner (there is no Engine.EveryCall). Under -tags
-// flexdebug the engine's own AtCall, AfterCall and ImmediatelyCall panic
-// while an owned event or a delivery runs
-// (TestOwnedEventsScheduleThroughOwners).
+// flexdebug the engine's own AfterCall panics while an owned event or a
+// delivery runs (TestOwnedEventsScheduleThroughOwners).
 //
 // The rule is what lets the engine be optimised without moving a table:
 // an event whose only act is to schedule another can be removed, and two

@@ -419,7 +419,7 @@ func (g *IncastGroup) roundDone() {
 	}
 }
 
-// incastStartRound launches the next barrier round (see Engine.AtCall).
+// incastStartRound launches the next barrier round (see Engine.AfterCall).
 func incastStartRound(a any) { a.(*IncastGroup).startRound() }
 
 // ResetMeasurement opens the measured window: completed rounds, received

@@ -383,13 +383,6 @@ func (s *Stack) lookup(f packet.Flow, h uint32) *bconn {
 // NumConns returns the number of live connections.
 func (s *Stack) NumConns() int { return s.nLive }
 
-// ConnTableBytes reports the connection-table footprint: the slot array,
-// the flow-hash index, and the free-slot ring (not the bconn payload
-// buffers, which are an application sizing choice).
-func (s *Stack) ConnTableBytes() int {
-	return len(s.slots)*8 + s.flowIdx.MemBytes() + cap(s.free)*4
-}
-
 // installConn assigns a slot (FIFO-recycled) and indexes the flow.
 func (s *Stack) installConn(c *bconn) {
 	var id uint32

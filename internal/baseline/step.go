@@ -32,7 +32,7 @@ type tcb struct {
 	iss      uint32
 	una      uint64 // oldest unacked
 	nxt      uint64 // next to send
-	sentHigh uint64 // highest offset ever emitted (retransmit detection)
+	sndMax   uint64 // SND.MAX: one past the highest offset ever emitted, the FIN's slot included
 	appended uint64 // bytes the app has written
 	// tx is the socket send buffer (bufSize); [una, appended) is live.
 	tx       *shm.PayloadBuf
@@ -132,10 +132,13 @@ func (t *tcb) segment(fx effects, pkt *packet.Packet, now sim.Time) {
 		t.ingestSACK(tcp)
 		ackOff, ackOK := t.ackOff(tcp.Ack)
 		switch {
-		case !ackOK:
-			// Acknowledges nothing this stream ever sent: ignored, like
-			// any other ACK below una.
-		case ackOff > t.una && ackOff <= t.appended+1:
+		case !ackOK || ackOff > t.sndMax || ackOff > t.appended+1:
+			// Acknowledges nothing this stream ever sent (below offset
+			// zero, or beyond SND.MAX) or nothing the application
+			// committed (a slot sized before a go-back-N rewind raced
+			// with an ACK can emit past the committed bytes; ROADMAP 21):
+			// ignored, like any other ACK below una.
+		case ackOff > t.una:
 			acked := ackOff - t.una
 			if t.finAt != ^uint64(0) && ackOff == t.finAt+1 { // FIN occupies one sequence slot
 				t.finAcked = true
@@ -468,12 +471,17 @@ func (t *tcb) send(fx effects, off, n uint64, fin bool) {
 	t.env.TxSegs++
 	// Sent high-water mark: any payload byte below it has been on the
 	// wire before — the m-lab SendNext retransmit criterion, and the
-	// definition flowmon's sender-side inference must reproduce.
-	if off < t.sentHigh && n > 0 {
+	// definition flowmon's sender-side inference must reproduce. The
+	// FIN's slot ends the stream, so no payload byte lies at or past it.
+	if off < t.sndMax && n > 0 {
 		t.env.RetxSegs++
-		t.env.RetxBytes += min(t.sentHigh-off, n)
+		t.env.RetxBytes += min(t.sndMax-off, n)
 	}
-	t.sentHigh = max(t.sentHigh, off+n)
+	end := off + n
+	if fin {
+		end++
+	}
+	t.sndMax = max(t.sndMax, end)
 	fx.emit(off, n, flags)
 }
 

@@ -364,3 +364,48 @@ func TestStepSendAfterIdle(t *testing.T) {
 		})
 	}
 }
+
+// TestStepAckBeyondSndMax: an acknowledgment for bytes the sender has
+// committed but never sent changes no sender state, on every recovery
+// policy. The bound is SND.MAX, one past the highest offset emitted (the
+// FIN's slot once a FIN went out). With only the committed bytes as the
+// bound, the forged ACKs below moved SND.UNA and SND.NXT past bytes that
+// were then never transmitted, and the receiver waited for them forever. After the forgeries the honest stream and its
+// FIN still arrive intact, and the FIN's own acknowledgment is taken.
+func TestStepAckBeyondSndMax(t *testing.T) {
+	const committed = 20000
+	for _, prof := range stepProfiles {
+		t.Run(prof.Name, func(t *testing.T) {
+			a, b := newRecorder(prof, 0x1234), newRecorder(prof, 0x9876)
+			b.reader = true
+			l := newStepLink(a, b)
+			want := pattern(committed, 3)
+			a.write(want)
+			a.settle(l.now)
+			sent := a.t.nxt // SND.MAX: nothing was sent twice yet
+			if sent == 0 || sent >= committed {
+				t.Fatalf("first flight sent %d of %d bytes, want some but not all", sent, committed)
+			}
+			for _, off := range []uint64{sent + 1, sent + mss, (sent + committed) / 2, committed, committed + 1} {
+				before, env := *a.t, *a.t.env
+				p := &packet.Packet{TCP: packet.TCP{Seq: a.t.irs + uint32(a.t.rcvd),
+					Ack: a.t.sndSeq(off), Flags: packet.FlagACK, Window: b.t.window()}}
+				a.t.segment(a, p, l.now)
+				if a.t.una != before.una || a.t.nxt != before.nxt || a.t.cwnd != before.cwnd ||
+					a.t.dupacks != before.dupacks || *a.t.env != env || a.t.finAcked {
+					t.Errorf("ack for offset %d, SND.MAX %d: una %d->%d nxt %d->%d cwnd %d->%d dupacks %d->%d counters %+v->%+v finAcked %v, want no change",
+						off, sent, before.una, a.t.una, before.nxt, a.t.nxt, before.cwnd, a.t.cwnd,
+						before.dupacks, a.t.dupacks, env, *a.t.env, a.t.finAcked)
+				}
+			}
+			a.t.close(a)
+			l.run(t, func() bool { return a.t.finAcked && b.closed })
+			if !bytes.Equal(b.delivered, want) {
+				t.Fatalf("b read %d bytes, first difference at %d, want the %d committed", len(b.delivered), firstDiff(b.delivered, want), committed)
+			}
+			if a.t.una != committed {
+				t.Fatalf("after the FIN's ack: SND.UNA %d, want %d", a.t.una, committed)
+			}
+		})
+	}
+}

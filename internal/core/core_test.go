@@ -111,7 +111,7 @@ func testData(n int) []byte {
 func TestEndToEndSmallTransfer(t *testing.T) {
 	p := defaultPair(t, 65536)
 	data := testData(100)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -124,7 +124,7 @@ func TestEndToEndSmallTransfer(t *testing.T) {
 func TestEndToEndMultiSegment(t *testing.T) {
 	p := defaultPair(t, 65536)
 	data := testData(20000) // ~14 MSS segments
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(20 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -143,7 +143,7 @@ func TestEndToEndLargerThanBuffers(t *testing.T) {
 	// updates, and buffer wraparound continuously.
 	p := defaultPair(t, 8192)
 	data := testData(80000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("received %d bytes, want %d", len(p.b.got), len(data))
@@ -154,7 +154,7 @@ func TestEndToEndBidirectional(t *testing.T) {
 	p := defaultPair(t, 32768)
 	dataA := testData(30000)
 	dataB := testData(25000)
-	p.eng.AtCall(0, func(any) {
+	p.eng.AfterCall(0, func(any) {
 		p.a.send(dataA)
 		p.b.send(dataB)
 	}, nil)
@@ -198,7 +198,7 @@ func TestEndToEndPingPong(t *testing.T) {
 			}
 		}
 	}
-	p.eng.AtCall(0, func(any) { p.a.send(testData(msg)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(msg)) }, nil)
 	p.eng.RunUntil(50 * sim.Millisecond)
 	if len(p.a.got) != rounds*msg {
 		t.Fatalf("a received %d bytes, want %d", len(p.a.got), rounds*msg)
@@ -208,10 +208,10 @@ func TestEndToEndPingPong(t *testing.T) {
 func TestFINTeardown(t *testing.T) {
 	p := defaultPair(t, 16384)
 	data := testData(500)
-	p.eng.AtCall(0, func(any) {
+	p.eng.AfterCall(0, func(any) {
 		p.a.send(data)
 	}, nil)
-	p.eng.AtCall(2*sim.Millisecond, func(any) {
+	p.eng.AfterCall(2*sim.Millisecond, func(any) {
 		p.a.t.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: p.a.conn.ID})
 	}, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
@@ -229,7 +229,7 @@ func TestFINTeardown(t *testing.T) {
 func TestSegPoolConserved(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(50000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(60 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -246,15 +246,15 @@ func TestRetransmitAfterLossViaHC(t *testing.T) {
 	p := newPair(t, AgilioCX40Config(), AgilioCX40Config(),
 		netsim.SwitchConfig{LossProb: 0.3, Seed: 5}, 32768)
 	data := testData(30000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	// Simple RTO loop: fire a go-back-N reset every 3ms if b hasn't
 	// finished (the real control plane runs this per connection).
 	for i := 1; i <= 100; i++ {
 		at := sim.Time(i) * 3 * sim.Millisecond
-		p.eng.AtCall(at, func(any) {
+		p.eng.AfterCall(at, func(any) {
 			if len(p.b.got) < len(data) {
 				if at > 12*sim.Millisecond {
-					p.net.Switch.Config().LossProb = 0 // network heals
+					p.net.Switch.Cfg.LossProb = 0 // network heals
 				}
 				p.a.t.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
 			}
@@ -284,7 +284,7 @@ func TestProtocolAdmissionInOrder(t *testing.T) {
 		}
 	}
 	data := testData(40000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(50 * sim.Millisecond)
 	if violations > 0 {
 		t.Fatalf("%d protocol admission order violations", violations)
@@ -302,7 +302,7 @@ func TestReorderBufferExercised(t *testing.T) {
 	cfg.PreRepl = 4
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, 65536)
 	data := testData(200000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -322,7 +322,7 @@ func TestRunToCompletionMode(t *testing.T) {
 	cfg.ThreadsPerFPC = 1
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, 32768)
 	data := testData(10000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("mono transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -344,7 +344,7 @@ func TestRunToCompletionSlowerThanPipeline(t *testing.T) {
 				doneAt = p.eng.Now()
 			}
 		}
-		p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+		p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 		p.eng.RunUntil(2 * sim.Second)
 		if !bytes.Equal(p.b.got, data) {
 			t.Fatalf("transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -378,7 +378,7 @@ func TestRunToCompletionMatchesPipeline(t *testing.T) {
 	data := testData(30000)
 	run := func(cfg Config) outcome {
 		p := newPair(t, cfg, cfg, netsim.SwitchConfig{}, bufSize)
-		p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+		p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 		drained := func() bool { return len(p.b.got) == len(data) && p.a.txFree == bufSize }
 		for i := 0; !drained(); i++ {
 			if i > 100 {
@@ -432,7 +432,7 @@ func TestRunToCompletionMatchesPipeline(t *testing.T) {
 func TestX86PortTransfers(t *testing.T) {
 	p := newPair(t, X86Config(true), X86Config(true), netsim.SwitchConfig{}, 65536)
 	data := testData(50000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(100 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("x86 port transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -442,7 +442,7 @@ func TestX86PortTransfers(t *testing.T) {
 func TestBlueFieldPortTransfers(t *testing.T) {
 	p := newPair(t, BlueFieldConfig(false), BlueFieldConfig(false), netsim.SwitchConfig{}, 65536)
 	data := testData(30000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(200 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("BlueField port transfer incomplete: %d/%d", len(p.b.got), len(data))
@@ -452,7 +452,7 @@ func TestBlueFieldPortTransfers(t *testing.T) {
 func TestConnStatsPoll(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(20000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	st := p.toeA.ReadStats(p.a.conn.ID)
 	if st.AckedBytes == 0 {
@@ -468,8 +468,8 @@ func TestConnStatsPoll(t *testing.T) {
 func TestRemoveConnectionStopsTraffic(t *testing.T) {
 	p := defaultPair(t, 32768)
 	data := testData(500000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
-	p.eng.AtCall(5*sim.Microsecond, func(any) {
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(5*sim.Microsecond, func(any) {
 		p.toeB.RemoveConnection(p.b.conn.ID)
 	}, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
@@ -488,13 +488,13 @@ func runLossyTransfer(t *testing.T, oooIntervals int, seed uint64) *pair {
 	cfg.OOOIntervals = oooIntervals
 	p := newPair(t, cfg, cfg, netsim.SwitchConfig{LossProb: 0.25, Seed: seed}, 32768)
 	data := testData(30000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	for i := 1; i <= 150; i++ {
 		at := sim.Time(i) * 3 * sim.Millisecond
-		p.eng.AtCall(at, func(any) {
+		p.eng.AfterCall(at, func(any) {
 			if len(p.b.got) < len(data) {
 				if at > 12*sim.Millisecond {
-					p.net.Switch.Config().LossProb = 0 // network heals
+					p.net.Switch.Cfg.LossProb = 0 // network heals
 				}
 				p.a.t.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
 			}
@@ -519,7 +519,7 @@ func TestMultiIntervalReassemblyUnderLoss(t *testing.T) {
 		t.Fatalf("N=1 cannot avoid drops: %d", p1.toeB.OOODropsAvoided)
 	}
 	if p1.toeB.OOOOccupancy.MaxSeen() > 1 {
-		t.Fatalf("N=1 occupancy exceeded 1: %v", p1.toeB.OOOOccupancy.Dist())
+		t.Fatalf("N=1 occupancy reached %d", p1.toeB.OOOOccupancy.MaxSeen())
 	}
 
 	// N=4: same loss process; multiple concurrent holes are tracked and
@@ -529,7 +529,7 @@ func TestMultiIntervalReassemblyUnderLoss(t *testing.T) {
 		t.Fatal("no OOO activity recorded")
 	}
 	if p4.toeB.OOOOccupancy.MaxSeen() < 2 {
-		t.Fatalf("N=4 never tracked more than one interval: %v", p4.toeB.OOOOccupancy.Dist())
+		t.Fatal("N=4 never tracked more than one interval")
 	}
 	if p4.toeB.OOODropsAvoided == 0 {
 		t.Fatal("N=4 avoided no drops under this loss pattern")

@@ -122,7 +122,7 @@ func churnRow(tb *testbed.Testbed) string {
 	tb.M("server").Stack.Listen(9090, func(sock api.Socket) { sock.Close() })
 	dials := 0
 	for at := 100 * sim.Microsecond; at < 4*sim.Millisecond; at += 40 * sim.Microsecond {
-		tb.Eng.AtCall(at, func(any) {
+		tb.Eng.AfterCall(at-tb.Eng.Now(), func(any) {
 			for i := 0; i < 4; i++ {
 				tb.M("client").Stack.Dial(tb.Addr("server", 9090), func(sock api.Socket) { sock.Close() })
 				dials++

@@ -23,7 +23,7 @@ func TestHeldKickSameInstant(t *testing.T) {
 		p.toeA.eagerTX = eager
 		p.toeA.ControlRx = func(*packet.Packet) { inflight = append(inflight, p.toeA.txInflight) }
 		data := testData(1000)
-		p.eng.AtCall(10*sim.Microsecond, func(any) {
+		p.eng.AfterCall(10*sim.Microsecond, func(any) {
 			toe, c := p.toeA, p.a.conn
 			toe.kickTX()
 			toe.toControl(toe.pkts.Get())

@@ -138,7 +138,7 @@ type TOE struct {
 	xdpFree shm.Freelist[xdpWork]
 
 	// Long-lived callback cached so control-frame delivery never builds a
-	// closure per event (see sim.Engine.AtCall). Segment-carrying events
+	// closure per event (see sim.Engine.AfterCall). Segment-carrying events
 	// use package-level functions and the item's toe pointer; the TX pump
 	// uses package-level functions with the TOE as argument.
 	controlCb func(any)
@@ -358,12 +358,6 @@ func (t *TOE) buildPipeline() {
 
 // Trace returns the tracepoint registry (enable for the Table 2 builds).
 func (t *TOE) Trace() *trace.Registry { return t.trace }
-
-// Sched exposes the flow scheduler (for control-plane rate programming).
-func (t *TOE) Sched() *sched.Carousel { return t.sched }
-
-// Engine returns the simulation engine the data-path runs on.
-func (t *TOE) Engine() *sim.Engine { return t.eng }
 
 // Config returns the active configuration.
 func (t *TOE) Config() *Config { return &t.cfg }

@@ -33,7 +33,7 @@ type segItem struct {
 
 	// toe owns the item's pool; set once at first allocation and
 	// preserved across recycling so pooled completion callbacks
-	// (sim.Engine.AtCall) can find their way back without a closure.
+	// (sim.Engine.AfterCall) can find their way back without a closure.
 	toe  *TOE
 	refs int8
 

@@ -61,7 +61,7 @@ func (t *TOE) ownNow(cb func(any), arg any) {
 }
 
 // Long-lived event callbacks for the transmit pump (see
-// sim.Engine.AtCall): the TOE itself is the argument, so arming and
+// sim.Engine.AfterCall): the TOE itself is the argument, so arming and
 // deferring the pump allocate nothing in either pipeline or
 // run-to-completion mode.
 func toeTXPump(a any) { a.(*TOE).txPump() }

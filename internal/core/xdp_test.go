@@ -20,7 +20,7 @@ func TestXDPDropBlackholesTraffic(t *testing.T) {
 	p := defaultPair(t, 32768)
 	dropAll := &xdp.Func{Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Drop }}
 	p.toeB.AttachXDP(dropAll)
-	p.eng.AtCall(0, func(any) { p.a.send(testData(5000)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(5000)) }, nil)
 	p.eng.RunUntil(10 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatalf("data delivered through a dropping program: %d bytes", len(p.b.got))
@@ -38,7 +38,7 @@ func TestXDPPassIsTransparent(t *testing.T) {
 	p := defaultPair(t, 32768)
 	p.toeB.AttachXDP(xdp.Null())
 	data := testData(20000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("transfer through null XDP incomplete: %d/%d", len(p.b.got), len(data))
@@ -51,7 +51,7 @@ func TestXDPRedirectGoesToControlPlane(t *testing.T) {
 	p.toeB.ControlRx = func(pkt *packet.Packet) { redirected++ }
 	redirect := &xdp.Func{Instr: 10, F: func(*xdp.Context) xdp.Verdict { return xdp.Redirect }}
 	p.toeB.AttachXDP(redirect)
-	p.eng.AtCall(0, func(any) { p.a.send(testData(100)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(100)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if redirected == 0 || p.toeB.XDPRedirects == 0 {
 		t.Fatalf("redirects: cb=%d counter=%d", redirected, p.toeB.XDPRedirects)
@@ -89,7 +89,7 @@ func TestXDPMutationReachesProtocol(t *testing.T) {
 	}}
 	p.toeB.AttachXDP(marker)
 	data := testData(200000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatalf("delivered %d of %d bytes, or wrong bytes", len(p.b.got), len(data))
@@ -105,20 +105,23 @@ func TestEBPFProgramInPipeline(t *testing.T) {
 	// segment whose destination port is 2000 (the test flow's port).
 	p := defaultPair(t, 32768)
 	vm := ebpf.NewVM()
-	prog := ebpf.NewAsm().
+	prog, err := ebpf.NewAsm().
 		LoadMem(ebpf.R3, ebpf.R1, 36, ebpf.SizeH). // TCP dst port
 		JmpImm(ebpf.JEq, ebpf.R3, 2000, "drop").
 		MovImm(ebpf.R0, ebpf.XDPPass).
 		Exit().
 		Label("drop").
 		MovImm(ebpf.R0, ebpf.XDPDrop).
-		Exit().MustProgram()
+		Exit().Program()
+	if err != nil {
+		t.Fatal(err)
+	}
 	xp, err := ebpf.LoadXDP(vm, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.toeB.AttachXDP(xp)
-	p.eng.AtCall(0, func(any) { p.a.send(testData(1000)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(1000)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatal("eBPF port filter did not drop the flow")
@@ -137,7 +140,7 @@ func TestXDPChainShortCircuits(t *testing.T) {
 		secondRan = true
 		return xdp.Pass
 	}})
-	p.eng.AtCall(0, func(any) { p.a.send(testData(100)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(100)) }, nil)
 	p.eng.RunUntil(3 * sim.Millisecond)
 	if secondRan {
 		t.Fatal("chain did not short-circuit after Drop")
@@ -157,7 +160,7 @@ func TestPacketTapSeesBothDirections(t *testing.T) {
 		}
 	}
 	data := testData(10000)
-	p.eng.AtCall(0, func(any) { p.a.send(data) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
 	p.eng.RunUntil(20 * sim.Millisecond)
 	if !bytes.Equal(p.b.got, data) {
 		t.Fatal("transfer incomplete")
@@ -174,14 +177,14 @@ func TestFirewallModuleInPipeline(t *testing.T) {
 	fw := xdp.NewFirewall()
 	fw.Block(uint32(packet.IP(10, 0, 0, 1))) // A's address
 	p.toeB.AttachXDP(fw)
-	p.eng.AtCall(0, func(any) { p.a.send(testData(1000)) }, nil)
+	p.eng.AfterCall(0, func(any) { p.a.send(testData(1000)) }, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)
 	if len(p.b.got) != 0 {
 		t.Fatal("blocked source delivered data")
 	}
 	fw.Unblock(uint32(packet.IP(10, 0, 0, 1)))
 	// Trigger recovery via a control-plane style retransmit.
-	p.eng.ImmediatelyCall(func(any) {
+	p.eng.AfterCall(0, func(any) {
 		p.toeA.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
 	}, nil)
 	p.eng.RunUntil(30 * sim.Millisecond)
@@ -204,7 +207,7 @@ func TestVLANStripInPipeline(t *testing.T) {
 			Flags: packet.FlagACK | packet.FlagPSH, Window: 512, WScale: -1},
 		Payload: []byte("tagged payload"),
 	}
-	p.eng.AtCall(sim.Microsecond, func(any) {
+	p.eng.AfterCall(sim.Microsecond, func(any) {
 		p.toeB.rxFromWire(netsim.FramesOf(p.eng).NewFrame(pkt, p.eng.Now()))
 	}, nil)
 	p.eng.RunUntil(5 * sim.Millisecond)

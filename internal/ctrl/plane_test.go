@@ -8,7 +8,16 @@ import (
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
+	"flextoe/internal/tcpseg"
 )
+
+// sackNegotiated reads the SACK-permitted bit the control plane set at
+// establishment: the bit SetSACKPerm(true) sets.
+func sackNegotiated(p *tcpseg.ProtoState) bool {
+	var on tcpseg.ProtoState
+	on.SetSACKPerm(true)
+	return p.Flags&on.Flags != 0
+}
 
 // buildPair wires two FlexTOE machines with control planes. bGbps <= 0
 // leaves the receiver at full line rate; a lower value creates a
@@ -36,7 +45,7 @@ func TestHandshakeEstablishes(t *testing.T) {
 	eng, pa, pb, _, _ := buildPair(t, CCNone, netsim.SwitchConfig{}, 0)
 	var serverConn, clientConn *Conn
 	pb.Listen(80, func(c *Conn) { serverConn = c })
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			clientConn = c
 		})
@@ -57,7 +66,7 @@ func TestHandshakeEstablishes(t *testing.T) {
 func TestRSTForClosedPort(t *testing.T) {
 	eng, pa, _, _, _ := buildPair(t, CCNone, netsim.SwitchConfig{}, 0)
 	connected := false
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 9999, func(c *Conn) {
 			connected = true
 		})
@@ -83,7 +92,7 @@ func TestDataTransferAfterHandshake(t *testing.T) {
 		}
 	})
 	payload := []byte("control-plane-established data path")
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			c.TxBuf.WriteAt(0, payload)
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: uint32(len(payload))})
@@ -108,7 +117,7 @@ func TestRTORecoversFromBlackout(t *testing.T) {
 		}
 	})
 	var conn *Conn
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 		})
@@ -171,17 +180,17 @@ func TestSACKNegotiation(t *testing.T) {
 			eng, pa, pb, _, _ := buildPairCfg(t, c.cfgA, c.cfgB, 0)
 			var serverConn, clientConn *Conn
 			pb.Listen(80, func(cn *Conn) { serverConn = cn })
-			eng.AtCall(0, func(any) {
+			eng.AfterCall(0, func(any) {
 				pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(cn *Conn) { clientConn = cn })
 			}, nil)
 			eng.RunUntil(5 * sim.Millisecond)
 			if serverConn == nil || clientConn == nil {
 				t.Fatal("handshake incomplete")
 			}
-			if got := clientConn.Core.Proto.SACKEnabled(); got != c.want {
+			if got := sackNegotiated(&clientConn.Core.Proto); got != c.want {
 				t.Fatalf("client SACK = %v, want %v", got, c.want)
 			}
-			if got := serverConn.Core.Proto.SACKEnabled(); got != c.want {
+			if got := sackNegotiated(&serverConn.Core.Proto); got != c.want {
 				t.Fatalf("server SACK = %v, want %v", got, c.want)
 			}
 		})
@@ -208,7 +217,7 @@ func TestPersistProbeRecoversLostWindowUpdate(t *testing.T) {
 	})
 	var conn *Conn
 	txFree := uint32(0)
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			c.Core.Notify = func(d shm.Desc) {
@@ -278,7 +287,7 @@ func TestDCTCPReactsToECN(t *testing.T) {
 			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: conn.ID, Bytes: uint32(len(chunk))})
 		}
 	}
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			c.Core.Notify = func(d shm.Desc) {
@@ -313,7 +322,7 @@ func TestTimelyProgramsRate(t *testing.T) {
 		}
 	})
 	var conn *Conn
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
 			payload := make([]byte, 32768)
@@ -325,8 +334,9 @@ func TestTimelyProgramsRate(t *testing.T) {
 	if conn == nil {
 		t.Fatal("no connection")
 	}
-	// TIMELY programs a pacing interval into the scheduler.
-	if toeA.Sched().Interval(conn.ID) == 0 {
+	// TIMELY programs a pacing interval into the scheduler each time it
+	// sets a rate (ccState.timely ends in setRate).
+	if pa.ccs[conn.ID].rate == 0 {
 		t.Fatal("TIMELY never programmed a rate interval")
 	}
 }

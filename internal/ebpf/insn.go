@@ -175,11 +175,6 @@ func (a *Asm) StoreMem(dst, src uint8, off int16, size uint8) *Asm {
 	return a.emit(Insn{Op: ClassSTX | ModeMem | size, Dst: dst, Src: src, Off: off})
 }
 
-// StoreImm stores *(size*)(dst + off) = imm.
-func (a *Asm) StoreImm(dst uint8, off int16, size uint8, imm int32) *Asm {
-	return a.emit(Insn{Op: ClassST | ModeMem | size, Dst: dst, Off: off, Imm: imm})
-}
-
 // JmpImm jumps to label when dst <op> imm.
 func (a *Asm) JmpImm(op uint8, dst uint8, imm int32, label string) *Asm {
 	a.fixups = append(a.fixups, fixup{len(a.ins), label})
@@ -214,13 +209,4 @@ func (a *Asm) Program() ([]Insn, error) {
 		out[f.idx].Off = int16(target - f.idx - 1)
 	}
 	return out, nil
-}
-
-// MustProgram is Program, panicking on error (for static programs).
-func (a *Asm) MustProgram() []Insn {
-	p, err := a.Program()
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

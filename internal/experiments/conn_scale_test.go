@@ -141,7 +141,9 @@ func TestChurnSteadyStateMemory(t *testing.T) {
 }
 
 // TestChurnSteadyStateMemoryBaseline gates the same reclamation contract
-// on the slab-backed baseline stacks.
+// on the slab-backed baseline stacks: 320 dials drain to no live
+// connection and return every loan. That a drained slot is reused, so the
+// table does not grow, is baseline's TestBaselineCloseLingerReclaim.
 func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	tb := testbed.New(netsim.SwitchConfig{Seed: 50},
 		testbed.MachineSpec{Name: "server", Kind: testbed.TAS, BufSize: 4096, Seed: 50},
@@ -151,7 +153,6 @@ func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	srv.Stack.Listen(9090, func(sock api.Socket) { sock.Close() })
 	dials := churnLoop(tb, "client", "server", 9090, 10, 16, sim.Millisecond)
 	tb.Run(tb.Eng.Now() + 30*sim.Millisecond)
-	midBytes := srv.Base.ConnTableBytes()
 	dials += churnLoop(tb, "client", "server", 9090, 10, 16, sim.Millisecond)
 	tb.Run(tb.Eng.Now() + 30*sim.Millisecond)
 	if dials != 320 {
@@ -159,9 +160,6 @@ func TestChurnSteadyStateMemoryBaseline(t *testing.T) {
 	}
 	if n := srv.Base.NumConns() + tb.M("client").Base.NumConns(); n != 0 {
 		t.Errorf("%d baseline connections still live after drain", n)
-	}
-	if end := srv.Base.ConnTableBytes(); end != midBytes {
-		t.Errorf("baseline connection table grew across churn: %d -> %d bytes", midBytes, end)
 	}
 	if err := tb.Eng.Unreturned(); err != nil {
 		t.Error(err)

@@ -186,15 +186,6 @@ func (f *Fabric) AttachHost(rack int, name string, mac packet.EtherAddr, bytesPe
 // Hosts returns every attached host in attachment order.
 func (f *Fabric) Hosts() []*Host { return f.hostList }
 
-// LeafPort returns the leaf-side egress port toward the named host: the
-// queue where incast fan-in converges.
-func (f *Fabric) LeafPort(name string) *netsim.Iface {
-	if h := f.hosts[name]; h != nil {
-		return h.LeafPort
-	}
-	return nil
-}
-
 // SpineTxBytes returns, per spine, the bytes all leaves transmitted up
 // that spine — the ECMP load-balance measurement.
 func (f *Fabric) SpineTxBytes() []uint64 {

@@ -97,7 +97,7 @@ func (c *Core) next() {
 }
 
 // coreTaskDone completes the running task and starts the next (see
-// sim.Engine.AtCall; the core runs one task at a time, so curCb/curArg
+// sim.Engine.AfterCall; the core runs one task at a time, so curCb/curArg
 // are unambiguous).
 func coreTaskDone(a any) {
 	c := a.(*Core)

@@ -11,7 +11,7 @@ func TestCoreSerializesTasks(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9) // 2 GHz: 500ps/cycle
 	var done []sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		c.SubmitCall(sim.TaskC(1000), func(any) { done = append(done, eng.Now()) }, nil) // 500ns
 		c.SubmitCall(sim.TaskC(1000), func(any) { done = append(done, eng.Now()) }, nil)
 	}, nil)
@@ -32,7 +32,7 @@ func TestCoreStallsDoNotOverlap(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
 	var last sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		for i := 0; i < 4; i++ {
 			c.SubmitCall(sim.TaskC(1000).Add(0, sim.Microsecond), func(any) { last = eng.Now() }, nil)
 		}
@@ -47,7 +47,7 @@ func TestCoreStallsDoNotOverlap(t *testing.T) {
 func TestCoreBusyAndQueue(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		if c.Busy() {
 			t.Error("idle core reports busy")
 		}
@@ -66,8 +66,8 @@ func TestCoreBusyAndQueue(t *testing.T) {
 func TestCoreUtilization(t *testing.T) {
 	eng := sim.New()
 	c := NewCore(eng, "cpu0", 2e9)
-	eng.AtCall(0, func(any) { c.SubmitCall(sim.TaskC(2000), nil, nil) }, nil) // 1us busy
-	eng.AtCall(2*sim.Microsecond, func(any) {}, nil)                          // extend sim to 2us
+	eng.AfterCall(0, func(any) { c.SubmitCall(sim.TaskC(2000), nil, nil) }, nil) // 1us busy
+	eng.AfterCall(2*sim.Microsecond, func(any) {}, nil)                          // extend sim to 2us
 	eng.Run()
 	if u := c.Utilization(); u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
@@ -230,9 +230,9 @@ func TestStepSubmitMatchesTask(t *testing.T) {
 		at := sim.Time(0)
 		for i := 0; i < 400; i++ {
 			at += sim.Time(rng.Intn(1500)) * sim.Nanosecond
-			eng.AtCall(at, submit, nil)
+			eng.AfterCall(at, submit, nil)
 			if rng.Intn(4) == 0 {
-				eng.AtCall(at, submit, nil) // a burst: the second queues
+				eng.AfterCall(at, submit, nil) // a burst: the second queues
 			}
 		}
 		eng.Run()

@@ -317,6 +317,3 @@ func sockNotify(a any) {
 		}
 	}
 }
-
-// FinRx reports whether the peer closed its direction.
-func (k *Socket) FinRx() bool { return k.finRx }

@@ -59,7 +59,7 @@ func TestSocketSendRecv(t *testing.T) {
 		})
 	})
 	msg := []byte("libtoe sockets over the offloaded data-path")
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			if n := apitest.Write(sock, msg); n != len(msg) {
 				t.Errorf("Write = %d", n)
@@ -76,7 +76,7 @@ func TestSocketAddrs(t *testing.T) {
 	eng, sa, sb := buildStacks(t)
 	var server, client api.Socket
 	sb.Listen(80, func(s api.Socket) { server = s })
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(s api.Socket) { client = s })
 	}, nil)
 	eng.RunUntil(5 * sim.Millisecond)
@@ -113,7 +113,7 @@ func TestSocketBackpressure(t *testing.T) {
 	})
 	total := 0
 	const want = 300000 // several times the 64KB socket buffer
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			chunk := make([]byte, 16384)
 			push := func() {
@@ -142,7 +142,7 @@ func TestSocketClosePropagatesFIN(t *testing.T) {
 	eng, sa, sb := buildStacks(t)
 	var serverSock *libtoe.Socket
 	sb.Listen(80, func(sock api.Socket) { serverSock = sock.(*libtoe.Socket) })
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		sa.Dial(api.Addr{IP: sb.LocalIP(), Port: 80}, func(sock api.Socket) {
 			apitest.Write(sock, []byte("bye"))
 			sock.Close()

@@ -137,7 +137,7 @@ func runFold(spec *foldSpec, tapped bool) foldRun {
 		probe.AtCall(at, func(any) { readPorts("probe") }, nil)
 	}
 	for i, fr := range spec.frames {
-		eng.AtCall(fr.at, func(any) {
+		eng.AfterCall(fr.at, func(any) {
 			src, dst := hosts[fr.src], hosts[fr.dst]
 			pkt := testPacket(src.MAC, dst.MAC, fr.payload)
 			pkt.TCP.Seq = uint32(i)
@@ -345,7 +345,7 @@ func foldSpecOf(data []byte) *foldSpec {
 func TestShapingMidCrossbarPanics(t *testing.T) {
 	eng, n, a, b := buildNet(t, SwitchConfig{})
 	b.Recv = func(f *Frame) { ReleaseFrame(f) }
-	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(testPacket(a.MAC, b.MAC, 1400), 0)) }, nil)
+	eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(testPacket(a.MAC, b.MAC, 1400), 0)) }, nil)
 	// Forwarded at ~392 ns (292 ns serialization + 100 ns link), egress
 	// 600 ns later.
 	eng.RunUntil(700 * sim.Nanosecond)

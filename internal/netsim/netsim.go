@@ -206,10 +206,6 @@ func (i *Iface) EnableQueueHist(unitBytes, maxBytes int) {
 	i.queueHist = stats.NewLinearHist(maxBytes / unitBytes)
 }
 
-// QueueHist returns the egress occupancy histogram (nil unless enabled)
-// and its bucket width in bytes.
-func (i *Iface) QueueHist() (*stats.LinearHist, int) { return i.queueHist, i.queueHistUnit }
-
 // ResetQueueStats clears the peak-depth marker and occupancy histogram
 // (end of a warmup phase); cumulative drop/mark counters are untouched.
 func (i *Iface) ResetQueueStats() {
@@ -396,10 +392,12 @@ type SwitchConfig struct {
 // event in the three cases the package comment lists.
 type Switch struct {
 	Name string
+	// Cfg is the live configuration: a test may change loss or marking
+	// mid-run.
+	Cfg SwitchConfig
 
 	eng     *sim.Engine
 	own     sim.Owner
-	cfg     SwitchConfig
 	rng     *stats.RNG
 	ports   []*Iface
 	uplinks []*Iface
@@ -430,14 +428,10 @@ func NewSwitch(eng *sim.Engine, cfg SwitchConfig) *Switch {
 	return &Switch{
 		eng: eng,
 		own: eng.NewOwner(),
-		cfg: cfg,
+		Cfg: cfg,
 		rng: stats.NewRNG(cfg.Seed ^ 0x5317c4),
 	}
 }
-
-// Config returns a pointer to the live configuration so experiments can
-// adjust loss/marking mid-run.
-func (s *Switch) Config() *SwitchConfig { return &s.cfg }
 
 // AddPort creates a switch port with the given line rate and returns the
 // interface to connect a host NIC to.
@@ -527,7 +521,7 @@ func (s *Switch) forwardFrom(in *Iface, f *Frame) {
 	// Uniform loss injection applies to every forwarded frame. Every drop
 	// terminates the frame's (and packet's) journey: the switch is the
 	// owner at that point, so it releases both.
-	if s.cfg.LossProb > 0 && s.rng.Bool(s.cfg.LossProb) {
+	if s.Cfg.LossProb > 0 && s.rng.Bool(s.Cfg.LossProb) {
 		s.LossDrops++
 		dropFrame(f)
 		return
@@ -537,7 +531,7 @@ func (s *Switch) forwardFrom(in *Iface, f *Frame) {
 	// Every injection draw is guarded by its probability, so a config that
 	// leaves DupProb/ReorderProb zero consumes exactly the RNG stream it
 	// did before these knobs existed.
-	if s.cfg.DupProb > 0 && s.rng.Bool(s.cfg.DupProb) {
+	if s.Cfg.DupProb > 0 && s.rng.Bool(s.Cfg.DupProb) {
 		s.DupInjected++
 		dup := s.cloneFrame(f)
 		s.forwardOne(in, f)
@@ -589,22 +583,22 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 		}
 	}
 	q := out.QueueBytes() + f.Wire
-	if s.cfg.QueueCapBytes > 0 && q > s.cfg.QueueCapBytes {
+	if s.Cfg.QueueCapBytes > 0 && q > s.Cfg.QueueCapBytes {
 		s.QueueDrops++
 		out.TailDrops++
 		dropFrame(f)
 		return
 	}
-	if s.cfg.WREDMaxBytes > 0 {
+	if s.Cfg.WREDMaxBytes > 0 {
 		switch {
-		case q > s.cfg.WREDMaxBytes:
+		case q > s.Cfg.WREDMaxBytes:
 			s.WREDDrops++
 			out.WREDDrops++
 			dropFrame(f)
 			return
-		case q > s.cfg.WREDMinBytes:
-			frac := float64(q-s.cfg.WREDMinBytes) / float64(s.cfg.WREDMaxBytes-s.cfg.WREDMinBytes)
-			if s.rng.Bool(frac * s.cfg.WREDMaxProb) {
+		case q > s.Cfg.WREDMinBytes:
+			frac := float64(q-s.Cfg.WREDMinBytes) / float64(s.Cfg.WREDMaxBytes-s.Cfg.WREDMinBytes)
+			if s.rng.Bool(frac * s.Cfg.WREDMaxProb) {
 				s.WREDDrops++
 				out.WREDDrops++
 				dropFrame(f)
@@ -612,7 +606,7 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 			}
 		}
 	}
-	if s.cfg.ECNThresholdBytes > 0 && q > s.cfg.ECNThresholdBytes &&
+	if s.Cfg.ECNThresholdBytes > 0 && q > s.Cfg.ECNThresholdBytes &&
 		f.Pkt.IP.ECN() != packet.ECNNotECT {
 		f.Pkt.IP.SetECN(packet.ECNCE)
 		s.ECNMarks++
@@ -620,12 +614,12 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 	}
 	s.Forwarded++
 	out.noteQueueDepth(q)
-	delay := s.cfg.Latency
+	delay := s.Cfg.Latency
 	// Reorder injection holds the frame in the crossbar for ReorderDelay
 	// extra, letting later same-flow frames overtake it.
-	if s.cfg.ReorderProb > 0 && s.rng.Bool(s.cfg.ReorderProb) {
+	if s.Cfg.ReorderProb > 0 && s.rng.Bool(s.Cfg.ReorderProb) {
 		s.Reordered++
-		delay += s.cfg.ReorderDelay
+		delay += s.Cfg.ReorderDelay
 	} else if out.xbarEvents == 0 && out.TxTap == nil && out.peer != nil {
 		out.book(s.eng.Now()+delay, f)
 		return
@@ -636,7 +630,7 @@ func (s *Switch) forwardOne(in *Iface, f *Frame) {
 }
 
 // switchDeliver moves a frame that crossed the crossbar on an event of its
-// own onto its egress port (see Engine.AtCall).
+// own onto its egress port (see Engine.AfterCall).
 func switchDeliver(a any) {
 	f := a.(*Frame)
 	out := f.dst

@@ -39,7 +39,7 @@ func TestDelivery(t *testing.T) {
 	var at sim.Time
 	b.Recv = func(f *Frame) { got = f; at = eng.Now() }
 	pkt := testPacket(a.MAC, b.MAC, 1000)
-	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+	eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if got == nil {
 		t.Fatal("frame not delivered")
@@ -75,7 +75,7 @@ func TestUnknownMACDropped(t *testing.T) {
 	delivered := false
 	b.Recv = func(f *Frame) { delivered = true }
 	pkt := testPacket(a.MAC, packet.MAC(9, 9, 9, 9, 9, 9), 100)
-	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+	eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if delivered {
 		t.Fatal("frame to unknown MAC delivered")
@@ -93,7 +93,7 @@ func TestLossInjection(t *testing.T) {
 	for i := 0; i < total; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 64)
 		at := sim.Time(i) * sim.Microsecond
-		eng.AtCall(at, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, at)) }, nil)
+		eng.AfterCall(at, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, at)) }, nil)
 	}
 	eng.Run()
 	if received < total*40/100 || received > total*60/100 {
@@ -122,7 +122,7 @@ func TestECNMarking(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.AtCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if marked == 0 {
@@ -150,7 +150,7 @@ func TestNotECTNeverMarked(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
 		pkt.IP.SetECN(packet.ECNNotECT)
-		eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if marked != 0 {
@@ -167,7 +167,7 @@ func TestTailDrop(t *testing.T) {
 	b.Recv = func(f *Frame) { received++ }
 	for i := 0; i < 50; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.RunUntil(10 * sim.Millisecond)
 	if n.Switch.QueueDrops == 0 {
@@ -188,7 +188,7 @@ func TestWREDDropsRise(t *testing.T) {
 	b.Recv = func(f *Frame) {}
 	for i := 0; i < 100; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.RunUntil(100 * sim.Millisecond)
 	if n.Switch.WREDDrops == 0 {
@@ -206,7 +206,7 @@ func TestPortShaping(t *testing.T) {
 	const frames = 100
 	for i := 0; i < frames; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 1400)
-		eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	if count != frames {
@@ -255,9 +255,6 @@ func TestSetRateKeepsLinkFIFO(t *testing.T) {
 	if at[0] != first+100*sim.Nanosecond || at[1] != second+100*sim.Nanosecond {
 		t.Errorf("delivered at %v, want %v and %v after the 100 ns link", at, first, second)
 	}
-	if u := a.tx.Utilization(); u < 0.99 || u > 1 {
-		t.Errorf("serializer utilization %v over a back-to-back run, want ~1", u)
-	}
 }
 
 func TestFIFOOrderPreserved(t *testing.T) {
@@ -267,7 +264,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pkt := testPacket(a.MAC, b.MAC, 200)
 		pkt.TCP.Seq = uint32(i)
-		eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+		eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	}
 	eng.Run()
 	for i, s := range seqs {
@@ -283,7 +280,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 func sendSpaced(eng *sim.Engine, a *Iface, pkts []*packet.Packet) {
 	for i, pkt := range pkts {
 		p := pkt
-		eng.AtCall(sim.Time(i)*2*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(p, 0)) }, nil)
+		eng.AfterCall(sim.Time(i)*2*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(p, 0)) }, nil)
 	}
 }
 
@@ -352,8 +349,15 @@ func TestTailDropBoundaryAccounting(t *testing.T) {
 	if unit != wire || hist.Count() != 3 {
 		t.Fatalf("occupancy samples = %d (unit %d), want 3 accepted enqueues", hist.Count(), unit)
 	}
-	if hist.Bucket(1) != 1 || hist.Bucket(2) != 1 || hist.Bucket(3) != 1 {
-		t.Fatalf("occupancy distribution = %v, want one sample each at 1,2,3 wires", hist.Dist())
+	// Three samples between 1 and 3 wires that average 2: one each at 1, 2
+	// and 3.
+	if hist.Quantile(0) != 1 || hist.MaxSeen() != 3 || hist.Mean() != 2 {
+		t.Fatalf("occupancy min %d max %d mean %v, want one sample each at 1,2,3 wires",
+			hist.Quantile(0), hist.MaxSeen(), hist.Mean())
+	}
+	port.ResetQueueStats()
+	if port.PeakQueueBytes != 0 || hist.Count() != 0 {
+		t.Fatal("ResetQueueStats left a peak marker or histogram samples")
 	}
 }
 
@@ -401,8 +405,8 @@ func TestWREDBoundaries(t *testing.T) {
 	// Fill to one below max, then the frame arriving exactly at max must
 	// be dropped with probability frac*1.0 = 1.
 	more := []*packet.Packet{testPacket(a2.MAC, b2.MAC, 1400), testPacket(a2.MAC, b2.MAC, 1400)}
-	eng2.AtCall(eng2.Now()+2*sim.Microsecond, func(any) { a2.Send(FramesOf(eng2).NewFrame(more[0], 0)) }, nil)
-	eng2.AtCall(eng2.Now()+4*sim.Microsecond, func(any) { a2.Send(FramesOf(eng2).NewFrame(more[1], 0)) }, nil)
+	eng2.AfterCall(2*sim.Microsecond, func(any) { a2.Send(FramesOf(eng2).NewFrame(more[0], 0)) }, nil)
+	eng2.AfterCall(4*sim.Microsecond, func(any) { a2.Send(FramesOf(eng2).NewFrame(more[1], 0)) }, nil)
 	eng2.RunUntil(eng2.Now() + 10*sim.Microsecond)
 	// Frame 3 at q=3w: frac=0.5 — seeded outcome either way; frame 4 (or
 	// the next surviving) reaches q=max: frac=1.0 must drop.
@@ -460,7 +464,7 @@ func TestIfaceCounters(t *testing.T) {
 	eng, _, a, b := buildNet(t, SwitchConfig{})
 	b.Recv = func(f *Frame) {}
 	pkt := testPacket(a.MAC, b.MAC, 500)
-	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+	eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if a.TxFrames != 1 || b.RxFrames != 1 {
 		t.Fatalf("counters: tx=%d rx=%d", a.TxFrames, b.RxFrames)
@@ -498,7 +502,7 @@ func TestPassiveTaps(t *testing.T) {
 		dropFrame(f)
 	}
 	pkt := testPacket(a.MAC, b.MAC, 500)
-	eng.AtCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+	eng.AfterCall(0, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 	eng.Run()
 	if txSeen != 1 || rxSeen != 1 || delivered != 1 {
 		t.Fatalf("tx=%d rx=%d delivered=%d, want 1/1/1", txSeen, rxSeen, delivered)
@@ -529,7 +533,7 @@ func TestTapsAreFreeAndOrderNeutral(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			pkt := testPacket(a.MAC, b.MAC, 100+i*7)
-			eng.AtCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
+			eng.AfterCall(sim.Time(i)*sim.Microsecond, func(any) { a.Send(FramesOf(eng).NewFrame(pkt, 0)) }, nil)
 		}
 		eng.Run()
 		return

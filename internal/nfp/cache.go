@@ -85,21 +85,6 @@ func (c *Cache) Access(key uint64) bool {
 	return false
 }
 
-// Contains reports presence without updating LRU state or counters.
-func (c *Cache) Contains(key uint64) bool {
-	k := key + 1
-	base := int(key&c.mask) * c.ways
-	if base+c.ways > len(c.tags) {
-		return false // never touched: empty
-	}
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == k {
-			return true
-		}
-	}
-	return false
-}
-
 // StateCache models the protocol stage's multi-level connection-state
 // caching (§4.1): a 16-entry fully associative CAM in FPC local memory, a
 // 512-entry direct-mapped second level in the island's CLS, the EMEM SRAM

@@ -54,7 +54,7 @@ func NewDMAEngine(eng *sim.Engine, cfg *Config) *DMAEngine {
 func (d *DMAEngine) Lent() int { return d.free.Lent() }
 
 // IssueCall starts a DMA of the given size; cb(arg) runs when the data
-// has landed (nil cb: nothing runs; see sim.Engine.AtCall for the
+// has landed (nil cb: nothing runs; see sim.Engine.AfterCall for the
 // contract). Transactions beyond the in-flight limit queue inside the
 // engine (the paper's descriptor-pool flow control keeps this bounded in
 // practice).
@@ -100,9 +100,3 @@ func (d *DMAEngine) getTxn() *dmaTxn {
 	}
 	return &dmaTxn{d: d}
 }
-
-// Inflight returns the number of active transactions.
-func (d *DMAEngine) Inflight() int { return d.inflight }
-
-// Utilization returns the PCIe link busy fraction.
-func (d *DMAEngine) Utilization() float64 { return d.link.Utilization() }

@@ -133,7 +133,7 @@ type fpcTask struct {
 }
 
 // fpcStepDone is the long-lived event callback of the step state machine
-// (see sim.Engine.AtCall): a step's one wake-up, when its stall expires.
+// (see sim.Engine.AfterCall): a step's one wake-up, when its stall expires.
 func fpcStepDone(a any) { a.(*fpcTask).runStep() }
 
 // NewFPC creates a core with the config's thread count and clock.
@@ -270,17 +270,4 @@ func (f *FPC) finish(ft *fpcTask) {
 	if len(f.idle) > 0 && f.Idle != nil {
 		f.Idle()
 	}
-}
-
-// Utilization returns the issue slot's busy fraction.
-func (f *FPC) Utilization() float64 {
-	now := f.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	busy := f.issueBusy
-	if f.issueFree > now {
-		busy -= f.issueFree - now
-	}
-	return float64(busy) / float64(now)
 }

@@ -202,7 +202,7 @@ func driveFPC(mk func(*sim.Engine, *Config, int) fpcView, seed int64, threads in
 		at += sim.Time([]int64{0, 0, 0, 1, 4, 20, 60}[rng.Intn(7)]) * spread
 		switch rng.Intn(3) {
 		case 0:
-			eng.AtCall(at, submitCb, nil)
+			eng.AfterCall(at, submitCb, nil)
 		case 1:
 			before.AtCall(at, submitCb, nil)
 		default:

@@ -12,7 +12,7 @@ func TestFPCSingleTaskTiming(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var doneAt sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		f.SubmitCall(sim.TaskC(100), func(any) { doneAt = eng.Now() }, nil)
 	}, nil)
 	eng.Run()
@@ -31,7 +31,7 @@ func TestFPCComputeSerializesAcrossThreads(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var times []sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		f.SubmitCall(sim.TaskC(100), func(any) { times = append(times, eng.Now()) }, nil)
 		f.SubmitCall(sim.TaskC(100), func(any) { times = append(times, eng.Now()) }, nil)
 	}, nil)
@@ -49,7 +49,7 @@ func TestFPCThreadsHideStalls(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	var last sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		for i := 0; i < 8; i++ {
 			f.SubmitCall(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func(any) { last = eng.Now() }, nil)
 		}
@@ -68,7 +68,7 @@ func TestFPCSingleThreadSerializesStalls(t *testing.T) {
 	f := NewFPC(eng, "fpc0", &cfg)
 	f.SetThreads(1)
 	var last sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		for i := 0; i < 4; i++ {
 			f.SubmitCall(sim.TaskC(100).Add(0, 1000*sim.Nanosecond), func(any) { last = eng.Now() }, nil)
 		}
@@ -85,7 +85,7 @@ func TestFPCFreeThreadsAndRunq(t *testing.T) {
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
 	done := 0
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		if f.FreeThreads() != 8 {
 			t.Errorf("FreeThreads = %d", f.FreeThreads())
 		}
@@ -108,7 +108,7 @@ func TestFPCIdleCallback(t *testing.T) {
 	f := NewFPC(eng, "fpc0", &cfg)
 	idleCalls := 0
 	f.Idle = func() { idleCalls++ }
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		f.SubmitCall(sim.TaskC(10), nil, nil)
 	}, nil)
 	eng.Run()
@@ -121,8 +121,8 @@ func TestFPCUtilization(t *testing.T) {
 	eng := sim.New()
 	cfg := AgilioCX40()
 	f := NewFPC(eng, "fpc0", &cfg)
-	eng.AtCall(0, func(any) { f.SubmitCall(sim.TaskC(800), nil, nil) }, nil) // 1 us busy
-	eng.AtCall(0, func(any) {}, nil)
+	eng.AfterCall(0, func(any) { f.SubmitCall(sim.TaskC(800), nil, nil) }, nil) // 1 us busy
+	eng.AfterCall(0, func(any) {}, nil)
 	eng.Run()
 	// Engine ends at 1us; utilization should be 1.0.
 	if u := f.Utilization(); u < 0.99 || u > 1.01 {
@@ -264,7 +264,7 @@ func TestDMAEngineLatencyAndBandwidth(t *testing.T) {
 	cfg := AgilioCX40()
 	d := NewDMAEngine(eng, &cfg)
 	var doneAt sim.Time
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		d.IssueCall(788, func(any) { doneAt = eng.Now() }, nil) // 100ns of wire + latency
 	}, nil)
 	eng.Run()
@@ -280,12 +280,12 @@ func TestDMAEngineInflightLimit(t *testing.T) {
 	cfg.DMAMaxInflight = 4
 	d := NewDMAEngine(eng, &cfg)
 	completed := 0
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		for i := 0; i < 20; i++ {
 			d.IssueCall(1000, func(any) { completed++ }, nil)
 		}
-		if d.Inflight() != 4 {
-			t.Errorf("inflight = %d, want 4", d.Inflight())
+		if d.inflight != 4 {
+			t.Errorf("inflight = %d, want 4", d.inflight)
 		}
 	}, nil)
 	eng.Run()
@@ -335,7 +335,7 @@ func TestSaturatedQueuesAllocFree(t *testing.T) {
 		t.Fatalf("measured runs completed %d tasks and %d DMAs, want >= 64 of each per run",
 			f.Tasks-tasks, d.Transactions-dmas)
 	}
-	if !f.Busy() || f.FreeThreads() != 0 || d.Inflight() != 2 {
+	if !f.Busy() || f.FreeThreads() != 0 || d.inflight != 2 {
 		t.Fatal("queues drained: the run no longer exercises the saturated path")
 	}
 	if allocs > 0 {
@@ -351,7 +351,7 @@ func TestDMAOverlapsTransactions(t *testing.T) {
 	d := NewDMAEngine(eng, &cfg)
 	var last sim.Time
 	wire := sim.Time(float64(7880) / cfg.PCIeBytesPerSec * 1e12) // 1us
-	eng.AtCall(0, func(any) {
+	eng.AfterCall(0, func(any) {
 		d.IssueCall(7880, func(any) {}, nil)
 		d.IssueCall(7880, func(any) { last = eng.Now() }, nil)
 	}, nil)

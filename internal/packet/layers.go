@@ -21,10 +21,6 @@ import (
 // EtherAddr is a 48-bit MAC address.
 type EtherAddr [6]byte
 
-func (a EtherAddr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
-}
-
 // MAC builds an EtherAddr from six bytes.
 func MAC(a, b, c, d, e, f byte) EtherAddr { return EtherAddr{a, b, c, d, e, f} }
 

@@ -71,10 +71,6 @@ func (pl *Pool) Get() *Packet {
 // Traffic returns how many packets the pool has lent and had released.
 func (pl *Pool) Traffic() (gets, releases uint64) { return pl.free.Gets, pl.free.Puts }
 
-// SlabBlocks returns how many blocks the pool's payload slab has carved:
-// its high-water mark of payload copies in flight, in units of 256.
-func (pl *Pool) SlabBlocks() uint64 { return pl.slab.Blocks }
-
 // Release recycles a pooled packet into the pool it came from.
 // It is a no-op for packets not obtained from a Pool, so consumers may
 // call it unconditionally on any packet they terminally own. Releasing

@@ -70,9 +70,6 @@ func New(eng *sim.Engine, gran sim.Time, slots int) *Carousel {
 	return &Carousel{eng: eng, gran: gran, slots: slots}
 }
 
-// Horizon returns the wheel's reach.
-func (c *Carousel) Horizon() sim.Time { return c.gran * sim.Time(c.slots) }
-
 // flow returns id's state, allocating its page on first touch.
 func (c *Carousel) flow(id uint32) *flowState {
 	pg := int(id >> statePageShift)
@@ -90,9 +87,6 @@ func (c *Carousel) flow(id uint32) *flowState {
 func (c *Carousel) SetInterval(id uint32, perByte sim.Time) {
 	c.flow(id).interval = perByte
 }
-
-// Interval returns the flow's programmed pacing interval.
-func (c *Carousel) Interval(id uint32) sim.Time { return c.flow(id).interval }
 
 // Submit makes a flow eligible for transmission: uncongested flows join
 // the round-robin list; rate-limited flows enter the wheel at their next
@@ -231,19 +225,6 @@ func (c *Carousel) NextDeadline() (sim.Time, bool) {
 // Empty reports whether the scheduler holds no flow, ready or on the
 // wheel (stale entries of removed flows count as held until drained).
 func (c *Carousel) Empty() bool { return c.rrHead == len(c.rr) && c.wheelItems == 0 }
-
-// Pending returns the number of flows waiting (wheel + RR).
-func (c *Carousel) Pending() int {
-	n := 0
-	for _, pg := range c.state {
-		for i := range pg {
-			if pg[i].inWheel || pg[i].inRR {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // Remove drops a flow entirely (connection teardown). Stale wheel or RR
 // entries are skipped when encountered.

@@ -79,10 +79,10 @@ func TestRateConformance(t *testing.T) {
 			c.Submit(id)
 		}
 		if dl, ok := c.NextDeadline(); ok {
-			eng.AtCall(dl, sim.RunFunc, pump)
+			eng.AfterCall(dl-eng.Now(), sim.RunFunc, pump)
 		}
 	}
-	eng.AtCall(0, sim.RunFunc, pump)
+	eng.AfterCall(0, sim.RunFunc, pump)
 	eng.Run()
 
 	if len(sendTimes) != 10 {
@@ -132,7 +132,7 @@ func TestWheelDefersRateLimitedFlow(t *testing.T) {
 	if dl < 99*sim.Microsecond || dl > 102*sim.Microsecond {
 		t.Fatalf("deadline = %v", dl)
 	}
-	eng.AtCall(dl, func(any) {
+	eng.AfterCall(dl-eng.Now(), func(any) {
 		if _, ok := c.Next(1000); !ok {
 			t.Error("flow not eligible at deadline")
 		}
@@ -179,7 +179,7 @@ func TestRemoveWhileInWheel(t *testing.T) {
 	c.Next(1000)
 	c.Submit(4) // now in wheel
 	c.Remove(4)
-	eng.AtCall(200*sim.Microsecond, func(any) {
+	eng.AfterCall(200*sim.Microsecond, func(any) {
 		if _, ok := c.Next(100); ok {
 			t.Error("removed flow emerged from wheel")
 		}

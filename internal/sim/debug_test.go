@@ -5,19 +5,15 @@ package sim
 import "testing"
 
 // TestOwnedEventsScheduleThroughOwners: inside an owned event or a
-// delivery, Engine.AtCall, AfterCall and ImmediatelyCall panic
-// (flexdebug), and Unowned's do not; inside an unowned event and outside
-// any event the engine's own schedulers are legal.
+// delivery, Engine.AfterCall panics (flexdebug), and Unowned's does
+// not; inside an unowned event and outside any event the engine's own
+// scheduler is legal.
 func TestOwnedEventsScheduleThroughOwners(t *testing.T) {
 	e := New()
 	own := e.NewOwner()
 	link := uint64(e.NewLinkID()) << 32
 	nop := func(any) {}
-	direct := map[string]func(){
-		"AtCall":          func() { e.AtCall(e.Now()+5, nop, nil) },
-		"AfterCall":       func() { e.AfterCall(5, nop, nil) },
-		"ImmediatelyCall": func() { e.ImmediatelyCall(nop, nil) },
-	}
+	direct := func() { e.AfterCall(5, nop, nil) }
 	viaUnowned := func() { Unowned(e, "the test schedules from its own callbacks").AfterCall(5, nop, nil) }
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
@@ -25,10 +21,8 @@ func TestOwnedEventsScheduleThroughOwners(t *testing.T) {
 		return false
 	}
 	check := func(where string, want bool) {
-		for _, name := range []string{"AtCall", "AfterCall", "ImmediatelyCall"} {
-			if got := panics(direct[name]); got != want {
-				t.Errorf("Engine.%s %s: panicked %v, want %v", name, where, got, want)
-			}
+		if got := panics(direct); got != want {
+			t.Errorf("Engine.AfterCall %s: panicked %v, want %v", where, got, want)
 		}
 		if panics(viaUnowned) {
 			t.Errorf("Unowned(...).AfterCall %s panicked", where)

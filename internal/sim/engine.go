@@ -32,8 +32,8 @@
 // execution order.
 //
 // Bucket storage and the far wheel's nodes are reused, and an event
-// carries only a long-lived func(any) plus an argument (AtCall and its
-// siblings are the one scheduling API; RunFunc adapts an
+// carries only a long-lived func(any) plus an argument (the Owner's
+// AtCall and its siblings are the one scheduling API; RunFunc adapts an
 // application-owned func()), so steady-state event scheduling performs no
 // heap allocation.
 //
@@ -44,7 +44,7 @@
 // it; an owner that schedules for several contexts of its own — an FPC's
 // hardware threads — gives each a sub-key (Owner.Sub). At one instant:
 //
-//   - unowned events (Engine.AtCall and siblings) run first, FIFO. They
+//   - unowned events (Engine.AfterCall, Unowned) run first, FIFO. They
 //     are for what stands outside the modelled machines: applications,
 //     workload generators, tests, the benchmark drivers.
 //   - then owned events by (rank, sub); seq only ever decides between two
@@ -80,15 +80,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Nanoseconds returns the time as a float64 nanosecond count.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Microseconds returns the time as a float64 microsecond count.
-func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Milliseconds returns the time as a float64 millisecond count.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
-
 // Seconds returns the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -97,11 +88,11 @@ func (t Time) String() string {
 	case t >= Second:
 		return fmt.Sprintf("%.3fs", t.Seconds())
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", t.Milliseconds())
+		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fus", t.Microseconds())
+		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
 	case t >= Nanosecond:
-		return fmt.Sprintf("%.3fns", t.Nanoseconds())
+		return fmt.Sprintf("%.3fns", float64(t)/float64(Nanosecond))
 	default:
 		return fmt.Sprintf("%dps", int64(t))
 	}
@@ -279,22 +270,6 @@ func (e *Engine) schedule(t Time, dkey uint64, cb func(any), arg any) {
 	e.insert(event{at: t, seq: e.seq, dkey: dkey, cb: cb, arg: arg})
 }
 
-// AtCall schedules cb(arg) at absolute time t as an unowned event: at its
-// instant it runs before every component's events, FIFO among its like.
-// Unowned scheduling is for applications, workload generators, tests and
-// benchmark drivers; a modelled component schedules through its Owner.
-// Under -tags flexdebug the engine's own AtCall, AfterCall and
-// ImmediatelyCall panic inside an owned event or a delivery, where
-// anything that schedules unowned goes through Unowned.
-// cb should be a long-lived function value (package-level or cached on a
-// struct) and arg the per-event state, so scheduling performs no closure
-// allocation. arg must not be a pooled object that could be recycled
-// before the event fires.
-func (e *Engine) AtCall(t Time, cb func(any), arg any) {
-	checkUnowned(e, "AtCall")
-	e.schedule(t, 0, cb, arg)
-}
-
 // AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
 // event carrying the link-scoped ordering key dkey (link id, from
 // NewLinkID, in the high 32 bits). Deliveries at the same instant execute
@@ -331,7 +306,7 @@ type Owner struct {
 }
 
 // Unowned returns the engine's unowned scheduling handle: its events
-// order like Engine.AtCall's, first at their instant and FIFO. What
+// order like Engine.AfterCall's, first at their instant and FIFO. What
 // stands outside the modelled machines (an application's or a workload
 // generator's arrival process, an experiment's traffic source) schedules
 // through it from inside a component's or a delivery's callback, where
@@ -356,8 +331,8 @@ func (o Owner) Sub(i int) Owner {
 	return Owner{o.eng, o.key&^MaxSub | uint64(i)}
 }
 
-// AtCall schedules cb(arg) at absolute time t (see Engine.AtCall for the
-// callback contract).
+// AtCall schedules cb(arg) at absolute time t (see Engine.AfterCall for
+// the callback contract).
 func (o Owner) AtCall(t Time, cb func(any), arg any) { o.eng.schedule(t, o.key, cb, arg) }
 
 // AfterCall schedules cb(arg) d picoseconds from now. Negative d panics.
@@ -434,18 +409,20 @@ func (e *Engine) Unreturned() error {
 	return fmt.Errorf("sim: loans not returned: %s", strings.Join(out, ", "))
 }
 
-// AfterCall schedules cb(arg) d picoseconds from now (see AtCall).
-// Negative d panics.
+// AfterCall schedules cb(arg) d picoseconds from now as an unowned
+// event: at its instant it runs before every component's events, FIFO
+// among its like. Negative d panics. Unowned scheduling is for
+// applications, workload generators, tests and benchmark drivers; a
+// modelled component schedules through its Owner. Under -tags flexdebug
+// AfterCall panics inside an owned event or a delivery, where anything
+// that schedules unowned goes through Unowned.
+// cb should be a long-lived function value (package-level or cached on a
+// struct) and arg the per-event state, so scheduling performs no closure
+// allocation. arg must not be a pooled object that could be recycled
+// before the event fires.
 func (e *Engine) AfterCall(d Time, cb func(any), arg any) {
 	checkUnowned(e, "AfterCall")
 	e.schedule(e.now+d, 0, cb, arg)
-}
-
-// ImmediatelyCall schedules cb(arg) at the current instant, behind the
-// unowned events already queued for it (see AtCall).
-func (e *Engine) ImmediatelyCall(cb func(any), arg any) {
-	checkUnowned(e, "ImmediatelyCall")
-	e.schedule(e.now, 0, cb, arg)
 }
 
 // periodic carries one EveryCall arming: who armed it, the long-lived

@@ -6,11 +6,14 @@ func TestTimeUnits(t *testing.T) {
 	if Second != 1e12*Picosecond {
 		t.Fatalf("Second = %d ps", int64(Second))
 	}
-	if got := (2 * Microsecond).Microseconds(); got != 2 {
-		t.Fatalf("Microseconds = %v", got)
+	if got := (2 * Microsecond).String(); got != "2.000us" {
+		t.Fatalf("2 us prints as %s", got)
 	}
-	if got := (1500 * Nanosecond).Microseconds(); got != 1.5 {
-		t.Fatalf("Microseconds = %v", got)
+	if got := (1500 * Nanosecond).String(); got != "1.500us" {
+		t.Fatalf("1500 ns prints as %s", got)
+	}
+	if got := (3 * Second / 2).Seconds(); got != 1.5 {
+		t.Fatalf("Seconds = %v", got)
 	}
 }
 

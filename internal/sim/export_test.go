@@ -15,3 +15,8 @@ func UnfoldedTask(steps ...Step) Task {
 // OutsideNear returns how many pending events wait in the far wheel: what
 // TestNearEventsStayInTheWheel requires to stay zero.
 func (e *Engine) OutsideNear() int { return e.farCnt }
+
+// AtCall schedules cb(arg) at absolute time t as an unowned event: the
+// absolute-time form of AfterCall that this package's tests lay their
+// schedules out with.
+func (e *Engine) AtCall(t Time, cb func(any), arg any) { e.AfterCall(t-e.now, cb, arg) }

@@ -82,8 +82,8 @@ func TestOwnerOrder(t *testing.T) {
 
 // TestUnownedOrdersLikeEngineAtCall: Unowned's events share the engine's
 // unowned key. Whatever order the calls come in, one instant runs them
-// and Engine.AtCall's first, together in call order, then the owner's,
-// then the delivery.
+// and the engine's unowned ones first, together in call order, then the
+// owner's, then the delivery.
 func TestUnownedOrdersLikeEngineAtCall(t *testing.T) {
 	e := New()
 	a := e.NewOwner()

@@ -11,7 +11,6 @@ type Resource struct {
 	name      string
 	psPerUnit float64 // picoseconds to move one unit
 	free      Time    // next instant the facility is idle
-	busyAcc   Time    // total busy time, for utilization accounting
 }
 
 // NewResource returns a resource that moves unitsPerSecond units each
@@ -34,7 +33,7 @@ func (r *Resource) SetRate(unitsPerSecond float64) {
 
 // AcquireCall schedules a transfer of n units plus a fixed latency;
 // cb(arg) runs when the transfer finishes, with cb a long-lived function
-// value (see Engine.AtCall). It returns the completion time.
+// value (see Engine.AfterCall). It returns the completion time.
 func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time {
 	end := r.ReserveFrom(r.eng.Now(), n, extra)
 	r.own.AtCall(end, cb, arg)
@@ -51,8 +50,7 @@ func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time 
 // completion time. A caller that knows, at now, everything that will be
 // booked before a later at (a switch port: its crossbar latency is
 // constant and the switch is its only sender) books from now what a
-// reservation made at at would book. Utilization read before such a
-// transfer starts also discounts the idle gap in front of it.
+// reservation made at at would book.
 func (r *Resource) ReserveFrom(at Time, n int64, extra Time) Time {
 	start := r.free
 	if start < at {
@@ -63,19 +61,5 @@ func (r *Resource) ReserveFrom(at Time, n int64, extra Time) Time {
 		dur = 1
 	}
 	r.free = start + dur
-	r.busyAcc += dur
 	return r.free + extra
-}
-
-// Utilization returns the fraction of simulated time the resource was busy.
-func (r *Resource) Utilization() float64 {
-	now := r.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	busy := r.busyAcc
-	if r.free > now {
-		busy -= r.free - now // don't count reserved future time
-	}
-	return float64(busy) / float64(now)
 }

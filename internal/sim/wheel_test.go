@@ -637,7 +637,7 @@ func BenchmarkEngineDense(b *testing.B) {
 		d := Time(rng>>8) % horizon
 		switch rng & 63 {
 		case 0, 1: // same instant, FIFO behind whatever is queued for it
-			e.ImmediatelyCall(fire, a)
+			e.AfterCall(0, fire, a)
 		case 2, 3: // a frame delivery on a tick boundary: ties with its like
 			link++
 			e.AtLinkCall((e.Now()+d)&^(tickSpan-1)+tickSpan, 1<<32|link, fire, a)

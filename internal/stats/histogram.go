@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -16,7 +15,6 @@ type Histogram struct {
 	subBits uint // sub-buckets per half-decade = 1<<subBits
 	counts  []uint64
 	n       uint64
-	sum     float64
 	min     int64
 	max     int64
 }
@@ -70,7 +68,6 @@ func (h *Histogram) RecordN(v int64, count uint64) {
 	}
 	h.counts[b] += count
 	h.n += count
-	h.sum += float64(v) * float64(count)
 	if v < h.min {
 		h.min = v
 	}
@@ -82,33 +79,9 @@ func (h *Histogram) RecordN(v int64, count uint64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Mean returns the mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // Percentile returns the value at quantile p in [0,100]. The result is the
 // lower bound of the bucket containing the pth observation, clamped to
-// [Min, Max].
+// the smallest and largest observation (p 0 and 100 return those).
 func (h *Histogram) Percentile(p float64) int64 {
 	if h.n == 0 {
 		return 0
@@ -140,9 +113,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return h.max
 }
 
-// Median is Percentile(50).
-func (h *Histogram) Median() int64 { return h.Percentile(50) }
-
 // Merge adds all observations from other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {
@@ -160,7 +130,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[b] += c
 	}
 	h.n += other.n
-	h.sum += other.sum
 	if other.n > 0 {
 		if other.min < h.min {
 			h.min = other.min
@@ -169,11 +138,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			h.max = other.max
 		}
 	}
-}
-
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d max=%d",
-		h.n, h.Mean(), h.Percentile(50), h.Percentile(99), h.Max())
 }
 
 // JainFairness computes Jain's fairness index over per-entity allocations:

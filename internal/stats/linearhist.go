@@ -122,18 +122,3 @@ func (h *LinearHist) Add(o *LinearHist) {
 		h.sum += uint64(dst) * c
 	}
 }
-
-// Bucket returns the count of observations of exactly v (0 out of range).
-func (h *LinearHist) Bucket(v int) uint64 {
-	if v < 0 || v >= len(h.counts) {
-		return 0
-	}
-	return h.counts[v]
-}
-
-// Dist returns a copy of the per-value counts, index = value.
-func (h *LinearHist) Dist() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}

@@ -95,9 +95,9 @@ func TestAddMatchesCombinedRecording(t *testing.T) {
 				combined.Count(), combined.Mean(), combined.MaxSeen())
 		}
 		for v := 0; v <= max; v++ {
-			if a.Bucket(v) != combined.Bucket(v) {
+			if a.counts[v] != combined.counts[v] {
 				t.Fatalf("trial %d: bucket %d: merged %d != combined %d",
-					trial, v, a.Bucket(v), combined.Bucket(v))
+					trial, v, a.counts[v], combined.counts[v])
 			}
 		}
 		for _, q := range []float64{0.5, 0.99} {
@@ -117,9 +117,9 @@ func TestAddClampsWiderSource(t *testing.T) {
 	wide.Record(50)
 	wide.Record(99)
 	narrow.Add(wide)
-	if narrow.Count() != 3 || narrow.Bucket(2) != 1 || narrow.Bucket(4) != 2 {
+	if narrow.Count() != 3 || narrow.counts[2] != 1 || narrow.counts[4] != 2 {
 		t.Fatalf("clamped merge: count=%d b2=%d b4=%d, want 3/1/2",
-			narrow.Count(), narrow.Bucket(2), narrow.Bucket(4))
+			narrow.Count(), narrow.counts[2], narrow.counts[4])
 	}
 	if narrow.Quantile(1) != 4 {
 		t.Fatalf("clamped max quantile = %d, want 4", narrow.Quantile(1))

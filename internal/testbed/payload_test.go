@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
-	"flextoe/internal/apps"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
 	"flextoe/internal/sim"
@@ -200,40 +199,6 @@ func TestPayloadIntegrityUnderStaleViews(t *testing.T) {
 			}
 			if stale == 0 {
 				t.Error("no frame read rewritten bytes: the stale-view hazard was not exercised")
-			}
-		})
-	}
-}
-
-// TestBulkBacklogPayloadMemory gates what a queued data frame's payload
-// costs. A bulk stream with a 4 MB window runs ahead of its 1 Gb/s source
-// NIC by up to a window, so thousands of MSS frames wait in the NIC's
-// queue, as they do in bulk_adverse's 21 Gb/s source NICs. Their payloads
-// are views of the sender's transmit ring, so the packet slab — which
-// holds only the payload copies in flight — carves at most one block (256
-// copies of 2 KB). When every data segment was a slab copy that its packet
-// shell also kept across Release, the same backlogs carved 12 blocks on
-// FlexTOE (2 894 frames queued) and 10 on Linux (2 417): 6 and 5 MB, about
-// 2.1 KB per queued frame. Both read 0 blocks now.
-func TestBulkBacklogPayloadMemory(t *testing.T) {
-	const port, bufSize, minQueued = 7001, 4 << 20, 2000
-	for _, kind := range []StackKind{FlexTOE, Linux} {
-		t.Run(string(kind), func(t *testing.T) {
-			tb := New(netsim.SwitchConfig{},
-				MachineSpec{Name: "sink", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 1},
-				MachineSpec{Name: "src", Kind: kind, Cores: 2, BufSize: bufSize, NICGbps: 1, Seed: 2},
-			)
-			(&apps.BulkSink{}).Serve(tb.M("sink").Stack, port)
-			(&apps.BulkSender{}).Start(tb.M("src").Stack, tb.Addr("sink", port))
-			tb.Run(30 * sim.Millisecond)
-			queued := tb.M("src").Iface.QueueBytes() / 1514 // an MSS frame with timestamps
-			if queued < minQueued {
-				t.Fatalf("only %d frames queued in the source NIC, want >= %d", queued, minQueued)
-			}
-			blocks := packet.PoolOf(tb.Eng).SlabBlocks()
-			t.Logf("%d frames queued in the source NIC, %d slab blocks (%d KB)", queued, blocks, blocks*512)
-			if blocks > 1 {
-				t.Errorf("the packet slab carved %d blocks for %d queued frames, want <= 1", blocks, queued)
 			}
 		})
 	}

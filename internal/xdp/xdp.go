@@ -19,20 +19,6 @@ const (
 	Redirect
 )
 
-func (v Verdict) String() string {
-	switch v {
-	case Pass:
-		return "XDP_PASS"
-	case Drop:
-		return "XDP_DROP"
-	case TX:
-		return "XDP_TX"
-	case Redirect:
-		return "XDP_REDIRECT"
-	}
-	return "XDP_UNKNOWN"
-}
-
 // Context is the packet view handed to a program: the raw frame bytes,
 // mutable in place. Length changes (e.g. VLAN strip) shrink or grow Data.
 type Context struct {
