@@ -175,16 +175,23 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "flexbench scenario service listening on %s (workers=%d, dir=%q)\n",
 		ln.Addr(), srv.Workers(), *dir)
 	// SIGINT or SIGTERM stops accepting, lets running jobs finish and
-	// exits 0; queued jobs stay persisted for the next server.
+	// their responses drain, and exits 0; queued jobs stay persisted for
+	// the next server. Serve returns as soon as Shutdown begins, so the
+	// exit waits for Shutdown to finish.
 	hs := &http.Server{Handler: srv}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	shut := make(chan error, 1)
 	go func() {
 		<-sig
 		srv.Close()
-		hs.Shutdown(context.Background())
+		shut <- hs.Shutdown(context.Background())
 	}()
 	if err := hs.Serve(ln); err != http.ErrServerClosed {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if err := <-shut; err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -8,16 +8,7 @@ import (
 	"flextoe/internal/packet"
 	"flextoe/internal/shm"
 	"flextoe/internal/sim"
-	"flextoe/internal/tcpseg"
 )
-
-// sackNegotiated reads the SACK-permitted bit the control plane set at
-// establishment: the bit SetSACKPerm(true) sets.
-func sackNegotiated(p *tcpseg.ProtoState) bool {
-	var on tcpseg.ProtoState
-	on.SetSACKPerm(true)
-	return p.Flags&on.Flags != 0
-}
 
 // buildPair wires two FlexTOE machines with control planes. bGbps <= 0
 // leaves the receiver at full line rate; a lower value creates a
@@ -187,10 +178,10 @@ func TestSACKNegotiation(t *testing.T) {
 			if serverConn == nil || clientConn == nil {
 				t.Fatal("handshake incomplete")
 			}
-			if got := sackNegotiated(&clientConn.Core.Proto); got != c.want {
+			if got := clientConn.Core.Proto.SACKEnabled(); got != c.want {
 				t.Fatalf("client SACK = %v, want %v", got, c.want)
 			}
-			if got := sackNegotiated(&serverConn.Core.Proto); got != c.want {
+			if got := serverConn.Core.Proto.SACKEnabled(); got != c.want {
 				t.Fatalf("server SACK = %v, want %v", got, c.want)
 			}
 		})
@@ -312,11 +303,20 @@ func TestDCTCPReactsToECN(t *testing.T) {
 	}
 }
 
+// TestTimelyProgramsRate: TIMELY moves the connection's rate off its
+// opening 1 GB/s, and the interval it programs paces the TOE's
+// scheduler: a second 32 KB burst leaves no faster than that rate,
+// about a quarter of the 40 Gb/s line.
 func TestTimelyProgramsRate(t *testing.T) {
+	const burst = 32768
 	eng, pa, pb, toeA, _ := buildPair(t, CCTimely, netsim.SwitchConfig{}, 0)
+	var received int
+	var lastRx sim.Time
 	pb.Listen(80, func(c *Conn) {
 		c.Core.Notify = func(d shm.Desc) {
 			if d.Kind == shm.DescRxNotify {
+				received += int(d.Bytes)
+				lastRx = eng.Now()
 				pb.toe.InjectHC(shm.Desc{Kind: shm.DescRxConsume, Conn: d.Conn, Bytes: d.Bytes})
 			}
 		}
@@ -325,18 +325,28 @@ func TestTimelyProgramsRate(t *testing.T) {
 	eng.AfterCall(0, func(any) {
 		pa.Dial(packet.IP(10, 0, 0, 2), packet.MAC(2, 0, 0, 0, 0, 2), 80, func(c *Conn) {
 			conn = c
-			payload := make([]byte, 32768)
-			c.TxBuf.WriteAt(0, payload)
-			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: 32768})
+			c.TxBuf.WriteAt(0, make([]byte, burst))
+			toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: c.ID, Bytes: burst})
 		})
 	}, nil)
 	eng.RunUntil(20 * sim.Millisecond)
-	if conn == nil {
-		t.Fatal("no connection")
+	if conn == nil || received != burst {
+		t.Fatalf("first burst: connection %v, %d of %d bytes received", conn != nil, received, burst)
 	}
-	// TIMELY programs a pacing interval into the scheduler each time it
-	// sets a rate (ccState.timely ends in setRate).
-	if pa.ccs[conn.ID].rate == 0 {
-		t.Fatal("TIMELY never programmed a rate interval")
+	rate := pa.ccs[conn.ID].rate
+	if rate == 1e9 {
+		t.Fatal("TIMELY never moved the rate off its opening 1 GB/s")
+	}
+	start := eng.Now()
+	conn.TxBuf.WriteAt(burst, make([]byte, burst))
+	toeA.InjectHC(shm.Desc{Kind: shm.DescTxBump, Conn: conn.ID, Bytes: burst})
+	eng.RunUntil(start + 20*sim.Millisecond)
+	if received != 2*burst {
+		t.Fatalf("second burst: %d of %d bytes received", received-burst, burst)
+	}
+	span, paced := lastRx-start, sim.Time(float64(burst-1448)/rate*1e12)
+	t.Logf("rate %.3g B/s: second burst delivered in %v, pacing floor %v", rate, span, paced)
+	if span < paced {
+		t.Fatalf("second burst delivered in %v, faster than TIMELY's %.3g B/s allows (%v)", span, rate, paced)
 	}
 }

@@ -98,10 +98,8 @@ func TestFabricBaselineStackUnmodified(t *testing.T) {
 	}
 }
 
-// TestFabricQueueStats: the peak depth and ECN marks accumulate on the
-// congested leaf egress port, and ResetQueueStats clears the peak. (The
-// occupancy histogram QueueHistUnit enables is netsim's to check:
-// TestTailDropBoundaryAccounting.)
+// TestFabricQueueStats: ECN marks and occupancy histograms accumulate on
+// the congested leaf egress port, and ResetQueueStats clears the peak.
 func TestFabricQueueStats(t *testing.T) {
 	fc := fabric.Config{
 		Leaves: 2, Spines: 2,
@@ -133,6 +131,10 @@ func TestFabricQueueStats(t *testing.T) {
 	if port.PeakQueueBytes == 0 {
 		t.Fatal("no queue ever built at the incast port")
 	}
+	hist := port.QueueHist
+	if hist == nil || port.QueueHistUnit != 1448 || hist.Count() == 0 {
+		t.Fatalf("occupancy histogram not recording (unit=%d)", port.QueueHistUnit)
+	}
 	leafMarks, _ := tb.Fabric.ECNMarks()
 	if leafMarks == 0 {
 		t.Fatal("2:1 fan-in above K produced no ECN marks")
@@ -143,6 +145,9 @@ func TestFabricQueueStats(t *testing.T) {
 	tb.Fabric.ResetQueueStats()
 	if port.PeakQueueBytes != 0 {
 		t.Fatal("ResetQueueStats left a peak marker")
+	}
+	if hist.Count() != 0 {
+		t.Fatal("ResetQueueStats left histogram samples")
 	}
 }
 

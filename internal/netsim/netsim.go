@@ -167,10 +167,10 @@ type Iface struct {
 	WREDDrops      uint64
 	PeakQueueBytes int
 
-	// queueHist, when enabled, samples the egress queue depth (in units
-	// of queueHistUnit bytes) at every accepted enqueue.
-	queueHist     *stats.LinearHist
-	queueHistUnit int
+	// QueueHist, when enabled, samples the egress queue depth (in units
+	// of QueueHistUnit bytes) at every accepted enqueue.
+	QueueHist     *stats.LinearHist
+	QueueHistUnit int
 
 	// queueBytes tracks bytes accepted for transmission but not yet on
 	// the wire — the output queue depth used for ECN marking and WRED.
@@ -202,16 +202,16 @@ func (i *Iface) EnableQueueHist(unitBytes, maxBytes int) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	i.queueHistUnit = unitBytes
-	i.queueHist = stats.NewLinearHist(maxBytes / unitBytes)
+	i.QueueHistUnit = unitBytes
+	i.QueueHist = stats.NewLinearHist(maxBytes / unitBytes)
 }
 
 // ResetQueueStats clears the peak-depth marker and occupancy histogram
 // (end of a warmup phase); cumulative drop/mark counters are untouched.
 func (i *Iface) ResetQueueStats() {
 	i.PeakQueueBytes = 0
-	if i.queueHist != nil {
-		i.queueHist.Reset()
+	if i.QueueHist != nil {
+		i.QueueHist.Reset()
 	}
 }
 
@@ -221,8 +221,8 @@ func (i *Iface) noteQueueDepth(q int) {
 	if q > i.PeakQueueBytes {
 		i.PeakQueueBytes = q
 	}
-	if i.queueHist != nil {
-		i.queueHist.Record(q / i.queueHistUnit)
+	if i.QueueHist != nil {
+		i.QueueHist.Record(q / i.QueueHistUnit)
 	}
 }
 

@@ -345,7 +345,7 @@ func TestTailDropBoundaryAccounting(t *testing.T) {
 	if port.PeakQueueBytes != 3*wire {
 		t.Fatalf("PeakQueueBytes = %d, want %d", port.PeakQueueBytes, 3*wire)
 	}
-	hist, unit := port.QueueHist()
+	hist, unit := port.QueueHist, port.QueueHistUnit
 	if unit != wire || hist.Count() != 3 {
 		t.Fatalf("occupancy samples = %d (unit %d), want 3 accepted enqueues", hist.Count(), unit)
 	}

@@ -7,7 +7,3 @@ import "fmt"
 func (a EtherAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
 }
-
-// SlabBlocks returns how many blocks the pool's payload slab has carved:
-// its high-water mark of payload copies in flight, in units of 256.
-func (pl *Pool) SlabBlocks() uint64 { return pl.slab.Blocks }

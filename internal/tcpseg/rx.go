@@ -349,7 +349,7 @@ func emitSACK(st *ProtoState, res *RXResult, recent uint32, hasRecent bool) {
 // containing recent (if any), and returns the block count. Shared by the
 // pure-ACK path and the TX data-segment piggyback.
 func copySACK(st *ProtoState, dst *[MaxOOOIntervals]SeqInterval, recent uint32, hasRecent bool) uint8 {
-	if st.Flags&flagSACKPerm == 0 || st.OOOCnt == 0 {
+	if !st.SACKEnabled() || st.OOOCnt == 0 {
 		return 0
 	}
 	n := int(st.OOOCnt)
@@ -380,7 +380,7 @@ func copySACK(st *ProtoState, dst *[MaxOOOIntervals]SeqInterval, recent uint32, 
 // bounded scoreboard cannot hold marks it untrustworthy (flagSACKRenege)
 // until it drains, forcing go-back-N recovery (RFC 2018 conservatism).
 func ingestSACK(st *ProtoState, seg *SegInfo) {
-	if st.Flags&flagSACKPerm == 0 || seg.SACKCnt == 0 {
+	if !st.SACKEnabled() || seg.SACKCnt == 0 {
 		return
 	}
 	una := st.UnackedBase()

@@ -151,6 +151,9 @@ func (s *ProtoState) setSACK(ivs []SeqInterval) {
 	s.SACKCnt = uint8(copy(s.SACKScore[:], ivs))
 }
 
+// SACKEnabled reports whether the connection negotiated SACK-permitted.
+func (s *ProtoState) SACKEnabled() bool { return s.Flags&flagSACKPerm != 0 }
+
 // SetSACKPerm records the handshake's SACK negotiation result (control
 // plane, at establishment).
 func (s *ProtoState) SetSACKPerm(on bool) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flextoe/internal/api"
+	"flextoe/internal/apps"
 	"flextoe/internal/netsim"
 	"flextoe/internal/packet"
 	"flextoe/internal/sim"
@@ -200,6 +201,49 @@ func TestPayloadIntegrityUnderStaleViews(t *testing.T) {
 			if stale == 0 {
 				t.Error("no frame read rewritten bytes: the stale-view hazard was not exercised")
 			}
+		})
+	}
+}
+
+// TestBulkBacklogPayloadMemory gates what a queued data frame's payload
+// costs. A bulk stream with a 4 MB window runs ahead of its 1 Gb/s source
+// NIC by up to a window, so thousands of MSS frames wait in the NIC's
+// queue, as they do in bulk_adverse's 21 Gb/s source NICs. Their payloads
+// are views of the sender's transmit ring, so a queued frame costs its
+// packet shell and frame, not a 2 KB slab copy. The live heap of the whole
+// run is read after a GC, as TestEchoFleetRingMemory reads it, and spread
+// over the queued frames. Readings (x86-64, go1.24) for FlexTOE and Linux:
+//
+//	payloads are views of the transmit ring     445, 374 B per queued frame
+//	every data segment a slab copy (2 894 and
+//	2 417 frames queued)                        2 621, 2 541 B
+func TestBulkBacklogPayloadMemory(t *testing.T) {
+	const port, bufSize, minQueued, budget = 7001, 4 << 20, 2000, 1 << 10
+	for _, kind := range []StackKind{FlexTOE, Linux} {
+		t.Run(string(kind), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tb := New(netsim.SwitchConfig{},
+				MachineSpec{Name: "sink", Kind: kind, Cores: 2, BufSize: bufSize, Seed: 1},
+				MachineSpec{Name: "src", Kind: kind, Cores: 2, BufSize: bufSize, NICGbps: 1, Seed: 2},
+			)
+			(&apps.BulkSink{}).Serve(tb.M("sink").Stack, port)
+			(&apps.BulkSender{}).Start(tb.M("src").Stack, tb.Addr("sink", port))
+			tb.Run(30 * sim.Millisecond)
+			queued := tb.M("src").Iface.QueueBytes() / 1514 // an MSS frame with timestamps
+			if queued < minQueued {
+				t.Fatalf("only %d frames queued in the source NIC, want >= %d", queued, minQueued)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perFrame := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(queued)
+			t.Logf("%d frames queued in the source NIC, %d B of live heap per queued frame, budget %d",
+				queued, perFrame, budget)
+			if perFrame > budget {
+				t.Errorf("%d B of live heap per queued frame, budget %d: queued payloads are copies", perFrame, budget)
+			}
+			runtime.KeepAlive(tb)
 		})
 	}
 }

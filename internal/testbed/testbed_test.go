@@ -12,14 +12,6 @@ import (
 	"flextoe/internal/tcpseg"
 )
 
-// sackNegotiated reads the SACK-permitted bit the control plane set at
-// establishment: the bit SetSACKPerm(true) sets.
-func sackNegotiated(p *tcpseg.ProtoState) bool {
-	var on tcpseg.ProtoState
-	on.SetSACKPerm(true)
-	return p.Flags&on.Flags != 0
-}
-
 func runEcho(t *testing.T, kind StackKind, conns, pipeline int, msgSize int, dur sim.Time) *apps.ClosedLoopClient {
 	t.Helper()
 	tb := New(netsim.SwitchConfig{},
@@ -241,7 +233,7 @@ func TestRecoverySpecFields(t *testing.T) {
 				if got := end.Core.Proto.OOOCap; got != c.wantCap {
 					t.Errorf("end %d: OOOCap %d, want %d", i, got, c.wantCap)
 				}
-				if got := sackNegotiated(&end.Core.Proto); got != c.wantSACK {
+				if got := end.Core.Proto.SACKEnabled(); got != c.wantSACK {
 					t.Errorf("end %d: SACK negotiated %v, want %v", i, got, c.wantSACK)
 				}
 			}
