@@ -435,9 +435,20 @@
 // through its own kick: no tie moves (TestHeldKickMatchesEagerArm on churn
 // and paced rows, TestHeldKickSameInstant on the one instant where the
 // rule matters; the run-to-completion ablation still arms on every kick).
-// TestEventsPerSegmentBudget keeps the count from creeping
-// back (<= 22.0 events per received segment on kv_flextoe, <= 23.0 on
-// incast_fabric). TestOwnerOrder pins the
+// One cut moved tables on purpose, because it changes what the pipeline
+// carries: the flow scheduler debits what it schedules. A connection
+// holds the bytes of its TX items scheduled whose protocol step has not
+// run, each item records the bytes it reserved (a bare FIN its sequence
+// slot), and the pump, the ACK path, host control and the control
+// plane's window poke submit a flow only for sendable bytes past that
+// reservation; the protocol step releases it, sent or dropped, and hands
+// back what a shorter segment left. A scheduler that read only the
+// protocol state handed one window to the pipeline up to 64 times and
+// the protocol stage dropped the surplus, each drop a pre task, a
+// sequencer ticket and a state fetch (TestTXOverScheduling,
+// TestTXDebitConserved). TestEventsPerSegmentBudget keeps the count from
+// creeping back (<= 21.2 events per received segment on kv_flextoe,
+// <= 17.5 on incast_fabric). TestOwnerOrder pins the
 // rule under every permutation of the call order,
 // TestWheelMatchesHeapOrder the wheel against the reference heap,
 // TestEventLayout the 48-byte event: the key rides in the field the

@@ -132,12 +132,11 @@ func (t *tcb) segment(fx effects, pkt *packet.Packet, now sim.Time) {
 		t.ingestSACK(tcp)
 		ackOff, ackOK := t.ackOff(tcp.Ack)
 		switch {
-		case !ackOK || ackOff > t.sndMax || ackOff > t.appended+1:
+		case !ackOK || ackOff > t.sndMax:
 			// Acknowledges nothing this stream ever sent (below offset
-			// zero, or beyond SND.MAX) or nothing the application
-			// committed (a slot sized before a go-back-N rewind raced
-			// with an ACK can emit past the committed bytes; ROADMAP 21):
-			// ignored, like any other ACK below una.
+			// zero, or beyond SND.MAX, which sendSlot keeps within the
+			// committed bytes and the FIN's slot): ignored, like any
+			// other ACK below una.
 		case ackOff > t.una:
 			acked := ackOff - t.una
 			if t.finAt != ^uint64(0) && ackOff == t.finAt+1 { // FIN occupies one sequence slot
@@ -450,10 +449,18 @@ func (t *tcb) nextSeg() (n uint64, ok bool) {
 }
 
 // sendSlot is the step for a paid transmit slot: the n bytes nextSeg
-// sized from SND.NXT, with FIN if they end a closed stream.
+// sized from SND.NXT, with FIN if they end a closed stream. An ACK taken
+// while the slot's cost was paid can have moved SND.NXT up to SND.UNA (a
+// go-back-N rewind raced with it), so the slot is re-clamped to the bytes
+// the application committed, and a slot left with nothing sends nothing.
 func (t *tcb) sendSlot(fx effects, n uint64, now sim.Time) {
 	off := t.nxt
-	t.send(fx, off, n, t.finAt != ^uint64(0) && off+n == t.appended)
+	n = min(n, t.appended-off)
+	fin := t.finAt != ^uint64(0) && off+n == t.appended
+	if n == 0 && !fin {
+		return
+	}
+	t.send(fx, off, n, fin)
 	t.nxt += n
 	t.armTimer(fx, now)
 }

@@ -409,3 +409,66 @@ func TestStepAckBeyondSndMax(t *testing.T) {
 		})
 	}
 }
+
+// TestStepSlotClampedToCommitted: a transmit slot sized before a
+// go-back-N rewind raced with an ACK sends only bytes the application
+// committed. The slot is sized at the rewound SND.NXT; the ACK for the
+// whole flight, which the peer had buffered, arrives while the slot's
+// cost is paid and moves SND.NXT to the committed end. Sent at that
+// SND.NXT unclamped, the slot carried ring bytes the application never
+// wrote, the peer delivered and acknowledged them, and SND.NXT ran past
+// the committed bytes (seen on TAS in Fig 15a at 2 % loss). Only the
+// profiles whose timeout rewinds SND.NXT can race this way.
+func TestStepSlotClampedToCommitted(t *testing.T) {
+	const committed = 6144
+	const hop = 10 * sim.Microsecond
+	for _, prof := range stepProfiles {
+		if prof.Recovery == RecoverySACK {
+			continue // the timeout re-sends the head and leaves SND.NXT
+		}
+		t.Run(prof.Name, func(t *testing.T) {
+			a, b := newRecorder(prof, 0x1234), newRecorder(prof, 0x9876)
+			b.reader = true
+			l := newStepLink(a, b)
+			want := pattern(committed, 5)
+			a.write(want)
+			a.settle(l.now)
+			if a.t.nxt != committed {
+				t.Fatalf("first flight sent %d of %d bytes, want all", a.t.nxt, committed)
+			}
+			// b takes the whole flight; its ACK waits on the wire.
+			l.now += hop
+			l.deliver(a, b, a.takeOut())
+			b.settle(l.now)
+			acks := b.takeOut()
+			// a's timeout fires first: go-back-N rewinds SND.NXT, and the
+			// pump sizes a slot there.
+			l.now = a.timerAt
+			a.timerSet = false
+			a.t.timer(a, l.now)
+			n, ok := a.t.nextSeg()
+			if !ok || a.t.nxt != 0 {
+				t.Fatalf("after the timeout: slot %d (%v) at SND.NXT %d, want one at 0", n, ok, a.t.nxt)
+			}
+			// The ACK lands while the slot's cost is paid.
+			l.deliver(b, a, acks)
+			if a.t.una != committed || a.t.nxt != committed {
+				t.Fatalf("after the ACK: SND.UNA %d, SND.NXT %d, want both %d", a.t.una, a.t.nxt, committed)
+			}
+			a.t.sendSlot(a, n, l.now)
+			for _, p := range a.takeOut() {
+				if len(p.Payload) > 0 {
+					t.Errorf("the paid slot sent %d B at seq %d with %d B committed", len(p.Payload), p.TCP.Seq-a.t.iss, committed)
+				}
+			}
+			if a.t.nxt != committed || a.t.sndMax != committed {
+				t.Fatalf("SND.NXT %d, SND.MAX %d, want both at the %d committed", a.t.nxt, a.t.sndMax, committed)
+			}
+			a.t.close(a)
+			l.run(t, func() bool { return a.t.finAcked && b.closed })
+			if !bytes.Equal(b.delivered, want) {
+				t.Fatalf("b read %d bytes, first difference at %d, want the %d committed", len(b.delivered), firstDiff(b.delivered, want), committed)
+			}
+		})
+	}
+}

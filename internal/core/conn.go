@@ -49,6 +49,7 @@ type Conn struct {
 	// pre-processor reuse them instead of hashing again.
 	flowHash uint32
 	revHash  uint32
+	txSched  uint32 // bytes reserved by TX items not yet at the protocol step
 
 	fg        uint8
 	live      bool

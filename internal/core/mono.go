@@ -169,7 +169,7 @@ func monoTXDone(a any) {
 	if t.txProto(conn, &tx) {
 		t.countTX(&tx)
 		t.sendFrame(t.buildData(conn, &tx))
-		if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 {
+		if conn.txUnscheduled() > 0 {
 			t.sched.Submit(id)
 		}
 	}

@@ -533,7 +533,15 @@ func (t *TOE) protoExec(isl *island, s *segItem) {
 		t.rxProto(conn, &s.info, &s.rx)
 		s.hasNBI = s.rx.SendAck
 	case segTX:
-		if !t.txProto(conn, &s.tx) {
+		// The item's reservation ends here, sent or not. One that sent
+		// less (a short retransmit hole, a shrunk window) hands what it
+		// held back to the flow scheduler.
+		conn.txSched -= s.txResv
+		ok := t.txProto(conn, &s.tx)
+		if s.tx.Len < s.txResv && conn.txUnscheduled() > 0 {
+			t.submitFlow(conn)
+		}
+		if !ok {
 			// Window closed between scheduling and protocol.
 			s.dropped = true
 			return
@@ -618,23 +626,23 @@ func (t *TOE) hcProto(conn *Conn, d shm.Desc, ack *tcpseg.RXResult) bool {
 }
 
 // hcPost finishes a host-control descriptor: it is counted, and the flow
-// scheduler hears of what it made sendable. FIN and retransmit requests
-// must reach the scheduler even with an empty transmit buffer.
+// scheduler hears of what it made sendable past the TX items in flight.
+// FIN and retransmit requests must reach the scheduler even with an empty
+// transmit buffer.
 func (t *TOE) hcPost(conn *Conn, d shm.Desc) {
 	t.HCOps++
-	if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 || conn.Proto.TxAvail > 0 ||
-		d.Kind == shm.DescFin || d.Kind == shm.DescRetransmit {
+	if conn.txUnscheduled() > 0 || d.Kind == shm.DescFin || d.Kind == shm.DescRetransmit {
 		t.submitFlow(conn)
 	}
 	t.kickTX()
 }
 
 // rxPost counts a received segment and tells the flow scheduler when its
-// ACK opened the window.
+// ACK opened the window past what the TX items in flight hold.
 func (t *TOE) rxPost(conn *Conn, info *tcpseg.SegInfo) {
 	t.RxSegs++
 	t.RxBytes += uint64(info.PayloadLen)
-	if tcpseg.SendableBytes(&conn.Proto, conn.CWnd) > 0 {
+	if conn.txUnscheduled() > 0 {
 		t.submitFlow(conn)
 	}
 }

@@ -52,8 +52,9 @@ type segItem struct {
 	info tcpseg.SegInfo
 	rx   tcpseg.RXResult
 
-	// TX workflow.
-	tx tcpseg.TXResult
+	// TX workflow (txResv: the bytes reserved on the Conn's txSched).
+	txResv uint32
+	tx     tcpseg.TXResult
 
 	// HC workflow.
 	hc shm.Desc

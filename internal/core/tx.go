@@ -11,7 +11,8 @@ import (
 const txWindowLimit = 64
 
 // submitFlow tells the flow scheduler the connection has data and quota
-// (the post-processor's FS update, Fig. 4/6).
+// that no TX item in flight holds (the post-processor's FS update, Fig.
+// 4/6; see txUnscheduled).
 func (t *TOE) submitFlow(c *Conn) {
 	t.trace.Hit(trace.TPSchedSubmit)
 	t.sched.Submit(c.ID)
@@ -20,9 +21,19 @@ func (t *TOE) submitFlow(c *Conn) {
 
 // kickConn is the control plane's poke after reprogramming windows.
 func (t *TOE) kickConn(c *Conn) {
-	if tcpseg.SendableBytes(&c.Proto, c.CWnd) > 0 {
+	if c.txUnscheduled() > 0 {
 		t.submitFlow(c)
 	}
+}
+
+// txUnscheduled returns the sendable bytes no TX item in flight has
+// reserved (txPump debits, protoExec credits back; the run-to-completion
+// ablation reserves nothing).
+func (c *Conn) txUnscheduled() uint32 {
+	if n := tcpseg.SendableBytes(&c.Proto, c.CWnd); n > c.txSched {
+		return n - c.txSched
+	}
+	return 0
 }
 
 // kickTX arms the transmit pump (idempotent within an instant) when the
@@ -68,9 +79,11 @@ func toeTXPump(a any) { a.(*TOE).txPump() }
 func toeKickTX(a any) { a.(*TOE).kickTX() }
 
 // txPump drains the flow scheduler while pipeline credits remain,
-// injecting one segment per scheduler decision (§3.1.2). When the
-// scheduler only has future (rate-limited) work, the pump re-arms at the
-// wheel's next deadline.
+// injecting one segment per scheduler decision (§3.1.2). Each item
+// reserves the bytes it will send (a bare FIN its sequence slot) on the
+// connection until its protocol step runs, so a window is handed to the
+// pipeline once. When the scheduler only has future (rate-limited) work,
+// the pump re-arms at the wheel's next deadline.
 func (t *TOE) txPump() {
 	t.txPumpArmed = false
 	if t.mono != nil {
@@ -83,7 +96,7 @@ func (t *TOE) txPump() {
 			break
 		}
 		t.trace.Hit(trace.TPSchedPop)
-		conn, sendable := t.txReady(id)
+		conn, avail := t.txReady(id)
 		if conn == nil {
 			continue
 		}
@@ -99,9 +112,11 @@ func (t *TOE) txPump() {
 		item.conn = id
 		item.fg = int(conn.fg)
 		item.ticket = t.islands[int(conn.fg)].entry.ticket()
+		item.txResv = max(min(avail, t.cfg.MSS), 1)
+		conn.txSched += item.txResv
 		t.pre.push(item)
-		// If the flow can send more than one MSS, keep it scheduled.
-		if sendable > t.cfg.MSS {
+		// If unreserved bytes remain past this item, keep it scheduled.
+		if avail > t.cfg.MSS {
 			t.sched.Submit(id)
 		}
 	}
@@ -111,18 +126,19 @@ func (t *TOE) txPump() {
 }
 
 // txReady returns the connection of a flow the scheduler popped and its
-// sendable bytes, or nil for a stale entry: a removed connection, or one
-// with nothing sendable and no FIN waiting on an emptied transmit buffer
-// (a FIN keeps the flow eligible even with an empty buffer).
+// unreserved sendable bytes, or nil for a stale entry: a removed
+// connection, or one with nothing unreserved and no FIN waiting on an
+// emptied transmit buffer (a FIN keeps the flow eligible even with an
+// empty buffer, until an item in flight holds it).
 func (t *TOE) txReady(id uint32) (*Conn, uint32) {
 	c := t.connOrNil(id)
 	if c == nil {
 		return nil, 0
 	}
 	p := &c.Proto
-	sendable := tcpseg.SendableBytes(p, c.CWnd)
-	if sendable == 0 && (p.FinSent() || p.TxAvail != 0 || !p.FinPending()) {
+	avail := c.txUnscheduled()
+	if avail == 0 && (c.txSched != 0 || p.FinSent() || p.TxAvail != 0 || !p.FinPending()) {
 		return nil, 0
 	}
-	return c, sendable
+	return c, avail
 }
