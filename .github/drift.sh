@@ -12,9 +12,9 @@
 #   - per runner, each table cell that differs, with its row and column
 #     labels, old -> new and the relative change (a line outside a table
 #     prints whole);
-#   - per workload and seed, each differing exact row (bench/README.md's
-#     "Exact counts from the window" and result_sha256), and any run that
-#     is not correct with nothing failed;
+#   - per workload and seed, each differing exact row (every metric row
+#     but the host measurements, and result_sha256), and any run that is
+#     not correct with nothing failed;
 #   - per example spec, the sha256 of its result when it differs.
 # Wall-clock lines are left out, so the report is a function of the two
 # trees alone, and it is empty when they behave alike. It edits neither
@@ -29,9 +29,11 @@ base=$(cd "$1" && pwd) head=$(cd "$2" && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# The exact rows of a traced run: every per-layer count that is
-# bit-identical for a seed (the go.* rows are host measurements).
-exact='^  (sim\.events_per_seg|sim\.pending_max|core\.(acks_per_rx_seg|hc_ops_per_seg|notifies_per_seg|conn_state_bytes_per_conn)|tcpseg\.(retx_seg|ooo_accept|ooo_drop|sack_retx)_share|ctrl\.established|netsim\.(forwarded_per_seg|queue_drop_share|ecn_mark_share)|fabric\.(peak_leaf_queue_bytes|spine_imbalance)|packet\.pool_(gets_per_seg|outstanding)|flowmon\.pkts_per_seg|baseline\.retx_seg_share|host\.core_util_mean|scenario\.result_bytes|model\.[a-z0-9_]+) '
+# A traced run's metric rows are exact for a seed, all but the host
+# measurements (bench/README.md), which these row names cover: the Go
+# runtime's, the job service's and the benchmark's own rows, the CPU
+# profile's shares, span durations, and host time per event or operation.
+host='^(go|server|bench)\.|\.cpu_share$|^scenario\.[a-z_]+_(ms|us)$|^sim\.(host_ns_per_event_|ns_per_event\.|shard2_speedup$)|_ns(\.|$)'
 
 # run SIDE DIR: every output of one tree, under $tmp/SIDE.*.
 run() {
@@ -53,7 +55,7 @@ run() {
 				echo "$w seed $s: $side run not correct: $(tail -n 1 "$tmp/$side.run" | cut -c1-80)"
 			{
 				awk -v k="$w seed $s" '/^result_sha256 /{print k "\t" $1 "\t" $2}' "$tmp/$side.run"
-				grep -E "$exact" "$tmp/$side.run" | awk -v k="$w seed $s" '{print k "\t" $1 "\t" $2}'
+				awk -v k="$w seed $s" -v host="$host" '/^  [a-z]/ && $1 !~ host {print k "\t" $1 "\t" $2}' "$tmp/$side.run"
 			} >>"$tmp/$side.exact"
 		done
 	done

@@ -438,11 +438,12 @@
 // One cut moved tables on purpose, because it changes what the pipeline
 // carries: the flow scheduler debits what it schedules. A connection
 // holds the bytes of its TX items scheduled whose protocol step has not
-// run, each item records the bytes it reserved (a bare FIN its sequence
-// slot), and the pump, the ACK path, host control and the control
-// plane's window poke submit a flow only for sendable bytes past that
-// reservation; the protocol step releases it, sent or dropped, and hands
-// back what a shorter segment left. A scheduler that read only the
+// run, each item records the bytes it reserved, and the pump, the ACK
+// path, host control and the control plane's window poke submit a flow
+// only for sendable bytes past that reservation (a FIN on an emptied
+// transmit buffer counts its sequence slot as sendable, since no
+// retransmit item carries it); the protocol step releases it, sent or
+// dropped, and hands back what a shorter segment left. A scheduler that read only the
 // protocol state handed one window to the pipeline up to 64 times and
 // the protocol stage dropped the surplus, each drop a pre task, a
 // sequencer ticket and a state fetch (TestTXOverScheduling,

@@ -122,7 +122,7 @@ func monoHCDone(a any) {
 	if t.hcProto(conn, d, &ack) {
 		t.sendAck(t.buildAck(conn, &ack))
 	}
-	t.hcPost(conn, d)
+	t.hcPost(conn)
 }
 
 func (t *TOE) monoTXPump() {

@@ -68,9 +68,10 @@ func TestTXOverScheduling(t *testing.T) {
 // TestTXDebitConserved checks the reservation balances where the window
 // moves under the items in flight: a lossy SACK transfer, whose fast
 // retransmits queue bytes and whose go-back-N rewinds (the control plane's
-// RTO) reopen sent ones, and a close, whose bare FIN holds the flow so it
-// is scheduled once even when a retransmit request submits the flow again
-// while the FIN is in the pipeline.
+// RTO) reopen sent ones; a lossy close, whose FIN lands while a selective
+// retransmit holds the flow; and a close, whose bare FIN holds the flow so
+// it is scheduled once even when a retransmit request lands while the FIN
+// is in the pipeline.
 func TestTXDebitConserved(t *testing.T) {
 	t.Run("lossy-sack", func(t *testing.T) {
 		cfg := AgilioCX40Config()
@@ -101,6 +102,40 @@ func TestTXDebitConserved(t *testing.T) {
 			txItems(toe), toe.TxSegs, toe.FastRetx, toe.SACKRetx, toe.RetxBytes)
 		if toe.SACKRetx == 0 || toe.RetxBytes == 0 {
 			t.Fatalf("no selective retransmit (%d) or no re-sent bytes (%d): the run does not move the window under the items", toe.SACKRetx, toe.RetxBytes)
+		}
+	})
+	// A FIN posted while a selective retransmit holds the flow: the
+	// retransmit item never carries the FIN, so the FIN's sequence slot
+	// must stay unreserved or nothing schedules it once the item has
+	// sent. The retransmit requests follow the control plane's RTO, armed
+	// only while bytes or a FIN are outstanding, so a FIN never sent is
+	// never recovered. The sweep of close times puts the FIN's descriptor
+	// into the pipeline around a fast retransmit on this seed.
+	t.Run("fin-behind-retransmit", func(t *testing.T) {
+		for k := 30; k <= 50; k++ {
+			cfg := AgilioCX40Config()
+			cfg.OOOIntervals = 4
+			p := newPair(t, cfg, cfg, netsim.SwitchConfig{LossProb: 0.1, Seed: 5}, 32768)
+			p.a.conn.Proto.SetSACKPerm(true)
+			p.b.conn.Proto.SetSACKPerm(true)
+			data := testData(20_000)
+			p.eng.AfterCall(0, func(any) { p.a.send(data) }, nil)
+			p.eng.AfterCall(sim.Time(k)*250*sim.Nanosecond, func(any) {
+				p.a.t.InjectHC(shm.Desc{Kind: shm.DescFin, Conn: p.a.conn.ID})
+			}, nil)
+			for i := 1; i <= 100; i++ {
+				p.eng.AfterCall(sim.Time(i)*500*sim.Microsecond, func(any) {
+					if pr := &p.a.conn.Proto; pr.TxSent > 0 || (pr.FinSent() && !pr.FinAcked()) {
+						p.a.t.InjectHC(shm.Desc{Kind: shm.DescRetransmit, Conn: p.a.conn.ID})
+					}
+				}, nil)
+			}
+			p.eng.RunUntil(60 * sim.Millisecond)
+			txDebitSettled(t, p.toeA, p.toeB)
+			if pr := &p.a.conn.Proto; !bytes.Equal(p.b.got, data) || !p.b.finRx || !pr.FinAcked() {
+				t.Fatalf("close at %d ns: %d/%d B, FIN pending %v, delivered %v, acked %v",
+					k*250, len(p.b.got), len(data), pr.FinPending(), p.b.finRx, pr.FinAcked())
+			}
 		}
 	})
 	t.Run("close", func(t *testing.T) {

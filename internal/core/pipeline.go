@@ -626,12 +626,11 @@ func (t *TOE) hcProto(conn *Conn, d shm.Desc, ack *tcpseg.RXResult) bool {
 }
 
 // hcPost finishes a host-control descriptor: it is counted, and the flow
-// scheduler hears of what it made sendable past the TX items in flight.
-// FIN and retransmit requests must reach the scheduler even with an empty
-// transmit buffer.
-func (t *TOE) hcPost(conn *Conn, d shm.Desc) {
+// scheduler hears of what it made sendable past the TX items in flight (a
+// FIN on an empty transmit buffer counts its sequence slot).
+func (t *TOE) hcPost(conn *Conn) {
 	t.HCOps++
-	if conn.txUnscheduled() > 0 || d.Kind == shm.DescFin || d.Kind == shm.DescRetransmit {
+	if conn.txUnscheduled() > 0 {
 		t.submitFlow(conn)
 	}
 	t.kickTX()
@@ -719,7 +718,7 @@ func (t *TOE) postDone(isl *island, s *segItem) {
 				isl.nbi.skip(s.nbiTicket)
 			}
 		}
-		t.hcPost(conn, s.hc)
+		t.hcPost(conn)
 		// The HC item's journey ends at the post stage (the NBI holds its
 		// own reference if an ACK rides out).
 		t.putSeg(s)

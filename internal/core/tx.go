@@ -28,9 +28,16 @@ func (t *TOE) kickConn(c *Conn) {
 
 // txUnscheduled returns the sendable bytes no TX item in flight has
 // reserved (txPump debits, protoExec credits back; the run-to-completion
-// ablation reserves nothing).
+// ablation reserves nothing). A FIN waiting on an empty transmit buffer
+// counts its sequence slot: a data item drains the buffer and carries
+// the FIN, a selective retransmit never does.
 func (c *Conn) txUnscheduled() uint32 {
-	if n := tcpseg.SendableBytes(&c.Proto, c.CWnd); n > c.txSched {
+	p := &c.Proto
+	n := tcpseg.SendableBytes(p, c.CWnd)
+	if p.FinPending() && !p.FinSent() && p.TxAvail == 0 {
+		n++
+	}
+	if n > c.txSched {
 		return n - c.txSched
 	}
 	return 0
@@ -80,9 +87,9 @@ func toeKickTX(a any) { a.(*TOE).kickTX() }
 
 // txPump drains the flow scheduler while pipeline credits remain,
 // injecting one segment per scheduler decision (§3.1.2). Each item
-// reserves the bytes it will send (a bare FIN its sequence slot) on the
-// connection until its protocol step runs, so a window is handed to the
-// pipeline once. When the scheduler only has future (rate-limited) work,
+// reserves up to an MSS of the unreserved bytes (a bare FIN its sequence
+// slot) on the connection until its protocol step runs, so a window is
+// handed to the pipeline once. When the scheduler only has future (rate-limited) work,
 // the pump re-arms at the wheel's next deadline.
 func (t *TOE) txPump() {
 	t.txPumpArmed = false
@@ -112,7 +119,7 @@ func (t *TOE) txPump() {
 		item.conn = id
 		item.fg = int(conn.fg)
 		item.ticket = t.islands[int(conn.fg)].entry.ticket()
-		item.txResv = max(min(avail, t.cfg.MSS), 1)
+		item.txResv = min(avail, t.cfg.MSS)
 		conn.txSched += item.txResv
 		t.pre.push(item)
 		// If unreserved bytes remain past this item, keep it scheduled.
@@ -127,17 +134,14 @@ func (t *TOE) txPump() {
 
 // txReady returns the connection of a flow the scheduler popped and its
 // unreserved sendable bytes, or nil for a stale entry: a removed
-// connection, or one with nothing unreserved and no FIN waiting on an
-// emptied transmit buffer (a FIN keeps the flow eligible even with an
-// empty buffer, until an item in flight holds it).
+// connection, or one whose items in flight hold all it can send.
 func (t *TOE) txReady(id uint32) (*Conn, uint32) {
 	c := t.connOrNil(id)
 	if c == nil {
 		return nil, 0
 	}
-	p := &c.Proto
 	avail := c.txUnscheduled()
-	if avail == 0 && (c.txSched != 0 || p.FinSent() || p.TxAvail != 0 || !p.FinPending()) {
+	if avail == 0 {
 		return nil, 0
 	}
 	return c, avail
