@@ -229,8 +229,8 @@
 // every spine, and hosts attach statically to one rack
 // (testbed.MachineSpec.Rack → fabric.AttachHost). Each tier carries its
 // own netsim.SwitchConfig, so ECN thresholds, WRED and queue caps are
-// per-tier policy; leaf ports optionally record egress occupancy
-// histograms (stats.LinearHist) beside per-port ECN/drop/peak counters.
+// per-tier policy; every switch port keeps ECN-mark, drop and peak-depth
+// counters.
 //
 // ECMP contract: a leaf that has not learned a destination MAC (leaves
 // learn only their local rack) forwards onto uplink index

@@ -240,7 +240,7 @@ func (t *TOE) maybeTimerKick(c *Conn) {
 func (t *TOE) SetCongestionWindow(id uint32, bytes uint32) {
 	if c := t.connOrNil(id); c != nil {
 		c.CWnd = bytes
-		t.kickConn(c) // window growth may unblock transmission
+		t.offerFlow(c) // window growth may unblock transmission
 	}
 }
 

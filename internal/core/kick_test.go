@@ -8,24 +8,24 @@ import (
 	"flextoe/internal/tcpseg"
 )
 
-// TestHeldKickSameInstant is the directed row of the held-kick oracle
-// (TestHeldKickMatchesEagerArm runs the end-to-end rows): at one instant a
-// kick finds the carousel empty, a segment goes to the control plane, and
-// then a flow is submitted. The eager arm queued the pump at the kick, so
-// it ran ahead of the control delivery and the delivery saw the pump's
-// segment in flight; the held kick must give the same order by arming
-// before the delivery is queued. In end-to-end runs the three rarely share
-// a picosecond, which is why this row exists. Kills: dropping the arm
-// before controlCb.
-func TestHeldKickSameInstant(t *testing.T) {
-	run := func(eager bool) (inflight []int, processed uint64, got int) {
+// TestKickOnEmptyCarousel holds the transmit pump's one arming rule (kickTX
+// arms only when the carousel holds a flow) at the instant where it
+// decides order: a kick finds the carousel empty, a segment goes to the
+// control plane, and then a flow is submitted. The kick queues nothing,
+// so the control delivery runs ahead of the pump the submit arms and sees
+// no TX segment in flight, the data still arrives, and the run executes
+// the events of one without the kick. Kills: arming on an empty carousel
+// (the delivery sees 1 segment in flight, or the kick adds an event).
+func TestKickOnEmptyCarousel(t *testing.T) {
+	run := func(kick bool) (inflight []int, processed uint64, got int) {
 		p := defaultPair(t, 65536)
-		p.toeA.eagerTX = eager
 		p.toeA.ControlRx = func(*packet.Packet) { inflight = append(inflight, p.toeA.txInflight) }
 		data := testData(1000)
 		p.eng.AfterCall(10*sim.Microsecond, func(any) {
 			toe, c := p.toeA, p.a.conn
-			toe.kickTX()
+			if kick {
+				toe.kickTX()
+			}
 			toe.toControl(toe.pkts.Get())
 			c.TxBuf.WriteAt(0, data)
 			tcpseg.ProcessHC(&c.Proto, &c.Post, tcpseg.HCOp{Kind: tcpseg.HCTx, Bytes: uint32(len(data))})
@@ -34,18 +34,15 @@ func TestHeldKickSameInstant(t *testing.T) {
 		p.eng.RunUntil(sim.Millisecond)
 		return inflight, p.eng.Processed(), len(p.b.got)
 	}
-	wantIn, wantEvents, wantGot := run(true)
-	gotIn, events, got := run(false)
-	if len(wantIn) != 1 || wantIn[0] != 1 {
-		t.Fatalf("eager arm: control delivery saw %v segments in flight, want [1]", wantIn)
+	inflight, events, got := run(true)
+	_, bareEvents, _ := run(false)
+	if len(inflight) != 1 || inflight[0] != 0 {
+		t.Errorf("control delivery saw %v TX segments in flight, want [0]", inflight)
 	}
-	if len(gotIn) != 1 || gotIn[0] != wantIn[0] {
-		t.Errorf("held kick: control delivery saw %v segments in flight, eager arm %v", gotIn, wantIn)
+	if got != 1000 {
+		t.Errorf("delivered %d bytes, sent 1000", got)
 	}
-	if got != wantGot || got != 1000 {
-		t.Errorf("held kick delivered %d bytes, eager arm %d, sent 1000", got, wantGot)
-	}
-	if events >= wantEvents {
-		t.Errorf("held kick ran %d events, eager arm %d", events, wantEvents)
+	if events != bareEvents {
+		t.Errorf("run with the kick executed %d events, without it %d", events, bareEvents)
 	}
 }

@@ -169,9 +169,7 @@ func monoTXDone(a any) {
 	if t.txProto(conn, &tx) {
 		t.countTX(&tx)
 		t.sendFrame(t.buildData(conn, &tx))
-		if conn.txUnscheduled() > 0 {
-			t.sched.Submit(id)
-		}
+		t.offerFlow(conn)
 	}
 	t.kickTX()
 }

@@ -114,13 +114,6 @@ type TOE struct {
 
 	txInflight  int
 	txPumpArmed bool
-	// A kick that found the carousel empty, and its instant (see kickTX).
-	txKickHeld bool
-	txKickAt   sim.Time
-	// eagerTX arms the pump on every kick: the run-to-completion
-	// ablation's rule, and the oracle TestHeldKickMatchesEagerArm holds
-	// held kicks to.
-	eagerTX bool
 
 	// PacketTap, when set, observes every frame entering or leaving the
 	// MAC (tcpdump; Table 2's logging build charges its cost).
@@ -306,7 +299,6 @@ func New(eng *sim.Engine, cfg Config, iface *netsim.Iface) *TOE {
 	}
 
 	if cfg.RunToCompletion {
-		t.eagerTX = true
 		t.mono = nfp.NewFPC(eng, "mono", &cfg.NFP)
 		t.mono.SetThreads(cfg.ThreadsPerFPC)
 		eng.Lends(iface.Name+" fpc mono", t.mono)
@@ -485,7 +477,7 @@ func (t *TOE) toControl(pkt *packet.Packet) {
 		packet.Release(pkt)
 		return
 	}
-	t.ownNow(t.controlCb, pkt)
+	t.own.ImmediatelyCall(t.controlCb, pkt)
 }
 
 // protoAdmit distributes in-order segments to the connection's protocol
@@ -538,8 +530,8 @@ func (t *TOE) protoExec(isl *island, s *segItem) {
 		// held back to the flow scheduler.
 		conn.txSched -= s.txResv
 		ok := t.txProto(conn, &s.tx)
-		if s.tx.Len < s.txResv && conn.txUnscheduled() > 0 {
-			t.submitFlow(conn)
+		if s.tx.Len < s.txResv {
+			t.offerFlow(conn)
 		}
 		if !ok {
 			// Window closed between scheduling and protocol.
@@ -630,10 +622,7 @@ func (t *TOE) hcProto(conn *Conn, d shm.Desc, ack *tcpseg.RXResult) bool {
 // FIN on an empty transmit buffer counts its sequence slot).
 func (t *TOE) hcPost(conn *Conn) {
 	t.HCOps++
-	if conn.txUnscheduled() > 0 {
-		t.submitFlow(conn)
-	}
-	t.kickTX()
+	t.offerFlow(conn)
 }
 
 // rxPost counts a received segment and tells the flow scheduler when its
@@ -641,9 +630,7 @@ func (t *TOE) hcPost(conn *Conn) {
 func (t *TOE) rxPost(conn *Conn, info *tcpseg.SegInfo) {
 	t.RxSegs++
 	t.RxBytes += uint64(info.PayloadLen)
-	if conn.txUnscheduled() > 0 {
-		t.submitFlow(conn)
-	}
+	t.offerFlow(conn)
 }
 
 // protoForward routes a segment onward after the protocol stage's
@@ -817,7 +804,7 @@ func txPayloadFetched(a any) {
 // completion.
 func (t *TOE) xferCall(n int, cb func(any), arg any) {
 	if n <= 0 {
-		t.ownNow(cb, arg)
+		t.own.ImmediatelyCall(cb, arg)
 		return
 	}
 	if t.copyRes != nil {

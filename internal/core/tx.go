@@ -19,8 +19,10 @@ func (t *TOE) submitFlow(c *Conn) {
 	t.kickTX()
 }
 
-// kickConn is the control plane's poke after reprogramming windows.
-func (t *TOE) kickConn(c *Conn) {
+// offerFlow submits the connection when it has bytes no TX item in flight
+// holds: after an ACK, a host-control descriptor, a control-plane window
+// change or a short TX item.
+func (t *TOE) offerFlow(c *Conn) {
 	if c.txUnscheduled() > 0 {
 		t.submitFlow(c)
 	}
@@ -44,38 +46,16 @@ func (c *Conn) txUnscheduled() uint32 {
 }
 
 // kickTX arms the transmit pump (idempotent within an instant) when the
-// flow scheduler holds a flow, ready or on its wheel. A kick that finds the
-// carousel empty is only held, with its instant: armed, the pump would run
-// and find nothing unless a flow arrived before its turn, and a flow
-// arrives through submitFlow, whose own kick then arms it. That later arm
-// takes the place the held kick's arm would have had: the TOE arms a held
-// kick before it queues any later event of its own at that instant
-// (ownNow), and other owners' events order against the pump by rank, not
-// by sequence. The run-to-completion ablation arms on every kick.
+// flow scheduler holds a flow, ready or on its wheel. A kick on an empty
+// carousel does nothing: the pump would find no work, and the flow that
+// brings some arrives through submitFlow, which kicks again. Both the
+// pipeline and the run-to-completion ablation follow this rule.
 func (t *TOE) kickTX() {
-	if t.txPumpArmed {
+	if t.txPumpArmed || t.sched.Empty() {
 		return
 	}
-	if !t.eagerTX && t.sched.Empty() {
-		t.txKickHeld, t.txKickAt = true, t.eng.Now()
-		return
-	}
-	t.armTX()
-}
-
-// armTX queues the pump at the current instant.
-func (t *TOE) armTX() {
-	t.txPumpArmed, t.txKickHeld = true, false
+	t.txPumpArmed = true
 	t.own.ImmediatelyCall(toeTXPump, t)
-}
-
-// ownNow schedules cb(arg) on the TOE's own key at the current instant,
-// behind a pump for a kick held at this instant (see kickTX).
-func (t *TOE) ownNow(cb func(any), arg any) {
-	if t.txKickHeld && t.txKickAt == t.eng.Now() {
-		t.armTX()
-	}
-	t.own.ImmediatelyCall(cb, arg)
 }
 
 // Long-lived event callbacks for the transmit pump (see

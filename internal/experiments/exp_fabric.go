@@ -59,9 +59,8 @@ func fig17IncastPoint(fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastResult {
 			Kind: scenario.TopoFabric,
 			Fabric: &scenario.FabricSpec{
 				Racks: 3, Spines: 2,
-				QueueHistUnit: 1448,
-				Leaf:          &scenario.SwitchSpec{ECNThresholdBytes: fig17K, QueueCapBytes: fig17QueueCap},
-				Spine:         &scenario.SwitchSpec{ECNThresholdBytes: fig17K, QueueCapBytes: 2 * fig17QueueCap},
+				Leaf:  &scenario.SwitchSpec{ECNThresholdBytes: fig17K, QueueCapBytes: fig17QueueCap},
+				Spine: &scenario.SwitchSpec{ECNThresholdBytes: fig17K, QueueCapBytes: 2 * fig17QueueCap},
 			},
 		},
 		Machines: []scenario.Machine{{
@@ -139,7 +138,6 @@ func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	fc := fabric.Config{
 		Leaves: 2, Spines: 1,
 		LeafSpineGbps: trunkGbps,
-		QueueHistUnit: 1448,
 		Leaf: netsim.SwitchConfig{
 			ECNThresholdBytes: fig17K,
 			QueueCapBytes:     fig17QueueCap,

@@ -55,10 +55,6 @@ type Config struct {
 	Leaf  netsim.SwitchConfig
 	Spine netsim.SwitchConfig
 
-	// QueueHistUnit enables per-port egress occupancy histograms on every
-	// leaf port, in buckets of this many bytes (0 disables).
-	QueueHistUnit int
-
 	Seed uint64
 }
 
@@ -139,9 +135,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 			up := leaf.AddUplink(fmt.Sprintf("leaf%d-spine%d", l, s), trunkRate)
 			down := spine.AddPort(fmt.Sprintf("spine%d-leaf%d", s, l), trunkRate)
 			netsim.Connect(up, down, cfg.TrunkProp)
-			if cfg.QueueHistUnit > 0 {
-				up.EnableQueueHist(cfg.QueueHistUnit, cfg.Leaf.QueueCapBytes)
-			}
 			f.leafUplinks[l][s] = up
 			f.spineDown[s][l] = down
 		}
@@ -169,9 +162,6 @@ func (f *Fabric) AttachHost(rack int, name string, mac packet.EtherAddr, bytesPe
 	leaf := f.Leaves[rack]
 	nic := netsim.NewIface(f.Eng, name, mac, bytesPerSec)
 	port := leaf.AddPort(name, bytesPerSec)
-	if f.Cfg.QueueHistUnit > 0 {
-		port.EnableQueueHist(f.Cfg.QueueHistUnit, f.Cfg.Leaf.QueueCapBytes)
-	}
 	netsim.Connect(nic, port, prop)
 	leaf.Learn(mac, port)
 	for s, spine := range f.Spines {
@@ -284,8 +274,8 @@ func (f *Fabric) HostPortECNMarks() uint64 {
 	return n
 }
 
-// ResetQueueStats clears peak-depth markers and occupancy histograms on
-// every leaf port (end of warmup).
+// ResetQueueStats clears the peak-depth markers on every leaf port (end of
+// warmup).
 func (f *Fabric) ResetQueueStats() {
 	for _, sw := range f.Leaves {
 		for _, p := range sw.Ports() {

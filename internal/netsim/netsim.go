@@ -167,11 +167,6 @@ type Iface struct {
 	WREDDrops      uint64
 	PeakQueueBytes int
 
-	// QueueHist, when enabled, samples the egress queue depth (in units
-	// of QueueHistUnit bytes) at every accepted enqueue.
-	QueueHist     *stats.LinearHist
-	QueueHistUnit int
-
 	// queueBytes tracks bytes accepted for transmission but not yet on
 	// the wire — the output queue depth used for ECN marking and WRED.
 	queueBytes int
@@ -192,27 +187,10 @@ type xbarFrame struct {
 	wire int
 }
 
-// EnableQueueHist attaches an egress occupancy histogram to the port:
-// every accepted enqueue records the queue depth in buckets of unitBytes,
-// clamped at maxBytes. unitBytes defaults to 1448, maxBytes to 1 MiB.
-func (i *Iface) EnableQueueHist(unitBytes, maxBytes int) {
-	if unitBytes <= 0 {
-		unitBytes = 1448
-	}
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
-	i.QueueHistUnit = unitBytes
-	i.QueueHist = stats.NewLinearHist(maxBytes / unitBytes)
-}
-
-// ResetQueueStats clears the peak-depth marker and occupancy histogram
-// (end of a warmup phase); cumulative drop/mark counters are untouched.
+// ResetQueueStats clears the peak-depth marker (end of a warmup phase);
+// cumulative drop/mark counters are untouched.
 func (i *Iface) ResetQueueStats() {
 	i.PeakQueueBytes = 0
-	if i.QueueHist != nil {
-		i.QueueHist.Reset()
-	}
 }
 
 // noteQueueDepth records an accepted enqueue that brought the egress
@@ -220,9 +198,6 @@ func (i *Iface) ResetQueueStats() {
 func (i *Iface) noteQueueDepth(q int) {
 	if q > i.PeakQueueBytes {
 		i.PeakQueueBytes = q
-	}
-	if i.QueueHist != nil {
-		i.QueueHist.Record(q / i.QueueHistUnit)
 	}
 }
 

@@ -246,7 +246,6 @@ func fabricConfig(s *Spec) fabric.Config {
 		LeafSpineGbps: f.LeafSpineGbps,
 		HostProp:      sim.Time(f.HostPropNs) * sim.Nanosecond,
 		TrunkProp:     sim.Time(f.TrunkPropNs) * sim.Nanosecond,
-		QueueHistUnit: f.QueueHistUnit,
 		Seed:          s.Seed,
 	}
 	if f.Leaf != nil {

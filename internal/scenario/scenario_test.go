@@ -34,7 +34,7 @@ func incastSpec() string {
   "duration_us": 3000,
   "warmup_us": 1000,
   "topology": {"kind": "fabric", "fabric": {
-    "racks": 3, "spines": 2, "queue_hist_unit": 1448,
+    "racks": 3, "spines": 2,
     "leaf": {"ecn_threshold_bytes": 90000, "queue_cap_bytes": 250000},
     "spine": {"ecn_threshold_bytes": 90000, "queue_cap_bytes": 500000}
   }},

@@ -208,7 +208,6 @@ const (
 	DescRxNotify // Bytes of new in-order payload available
 	DescTxFree   // Bytes of TX buffer space freed by acknowledgment
 	DescFinRx    // peer closed its direction
-	DescReset    // connection torn down
 )
 
 // Desc is one context-queue entry. 16 bytes on the wire, matching the

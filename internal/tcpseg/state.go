@@ -292,15 +292,6 @@ func (s *PostState) MarshalTable5() []byte {
 	return b
 }
 
-// State bundles the three partitions of one established connection. The
-// pipeline stages each touch only their own partition; the bundle exists
-// for the control plane, which owns connection setup and teardown.
-type State struct {
-	Pre   PreState
-	Proto ProtoState
-	Post  PostState
-}
-
 // TotalTable5Bytes is the aggregate per-connection state footprint,
 // matching Table 5's total (the paper reports 108 B from raw bit widths;
 // byte-aligned packing gives 15+43+51 = 109 B).
