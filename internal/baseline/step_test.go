@@ -113,32 +113,42 @@ func newStepLink(a, b *recorder) *stepLink {
 // run moves packets and fires timers until done holds.
 func (l *stepLink) run(tb testing.TB, done func() bool) {
 	tb.Helper()
-	const hop = 10 * sim.Microsecond
 	for round := 0; !done(); round++ {
 		if round > 100000 {
 			tb.Fatalf("no progress after %d hops: a una %d/%d, b rcvd %d", round, l.a.t.una, l.a.t.appended, l.b.t.rcvd)
 		}
-		l.a.settle(l.now)
-		l.b.settle(l.now)
-		fromA, fromB := l.a.takeOut(), l.b.takeOut()
-		if len(fromA)+len(fromB) == 0 {
-			// Quiet wire: the earliest timer fires.
-			r := l.a
-			if !r.timerSet || l.b.timerSet && l.b.timerAt < r.timerAt {
-				r = l.b
-			}
-			if !r.timerSet {
-				tb.Fatalf("quiet wire, no timer, not done")
-			}
-			l.now = max(l.now, r.timerAt)
-			r.timerSet = false
-			r.t.timer(r, l.now)
-			continue
+		if !l.hop() {
+			tb.Fatalf("quiet wire, no timer, not done")
 		}
-		l.now += hop
-		l.deliver(l.a, l.b, fromA)
-		l.deliver(l.b, l.a, fromB)
 	}
+}
+
+// hop settles both sides and moves what they emitted across the wire, or,
+// on a quiet wire, fires the earliest timer. It returns false when there
+// is neither a packet nor a timer.
+func (l *stepLink) hop() bool {
+	const hop = 10 * sim.Microsecond
+	l.a.settle(l.now)
+	l.b.settle(l.now)
+	fromA, fromB := l.a.takeOut(), l.b.takeOut()
+	if len(fromA)+len(fromB) == 0 {
+		// Quiet wire: the earliest timer fires.
+		r := l.a
+		if !r.timerSet || l.b.timerSet && l.b.timerAt < r.timerAt {
+			r = l.b
+		}
+		if !r.timerSet {
+			return false
+		}
+		l.now = max(l.now, r.timerAt)
+		r.timerSet = false
+		r.t.timer(r, l.now)
+		return true
+	}
+	l.now += hop
+	l.deliver(l.a, l.b, fromA)
+	l.deliver(l.b, l.a, fromB)
+	return true
 }
 
 func (l *stepLink) deliver(from, to *recorder, pkts []*packet.Packet) {
