@@ -4,9 +4,11 @@
 # sha256 of the rest to equal the first line of tables-golden.sha256.
 # The same bytes are also hashed per experiment — each id's piece is its
 # output up to its timing line — and every later line of the file holds
-# one "<sha256>  <id>"; a mismatch names every id whose piece moved.
-# Every table is a function of the seeds alone, so the hashes do not
-# depend on the machine or on -cores; a change that means to move a table
+# one "<sha256>  <id>"; after them comes one "<sha256>  <spec>" per
+# examples/scenarios/*.json, the sha256 of the payload `flexbench run`
+# prints for it. A mismatch names every id and spec that moved. Every
+# table and payload is a function of the seeds alone, so the hashes do not
+# depend on the machine or on -cores; a change that means to move one
 # updates the file in the same PR and says so in its title.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,10 +38,13 @@ awk -v dir="$tmp" -v n=0 '
 	while read -r n id; do
 		printf '%s  %s\n' "$(sha256sum <"$tmp/piece.$n" | awk '{print $1}')" "$id"
 	done <"$tmp/ids"
+	for spec in examples/scenarios/*.json; do
+		printf '%s  %s\n' "$("$tmp/flexbench" run "$spec" | sha256sum | awk '{print $1}')" "$spec"
+	done
 } >"$tmp/got"
 
 if cmp -s "$tmp/got" "$golden"; then
-	echo "tables: ok $(head -n 1 "$golden" | awk '{print $1}'), $(($(wc -l <"$golden") - 1)) experiments"
+	echo "tables: ok $(head -n 1 "$golden" | awk '{print $1}'), $(grep -vc '  examples/' "$golden" | awk '{print $1 - 1}') experiments, $(grep -c '  examples/' "$golden") example specs"
 	exit 0
 fi
 echo "tables: sha256 $(head -n 1 "$tmp/got" | awk '{print $1}'), committed $(head -n 1 "$golden" | awk '{print $1}')"
