@@ -424,17 +424,16 @@
 // takes an event out of the switch's own FIFO and moves no tie; the
 // port's counters still change at the egress instant
 // (TestSwitchFoldMatchesEventPath and FuzzSwitchFold hold it against the
-// event path). The fourth is the transmit pump's empty run: a kick arms
-// a core.TOE's pump only when its flow scheduler holds a flow, ready or
-// on the wheel. A kick that finds the carousel empty is held with its
-// instant, and the arming rule is that the TOE arms a held kick before it
-// queues any later event of its own at that instant (the control-plane
-// hand-off, an immediate host transfer). The pump so keeps the place among
-// the TOE's own events that arming at the kick gave it, other owners order
-// against it by rank, and a flow that arrives later in the instant arms it
-// through its own kick: no tie moves (TestHeldKickMatchesEagerArm on churn
-// and paced rows, TestHeldKickSameInstant on the one instant where the
-// rule matters; the run-to-completion ablation still arms on every kick).
+// event path). The fourth is the transmit pump's empty run, and it
+// re-declared one same-instant order: a core.TOE's pump is armed when its
+// flow scheduler holds a flow, ready or on the wheel, and a kick on an
+// empty carousel does nothing. The flow that brings work arrives through
+// a submit, which kicks again, so the pump takes its place among the
+// TOE's own events from that submit, not from the earlier kick; the
+// pipeline and the run-to-completion ablation follow the same rule. Where
+// a bare kick, a control-plane hand-off and a submit share an instant,
+// the hand-off now runs ahead of the pump (TestKickOnEmptyCarousel). No
+// table, payload or model metric moved with it.
 // One cut moved tables on purpose, because it changes what the pipeline
 // carries: the flow scheduler debits what it schedules. A connection
 // holds the bytes of its TX items scheduled whose protocol step has not
