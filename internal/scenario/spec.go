@@ -92,11 +92,10 @@ type FabricSpec struct {
 	TrunkPropNs   int64       `json:"trunk_prop_ns,omitempty"`
 	Leaf          *SwitchSpec `json:"leaf,omitempty"`
 	Spine         *SwitchSpec `json:"spine,omitempty"`
-	// QueueHistUnit is accepted (>= 0) and has no other effect. It sized
-	// the leaf ports' occupancy histograms, which no result read, until
-	// they were taken out. The frozen bench/workloads/incast_fabric.json
-	// still sets it; the benchmark PR that retires Spec.Cores removes it
-	// too.
+	// QueueHistUnit is accepted (>= 0) and has no other effect: no result
+	// reads a queue-occupancy histogram, but the frozen
+	// bench/workloads/incast_fabric.json still sets the key. The
+	// benchmark PR that retires Spec.Cores removes it too.
 	QueueHistUnit int `json:"queue_hist_unit,omitempty"`
 }
 

@@ -33,15 +33,6 @@ func (h *LinearHist) Record(v int) {
 	h.sum += uint64(v)
 }
 
-// Reset clears every bucket (end of a warmup phase).
-func (h *LinearHist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n = 0
-	h.sum = 0
-}
-
 // Count returns the number of observations.
 func (h *LinearHist) Count() uint64 { return h.n }
 
