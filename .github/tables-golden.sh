@@ -44,11 +44,13 @@ awk -v dir="$tmp" -v n=0 '
 } >"$tmp/got"
 
 if cmp -s "$tmp/got" "$golden"; then
-	echo "tables: ok $(head -n 1 "$golden" | awk '{print $1}'), $(grep -vc '  examples/' "$golden" | awk '{print $1 - 1}') experiments, $(grep -c '  examples/' "$golden") example specs"
+	specs=$(grep -c '  examples/' "$golden")
+	echo "tables: ok $(head -n 1 "$golden" | awk '{print $1}'), $(($(wc -l <"$golden") - 1 - specs)) experiments, $specs example specs"
 	exit 0
 fi
-echo "tables: sha256 $(head -n 1 "$tmp/got" | awk '{print $1}'), committed $(head -n 1 "$golden" | awk '{print $1}')"
-# Name every experiment whose piece differs, is new, or is gone.
+got=$(head -n 1 "$tmp/got" | awk '{print $1}') want=$(head -n 1 "$golden" | awk '{print $1}')
+[ "$got" = "$want" ] || echo "tables: sha256 $got, committed $want"
+# Name every experiment and spec whose hash differs, is new, or is gone.
 awk '
 NR == FNR { if (FNR > 1) { want[$2] = $1; order[++n] = $2 } next }
 FNR > 1 { got[$2] = $1; if (!($2 in want)) order[++n] = $2 }

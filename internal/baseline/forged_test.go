@@ -26,9 +26,8 @@ func FuzzForgedSegments(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkForged(t, data) })
 }
 
-// forgedMaxHops bounds the closing run of a fuzz input: an honest
-// transfer of forgedMaxBytes finishes in a few hundred hops, timeouts and
-// their back-off included.
+// forgedMaxBytes bounds the honest transfer, and forgedMaxHops the run
+// after the last forgery that must finish it.
 const (
 	forgedMaxBytes = 24 << 10
 	forgedMaxHops  = 20000

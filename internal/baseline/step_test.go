@@ -127,7 +127,7 @@ func (l *stepLink) run(tb testing.TB, done func() bool) {
 // on a quiet wire, fires the earliest timer. It returns false when there
 // is neither a packet nor a timer.
 func (l *stepLink) hop() bool {
-	const hop = 10 * sim.Microsecond
+	const wire = 10 * sim.Microsecond
 	l.a.settle(l.now)
 	l.b.settle(l.now)
 	fromA, fromB := l.a.takeOut(), l.b.takeOut()
@@ -145,7 +145,7 @@ func (l *stepLink) hop() bool {
 		r.t.timer(r, l.now)
 		return true
 	}
-	l.now += hop
+	l.now += wire
 	l.deliver(l.a, l.b, fromA)
 	l.deliver(l.b, l.a, fromB)
 	return true
