@@ -351,7 +351,8 @@
 // sim.Engine run by one goroutine. Nothing inside a simulation is
 // parallel, so no state inside it needs a lock. Parallelism is across
 // simulations: flexbench -cores runs a figure's independent sweep cells
-// on a worker pool (experiments.runCells), and `flexbench serve` runs
+// on a worker pool (experiments.cells, the one sweep runner every figure
+// uses: cell i's result lands in slot i), and `flexbench serve` runs
 // independent jobs on its own pool. Each cell and each job builds its own
 // testbed on its own engine, and everything pooled on the hot path hangs
 // off that engine (Engine.Local — packet pools, frame pools; TOE work
@@ -539,9 +540,9 @@
 //     walk spec-ordered slices.
 //
 //   - Async jobs with bounded workers. Jobs run on a worker pool clamped
-//     to GOMAXPROCS (the runCells rationale: more runnable workers than
-//     CPUs buys nothing for CPU-bound simulation); cancellation lands at
-//     the next progress boundary (32 chunks per run); specs and results
+//     to GOMAXPROCS (experiments.cells' rationale: more runnable workers
+//     than CPUs buys nothing for CPU-bound simulation); cancellation lands
+//     at the next progress boundary (32 chunks per run); specs and results
 //     persist to disk, so a restarted server serves finished jobs
 //     byte-identically and resumes interrupted ones. Example specs and
 //     curl workflows live in examples/scenarios/.

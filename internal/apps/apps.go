@@ -421,8 +421,6 @@ func (b *BulkSink) Shares() []float64 {
 
 // BulkSender streams as fast as the socket accepts.
 type BulkSender struct {
-	Sent uint64
-
 	sock    api.Socket
 	stopped bool
 }
@@ -451,7 +449,6 @@ func (b *BulkSender) push() {
 		return
 	}
 	b.sock.Commit(w)
-	b.Sent += uint64(w)
 }
 
 // ---------------------------------------------------------------------

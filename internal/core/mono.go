@@ -84,7 +84,7 @@ func monoRXDone(a any) {
 		t.sendAck(t.buildAck(conn, &res))
 	}
 	t.notifyHost(conn, &res)
-	t.rxPost(conn, &info)
+	t.rxPost(conn)
 }
 
 // blockingXferTime is a host transfer with the FPC stalled on it.

@@ -20,9 +20,7 @@ import (
 // Counters aggregates data-path statistics for experiments and tests.
 type Counters struct {
 	RxSegs       uint64
-	RxBytes      uint64
 	TxSegs       uint64
-	TxBytes      uint64
 	AcksSent     uint64
 	RxDropNoBuf  uint64
 	RxToControl  uint64
@@ -627,9 +625,8 @@ func (t *TOE) hcPost(conn *Conn) {
 
 // rxPost counts a received segment and tells the flow scheduler when its
 // ACK opened the window past what the TX items in flight hold.
-func (t *TOE) rxPost(conn *Conn, info *tcpseg.SegInfo) {
+func (t *TOE) rxPost(conn *Conn) {
 	t.RxSegs++
-	t.RxBytes += uint64(info.PayloadLen)
 	t.offerFlow(conn)
 }
 
@@ -690,7 +687,7 @@ func (t *TOE) postDone(isl *island, s *segItem) {
 	}
 	switch s.kind {
 	case segRX:
-		t.rxPost(conn, &s.info)
+		t.rxPost(conn)
 		t.dmaSt.push(s)
 	case segTX:
 		t.dmaSt.push(s)
@@ -818,13 +815,13 @@ func (t *TOE) xferCall(n int, cb func(any), arg any) {
 // freed transmit buffer space, and peer FINs.
 func (t *TOE) notifyHost(conn *Conn, res *tcpseg.RXResult) {
 	if res.NewInOrder > 0 {
-		t.notify(conn, shm.Desc{Kind: shm.DescRxNotify, Conn: conn.ID, Bytes: res.NewInOrder, Opaque: conn.Post.Opaque})
+		t.notify(conn, shm.Desc{Kind: shm.DescRxNotify, Conn: conn.ID, Bytes: res.NewInOrder})
 	}
 	if res.AckedBytes > 0 {
-		t.notify(conn, shm.Desc{Kind: shm.DescTxFree, Conn: conn.ID, Bytes: res.AckedBytes, Opaque: conn.Post.Opaque})
+		t.notify(conn, shm.Desc{Kind: shm.DescTxFree, Conn: conn.ID, Bytes: res.AckedBytes})
 	}
 	if res.FinRx {
-		t.notify(conn, shm.Desc{Kind: shm.DescFinRx, Conn: conn.ID, Opaque: conn.Post.Opaque})
+		t.notify(conn, shm.Desc{Kind: shm.DescFinRx, Conn: conn.ID})
 	}
 }
 
@@ -906,7 +903,6 @@ func (t *TOE) nbiOut(s *segItem) {
 // countTX counts a transmitted data segment and the bytes it re-sends.
 func (t *TOE) countTX(tx *tcpseg.TXResult) {
 	t.TxSegs++
-	t.TxBytes += uint64(tx.Len)
 	if tx.RetxBytes > 0 {
 		t.RetxSegs++
 		t.RetxBytes += uint64(tx.RetxBytes)
@@ -973,33 +969,15 @@ func (t *TOE) buildAck(conn *Conn, rx *tcpseg.RXResult) *packet.Packet {
 	if rx.AckECE {
 		flags |= packet.FlagECE
 	}
-	pkt := t.pkts.Get()
-	pkt.Eth = packet.Ethernet{Src: t.iface.MAC, Dst: conn.Pre.PeerMAC, EtherType: packet.EtherTypeIPv4}
-	pkt.IP = packet.IPv4{
-		TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0,
-		Src: conn.Pre.LocalIP, Dst: conn.Pre.PeerIP,
-	}
-	pkt.TCP = packet.TCP{
-		SrcPort: conn.Pre.LocalPort, DstPort: conn.Pre.RemotePort,
-		Seq: rx.AckSeq, Ack: rx.AckAck, Flags: flags,
-		Window: rx.AckWin, WScale: -1,
-	}
-	// SACK blocks the protocol stage derived from the reassembly interval
-	// set; the wire encoder fits 3 alongside timestamps, 4 otherwise.
-	for i := uint8(0); i < rx.AckSACKCnt; i++ {
-		pkt.TCP.AddSACK(packet.SACKBlock{Start: rx.AckSACK[i].Start, End: rx.AckSACK[i].End})
-	}
-	pkt.TCP.HasTimestamp = true
-	pkt.TCP.TSVal = t.tsNow()
-	pkt.TCP.TSEcr = rx.EchoTS
-	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
-	return pkt
+	return t.fillHeaders(t.pkts.Get(), conn, rx.AckSeq, rx.AckAck, flags, rx.AckWin, rx.AckSACK[:rx.AckSACKCnt], rx.EchoTS)
 }
 
 // buildData constructs a data segment into a recycled packet whose
 // payload is the host transmit buffer's committed bytes in place (the DMA
 // the paper's TX pipeline performs, one-shot: no staging copy). Only a
-// window straddling the ring's end is copied, into a slab buffer.
+// window straddling the ring's end is copied, into a slab buffer. SACK
+// blocks piggyback (Config.EnableSACK), so heavily bidirectional flows
+// learn about holes without waiting for a pure ACK.
 func (t *TOE) buildData(conn *Conn, tx *tcpseg.TXResult) *packet.Packet {
 	flags := packet.FlagACK | packet.FlagPSH
 	if tx.FIN {
@@ -1012,6 +990,15 @@ func (t *TOE) buildData(conn *Conn, tx *tcpseg.TXResult) *packet.Packet {
 	} else {
 		conn.TxBuf.ReadAt(tx.BufPos, pkt.GrowPayload(int(tx.Len)))
 	}
+	return t.fillHeaders(pkt, conn, tx.Seq, tx.Ack, flags, tx.Win, tx.SACK[:tx.SACKCnt], tx.EchoTS)
+}
+
+// fillHeaders writes one of conn's segments' Ethernet, IPv4 (ECT(0)) and
+// TCP headers into pkt: the given sequence fields, the SACK blocks the
+// protocol stage derived from the reassembly interval set (the wire
+// encoder fits 3 alongside timestamps, 4 otherwise), timestamps and the
+// flow hashes.
+func (t *TOE) fillHeaders(pkt *packet.Packet, conn *Conn, seq, ack uint32, flags uint8, win uint16, sack []tcpseg.SeqInterval, echoTS uint32) *packet.Packet {
 	pkt.Eth = packet.Ethernet{Src: t.iface.MAC, Dst: conn.Pre.PeerMAC, EtherType: packet.EtherTypeIPv4}
 	pkt.IP = packet.IPv4{
 		TTL: 64, Protocol: packet.ProtoTCP, TOS: packet.ECNECT0,
@@ -1019,18 +1006,15 @@ func (t *TOE) buildData(conn *Conn, tx *tcpseg.TXResult) *packet.Packet {
 	}
 	pkt.TCP = packet.TCP{
 		SrcPort: conn.Pre.LocalPort, DstPort: conn.Pre.RemotePort,
-		Seq: tx.Seq, Ack: tx.Ack, Flags: flags,
-		Window: tx.Win, WScale: -1,
+		Seq: seq, Ack: ack, Flags: flags,
+		Window: win, WScale: -1,
 	}
-	// Piggyback SACK blocks the protocol stage copied from the reassembly
-	// interval set (Config.EnableSACK), so heavily bidirectional flows
-	// learn about holes without waiting for a pure ACK.
-	for i := uint8(0); i < tx.SACKCnt; i++ {
-		pkt.TCP.AddSACK(packet.SACKBlock{Start: tx.SACK[i].Start, End: tx.SACK[i].End})
+	for _, b := range sack {
+		pkt.TCP.AddSACK(packet.SACKBlock{Start: b.Start, End: b.End})
 	}
 	pkt.TCP.HasTimestamp = true
 	pkt.TCP.TSVal = t.tsNow()
-	pkt.TCP.TSEcr = tx.EchoTS
+	pkt.TCP.TSEcr = echoTS
 	pkt.SeedFlowHashes(conn.flowHash, conn.revHash)
 	return pkt
 }

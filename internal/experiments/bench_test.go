@@ -7,9 +7,9 @@ import (
 )
 
 // Per-core-count harness benchmarks: a figure's independent seeded
-// testbeds (its sweep cells) run on a worker pool (runCells). Results are
+// testbeds (its sweep cells) run on a worker pool (cells). Results are
 // bit-identical at every core count (TestCellsMatchSerial); only
-// wall-clock changes. Speedup requires actual CPUs: runCells clamps its
+// wall-clock changes. Speedup requires actual CPUs: cells clamps its
 // pool to GOMAXPROCS, so on a single-CPU host the curve is flat by design.
 
 func benchFig8Sweep(b *testing.B, cores int) {

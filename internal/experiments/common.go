@@ -74,12 +74,13 @@ func (s Scale) cores() int {
 	return s.Cores
 }
 
-// runCells executes n independent experiment cells on up to workers
-// goroutines. Each cell is a self-contained seeded testbed writing only
-// to its own result slot, so the output is bit-identical to the serial
-// loop regardless of scheduling: cross-cell state is nil by construction
-// (per-engine pools, link ids and owner ranks, per-testbed switch RNGs).
-func runCells(workers, n int, cell func(i int)) {
+// cells runs cell(0) … cell(n-1) on up to workers goroutines and returns
+// their results in index order. Each cell is a self-contained seeded
+// testbed, so the output is bit-identical to the serial loop regardless of
+// scheduling: cross-cell state is nil by construction (per-engine pools,
+// link ids and owner ranks, per-testbed switch RNGs).
+func cells[T any](workers, n int, cell func(i int) T) []T {
+	out := make([]T, n)
 	if workers > n {
 		workers = n
 	}
@@ -89,10 +90,10 @@ func runCells(workers, n int, cell func(i int)) {
 		workers = p
 	}
 	if workers < 2 {
-		for i := 0; i < n; i++ {
-			cell(i)
+		for i := range out {
+			out[i] = cell(i)
 		}
-		return
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -105,11 +106,12 @@ func runCells(workers, n int, cell func(i int)) {
 				if i >= n {
 					return
 				}
-				cell(i)
+				out[i] = cell(i)
 			}
 		}()
 	}
 	wg.Wait()
+	return out
 }
 
 // Table is one regenerated result table/figure.

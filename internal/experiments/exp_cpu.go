@@ -84,9 +84,8 @@ func Table1(s Scale) []*Table {
 		Notes:  "kc = kilocycles/request, measured on the simulated host; component split and top-down shares are the stacks' calibrated profiles",
 	}
 	d := s.dur(25*sim.Millisecond, 200*sim.Millisecond)
-	kinds := []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE}
 	total := map[testbed.StackKind]float64{}
-	for i, kind := range kinds {
+	for i, kind := range testbed.AllStacks {
 		res := memcachedRun(kind, 1, 16, d, uint64(100+i))
 		if res.ops > 0 {
 			total[kind] = float64(res.allCycles) / float64(res.ops) / 1000
@@ -94,7 +93,7 @@ func Table1(s Scale) []*Table {
 	}
 	row := func(name string, get func(p archProfile, tot float64) float64) {
 		cells := []string{name}
-		for _, k := range kinds {
+		for _, k := range testbed.AllStacks {
 			cells = append(cells, f2(get(archProfileOf(k), total[k])))
 		}
 		t.AddRow(cells...)
@@ -158,23 +157,15 @@ func Table6(s Scale) []*Table {
 	return []*Table{t}
 }
 
-// fig8Kinds is Figure 8's column order.
-var fig8Kinds = []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE}
-
 // fig8Cells runs the (server cores × stack kind) sweep on up to workers
-// host cores and returns MOps per cell, indexed [row][column].
-func fig8Cells(cores []int, d sim.Time, workers int) [][]float64 {
-	out := make([][]float64, len(cores))
-	for i := range out {
-		out[i] = make([]float64, len(fig8Kinds))
-	}
-	runCells(workers, len(cores)*len(fig8Kinds), func(i int) {
-		row, col := i/len(fig8Kinds), i%len(fig8Kinds)
-		n := cores[row]
-		res := memcachedRun(fig8Kinds[col], n, 64, d, uint64(200+n))
-		out[row][col] = mops(res.ops, d)
+// host cores and returns MOps per cell, row-major with testbed.AllStacks
+// as the columns.
+func fig8Cells(cores []int, d sim.Time, workers int) []float64 {
+	per := len(testbed.AllStacks)
+	return cells(workers, len(cores)*per, func(i int) float64 {
+		n := cores[i/per]
+		return mops(memcachedRun(testbed.AllStacks[i%per], n, 64, d, uint64(200+n)).ops, d)
 	})
-	return out
 }
 
 // Fig8 regenerates Figure 8: memcached throughput scaling with server
@@ -189,12 +180,14 @@ func Fig8(s Scale) []*Table {
 	}
 	cores := s.pick([]int{2, 4, 8, 16}, []int{2, 4, 6, 8, 10, 12, 14, 16})
 	d := s.dur(15*sim.Millisecond, 100*sim.Millisecond)
-	for row, vals := range fig8Cells(cores, d, s.cores()) {
-		cells := []string{fmt.Sprintf("%d", cores[row])}
-		for _, v := range vals {
-			cells = append(cells, f2(v))
+	vals := fig8Cells(cores, d, s.cores())
+	per := len(testbed.AllStacks)
+	for i, n := range cores {
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, v := range vals[i*per : (i+1)*per] {
+			row = append(row, f2(v))
 		}
-		t.AddRow(cells...)
+		t.AddRow(row...)
 	}
 	return []*Table{t}
 }

@@ -276,21 +276,15 @@ type fig17ECMPResult struct {
 // fig17Cells runs all three Fig. 17 sweeps on up to workers host cores;
 // each result slice is in the order its table renders rows.
 func fig17Cells(sw fig17Sweep, workers int) (incast []fig17IncastResult, ecmp []fig17ECMPResult, oversub []fig17OversubResult) {
-	incast = make([]fig17IncastResult, len(sw.fanIns)*len(fig17CCs))
-	ecmp = make([]fig17ECMPResult, len(sw.spines)*len(sw.flows))
-	oversub = make([]fig17OversubResult, len(sw.trunks))
-	runCells(workers, len(incast)+len(ecmp)+len(oversub), func(i int) {
-		if i < len(incast) {
-			incast[i] = fig17IncastPoint(sw.fanIns[i/len(fig17CCs)], fig17CCs[i%len(fig17CCs)].cc, sw.dIncast)
-			return
-		}
-		if i -= len(incast); i < len(ecmp) {
-			r := &ecmp[i]
-			r.spineBytes, r.maxOverFair, r.racks = fig17ECMPPoint(sw.spines[i/len(sw.flows)], sw.flows[i%len(sw.flows)], sw.dECMP)
-			return
-		}
-		i -= len(ecmp)
-		oversub[i] = fig17OversubPoint(float64(sw.trunks[i]), sw.dOversub)
+	incast = cells(workers, len(sw.fanIns)*len(fig17CCs), func(i int) fig17IncastResult {
+		return fig17IncastPoint(sw.fanIns[i/len(fig17CCs)], fig17CCs[i%len(fig17CCs)].cc, sw.dIncast)
+	})
+	ecmp = cells(workers, len(sw.spines)*len(sw.flows), func(i int) (r fig17ECMPResult) {
+		r.spineBytes, r.maxOverFair, r.racks = fig17ECMPPoint(sw.spines[i/len(sw.flows)], sw.flows[i%len(sw.flows)], sw.dECMP)
+		return r
+	})
+	oversub = cells(workers, len(sw.trunks), func(i int) fig17OversubResult {
+		return fig17OversubPoint(float64(sw.trunks[i]), sw.dOversub)
 	})
 	return incast, ecmp, oversub
 }

@@ -130,9 +130,6 @@ func spliceRate(s Scale) float64 {
 	return float64(proxy.TOE.XDPTx) / d.Seconds() / 1e6
 }
 
-// fig15Kinds is Figure 15a/15b's column order.
-var fig15Kinds = []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE}
-
 // fig15SmallPoint runs one Figure 15a cell: 100 connections of 8-deep
 // pipelined 64 B echo at the given loss rate, returning goodput (Gbps).
 func fig15SmallPoint(kind testbed.StackKind, loss float64, d sim.Time) float64 {
@@ -148,13 +145,15 @@ func fig15SmallPoint(kind testbed.StackKind, loss float64, d sim.Time) float64 {
 	return gbps(cl.Completed*128, d)
 }
 
-// fig15LargePoint runs one Figure 15b cell: 8 unidirectional bulk
-// connections at the given loss rate, returning goodput (Gbps).
-func fig15LargePoint(kind testbed.StackKind, loss float64, d sim.Time) float64 {
-	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 152},
-		testbed.MachineSpec{Name: "server", Kind: kind, Cores: 4, BufSize: 1 << 19, Seed: 152},
-		testbed.MachineSpec{Name: "client", Kind: kind, Cores: 4, BufSize: 1 << 19, Seed: 153},
-	)
+// fig15Bulk runs Figure 15's bulk cell (15b, 15d, 15e): 8 BulkSenders on
+// the client into a BulkSink on the server's port 9000, both machines with
+// 4 cores and 512 KB buffers, through a switch dropping the given share of
+// frames and seeded with the server's seed. It returns the goodput (Gbps)
+// and the testbed, whose machines hold the run's counters.
+func fig15Bulk(server, client testbed.MachineSpec, loss float64, d sim.Time) (float64, *testbed.Testbed) {
+	server.Name, server.Cores, server.BufSize = "server", 4, 1<<19
+	client.Name, client.Cores, client.BufSize = "client", 4, 1<<19
+	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: server.Seed}, server, client)
 	sink := &apps.BulkSink{}
 	sink.Serve(tb.M("server").Stack, 9000)
 	for i := 0; i < 8; i++ {
@@ -162,30 +161,22 @@ func fig15LargePoint(kind testbed.StackKind, loss float64, d sim.Time) float64 {
 		snd.Start(tb.M("client").Stack, tb.Addr("server", 9000))
 	}
 	tb.Run(d)
-	return gbps(sink.Received, d)
+	return gbps(sink.Received, d), tb
 }
 
 // fig15Cells runs the 15a and 15b sweeps (loss rate × stack kind, both
-// tables) on up to workers host cores, returning goodput matrices
-// indexed [rate][kind].
-func fig15Cells(rates []float64, dS, dL sim.Time, workers int) (small, large [][]float64) {
-	small = make([][]float64, len(rates))
-	large = make([][]float64, len(rates))
-	for i := range rates {
-		small[i] = make([]float64, len(fig15Kinds))
-		large[i] = make([]float64, len(fig15Kinds))
-	}
-	per := len(fig15Kinds)
-	runCells(workers, 2*len(rates)*per, func(i int) {
-		table, cell := i%2, i/2
-		row, col := cell/per, cell%per
-		if table == 0 {
-			small[row][col] = fig15SmallPoint(fig15Kinds[col], rates[row], dS)
-		} else {
-			large[row][col] = fig15LargePoint(fig15Kinds[col], rates[row], dL)
+// tables) on up to workers host cores. Cell 2c is 15a's goodput and 2c+1
+// 15b's, c counting row-major with testbed.AllStacks as the columns.
+func fig15Cells(rates []float64, d sim.Time, workers int) []float64 {
+	per := len(testbed.AllStacks)
+	return cells(workers, 2*len(rates)*per, func(i int) float64 {
+		kind, loss := testbed.AllStacks[i/2%per], rates[i/2/per]
+		if i%2 == 0 {
+			return fig15SmallPoint(kind, loss, d)
 		}
+		g, _ := fig15Bulk(testbed.MachineSpec{Kind: kind, Seed: 152}, testbed.MachineSpec{Kind: kind, Seed: 153}, loss, d)
+		return g
 	})
-	return small, large
 }
 
 // Fig15 regenerates Figure 15: throughput under injected packet loss for
@@ -210,15 +201,15 @@ func Fig15(s Scale) []*Table {
 		Header: []string{"Loss", "Linux", "Chelsio", "TAS", "FlexTOE"},
 		Notes:  "Chelsio collapses at trace loss rates (OOO discard + timeout recovery); Linux's SACK survives best among host stacks (§5.3)",
 	}
-	dS := s.dur(15*sim.Millisecond, 150*sim.Millisecond)
-	dL := dS
-	smallCells, largeCells := fig15Cells(rates, dS, dL, s.cores())
+	d := s.dur(15*sim.Millisecond, 150*sim.Millisecond)
+	vals := fig15Cells(rates, d, s.cores())
+	per := len(testbed.AllStacks)
 	for row, loss := range rates {
 		sc := []string{fmt.Sprintf("%g%%", loss*100)}
 		lc := []string{fmt.Sprintf("%g%%", loss*100)}
-		for col := range fig15Kinds {
-			sc = append(sc, f3(smallCells[row][col]))
-			lc = append(lc, f2(largeCells[row][col]))
+		for c := row * per; c < (row+1)*per; c++ {
+			sc = append(sc, f3(vals[2*c]))
+			lc = append(lc, f2(vals[2*c+1]))
 		}
 		small.AddRow(sc...)
 		large.AddRow(lc...)
@@ -235,27 +226,14 @@ func Fig15(s Scale) []*Table {
 		Notes:  "SACK blocks derive from the receiver's OOO interval set (N=4); the sender repairs only uncovered holes (RFC 2018) and falls back to go-back-N on timeout or scoreboard overflow. 'sel KB' and 'p99 us' come from a passive flowmon analyzer on the sender NIC: selective-retransmit bytes inferred from the SACK scoreboard (GBN column must stay 0) and the 99th-percentile ack RTT at the tap",
 	}
 	recRates := s.pick([]int{0, 10, 100}, []int{0, 1, 10, 100, 200})
-	dR := s.dur(15*sim.Millisecond, 150*sim.Millisecond)
-	type recCell struct{ g, retxKB, selKB, p99Us float64 }
-	recRes := make([]recCell, 2*len(recRates))
-	runCells(s.cores(), len(recRes), func(i int) {
-		loss := float64(recRates[i/2]) / 1e4
-		g, retxKB, tap := fig15RecoveryPoint(loss, i%2 == 1, dR)
-		recRes[i] = recCell{
-			g:      g,
-			retxKB: retxKB,
-			selKB:  float64(tap.Totals().RetxSelBytes) / 1024,
-			p99Us:  float64(tap.RTTHist.Quantile(0.99)),
-		}
+	pct := func(lossE4 int) string { return fmt.Sprintf("%g%%", float64(lossE4)/1e4*100) }
+	rec := cells(s.cores(), 2*len(recRates), func(i int) []string {
+		g, retxKB, tap := fig15RecoveryPoint(float64(recRates[i/2])/1e4, i%2 == 1, d)
+		return []string{f2(g), f1(retxKB), f1(float64(tap.Totals().RetxSelBytes) / 1024), f1(float64(tap.RTTHist.Quantile(0.99)))}
 	})
 	for ri, lossE4 := range recRates {
-		loss := float64(lossE4) / 1e4
-		cells := []string{fmt.Sprintf("%g%%", loss*100)}
-		for v := 0; v < 2; v++ {
-			r := recRes[2*ri+v]
-			cells = append(cells, f2(r.g), f1(r.retxKB), f1(r.selKB), f1(r.p99Us))
-		}
-		recovery.AddRow(cells...)
+		row := append([]string{pct(lossE4)}, rec[2*ri]...)
+		recovery.AddRow(append(row, rec[2*ri+1]...)...)
 	}
 
 	// Figure 15d (reproduction extension): the receiver's reassembly
@@ -271,27 +249,15 @@ func Fig15(s Scale) []*Table {
 		Notes:  "a single interval (Table 5 budget) discards any second hole; drops-avoided counts segments N=1 would have thrown away, forcing retransmissions (ROADMAP: N=1 vs N=4 delta under loss)",
 	}
 	ivCaps := []int{1, tcpseg.MaxOOOIntervals}
-	type reasmCell struct {
-		g   float64
-		toe *core.TOE
-	}
-	reasmRes := make([]reasmCell, len(recRates)*len(ivCaps))
-	runCells(s.cores(), len(reasmRes), func(i int) {
-		loss := float64(recRates[i/len(ivCaps)]) / 1e4
-		g, toe := fig15ReassemblyPoint(loss, ivCaps[i%len(ivCaps)], dR)
-		reasmRes[i] = reasmCell{g, toe}
-	})
-	for ri, lossE4 := range recRates {
-		loss := float64(lossE4) / 1e4
-		for vi, ivs := range ivCaps {
-			r := reasmRes[ri*len(ivCaps)+vi]
-			toe := r.toe
-			reasm.AddRow(fmt.Sprintf("%g%%", loss*100), fmt.Sprintf("%d", ivs),
-				f2(r.g),
-				fmt.Sprintf("%d", toe.OOOAccepted), fmt.Sprintf("%d", toe.OOODropped),
-				fmt.Sprintf("%d", toe.OOOMerges), fmt.Sprintf("%d", toe.OOODropsAvoided),
-				f2(toe.OOOOccupancy.Mean()), fmt.Sprintf("%d", toe.OOOOccupancy.MaxSeen()))
-		}
+	for _, row := range cells(s.cores(), len(recRates)*len(ivCaps), func(i int) []string {
+		lossE4, ivs := recRates[i/len(ivCaps)], ivCaps[i%len(ivCaps)]
+		g, toe := fig15ReassemblyPoint(float64(lossE4)/1e4, ivs, d)
+		return []string{pct(lossE4), fmt.Sprintf("%d", ivs), f2(g),
+			fmt.Sprintf("%d", toe.OOOAccepted), fmt.Sprintf("%d", toe.OOODropped),
+			fmt.Sprintf("%d", toe.OOOMerges), fmt.Sprintf("%d", toe.OOODropsAvoided),
+			f2(toe.OOOOccupancy.Mean()), fmt.Sprintf("%d", toe.OOOOccupancy.MaxSeen())}
+	}) {
+		reasm.AddRow(row...)
 	}
 
 	// Figure 15e (reproduction extension): cross-stack recovery — a
@@ -308,21 +274,11 @@ func Fig15(s Scale) []*Table {
 		Header: []string{"Loss", "Gbps", "Retx KB", "SACK retx", "Reneges"},
 		Notes:  "Reneges counts scoreboard overflows on the FlexTOE sender (receiver tracks 32 intervals, scoreboard holds 4); each renege discards the blocks and go-back-Ns conservatively. The receiver advertises blocks most-recent-first with RFC 2018 rotation of older holes (baseline.appendSACK); measured effect on this table is nil — the retransmit volume is RTO-epoch-dominated (TestFig15CrossStackRetxGap)",
 	}
-	type crossCell struct {
-		g, retxKB         float64
-		sackRetx, reneges uint64
-	}
-	crossRes := make([]crossCell, len(recRates))
-	runCells(s.cores(), len(crossRes), func(i int) {
-		loss := float64(recRates[i]) / 1e4
-		g, retxKB, sackRetx, reneges := fig15CrossStackPoint(loss, dR)
-		crossRes[i] = crossCell{g, retxKB, sackRetx, reneges}
-	})
-	for ri, lossE4 := range recRates {
-		loss := float64(lossE4) / 1e4
-		r := crossRes[ri]
-		cross.AddRow(fmt.Sprintf("%g%%", loss*100), f2(r.g), f1(r.retxKB),
-			fmt.Sprintf("%d", r.sackRetx), fmt.Sprintf("%d", r.reneges))
+	for _, row := range cells(s.cores(), len(recRates), func(i int) []string {
+		g, retxKB, sackRetx, reneges := fig15CrossStackPoint(float64(recRates[i])/1e4, d)
+		return []string{pct(recRates[i]), f2(g), f1(retxKB), fmt.Sprintf("%d", sackRetx), fmt.Sprintf("%d", reneges)}
+	}) {
+		cross.AddRow(row...)
 	}
 	return []*Table{small, large, recovery, reasm, cross}
 }
@@ -331,19 +287,10 @@ func Fig15(s Scale) []*Table {
 // rate: the FlexTOE client sends with SACK enabled, the Linux-personality
 // server receives with its 32-interval reassembly and real SACK blocks.
 func fig15CrossStackPoint(loss float64, d sim.Time) (goodputGbps, retxKB float64, sackRetx, reneges uint64) {
-	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 159},
-		testbed.MachineSpec{Name: "server", Kind: testbed.Linux, Cores: 4, BufSize: 1 << 19, Seed: 159},
-		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, SACK: true, Seed: 160},
-	)
-	sink := &apps.BulkSink{}
-	sink.Serve(tb.M("server").Stack, 9000)
-	for i := 0; i < 8; i++ {
-		snd := &apps.BulkSender{}
-		snd.Start(tb.M("client").Stack, tb.Addr("server", 9000))
-	}
-	tb.Run(d)
+	g, tb := fig15Bulk(testbed.MachineSpec{Kind: testbed.Linux, Seed: 159},
+		testbed.MachineSpec{Kind: testbed.FlexTOE, SACK: true, Seed: 160}, loss, d)
 	toe := tb.M("client").TOE
-	return gbps(sink.Received, d), float64(toe.RetxBytes) / 1024, toe.SACKRetx, toe.SACKReneges
+	return g, float64(toe.RetxBytes) / 1024, toe.SACKRetx, toe.SACKReneges
 }
 
 // fig15ReassemblyPoint measures one FlexTOE-vs-FlexTOE bulk run with the
@@ -351,18 +298,9 @@ func fig15CrossStackPoint(loss float64, d sim.Time) (goodputGbps, retxKB float64
 // set is the only variable), returning goodput and the receiver TOE for
 // its reassembly counters.
 func fig15ReassemblyPoint(loss float64, intervals int, d sim.Time) (goodputGbps float64, rx *core.TOE) {
-	tb := testbed.New(netsim.SwitchConfig{LossProb: loss, Seed: 157},
-		testbed.MachineSpec{Name: "server", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, OOOCap: intervals, Seed: 157},
-		testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 4, BufSize: 1 << 19, OOOCap: intervals, Seed: 158},
-	)
-	sink := &apps.BulkSink{}
-	sink.Serve(tb.M("server").Stack, 9000)
-	for i := 0; i < 8; i++ {
-		snd := &apps.BulkSender{}
-		snd.Start(tb.M("client").Stack, tb.Addr("server", 9000))
-	}
-	tb.Run(d)
-	return gbps(sink.Received, d), tb.M("server").TOE
+	g, tb := fig15Bulk(testbed.MachineSpec{Kind: testbed.FlexTOE, OOOCap: intervals, Seed: 157},
+		testbed.MachineSpec{Kind: testbed.FlexTOE, OOOCap: intervals, Seed: 158}, loss, d)
+	return g, tb.M("server").TOE
 }
 
 // fig15RecoveryPoint measures one FlexTOE-vs-FlexTOE bulk run at the

@@ -25,7 +25,7 @@ func Fig10(s Scale) []*Table {
 		for _, cycles := range []int64{250, 1000} {
 			for _, size := range sizes {
 				cells := []string{dir, fmt.Sprintf("%d", cycles), fmt.Sprintf("%d", size)}
-				for _, kind := range []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE} {
+				for _, kind := range testbed.AllStacks {
 					cells = append(cells, f2(fig10Point(kind, dir, cycles, size, d)))
 				}
 				t.AddRow(cells...)
@@ -96,7 +96,7 @@ func Fig12(s Scale) []*Table {
 	for _, mode := range []string{"unidirectional", "bidirectional"} {
 		for _, size := range sizes {
 			cells := []string{mode, fmt.Sprintf("%d", size)}
-			for _, kind := range []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE} {
+			for _, kind := range testbed.AllStacks {
 				cells = append(cells, f2(fig12Point(kind, mode, size, d)))
 			}
 			t.AddRow(cells...)
@@ -136,7 +136,7 @@ func Fig13(s Scale) []*Table {
 	d := s.dur(8*sim.Millisecond, 50*sim.Millisecond)
 	for _, n := range counts {
 		cells := []string{fmt.Sprintf("%d", n)}
-		for _, kind := range []testbed.StackKind{testbed.Linux, testbed.Chelsio, testbed.TAS, testbed.FlexTOE} {
+		for _, kind := range testbed.AllStacks {
 			tb := testbed.New(netsim.SwitchConfig{Seed: 40},
 				serverSpec(kind, 8, 40),
 				testbed.MachineSpec{Name: "client", Kind: testbed.FlexTOE, Cores: 16, BufSize: 2048, Seed: 41},

@@ -3,7 +3,7 @@
 // status polls or an NDJSON stream of progress and per-flow records.
 //
 // Jobs execute asynchronously on a bounded worker pool (clamped to
-// GOMAXPROCS, runCells-style). Specs and finished payloads persist to an
+// GOMAXPROCS, like experiments.cells). Specs and finished payloads persist to an
 // on-disk directory, so a restarted server lists completed jobs with
 // their original byte-identical results and resumes an interrupted job
 // once: a job a restart finds interrupted a second time is a poison pill
@@ -71,7 +71,7 @@ type Config struct {
 	// Workers is the worker-pool width. Values < 1 mean 1; values above
 	// GOMAXPROCS are clamped to it — more runnable workers than CPUs
 	// buys nothing for CPU-bound simulation and interleaves working
-	// sets, exactly the runCells rationale.
+	// sets, exactly the rationale of experiments.cells.
 	Workers int
 	// Log receives diagnostics the job API cannot express (persistence
 	// failures after a job was accepted). Nil disables logging.

@@ -44,7 +44,6 @@ type Carousel struct {
 
 	// Statistics.
 	Scheduled uint64 // wheel insertions
-	Bypassed  uint64 // RR insertions
 }
 
 // State-page geometry: 64 entries, so a machine with a handful of
@@ -102,7 +101,6 @@ func (c *Carousel) Submit(id uint32) {
 	if st.interval == 0 || st.nextSend <= now {
 		st.inRR = true
 		c.rr = append(c.rr, id)
-		c.Bypassed++
 		return
 	}
 	// A flow in slot k becomes ready when the hand passes it, at

@@ -213,10 +213,9 @@ const (
 // Desc is one context-queue entry. 16 bytes on the wire, matching the
 // scalable PCIe queue design the paper adopts [44].
 type Desc struct {
-	Kind   DescKind
-	Conn   uint32 // connection index
-	Bytes  uint32
-	Opaque uint64 // application connection identifier (RX notify)
+	Kind  DescKind
+	Conn  uint32 // connection index
+	Bytes uint32
 }
 
 // DescWireSize is the DMA size of one descriptor.
@@ -230,7 +229,6 @@ type Pool struct {
 	free int
 	cap  int
 
-	Allocs    uint64
 	Failures  uint64
 	PeakInUse int
 }
@@ -250,7 +248,6 @@ func (p *Pool) TryAlloc() bool {
 		return false
 	}
 	p.free--
-	p.Allocs++
 	if used := p.cap - p.free; used > p.PeakInUse {
 		p.PeakInUse = used
 	}
