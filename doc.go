@@ -270,8 +270,8 @@
 //   - Views are windows into the socket's payload ring, never copies.
 //     Peek returns every readable byte as up to two slices (the ring may
 //     wrap); Reserve returns up to n bytes of free transmit ring at the
-//     append position. View slice contents may be read and written in
-//     place.
+//     append position. A Reserve view may be read and written in place;
+//     a Peek view is read-only.
 //
 //   - A Peek view is invalidated by the next Consume, a Reserve view by
 //     the next Commit. Views must never be retained across those calls,
@@ -303,8 +303,17 @@
 //     (shm.PayloadBuf.View into packet.Packet.SetPayloadView, on FlexTOE
 //     and the baselines alike), not a copy: the NIC never buffers
 //     segments (§3). A window straddling the physical ring's end is
-//     copied into a slab buffer; a ring nothing was written to (padding)
-//     yields a shared zero view; a switch duplicate shares the view. The
+//     copied into a slab buffer; a switch duplicate shares the view. A
+//     ring that holds only zeros has no storage, on both sides: a
+//     transmit ring nothing was written to (padding) lends windows of
+//     one shared zero array (shm.MaxRingBytes, untouched and so never
+//     resident), those windows written into a receive ring without
+//     storage copy nothing, and Peek of such a ring lends the zero array
+//     too, so a content-ignored stream holds no payload memory at either
+//     end. Its first real bytes give a ring storage as before, holding
+//     the zeros written ahead of them. Writing through a Peek view breaks
+//     the contract; under -tags flexdebug the next Consume panics on a
+//     zero window written through (TestStaleZeroViewsTrip). The
 //     view is safe because committed bytes are immutable until
 //     acknowledged and a move of the ring leaves the old ring to its
 //     views. A frame that outlives the acknowledgment of its bytes — a
@@ -342,7 +351,9 @@
 // with poison, every Peek/Reserve view is stamped with its ring's
 // generation, which the next Consume, Commit or move of the ring ends,
 // and the api view helpers panic on a view whose generation has ended
-// (TestStaleViewsTrip); a wire view released from a packet without
+// (TestStaleViewsTrip; a Peek view of the shared zero array is stamped
+// per ring too, TestStaleZeroViewsTrip); a wire view released from a
+// packet without
 // SetPayloadView panics too (TestWireViewOnlyThroughSetPayloadView).
 //
 // # One job, one engine

@@ -54,7 +54,7 @@ type Addr struct {
 // with the data-path pooling rules.
 type Socket interface {
 	// Peek returns the readable byte stream as up to two ring slices,
-	// valid until the next Consume.
+	// read-only and valid until the next Consume.
 	Peek() (a, b []byte)
 	// Consume releases the first n readable bytes (n <= Readable()).
 	Consume(n int)

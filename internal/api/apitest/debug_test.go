@@ -54,3 +54,29 @@ func TestStaleViewsTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestStaleZeroViewsTrip: on every stack, a client that commits without
+// staging sends zero windows, so the server's receive ring gets no
+// storage and Peek lends the shared zero array. A Peek view read after
+// its Consume still panics in the view helpers, and a write through a
+// Peek view panics at the Consume that follows.
+func TestStaleZeroViewsTrip(t *testing.T) {
+	for _, r := range rows() {
+		t.Run(r.name, func(t *testing.T) {
+			const n = 64
+			p := newPair(t, r, 4096, 9011, nil)
+			p.cli.Commit(2 * n)
+			p.until(t, "delivery", func() bool { return p.srv.Readable() >= 2*n })
+			ra, rb := p.srv.Peek()
+			if api.ViewLen(ra, rb) != 2*n || api.ViewByte(ra, rb, n) != 0 {
+				t.Fatalf("Peek of %d zero bytes: %d bytes, byte %d reads %#x", 2*n, api.ViewLen(ra, rb), n, api.ViewByte(ra, rb, n))
+			}
+			p.srv.Consume(n)
+			mustPanic(t, "a zero Peek view read after its Consume", func() { api.ViewByte(ra, rb, 0) })
+			ra, rb = p.srv.Peek()
+			ra[0] = 0xEE
+			mustPanic(t, "a Consume after a write through a zero Peek view", func() { p.srv.Consume(n) })
+			quiesce(t, p.tb)
+		})
+	}
+}

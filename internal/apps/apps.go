@@ -58,8 +58,6 @@ type RPCServer struct {
 	ReqSize   int
 	RespSize  int // 0 = echo the request size
 	AppCycles int64
-
-	Served uint64
 }
 
 // rpcSession is one accepted connection's parse/respond state.
@@ -91,7 +89,6 @@ func (sess *rpcSession) onReadable() {
 	sess.buffered += n
 	for sess.buffered >= sess.srv.ReqSize {
 		sess.buffered -= sess.srv.ReqSize
-		sess.srv.Served++
 		if sess.srv.AppCycles > 0 {
 			sess.core.SubmitStepCall(sim.Step{Compute: sess.srv.AppCycles}, rpcRespond, sess)
 		} else {

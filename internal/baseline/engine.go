@@ -60,7 +60,6 @@ type stackEnv struct {
 
 	RxSegs, TxSegs   uint64
 	Retransmits      uint64
-	FastRetx         uint64
 	SYNDrops         uint64 // SYNs silently dropped (no RST), all causes
 	BacklogOverflows uint64 // SYN drops due to a full listen backlog
 	PortSkips        uint64 // dial source ports passed over: their 4-tuple was live

@@ -162,9 +162,10 @@ func (k *bsocket) OnWritable(f func()) { k.onWritable = f }
 // four stacks, but — unlike libTOE — the per-byte cost is not avoided:
 // the kernel already paid the skb-to-socket-buffer copy on the segment
 // path, and Consume/Commit keep charging it. The views only spare the
-// application its own staging buffers.
+// application its own staging buffers. The view is read-only; a ring
+// that has received only zeros lends the shared zero array.
 func (k *bsocket) Peek() (a, b []byte) {
-	return k.c.rx.Slices(uint32(k.c.readPos), k.readable)
+	return k.c.rx.ReadSlices(uint32(k.c.readPos), k.readable)
 }
 
 // Consume releases the first n readable bytes, reopening the receive

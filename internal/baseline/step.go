@@ -168,7 +168,6 @@ func (t *tcb) segment(fx effects, pkt *packet.Packet, now sim.Time) {
 			t.env.DupAcks++
 			t.dupacks++
 			if t.dupacks == 3 {
-				t.env.FastRetx++
 				t.halveCwnd()
 				switch t.env.prof.Recovery {
 				case RecoverySACK:

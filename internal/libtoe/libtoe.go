@@ -184,9 +184,10 @@ func (k *Socket) OnReadable(f func()) { k.onReadable = f }
 func (k *Socket) OnWritable(f func()) { k.onWritable = f }
 
 // Peek returns the readable byte stream as up to two slices of the
-// shared-memory RX payload buffer: the zero-copy receive view.
+// shared-memory RX payload buffer: the zero-copy receive view, read-only.
+// A ring that has received only zeros lends the shared zero array.
 func (k *Socket) Peek() (a, b []byte) {
-	return k.conn.RxBuf.Slices(k.rxHead, k.avail)
+	return k.conn.RxBuf.ReadSlices(k.rxHead, k.avail)
 }
 
 // Consume releases the first n readable bytes and reopens the receive

@@ -20,7 +20,6 @@ type DMAEngine struct {
 
 	// Statistics.
 	Transactions uint64
-	Bytes        uint64
 	PeakInflight int
 }
 
@@ -72,7 +71,6 @@ func (d *DMAEngine) start(bytes int, cb func(any), arg any) {
 		d.PeakInflight = d.inflight
 	}
 	d.Transactions++
-	d.Bytes += uint64(bytes)
 	t := d.getTxn()
 	t.cb, t.arg = cb, arg
 	d.link.AcquireCall(int64(bytes), d.lat, dmaDone, t)

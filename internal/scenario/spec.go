@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"flextoe/internal/shm"
 	"flextoe/internal/tcpseg"
 )
 
@@ -127,11 +128,14 @@ type Machine struct {
 // Socket ring bounds (buf_bytes). The 16-bit window field counts units
 // of 1<<tcpseg.WindowScale bytes: a smaller ring (< 128 B) advertises a
 // zero window forever, and a ring above 8 MB holds bytes the peer is
-// never told of.
+// never told of. The upper bound is shm's, which sizes its shared zero
+// array by it; the index below compiles only while the two agree.
 const (
 	minBufBytes = 1 << tcpseg.WindowScale
-	maxBufBytes = 1 << (16 + tcpseg.WindowScale)
+	maxBufBytes = shm.MaxRingBytes
 )
+
+var _ = [1]struct{}{}[maxBufBytes-1<<(16+tcpseg.WindowScale)]
 
 // Stack personalities.
 const (

@@ -26,3 +26,7 @@ func (ringCheck) wire(v []byte)                       {}
 func (ringCheck) moved()                              {}
 func (ringCheck) markRead()                           {}
 func (ringCheck) released(b *PayloadBuf, n uint32)    {}
+
+// lendZeros lends the first n bytes of the shared zero array: every zero
+// window starts at its first byte.
+func (ringCheck) lendZeros(b *PayloadBuf, n uint32) []byte { return zeros[:n:n] }

@@ -53,11 +53,16 @@ func slabCheck(b []byte) {
 
 // ringCheck is one PayloadBuf's flexdebug state: the generation its
 // Slices views are stamped with (ended by every Release and every move
-// of the ring), and whether the data path has read the ring through View
-// or ReadAt, as it reads only transmit rings.
+// of the ring), whether the data path has read the ring through View
+// or ReadAt, as it reads only transmit rings, and where in the shared
+// zero array its ReadSlices views start and how far they reached since
+// the last Release.
 type ringCheck struct {
 	gen     uint64
 	readOut bool
+	zoff    uint32 // valid once zset
+	zset    bool
+	zlent   uint32
 }
 
 // viewStamp is what views records of one Slices view: the ring that lent
@@ -68,14 +73,16 @@ type viewStamp struct {
 }
 
 // views maps the first byte of each Slices view to its stamp, and wires
-// holds the first byte of each wire view (View). Concurrent engines
-// share them, so they are locked. Each is emptied when it reaches
-// maxViews entries: that forgets views, so an old one goes unchecked, and
-// never makes a live view look stale.
+// holds the first byte of each wire view (View). zeroNext counts the
+// rings that lent a zero window: each takes the next start in the shared
+// zero array. Concurrent engines share them, so they are locked. Each map
+// is emptied when it reaches maxViews entries: that forgets views, so an
+// old one goes unchecked, and never makes a live view look stale.
 var views struct {
 	sync.Mutex
-	m     map[*byte]viewStamp
-	wires map[*byte]struct{}
+	m        map[*byte]viewStamp
+	wires    map[*byte]struct{}
+	zeroNext uint32
 }
 
 const maxViews = 1 << 16
@@ -92,6 +99,34 @@ func (c *ringCheck) lend(b *PayloadBuf, start, n uint32) {
 		views.m[&b.data[0]] = viewStamp{b, c.gen}
 	}
 	views.Unlock()
+}
+
+// lendZeros lends a window of n bytes of the shared zero array and stamps
+// it like a Slices view. Stamps are keyed by a view's first byte, so each
+// ring's zero windows start at a byte of their own, taken in turn the
+// first time it lends one; reusing it, a ring adds no stamp after the
+// first and a steady stream allocates nothing. Starts are taken from the
+// array's first byte up to the last one that holds a window of the ring's
+// size, so they repeat only after that many rings, or at once for rings
+// as large as the array. It returns nil, and ReadSlices grows the ring
+// instead, when another ring's stamp holds the start.
+func (c *ringCheck) lendZeros(b *PayloadBuf, n uint32) []byte {
+	views.Lock()
+	defer views.Unlock()
+	if !c.zset {
+		c.zoff, c.zset = views.zeroNext%(MaxRingBytes-min(b.size, MaxRingBytes)+1), true
+		views.zeroNext++
+	}
+	if views.m == nil || len(views.m) >= maxViews {
+		views.m = make(map[*byte]viewStamp)
+	}
+	key := &zeros[c.zoff]
+	if s, ok := views.m[key]; ok && s.b != b {
+		return nil
+	}
+	views.m[key] = viewStamp{b, c.gen}
+	c.zlent = max(c.zlent, n)
+	return zeros[c.zoff : c.zoff+n : c.zoff+n]
 }
 
 // wire records the wire view v.
@@ -116,11 +151,17 @@ func isWireView(p []byte) bool {
 func (c *ringCheck) moved()    { c.gen++ }
 func (c *ringCheck) markRead() { c.readOut = true }
 
-// released ends the current views and poisons the n bytes about to be
-// released on a ring nothing but Slices views reads. They lie in the ring
-// apart from every live byte: the ring holds [tail, the highest write).
+// released ends the current views, checks that the zero windows lent
+// since the last Release still read as zeros, and poisons the n bytes
+// about to be released on a ring nothing but Slices views reads. They lie
+// in the ring apart from every live byte: the ring holds [tail, the
+// highest write).
 func (c *ringCheck) released(b *PayloadBuf, n uint32) {
 	c.gen++
+	if c.zlent != 0 {
+		checkZeros(zeros[c.zoff : c.zoff+c.zlent])
+		c.zlent = 0
+	}
 	if c.readOut || b.data == nil {
 		return
 	}
@@ -130,6 +171,18 @@ func (c *ringCheck) released(b *PayloadBuf, n uint32) {
 	poison(b.data[start:min(start+n, phys)])
 	if start+n > phys {
 		poison(b.data[:start+n-phys])
+	}
+}
+
+// checkZeros panics when a byte of w, a span of the shared zero array, is
+// not zero: someone wrote through a Peek view of a ring with no storage.
+// It clears w first, so every other ring still reads zeros.
+func checkZeros(w []byte) {
+	for i, v := range w {
+		if v != 0 {
+			clear(w)
+			panic(fmt.Sprintf("shm: a zero window was written through: its byte %d reads %#x (a Peek view is read-only)", i, v))
+		}
 	}
 }
 

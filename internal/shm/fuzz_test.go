@@ -32,7 +32,11 @@ func allRungs(size uint32) uint32 { return size - minRing }
 // viewCoverage names the corners checkPayloadBuf reached. The rung masks
 // are kept per logical size (fuzzSize), each an OR of small ring sizes.
 type viewCoverage struct {
-	zeroViews int               // views of a never-written ring
+	zeroViews int               // View or ReadSlices of a ring with no storage
+	zeroKept  int               // zero-window writes that left the ring without storage
+	zeroAt    bool              // the first real write after zero writes and a Release landed at tail
+	zeroAhead bool              // ... landed beyond tail, behind zeros that read back
+	zeroStale bool              // a zero-window write into an allocated ring replaced a nonzero byte
 	straddles int               // View calls that reported the ring end in the window
 	rungs     [fuzzSizes]uint32 // small ring sizes a View was taken on
 	heldMoves [fuzzSizes]uint32 // small ring sizes the ring moved away from while a view was held
@@ -46,6 +50,10 @@ type viewCoverage struct {
 // add merges o into c.
 func (c *viewCoverage) add(o viewCoverage) {
 	c.zeroViews += o.zeroViews
+	c.zeroKept += o.zeroKept
+	c.zeroAt = c.zeroAt || o.zeroAt
+	c.zeroAhead = c.zeroAhead || o.zeroAhead
+	c.zeroStale = c.zeroStale || o.zeroStale
 	c.straddles += o.straddles
 	for i := range c.rungs {
 		c.rungs[i] |= o.rungs[i]
@@ -74,7 +82,12 @@ func (c viewCoverage) complete() bool {
 		}
 	}
 	return c.zeroViews > 0 && c.straddles > 0 && c.direct && c.stepped &&
-		c.grew && c.smallWrap && c.fullWrap
+		c.grew && c.smallWrap && c.fullWrap && c.zeroWrites()
+}
+
+// zeroWrites reports whether c reached every corner of zero-window writes.
+func (c viewCoverage) zeroWrites() bool {
+	return c.zeroKept > 0 && c.zeroAt && c.zeroAhead && c.zeroStale
 }
 
 // checkPayloadBuf drives one PayloadBuf with the operations data encodes
@@ -83,14 +96,17 @@ func (c viewCoverage) complete() bool {
 // fuzzSize) and whether positions start just below the uint32 wrap; then
 // every three bytes are one operation:
 //
-//	op%8 0, 1  in-order write at head (WriteAt, or through Slices as Reserve+Commit does)
-//	     2     write a block ahead of a hole      3  fill the hole
-//	     4     Release part or all of the live window
-//	     5     View a window and hold it          6  Slices a window   7  ReadAt a window
+//	op%10 0, 1  in-order write at head (WriteAt, or through Slices as Reserve+Commit does)
+//	      2     write a block ahead of a hole      3  fill the hole
+//	      4     Release part or all of the live window
+//	      5     View a window and hold it          6  Slices a window   7  ReadAt a window
+//	      8     WriteAt a window of the shared zero array: at head, ahead of a hole, or into it
+//	      9     ReadSlices a window (held when it lends the zero array)
 //
 // After every operation each held view must still read the reference
 // while its bytes are unreleased — across writes, wraps and every move of
-// the ring — and a view of a never-written ring must read zeros forever.
+// the ring — a zero window must read zeros forever, and a ring written
+// only zero windows must have no storage.
 func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 	var cov viewCoverage
 	if len(data) == 0 {
@@ -108,6 +124,10 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 	base, ref := start, []byte(nil)
 	var held []heldView
 	var wroteSmallWrap, wroteFullWrap bool
+	// real: the ring was asked to hold something other than a zero window
+	// (a write of real bytes, a Slices view); zeroed: a zero window was
+	// written before that, and released: a Release followed it.
+	var real, zeroed, released bool
 
 	// length decodes a write or window length below limit from two bytes:
 	// mostly short, sometimes up to 32 KB.
@@ -118,21 +138,54 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 		}
 		return 1 + (n-1)%limit
 	}
-	write := func(pos, n uint32, viaSlices bool, fill byte) {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = fill + byte(i*7) + byte((pos+uint32(i))>>8)
+	want := func(pos, n uint32) []byte { return ref[pos-base : pos-base+n] }
+	// write stores n bytes at pos: real bytes, or with zero a window of
+	// the shared zero array starting fill bytes in, as a content-ignored
+	// segment carries.
+	write := func(pos, n uint32, viaSlices, zero bool, fill byte) {
+		p := zeros[fill : uint32(fill)+n]
+		if !zero {
+			p = make([]byte, n)
+			for i := range p {
+				p[i] = fill + byte(i*7) + byte((pos+uint32(i))>>8)
+			}
 		}
 		if end := pos + n - base; end > uint32(len(ref)) {
 			ref = append(ref, make([]byte, end-uint32(len(ref)))...)
 		}
 		copy(ref[pos-base:], p)
 		before := len(b.data)
-		if viaSlices {
+		switch {
+		case zero:
+			stale := false
+			for i := uint32(0); before != 0 && i < n; i++ {
+				stale = stale || b.data[(pos+i)&uint32(before-1)] != 0
+			}
+			b.WriteAt(pos, p)
+			if before == 0 {
+				cov.zeroKept++
+				zeroed = true
+			}
+			cov.zeroStale = cov.zeroStale || stale
+		case viaSlices:
 			a, c := b.Slices(pos, n)
 			copy(c, p[copy(a, p):])
-		} else {
+		default:
 			b.WriteAt(pos, p)
+		}
+		if !zero && !real {
+			real = true
+			if zeroed && released {
+				// The ring gets storage now: the zeros behind the write
+				// read back, then the data.
+				got := make([]byte, pos+n-tail)
+				b.ReadAt(tail, got)
+				if !bytes.Equal(got, want(tail, pos+n-tail)) {
+					t.Fatalf("the first real write [%d,%d) after zero writes: [%d,%d) differs from the stream", pos, pos+n, tail, pos+n)
+				}
+				cov.zeroAt = cov.zeroAt || pos == tail
+				cov.zeroAhead = cov.zeroAhead || pos != tail
+			}
 		}
 		phys := uint32(len(b.data))
 		if before != len(b.data) {
@@ -145,7 +198,7 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 				}
 			}
 		}
-		if pos&(phys-1)+n > phys {
+		if phys != 0 && pos&(phys-1)+n > phys {
 			wroteSmallWrap = wroteSmallWrap || phys < size
 			wroteFullWrap = wroteFullWrap || phys == size
 		}
@@ -162,36 +215,54 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 		off := uint32(x) * (hi - lo) / 256
 		return lo + off, length(y, x^y, hi-lo-off), true
 	}
-	want := func(pos, n uint32) []byte { return ref[pos-base : pos-base+n] }
 
 	for i := 1; i+2 < len(data); i += 3 {
-		op, x, y := data[i]%8, data[i+1], data[i+2]
+		op, x, y := data[i]%10, data[i+1], data[i+2]
 		free := size - (head - tail)
+		zero := op == 8
+		if zero {
+			// x's low bit picks a block ahead of a hole over a write at head.
+			switch {
+			case oooS != oooE:
+				op = 3
+			case x&1 == 1 && free > 2:
+				op = 2
+			default:
+				op = 0
+			}
+		}
 		switch {
 		case op < 2 && oooS == oooE && free > 0:
 			n := length(x, y, free)
-			write(head, n, op == 1, x)
+			write(head, n, op == 1, zero, x)
 			head += n
 			oooS, oooE = head, head
 		case op == 2 && oooS == oooE && free > 2:
 			gap := 1 + uint32(x)%(free-2)
 			n := length(y, x, free-gap)
 			oooS, oooE = head+gap, head+gap+n
-			write(oooS, n, y&1 == 1, y)
+			write(oooS, n, y&1 == 1, zero, y)
 		case op == 3 && oooS != oooE:
-			write(head, oooS-head, x&1 == 1, x)
+			write(head, oooS-head, x&1 == 1, zero, x)
 			head = oooE
 			oooS = oooE
 		case op == 4 && head != tail:
 			n := max((head-tail)*(uint32(x)+1)/256, 1) // x == 255: all of it
 			b.Release(n)
 			tail += n
-		case op == 5 && b.data == nil:
-			// Nothing was ever written: any window reads as zeros.
+			released = released || zeroed
+		case (op == 5 || op == 9) && b.data == nil:
+			// Only zeros were written: any window reads as zeros, and
+			// neither view gives the ring storage.
 			pos, n := tail+uint32(x)*size/256, length(y, x, size)
 			v, ok := b.View(pos, n)
-			if !ok || uint32(len(v)) != n || b.data != nil {
-				t.Fatalf("View(%d, %d) on an unwritten ring: %d bytes, ok %v, ring %d bytes", pos, n, len(v), ok, len(b.data))
+			if op == 9 {
+				var c []byte
+				v, c = b.ReadSlices(pos, n)
+				ok = c == nil
+			}
+			if !ok || uint32(len(v)) != n || b.data != nil || !isZeros(v) {
+				t.Fatalf("op %d of [%d,%d) on a ring with no storage: %d bytes, ok %v, ring %d bytes", op, pos, pos+n, len(v), ok, len(b.data))
 			}
 			cov.zeroViews++
 			held = append(held, heldView{pos: pos, v: v, zero: true})
@@ -224,11 +295,16 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 			if len(held) > 8 {
 				held = held[1:]
 			}
-		case op == 6:
+		case op == 6 || op == 9:
 			if pos, n, ok := window(x, y); ok {
-				a, c := b.Slices(pos, n)
+				lend := b.Slices
+				if op == 9 {
+					lend = b.ReadSlices
+				}
+				a, c := lend(pos, n)
+				real = true
 				if got := append(append([]byte(nil), a...), c...); !bytes.Equal(got, want(pos, n)) {
-					t.Fatalf("Slices(%d, %d) differs from the stream", pos, n)
+					t.Fatalf("op %d of [%d,%d) differs from the stream", op, pos, pos+n)
 				}
 			}
 		case op == 7:
@@ -241,6 +317,9 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 			}
 		}
 
+		if !real && b.data != nil {
+			t.Fatalf("op %d: the ring has %d bytes of storage after only zero windows were written", i/3, len(b.data))
+		}
 		kept := held[:0]
 		for _, h := range held {
 			if h.zero {
@@ -269,14 +348,17 @@ func checkPayloadBuf(t *testing.T, data []byte) viewCoverage {
 	return cov
 }
 
-// FuzzPayloadBuf holds PayloadBuf's WriteAt/Release/Slices/View/ReadAt to
-// a flat reference of the logical stream on arbitrary operation sequences
-// (see checkPayloadBuf for the encoding), views held across later writes
-// and the ring's moves included. The committed corpus
-// (testdata/fuzz/FuzzPayloadBuf: 600 random operations on every size and
-// start, one run of 3 000, a directed run that views a small ring and
-// then outgrows it, and payloadBufLadderOps on every size) reaches every
-// corner viewCoverage names (TestPayloadBufCorpusCoverage).
+// FuzzPayloadBuf holds PayloadBuf's WriteAt/Release/Slices/ReadSlices/
+// View/ReadAt to a flat reference of the logical stream on arbitrary
+// operation sequences (see checkPayloadBuf for the encoding), views held
+// across later writes and the ring's moves, and writes of zero windows,
+// included. The committed corpus (testdata/fuzz/FuzzPayloadBuf: 600
+// random operations on every size and start, one run of 3 000, a directed
+// run that views a small ring and then outgrows it, payloadBufLadderOps
+// on every size, payloadBufZeroOps both ways, and the input that found
+// zero windows aliasing the first storage's bytes before fit counted
+// their reach) reaches every corner viewCoverage names
+// (TestPayloadBufCorpusCoverage).
 func FuzzPayloadBuf(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkPayloadBuf(t, data) })
 }
@@ -353,9 +435,38 @@ func payloadBufLadderOps(sel byte) []byte {
 	return data
 }
 
-// TestPayloadBufViewMatchesStream runs long seeded sequences and the
-// ladder through checkPayloadBuf on every size and requires the corners
-// the view contract depends on: zero views of an unwritten ring,
+// payloadBufZeroOps writes only zero windows — in order, ahead of a hole
+// and into it — with views and a Release between, as a content-ignored
+// stream's receive ring sees them. Then come the first real bytes: at
+// tail after releasing everything (at), or at head behind unreleased
+// zeros. Last, those bytes are released and zero windows wrap the now
+// allocated ring onto them.
+func payloadBufZeroOps(sel byte, at bool) []byte {
+	data := []byte{sel,
+		9, 0, 50, // ReadSlices of the ring with no storage
+		8, 0, 99, // 100 zero bytes at head
+		8, 41, 40, // 42 zero bytes 42 bytes ahead of head
+		8, 0, 0, // the hole, filled with zeros
+		5, 0, 10, // View
+		4, 127, 0, // Release half the live window
+		8, 0, 29, // 30 zero bytes at head
+		9, 0, 60, // ReadSlices
+	}
+	if at {
+		data = append(data, 4, 255, 0) // Release it all
+	}
+	data = append(data, 0, 2, 199, 7, 0, 100, 4, 255, 0) // 200 real bytes, read, released
+	for i := 0; i < 4; i++ {
+		data = append(data, 8, 0, 255, 4, 255, 0) // 256 zero bytes, released
+	}
+	return data
+}
+
+// TestPayloadBufViewMatchesStream runs long seeded sequences, the zero
+// window runs and the ladder through checkPayloadBuf on every size and
+// requires the corners the view contract depends on: zero views of a ring
+// with no storage, zero writes that leave it so, the first real write
+// after them at tail and beyond it, a zero write over stale bytes,
 // straddling windows refused, views of every small ring size of every
 // logical size, views held across each move from one small ring to the
 // next and to full size, views after a small and the full ring wrapped,
@@ -367,6 +478,14 @@ func TestPayloadBufViewMatchesStream(t *testing.T) {
 		t.Logf("seed %d: %+v", seed, cov)
 		if seed%2 == 0 && !cov.direct {
 			t.Errorf("seed %d: the first write did not take the ring nil -> full", seed)
+		}
+		all.add(cov)
+	}
+	for _, at := range []bool{false, true} {
+		cov := checkPayloadBuf(t, payloadBufZeroOps(4, at))
+		t.Logf("zero windows, first real write at tail %v: %+v", at, cov)
+		if cov.zeroKept == 0 || !cov.zeroStale || cov.zeroAt != at || cov.zeroAhead == at {
+			t.Errorf("zero windows, first real write at tail %v, reached only %+v", at, cov)
 		}
 		all.add(cov)
 	}

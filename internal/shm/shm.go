@@ -4,10 +4,17 @@
 // never buffers segments, and a data segment's payload on the wire is a
 // PayloadBuf.View of the sender's committed bytes, not a copy),
 // context-queue descriptors, and the bounded NIC-side descriptor pools
-// whose exhaustion flow-controls host interaction (§3.1.1).
+// whose exhaustion flow-controls host interaction (§3.1.1). A ring that
+// holds only zeros has no storage on either side: the transmit ring of a
+// sender that commits without writing lends windows of one shared zero
+// array to the wire, and the receive ring those windows land in keeps
+// lending them to Peek.
 package shm
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // PayloadBuf is a power-of-two circular byte buffer in host memory: a
 // socket's RX or TX payload buffer (PAYLOAD-BUF). Positions are absolute
@@ -15,17 +22,20 @@ import "fmt"
 //
 // Size is the logical capacity — what window arithmetic and the
 // advertised window see. The physical ring behind it costs what it
-// holds: nil until first use, then the smallest power of two of at least
-// minRing that holds the live window [tail, pos+n) of a write or a Slices
-// view (View never moves it). Each time the live window outgrows the
-// ring it moves to the next power of two that holds it, up to full size.
-// The owner advances tail with Release; an owner that never releases
-// only grows sooner, it never reads wrong bytes.
+// holds: nil while it holds only zeros — nothing was written, or only
+// windows of the shared zero array (a content-ignored stream) — then the
+// smallest power of two of at least minRing that holds the live window
+// [tail, pos+n) of a write of real bytes or a Slices view (View never
+// moves it, nor ReadSlices a ring without storage). Each time the live
+// window outgrows the ring it moves to the next power of two that holds
+// it, up to full size. The owner advances tail with Release; an owner
+// that never releases only grows sooner, it never reads wrong bytes.
 type PayloadBuf struct {
-	data []byte    // physical ring: nil, or a power of two from minRing to size
-	dbg  ringCheck // zero-size unless built with -tags flexdebug
-	size uint32    // logical capacity
-	tail uint32    // oldest live position, advanced by Release
+	data      []byte    // physical ring: nil, or a power of two from minRing to size
+	dbg       ringCheck // zero-size unless built with -tags flexdebug
+	size      uint32    // logical capacity
+	tail      uint32    // oldest live position, advanced by Release
+	zeroReach uint32    // while data is nil: how far past tail the zero windows written reach
 }
 
 // minRing holds a request or two of a large fleet's connections; below
@@ -60,12 +70,18 @@ func (b *PayloadBuf) Size() uint32 { return b.size }
 func (b *PayloadBuf) Release(n uint32) {
 	b.dbg.released(b, n)
 	b.tail += n
+	b.zeroReach -= min(n, b.zeroReach)
 }
 
-// fit makes the physical ring hold the live window [tail, pos+n).
+// fit makes the physical ring hold the live window [tail, pos+n). A ring
+// getting storage also holds the zero windows written to it, or the
+// positions they stand for would alias the bytes it holds.
 func (b *PayloadBuf) fit(pos, n uint32) {
 	need := (pos-b.tail)&(b.size-1) + n
 	s := uint32(len(b.data))
+	if s == 0 {
+		need = max(need, b.zeroReach)
+	}
 	if need <= s {
 		return
 	}
@@ -94,9 +110,35 @@ func (b *PayloadBuf) fit(pos, n uint32) {
 	}
 }
 
+// MaxRingBytes is the largest payload ring a spec may request (scenario's
+// buf_bytes bound): the reach of the 16-bit TCP window field at the
+// stacks' window scale.
+const MaxRingBytes = 8 << 20
+
+// zeros backs every window a ring with no storage lends (View,
+// ReadSlices), so it is as large as the largest ring. It is shared by
+// every buffer of every engine and must never be written through: its
+// pages stay untouched in BSS, and a page nothing writes is never
+// resident.
+var zeros [MaxRingBytes]byte
+
+// isZeros reports whether p lies inside zeros, by address: the payload of
+// a segment that carries a zero window.
+func isZeros(p []byte) bool {
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(p))) - uintptr(unsafe.Pointer(&zeros))
+	return off < MaxRingBytes && uintptr(len(p)) <= MaxRingBytes-off
+}
+
 // WriteAt copies p into the buffer starting at pos, wrapping as needed.
+// Into a ring with no storage, a window of the shared zero array copies
+// nothing: the ring already reads as those zeros. It keeps only how far
+// they reach, which the storage a later write brings will hold.
 func (b *PayloadBuf) WriteAt(pos uint32, p []byte) {
 	if len(p) == 0 {
+		return
+	}
+	if b.data == nil && isZeros(p) {
+		b.zeroReach = max(b.zeroReach, (pos-b.tail)&(b.size-1)+uint32(len(p)))
 		return
 	}
 	if uint32(len(b.data)) != b.size {
@@ -116,7 +158,7 @@ func (b *PayloadBuf) put(pos uint32, p []byte) {
 }
 
 // ReadAt copies len(p) bytes from the buffer starting at pos. It never
-// grows the ring: a buffer nothing was written to reads as zeros.
+// grows the ring: a ring with no storage reads as zeros.
 func (b *PayloadBuf) ReadAt(pos uint32, p []byte) {
 	b.dbg.markRead()
 	if b.data == nil {
@@ -158,15 +200,27 @@ func (b *PayloadBuf) Slices(pos, n uint32) (a, c []byte) {
 	return b.data[start:], b.data[:start+n-phys]
 }
 
-// zeroView backs View on a ring nothing was ever written to. It is shared
-// by every buffer of every engine and must never be written through.
-var zeroView [64 << 10]byte
+// ReadSlices returns the window [pos, pos+n) as Slices does, for reading
+// only: the view a socket's Peek lends. On a ring with no storage it is a
+// window of the shared zero array, and the ring does not grow; a window
+// larger than the array grows it as Slices does. Writing through the view
+// breaks its contract: under -tags flexdebug a zero window is stamped
+// like any Slices view, and the ring's next Release panics if its bytes
+// are no longer zero.
+func (b *PayloadBuf) ReadSlices(pos, n uint32) (a, c []byte) {
+	if b.data == nil && n != 0 && n <= min(b.size, MaxRingBytes) {
+		if v := b.dbg.lendZeros(b, n); v != nil {
+			return v, nil
+		}
+	}
+	return b.Slices(pos, n)
+}
 
 // View returns the window [pos, pos+n) in place: the bytes ReadAt would
-// copy, as one read-only slice. On a ring nothing was ever written to it
-// is a shared zero window (up to 64 KB). It reports false when the
-// physical ring holds the window in two pieces (it straddles the ring
-// end), and never grows the ring.
+// copy, as one read-only slice. On a ring with no storage it is a window
+// of the shared zero array. It reports false when the physical ring holds
+// the window in two pieces (it straddles the ring end), and never grows
+// the ring.
 //
 // A view is the payload of a data segment on the wire
 // (packet.Packet.SetPayloadView). Committed transmit bytes are immutable
@@ -179,10 +233,10 @@ var zeroView [64 << 10]byte
 func (b *PayloadBuf) View(pos, n uint32) ([]byte, bool) {
 	b.dbg.markRead()
 	if b.data == nil {
-		if n > uint32(len(zeroView)) {
+		if n > MaxRingBytes {
 			return nil, false
 		}
-		return zeroView[:n:n], true
+		return zeros[:n:n], true
 	}
 	phys := uint32(len(b.data))
 	start := pos & (phys - 1)

@@ -385,6 +385,12 @@ func TestPayloadBufModel(t *testing.T) {
 	}
 }
 
+// ladderPhases are TestPayloadBufLadder's live windows and the ring size
+// each settles at.
+var ladderPhases = []struct{ window, settle uint32 }{
+	{256, 512}, {600, 1024}, {3072, 4096}, {5120, 8192}, {20480, 32768}, {40960, 65536},
+}
+
 // TestPayloadBufLadder pins where a ring settles. One 64 KB buffer,
 // its positions crossing the uint32 wrap, carries a stream whose live
 // window peaks at 256 B (an echo), then 600 B, 3 KB, 5 KB, 20 KB and
@@ -392,7 +398,11 @@ func TestPayloadBufModel(t *testing.T) {
 // write later. The ring must settle at 512 B, 1 KB, 4 KB, 8 KB, 32 KB and
 // full size, and after every move both the live bytes and the released
 // bytes the old ring still held behind tail (ctrl's persist probe re-reads
-// TxPos-1) must read back.
+// TxPos-1) must read back. The same stream written only with windows of
+// the shared zero array (a content-ignored stream's receive ring) must
+// leave the ring without storage through every phase, reading zeros; a
+// real byte then written at tail settles the ring where the last phase's
+// live window fits, and the zeros behind it read back.
 func TestPayloadBufLadder(t *testing.T) {
 	const size = 65536
 	b := NewPayloadBuf(size)
@@ -410,9 +420,7 @@ func TestPayloadBufLadder(t *testing.T) {
 			}
 		}
 	}
-	for _, ph := range []struct{ window, settle uint32 }{
-		{256, 512}, {600, 1024}, {3072, 4096}, {5120, 8192}, {20480, 32768}, {40960, size},
-	} {
+	for _, ph := range ladderPhases {
 		for round := 0; round < 40; round++ {
 			half := ph.window / 2
 			p := make([]byte, half)
@@ -444,6 +452,32 @@ func TestPayloadBufLadder(t *testing.T) {
 		if uint32(len(b.data)) != ph.settle {
 			t.Errorf("a %d B window settled the ring at %d B, want %d", ph.window, len(b.data), ph.settle)
 		}
+	}
+
+	z := NewPayloadBuf(size)
+	z.Release(start)
+	tail, head = start, start
+	got := make([]byte, size)
+	for _, ph := range ladderPhases {
+		for round := 0; round < 40; round++ {
+			half := ph.window / 2
+			z.WriteAt(head, zeros[round:round+int(half)])
+			head += half
+			if live := head - tail; live > half {
+				z.Release(live - half)
+				tail += live - half
+			}
+		}
+		z.ReadAt(tail, got[:head-tail])
+		a, c := z.ReadSlices(tail, head-tail)
+		if z.data != nil || bytes.Count(got[:head-tail], []byte{0}) != int(head-tail) || c != nil || !isZeros(a) {
+			t.Fatalf("a %d B window of zero writes: ring %d B, want no storage and zeros", ph.window, len(z.data))
+		}
+	}
+	z.WriteAt(tail, []byte{0xA5})
+	z.ReadAt(tail, got[:head-tail])
+	if len(z.data) != 32768 || got[0] != 0xA5 || bytes.Count(got[1:head-tail], []byte{0}) != int(head-tail-1) {
+		t.Errorf("a real byte at tail, %d B of zero windows live: ring %d B, want 32768 B holding the byte, then the zeros", head-tail, len(z.data))
 	}
 }
 

@@ -301,7 +301,6 @@ const TotalTable5Bytes = preStateWire + protoStateWire + postStateWire
 // fields later pipeline stages need, so the protocol stage never touches
 // the raw packet.
 type SegInfo struct {
-	Flow       packet.Flow
 	Seq        uint32
 	Ack        uint32
 	Flags      uint8
@@ -320,7 +319,6 @@ type SegInfo struct {
 // Summarize extracts a SegInfo from a decoded packet.
 func Summarize(p *packet.Packet) SegInfo {
 	s := SegInfo{
-		Flow:       p.Flow(),
 		Seq:        p.TCP.Seq,
 		Ack:        p.TCP.Ack,
 		Flags:      p.TCP.Flags,

@@ -65,15 +65,19 @@ func (s *patternSender) push() {
 
 // patternSink checks every delivered byte against streamByte.
 type patternSink struct {
-	sock api.Socket
-	conn uint16
-	got  uint64 // bytes consumed
-	bad  int
+	sock  api.Socket
+	conn  uint16
+	got   uint64 // bytes consumed
+	bad   int
+	zeros int // Peek views that lent the shared zero array
 }
 
 func (k *patternSink) onReadable() {
 	a, b := k.sock.Peek()
 	n := api.ViewLen(a, b)
+	if n > 0 && isZeroWindow(a) {
+		k.zeros++
+	}
 	for i := 0; i < n; i++ {
 		if api.ViewByte(a, b, i) != streamByte(k.conn, k.got+uint64(i)) {
 			k.bad++
@@ -356,4 +360,172 @@ func TestEchoFleetRingMemory(t *testing.T) {
 			runtime.KeepAlive(tb)
 		})
 	}
+}
+
+// zeroSender commits total bytes without staging any: a content-ignored
+// stream, whose segments carry windows of shm's shared zero array.
+type zeroSender struct {
+	sock        api.Socket
+	sent, total int
+}
+
+func (s *zeroSender) push() {
+	if n := min(s.sock.TxSpace(), s.total-s.sent); n > 0 {
+		s.sock.Commit(n)
+		s.sent += n
+	}
+}
+
+// zeroSink consumes a content-ignored stream half a window at a time, so
+// a receive ring with storage would grow to full size, and records
+// whether every Peek lent the shared zero array (the ring has no storage)
+// and read zeros.
+type zeroSink struct {
+	sock       api.Socket
+	got, total int
+	batch      int
+	allocated  int // Peek views that were not a zero window
+	nonzero    int // bytes that did not read zero
+}
+
+func (k *zeroSink) onReadable() {
+	a, b := k.sock.Peek()
+	n := api.ViewLen(a, b)
+	if n == 0 || n < min(k.batch, k.total-k.got) {
+		return
+	}
+	if !isZeroWindow(a) || b != nil {
+		k.allocated++
+	}
+	for i := 0; i < n; i += 97 {
+		if api.ViewByte(a, b, i) != 0 {
+			k.nonzero++
+		}
+	}
+	k.sock.Consume(n)
+	k.got += n
+}
+
+// zeroStreamBudget bounds the live heap per receiving connection of
+// TestContentIgnoredStreamsHoldNoReceiveMemory after its transfer: the
+// connection state of both ends and the testbed's fixed cost spread over
+// the streams; FlexTOE's includes its packet pool, grown to the frames the
+// reordering switch held in flight. Readings (x86-64, go1.24) for Linux,
+// Chelsio, TAS and FlexTOE:
+//
+//	receive rings grown to hold the zeros     523, 523, 527, 964 KB
+//	zero windows written to no storage         11,  11,  15, 452 KB
+//
+// Each budget sits between the two rows, half a ring above the second.
+var zeroStreamBudget = map[StackKind]int64{Linux: 64 << 10, Chelsio: 64 << 10, TAS: 64 << 10, FlexTOE: 704 << 10}
+
+// TestContentIgnoredStreamsHoldNoReceiveMemory sends content-ignored bulk
+// streams (zeroSender: commits, no writes) through a switch that drops,
+// reorders and duplicates frames, on every personality, so out-of-order
+// zero windows land ahead of the next expected byte too. Every byte must
+// arrive, every Peek must lend the shared zero array (the receive ring
+// never gets storage), every loan must come back at quiescence, and the
+// live heap per receiving connection must stay far below its 512 KB
+// ring. A content-bearing stream on the same stacks and switch must
+// still give its receive ring storage and read back every byte.
+func TestContentIgnoredStreamsHoldNoReceiveMemory(t *testing.T) {
+	const port, conns, total, bufSize = 7003, 4, 1 << 20, 512 << 10
+	sw := netsim.SwitchConfig{DupProb: 0.05, ReorderProb: 0.2, ReorderDelay: 30 * sim.Microsecond, LossProb: 0.003, Seed: 5}
+	for _, kind := range AllStacks {
+		t.Run(string(kind), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tb := New(sw,
+				MachineSpec{Name: "rx", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, Seed: 1},
+				MachineSpec{Name: "tx", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, Seed: 2},
+			)
+			var sinks []*zeroSink
+			tb.M("rx").Stack.Listen(port, func(sock api.Socket) {
+				k := &zeroSink{sock: sock, total: total, batch: bufSize / 2}
+				sinks = append(sinks, k)
+				sock.OnReadable(k.onReadable)
+			})
+			for i := 0; i < conns; i++ {
+				tb.M("tx").Stack.Dial(tb.Addr("rx", port), func(sock api.Socket) {
+					s := &zeroSender{sock: sock, total: total}
+					sock.OnWritable(s.push)
+					s.push()
+				})
+			}
+			done := func() bool {
+				for _, k := range sinks {
+					if k.got < total {
+						return false
+					}
+				}
+				return len(sinks) == conns
+			}
+			for i := 0; !done(); i++ {
+				if i > 5000 {
+					t.Fatalf("streams stalled: %d sinks", len(sinks))
+				}
+				tb.Run(tb.Eng.Now() + sim.Millisecond)
+			}
+			tb.Run(tb.Eng.Now() + sim.Second)
+			if err := tb.Eng.Unreturned(); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range sinks {
+				if k.got != total || k.allocated != 0 || k.nonzero != 0 {
+					t.Errorf("stream %d: %d of %d bytes, %d Peek views with storage behind them, %d bytes not zero",
+						i, k.got, total, k.allocated, k.nonzero)
+				}
+			}
+			acc, drop := machineOOO(tb.M("rx"))
+			if kind == Chelsio && drop == 0 || kind != Chelsio && acc == 0 {
+				t.Errorf("%d segments accepted out of order, %d dropped: the reordering did not reach the receiver", acc, drop)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perConn := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / conns
+			budget := zeroStreamBudget[kind]
+			t.Logf("%d out-of-order segments accepted, %d dropped; %d B of live heap per receiving connection, budget %d",
+				acc, drop, perConn, budget)
+			if perConn > budget {
+				t.Errorf("%d B of live heap per receiving connection, budget %d: receive rings hold the zeros", perConn, budget)
+			}
+			runtime.KeepAlive(tb)
+		})
+		t.Run(string(kind)+"/content", func(t *testing.T) {
+			const total, bufSize = 1 << 20, 16384
+			tb := New(sw,
+				MachineSpec{Name: "rx", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, Seed: 1},
+				MachineSpec{Name: "tx", Kind: kind, Cores: 2, BufSize: bufSize, SACK: true, Seed: 2},
+			)
+			var k *patternSink
+			tb.M("rx").Stack.Listen(port, func(sock api.Socket) {
+				k = &patternSink{sock: sock, conn: sock.RemoteAddr().Port}
+				sock.OnReadable(k.onReadable)
+			})
+			tb.M("tx").Stack.Dial(tb.Addr("rx", port), func(sock api.Socket) {
+				s := &patternSender{sock: sock, conn: sock.LocalAddr().Port, bufSize: bufSize, total: total}
+				sock.OnWritable(s.push)
+				s.push()
+			})
+			for i := 0; k == nil || k.got < total; i++ {
+				if i > 5000 {
+					t.Fatal("stream stalled")
+				}
+				tb.Run(tb.Eng.Now() + sim.Millisecond)
+			}
+			if k.bad != 0 || k.got != total || k.zeros != 0 {
+				t.Errorf("%d of %d bytes differ from the stream; %d Peek views lent the zero array", k.bad, k.got, k.zeros)
+			}
+		})
+	}
+}
+
+// machineOOO returns the segments m's stack accepted and dropped out of
+// order. Chelsio accepts none: it discards every out-of-order segment.
+func machineOOO(m *Machine) (accepted, dropped uint64) {
+	if m.TOE != nil {
+		return m.TOE.Counters.OOOAccepted, m.TOE.Counters.OOODropped
+	}
+	return m.Base.OOOAccepted, m.Base.OOODropped
 }
